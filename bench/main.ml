@@ -295,7 +295,7 @@ let run_fusion () =
     (e) telemetry neutrality,
     (f) compile-service cache coherence (cold, coalesced and cached
         compiles byte-identical to a direct pipeline run),
-    (h) rewrite-driver equivalence (worklist vs. legacy bounded driver:
+    (h) rewrite equivalence (worklist vs. legacy bounded driver:
         on modules where the legacy driver converges, byte-identical
         canonicalized IR),
     (i) cache-model coherence (under dm and assoc models the cache
@@ -388,7 +388,7 @@ let run_fuzz () =
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
-      (* Oracle (h): rewrite-driver equivalence — where the legacy
+      (* Oracle (h): rewrite equivalence — where the legacy
          bounded driver converges, the worklist driver must reach the
          same fixpoint, byte for byte. *)
       (match Differential.check_worklist_equivalence w with
@@ -556,15 +556,19 @@ let run_profile () =
        (Driver.config Driver.Sycl_mlir) m);
   Printf.printf "\nGEMM (n=64) SYCL-MLIR compile timing\n";
   Format.printf "%a@?" Mlir.Instrument.pp_timing (Mlir.Instrument.timing_report tm);
-  (* Execute and export the run's charge timeline as a Chrome trace. *)
+  (* Execute and export the merged compile + runtime + device trace. *)
   let args, _validate = w.Common.w_data () in
   let result = Sycl_runtime.Host_interp.run ~module_op:m args in
-  let events = result.Sycl_runtime.Host_interp.events in
+  let trace =
+    Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) result
+  in
   let path = "gemm_trace.json" in
   Out_channel.with_open_text path (fun oc ->
-      output_string oc (Sycl_sim.Profile.to_chrome_json events));
+      output_string oc
+        (Mlir.Json.to_string (Sycl_obs.Trace.export trace) ^ "\n"));
   Printf.printf "\nSimulated-run profile (trace written to %s):\n" path;
-  Format.printf "%a@?" Sycl_sim.Profile.pp_table (Sycl_sim.Profile.of_events events);
+  Format.printf "%a@?" Sycl_sim.Profile.pp_table
+    (Sycl_sim.Profile.of_events result.Sycl_runtime.Host_interp.events);
   if !hotspots then begin
     print_newline ();
     print_string

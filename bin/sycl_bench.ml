@@ -47,178 +47,65 @@ let report (w : Common.workload) (m : Common.measurement) =
     Format.printf "%a@?" Mlir.Pass.Stats.pp m.Common.m_stats
   end
 
-(** Write the run's charge timeline as Chrome-trace JSON and print the
-    per-kernel profile table derived from the same events. *)
-let write_profile (m : Common.measurement) path =
-  let events = m.Common.m_result.Sycl_runtime.Host_interp.events in
-  (try
-     Out_channel.with_open_text path (fun oc ->
-         output_string oc (Sycl_sim.Profile.to_chrome_json events))
-   with Sys_error msg ->
-     Printf.eprintf "error: cannot write trace: %s\n" msg;
-     exit 1);
-  Printf.printf "\nkernel profile (trace written to %s):\n" path;
-  Format.printf "%a@?" Sycl_sim.Profile.pp_table
-    (Sycl_sim.Profile.of_events events)
-
-(** Write the merged compile + runtime + device trace: compile-phase
-    spans from the pass-timing tree on the compile lane, then the run's
-    charge timeline (shifted past them) on the host-runtime and device
-    lanes — one chrome://tracing load shows parse -> passes -> queue ops
-    -> kernel cycles. Under [--annotate] the top hotspot lines ride
-    along as Chrome counter events on the device lane. *)
-let write_trace ?attribution (m : Common.measurement)
-    (tm : Mlir.Instrument.timer) path =
-  let module Trace = Sycl_obs.Trace in
-  let sink = Trace.global in
-  Trace.reset sink;
-  Trace.add_timing ~root_name:"compile" sink (Mlir.Instrument.timing_report tm);
-  let base = Trace.span_end sink in
-  Trace.add_all sink
-    (Sycl_sim.Profile.trace_spans ~base
-       m.Common.m_result.Sycl_runtime.Host_interp.events);
-  (match attribution with
-  | Some tab ->
-    List.iteri
-      (fun i (r : Sycl_sim.Attribution.line_row) ->
-        if i < 5 then
-          Trace.add_counter sink
-            {
-              Trace.ct_name = "hotspot " ^ r.Sycl_sim.Attribution.l_line;
-              ct_lane = Trace.Device;
-              ct_ts = base;
-              ct_series = [ ("cycles", r.Sycl_sim.Attribution.l_cycles) ];
-            })
-      (Sycl_sim.Attribution.by_line tab)
-  | None -> ());
-  (* Per-kernel cache hit-rate counters (non-flat --cache-model only):
-     one [ph:"C"] event per launch on the device lane. *)
-  List.iter
-    (fun (name, (s : Sycl_sim.Cost.launch_stats)) ->
-      if Sycl_sim.Cost.cache_active s then
-        Trace.add_counter sink
-          {
-            Trace.ct_name = "cache " ^ name;
-            ct_lane = Trace.Device;
-            ct_ts = base;
-            ct_series =
-              [
-                ("hits", s.Sycl_sim.Cost.cache_hits);
-                ("misses", s.Sycl_sim.Cost.cache_misses);
-                ( "hit_rate_pct",
-                  int_of_float
-                    (100.0
-                    *. Sycl_sim.Cache.hit_rate
-                         ~hits:s.Sycl_sim.Cost.cache_hits
-                         ~misses:s.Sycl_sim.Cost.cache_misses) );
-              ];
-          })
-    m.Common.m_result.Sycl_runtime.Host_interp.per_kernel;
-  try
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Mlir.Json.to_string (Trace.export sink) ^ "\n"));
-    Printf.printf "\nmerged trace written to %s\n" path
-  with Sys_error msg ->
-    Printf.eprintf "error: cannot write trace: %s\n" msg;
-    exit 1
-
-(** Write the run's metrics registry (runtime.* counters and the
-    launch-latency histogram, sim.* device counters) as JSON. *)
-let write_metrics (m : Common.measurement) path =
-  let reg = m.Common.m_result.Sycl_runtime.Host_interp.metrics in
-  try
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc
-          (Mlir.Json.to_string (Sycl_obs.Metrics.to_json reg) ^ "\n"));
-    Printf.printf "metrics written to %s\n" path
-  with Sys_error msg ->
-    Printf.eprintf "error: cannot write metrics: %s\n" msg;
-    exit 1
-
-(** The attribution surfaces: hotspot report on stdout, attribution
-    JSON, annotated IR dump. *)
-let write_attribution_surfaces ~annotate ~attribution_json ~annotated_ir
-    (tab : Sycl_sim.Attribution.table) (module_op : Mlir.Core.op) =
+(** The run's profiling surfaces. Attribution and cache conservation
+    are asserted first (exit 1 on a violation). Under [--annotate] the
+    hotspot, cache and per-kernel profile tables print; [--annotated-ir]
+    writes the cost-annotated module; [--report-json] writes the run
+    report ({!Annotate.report_sections}). *)
+let run_surfaces ~annotate ~annotated_ir ~report_json ~timer
+    (r : Sycl_runtime.Host_interp.run_result) (module_op : Mlir.Core.op) =
+  let assert_ok what = function
+    | Ok () -> ()
+    | Error msg ->
+      Printf.eprintf "error: %s conservation violated: %s\n" what msg;
+      exit 1
+  in
+  assert_ok "attribution" (Annotate.check_conservation r);
+  assert_ok "cache" (Annotate.check_cache_conservation r);
+  let tab = Annotate.merged_attribution r in
   if annotate then begin
     print_newline ();
-    print_string (Sycl_sim.Attribution.hotspots_to_string tab)
+    print_string (Sycl_sim.Attribution.hotspots_to_string tab);
+    Option.iter
+      (fun c ->
+        print_newline ();
+        print_string (Sycl_sim.Cache.render c))
+      (Annotate.merged_cache r);
+    print_string "\nkernel profile:\n";
+    Format.printf "%a@?" Sycl_sim.Profile.pp_table
+      (Sycl_sim.Profile.of_events r.Sycl_runtime.Host_interp.events)
   end;
-  Option.iter
-    (fun path ->
-      try
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc
-              (Mlir.Json.to_string (Sycl_sim.Attribution.to_json tab) ^ "\n"));
-        Printf.eprintf "attribution written to %s\n" path
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write attribution: %s\n" msg;
-        exit 1)
-    attribution_json;
+  let cannot_write what msg =
+    Printf.eprintf "error: cannot write %s: %s\n" what msg;
+    exit 1
+  in
   Option.iter
     (fun path ->
       Sycl_sim.Attribution.annotate_module tab module_op;
-      try
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Mlir.Printer.to_string module_op));
-        Printf.eprintf "annotated IR written to %s\n" path
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write annotated IR: %s\n" msg;
-        exit 1)
-    annotated_ir
+      (try
+         Out_channel.with_open_text path (fun oc ->
+             output_string oc (Mlir.Printer.to_string module_op))
+       with Sys_error msg -> cannot_write "annotated IR" msg);
+      Printf.eprintf "annotated IR written to %s\n" path)
+    annotated_ir;
+  Option.iter
+    (fun path ->
+      match
+        Sycl_obs.Report.write path
+          (Annotate.report_sections
+             ~timing:(Mlir.Instrument.timing_report timer)
+             ~attribution:tab r)
+      with
+      | Ok () -> Printf.eprintf "report written to %s\n" path
+      | Error msg -> cannot_write "report" msg)
+    report_json
 
-(** The cache surfaces: rendered hit/miss table under [--annotate], full
-    JSON (per-op counters + reuse-distance histogram) via
-    [--cache-json]. The flat model collects no table, so both are
-    no-ops there — [--cache-json] without a cache model is an error. *)
-let write_cache_surfaces ~annotate ~cache_json
-    (r : Sycl_runtime.Host_interp.run_result) =
-  (match Annotate.check_cache_conservation r with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "error: cache conservation violated: %s\n" msg;
-    exit 1);
-  match Annotate.merged_cache r with
-  | None ->
-    if cache_json <> None then begin
-      Printf.eprintf
-        "error: --cache-json requires a non-flat --cache-model (dm|assoc)\n";
-      exit 2
-    end
-  | Some tab ->
-    if annotate then begin
-      print_newline ();
-      print_string (Sycl_sim.Cache.render tab)
-    end;
-    Option.iter
-      (fun path ->
-        try
-          (* Prepend the launch-side transaction total so the
-             conservation invariant is checkable from this file alone:
-             hits + misses = global_transactions, exactly. *)
-          let transactions =
-            List.fold_left
-              (fun acc (_, s) ->
-                acc + s.Sycl_sim.Cost.global_transactions)
-              0 r.Sycl_runtime.Host_interp.per_kernel
-          in
-          let json =
-            match Sycl_sim.Cache.to_json tab with
-            | Mlir.Json.Obj kvs ->
-              Mlir.Json.Obj
-                (("global_transactions", Mlir.Json.Int transactions) :: kvs)
-            | j -> j
-          in
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc (Mlir.Json.to_string json ^ "\n"));
-          Printf.eprintf "cache counters written to %s\n" path
-        with Sys_error msg ->
-          Printf.eprintf "error: cannot write cache counters: %s\n" msg;
-          exit 1)
-      cache_json
-
-let run_mlir_file cfg ~path ~size ~annotate ~attribution_json ~annotated_ir
-    ~cache_json =
-  match Annotate.run_file cfg ~size path with
+let run_mlir_file cfg ~path ~size ~annotate ~annotated_ir ~report_json =
+  let timer = Mlir.Instrument.timer () in
+  let instrumentations =
+    if report_json <> None then [ Mlir.Instrument.timing timer ] else []
+  in
+  match Annotate.run_file cfg ~instrumentations ~size path with
   | exception Annotate.File_error msg ->
     Printf.eprintf "error: %s: %s\n" path msg;
     exit 2
@@ -236,39 +123,33 @@ let run_mlir_file cfg ~path ~size ~annotate ~attribution_json ~annotated_ir
       (fun (name, s) ->
         Format.printf "  kernel %-18s %a@." name Sycl_sim.Cost.pp_launch_stats s)
       r.Sycl_runtime.Host_interp.per_kernel;
-    (match Annotate.check_conservation r with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "error: attribution conservation violated: %s\n" msg;
-      exit 1);
-    write_attribution_surfaces ~annotate ~attribution_json ~annotated_ir
-      (Annotate.merged_attribution r)
-      m;
-    write_cache_surfaces ~annotate ~cache_json r
+    run_surfaces ~annotate ~annotated_ir ~report_json ~timer r m
 
 let run list_flag bench mode compare no_licm no_reduction no_internalization
-    no_hostdev fusion profile_json metrics_json trace_json sim_domains
-    check_races cache_model cache_json annotate file_arg size attribution_json
-    annotated_ir delta =
+    no_hostdev fusion report_json sim_domains check_races cache_model annotate
+    file_arg size annotated_ir delta =
   if list_flag then (list_workloads (); exit 0);
+  if report_json <> None && (compare || delta) then begin
+    prerr_endline
+      "error: --report-json describes one run; it cannot be combined with \
+       --compare or --delta";
+    exit 2
+  end;
   Option.iter Sycl_sim.Interp.set_default_domains sim_domains;
   if check_races then Sycl_sim.Interp.set_default_check_races true;
   Option.iter Sycl_sim.Interp.set_default_cache_model cache_model;
-  let want_attribution =
-    annotate || attribution_json <> None || annotated_ir <> None
+  let config mode =
+    Driver.config ~enable_licm:(not no_licm)
+      ~enable_reduction:(not no_reduction)
+      ~enable_internalization:(not no_internalization)
+      ~enable_host_device:(not no_hostdev)
+      ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
   in
   try
   match file_arg with
   | Some path ->
-    let cfg =
-      Driver.config ~enable_licm:(not no_licm)
-        ~enable_reduction:(not no_reduction)
-        ~enable_internalization:(not no_internalization)
-        ~enable_host_device:(not no_hostdev)
-        ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
-    in
-    run_mlir_file cfg ~path ~size ~annotate ~attribution_json ~annotated_ir
-      ~cache_json
+    run_mlir_file (config mode) ~path ~size ~annotate ~annotated_ir
+      ~report_json
   | None ->
   match bench with
   | None ->
@@ -280,20 +161,8 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
       Printf.eprintf "unknown benchmark %s (try --list)\n" name;
       exit 2
     | Some w ->
-      (* The profiling surfaces report per source line, so they run a
-         located copy of the workload: printed and re-parsed under a
-         virtual file name (semantically identical — see Annotate). *)
-      let orig_w = w in
-      let w = if want_attribution then Annotate.located_workload w else w in
-      let config mode =
-        Driver.config ~enable_licm:(not no_licm)
-          ~enable_reduction:(not no_reduction)
-          ~enable_internalization:(not no_internalization)
-          ~enable_host_device:(not no_hostdev)
-          ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
-      in
       if delta then begin
-        let ds, _remarks = Annotate.delta_report orig_w in
+        let ds, _remarks = Annotate.delta_report w in
         print_string (Sycl_sim.Attribution.delta_to_string ds)
       end
       else if compare then begin
@@ -313,33 +182,22 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
           print_endline "AdaptiveCpp: unsupported (modeled validation failure)")
       end
       else
-        let tm = Mlir.Instrument.timer () in
+        (* The profiling surfaces report per source line, so they run a
+           located copy of the workload: printed and re-parsed under a
+           virtual file name (semantically identical — see Annotate). *)
+        let w =
+          if annotate || report_json <> None || annotated_ir <> None then
+            Annotate.located_workload w
+          else w
+        in
+        let timer = Mlir.Instrument.timer () in
         let instrumentations =
-          if trace_json <> None then [ Mlir.Instrument.timing tm ] else []
+          if report_json <> None then [ Mlir.Instrument.timing timer ] else []
         in
         let m = Common.measure ~instrumentations (config mode) w in
         report w m;
-        let attribution =
-          if want_attribution then begin
-            let tab =
-              Annotate.merged_attribution m.Common.m_result
-            in
-            (match Annotate.check_conservation m.Common.m_result with
-            | Ok () -> ()
-            | Error msg ->
-              Printf.eprintf "error: attribution conservation violated: %s\n"
-                msg;
-              exit 1);
-            write_attribution_surfaces ~annotate ~attribution_json
-              ~annotated_ir tab m.Common.m_module;
-            Some tab
-          end
-          else None
-        in
-        write_cache_surfaces ~annotate ~cache_json m.Common.m_result;
-        Option.iter (write_profile m) profile_json;
-        Option.iter (write_trace ?attribution m tm) trace_json;
-        Option.iter (write_metrics m) metrics_json;
+        run_surfaces ~annotate ~annotated_ir ~report_json ~timer
+          m.Common.m_result m.Common.m_module;
         if not m.Common.m_valid then exit 1)
   with Sycl_sim.Interp.Race_detected races ->
     Printf.eprintf
@@ -370,31 +228,21 @@ let compare_arg =
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 
-let profile_json_arg =
+let report_json_arg =
   Arg.(value & opt (some string) None
-       & info [ "profile-json" ] ~docv:"FILE"
+       & info [ "report-json" ] ~docv:"FILE"
            ~doc:
-             "Write the simulated run's timeline to $(docv) in the Chrome \
-              trace format (load in chrome://tracing or Perfetto) and print \
-              a per-kernel profile table. Single-mode runs only (not \
-              $(b,--compare)).")
-
-let metrics_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-json" ] ~docv:"FILE"
-           ~doc:
-             "Write the run's metrics registry (runtime event counters, \
-              transfer bytes, launch-latency histogram with p50/p90/p99) to \
-              $(docv) as JSON. Single-mode runs only (not $(b,--compare)).")
-
-let trace_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-json" ] ~docv:"FILE"
-           ~doc:
-             "Write one merged Chrome trace to $(docv): compile-phase spans, \
-              runtime queue operations and device kernel execution on \
-              separate lanes of a shared timeline. Single-mode runs only \
-              (not $(b,--compare)).")
+             "Write the run report to $(docv): one versioned JSON object \
+              with a $(b,metrics) section (runtime event counters, transfer \
+              bytes, launch-latency histogram), a $(b,trace) section (one \
+              merged Chrome trace: compile-phase spans, runtime queue \
+              operations and device kernels on separate lanes, plus \
+              hotspot and cache counter series), an $(b,attribution) \
+              section (the per-op cycle table) and, under a non-flat \
+              $(b,--cache-model), a $(b,cache) section (per-op cache \
+              counters and the reuse-distance histogram). Implies the \
+              located run of $(b,--annotate). Single runs only (not \
+              $(b,--compare) or $(b,--delta)).")
 
 let sim_domains_arg =
   Arg.(value & opt (some int) None
@@ -432,21 +280,16 @@ let cache_model_arg =
               hit/miss/eviction/memory-wait counters with \
               hits + misses = global transactions exactly.")
 
-let cache_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-json" ] ~docv:"FILE"
-           ~doc:
-             "Write the merged per-op cache counters and the exact \
-              reuse-distance histogram (p50/p90/p99) to $(docv) as JSON. \
-              Requires a non-flat $(b,--cache-model).")
-
 let annotate_arg =
   Arg.(value & flag
        & info [ "annotate" ]
            ~doc:
              "Print the source-attributed hotspot report after the run: the \
               top source lines by attributed device cycles, with share of \
-              total, memory transactions and the coalescing ratio. Named \
+              total, memory transactions and the coalescing ratio; then the \
+              cache table (non-flat $(b,--cache-model)) and the per-kernel \
+              profile (launches, launch overhead, device cycles, \
+              occupancy). Named \
               workloads are printed and re-parsed under a virtual file name \
               so every op carries a source location.")
 
@@ -464,14 +307,6 @@ let size_arg =
            ~doc:
              "Problem size for $(b,--file) runs: scalar main arguments are \
               bound to $(docv), memref arguments to NxN random buffers.")
-
-let attribution_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "attribution-json" ] ~docv:"FILE"
-           ~doc:
-             "Write the full per-op attribution table (cycles, memory \
-              transactions, barrier rounds per op and source location) to \
-              $(docv) as JSON.")
 
 let annotated_ir_arg =
   Arg.(value & opt (some string) None
@@ -499,9 +334,8 @@ let cmd =
           $ flag "no-internalization" "Disable loop internalization."
           $ flag "no-host-device" "Disable host-device propagation."
           $ flag "fusion" "Enable compile-time kernel fusion."
-          $ profile_json_arg $ metrics_json_arg $ trace_json_arg
-          $ sim_domains_arg $ check_races_arg $ cache_model_arg
-          $ cache_json_arg $ annotate_arg $ file_arg $ size_arg
-          $ attribution_json_arg $ annotated_ir_arg $ delta_arg)
+          $ report_json_arg $ sim_domains_arg $ check_races_arg
+          $ cache_model_arg $ annotate_arg $ file_arg $ size_arg
+          $ annotated_ir_arg $ delta_arg)
 
 let () = exit (Cmd.eval cmd)

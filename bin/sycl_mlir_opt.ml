@@ -8,9 +8,10 @@
      --timing            per-pass wall-time tree (-mlir-timing style)
      --remarks[=REGEX]   optimization remarks (-Rpass style), filtered
                          by pass name
-     --remarks-json=F    every remark, as a JSON document
      --stats             merged pass-statistics report (-stats style)
-     --stats-json=F      per-pass statistics and wall time, as JSON
+     --report-json=F     one versioned JSON report: per-pass statistics
+                         (stats), every remark (remarks), compile metrics
+                         (metrics) and the compile trace (trace)
      --print-analysis=L  run analysis printers (alias, uniformity,
                          reaching-defs, memory-access, reuse) after the pipeline:
                          annotates the IR with sycl.* attributes and
@@ -239,64 +240,131 @@ let run_serve_mode service =
     round_summary reg ~round:1 ~modules:!count ~wall_us ~before:(0, 0, 0);
   !failed
 
-let run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~metrics_json
-    ~remarks ~remark_filter ~remarks_json ~verify pipeline inputs =
+(* Write the [--report-json] document, or exit 1. *)
+let write_report path sections =
+  match Sycl_obs.Report.write path sections with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "error: cannot write report: %s\n" msg;
+    exit 1
+
+let remarks_json rs = Mlir.Json.List (List.map Mlir.Remarks.to_json_value rs)
+
+(* Remarks stream to stderr as they are emitted (filtered like
+   -Rpass=REGEX, matched against the pass name); the returned list
+   always collects every remark, for the report. *)
+let remark_collector remark_filter =
+  let all = ref [] in
+  ( (fun r ->
+      all := r :: !all;
+      match remark_filter with
+      | Some rx when Str.string_match rx r.Mlir.Remarks.r_pass 0 ->
+        Printf.eprintf "%s\n%!" (Mlir.Remarks.to_string r)
+      | _ -> ()),
+    fun () -> List.rev !all )
+
+let run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~report_json
+    ~remarks ~remark_filter ~verify pipeline inputs =
   let pipeline_key = Service.pipeline_key_of_passes pipeline in
   let service =
     Service.create ~cache_capacity:cache_size
       ?workers:(if jobs > 0 then Some jobs else None)
       ~verify_each:verify ~pipeline ~pipeline_key ()
   in
-  let all_remarks = ref [] in
-  let sink r =
-    all_remarks := r :: !all_remarks;
-    match remark_filter with
-    | Some rx when Str.string_match rx r.Mlir.Remarks.r_pass 0 ->
-      Printf.eprintf "%s\n%!" (Mlir.Remarks.to_string r)
-    | _ -> ()
-  in
+  let sink, collected = remark_collector remark_filter in
   let body () =
     if serve then run_serve_mode service
     else run_batch_mode service ~repeat ~out_dir inputs
   in
   let failed =
-    if remarks <> None || remarks_json <> None then
+    if remarks <> None || report_json <> None then
       Mlir.Remarks.with_sink sink body
     else body ()
   in
-  (match remarks_json with
-  | Some path -> (
-    try
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Mlir.Remarks.list_to_json (List.rev !all_remarks)))
-    with Sys_error msg ->
-      Printf.eprintf "error: cannot write remarks JSON: %s\n" msg;
-      exit 1)
-  | None -> ());
-  (match metrics_json with
-  | Some path -> (
-    let module Metrics = Sycl_obs.Metrics in
-    try
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Mlir.Json.to_string (Metrics.to_json (Service.metrics service))
-            ^ "\n"))
-    with Sys_error msg ->
-      Printf.eprintf "error: cannot write metrics JSON: %s\n" msg;
-      exit 1)
-  | None -> ());
+  Option.iter
+    (fun path ->
+      write_report path
+        [
+          ("metrics", Sycl_obs.Metrics.to_json (Service.metrics service));
+          ("remarks", remarks_json (collected ()));
+        ])
+    report_json;
   exit (if failed then 1 else 0)
 
-let run passes verify stats stats_json timing remarks remarks_json
-    metrics_json trace_json print_analysis dump_before dump_after debuginfo
-    rewrite_driver batch serve jobs repeat cache_size out_dir inputs =
-  (match Mlir.Rewrite.driver_of_string rewrite_driver with
-  | Some d -> Mlir.Rewrite.set_default_driver d
-  | None ->
-    Printf.eprintf
-      "error: unknown --rewrite-driver %s (expected worklist or legacy)\n"
-      rewrite_driver;
-    exit 2);
+(* Per-pass statistics and wall time, merged statistics, and location
+   coverage per pass. *)
+let stats_json (result : Mlir.Pass.pipeline_result) lc =
+  let open Mlir.Json in
+  let stats_obj st =
+    Obj (List.map (fun (k, v) -> (k, Int v)) (Mlir.Pass.Stats.to_list st))
+  in
+  Obj
+    [
+      ( "passes",
+        List
+          (List.map2
+             (fun (name, st) (_, seconds) ->
+               Obj
+                 [ ("pass", String name); ("seconds", Float seconds);
+                   ("stats", stats_obj st) ])
+             result.Mlir.Pass.per_pass_stats result.Mlir.Pass.per_pass_time) );
+      ("merged", stats_obj (Mlir.Pass.merged_stats result));
+      ( "loc_coverage",
+        List
+          (List.map
+             (fun e ->
+               Obj
+                 [ ("pass", String e.Mlir.Instrument.lc_pass);
+                   ("before_known", Int e.Mlir.Instrument.lc_before_known);
+                   ("before_total", Int e.Mlir.Instrument.lc_before_total);
+                   ("after_known", Int e.Mlir.Instrument.lc_after_known);
+                   ("after_total", Int e.Mlir.Instrument.lc_after_total);
+                   ("lost", Bool (Mlir.Instrument.loc_coverage_lost e)) ])
+             (Mlir.Instrument.loc_coverage_entries lc)) );
+    ]
+
+(* Compile-side metrics registry: merged pass statistics as counters,
+   per-pass wall time as a histogram, final location coverage as
+   gauges. *)
+let compile_metrics (result : Mlir.Pass.pipeline_result) m =
+  let module Metrics = Sycl_obs.Metrics in
+  let reg = Metrics.create () in
+  List.iter
+    (fun (k, v) -> Metrics.incr reg ~by:v ("compile.stat." ^ k))
+    (Mlir.Pass.Stats.to_list (Mlir.Pass.merged_stats result));
+  List.iter
+    (fun ((_ : string), seconds) ->
+      Metrics.observe reg
+        ~bounds:[| 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
+        "compile.pass_wall_us"
+        (Sycl_obs.Trace.us_of_wall seconds))
+    result.Mlir.Pass.per_pass_time;
+  let known, total = Mlir.Instrument.count_locs m in
+  Metrics.set_gauge reg "compile.ops_located" known;
+  Metrics.set_gauge reg "compile.ops_total" total;
+  Metrics.to_json reg
+
+(* Compile-lane trace: a parse span, then the pass pipeline laid out
+   from the timing tree — the compiler's side of the merged telemetry
+   timeline. *)
+let compile_trace ~parse_seconds tm =
+  let module Trace = Sycl_obs.Trace in
+  let sink = Trace.make_sink () in
+  Trace.add sink
+    {
+      Trace.sp_name = "parse";
+      sp_cat = "frontend";
+      sp_lane = Trace.Compile;
+      sp_ts = 0;
+      sp_dur = max 1 (Trace.us_of_wall parse_seconds);
+      sp_args = [];
+    };
+  Trace.add_timing ~root_name:"passes" sink (Mlir.Instrument.timing_report tm);
+  Trace.export sink
+
+let run passes verify stats timing remarks report_json print_analysis
+    dump_before dump_after debuginfo batch serve jobs repeat cache_size
+    out_dir inputs =
   Dialects.Register.init ();
   Sycl_core.Sycl_ops.init ();
   Sycl_core.Sycl_host_ops.init ();
@@ -331,9 +399,8 @@ let run passes verify stats stats_json timing remarks remarks_json
       Printf.eprintf "error: --print-analysis is not supported in service mode\n";
       exit 2
     end;
-    run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~metrics_json
-      ~remarks ~remark_filter ~remarks_json ~verify (resolve_pipeline passes)
-      inputs
+    run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~report_json
+      ~remarks ~remark_filter ~verify (resolve_pipeline passes) inputs
   end;
   let input =
     match inputs with
@@ -372,31 +439,19 @@ let run passes verify stats stats_json timing remarks remarks_json
         print_analysis
     in
     let pipeline = resolve_pipeline passes @ printers in
-    (* Remarks stream to stderr as they are emitted (filtered like
-       -Rpass=REGEX, matched against the pass name); the JSON document
-       always carries every remark. *)
-    let all_remarks = ref [] in
+    let reporting = report_json <> None in
     (* The sink is scoped to exactly this pipeline run via
        Pass.run_pipeline, instead of being installed globally — a nested
        pipeline can no longer steal or drop it. *)
+    let sink, collected = remark_collector remark_filter in
     let remarks_sink =
-      if remarks <> None || remarks_json <> None then
-        Some
-          (fun r ->
-            all_remarks := r :: !all_remarks;
-            match remark_filter with
-            | Some rx when Str.string_match rx r.Mlir.Remarks.r_pass 0 ->
-              Printf.eprintf "%s\n%!" (Mlir.Remarks.to_string r)
-            | _ -> ())
-      else None
+      if remarks <> None || reporting then Some sink else None
     in
     let tm = Mlir.Instrument.timer () in
     let lc = Mlir.Instrument.loc_coverage_log () in
     let instrumentations =
-      (if timing || trace_json <> None then [ Mlir.Instrument.timing tm ]
-       else [])
-      @ (if stats || stats_json <> None then
-           [ Mlir.Instrument.loc_coverage lc ]
+      (if timing || reporting then [ Mlir.Instrument.timing tm ] else [])
+      @ (if stats || reporting then [ Mlir.Instrument.loc_coverage lc ]
          else [])
       @ (match dump_before with
         | Some f ->
@@ -416,123 +471,21 @@ let run passes verify stats stats_json timing remarks remarks_json
       if timing then
         Format.eprintf "%a@?" Mlir.Instrument.pp_timing
           (Mlir.Instrument.timing_report tm);
-      (match remarks_json with
-      | Some path -> (
-        try
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc
-                (Mlir.Remarks.list_to_json (List.rev !all_remarks)))
-        with Sys_error msg ->
-          Printf.eprintf "error: cannot write remarks JSON: %s\n" msg;
-          exit 1)
-      | None -> ());
       if stats then begin
         Printf.eprintf "// pass statistics:\n";
         Format.eprintf "%a@?" Mlir.Pass.Stats.pp (Mlir.Pass.merged_stats result);
         Format.eprintf "%a@?" Mlir.Instrument.pp_loc_coverage lc
       end;
-      (match stats_json with
-      | Some path -> (
-        let stats_obj st =
-          Mlir.Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Mlir.Json.Int v))
-               (Mlir.Pass.Stats.to_list st))
-        in
-        let doc =
-          Mlir.Json.Obj
-            [ ( "passes",
-                Mlir.Json.List
-                  (List.map2
-                     (fun (name, st) (_, seconds) ->
-                       Mlir.Json.Obj
-                         [ ("pass", Mlir.Json.String name);
-                           ("seconds", Mlir.Json.Float seconds);
-                           ("stats", stats_obj st) ])
-                     result.Mlir.Pass.per_pass_stats
-                     result.Mlir.Pass.per_pass_time) );
-              ("merged", stats_obj (Mlir.Pass.merged_stats result));
-              ( "loc_coverage",
-                Mlir.Json.List
-                  (List.map
-                     (fun e ->
-                       Mlir.Json.Obj
-                         [ ("pass", Mlir.Json.String e.Mlir.Instrument.lc_pass);
-                           ( "before_known",
-                             Mlir.Json.Int e.Mlir.Instrument.lc_before_known );
-                           ( "before_total",
-                             Mlir.Json.Int e.Mlir.Instrument.lc_before_total );
-                           ( "after_known",
-                             Mlir.Json.Int e.Mlir.Instrument.lc_after_known );
-                           ( "after_total",
-                             Mlir.Json.Int e.Mlir.Instrument.lc_after_total );
-                           ( "lost",
-                             Mlir.Json.Bool (Mlir.Instrument.loc_coverage_lost e)
-                           ) ])
-                     (Mlir.Instrument.loc_coverage_entries lc)) ) ]
-        in
-        try
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc (Mlir.Json.to_string doc ^ "\n"))
-        with Sys_error msg ->
-          Printf.eprintf "error: cannot write stats JSON: %s\n" msg;
-          exit 1)
-      | None -> ());
-      (match trace_json with
-      | Some path -> (
-        (* Compile-lane trace: a parse span, then the pass pipeline laid
-           out from the timing tree — the compiler's side of the merged
-           telemetry timeline. *)
-        let module Trace = Sycl_obs.Trace in
-        let sink = Trace.global in
-        Trace.reset sink;
-        Trace.add sink
-          {
-            Trace.sp_name = "parse";
-            sp_cat = "frontend";
-            sp_lane = Trace.Compile;
-            sp_ts = 0;
-            sp_dur = max 1 (int_of_float (Float.round (parse_seconds *. 1e6)));
-            sp_args = [];
-          };
-        Trace.add_timing ~root_name:"passes" sink
-          (Mlir.Instrument.timing_report tm);
-        try
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc
-                (Mlir.Json.to_string (Trace.export sink) ^ "\n"))
-        with Sys_error msg ->
-          Printf.eprintf "error: cannot write trace JSON: %s\n" msg;
-          exit 1)
-      | None -> ());
-      (match metrics_json with
-      | Some path -> (
-        (* Compile-side metrics registry: merged pass statistics as
-           counters, per-pass wall time as a histogram, final location
-           coverage as gauges. *)
-        let module Metrics = Sycl_obs.Metrics in
-        let reg = Metrics.create () in
-        List.iter
-          (fun (k, v) -> Metrics.incr reg ~by:v ("compile.stat." ^ k))
-          (Mlir.Pass.Stats.to_list (Mlir.Pass.merged_stats result));
-        List.iter
-          (fun ((_ : string), seconds) ->
-            Metrics.observe reg
-              ~bounds:[| 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
-              "compile.pass_wall_us"
-              (int_of_float (Float.round (seconds *. 1e6))))
-          result.Mlir.Pass.per_pass_time;
-        let known, total = Mlir.Instrument.count_locs m in
-        Metrics.set_gauge reg "compile.ops_located" known;
-        Metrics.set_gauge reg "compile.ops_total" total;
-        try
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc
-                (Mlir.Json.to_string (Metrics.to_json reg) ^ "\n"))
-        with Sys_error msg ->
-          Printf.eprintf "error: cannot write metrics JSON: %s\n" msg;
-          exit 1)
-      | None -> ())
+      Option.iter
+        (fun path ->
+          write_report path
+            [
+              ("stats", stats_json result lc);
+              ("remarks", remarks_json (collected ()));
+              ("metrics", compile_metrics result m);
+              ("trace", compile_trace ~parse_seconds tm);
+            ])
+        report_json
     | exception Mlir.Pass.Pass_failed { pass; diagnostics } ->
       Printf.eprintf "pass %s failed verification:\n" pass;
       List.iter
@@ -549,11 +502,6 @@ let verify_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print pass statistics to stderr.")
-
-let stats_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "stats-json" ] ~docv:"FILE"
-           ~doc:"Write per-pass statistics and wall time to $(docv) as JSON.")
 
 let print_analysis_arg =
   let doc =
@@ -577,25 +525,19 @@ let remarks_arg =
               (-Rpass style). The optional $(docv) filters by emitting pass \
               name; without it every remark prints.")
 
-let remarks_json_arg =
+let report_json_arg =
   Arg.(value & opt (some string) None
-       & info [ "remarks-json" ] ~docv:"FILE"
-           ~doc:"Write every optimization remark to $(docv) as JSON.")
-
-let metrics_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-json" ] ~docv:"FILE"
+       & info [ "report-json" ] ~docv:"FILE"
            ~doc:
-             "Write compile-side metrics (merged pass statistics as \
-              counters, per-pass wall-time histogram, final location \
-              coverage) to $(docv) as JSON.")
-
-let trace_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-json" ] ~docv:"FILE"
-           ~doc:
-             "Write a Chrome trace of the compile phase (parse span + pass \
-              pipeline spans on the compile lane) to $(docv).")
+             "Write one versioned JSON report to $(docv). A single-shot \
+              compile writes a $(b,stats) section (per-pass statistics, \
+              wall time and location coverage), a $(b,remarks) section \
+              (every optimization remark), a $(b,metrics) section (merged \
+              pass statistics as counters, per-pass wall-time histogram, \
+              final location coverage) and a $(b,trace) section (a Chrome \
+              trace of the parse and pass spans). $(b,--batch) and \
+              $(b,--serve) write the service's $(b,metrics) and \
+              $(b,remarks).")
 
 let dump_before_arg =
   Arg.(value & opt (some string) None
@@ -615,15 +557,6 @@ let debuginfo_arg =
            ~doc:"Print a trailing loc(...) attribute on every operation \
                  (MLIR's -mlir-print-debuginfo). Off by default, so output \
                  is unchanged for tools that do not understand locations.")
-
-let rewrite_driver_arg =
-  Arg.(value & opt string "worklist"
-       & info [ "rewrite-driver" ] ~docv:"DRIVER"
-           ~doc:
-             "Greedy-rewrite driver: $(b,worklist) (use-def-driven, runs to \
-              a true fixpoint; the default) or $(b,legacy) (the old bounded \
-              whole-module re-walk, kept for before/after comparisons — it \
-              can stop before fixpoint on deep fold chains).")
 
 let batch_arg =
   Arg.(value & flag
@@ -682,10 +615,9 @@ let cmd =
   let doc = "run SYCL-MLIR passes over textual IR" in
   Cmd.v
     (Cmd.info "sycl-mlir-opt" ~doc)
-    Term.(const run $ passes_arg $ verify_arg $ stats_arg $ stats_json_arg
-          $ timing_arg $ remarks_arg $ remarks_json_arg $ metrics_json_arg
-          $ trace_json_arg $ print_analysis_arg $ dump_before_arg
-          $ dump_after_arg $ debuginfo_arg $ rewrite_driver_arg $ batch_arg
+    Term.(const run $ passes_arg $ verify_arg $ stats_arg $ timing_arg
+          $ remarks_arg $ report_json_arg $ print_analysis_arg
+          $ dump_before_arg $ dump_after_arg $ debuginfo_arg $ batch_arg
           $ serve_arg $ jobs_arg $ repeat_arg $ cache_size_arg $ out_dir_arg
           $ input_arg)
 

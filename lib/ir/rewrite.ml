@@ -240,35 +240,11 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
       done);
   { rw_rewrites = !total; rw_ops_visited = !visited; rw_converged = true }
 
-(* ------------------------------------------------------------------ *)
-(* Driver selection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type driver =
-  | Worklist
-  | Legacy
-
-let driver_of_string = function
-  | "worklist" -> Some Worklist
-  | "legacy" -> Some Legacy
-  | _ -> None
-
-let driver_to_string = function Worklist -> "worklist" | Legacy -> "legacy"
-
-(* Process-global so `sycl-mlir-opt --rewrite-driver legacy` can pin the
-   seed behaviour for before/after byte-identical comparisons. *)
-let default_driver : driver Atomic.t = Atomic.make Worklist
-
-let set_default_driver d = Atomic.set default_driver d
-let get_default_driver () = Atomic.get default_driver
-
 (** Apply [patterns] plus folding and dead-op erasure to fixpoint over
-    [top] and everything nested in it, with the process-default driver.
+    [top] and everything nested in it, with the worklist driver.
     [on_rewrite] fires once per rewrite with the enclosing function's
     symbol (captured before the rewrite, since the op may be erased by
     it), the kind ("fold", "dce", or the pattern name) and the rewritten
     op — callers use it for per-pattern statistics and remarks. *)
 let apply_greedily ?on_rewrite (top : Core.op) patterns =
-  match Atomic.get default_driver with
-  | Worklist -> apply_worklist ?on_rewrite top patterns
-  | Legacy -> apply_greedily_legacy ?on_rewrite top patterns
+  apply_worklist ?on_rewrite top patterns

@@ -59,10 +59,10 @@ val apply_worklist :
   pattern list ->
   stats
 
-(** The seed driver, kept for differential testing ({e fuzz oracle (h)})
-    and the [--rewrite-driver legacy] flag: re-walks the whole scope up
-    to [max_iterations] times and can stop silently before fixpoint
-    ([rw_converged = false]). *)
+(** The seed driver, kept as the reference that {e fuzz oracle (h)} and
+    the rewrite tests compare the worklist driver against: re-walks the
+    whole scope up to [max_iterations] times and can stop silently before
+    fixpoint ([rw_converged = false]). *)
 val apply_greedily_legacy :
   ?max_iterations:int ->
   ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
@@ -70,23 +70,8 @@ val apply_greedily_legacy :
   pattern list ->
   stats
 
-(** {2 Driver selection} *)
-
-type driver =
-  | Worklist  (** the default: use-def-driven, true fixpoint *)
-  | Legacy  (** bounded re-walk, seed behaviour *)
-
-val driver_of_string : string -> driver option
-val driver_to_string : driver -> string
-
-(** Process-global default used by {!apply_greedily} (set from
-    [sycl-mlir-opt --rewrite-driver]). Initially [Worklist]. *)
-val set_default_driver : driver -> unit
-
-val get_default_driver : unit -> driver
-
 (** Apply patterns plus folding and dead-op erasure to fixpoint with the
-    process-default driver. [on_rewrite] fires once per rewrite with the
+    worklist driver. [on_rewrite] fires once per rewrite with the
     enclosing function's symbol (captured before the rewrite), the kind
     ("fold", "dce", or the pattern name) and the rewritten op. *)
 val apply_greedily :

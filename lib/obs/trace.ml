@@ -1,4 +1,4 @@
-(* Span-based tracing with a single process-wide sink.
+(* Span-based tracing: the one trace model and Chrome-trace writer.
 
    Spans from the three layers of the stack land in one timeline with a
    distinct lane (Chrome-trace process) per layer:
@@ -57,15 +57,6 @@ type sink = {
 
 let make_sink () =
   { sk_mutex = Mutex.create (); sk_rev = []; sk_counters_rev = [] }
-
-(** The process-wide sink the command-line tools record into; tests use
-    private {!make_sink} sinks. *)
-let global : sink = make_sink ()
-
-let reset (sk : sink) =
-  Mutex.protect sk.sk_mutex (fun () ->
-      sk.sk_rev <- [];
-      sk.sk_counters_rev <- [])
 
 let add (sk : sink) (sp : span) =
   Mutex.protect sk.sk_mutex (fun () -> sk.sk_rev <- sp :: sk.sk_rev)
@@ -151,8 +142,8 @@ let add_timing ?(root_name = "compile") (sk : sink)
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Within the host-runtime lane, transfers get their own thread row
-   (mirroring Sim.Profile's layout); every other lane is single-row. *)
+(* Within the host-runtime lane, transfers get their own thread row;
+   every other lane is single-row. *)
 let tid_of_span (sp : span) =
   match (sp.sp_lane, sp.sp_cat) with Host, "transfer" -> 2 | _ -> 1
 

@@ -64,8 +64,9 @@ type run_result = {
   per_kernel_cache : (string * Sycl_sim.Cache.table) list;
       (** per-op cache counters + reuse-distance histogram per launch,
           in launch order; empty under the flat model *)
-  events : Profile.event list;
-      (** the run's charge timeline, for trace export / profiling *)
+  events : Sycl_obs.Trace.span list;
+      (** the run's charge timeline in simulated cycles: host-runtime
+          and device-lane spans, for trace export and profiling *)
   metrics : Metrics.registry;
       (** runtime event counters and latency histograms ([runtime.*]),
           plus device execution counters ([sim.*]) *)

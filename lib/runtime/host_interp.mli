@@ -53,8 +53,9 @@ type run_result = {
       (** per-op cache hit/miss counters and the exact reuse-distance
           histogram for each launch, in launch order parallel to
           [per_kernel]; empty under the flat cache model *)
-  events : Profile.event list;
-      (** the run's charge timeline, for trace export / profiling *)
+  events : Sycl_obs.Trace.span list;
+      (** the run's charge timeline in simulated cycles: host-runtime
+          and device-lane spans, for trace export and profiling *)
   metrics : Sycl_obs.Metrics.registry;
       (** runtime event counters and latency histograms ([runtime.*]:
           submits, DAG-wait edges, transfer bytes by direction, launch

@@ -954,10 +954,9 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
       Some (Array.init n_groups (fun _ -> Memory.footprint ()))
     else None
   in
-  (* Execute one work-group, accumulating into [into] (the launch stats
-     in the sequential backend, a worker-private record in the parallel
-     one — group results are independent, so where they accumulate only
-     affects scheduling, never the merged totals). *)
+  (* Execute one work-group, accumulating into [into] (its chunk's
+     private record — group results are independent, so where they
+     accumulate only affects scheduling, never the merged totals). *)
   let run_group (into : Cost.launch_stats) (atab : Attribution.table option)
       (ctab : Cache.table option) (g : int) =
     let grp = unflatten group_range g in
@@ -1025,103 +1024,89 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
     run_workgroup wg thunks;
     flush_wg wg items_per_group
   in
-  let d = min domains n_groups in
-  (* One metrics shard per worker (shard 0 doubles as the sequential
-     backend's); workers write only their own shard, and the owner folds
-     them in index order after joining. *)
+  (* Balanced contiguous chunks of the canonical group order, one per
+     domain; chunk 0 runs on the calling domain, so [d = 1] is the
+     sequential backend. *)
+  let d = max 1 (min domains n_groups) in
+  (* One metrics shard per chunk; each chunk writes only its own shard,
+     and the owner folds them in index order after joining. *)
   let sharded =
-    Option.map
-      (fun _ -> Sycl_obs.Metrics.Sharded.create (max 1 d))
-      metrics
+    Option.map (fun _ -> Sycl_obs.Metrics.Sharded.create d) metrics
   in
   let record_shard (r : Sycl_obs.Metrics.registry) (s : Cost.launch_stats) =
     Sycl_obs.Metrics.incr r ~by:s.Cost.work_groups "sim.work_groups";
     Sycl_obs.Metrics.incr r ~by:s.Cost.work_items "sim.work_items";
     Sycl_obs.Metrics.incr r ~by:s.Cost.barriers "sim.barriers"
   in
-  if d <= 1 then begin
-    (* Sequential backend: groups in canonical order into the shared
-       stats record (and attribution / cache tables). *)
-    for g = 0 to n_groups - 1 do
-      run_group stats attribution cache g
-    done;
-    match sharded with
-    | Some sh -> record_shard (Sycl_obs.Metrics.Sharded.shard sh 0) stats
-    | None -> ()
-  end
-  else begin
-    (* Parallel backend: balanced contiguous chunks of the canonical
-       group order, one worker domain per chunk. Each worker accumulates
-       a private launch_stats and stops its chunk at the first failing
-       group, exactly as the sequential loop stops the launch. Merging
-       worker stats in chunk order and re-raising the lowest failing
-       group's exception makes stats and error identity independent of
-       the interleaving. *)
-    let q = n_groups / d and r = n_groups mod d in
-    let chunk i =
-      let start = (i * q) + min i r in
-      (start, start + q + if i < r then 1 else 0)
-    in
-    let run_chunk i =
-      let s = Cost.fresh_launch_stats () in
-      (* Worker-private attribution and cache shards, merged in chunk
-         order below. *)
-      let at = Option.map (fun _ -> Attribution.create ()) attribution in
-      let ct = Option.map (fun _ -> Cache.create_table ()) cache in
-      let failure = ref None in
-      let start, stop = chunk i in
-      let g = ref start in
-      (try
-         while !g < stop do
-           run_group s at ct !g;
-           incr g
-         done
-       with e -> failure := Some (!g, e));
-      (* Worker-private shard: recorded inside the worker domain, no
-         contention with the other chunks. *)
-      (match sharded with
-      | Some sh -> record_shard (Sycl_obs.Metrics.Sharded.shard sh i) s
-      | None -> ());
-      (s, at, ct, !failure)
-    in
-    let workers =
-      Array.init (d - 1) (fun i -> Domain.spawn (fun () -> run_chunk (i + 1)))
-    in
-    let first = run_chunk 0 in
-    let results = Array.append [| first |] (Array.map Domain.join workers) in
-    Array.iter (fun (s, _, _, _) -> Cost.merge_launch_stats ~into:stats s) results;
-    (match attribution with
-    | Some into ->
-      Array.iter
-        (fun (_, at, _, _) ->
-          match at with Some src -> Attribution.merge ~into src | None -> ())
-        results
+  (* Each chunk accumulates a private launch_stats and stops at its
+     first failing group, as a sequential loop stops the launch. Merging
+     chunk stats in chunk order and re-raising the lowest failing group's
+     exception makes stats and error identity independent of the
+     interleaving. *)
+  let q = n_groups / d and r = n_groups mod d in
+  let chunk i =
+    let start = (i * q) + min i r in
+    (start, start + q + if i < r then 1 else 0)
+  in
+  let run_chunk i =
+    let s = Cost.fresh_launch_stats () in
+    (* Chunk-private attribution and cache shards, merged in chunk order
+       below. *)
+    let at = Option.map (fun _ -> Attribution.create ()) attribution in
+    let ct = Option.map (fun _ -> Cache.create_table ()) cache in
+    let failure = ref None in
+    let start, stop = chunk i in
+    let g = ref start in
+    (try
+       while !g < stop do
+         run_group s at ct !g;
+         incr g
+       done
+     with e -> failure := Some (!g, e));
+    (* Chunk-private shard: recorded inside the worker domain, no
+       contention with the other chunks. *)
+    (match sharded with
+    | Some sh -> record_shard (Sycl_obs.Metrics.Sharded.shard sh i) s
     | None -> ());
-    (match cache with
-    | Some into ->
-      Array.iter
-        (fun (_, _, ct, _) ->
-          match ct with Some src -> Cache.merge ~into src | None -> ())
-        results
-    | None -> ());
-    let first_failure =
-      Array.fold_left
-        (fun acc (_, _, _, f) ->
-          match (acc, f) with
-          | None, f -> f
-          | Some (g0, _), Some (g, _) when g < g0 -> f
-          | acc, _ -> acc)
-        None results
-    in
-    match first_failure with Some (_, e) -> raise e | None -> ()
-  end;
+    (s, at, ct, !failure)
+  in
+  let workers =
+    Array.init (d - 1) (fun i -> Domain.spawn (fun () -> run_chunk (i + 1)))
+  in
+  let first = run_chunk 0 in
+  let results = Array.append [| first |] (Array.map Domain.join workers) in
+  Array.iter (fun (s, _, _, _) -> Cost.merge_launch_stats ~into:stats s) results;
+  (match attribution with
+  | Some into ->
+    Array.iter
+      (fun (_, at, _, _) ->
+        match at with Some src -> Attribution.merge ~into src | None -> ())
+      results
+  | None -> ());
+  (match cache with
+  | Some into ->
+    Array.iter
+      (fun (_, _, ct, _) ->
+        match ct with Some src -> Cache.merge ~into src | None -> ())
+      results
+  | None -> ());
+  let first_failure =
+    Array.fold_left
+      (fun acc (_, _, _, f) ->
+        match (acc, f) with
+        | None, f -> f
+        | Some (g0, _), Some (g, _) when g < g0 -> f
+        | acc, _ -> acc)
+      None results
+  in
+  (match first_failure with Some (_, e) -> raise e | None -> ());
   (match (metrics, sharded) with
   | Some reg, Some sh -> Sycl_obs.Metrics.Sharded.merge_into ~into:reg sh
   | _ -> ());
   (* Cache counters are recorded once from the merged totals (so they
      are deterministic whatever the domain count), and only when a
      non-flat model ran — a flat launch leaves the registry untouched,
-     keeping --metrics-json byte-identical to the seed. *)
+     keeping the metrics report byte-identical to the seed. *)
   (match metrics with
   | Some reg when cache_model <> Cost.Flat ->
     Sycl_obs.Metrics.incr reg ~by:stats.Cost.cache_hits "sim.cache.hits";

@@ -1,34 +1,27 @@
 (* Simulator trace profiling: a timeline of everything the cost model
    charges during a run (scheduler bookkeeping, transfers, JIT, launch
-   overhead, device execution), exportable in the Chrome trace format so
-   chrome://tracing or Perfetto render the simulated run, plus per-kernel
-   profiles aggregated from the same events.
+   overhead, device execution), recorded directly as {!Sycl_obs.Trace}
+   spans — kernel execution on the device lane, every other charge on
+   the host-runtime lane — plus per-kernel profiles aggregated from the
+   same spans.
 
-   Time convention: one simulated cycle is exported as one microsecond
-   (the trace format's [ts]/[dur] unit), so cycle counts read directly
-   off the trace viewer. *)
+   Time convention: one simulated cycle is one trace microsecond, so
+   cycle counts read directly off the trace viewer. *)
 
-type event = {
-  ev_name : string;
-  ev_cat : string;
-      (** "submit" | "transfer" | "jit" | "launch" | "kernel" *)
-  ev_ts : int;  (** start, in simulated cycles *)
-  ev_dur : int;  (** duration, in simulated cycles *)
-  ev_args : (string * int) list;
-}
+module Trace = Sycl_obs.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** A per-launch recording segment: events carry timestamps relative to
+(** A per-launch recording segment: spans carry timestamps relative to
     the segment start. A launch records into a private segment and the
     whole segment is committed onto the shared recorder timeline in one
     step, so two interleaved launches (nested [run]s, parallel worker
     domains) can no longer corrupt each other's clock. *)
 type segment = {
   mutable sg_clock : int;  (** relative to segment start *)
-  mutable sg_rev : event list;  (** newest first, relative timestamps *)
+  mutable sg_rev : Trace.span list;  (** newest first, relative timestamps *)
 }
 
 let segment () = { sg_clock = 0; sg_rev = [] }
@@ -37,25 +30,26 @@ let record_seg (sg : segment) ~(cat : string) ~(name : string)
     ?(args = []) ~(dur : int) () =
   if dur > 0 then begin
     sg.sg_rev <-
-      { ev_name = name; ev_cat = cat; ev_ts = sg.sg_clock; ev_dur = dur;
-        ev_args = args }
+      { Trace.sp_name = name; sp_cat = cat;
+        sp_lane = (if cat = "kernel" then Trace.Device else Trace.Host);
+        sp_ts = sg.sg_clock; sp_dur = dur; sp_args = args }
       :: sg.sg_rev;
     sg.sg_clock <- sg.sg_clock + dur
   end
 
-(** Records events on a single simulated timeline: each committed
+(** Records spans on a single simulated timeline: each committed
     segment starts at the current clock and advances it — the host
     runtime is in-order, so charges simply concatenate. The mutex makes
     commits atomic under concurrent recording. *)
 type recorder = {
   rc_mutex : Mutex.t;
   mutable rc_clock : int;
-  mutable rc_rev : event list;  (** newest first *)
+  mutable rc_rev : Trace.span list;  (** newest first *)
 }
 
 let recorder () = { rc_mutex = Mutex.create (); rc_clock = 0; rc_rev = [] }
 
-(** Shift [sg]'s events onto the recorder clock and append them, then
+(** Shift [sg]'s spans onto the recorder clock and append them, then
     advance the clock by the segment's span — atomically. *)
 let commit (r : recorder) (sg : segment) =
   Mutex.protect r.rc_mutex (fun () ->
@@ -63,11 +57,12 @@ let commit (r : recorder) (sg : segment) =
       (* sg_rev is newest first; walking it oldest-first while consing
          keeps rc_rev newest first. *)
       List.iter
-        (fun e -> r.rc_rev <- { e with ev_ts = base + e.ev_ts } :: r.rc_rev)
+        (fun (sp : Trace.span) ->
+          r.rc_rev <- { sp with Trace.sp_ts = base + sp.Trace.sp_ts } :: r.rc_rev)
         (List.rev sg.sg_rev);
       r.rc_clock <- base + sg.sg_clock)
 
-(** One-shot convenience: a single event committed immediately. *)
+(** One-shot convenience: a single span committed immediately. *)
 let record (r : recorder) ~(cat : string) ~(name : string)
     ?(args = []) ~(dur : int) () =
   let sg = segment () in
@@ -142,14 +137,14 @@ type kernel_profile = {
           total work-group cycles / (num_cu * device wall cycles) *)
 }
 
-let arg (e : event) k =
-  match List.assoc_opt k e.ev_args with Some v -> v | None -> 0
+let arg (sp : Trace.span) k =
+  match List.assoc_opt k sp.Trace.sp_args with Some v -> v | None -> 0
 
-(** Aggregate per-kernel profiles from a run's events. Kernel execution
-    events (cat ["kernel"]) carry the {!breakdown} payload; launch-
-    overhead events (cat ["launch"]) share the kernel's name and
+(** Aggregate per-kernel profiles from a run's spans. Kernel execution
+    spans (cat ["kernel"]) carry the {!breakdown} payload; launch-
+    overhead spans (cat ["launch"]) share the kernel's name and
     contribute [kp_launch_cycles]. Order follows first launch. *)
-let of_events (evs : event list) : kernel_profile list =
+let of_events (evs : Trace.span list) : kernel_profile list =
   let tbl : (string, kernel_profile) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
   let get name =
@@ -176,19 +171,20 @@ let of_events (evs : event list) : kernel_profile list =
   let busy : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let num_cu : (string, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun e ->
-      match e.ev_cat with
+    (fun (e : Trace.span) ->
+      let name = e.Trace.sp_name in
+      match e.Trace.sp_cat with
       | "kernel" ->
-        let p = get e.ev_name in
-        Hashtbl.replace busy e.ev_name
-          (Option.value ~default:0 (Hashtbl.find_opt busy e.ev_name)
+        let p = get name in
+        Hashtbl.replace busy name
+          (Option.value ~default:0 (Hashtbl.find_opt busy name)
           + arg e "total_wg_cycles");
-        Hashtbl.replace num_cu e.ev_name (arg e "num_cu");
-        Hashtbl.replace tbl e.ev_name
+        Hashtbl.replace num_cu name (arg e "num_cu");
+        Hashtbl.replace tbl name
           {
             p with
             kp_launches = p.kp_launches + 1;
-            kp_device_cycles = p.kp_device_cycles + e.ev_dur;
+            kp_device_cycles = p.kp_device_cycles + e.Trace.sp_dur;
             kp_compute_cycles = p.kp_compute_cycles + arg e "compute_cycles";
             kp_memory_cycles = p.kp_memory_cycles + arg e "memory_cycles";
             kp_barrier_cycles = p.kp_barrier_cycles + arg e "barrier_cycles";
@@ -201,9 +197,9 @@ let of_events (evs : event list) : kernel_profile list =
             kp_work_items = p.kp_work_items + arg e "work_items";
           }
       | "launch" ->
-        let p = get e.ev_name in
-        Hashtbl.replace tbl e.ev_name
-          { p with kp_launch_cycles = p.kp_launch_cycles + e.ev_dur }
+        let p = get name in
+        Hashtbl.replace tbl name
+          { p with kp_launch_cycles = p.kp_launch_cycles + e.Trace.sp_dur }
       | _ -> ())
     evs;
   List.rev_map
@@ -235,76 +231,3 @@ let pp_table fmt (ps : kernel_profile list) =
         p.kp_work_items
         (100. *. p.kp_occupancy))
     ps
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace export                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One process, one thread per charge category, so the viewer renders
-   host bookkeeping, transfers and device execution as separate rows. *)
-let tid_of_cat = function
-  | "kernel" -> 3
-  | "transfer" -> 2
-  | _ -> 1 (* submit / launch / jit: host runtime *)
-
-let thread_names = [ (1, "host runtime"); (2, "transfers"); (3, "device") ]
-
-(** Serialize events as a Chrome-trace JSON document ([traceEvents],
-    complete events [ph:"X"], 1 cycle = 1 us) for chrome://tracing or
-    Perfetto. Serialization goes through the shared {!Mlir.Json} writer
-    so event names with arbitrary bytes stay valid JSON. *)
-let to_chrome_json (evs : event list) : string =
-  let open Mlir.Json in
-  let meta (tid, name) =
-    Obj
-      [
-        ("name", String "thread_name");
-        ("ph", String "M");
-        ("pid", Int 1);
-        ("tid", Int tid);
-        ("args", Obj [ ("name", String name) ]);
-      ]
-  in
-  let ev (e : event) =
-    Obj
-      [
-        ("name", String e.ev_name);
-        ("cat", String e.ev_cat);
-        ("ph", String "X");
-        ("ts", Int e.ev_ts);
-        ("dur", Int e.ev_dur);
-        ("pid", Int 1);
-        ("tid", Int (tid_of_cat e.ev_cat));
-        ("args", Obj (List.map (fun (k, v) -> (k, Int v)) e.ev_args));
-      ]
-  in
-  to_string
-    (Obj
-       [
-         ("traceEvents", List (List.map meta thread_names @ List.map ev evs));
-         ("displayTimeUnit", String "ms");
-       ])
-  ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Conversion into the unified telemetry trace                         *)
-(* ------------------------------------------------------------------ *)
-
-(** Simulator events as {!Sycl_obs.Trace} spans, shifted by [base]
-    microseconds so they sit after the compile-lane spans on the merged
-    timeline. Kernel execution goes on the device lane; everything else
-    (submit, transfer, jit, launch overhead) is host-runtime work. *)
-let trace_spans ?(base = 0) (evs : event list) : Sycl_obs.Trace.span list =
-  List.map
-    (fun (e : event) ->
-      {
-        Sycl_obs.Trace.sp_name = e.ev_name;
-        sp_cat = e.ev_cat;
-        sp_lane =
-          (if e.ev_cat = "kernel" then Sycl_obs.Trace.Device
-           else Sycl_obs.Trace.Host);
-        sp_ts = base + e.ev_ts;
-        sp_dur = e.ev_dur;
-        sp_args = e.ev_args;
-      })
-    evs

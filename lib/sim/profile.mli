@@ -1,18 +1,10 @@
 (** Simulator trace profiling: a timeline of every cost-model charge in
-    a run, exportable as Chrome-trace JSON (chrome://tracing, Perfetto),
-    plus per-kernel profiles aggregated from the same events.
+    a run, recorded as {!Sycl_obs.Trace} spans (exported by
+    {!Sycl_obs.Trace.to_json}), plus per-kernel profiles aggregated from
+    the same spans.
 
     Time convention: 1 simulated cycle = 1 us of trace time, so cycle
     counts read directly off the trace viewer. *)
-
-type event = {
-  ev_name : string;
-  ev_cat : string;
-      (** "submit" | "transfer" | "jit" | "launch" | "kernel" *)
-  ev_ts : int;  (** start, in simulated cycles *)
-  ev_dur : int;  (** duration, in simulated cycles *)
-  ev_args : (string * int) list;
-}
 
 (** A per-launch recording segment: timestamps are relative to the
     segment start. Record a launch's charges into a private segment and
@@ -22,8 +14,10 @@ type segment
 
 val segment : unit -> segment
 
-(** Append an event at the segment's current relative clock and advance
-    it by [dur]. Zero-duration charges are dropped. *)
+(** Append a span at the segment's current relative clock and advance
+    it by [dur]. Category ["kernel"] goes on the device lane; the others
+    (["submit"], ["transfer"], ["jit"], ["launch"]) go on the
+    host-runtime lane. Zero-duration charges are dropped. *)
 val record_seg :
   segment ->
   cat:string ->
@@ -41,10 +35,10 @@ type recorder
 val recorder : unit -> recorder
 
 (** Atomically shift the segment onto the recorder clock, append its
-    events, and advance the clock by the segment's span. *)
+    spans, and advance the clock by the segment's span. *)
 val commit : recorder -> segment -> unit
 
-(** One-shot convenience: a single event committed immediately. *)
+(** One-shot convenience: a single span committed immediately. *)
 val record :
   recorder ->
   cat:string ->
@@ -54,10 +48,11 @@ val record :
   unit ->
   unit
 
-(** Recorded events, oldest first. *)
-val events : recorder -> event list
+(** Recorded spans, oldest first; timestamps in simulated cycles from
+    the start of the run. *)
+val events : recorder -> Sycl_obs.Trace.span list
 
-(** Cycle breakdown of a launch — the args payload of a kernel event:
+(** Cycle breakdown of a launch — the args payload of a kernel span:
     compute/memory/barrier cycles, transaction and work-item counts,
     [total_wg_cycles], [max_wg_cycles], [num_cu]. *)
 val breakdown : Cost.params -> Cost.launch_stats -> (string * int) list
@@ -80,19 +75,10 @@ type kernel_profile = {
           clamped to 1 *)
 }
 
-(** Aggregate per-kernel profiles from a run's events: cat ["kernel"]
-    events carry the {!breakdown} payload; cat ["launch"] events share
+(** Aggregate per-kernel profiles from a run's spans: cat ["kernel"]
+    spans carry the {!breakdown} payload; cat ["launch"] spans share
     the kernel's name and contribute [kp_launch_cycles]. Ordered by
     first launch. *)
-val of_events : event list -> kernel_profile list
+val of_events : Sycl_obs.Trace.span list -> kernel_profile list
 
 val pp_table : Format.formatter -> kernel_profile list -> unit
-
-(** Serialize as a Chrome-trace JSON document ([traceEvents], complete
-    events [ph:"X"], one process with host/transfer/device rows). *)
-val to_chrome_json : event list -> string
-
-(** Simulator events as unified-telemetry trace spans, shifted by [base]
-    microseconds: cat ["kernel"] events land on the device lane, all
-    other charges on the host-runtime lane. *)
-val trace_spans : ?base:int -> event list -> Sycl_obs.Trace.span list

@@ -48,6 +48,41 @@ let merged_cache (r : H.run_result) : Sycl_sim.Cache.table option =
     Some t
 
 (* ------------------------------------------------------------------ *)
+(* The run report ([sycl_bench --report-json])                         *)
+(* ------------------------------------------------------------------ *)
+
+(** The merged cache table as JSON with the launch-side transaction
+    total prepended, so the conservation invariant is checkable from the
+    document alone: hits + misses = global_transactions, exactly. *)
+let cache_json (r : H.run_result) (tab : Sycl_sim.Cache.table) : Json.t =
+  let transactions =
+    List.fold_left
+      (fun acc (_, s) -> acc + s.Sycl_sim.Cost.global_transactions)
+      0 r.H.per_kernel
+  in
+  match Sycl_sim.Cache.to_json tab with
+  | Json.Obj kvs -> Json.Obj (("global_transactions", Json.Int transactions) :: kvs)
+  | j -> j
+
+(** The report sections of one simulated run: the runtime metrics
+    registry, the merged trace (compile spans from [timing] when given,
+    hotspot counters from [attribution]), the attribution table, and —
+    under a non-flat cache model only — the cache counters. Named
+    workloads and [--file] modules produce the same sections. *)
+let report_sections ?timing ~(attribution : Attribution.table)
+    (r : H.run_result) : (string * Json.t) list =
+  [
+    ("metrics", Sycl_obs.Metrics.to_json r.H.metrics);
+    ( "trace",
+      Sycl_obs.Trace.export (Telemetry.merged_trace ?timing ~attribution r) );
+    ("attribution", Attribution.to_json attribution);
+  ]
+  @
+  match merged_cache r with
+  | Some tab -> [ ("cache", cache_json r tab) ]
+  | None -> []
+
+(* ------------------------------------------------------------------ *)
 (* Standalone .mlir file runner                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -77,19 +112,20 @@ let synth_args (m : Core.op) ~(size : int) : H.hv list =
                 (Types.to_string t))))
     (Core.block_args (Core.func_body main))
 
-(** Parse [path], compile it under [cfg] and execute [main] with
-    synthesized arguments. The parser stamps every op with its position
-    in the file — under the basename, so the report (and any golden
-    comparison against it) is independent of the invocation directory. *)
-let run_file (cfg : Common.Driver.config) ?(size = 16) (path : string) :
-    Core.op * H.run_result =
+(** Parse [path], compile it under [cfg] (with [instrumentations]
+    around every pass) and execute [main] with synthesized arguments.
+    The parser stamps every op with its position in the file — under the
+    basename, so the report (and any golden comparison against it) is
+    independent of the invocation directory. *)
+let run_file (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
+    (path : string) : Core.op * H.run_result =
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error msg -> raise (File_error msg)
   in
   ignore (Common.fresh_module ());
   let m = Parser.parse_module ~file:(Filename.basename path) text in
-  ignore (Common.Driver.compile cfg m);
+  ignore (Common.Driver.compile ?instrumentations cfg m);
   let args = synth_args m ~size in
   (m, H.run ~module_op:m args)
 

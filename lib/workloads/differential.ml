@@ -109,7 +109,6 @@ let check ?(tol = 1e-3) (w : Common.workload) : (unit, divergence) result =
 let render_digest (r : Common.Host_interp.run_result)
     (args : Common.Host_interp.hv list) ~(valid : bool) : string =
   let module H = Common.Host_interp in
-  let module P = Sycl_sim.Profile in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -138,14 +137,15 @@ let render_digest (r : Common.Host_interp.run_result)
       Buffer.add_string buf (Sycl_sim.Cache.render tab))
     r.H.per_kernel_cache;
   List.iter
-    (fun (e : P.event) ->
+    (fun (e : Sycl_obs.Trace.span) ->
       Buffer.add_string buf
-        (Printf.sprintf "ev %s/%s ts=%d dur=%d%s\n" e.P.ev_cat e.P.ev_name
-           e.P.ev_ts e.P.ev_dur
+        (Printf.sprintf "ev %s/%s ts=%d dur=%d%s\n" e.Sycl_obs.Trace.sp_cat
+           e.Sycl_obs.Trace.sp_name e.Sycl_obs.Trace.sp_ts
+           e.Sycl_obs.Trace.sp_dur
            (String.concat ""
               (List.map
                  (fun (k, v) -> Printf.sprintf " %s=%d" k v)
-                 e.P.ev_args))))
+                 e.Sycl_obs.Trace.sp_args))))
     r.H.events;
   List.iteri
     (fun i hv ->
@@ -249,23 +249,21 @@ let telemetry_run (w : Common.workload) ~(telemetry : bool) : string * string =
   let args, validate = w.Common.w_data () in
   let r = H.run ~module_op:m args in
   if telemetry then begin
-    (* Exercise the export paths too: render the merged trace and the
-       metrics JSON exactly as the CLI tools would. *)
-    let sink = Sycl_obs.Trace.make_sink () in
-    Sycl_obs.Trace.add_timing sink (Instrument.timing_report tm);
-    Sycl_obs.Trace.add_all sink
-      (Sycl_sim.Profile.trace_spans ~base:(Sycl_obs.Trace.span_end sink)
-         r.H.events);
-    ignore (Json.to_string (Sycl_obs.Trace.export sink));
-    ignore (Json.to_string (Sycl_obs.Metrics.to_json r.H.metrics));
-    (* And the profiler surfaces (--annotate): the hotspot report, the
-       attribution JSON and an annotated IR dump. The annotation writes
-       into a re-parsed clone — the module under test must stay
-       byte-identical. *)
+    (* Exercise the export paths too: render the merged trace, the
+       metrics JSON and the profiler surfaces (--annotate: hotspot
+       report, attribution JSON, annotated IR dump) exactly as the CLI
+       tools would. The annotation writes into a re-parsed clone — the
+       module under test must stay byte-identical. *)
     let tab = Sycl_sim.Attribution.create () in
     List.iter
       (fun (_, src) -> Sycl_sim.Attribution.merge ~into:tab src)
       r.H.per_kernel_attribution;
+    let trace =
+      Telemetry.merged_trace ~timing:(Instrument.timing_report tm)
+        ~attribution:tab r
+    in
+    ignore (Json.to_string (Sycl_obs.Trace.export trace));
+    ignore (Json.to_string (Sycl_obs.Metrics.to_json r.H.metrics));
     ignore (Sycl_sim.Attribution.hotspots_to_string tab);
     ignore (Json.to_string (Sycl_sim.Attribution.to_json tab));
     let clone = Parser.parse_module ir in
@@ -445,7 +443,7 @@ let check_cache_coherence ?(domains = 4) (w : Common.workload) :
         pair "flat digest (explicit flat vs default)" default flat))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle (h): worklist / legacy rewrite-driver equivalence            *)
+(* Oracle (h): worklist / legacy rewrite equivalence                   *)
 (* ------------------------------------------------------------------ *)
 
 (** The worklist driver replaced the legacy bounded re-walk driver; on

@@ -181,7 +181,7 @@ let test_runtime_metrics_present () =
 
 (* Compile with timing instrumentation, run, and merge both into one
    sink the way the CLI tools do: compile-phase spans land on the
-   Compile lane, runtime events on the Host lane, kernel segments on the
+   Compile lane, runtime spans on the Host lane, kernel spans on the
    Device lane; runtime timestamps start after the compile spans. *)
 let merged_sink () =
   let w = Single_kernel.vec_add ~n:256 in
@@ -194,12 +194,17 @@ let merged_sink () =
        cfg m);
   let args, _ = w.Common.w_data () in
   let r = Common.Host_interp.run ~module_op:m args in
-  let sink = Trace.make_sink () in
-  Trace.add_timing sink (Mlir.Instrument.timing_report tm);
-  let compile_end = Trace.span_end sink in
-  Trace.add_all sink
-    (Sycl_sim.Profile.trace_spans ~base:compile_end
-       r.Common.Host_interp.events);
+  let sink =
+    Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) r
+  in
+  let compile_end =
+    List.fold_left
+      (fun acc sp ->
+        if sp.Trace.sp_lane = Trace.Compile then
+          max acc (sp.Trace.sp_ts + sp.Trace.sp_dur)
+        else acc)
+      0 (Trace.spans sink)
+  in
   (sink, compile_end)
 
 let test_trace_lanes () =

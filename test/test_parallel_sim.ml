@@ -231,13 +231,17 @@ let tests_list =
         Profile.commit r s2;
         match Profile.events r with
         | [ e1; e2; e3 ] ->
-          Alcotest.(check string) "a first" "a" e1.Profile.ev_name;
-          Alcotest.(check int) "a starts at 0" 0 e1.Profile.ev_ts;
-          Alcotest.(check int) "a kernel follows" 5 e2.Profile.ev_ts;
-          Alcotest.(check string) "b after a" "b" e3.Profile.ev_name;
-          Alcotest.(check int) "b shifted past a's span" 7 e3.Profile.ev_ts;
+          Alcotest.(check string) "a first" "a" e1.Sycl_obs.Trace.sp_name;
+          Alcotest.(check int) "a starts at 0" 0 e1.Sycl_obs.Trace.sp_ts;
+          Alcotest.(check int) "a kernel follows" 5 e2.Sycl_obs.Trace.sp_ts;
+          Alcotest.(check bool) "launch on the host lane" true
+            (e1.Sycl_obs.Trace.sp_lane = Sycl_obs.Trace.Host);
+          Alcotest.(check bool) "kernel on the device lane" true
+            (e2.Sycl_obs.Trace.sp_lane = Sycl_obs.Trace.Device);
+          Alcotest.(check string) "b after a" "b" e3.Sycl_obs.Trace.sp_name;
+          Alcotest.(check int) "b shifted past a's span" 7 e3.Sycl_obs.Trace.sp_ts;
           Alcotest.(check int) "clock advanced by both spans" 3
-            e3.Profile.ev_dur
+            e3.Sycl_obs.Trace.sp_dur
         | evs ->
           Alcotest.failf "expected 3 events, got %d" (List.length evs));
   ]

@@ -254,43 +254,35 @@ let tests_list =
           check_bool "rewrite count past the cap" true (rewrites > cap);
           check_bool "scope names the rewritten region" true
             (scope = "builtin.module"));
-    Alcotest.test_case "GEMM pipeline: worklist visits fewer ops, byte-identical result"
+    Alcotest.test_case "GEMM module: worklist visits fewer ops, byte-identical result"
       `Quick (fun () ->
-        (* Full sycl-mlir pipeline on the GEMM workload under both
-           drivers: same final module byte-for-byte, strictly fewer
-           canonicalize visits from the worklist (the gated bench
-           counter). *)
+        (* Canonicalize the GEMM workload's module, raised and inlined
+           the way the pipeline does before its canonicalize passes,
+           under both drivers: same fixpoint byte-for-byte, strictly
+           fewer visits from the worklist (the gated bench counter). *)
         let w = Sycl_workloads.Polybench.gemm ~n:8 in
-        let compile_with driver =
-          let saved = Rewrite.get_default_driver () in
-          Rewrite.set_default_driver driver;
-          Fun.protect
-            ~finally:(fun () -> Rewrite.set_default_driver saved)
-            (fun () ->
-              let m = w.Sycl_workloads.Common.w_module () in
-              let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
-              let r = Sycl_core.Driver.compile cfg m in
-              let stats = Pass.merged_stats r.Sycl_core.Driver.pipeline_result in
-              ( Pass.Stats.get stats "canonicalize/canonicalize.ops_visited",
-                Pass.Stats.get stats "canonicalize/rewrites",
-                Printer.to_string r.Sycl_core.Driver.joint ))
+        let canonicalize apply =
+          let m = w.Sycl_workloads.Common.w_module () in
+          ignore
+            (Pass.run_pipeline
+               [ Sycl_core.Host_raising.pass; Sycl_core.Inline.pass ]
+               m);
+          let st = apply m Sycl_core.Canonicalize.patterns in
+          (st, Printer.to_string m)
         in
-        let l_visits, l_rewrites, l_ir = compile_with Rewrite.Legacy in
-        let w_visits, w_rewrites, w_ir = compile_with Rewrite.Worklist in
-        check_int "same rewrites under both drivers" l_rewrites w_rewrites;
+        let l_st, l_ir =
+          canonicalize (fun m ps -> Rewrite.apply_greedily_legacy m ps)
+        in
+        let w_st, w_ir = canonicalize (fun m ps -> Rewrite.apply_worklist m ps) in
+        check_bool "legacy converged" true l_st.Rewrite.rw_converged;
+        check_int "same rewrites under both drivers" l_st.Rewrite.rw_rewrites
+          w_st.Rewrite.rw_rewrites;
         check_bool
           (Printf.sprintf "worklist visits fewer ops (legacy %d, worklist %d)"
-             l_visits w_visits)
-          true (w_visits < l_visits);
-        check_bool "byte-identical compiled module" true (l_ir = w_ir));
-    Alcotest.test_case "driver flag round-trips and defaults to worklist" `Quick
-      (fun () ->
-        check_bool "default" true (Rewrite.get_default_driver () = Rewrite.Worklist);
-        check_bool "worklist parses" true
-          (Rewrite.driver_of_string "worklist" = Some Rewrite.Worklist);
-        check_bool "legacy parses" true
-          (Rewrite.driver_of_string "legacy" = Some Rewrite.Legacy);
-        check_bool "unknown rejected" true (Rewrite.driver_of_string "bogus" = None));
+             l_st.Rewrite.rw_ops_visited w_st.Rewrite.rw_ops_visited)
+          true
+          (w_st.Rewrite.rw_ops_visited < l_st.Rewrite.rw_ops_visited);
+        check_bool "byte-identical canonicalized module" true (l_ir = w_ir));
     (* --- CSE structural key: interned, printer-consistent attributes. --- *)
     Alcotest.test_case "CSE keeps 0.0 and -0.0 constants distinct" `Quick (fun () ->
         (* Polymorphic compare says 0.0 = -0.0, so the seed key merged
