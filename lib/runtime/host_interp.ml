@@ -82,6 +82,10 @@ type state = {
   launch_hook : (Core.op -> launch_info -> unit) option;
   jit_cycles_per_kernel : int;
   jitted : (string, unit) Hashtbl.t;
+  (* Kernels decoded for the simulator, by name. A kernel is decoded at
+     its first launch, after the JIT hook has specialized it, and the
+     run changes no kernel after that. *)
+  decoded : (string, Interp.program) Hashtbl.t;
   sim_domains : int option;  (* simulator backend knobs; None = defaults *)
   check_races : bool option;
   cache_model : Cost.cache_model option;
@@ -350,11 +354,19 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
     | Cost.Direct_mapped | Cost.Set_associative ->
       Some (Sycl_sim.Cache.create_table ())
   in
+  let program =
+    match Hashtbl.find_opt st.decoded kernel_name with
+    | Some p -> p
+    | None ->
+      let p = Interp.decode ~module_op:st.module_op ~kernel in
+      Hashtbl.replace st.decoded kernel_name p;
+      p
+  in
   let stats =
     Interp.launch ~params:st.params ?domains:st.sim_domains
       ?check_races:st.check_races ~metrics:st.metrics ~attribution
-      ~cache_model ?cache ~module_op:st.module_op ~kernel ~args ~global
-      ~wg_size:wg ()
+      ~cache_model ?cache ~program ~module_op:st.module_op ~kernel ~args
+      ~global ~wg_size:wg ()
   in
   let dev_cycles = Cost.device_cycles st.params stats in
   st.r_device <- st.r_device + dev_cycles;
@@ -594,6 +606,7 @@ let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
       launch_hook;
       jit_cycles_per_kernel = jit_cycles;
       jitted = Hashtbl.create 4;
+      decoded = Hashtbl.create 4;
       sim_domains;
       check_races;
       cache_model;

@@ -280,8 +280,8 @@ let run_batch t (reqs : request list) : response list =
     let results : response option array = Array.make n None in
     (* Work queue: an atomic next-index counter; workers pull until it
        runs past the end. Each slot is written by exactly one worker and
-       read only after the joins, so no further synchronization is
-       needed. *)
+       read only after [Pool.run] has returned, so no further
+       synchronization is needed. *)
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
@@ -293,13 +293,7 @@ let run_batch t (reqs : request list) : response list =
       in
       loop ()
     in
-    let d = min t.n_workers n in
-    if d <= 1 then worker ()
-    else begin
-      let spawned = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join spawned
-    end;
+    ignore (Sycl_obs.Pool.run (min t.n_workers n) (fun _ -> worker ()));
     let wall_us =
       max 1 (int_of_float (Float.round ((Unix.gettimeofday () -. t0) *. 1e6)))
     in

@@ -75,8 +75,9 @@ type t
 
 (** [create ~pipeline ~pipeline_key ()] builds a service.
     [cache_capacity] (default 256, minimum 1) bounds the cache;
-    [workers] (default [Domain.recommended_domain_count ()]) bounds the
-    domain pool used by {!run_batch}; [verify_each] (default false) runs
+    [workers] (default [Domain.recommended_domain_count ()]) bounds how
+    many domains of the shared {!Sycl_obs.Pool} {!run_batch} uses;
+    [verify_each] (default false) runs
     the verifier after every pass of every compile. Freezes the op
     registry. *)
 val create :

@@ -42,8 +42,12 @@
 (* Cache state (one per work-group)                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The tag is (t_aid, t_line); [t_aid = -1] marks an invalid way
+   (allocation ids are never negative). Plain int fields keep a probe
+   free of allocation and polymorphic comparison. *)
 type slot = {
-  mutable tag : (int * int) option;  (* (allocation id, line) *)
+  mutable t_aid : int;
+  mutable t_line : int;
   mutable stamp : int;  (* last-use tick, for LRU *)
 }
 
@@ -66,11 +70,15 @@ let create (p : Cost.params) (model : Cost.cache_model) : state option =
       {
         sets =
           Array.init num_sets (fun _ ->
-              Array.init ways (fun _ -> { tag = None; stamp = 0 }));
+              Array.init ways (fun _ -> { t_aid = -1; t_line = 0; stamp = 0 }));
         tick = 0;
       }
 
 type outcome = { o_hit : bool; o_evicted : bool }
+
+let hit = { o_hit = true; o_evicted = false }
+let miss = { o_hit = false; o_evicted = false }
+let miss_evicting = { o_hit = false; o_evicted = true }
 
 (** Probe the cache for the line [(aid, line)]: on a hit the slot's LRU
     stamp is refreshed; on a miss the line is installed, evicting the
@@ -78,24 +86,33 @@ type outcome = { o_hit : bool; o_evicted : bool }
 let access (st : state) ~(aid : int) ~(line : int) : outcome =
   st.tick <- st.tick + 1;
   let set = st.sets.(line mod Array.length st.sets) in
-  let tag = (aid, line) in
-  match Array.find_opt (fun s -> s.tag = Some tag) set with
-  | Some s ->
-    s.stamp <- st.tick;
-    { o_hit = true; o_evicted = false }
-  | None ->
+  let ways = Array.length set in
+  let rec find i =
+    if i = ways then -1
+    else
+      let s = set.(i) in
+      if s.t_aid = aid && s.t_line = line then i else find (i + 1)
+  in
+  let w = find 0 in
+  if w >= 0 then begin
+    set.(w).stamp <- st.tick;
+    hit
+  end
+  else begin
     (* Fill: an invalid way if any, else the LRU way (lowest stamp; ties
        impossible because stamps are distinct ticks). *)
     let victim = ref set.(0) in
     Array.iter
       (fun s ->
-        if !victim.tag <> None && (s.tag = None || s.stamp < !victim.stamp)
+        if !victim.t_aid >= 0 && (s.t_aid < 0 || s.stamp < !victim.stamp)
         then victim := s)
       set;
-    let evicted = !victim.tag <> None in
-    !victim.tag <- Some tag;
+    let evicted = !victim.t_aid >= 0 in
+    !victim.t_aid <- aid;
+    !victim.t_line <- line;
     !victim.stamp <- st.tick;
-    { o_hit = false; o_evicted = evicted }
+    if evicted then miss_evicting else miss
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Exact reuse distances (LRU stack distance)                          *)
@@ -110,10 +127,16 @@ let access (st : state) ~(aid : int) ~(line : int) : outcome =
 type reuse = {
   mutable bit : int array;  (* 1-based Fenwick array *)
   mutable pos : int;  (* last assigned position *)
-  last : (int * int, int) Hashtbl.t;  (* line -> its live position *)
+  last : (int, int) Hashtbl.t;  (* packed line -> its live position *)
 }
 
-let reuse_create () = { bit = Array.make 1024 0; pos = 0; last = Hashtbl.create 64 }
+(* (allocation id, line) as one int key: lines stay below 2^32, so the
+   packing is injective for any id a process can mint. *)
+let line_key ~aid ~line = (aid lsl 32) lor line
+
+(* Starts small — one tracker is made per work-group — and doubles on
+   demand. *)
+let reuse_create () = { bit = Array.make 65 0; pos = 0; last = Hashtbl.create 16 }
 
 let bit_add (r : reuse) i delta =
   let n = Array.length r.bit - 1 in
@@ -140,7 +163,7 @@ let reuse_grow (r : reuse) =
 (** Record a probe of [(aid, line)]; returns the exact reuse distance,
     or [None] for a first touch (cold). *)
 let reuse_access (r : reuse) ~(aid : int) ~(line : int) : int option =
-  let key = (aid, line) in
+  let key = line_key ~aid ~line in
   if r.pos >= Array.length r.bit - 1 then reuse_grow r;
   let now = r.pos + 1 in
   r.pos <- now;

@@ -6,10 +6,20 @@
    (Section VI-C) executes correctly, and a barrier in a divergent region
    is detected as the deadlock it would be on hardware.
 
+   A kernel is decoded once before it runs ({!decode}): every SSA value
+   of the kernel and of the device functions it calls gets a dense frame
+   slot, and every op a dense index and a closure that does its work. An
+   executed op is then one closure call that reads and writes the
+   work-item's frame array — no op-name dispatch and no hashing per
+   executed op. This is progressive lowering applied to the simulator:
+   the IR is lowered once to an execution form.
+
    Costs are accumulated per work-group: ALU cycles per executed op,
    memory transactions per (instruction, occurrence, sub-group) with
-   cache-line coalescing, and barrier costs. Private memory is treated as
-   registers (no memory cost), matching mem2reg-ed GPU code. *)
+   cache-line coalescing, and barrier costs. The same charges are kept
+   per op, in arrays indexed by the op's dense index, for source
+   attribution. Private memory is treated as registers (no memory cost),
+   matching mem2reg-ed GPU code. *)
 
 open Mlir
 module Sycl_types = Sycl_core.Sycl_types
@@ -58,45 +68,47 @@ let as_acc = function Acc a -> a | _ -> raise (Sim_error "expected accessor valu
 (* Execution contexts                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-work-group, per-op charge record for source attribution: which op
-   incurred how many ALU/fdiv executions, raw memory accesses and barrier
-   rounds. Transactions are recovered from [mem_table] (whose key already
-   carries the op id) at flush time. *)
-type op_charge = {
-  oc_op : Core.op;
-  mutable oc_alu : int;
-  mutable oc_fdiv : int;
-  mutable oc_accesses : int;  (* raw non-private accesses, pre-coalescing *)
-  mutable oc_barriers : int;  (* barrier rounds this op's barrier closed *)
-  (* Cache-model probes of this op's global transactions (all 0 under
-     the flat model — no probes happen). *)
-  mutable oc_hits : int;
-  mutable oc_misses : int;
-  mutable oc_evictions : int;
-  mutable oc_dist_sum : int;  (* summed warm reuse distances *)
-  mutable oc_dist_count : int;  (* warm re-accesses *)
-}
+(* Per-op charges of a work-group live in one flat array: [n_fields]
+   consecutive counters per decoded op, at [op index * n_fields]. *)
+let f_alu = 0
+let f_fdiv = 1
+let f_accesses = 2  (* raw non-private accesses, pre-coalescing *)
+let f_barriers = 3  (* barrier rounds this op's barrier closed *)
+let f_global = 4  (* coalesced transactions, one counter per class *)
+let f_local = 5
+let f_const = 6
+(* Cache-model probes of the op's global transactions (all 0 under the
+   flat model — no probes happen). *)
+let f_hits = 7
+let f_misses = 8
+let f_evictions = 9
+let f_dist_sum = 10  (* summed warm reuse distances *)
+let f_dist_count = 11  (* warm re-accesses *)
+let n_fields = 12
 
 type wg_ctx = {
   params : Cost.params;
-  stats : Cost.launch_stats;
   footprint : Memory.footprint option;
       (* per-group global-write footprint, recorded under --sim-check-races *)
   locals : (int, Memory.allocation) Hashtbl.t;  (* gpu.alloc_local slot *)
-  (* (op id, occurrence, subgroup) -> set of (alloc id, line, class) *)
-  mem_table : (int * int * int, (int * int * int, unit) Hashtbl.t) Hashtbl.t;
-  attribution : Attribution.table option;
-      (* source-attribution sink; None skips per-op bookkeeping *)
-  op_charges : (int, op_charge) Hashtbl.t;  (* op id -> per-wg charges *)
+  counters : int array;  (* per-op charges, see [n_fields] *)
+  coalesce : int list array array;
+      (* [op index * n_sub + sub-group] -> for each occurrence of the op
+         in a work-item, the distinct transactions ({!transaction}) the
+         sub-group's accesses made *)
+  n_sub : int;  (* sub-groups per work-group *)
   cache_model : Cost.cache_model;
   cache : Cache.state option;  (* per-group cache; None under Flat *)
   reuse : Cache.reuse option;  (* per-group reuse-distance tracker *)
   cache_tab : Cache.table option;  (* per-op cache counter sink *)
-  mutable cur_barrier : Core.op option;
-      (* the barrier op the group is currently suspended at *)
+  mutable cur_barrier : int;
+      (* index of the barrier op the group is suspended at, or -1 *)
   mutable wg_alu : int;
   mutable wg_fdiv : int;
   mutable wg_barriers : int;
+  mutable wg_global : int;
+  mutable wg_local : int;
+  mutable wg_const : int;
   mutable wg_hits : int;
   mutable wg_misses : int;
   mutable wg_evictions : int;
@@ -109,46 +121,41 @@ type wi_ctx = {
   grp : int array;
   global_range : int array;
   local_range : int array;
-  group_range : int array;
   subgroup : int;
-  env : (int, rv) Hashtbl.t;
-  occ : (int, int) Hashtbl.t;
-  funcs : (string, Core.op) Hashtbl.t;  (* device functions by symbol *)
+  slots : rv array;  (* the work-item's frame: one slot per SSA value *)
+  occ : int array;  (* per op index: accesses the op made so far *)
 }
 
-let lookup ctx (v : Core.value) =
-  match Hashtbl.find_opt ctx.env v.Core.vid with
-  | Some rv -> rv
-  | None -> raise (Sim_error ("use of unbound SSA value in simulator"))
+(* Frames start filled with [unbound]; reading it is a use of a value
+   that was never defined. It is compared physically, so no runtime
+   value can be taken for it. *)
+let unbound = F (Sys.opaque_identity Float.nan)
 
-let bind ctx (v : Core.value) rv = Hashtbl.replace ctx.env v.Core.vid rv
+let get w s =
+  let v = Array.unsafe_get w.slots s in
+  if v == unbound then raise (Sim_error "use of unbound SSA value in simulator")
+  else v
+
+(* Slots come from the decoder that sized the frame, so they are in
+   range. *)
+let set w s v = Array.unsafe_set w.slots s v
+
+let count (g : wg_ctx) k f by =
+  let i = (k * n_fields) + f in
+  g.counters.(i) <- g.counters.(i) + by
 
 (* Every charge names the charging op so attribution can account it to
    the op's source location; the per-wg aggregate counters stay the
    single source of truth for the cost formula. *)
-let op_charge (wg : wg_ctx) (op : Core.op) =
-  match Hashtbl.find_opt wg.op_charges op.Core.oid with
-  | Some c -> c
-  | None ->
-    let c =
-      { oc_op = op; oc_alu = 0; oc_fdiv = 0; oc_accesses = 0; oc_barriers = 0;
-        oc_hits = 0; oc_misses = 0; oc_evictions = 0; oc_dist_sum = 0;
-        oc_dist_count = 0 }
-    in
-    Hashtbl.replace wg.op_charges op.Core.oid c;
-    c
+let alu w k =
+  let g = w.wg in
+  g.wg_alu <- g.wg_alu + 1;
+  count g k f_alu 1
 
-let alu ctx op =
-  ctx.wg.wg_alu <- ctx.wg.wg_alu + 1;
-  if Option.is_some ctx.wg.attribution then
-    let c = op_charge ctx.wg op in
-    c.oc_alu <- c.oc_alu + 1
-
-let fdiv ctx op =
-  ctx.wg.wg_fdiv <- ctx.wg.wg_fdiv + 1;
-  if Option.is_some ctx.wg.attribution then
-    let c = op_charge ctx.wg op in
-    c.oc_fdiv <- c.oc_fdiv + 1
+let fdiv w k =
+  let g = w.wg in
+  g.wg_fdiv <- g.wg_fdiv + 1;
+  count g k f_fdiv 1
 
 (* Latency class: 0 = global, 1 = local, 2 = constant-cached. *)
 let latency_class (a : Memory.allocation) =
@@ -157,76 +164,105 @@ let latency_class (a : Memory.allocation) =
   | Types.Private -> 3 (* never recorded *)
   | Types.Global -> if a.Memory.constant_cached then 2 else 0
 
-let record_access ctx (op : Core.op) (view : Memory.view) (idx : int list) =
-  match view.Memory.base.Memory.space with
-  | Types.Private -> alu ctx op
-  | _ ->
-    if Option.is_some ctx.wg.attribution then begin
-      let c = op_charge ctx.wg op in
-      c.oc_accesses <- c.oc_accesses + 1
-    end;
-    let lin = Memory.linear_index view idx in
-    let line = lin / ctx.wg.params.Cost.cache_line_elems in
-    let occ = Option.value ~default:0 (Hashtbl.find_opt ctx.occ op.Core.oid) in
-    Hashtbl.replace ctx.occ op.Core.oid (occ + 1);
-    let key = (op.Core.oid, occ, ctx.subgroup) in
-    let tbl =
-      match Hashtbl.find_opt ctx.wg.mem_table key with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.replace ctx.wg.mem_table key t;
-        t
-    in
-    let a = view.Memory.base in
-    let cls = latency_class a in
-    let tkey = (a.Memory.aid, line, cls) in
-    (* Probe the cache exactly once per NEW coalesced global transaction:
-       the per-(op, occurrence, sub-group) table only ever grows, and the
-       flush counts its entries as global transactions, so
-       hits + misses = global_transactions holds by construction.
-       Fibers of a group run sequentially in canonical order, so the
-       probe sequence is deterministic and domain-count independent. *)
-    (match ctx.wg.cache with
-    | Some cache when cls = 0 && not (Hashtbl.mem tbl tkey) ->
-      let { Cache.o_hit; o_evicted } =
-        Cache.access cache ~aid:a.Memory.aid ~line
-      in
-      if o_hit then ctx.wg.wg_hits <- ctx.wg.wg_hits + 1
-      else ctx.wg.wg_misses <- ctx.wg.wg_misses + 1;
-      if o_evicted then ctx.wg.wg_evictions <- ctx.wg.wg_evictions + 1;
-      let dist =
-        match ctx.wg.reuse with
-        | Some r ->
-          let d = Cache.reuse_access r ~aid:a.Memory.aid ~line in
-          Option.iter (fun t -> Cache.observe_distance t d) ctx.wg.cache_tab;
-          d
-        | None -> None
-      in
-      if Option.is_some ctx.wg.attribution || Option.is_some ctx.wg.cache_tab
-      then begin
-        let c = op_charge ctx.wg op in
-        if o_hit then c.oc_hits <- c.oc_hits + 1
-        else c.oc_misses <- c.oc_misses + 1;
-        if o_evicted then c.oc_evictions <- c.oc_evictions + 1;
-        match dist with
-        | Some d ->
-          c.oc_dist_sum <- c.oc_dist_sum + d;
-          c.oc_dist_count <- c.oc_dist_count + 1
-        | None -> ()
-      end
-    | _ -> ());
-    Hashtbl.replace tbl tkey ()
+(* One coalesced transaction (allocation, cache line, latency class)
+   packed into an int: lines stay below 2^32 and classes below 4, so the
+   packing is injective for any allocation id a process can mint. *)
+let transaction ~aid ~line ~cls = (aid lsl 34) lor (cls lsl 32) lor line
 
-(* Record a store into the group's write footprint (race detection),
-   tagged with the storing op's source location so a race report can
-   name the culprit store. Only global-space writes are kept — see
-   {!Memory.footprint_write}. *)
-let record_store ctx (op : Core.op) (view : Memory.view) (idx : int list) =
-  match ctx.wg.footprint with
-  | None -> ()
-  | Some fp ->
-    Memory.footprint_write ~loc:op.Core.loc fp view (Memory.linear_index view idx)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: ys -> x = y || mem_int x ys
+
+let record_access w k (view : Memory.view) lin =
+  let a = view.Memory.base in
+  match a.Memory.space with
+  | Types.Private -> alu w k
+  | _ ->
+    let g = w.wg in
+    count g k f_accesses 1;
+    let line = lin / g.params.Cost.cache_line_elems in
+    let occ = w.occ.(k) in
+    w.occ.(k) <- occ + 1;
+    let cell = (k * g.n_sub) + w.subgroup in
+    let per_occ =
+      let arr = g.coalesce.(cell) in
+      if occ < Array.length arr then arr
+      else begin
+        let grown = Array.make (max 4 (2 * (occ + 1))) [] in
+        Array.blit arr 0 grown 0 (Array.length arr);
+        g.coalesce.(cell) <- grown;
+        grown
+      end
+    in
+    let cls = latency_class a in
+    let t = transaction ~aid:a.Memory.aid ~line ~cls in
+    let seen = per_occ.(occ) in
+    if not (mem_int t seen) then begin
+      per_occ.(occ) <- t :: seen;
+      (match cls with
+      | 0 ->
+        g.wg_global <- g.wg_global + 1;
+        count g k f_global 1
+      | 1 ->
+        g.wg_local <- g.wg_local + 1;
+        count g k f_local 1
+      | _ ->
+        g.wg_const <- g.wg_const + 1;
+        count g k f_const 1);
+      (* Probe the cache exactly once per NEW coalesced global
+         transaction, so hits + misses = global_transactions holds by
+         construction. Fibers of a group run sequentially in canonical
+         order, so the probe sequence is deterministic and domain-count
+         independent. *)
+      match g.cache with
+      | Some cache when cls = 0 -> (
+        let { Cache.o_hit; o_evicted } =
+          Cache.access cache ~aid:a.Memory.aid ~line
+        in
+        if o_hit then begin
+          g.wg_hits <- g.wg_hits + 1;
+          count g k f_hits 1
+        end
+        else begin
+          g.wg_misses <- g.wg_misses + 1;
+          count g k f_misses 1
+        end;
+        if o_evicted then begin
+          g.wg_evictions <- g.wg_evictions + 1;
+          count g k f_evictions 1
+        end;
+        match g.reuse with
+        | Some r -> (
+          let d = Cache.reuse_access r ~aid:a.Memory.aid ~line in
+          Option.iter (fun t -> Cache.observe_distance t d) g.cache_tab;
+          match d with
+          | Some d ->
+            count g k f_dist_sum d;
+            count g k f_dist_count 1
+          | None -> ())
+        | None -> ())
+      | _ -> ()
+    end
+
+(* A store's charge, its entry in the group's write footprint (tagged
+   with the storing op's source location, so a race report can name the
+   culprit store — only global-space writes are kept, see
+   {!Memory.footprint_write}) and the write itself. *)
+let store w k loc (view : Memory.view) lin value =
+  record_access w k view lin;
+  (match w.wg.footprint with
+  | Some fp -> Memory.footprint_write ~loc fp view lin
+  | None -> ());
+  view.Memory.base.Memory.data.(lin) <-
+    (match value with
+    | F f -> Memory.F f
+    | I i -> Memory.I i
+    | _ -> raise (Sim_error "cannot store non-scalar value"))
+
+let load ~is_float (view : Memory.view) lin =
+  match view.Memory.base.Memory.data.(lin) with
+  | Memory.F f -> if is_float then F f else I (int_of_float f)
+  | Memory.I i -> if is_float then F (float_of_int i) else I i
 
 (* ------------------------------------------------------------------ *)
 (* SYCL struct storage helpers                                         *)
@@ -253,373 +289,498 @@ let element_is_float (ty : Types.t) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Op evaluation                                                       *)
+(* Decoded programs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let getter_dim ctx (op : Core.op) =
-  if Core.num_operands op >= 2 then as_int (lookup ctx (Core.operand op 1)) else 0
+type code = wi_ctx -> unit
 
-let cell_of_rv = function
-  | F f -> Memory.F f
-  | I i -> Memory.I i
-  | _ -> raise (Sim_error "cannot store non-scalar value")
+(* A decoded block: its ops before the terminator, and the slots the
+   terminator yields ([||] when the block has none). *)
+type block_code = { ops : code array; yields : int array }
 
-let rv_of_cell ~is_float (c : Memory.cell) =
-  match c with
-  | Memory.F f -> if is_float then F f else I (int_of_float f)
-  | Memory.I i -> if is_float then F (float_of_int i) else I i
+(* A decoded function. [body] is filled in after the record is
+   registered, so recursive calls resolve to it. *)
+type fn = { args : int array; mutable body : block_code }
 
-let subscript_view ctx (op : Core.op) =
-  let acc = as_acc (lookup ctx (Core.operand op 0)) in
+type program = {
+  entry : fn;
+  ops : Core.op array;  (* by dense op index *)
+  canonical : int array;  (* op indices in canonical (creation) order *)
+  n_slots : int;
+}
+
+type decoder = {
+  value_slots : (int, int) Hashtbl.t;  (* value id -> frame slot *)
+  mutable decoded : Core.op list;  (* by op index, newest first *)
+  mutable n_ops : int;
+  funcs : (string, Core.op) Hashtbl.t;  (* device functions by symbol *)
+  fns : (int, fn) Hashtbl.t;  (* decoded functions by body block id *)
+}
+
+let slot d (v : Core.value) =
+  match Hashtbl.find_opt d.value_slots v.Core.vid with
+  | Some s -> s
+  | None ->
+    let s = Hashtbl.length d.value_slots in
+    Hashtbl.replace d.value_slots v.Core.vid s;
+    s
+
+let slots d vs = Array.of_list (List.map (slot d) vs)
+
+let run_block w (b : block_code) =
+  let ops = b.ops in
+  for i = 0 to Array.length ops - 1 do
+    (Array.unsafe_get ops i) w
+  done
+
+let read w (ss : int array) =
+  let n = Array.length ss in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n unbound in
+    for i = 0 to n - 1 do
+      a.(i) <- get w ss.(i)
+    done;
+    a
+  end
+
+let ints w (ss : int array) =
+  let a = Array.make (Array.length ss) 0 in
+  for i = 0 to Array.length ss - 1 do
+    a.(i) <- as_int (get w ss.(i))
+  done;
+  a
+
+(* [Memory.linear_index] of the indices held in slots [idx], without
+   building the index array. *)
+let linear w (view : Memory.view) (idx : int array) =
+  let strides = view.Memory.strides in
+  if Array.length idx > Array.length strides then Memory.rank_mismatch view;
+  let lin = ref view.Memory.offset in
+  for k = 0 to Array.length idx - 1 do
+    lin := !lin + (as_int (get w idx.(k)) * strides.(k))
+  done;
+  Memory.check view !lin
+
+(* Run a region's block and return what it yields. *)
+let branch w (b : block_code) =
+  run_block w b;
+  read w b.yields
+
+(* Bind an op's results to the values its region yielded. *)
+let bind_results w (res : int array) (vs : rv array) =
+  Array.iteri (fun i v -> set w res.(i) v) vs
+
+(* scf.for / affine.for after their bounds are known: one ALU charge
+   per iteration, the iteration arguments rebound from what the body
+   yielded. *)
+let run_loop w k ~lb ~ub ~step ~iv ~(iter : int array) inits body res =
+  let cur = ref inits and i = ref lb in
+  while !i < ub do
+    alu w k;
+    set w iv (I !i);
+    let vs = !cur in
+    if Array.length vs <> Array.length iter then
+      raise
+        (Sim_error
+           (Printf.sprintf "loop carries %d values into %d iteration arguments"
+              (Array.length vs) (Array.length iter)));
+    for j = 0 to Array.length iter - 1 do
+      set w iter.(j) vs.(j)
+    done;
+    cur := branch w body;
+    i := !i + step
+  done;
+  bind_results w res !cur
+
+(* An affine map ready to evaluate into an array. A map whose arity does
+   not match its operands goes through [Map.eval], which rejects it. *)
+type amap = { map : Affine_expr.Map.t; exprs : Affine_expr.t array }
+
+let amap (m : Affine_expr.Map.t) = { map = m; exprs = Array.of_list m.Affine_expr.Map.exprs }
+
+let eval_map (a : amap) dims =
+  if Array.length dims = a.map.Affine_expr.Map.num_dims
+     && a.map.Affine_expr.Map.num_syms = 0
+  then Array.map (fun e -> Affine_expr.eval dims [||] e) a.exprs
+  else Array.of_list (Affine_expr.Map.eval a.map ~dims ~syms:[||])
+
+let getter_dim w ds = if ds < 0 then 0 else as_int (get w ds)
+
+(* Dims and strides of every subscript's one-element view (views are
+   never mutated, so one array serves them all). *)
+let unit_extent = [| 1 |]
+
+let subscript_view w acc_s (ids : int array) =
+  let acc = as_acc (get w acc_s) in
   let ids =
-    match List.tl (Core.operands op) with
-    | [ single ] -> (
-      match lookup ctx single with
-      | I i -> [ i ]
+    if Array.length ids = 1 then
+      match get w ids.(0) with
+      | I i -> [| i |]
       | Mem v ->
         (* An id struct in private memory: one cell per dimension. *)
-        List.init (Array.length acc.a_range) (fun d ->
-            Memory.cell_to_int (Memory.read v [ d ]))
-      | _ -> raise (Sim_error "bad subscript index"))
-    | many ->
+        Array.init (Array.length acc.a_range) (fun d ->
+            Memory.cell_to_int (Memory.read v [| d |]))
+      | _ -> raise (Sim_error "bad subscript index")
+    else
       (* Direct form: one index operand per dimension. *)
-      List.map (fun v -> as_int (lookup ctx v)) many
+      ints w ids
   in
-  (* Linearize against the *memory* range with the accessor offset. *)
-  let n = Array.length acc.a_mem_range in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * acc.a_mem_range.(i + 1)
+  (* Linearize against the *memory* range with the accessor offset,
+     innermost dimension first. *)
+  let range = acc.a_mem_range and offset = acc.a_offset in
+  let n = Array.length range in
+  if Array.length ids > n then
+    raise (Sim_error "subscript with more indices than accessor dimensions");
+  let lin = ref 0 and stride = ref 1 in
+  for d = n - 1 downto 0 do
+    if d < Array.length ids then begin
+      let off = if d < Array.length offset then offset.(d) else 0 in
+      lin := !lin + ((ids.(d) + off) * !stride)
+    end;
+    stride := !stride * range.(d)
   done;
-  let lin = ref 0 in
-  List.iteri
-    (fun d i ->
-      let off = if d < Array.length acc.a_offset then acc.a_offset.(d) else 0 in
-      lin := !lin + ((i + off) * strides.(d)))
-    ids;
   {
     Memory.base = acc.a_alloc;
     Memory.offset = !lin;
-    Memory.dims = [| 1 |];
-    Memory.strides = [| 1 |];
+    Memory.dims = unit_extent;
+    Memory.strides = unit_extent;
   }
 
-let rec exec_block ctx (b : Core.block) : rv list =
-  let rec go = function
-    | [] -> []
+let fail e : code = fun _ -> raise e
+
+let rec decode_block d (b : Core.block) : block_code =
+  let rec go acc = function
+    | [] -> { ops = Array.of_list (List.rev acc); yields = [||] }
     | op :: rest -> (
-      match exec_op ctx op with
-      | `Next -> go rest
-      | `Yield vs -> vs)
+      match op.Core.name with
+      | "scf.yield" | "affine.yield" | "func.return" ->
+        {
+          ops = Array.of_list (List.rev acc);
+          yields = Array.map (slot d) op.Core.operands;
+        }
+      | _ -> go (decode_op d op :: acc) rest)
   in
-  go b.Core.body
+  go [] b.Core.body
 
-and exec_region ctx (r : Core.region) : rv list =
-  exec_block ctx (Core.entry_block r)
+and decode_fn d (f : Core.op) : fn =
+  let body = Core.func_body f in
+  match Hashtbl.find_opt d.fns body.Core.bid with
+  | Some fn -> fn
+  | None ->
+    let fn =
+      { args = Array.map (slot d) body.Core.bargs; body = { ops = [||]; yields = [||] } }
+    in
+    Hashtbl.replace d.fns body.Core.bid fn;
+    fn.body <- decode_block d body;
+    fn
 
-and exec_op ctx (op : Core.op) : [ `Next | `Yield of rv list ] =
-  let operand i = lookup ctx (Core.operand op i) in
-  let bind_result i rv = bind ctx (Core.result op i) rv in
-  let int2 f =
-    alu ctx op;
-    bind_result 0 (I (f (as_int (operand 0)) (as_int (operand 1))));
-    `Next
+(* An op whose structure or attributes are wrong decodes to a closure
+   that raises when the op executes, as the error surfaced before
+   decoding existed — a malformed op on a path never taken stays
+   harmless. *)
+and decode_op d (op : Core.op) : code =
+  let k = d.n_ops in
+  d.n_ops <- k + 1;
+  d.decoded <- op :: d.decoded;
+  try op_code d k op with e -> fail e
+
+and op_code d k (op : Core.op) : code =
+  let operand i = slot d (Core.operand op i) in
+  let operands_from i =
+    Array.map (slot d) (Array.sub op.Core.operands i (Core.num_operands op - i))
   in
-  let float2 f =
-    alu ctx op;
-    bind_result 0 (F (f (as_float (operand 0)) (as_float (operand 1))));
-    `Next
+  let result i = slot d (Core.result op i) in
+  let results () = Array.map (slot d) op.Core.results in
+  (* The optional dimension operand of a getter; -1 reads dimension 0. *)
+  let dim_operand () = if Core.num_operands op >= 2 then operand 1 else -1 in
+  let int2 charge f =
+    let a = operand 0 and b = operand 1 and r = result 0 in
+    fun w ->
+      charge w k;
+      set w r (I (f (as_int (get w a)) (as_int (get w b))))
+  in
+  let float2 charge f =
+    let a = operand 0 and b = operand 1 and r = result 0 in
+    fun w ->
+      charge w k;
+      set w r (F (f (as_float (get w a)) (as_float (get w b))))
+  in
+  let unary charge f =
+    let a = operand 0 and r = result 0 in
+    fun w ->
+      charge w k;
+      set w r (f (get w a))
+  in
+  let query f =
+    let ds = dim_operand () and r = result 0 in
+    fun w ->
+      alu w k;
+      set w r (I (f w).(getter_dim w ds))
+  in
+  let acc_query f =
+    let a = operand 0 and ds = dim_operand () and r = result 0 in
+    fun w ->
+      alu w k;
+      set w r (I (f (as_acc (get w a))).(getter_dim w ds))
   in
   match op.Core.name with
   | "arith.constant" -> (
+    let const v =
+      let r = result 0 in
+      fun w -> set w r v
+    in
     match Core.attr op "value" with
-    | Some (Attr.Int i) -> bind_result 0 (I i); `Next
-    | Some (Attr.Float f) -> bind_result 0 (F f); `Next
-    | Some (Attr.Bool b) -> bind_result 0 (I (Bool.to_int b)); `Next
-    | _ -> raise (Sim_error "arith.constant without numeric value"))
-  | "arith.addi" -> int2 ( + )
-  | "arith.subi" -> int2 ( - )
-  | "arith.muli" -> int2 ( * )
-  | "arith.divsi" -> fdiv ctx op; bind_result 0 (I (as_int (operand 0) / as_int (operand 1))); `Next
-  | "arith.remsi" -> fdiv ctx op; bind_result 0 (I (as_int (operand 0) mod as_int (operand 1))); `Next
-  | "arith.andi" -> int2 ( land )
-  | "arith.ori" -> int2 ( lor )
-  | "arith.xori" -> int2 ( lxor )
-  | "arith.minsi" -> int2 min
-  | "arith.maxsi" -> int2 max
-  | "arith.addf" -> float2 ( +. )
-  | "arith.subf" -> float2 ( -. )
-  | "arith.mulf" -> float2 ( *. )
-  | "arith.divf" -> fdiv ctx op; bind_result 0 (F (as_float (operand 0) /. as_float (operand 1))); `Next
-  | "arith.minimumf" -> float2 Float.min
-  | "arith.maximumf" -> float2 Float.max
-  | "arith.negf" ->
-    alu ctx op;
-    bind_result 0 (F (-.as_float (operand 0)));
-    `Next
-  | "arith.cmpi" ->
-    alu ctx op;
-    let p =
-      match Dialects.Arith.icmp_predicate op with
-      | Some p -> p
-      | None -> raise (Sim_error "cmpi without predicate")
-    in
-    bind_result 0
-      (I (Bool.to_int (Dialects.Arith.eval_icmp p (as_int (operand 0)) (as_int (operand 1)))));
-    `Next
-  | "arith.cmpf" ->
-    alu ctx op;
-    let p =
-      match Option.bind (Core.attr_string op "predicate") Dialects.Arith.fcmp_pred_of_string with
-      | Some p -> p
-      | None -> raise (Sim_error "cmpf without predicate")
-    in
-    bind_result 0
-      (I (Bool.to_int (Dialects.Arith.eval_fcmp p (as_float (operand 0)) (as_float (operand 1)))));
-    `Next
+    | Some (Attr.Int i) -> const (I i)
+    | Some (Attr.Float f) -> const (F f)
+    | Some (Attr.Bool b) -> const (I (Bool.to_int b))
+    | _ -> fail (Sim_error "arith.constant without numeric value"))
+  | "arith.addi" -> int2 alu ( + )
+  | "arith.subi" -> int2 alu ( - )
+  | "arith.muli" -> int2 alu ( * )
+  | "arith.divsi" -> int2 fdiv ( / )
+  | "arith.remsi" -> int2 fdiv ( mod )
+  | "arith.andi" -> int2 alu ( land )
+  | "arith.ori" -> int2 alu ( lor )
+  | "arith.xori" -> int2 alu ( lxor )
+  | "arith.minsi" -> int2 alu Int.min
+  | "arith.maxsi" -> int2 alu Int.max
+  | "arith.addf" -> float2 alu ( +. )
+  | "arith.subf" -> float2 alu ( -. )
+  | "arith.mulf" -> float2 alu ( *. )
+  | "arith.divf" -> float2 fdiv ( /. )
+  | "arith.minimumf" -> float2 alu Float.min
+  | "arith.maximumf" -> float2 alu Float.max
+  | "arith.negf" -> unary alu (fun x -> F (-.as_float x))
+  | "arith.cmpi" -> (
+    match Dialects.Arith.icmp_predicate op with
+    | Some p ->
+      int2 alu (fun x y -> Bool.to_int (Dialects.Arith.eval_icmp p x y))
+    | None -> fail (Sim_error "cmpi without predicate"))
+  | "arith.cmpf" -> (
+    match
+      Option.bind (Core.attr_string op "predicate")
+        Dialects.Arith.fcmp_pred_of_string
+    with
+    | Some p ->
+      let a = operand 0 and b = operand 1 and r = result 0 in
+      fun w ->
+        alu w k;
+        set w r
+          (I
+             (Bool.to_int
+                (Dialects.Arith.eval_fcmp p (as_float (get w a))
+                   (as_float (get w b)))))
+    | None -> fail (Sim_error "cmpf without predicate"))
   | "arith.select" ->
-    alu ctx op;
-    bind_result 0 (if as_int (operand 0) <> 0 then operand 1 else operand 2);
-    `Next
-  | "arith.index_cast" ->
-    bind_result 0 (I (as_int (operand 0)));
-    `Next
-  | "arith.sitofp" ->
-    alu ctx op;
-    bind_result 0 (F (float_of_int (as_int (operand 0))));
-    `Next
-  | "arith.fptosi" ->
-    alu ctx op;
-    bind_result 0 (I (int_of_float (as_float (operand 0))));
-    `Next
-  | "math.sqrt" -> fdiv ctx op; bind_result 0 (F (Float.sqrt (as_float (operand 0)))); `Next
-  | "math.exp" -> fdiv ctx op; bind_result 0 (F (Float.exp (as_float (operand 0)))); `Next
-  | "math.absf" -> alu ctx op; bind_result 0 (F (Float.abs (as_float (operand 0)))); `Next
+    let c = operand 0 and t = operand 1 and e = operand 2 and r = result 0 in
+    fun w ->
+      alu w k;
+      set w r (if as_int (get w c) <> 0 then get w t else get w e)
+  | "arith.index_cast" -> unary (fun _ _ -> ()) (fun x -> I (as_int x))
+  | "arith.sitofp" -> unary alu (fun x -> F (float_of_int (as_int x)))
+  | "arith.fptosi" -> unary alu (fun x -> I (int_of_float (as_float x)))
+  | "math.sqrt" -> unary fdiv (fun x -> F (Float.sqrt (as_float x)))
+  | "math.exp" -> unary fdiv (fun x -> F (Float.exp (as_float x)))
+  | "math.absf" -> unary alu (fun x -> F (Float.abs (as_float x)))
   | "memref.alloca" | "memref.alloc" ->
-    let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
+    let ty = (Core.result op 0).Core.vty in
+    let size, dims = alloc_size_of_type ty in
     let space =
-      match (Core.result op 0).Core.vty with
-      | Types.Memref { space; _ } -> space
-      | _ -> Types.Private
+      match ty with Types.Memref { space; _ } -> space | _ -> Types.Private
     in
-    let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
-    bind_result 0 (Mem (Memory.full_view ~dims a));
-    `Next
-  | "gpu.alloc_local" -> (
-    let slot = Option.value ~default:0 (Core.attr_int op "slot") in
+    let r = result 0 in
+    fun w ->
+      let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
+      set w r (Mem (Memory.full_view ~dims a))
+  | "gpu.alloc_local" ->
+    let local_slot = Option.value ~default:0 (Core.attr_int op "slot") in
     let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
-    match Hashtbl.find_opt ctx.wg.locals slot with
-    | Some a -> bind_result 0 (Mem (Memory.full_view ~dims a)); `Next
-    | None ->
-      let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
-      Hashtbl.replace ctx.wg.locals slot a;
-      bind_result 0 (Mem (Memory.full_view ~dims a));
-      `Next)
-  | "memref.load" ->
-    let view = as_mem (operand 0) in
-    let idx = List.map (fun v -> as_int (lookup ctx v)) (List.tl (Core.operands op)) in
-    record_access ctx op view idx;
-    bind_result 0
-      (rv_of_cell ~is_float:(element_is_float (Core.operand op 0).Core.vty)
-         (Memory.read view idx));
-    `Next
-  | "memref.store" ->
-    let value = operand 0 in
-    let view = as_mem (operand 1) in
-    let idx =
-      List.map (fun v -> as_int (lookup ctx v))
-        (List.filteri (fun i _ -> i >= 2) (Core.operands op))
-    in
-    record_access ctx op view idx;
-    record_store ctx op view idx;
-    Memory.write view idx (cell_of_rv value);
-    `Next
-  | "memref.dim" ->
-    let view = as_mem (operand 0) in
-    let d = as_int (operand 1) in
-    bind_result 0 (I view.Memory.dims.(d));
-    `Next
-  | "memref.dealloc" -> `Next
-  | "affine.apply" ->
-    alu ctx op;
-    let m = Dialects.Affine_ops.access_map op in
-    let dims = Array.of_list (List.map (fun v -> as_int (lookup ctx v)) (Core.operands op)) in
-    (match Affine_expr.Map.eval m ~dims ~syms:[||] with
-    | [ r ] -> bind_result 0 (I r); `Next
-    | _ -> raise (Sim_error "affine.apply with multiple results"))
-  | "affine.load" ->
-    let view = as_mem (operand 0) in
-    let m = Dialects.Affine_ops.access_map op in
-    let dims =
-      Array.of_list
-        (List.map (fun v -> as_int (lookup ctx v))
-           (List.filteri (fun i _ -> i >= 1) (Core.operands op)))
-    in
-    let idx = Affine_expr.Map.eval m ~dims ~syms:[||] in
-    record_access ctx op view idx;
-    bind_result 0
-      (rv_of_cell ~is_float:(element_is_float (Core.operand op 0).Core.vty)
-         (Memory.read view idx));
-    `Next
-  | "affine.store" ->
-    let value = operand 0 in
-    let view = as_mem (operand 1) in
-    let m = Dialects.Affine_ops.access_map op in
-    let dims =
-      Array.of_list
-        (List.map (fun v -> as_int (lookup ctx v))
-           (List.filteri (fun i _ -> i >= 2) (Core.operands op)))
-    in
-    let idx = Affine_expr.Map.eval m ~dims ~syms:[||] in
-    record_access ctx op view idx;
-    record_store ctx op view idx;
-    Memory.write view idx (cell_of_rv value);
-    `Next
-  | "scf.for" ->
-    let lb = as_int (operand 0) and ub = as_int (operand 1) and step = as_int (operand 2) in
-    if step <= 0 then raise (Sim_error "scf.for with non-positive step");
-    let body = Dialects.Scf.for_body op in
-    let iv = Core.block_arg body 0 in
-    let iter_args = Dialects.Scf.for_iter_args op in
-    let inits = List.map (fun v -> lookup ctx v) (Dialects.Scf.for_iter_inits op) in
-    let rec iterate i acc =
-      if i >= ub then acc
-      else begin
-        alu ctx op;
-        bind ctx iv (I i);
-        List.iter2 (fun a v -> bind ctx a v) iter_args acc;
-        let yielded = exec_block ctx body in
-        iterate (i + step) yielded
-      end
-    in
-    let final = iterate lb inits in
-    List.iteri (fun i rv -> bind_result i rv) final;
-    `Next
-  | "affine.for" ->
-    let eval_bound map operands =
-      let dims =
-        Array.of_list (List.map (fun v -> as_int (lookup ctx v)) operands)
+    let r = result 0 in
+    fun w ->
+      let a =
+        match Hashtbl.find_opt w.wg.locals local_slot with
+        | Some a -> a
+        | None ->
+          let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
+          Hashtbl.replace w.wg.locals local_slot a;
+          a
       in
-      match Affine_expr.Map.eval map ~dims ~syms:[||] with
-      | [ r ] -> r
-      | _ -> raise (Sim_error "affine.for bound with multiple results")
+      set w r (Mem (Memory.full_view ~dims a))
+  | "memref.load" ->
+    let m = operand 0 and idx = operands_from 1 and r = result 0 in
+    let is_float = element_is_float (Core.operand op 0).Core.vty in
+    fun w ->
+      let view = as_mem (get w m) in
+      let lin = linear w view idx in
+      record_access w k view lin;
+      set w r (load ~is_float view lin)
+  | "memref.store" ->
+    let v = operand 0 and m = operand 1 and idx = operands_from 2 in
+    let loc = op.Core.loc in
+    fun w ->
+      let value = get w v in
+      let view = as_mem (get w m) in
+      store w k loc view (linear w view idx) value
+  | "memref.dim" ->
+    let m = operand 0 and i = operand 1 and r = result 0 in
+    fun w ->
+      let view = as_mem (get w m) in
+      let d = as_int (get w i) in
+      set w r (I view.Memory.dims.(d))
+  | "memref.dealloc" -> fun _ -> ()
+  | "affine.apply" ->
+    let m = amap (Dialects.Affine_ops.access_map op) in
+    let dims = operands_from 0 and r = result 0 in
+    fun w ->
+      alu w k;
+      (match eval_map m (ints w dims) with
+      | [| x |] -> set w r (I x)
+      | _ -> raise (Sim_error "affine.apply with multiple results"))
+  | "affine.load" ->
+    let m = amap (Dialects.Affine_ops.access_map op) in
+    let mem = operand 0 and dims = operands_from 1 and r = result 0 in
+    let is_float = element_is_float (Core.operand op 0).Core.vty in
+    fun w ->
+      let view = as_mem (get w mem) in
+      let lin = Memory.linear_index view (eval_map m (ints w dims)) in
+      record_access w k view lin;
+      set w r (load ~is_float view lin)
+  | "affine.store" ->
+    let m = amap (Dialects.Affine_ops.access_map op) in
+    let v = operand 0 and mem = operand 1 and dims = operands_from 2 in
+    let loc = op.Core.loc in
+    fun w ->
+      let value = get w v in
+      let view = as_mem (get w mem) in
+      let lin = Memory.linear_index view (eval_map m (ints w dims)) in
+      store w k loc view lin value
+  | "scf.for" ->
+    let lb = operand 0 and ub = operand 1 and step = operand 2 in
+    let body_block = Dialects.Scf.for_body op in
+    let iv = slot d (Core.block_arg body_block 0) in
+    let iter = slots d (Dialects.Scf.for_iter_args op) in
+    let inits = slots d (Dialects.Scf.for_iter_inits op) in
+    let body = decode_block d body_block and res = results () in
+    fun w ->
+      let lb = as_int (get w lb) and ub = as_int (get w ub)
+      and step = as_int (get w step) in
+      if step <= 0 then raise (Sim_error "scf.for with non-positive step");
+      run_loop w k ~lb ~ub ~step ~iv ~iter (read w inits) body res
+  | "affine.for" ->
+    let module A = Dialects.Affine_ops in
+    let bound map operands =
+      let m = amap map and ds = slots d operands in
+      fun w ->
+        match eval_map m (ints w ds) with
+        | [| r |] -> r
+        | _ -> raise (Sim_error "affine.for bound with multiple results")
     in
-    let lb = eval_bound (Dialects.Affine_ops.for_lb_map op) (Dialects.Affine_ops.for_lb_operands op) in
-    let ub = eval_bound (Dialects.Affine_ops.for_ub_map op) (Dialects.Affine_ops.for_ub_operands op) in
-    let step = Dialects.Affine_ops.for_step op in
-    let body = Dialects.Affine_ops.for_body op in
-    let iv = Core.block_arg body 0 in
-    let iter_args = Dialects.Affine_ops.for_iter_args op in
-    let inits = List.map (fun v -> lookup ctx v) (Dialects.Affine_ops.for_iter_inits op) in
-    let rec iterate i acc =
-      if i >= ub then acc
-      else begin
-        alu ctx op;
-        bind ctx iv (I i);
-        List.iter2 (fun a v -> bind ctx a v) iter_args acc;
-        let yielded = exec_block ctx body in
-        iterate (i + step) yielded
-      end
-    in
-    let final = iterate lb inits in
-    List.iteri (fun i rv -> bind_result i rv) final;
-    `Next
+    let lb = bound (A.for_lb_map op) (A.for_lb_operands op) in
+    let ub = bound (A.for_ub_map op) (A.for_ub_operands op) in
+    let step = A.for_step op in
+    let body_block = A.for_body op in
+    let iv = slot d (Core.block_arg body_block 0) in
+    let iter = slots d (A.for_iter_args op) in
+    let inits = slots d (A.for_iter_inits op) in
+    let body = decode_block d body_block and res = results () in
+    fun w ->
+      let lb = lb w in
+      let ub = ub w in
+      run_loop w k ~lb ~ub ~step ~iv ~iter (read w inits) body res
   | "scf.if" ->
-    alu ctx op;
-    let c = as_int (operand 0) <> 0 in
-    let results =
-      if c then exec_region ctx op.Core.regions.(0)
-      else if Core.num_regions op > 1 then exec_region ctx op.Core.regions.(1)
-      else []
+    let c = operand 0 in
+    let then_ = decode_block d (Core.entry_block op.Core.regions.(0)) in
+    let else_ =
+      if Core.num_regions op > 1 then
+        Some (decode_block d (Core.entry_block op.Core.regions.(1)))
+      else None
     in
-    List.iteri (fun i rv -> bind_result i rv) results;
-    `Next
-  | "scf.yield" | "affine.yield" ->
-    `Yield (List.map (fun v -> lookup ctx v) (Core.operands op))
-  | "func.return" -> `Yield (List.map (fun v -> lookup ctx v) (Core.operands op))
+    let res = results () in
+    fun w ->
+      alu w k;
+      let vs =
+        if as_int (get w c) <> 0 then branch w then_
+        else match else_ with Some b -> branch w b | None -> [||]
+      in
+      bind_results w res vs
   | "func.call" -> (
     match Core.attr_symbol op "callee" with
+    | None -> fail (Sim_error "call without callee")
     | Some callee -> (
-      match Hashtbl.find_opt ctx.funcs callee with
+      match Hashtbl.find_opt d.funcs callee with
+      | None -> fail (Sim_error ("call to unknown device function " ^ callee))
       | Some f ->
-        let body = Core.func_body f in
-        List.iteri
-          (fun i a -> bind ctx a (lookup ctx (Core.operand op i)))
-          (Core.block_args body);
-        let results = exec_block ctx body in
-        List.iteri (fun i rv -> bind_result i rv) results;
-        `Next
-      | None -> raise (Sim_error ("call to unknown device function " ^ callee)))
-    | None -> raise (Sim_error "call without callee"))
+        let fn = decode_fn d f and args = operands_from 0 and res = results () in
+        fun w ->
+          Array.iteri (fun i a -> set w a (get w args.(i))) fn.args;
+          bind_results w res (branch w fn.body)))
   | "gpu.barrier" | "sycl.group_barrier" ->
     (* Remember which barrier op the group converges at, so the round
        charged by the scheduler can be attributed to it. Fibers of a
        group run sequentially, so this is deterministic. *)
-    ctx.wg.cur_barrier <- Some op;
-    Effect.perform Barrier;
-    `Next
+    fun w ->
+      w.wg.cur_barrier <- k;
+      Effect.perform Barrier
   (* --- SYCL getters --- *)
-  | "sycl.item.get_id" | "sycl.nd_item.get_global_id" ->
-    alu ctx op;
-    bind_result 0 (I ctx.gid.(getter_dim ctx op));
-    `Next
-  | "sycl.nd_item.get_local_id" ->
-    alu ctx op;
-    bind_result 0 (I ctx.lid.(getter_dim ctx op));
-    `Next
-  | "sycl.nd_item.get_group_id" ->
-    alu ctx op;
-    bind_result 0 (I ctx.grp.(getter_dim ctx op));
-    `Next
+  | "sycl.item.get_id" | "sycl.nd_item.get_global_id" -> query (fun w -> w.gid)
+  | "sycl.nd_item.get_local_id" -> query (fun w -> w.lid)
+  | "sycl.nd_item.get_group_id" -> query (fun w -> w.grp)
   | "sycl.item.get_range" | "sycl.nd_item.get_global_range" ->
-    alu ctx op;
-    bind_result 0 (I ctx.global_range.(getter_dim ctx op));
-    `Next
-  | "sycl.nd_item.get_local_range" ->
-    alu ctx op;
-    bind_result 0 (I ctx.local_range.(getter_dim ctx op));
-    `Next
+    query (fun w -> w.global_range)
+  | "sycl.nd_item.get_local_range" -> query (fun w -> w.local_range)
   | "sycl.item.get_linear_id" ->
-    alu ctx op;
-    let lin = ref 0 in
-    Array.iteri (fun d g -> lin := (!lin * ctx.global_range.(d)) + g) ctx.gid;
-    bind_result 0 (I !lin);
-    `Next
+    let r = result 0 in
+    fun w ->
+      alu w k;
+      let lin = ref 0 in
+      Array.iteri (fun d g -> lin := (!lin * w.global_range.(d)) + g) w.gid;
+      set w r (I !lin)
   | "sycl.id.get" | "sycl.range.get" ->
-    alu ctx op;
-    let v = as_mem (operand 0) in
-    bind_result 0 (I (Memory.cell_to_int (Memory.read v [ getter_dim ctx op ])));
-    `Next
+    let m = operand 0 and ds = dim_operand () and r = result 0 in
+    fun w ->
+      alu w k;
+      let v = as_mem (get w m) in
+      set w r (I (Memory.cell_to_int (Memory.read v [| getter_dim w ds |])))
   | "sycl.constructor" ->
-    let out = as_mem (operand 0) in
-    List.iteri
-      (fun i v ->
-        alu ctx op;
-        Memory.write out [ i ] (Memory.I (as_int (lookup ctx v))))
-      (Sycl_ops.constructor_args op);
-    `Next
+    let out = operand 0 and vals = slots d (Sycl_ops.constructor_args op) in
+    fun w ->
+      let out = as_mem (get w out) in
+      Array.iteri
+        (fun i s ->
+          alu w k;
+          Memory.write out [| i |] (Memory.I (as_int (get w s))))
+        vals
   | "sycl.accessor.subscript" ->
-    alu ctx op;
-    bind_result 0 (Mem (subscript_view ctx op));
-    `Next
-  | "sycl.accessor.get_range" ->
-    alu ctx op;
-    bind_result 0 (I (as_acc (operand 0)).a_range.(getter_dim ctx op));
-    `Next
-  | "sycl.accessor.get_mem_range" ->
-    alu ctx op;
-    bind_result 0 (I (as_acc (operand 0)).a_mem_range.(getter_dim ctx op));
-    `Next
-  | "sycl.accessor.get_offset" ->
-    alu ctx op;
-    bind_result 0 (I (as_acc (operand 0)).a_offset.(getter_dim ctx op));
-    `Next
+    let acc = operand 0 and ids = operands_from 1 and r = result 0 in
+    fun w ->
+      alu w k;
+      set w r (Mem (subscript_view w acc ids))
+  | "sycl.accessor.get_range" -> acc_query (fun a -> a.a_range)
+  | "sycl.accessor.get_mem_range" -> acc_query (fun a -> a.a_mem_range)
+  | "sycl.accessor.get_offset" -> acc_query (fun a -> a.a_offset)
   | "sycl.accessor.distinct" ->
-    alu ctx op;
-    let a = as_acc (operand 0) and b = as_acc (operand 1) in
-    bind_result 0 (I (Bool.to_int (a.a_alloc.Memory.aid <> b.a_alloc.Memory.aid)));
-    `Next
-  | name -> raise (Sim_error ("device simulator: unsupported op " ^ name))
+    let a = operand 0 and b = operand 1 and r = result 0 in
+    fun w ->
+      alu w k;
+      let a = as_acc (get w a) and b = as_acc (get w b) in
+      set w r (I (Bool.to_int (a.a_alloc.Memory.aid <> b.a_alloc.Memory.aid)))
+  | name -> fail (Sim_error ("device simulator: unsupported op " ^ name))
+
+let decode ~(module_op : Core.op) ~(kernel : Core.op) : program =
+  let funcs = Hashtbl.create 8 in
+  List.iter
+    (fun f -> Hashtbl.replace funcs (Core.func_sym f) f)
+    (Core.funcs module_op);
+  let d =
+    { value_slots = Hashtbl.create 256; decoded = []; n_ops = 0; funcs;
+      fns = Hashtbl.create 8 }
+  in
+  let entry = decode_fn d kernel in
+  let ops = Array.of_list (List.rev d.decoded) in
+  let canonical = Array.init (Array.length ops) Fun.id in
+  Array.sort (fun a b -> Int.compare ops.(a).Core.oid ops.(b).Core.oid) canonical;
+  { entry; ops; canonical; n_slots = Hashtbl.length d.value_slots }
 
 (* ------------------------------------------------------------------ *)
 (* Work-group and launch scheduling                                    *)
@@ -653,11 +814,7 @@ let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
     else if done_count > 0 then raise Barrier_divergence
     else begin
       wg.wg_barriers <- wg.wg_barriers + 1;
-      (match (wg.cur_barrier, wg.attribution) with
-      | Some op, Some _ ->
-        let c = op_charge wg op in
-        c.oc_barriers <- c.oc_barriers + 1
-      | _ -> ());
+      if wg.cur_barrier >= 0 then count wg wg.cur_barrier f_barriers 1;
       let next =
         List.map
           (fun s ->
@@ -671,123 +828,114 @@ let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
   in
   rounds statuses
 
-(* Distribute one work-group's charges over its charging ops into the
-   attribution table. Memory transactions and barrier rounds carry exact
-   per-op cycle costs; the compute quotient
+(* The chunk keeps per-op totals over its groups: the [n_fields]
+   counters, then the cycles and memory cycles attributed to the op. *)
+let f_cycles = n_fields
+let f_mem_cycles = n_fields + 1
+let n_totals = n_fields + 2
+
+(* Fold one work-group's per-op charges into the chunk totals [tot].
+   Memory transactions and barrier rounds carry exact per-op cycle
+   costs; the compute quotient
    [(alu*alu_cycles + fdiv*fdiv_cycles) / subgroup_size] is divided once
    per group, so per-op shares use largest-remainder apportionment in
    canonical op (creation) order — the shares then sum exactly to the
    group's compute cycles, which makes the attribution total equal
    [total_wg_cycles] and keeps the result independent of domain
-   chunking (everything here is per-group state). *)
-let attribute_wg (wg : wg_ctx) (tab : Attribution.table) =
+   chunking (the apportionment uses per-group state only). An op with
+   no charge adds zero everywhere. *)
+let accumulate_wg (prog : program) (wg : wg_ctx) (tot : int array) =
   let p = wg.params in
-  (* Per-op transaction counts by class, recovered from the coalescing
-     table (its key already names the op). *)
-  let mem : (int, int array) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (oid, _, _) tbl ->
-      let counts =
-        match Hashtbl.find_opt mem oid with
-        | Some a -> a
-        | None ->
-          let a = [| 0; 0; 0 |] in
-          Hashtbl.replace mem oid a;
-          a
-      in
-      Hashtbl.iter
-        (fun (_, _, cls) () ->
-          let i = if cls = 0 then 0 else if cls = 1 then 1 else 2 in
-          counts.(i) <- counts.(i) + 1)
-        tbl)
-    wg.mem_table;
-  let charges =
-    Hashtbl.fold (fun _ c acc -> c :: acc) wg.op_charges []
-    |> List.sort (fun a b -> compare a.oc_op.Core.oid b.oc_op.Core.oid)
-  in
+  let at k f = wg.counters.((k * n_fields) + f) in
+  let n = Array.length prog.ops in
   let sgs = max 1 p.Cost.subgroup_size in
-  let weight c = (c.oc_alu * p.Cost.alu_cycles) + (c.oc_fdiv * p.Cost.fdiv_cycles) in
-  let total_weight = List.fold_left (fun acc c -> acc + weight c) 0 charges in
-  let compute_cycles = total_weight / sgs in
-  let base_sum = List.fold_left (fun acc c -> acc + (weight c / sgs)) 0 charges in
-  let leftover = compute_cycles - base_sum in
+  let weight k = (at k f_alu * p.Cost.alu_cycles) + (at k f_fdiv * p.Cost.fdiv_cycles) in
+  let total_weight = ref 0 and base_sum = ref 0 in
+  for k = 0 to n - 1 do
+    total_weight := !total_weight + weight k;
+    base_sum := !base_sum + (weight k / sgs)
+  done;
+  let leftover = (!total_weight / sgs) - !base_sum in
   (* The ops receiving one extra cycle each: largest remainder first,
      ties by canonical op order. *)
-  let extra : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.map (fun c -> (weight c mod sgs, c.oc_op.Core.oid)) charges
-  |> List.filter (fun (r, _) -> r > 0)
-  |> List.sort (fun (ra, oa) (rb, ob) -> compare (-ra, oa) (-rb, ob))
-  |> List.iteri (fun i (_, oid) -> if i < leftover then Hashtbl.replace extra oid ());
-  List.iter
-    (fun c ->
-      let oid = c.oc_op.Core.oid in
-      let m = Option.value ~default:[| 0; 0; 0 |] (Hashtbl.find_opt mem oid) in
-      (* The op's global term uses the same hit/miss-differentiated
-         formula as the group total (per-op hits + misses = per-op
-         global transactions, exactly), so per-row cycles still sum to
-         [total_wg_cycles] with no epsilon under any cache model. *)
-      let mem_cycles =
-        Cost.global_cycles p ~model:wg.cache_model ~global:m.(0)
-          ~hits:c.oc_hits ~misses:c.oc_misses
-        + (m.(1) * p.Cost.local_mem_cycles)
-        + (m.(2) * p.Cost.const_mem_cycles)
-      in
-      let compute_share =
-        (weight c / sgs) + if Hashtbl.mem extra oid then 1 else 0
-      in
-      let cycles =
-        compute_share + mem_cycles + (c.oc_barriers * p.Cost.barrier_cycles)
-      in
-      let row =
-        Attribution.row tab ~op_name:c.oc_op.Core.name ~loc:c.oc_op.Core.loc
-      in
-      row.Attribution.c_alu <- row.Attribution.c_alu + c.oc_alu;
-      row.Attribution.c_fdiv <- row.Attribution.c_fdiv + c.oc_fdiv;
-      row.Attribution.c_global <- row.Attribution.c_global + m.(0);
-      row.Attribution.c_local <- row.Attribution.c_local + m.(1);
-      row.Attribution.c_const <- row.Attribution.c_const + m.(2);
-      row.Attribution.c_accesses <- row.Attribution.c_accesses + c.oc_accesses;
-      row.Attribution.c_barriers <- row.Attribution.c_barriers + c.oc_barriers;
-      row.Attribution.c_cycles <- row.Attribution.c_cycles + cycles;
-      row.Attribution.c_mem_cycles <- row.Attribution.c_mem_cycles + mem_cycles;
-      row.Attribution.c_hits <- row.Attribution.c_hits + c.oc_hits;
-      row.Attribution.c_misses <- row.Attribution.c_misses + c.oc_misses)
-    charges
+  let extra = Array.make (if leftover > 0 then n else 0) 0 in
+  if leftover > 0 then
+    Array.to_list prog.canonical
+    |> List.filter (fun k -> weight k mod sgs > 0)
+    |> List.stable_sort (fun a b -> Int.compare (weight b mod sgs) (weight a mod sgs))
+    |> List.iteri (fun i k -> if i < leftover then extra.(k) <- 1);
+  for k = 0 to n - 1 do
+    let base = k * n_totals in
+    for f = 0 to n_fields - 1 do
+      tot.(base + f) <- tot.(base + f) + at k f
+    done;
+    (* The op's global term uses the same hit/miss-differentiated
+       formula as the group total (per-op hits + misses = per-op global
+       transactions, exactly), so per-row cycles still sum to
+       [total_wg_cycles] with no epsilon under any cache model. *)
+    let mem_cycles =
+      Cost.global_cycles p ~model:wg.cache_model ~global:(at k f_global)
+        ~hits:(at k f_hits) ~misses:(at k f_misses)
+      + (at k f_local * p.Cost.local_mem_cycles)
+      + (at k f_const * p.Cost.const_mem_cycles)
+    in
+    let compute_share = (weight k / sgs) + if leftover > 0 then extra.(k) else 0 in
+    tot.(base + f_mem_cycles) <- tot.(base + f_mem_cycles) + mem_cycles;
+    tot.(base + f_cycles) <-
+      tot.(base + f_cycles) + compute_share + mem_cycles
+      + (at k f_barriers * p.Cost.barrier_cycles)
+  done
 
-(* Flush one work-group's per-op cache probes into the cache table (rows
-   keyed like attribution; the launch-global reuse histogram was already
-   fed at probe time). Canonical op order for determinism. *)
-let cache_attribute_wg (wg : wg_ctx) (tab : Cache.table) =
-  Hashtbl.fold (fun _ c acc -> c :: acc) wg.op_charges []
-  |> List.sort (fun a b -> compare a.oc_op.Core.oid b.oc_op.Core.oid)
-  |> List.iter (fun c ->
-         if c.oc_hits + c.oc_misses > 0 then begin
-           let r =
-             Cache.row tab ~op_name:c.oc_op.Core.name
-               ~loc:(Loc.to_string c.oc_op.Core.loc)
-           in
-           r.Cache.r_hits <- r.Cache.r_hits + c.oc_hits;
-           r.Cache.r_misses <- r.Cache.r_misses + c.oc_misses;
-           r.Cache.r_evictions <- r.Cache.r_evictions + c.oc_evictions;
-           r.Cache.r_dist_sum <- r.Cache.r_dist_sum + c.oc_dist_sum;
-           r.Cache.r_dist_count <- r.Cache.r_dist_count + c.oc_dist_count
-         end)
+(* Flush a chunk's per-op totals into its attribution and cache tables,
+   one row per charging op (ops sharing a name and location share a
+   row), in canonical op order. The launch-global reuse histogram was
+   already fed at probe time. *)
+let flush_totals (prog : program) (tot : int array)
+    (atab : Attribution.table option) (ctab : Cache.table option) =
+  Array.iter
+    (fun k ->
+      let at f = tot.((k * n_totals) + f) in
+      let op = prog.ops.(k) in
+      (match atab with
+      | Some tab
+        when at f_alu + at f_fdiv + at f_accesses + at f_barriers + at f_hits
+             + at f_misses
+             > 0 ->
+        let row = Attribution.row tab ~op_name:op.Core.name ~loc:op.Core.loc in
+        row.Attribution.c_alu <- row.Attribution.c_alu + at f_alu;
+        row.Attribution.c_fdiv <- row.Attribution.c_fdiv + at f_fdiv;
+        row.Attribution.c_global <- row.Attribution.c_global + at f_global;
+        row.Attribution.c_local <- row.Attribution.c_local + at f_local;
+        row.Attribution.c_const <- row.Attribution.c_const + at f_const;
+        row.Attribution.c_accesses <- row.Attribution.c_accesses + at f_accesses;
+        row.Attribution.c_barriers <- row.Attribution.c_barriers + at f_barriers;
+        row.Attribution.c_cycles <- row.Attribution.c_cycles + at f_cycles;
+        row.Attribution.c_mem_cycles <- row.Attribution.c_mem_cycles + at f_mem_cycles;
+        row.Attribution.c_hits <- row.Attribution.c_hits + at f_hits;
+        row.Attribution.c_misses <- row.Attribution.c_misses + at f_misses
+      | _ -> ());
+      match ctab with
+      | Some tab when at f_hits + at f_misses > 0 ->
+        let r =
+          Cache.row tab ~op_name:op.Core.name ~loc:(Loc.to_string op.Core.loc)
+        in
+        r.Cache.r_hits <- r.Cache.r_hits + at f_hits;
+        r.Cache.r_misses <- r.Cache.r_misses + at f_misses;
+        r.Cache.r_evictions <- r.Cache.r_evictions + at f_evictions;
+        r.Cache.r_dist_sum <- r.Cache.r_dist_sum + at f_dist_sum;
+        r.Cache.r_dist_count <- r.Cache.r_dist_count + at f_dist_count
+      | _ -> ())
+    prog.canonical
 
-(** Flush a work-group's bookkeeping into the launch statistics. *)
-let flush_wg (wg : wg_ctx) (n_items : int) =
-  let s = wg.stats in
+(** Flush a work-group's bookkeeping into the launch statistics and,
+    when a table wants them, its per-op charges into the chunk totals. *)
+let flush_wg (prog : program) (into : Cost.launch_stats) (tot : int array option)
+    (wg : wg_ctx) (n_items : int) =
+  let s = into in
   let p = wg.params in
-  let g = ref 0 and l = ref 0 and c = ref 0 in
-  Hashtbl.iter
-    (fun _ tbl ->
-      Hashtbl.iter
-        (fun (_, _, cls) () ->
-          match cls with 0 -> incr g | 1 -> incr l | _ -> incr c)
-        tbl)
-    wg.mem_table;
-  s.Cost.global_transactions <- s.Cost.global_transactions + !g;
-  s.Cost.local_transactions <- s.Cost.local_transactions + !l;
-  s.Cost.const_transactions <- s.Cost.const_transactions + !c;
+  s.Cost.global_transactions <- s.Cost.global_transactions + wg.wg_global;
+  s.Cost.local_transactions <- s.Cost.local_transactions + wg.wg_local;
+  s.Cost.const_transactions <- s.Cost.const_transactions + wg.wg_const;
   s.Cost.alu_ops <- s.Cost.alu_ops + wg.wg_alu;
   s.Cost.fdiv_ops <- s.Cost.fdiv_ops + wg.wg_fdiv;
   s.Cost.barriers <- s.Cost.barriers + wg.wg_barriers;
@@ -800,13 +948,12 @@ let flush_wg (wg : wg_ctx) (n_items : int) =
     s.Cost.cache_mem_wait_cycles + (wg.wg_misses * p.Cost.global_mem_cycles);
   let wg_cycles =
     Cost.wg_cycles p ~model:wg.cache_model ~hits:wg.wg_hits
-      ~misses:wg.wg_misses ~alu:wg.wg_alu ~fdiv:wg.wg_fdiv ~global:!g ~local:!l
-      ~const:!c ~barriers:wg.wg_barriers ()
+      ~misses:wg.wg_misses ~alu:wg.wg_alu ~fdiv:wg.wg_fdiv ~global:wg.wg_global
+      ~local:wg.wg_local ~const:wg.wg_const ~barriers:wg.wg_barriers ()
   in
   s.Cost.total_wg_cycles <- s.Cost.total_wg_cycles + wg_cycles;
   if wg_cycles > s.Cost.max_wg_cycles then s.Cost.max_wg_cycles <- wg_cycles;
-  Option.iter (attribute_wg wg) wg.attribution;
-  Option.iter (cache_attribute_wg wg) wg.cache_tab
+  Option.iter (accumulate_wg prog wg) tot
 
 (* ------------------------------------------------------------------ *)
 (* Cross-group race detection                                          *)
@@ -900,7 +1047,7 @@ let default_cache_model () = Atomic.get cache_model_default
     worker-private shards merged in the same canonical chunk order, so
     the table is byte-identical whatever the domain count. *)
 let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
-    ?cache_model ?cache ~(module_op : Core.op) ~(kernel : Core.op)
+    ?cache_model ?cache ?program ~(module_op : Core.op) ~(kernel : Core.op)
     ~(args : rv array) ~(global : int list) ~(wg_size : int list) () :
     Cost.launch_stats =
   let domains =
@@ -931,15 +1078,17 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
                 wg_size.(d))))
     global;
   let group_range = Array.init nd (fun d -> global.(d) / wg_size.(d)) in
-  let funcs = Hashtbl.create 8 in
-  List.iter
-    (fun f -> Hashtbl.replace funcs (Core.func_sym f) f)
-    (Core.funcs module_op);
-  let body = Core.func_body kernel in
-  let params_list = Core.block_args body in
+  let prog =
+    match program with Some p -> p | None -> decode ~module_op ~kernel
+  in
+  let n_ops = Array.length prog.ops in
   (* Iterate over all work-groups. *)
   let n_groups = Array.fold_left ( * ) 1 group_range in
   let items_per_group = Array.fold_left ( * ) 1 wg_size in
+  let n_sub =
+    let sgs = max 1 params.Cost.subgroup_size in
+    (items_per_group + sgs - 1) / sgs
+  in
   let unflatten range lin =
     let idx = Array.make nd 0 in
     let rest = ref lin in
@@ -956,20 +1105,23 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
   in
   (* Execute one work-group, accumulating into [into] (its chunk's
      private record — group results are independent, so where they
-     accumulate only affects scheduling, never the merged totals). *)
-  let run_group (into : Cost.launch_stats) (atab : Attribution.table option)
-      (ctab : Cache.table option) (g : int) =
+     accumulate only affects scheduling, never the merged totals). The
+     counters, coalescing table, frames and occurrence counts are the
+     chunk's, cleared here for each of its groups. *)
+  let run_group ~counters ~coalesce ~frames ~occs (into : Cost.launch_stats)
+      (tot : int array option) (ctab : Cache.table option) (g : int) =
     let grp = unflatten group_range g in
+    Array.fill counters 0 (Array.length counters) 0;
+    Array.fill coalesce 0 (Array.length coalesce) [||];
     let wg =
       {
         params;
-        stats = into;
         footprint =
           (match footprints with Some a -> Some a.(g) | None -> None);
         locals = Hashtbl.create 4;
-        mem_table = Hashtbl.create 256;
-        attribution = atab;
-        op_charges = Hashtbl.create 64;
+        counters;
+        coalesce;
+        n_sub;
         cache_model;
         (* Fresh per-group cache + reuse state: groups own their core,
            so no cross-group (and thus no cross-domain) coupling. *)
@@ -980,10 +1132,13 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
             Some (Cache.reuse_create ())
           | _ -> None);
         cache_tab = ctab;
-        cur_barrier = None;
+        cur_barrier = -1;
         wg_alu = 0;
         wg_fdiv = 0;
         wg_barriers = 0;
+        wg_global = 0;
+        wg_local = 0;
+        wg_const = 0;
         wg_hits = 0;
         wg_misses = 0;
         wg_evictions = 0;
@@ -998,7 +1153,10 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
             Array.iteri (fun d x -> l := (!l * wg_size.(d)) + x) lid;
             !l
           in
-          let ctx =
+          let slots = frames.(li) and occ = occs.(li) in
+          Array.fill slots 0 (Array.length slots) unbound;
+          Array.fill occ 0 (Array.length occ) 0;
+          let w =
             {
               wg;
               gid;
@@ -1006,27 +1164,25 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
               grp;
               global_range = global;
               local_range = wg_size;
-              group_range;
               subgroup = lin_lid / params.Cost.subgroup_size;
-              env = Hashtbl.create 64;
-              occ = Hashtbl.create 16;
-              funcs;
+              slots;
+              occ;
             }
           in
           fun () ->
-            List.iteri
-              (fun i p ->
-                if i < Array.length args then bind ctx p args.(i)
-                else raise (Sim_error "missing kernel argument"))
-              params_list;
-            ignore (exec_block ctx body))
+            let ps = prog.entry.args in
+            for i = 0 to Array.length ps - 1 do
+              if i < Array.length args then set w ps.(i) args.(i)
+              else raise (Sim_error "missing kernel argument")
+            done;
+            run_block w prog.entry.body)
     in
     run_workgroup wg thunks;
-    flush_wg wg items_per_group
+    flush_wg prog into tot wg items_per_group
   in
   (* Balanced contiguous chunks of the canonical group order, one per
-     domain; chunk 0 runs on the calling domain, so [d = 1] is the
-     sequential backend. *)
+     domain of the shared pool; [d = 1] runs the one chunk on the
+     calling domain. *)
   let d = max 1 (min domains n_groups) in
   (* One metrics shard per chunk; each chunk writes only its own shard,
      and the owner folds them in index order after joining. *)
@@ -1054,15 +1210,27 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
        below. *)
     let at = Option.map (fun _ -> Attribution.create ()) attribution in
     let ct = Option.map (fun _ -> Cache.create_table ()) cache in
+    let counters = Array.make (n_ops * n_fields) 0 in
+    let coalesce = Array.make (n_ops * n_sub) [||] in
+    let frames =
+      Array.init items_per_group (fun _ -> Array.make prog.n_slots unbound)
+    in
+    let occs = Array.init items_per_group (fun _ -> Array.make n_ops 0) in
+    let tot =
+      if Option.is_some at || Option.is_some ct then
+        Some (Array.make (n_ops * n_totals) 0)
+      else None
+    in
     let failure = ref None in
     let start, stop = chunk i in
     let g = ref start in
     (try
        while !g < stop do
-         run_group s at ct !g;
+         run_group ~counters ~coalesce ~frames ~occs s tot ct !g;
          incr g
        done
      with e -> failure := Some (!g, e));
+    Option.iter (fun tot -> flush_totals prog tot at ct) tot;
     (* Chunk-private shard: recorded inside the worker domain, no
        contention with the other chunks. *)
     (match sharded with
@@ -1070,11 +1238,7 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
     | None -> ());
     (s, at, ct, !failure)
   in
-  let workers =
-    Array.init (d - 1) (fun i -> Domain.spawn (fun () -> run_chunk (i + 1)))
-  in
-  let first = run_chunk 0 in
-  let results = Array.append [| first |] (Array.map Domain.join workers) in
+  let results = Sycl_obs.Pool.run d run_chunk in
   Array.iter (fun (s, _, _, _) -> Cost.merge_launch_stats ~into:stats s) results;
   (match attribution with
   | Some into ->

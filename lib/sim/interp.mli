@@ -92,18 +92,40 @@ val set_default_cache_model : Cost.cache_model -> unit
 
 val default_cache_model : unit -> Cost.cache_model
 
+(** {1 Decoding} *)
+
+(** A kernel lowered once to its execution form: every SSA value of the
+    kernel and of the device functions it calls has a dense frame slot,
+    every op a dense index and a closure that executes it. Executing an
+    op is then a closure call on an array-backed frame, with no op-name
+    dispatch and no hashing; per-op charges are arrays indexed by the
+    op index. *)
+type program
+
+(** [decode ~module_op ~kernel] decodes [kernel], a function of
+    [module_op], and every device function of [module_op] it calls. A
+    malformed op decodes to code that raises the same error when the op
+    executes, so ops on paths never taken stay harmless. The program is
+    valid for as long as that IR is not mutated; it holds no execution
+    state and may be shared across launches and domains. *)
+val decode : module_op:Core.op -> kernel:Core.op -> program
+
 (** Launch [kernel] over [global] with work-groups of [wg_size].
     [args.(i)] binds kernel argument [i]; the item-like argument must be
     bound to {!Item}. Every dimension of [global] must be divisible by
     the corresponding [wg_size]. Returns accumulated launch statistics.
 
+    [program] is [kernel] already decoded by {!decode} (decoded here
+    when absent), so a caller launching one kernel many times decodes it
+    once.
     [domains] (default {!default_domain_count}) selects the backend:
     [1] executes work-groups sequentially in canonical order; [> 1]
     partitions the canonical order into balanced contiguous chunks run
-    on worker domains, each accumulating private statistics that are
-    merged in chunk order — the returned stats are bit-identical to the
-    sequential backend's, and a failing group raises the same exception
-    the sequential backend would (the canonically first failure).
+    on the shared {!Sycl_obs.Pool}, each accumulating private statistics
+    that are merged in chunk order — the returned stats are
+    bit-identical to the sequential backend's, and a failing group
+    raises the same exception the sequential backend would (the
+    canonically first failure).
     [check_races] (default {!default_check_races}) records per-group
     write footprints and raises {!Race_detected} on overlap.
     [metrics] receives device execution counters ([sim.work_groups],
@@ -131,6 +153,7 @@ val launch :
   ?attribution:Attribution.table ->
   ?cache_model:Cost.cache_model ->
   ?cache:Cache.table ->
+  ?program:program ->
   module_op:Core.op ->
   kernel:Core.op ->
   args:rv array ->

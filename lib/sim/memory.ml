@@ -55,25 +55,29 @@ let full_view ?(dims = [||]) (a : allocation) =
 
 exception Out_of_bounds of string
 
-let linear_index (v : view) (idx : int list) =
-  let i = ref v.offset in
-  List.iteri
-    (fun k x ->
-      if k >= Array.length v.strides then
-        raise (Out_of_bounds (Printf.sprintf "rank mismatch on %s" v.base.label));
-      i := !i + (x * v.strides.(k)))
-    idx;
-  if !i < 0 || !i >= Array.length v.base.data then
+let rank_mismatch (v : view) =
+  raise (Out_of_bounds (Printf.sprintf "rank mismatch on %s" v.base.label))
+
+let check (v : view) i =
+  if i < 0 || i >= Array.length v.base.data then
     raise
       (Out_of_bounds
-         (Printf.sprintf "index %d out of bounds for %s (size %d)" !i
+         (Printf.sprintf "index %d out of bounds for %s (size %d)" i
             v.base.label (Array.length v.base.data)))
-  else !i
+  else i
 
-let read (v : view) (idx : int list) =
+let linear_index (v : view) (idx : int array) =
+  if Array.length idx > Array.length v.strides then rank_mismatch v;
+  let i = ref v.offset in
+  for k = 0 to Array.length idx - 1 do
+    i := !i + (idx.(k) * v.strides.(k))
+  done;
+  check v !i
+
+let read (v : view) (idx : int array) =
   v.base.data.(linear_index v idx)
 
-let write (v : view) (idx : int list) (c : cell) =
+let write (v : view) (idx : int array) (c : cell) =
   v.base.data.(linear_index v idx) <- c
 
 let cell_to_float = function F f -> f | I i -> float_of_int i

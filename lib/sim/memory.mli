@@ -43,10 +43,18 @@ val full_view : ?dims:int array -> allocation -> view
 exception Out_of_bounds of string
 
 (** Linear cell index of a multi-dimensional access (checked). *)
-val linear_index : view -> int list -> int
+val linear_index : view -> int array -> int
 
-val read : view -> int list -> cell
-val write : view -> int list -> cell -> unit
+(** The two checks of {!linear_index}, for callers that compute the
+    linear index themselves: [rank_mismatch v] raises the error for more
+    indices than [v] has dimensions; [check v i] returns [i] when it
+    lies inside [v]'s allocation and raises {!Out_of_bounds} otherwise. *)
+val rank_mismatch : view -> 'a
+
+val check : view -> int -> int
+
+val read : view -> int array -> cell
+val write : view -> int array -> cell -> unit
 
 val cell_to_float : cell -> float
 val cell_to_int : cell -> int

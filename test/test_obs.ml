@@ -264,6 +264,39 @@ let test_trace_json_shape () =
     | _ -> Alcotest.fail "traceEvents missing")
   | _ -> Alcotest.fail "trace export is not an object"
 
+let test_pool_order () =
+  Alcotest.(check (array int))
+    "results in index order" [| 0; 1; 4; 9 |]
+    (Sycl_obs.Pool.run 4 (fun i -> i * i));
+  Alcotest.(check (array int))
+    "one task runs on the caller" [| 7 |]
+    (Sycl_obs.Pool.run 1 (fun _ -> 7))
+
+let test_pool_errors () =
+  let ran = Array.make 4 false in
+  match
+    Sycl_obs.Pool.run 4 (fun i ->
+        ran.(i) <- true;
+        if i >= 2 then failwith (string_of_int i))
+  with
+  | _ -> Alcotest.fail "expected the tasks' failure"
+  | exception Failure msg ->
+    Alcotest.(check string) "lowest failing index re-raised" "2" msg;
+    Alcotest.(check bool) "every task ran" true (Array.for_all Fun.id ran)
+
+let test_pool_nested_persistent () =
+  let sums =
+    Sycl_obs.Pool.run 3 (fun i ->
+        Array.fold_left ( + ) 0 (Sycl_obs.Pool.run 3 (fun j -> (10 * i) + j)))
+  in
+  Alcotest.(check (array int)) "nested jobs complete" [| 3; 33; 63 |] sums;
+  let workers = Sycl_obs.Pool.size () in
+  for _ = 1 to 20 do
+    ignore (Sycl_obs.Pool.run 3 Fun.id)
+  done;
+  Alcotest.(check int) "repeated jobs reuse the workers" workers
+    (Sycl_obs.Pool.size ())
+
 let tests =
   ( "obs",
     [
@@ -290,4 +323,9 @@ let tests =
         test_trace_monotonic;
       Alcotest.test_case "merged trace: Chrome JSON shape" `Quick
         test_trace_json_shape;
+      Alcotest.test_case "pool: results in index order" `Quick test_pool_order;
+      Alcotest.test_case "pool: lowest failing task re-raised" `Quick
+        test_pool_errors;
+      Alcotest.test_case "pool: nested jobs, persistent workers" `Quick
+        test_pool_nested_persistent;
     ] )

@@ -308,6 +308,71 @@ let tests_list =
         Alcotest.(check int) "4 work-groups" 4 stats.Cost.work_groups;
         Alcotest.(check int) "64 work-items" 64 stats.Cost.work_items;
         Array.iter (fun x -> Alcotest.(check (float 1e-6)) "each once" 1.0 x) (floats c));
+    Alcotest.test_case "a decoded kernel is reusable across launches" `Quick
+      (fun () ->
+        let m = Helpers.fresh_module () in
+        let k =
+          Sycl_frontend.Kernel.define m ~name:"bump" ~dims:1
+            ~args:[ K.Acc (1, S.Read_write, Types.f32) ]
+            (fun b ~item ~args ->
+              let c = List.hd args in
+              let i = K.gid b item 0 in
+              K.acc_update b c [ i ] (fun v -> K.addf b v (K.fconst b 1.0)))
+        in
+        let c = Memory.alloc ~label:"c" ~size:16 () in
+        let args = [| Interp.Item; acc_desc c |] in
+        let stats s = Format.asprintf "%a" Cost.pp_launch_stats s in
+        let program = Interp.decode ~module_op:m ~kernel:k in
+        let reused () =
+          Interp.launch ~program ~module_op:m ~kernel:k ~args ~global:[ 16 ]
+            ~wg_size:[ 16 ] ()
+        in
+        let fresh = stats (launch m k args) in
+        Alcotest.(check string) "same stats as a fresh decode" fresh
+          (stats (reused ()));
+        Alcotest.(check string) "and again" fresh (stats (reused ()));
+        Array.iter
+          (fun x -> Alcotest.(check (float 1e-6)) "three launches" 3.0 x)
+          (floats c));
+    Alcotest.test_case "malformed ops fail when executed, not when decoded"
+      `Quick (fun () ->
+        (* An op the simulator does not know, and a value used where it
+           was never defined, each on a branch that only some work-items
+           take. *)
+        let run ~taken =
+          let m = Helpers.fresh_module () in
+          let k =
+            Sycl_frontend.Kernel.define m ~name:"guarded" ~dims:1
+              ~args:[ K.Acc (1, S.Write, Types.f32) ]
+              (fun b ~item ~args ->
+                let out = List.hd args in
+                let i = K.gid b item 0 in
+                let limit = A.const_index b (if taken then 16 else 0) in
+                let cond = A.cmpi b A.Slt i limit in
+                let defined = ref None in
+                ignore
+                  (Dialects.Scf.if_ b cond
+                     ~then_:(fun bb ->
+                       Builder.op0 ~operands:[] bb "test.unknown";
+                       [])
+                     ());
+                ignore
+                  (Dialects.Scf.if_ b (A.cmpi b A.Slt limit i)
+                     ~then_:(fun bb ->
+                       defined := Some (K.fconst bb 2.0);
+                       [])
+                     ());
+                K.acc_set b out [ i ] (Option.get !defined))
+          in
+          let c = Memory.alloc ~label:"c" ~size:16 () in
+          match launch m k [| Interp.Item; acc_desc c |] with
+          | _ -> "ok"
+          | exception Interp.Sim_error msg -> msg
+        in
+        Alcotest.(check string) "unknown op executed"
+          "device simulator: unsupported op test.unknown" (run ~taken:true);
+        Alcotest.(check string) "undefined value read"
+          "use of unbound SSA value in simulator" (run ~taken:false));
   ]
 
 let tests = ("simulator", tests_list)
