@@ -76,8 +76,8 @@ let () =
   let x = Memory.alloc ~label:"x" ~size:n () in
   let y = Memory.alloc ~label:"y" ~size:n () in
   for i = 0 to n - 1 do
-    x.Memory.data.(i) <- Memory.F (float_of_int i);
-    y.Memory.data.(i) <- Memory.F 1.0
+    Memory.set_float x i (float_of_int i);
+    Memory.set_float y i 1.0
   done;
   let harg a = Host_interp.Scalar (Sycl_sim.Interp.Mem (Memory.full_view a)) in
   let result =
@@ -89,7 +89,7 @@ let () =
   let ok = ref true in
   for i = 0 to n - 1 do
     let expect = (2.0 *. float_of_int i) +. 1.0 in
-    match y.Memory.data.(i) with
+    match Memory.get y i with
     | Memory.F v when Float.abs (v -. expect) < 1e-3 -> ()
     | _ -> ok := false
   done;

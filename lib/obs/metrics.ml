@@ -58,13 +58,21 @@ let bucket_index (h : hist) v =
   let rec go i = if i >= n then n else if v <= h.h_bounds.(i) then i else go (i + 1) in
   go 0
 
-let hist_observe (h : hist) v =
-  let i = bucket_index h v in
-  h.h_buckets.(i) <- h.h_buckets.(i) + 1;
-  Hashtbl.replace h.h_exact v
-    (1 + Option.value ~default:0 (Hashtbl.find_opt h.h_exact v));
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum + v
+let check_count count =
+  if count < 0 then invalid_arg "Metrics: negative sample count";
+  count > 0
+
+(* [count] samples of value [v] (default 1): the same as [count] single
+   observations, so [0] records nothing. *)
+let hist_observe ?(count = 1) (h : hist) v =
+  if check_count count then begin
+    let i = bucket_index h v in
+    h.h_buckets.(i) <- h.h_buckets.(i) + count;
+    Hashtbl.replace h.h_exact v
+      (count + Option.value ~default:0 (Hashtbl.find_opt h.h_exact v));
+    h.h_count <- h.h_count + count;
+    h.h_sum <- h.h_sum + (count * v)
+  end
 
 (** Exact nearest-rank percentile over the recorded samples: the
     smallest recorded value whose cumulative count reaches
@@ -136,20 +144,23 @@ let set_gauge (r : registry) name v =
       | None | Some (Gauge _) -> Hashtbl.replace r.r_tbl name (Gauge v)
       | Some m -> mismatch name m "gauge")
 
-(** Record sample [v] into histogram [name]; [bounds] applies only on
-    first registration (default {!latency_bounds}). *)
-let observe (r : registry) ?(bounds = latency_bounds) name v =
-  Mutex.protect r.r_mutex (fun () ->
-      let h =
-        match Hashtbl.find_opt r.r_tbl name with
-        | Some (Hist h) -> h
-        | None ->
-          let h = hist_make bounds in
-          Hashtbl.replace r.r_tbl name (Hist h);
-          h
-        | Some m -> mismatch name m "histogram"
-      in
-      hist_observe h v)
+(** Record sample [v] into histogram [name], [count] times (default 1;
+    the same as [count] single observations, so [0] records nothing);
+    [bounds] applies only on first registration (default
+    {!latency_bounds}). *)
+let observe (r : registry) ?(bounds = latency_bounds) ?(count = 1) name v =
+  if check_count count then
+    Mutex.protect r.r_mutex (fun () ->
+        let h =
+          match Hashtbl.find_opt r.r_tbl name with
+          | Some (Hist h) -> h
+          | None ->
+            let h = hist_make bounds in
+            Hashtbl.replace r.r_tbl name (Hist h);
+            h
+          | Some m -> mismatch name m "histogram"
+        in
+        hist_observe ~count h v)
 
 let counter_value (r : registry) name =
   Mutex.protect r.r_mutex (fun () ->

@@ -117,17 +117,21 @@ let global_alloc st name =
   | None -> (
     match Dialects.Llvm.lookup_global st.module_op name with
     | Some g ->
-      let data =
-        match Core.attr g "value" with
-        | Some (Attr.Dense_float xs) -> Array.map (fun f -> Memory.F f) xs
-        | Some (Attr.Dense_int xs) -> Array.map (fun i -> Memory.I i) xs
-        | _ -> raise (Host_error ("global without dense value: " ^ name))
+      let alloc size =
+        Memory.alloc ~label:("global:" ^ name) ~space:Types.Global ~size ()
       in
       let a =
-        Memory.alloc ~label:("global:" ^ name) ~space:Types.Global
-          ~size:(Array.length data) ()
+        match Core.attr g "value" with
+        | Some (Attr.Dense_float xs) ->
+          let a = alloc (Array.length xs) in
+          Array.iteri (Memory.set_float a) xs;
+          a
+        | Some (Attr.Dense_int xs) ->
+          let a = alloc (Array.length xs) in
+          Array.iteri (Memory.set_int a) xs;
+          a
+        | _ -> raise (Host_error ("global without dense value: " ^ name))
       in
-      Array.blit data 0 a.Memory.data 0 (Array.length data);
       if Core.attr g "constant" = Some (Attr.Bool true) then
         a.Memory.constant_cached <- true;
       Hashtbl.replace st.globals name a;
@@ -231,7 +235,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
           match Hashtbl.find_opt st.device_copies host.Memory.aid with
           | Some d -> d
           | None ->
-            let elems = Array.length host.Memory.data in
+            let elems = Memory.size host in
             let d =
               Memory.alloc ~label:("dev:" ^ host.Memory.label)
                 ~space:Types.Global ~size:elems ()

@@ -1,18 +1,21 @@
 (* The GPU device simulator: executes kernel IR over an ND-range with
-   correct work-group semantics. Work-items of a work-group run as OCaml 5
-   effect-handler fibers; a group barrier suspends the fiber, and the
-   scheduler resumes all fibers of the group phase by phase — so the
-   cooperative local-memory prefetch produced by loop internalization
-   (Section VI-C) executes correctly, and a barrier in a divergent region
-   is detected as the deadlock it would be on hardware.
+   correct work-group semantics. In a kernel with a barrier, work-items of
+   a work-group run as OCaml 5 effect-handler fibers; a group barrier
+   suspends the fiber, and the scheduler resumes all fibers of the group
+   phase by phase — so the cooperative local-memory prefetch produced by
+   loop internalization (Section VI-C) executes correctly, and a barrier
+   in a divergent region is detected as the deadlock it would be on
+   hardware. Work-items of a kernel without one run as plain calls.
 
    A kernel is decoded once before it runs ({!decode}): every SSA value
-   of the kernel and of the device functions it calls gets a dense frame
-   slot, and every op a dense index and a closure that does its work. An
-   executed op is then one closure call that reads and writes the
-   work-item's frame array — no op-name dispatch and no hashing per
-   executed op. This is progressive lowering applied to the simulator:
-   the IR is lowered once to an execution form.
+   of the kernel and of the device functions it calls gets a slot in one
+   of three frame banks — ints, unboxed floats, boxed runtime values —
+   chosen by what the value's producer writes, and every op a dense
+   index and a closure that does its work. An executed op is then one
+   closure call that reads and writes the work-item's frame — no
+   op-name dispatch, no hashing and, for int and float values, no
+   allocation. This is progressive lowering applied to the simulator:
+   the IR is lowered once to a typed execution form.
 
    Costs are accumulated per work-group: ALU cycles per executed op,
    memory transactions per (instruction, occurrence, sub-group) with
@@ -122,23 +125,88 @@ type wi_ctx = {
   global_range : int array;
   local_range : int array;
   subgroup : int;
-  slots : rv array;  (* the work-item's frame: one slot per SSA value *)
+  (* The work-item's frame: one bank per kind of value ({!slot}) and the
+     defined-map, one byte per slot, non-zero once the slot was
+     written. *)
+  ints : int array;
+  floats : Float.Array.t;
+  vals : rv array;
+  defined : Bytes.t;
   occ : int array;  (* per op index: accesses the op made so far *)
 }
 
-(* Frames start filled with [unbound]; reading it is a use of a value
-   that was never defined. It is compared physically, so no runtime
-   value can be taken for it. *)
-let unbound = F (Sys.opaque_identity Float.nan)
+(* ------------------------------------------------------------------ *)
+(* Frame slots                                                         *)
+(* ------------------------------------------------------------------ *)
 
-let get w s =
-  let v = Array.unsafe_get w.slots s in
-  if v == unbound then raise (Sim_error "use of unbound SSA value in simulator")
-  else v
+(* A slot is [index * 4 + bank]: [index] is a position in the bank's
+   array — [ints], [floats] or [vals] — and the slot itself a position
+   in the defined-map. Ints and floats thus stay unboxed in the frame,
+   and reading or writing them allocates nothing. Slots come from the
+   decoder that sized the frame, so the unchecked accesses below stay
+   in range; a bank-specific write is only decoded for a slot of that
+   bank ({!in_bank}). *)
+let bank_int = 0
+let bank_float = 1
+let bank_boxed = 2
 
-(* Slots come from the decoder that sized the frame, so they are in
-   range. *)
-let set w s v = Array.unsafe_set w.slots s v
+let unbound () = raise (Sim_error "use of unbound SSA value in simulator")
+
+let[@inline] check_defined w s =
+  if Bytes.unsafe_get w.defined s = '\000' then unbound ()
+
+(* Reads convert a value from another bank exactly as [as_int] and
+   [as_float] convert runtime values. *)
+let[@inline] get_int w s =
+  check_defined w s;
+  let i = s lsr 2 in
+  match s land 3 with
+  | 0 -> Array.unsafe_get w.ints i
+  | 1 -> int_of_float (Float.Array.unsafe_get w.floats i)
+  | _ -> as_int (Array.unsafe_get w.vals i)
+
+let[@inline] get_float w s =
+  check_defined w s;
+  let i = s lsr 2 in
+  match s land 3 with
+  | 0 -> float_of_int (Array.unsafe_get w.ints i)
+  | 1 -> Float.Array.unsafe_get w.floats i
+  | _ -> as_float (Array.unsafe_get w.vals i)
+
+(* A slot as a runtime value: an int or a float gets boxed. *)
+let get_value w s =
+  check_defined w s;
+  let i = s lsr 2 in
+  match s land 3 with
+  | 0 -> I (Array.unsafe_get w.ints i)
+  | 1 -> F (Float.Array.unsafe_get w.floats i)
+  | _ -> Array.unsafe_get w.vals i
+
+let[@inline] set_int w s v =
+  Array.unsafe_set w.ints (s lsr 2) v;
+  Bytes.unsafe_set w.defined s '\001'
+
+let[@inline] set_float w s v =
+  Float.Array.unsafe_set w.floats (s lsr 2) v;
+  Bytes.unsafe_set w.defined s '\001'
+
+let set_value w s v =
+  Array.unsafe_set w.vals (s lsr 2) v;
+  Bytes.unsafe_set w.defined s '\001'
+
+(* Copy slot [src] into slot [dst]. Decoding puts [dst] in [src]'s bank
+   or in the boxed one (kinds only join upwards), so a value moves
+   as is or gets boxed.
+
+   A float read is let-bound before it is passed on, here and below:
+   passed straight to another inlined function, it would be boxed. *)
+let copy w src dst =
+  match dst land 3 with
+  | 0 -> set_int w dst (get_int w src)
+  | 1 ->
+    let x = get_float w src in
+    set_float w dst x
+  | _ -> set_value w dst (get_value w src)
 
 let count (g : wg_ctx) k f by =
   let i = (k * n_fields) + f in
@@ -156,6 +224,32 @@ let fdiv w k =
   let g = w.wg in
   g.wg_fdiv <- g.wg_fdiv + 1;
   count g k f_fdiv 1
+
+(* ------------------------------------------------------------------ *)
+(* Device memory                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Cells in {!Memory.allocation}'s unboxed layout, accessed here rather
+   than through [Memory.get_float] and friends: a float returned by a
+   function that is not inlined is boxed, and the library is compiled
+   without cross-module inlining. Indices are {!Memory.check}ed. *)
+let[@inline] load_int (a : Memory.allocation) lin =
+  if Bytes.unsafe_get a.Memory.tags lin = Memory.int_tag then
+    Array.unsafe_get a.Memory.ints lin
+  else int_of_float (Float.Array.unsafe_get a.Memory.floats lin)
+
+let[@inline] load_float (a : Memory.allocation) lin =
+  if Bytes.unsafe_get a.Memory.tags lin = Memory.int_tag then
+    float_of_int (Array.unsafe_get a.Memory.ints lin)
+  else Float.Array.unsafe_get a.Memory.floats lin
+
+let[@inline] store_int (a : Memory.allocation) lin v =
+  Array.unsafe_set a.Memory.ints lin v;
+  Bytes.unsafe_set a.Memory.tags lin Memory.int_tag
+
+let[@inline] store_float (a : Memory.allocation) lin v =
+  Float.Array.unsafe_set a.Memory.floats lin v;
+  Bytes.unsafe_set a.Memory.tags lin Memory.float_tag
 
 (* Latency class: 0 = global, 1 = local, 2 = constant-cached. *)
 let latency_class (a : Memory.allocation) =
@@ -211,9 +305,9 @@ let record_access w k (view : Memory.view) lin =
         count g k f_const 1);
       (* Probe the cache exactly once per NEW coalesced global
          transaction, so hits + misses = global_transactions holds by
-         construction. Fibers of a group run sequentially in canonical
-         order, so the probe sequence is deterministic and domain-count
-         independent. *)
+         construction. Work-items of a group run sequentially in
+         canonical order, so the probe sequence is deterministic and
+         domain-count independent. *)
       match g.cache with
       | Some cache when cls = 0 -> (
         let { Cache.o_hit; o_evicted } =
@@ -234,7 +328,9 @@ let record_access w k (view : Memory.view) lin =
         match g.reuse with
         | Some r -> (
           let d = Cache.reuse_access r ~aid:a.Memory.aid ~line in
-          Option.iter (fun t -> Cache.observe_distance t d) g.cache_tab;
+          (match g.cache_tab with
+          | Some t -> Cache.observe_distance t d
+          | None -> ());
           match d with
           | Some d ->
             count g k f_dist_sum d;
@@ -244,25 +340,30 @@ let record_access w k (view : Memory.view) lin =
       | _ -> ()
     end
 
-(* A store's charge, its entry in the group's write footprint (tagged
-   with the storing op's source location, so a race report can name the
-   culprit store — only global-space writes are kept, see
-   {!Memory.footprint_write}) and the write itself. *)
-let store w k loc (view : Memory.view) lin value =
+(* A store of slot [v]'s value (already checked defined): its charge,
+   its entry in the group's write footprint (tagged with the storing
+   op's source location, so a race report can name the culprit store —
+   only global-space writes are kept, see {!Memory.footprint_write}) and
+   the write itself. *)
+let store w k loc (view : Memory.view) lin v =
   record_access w k view lin;
   (match w.wg.footprint with
   | Some fp -> Memory.footprint_write ~loc fp view lin
   | None -> ());
-  view.Memory.base.Memory.data.(lin) <-
-    (match value with
-    | F f -> Memory.F f
-    | I i -> Memory.I i
+  let a = view.Memory.base and i = v lsr 2 in
+  match v land 3 with
+  | 0 -> store_int a lin (Array.unsafe_get w.ints i)
+  | 1 -> store_float a lin (Float.Array.unsafe_get w.floats i)
+  | _ -> (
+    match Array.unsafe_get w.vals i with
+    | I n -> store_int a lin n
+    | F f -> store_float a lin f
     | _ -> raise (Sim_error "cannot store non-scalar value"))
 
-let load ~is_float (view : Memory.view) lin =
-  match view.Memory.base.Memory.data.(lin) with
-  | Memory.F f -> if is_float then F f else I (int_of_float f)
-  | Memory.I i -> if is_float then F (float_of_int i) else I i
+(* [Memory.linear_index view [| i |]]. *)
+let linear1 (view : Memory.view) i =
+  if Array.length view.Memory.strides < 1 then Memory.rank_mismatch view;
+  Memory.check view (view.Memory.offset + (i * view.Memory.strides.(0)))
 
 (* ------------------------------------------------------------------ *)
 (* SYCL struct storage helpers                                         *)
@@ -289,6 +390,158 @@ let element_is_float (ty : Types.t) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Value kinds                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The bank a value lives in is decided by what its producer writes,
+   not by its declared type, so ill-kinded IR converts on reads exactly
+   as [as_int]/[as_float] do. [Unknown] is the bottom of the join: a
+   value nothing writes. *)
+type kind = Unknown | Kint | Kfloat | Kboxed
+
+let join a b =
+  match (a, b) with
+  | Unknown, k | k, Unknown -> k
+  | Kint, Kint -> Kint
+  | Kfloat, Kfloat -> Kfloat
+  | _ -> Kboxed
+
+let bank_of = function
+  | Kint -> bank_int
+  | Kfloat -> bank_float
+  | Kboxed | Unknown -> bank_boxed
+
+(* The kind an op writes to its first result, for ops whose results do
+   not take the kinds of their operands. Must agree with what
+   {!op_code} writes; the decoder checks that it does ({!in_bank}). *)
+let result_kind (op : Core.op) =
+  match op.Core.name with
+  | "arith.constant" -> (
+    match Core.attr op "value" with
+    | Some (Attr.Float _) -> Kfloat
+    | Some (Attr.Int _ | Attr.Bool _) -> Kint
+    | _ -> Unknown)
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
+  | "arith.andi" | "arith.ori" | "arith.xori" | "arith.minsi" | "arith.maxsi"
+  | "arith.cmpi" | "arith.cmpf" | "arith.index_cast" | "arith.fptosi"
+  | "memref.dim" | "affine.apply" | "sycl.item.get_id"
+  | "sycl.nd_item.get_global_id" | "sycl.nd_item.get_local_id"
+  | "sycl.nd_item.get_group_id" | "sycl.item.get_range"
+  | "sycl.nd_item.get_global_range" | "sycl.nd_item.get_local_range"
+  | "sycl.item.get_linear_id" | "sycl.id.get" | "sycl.range.get"
+  | "sycl.accessor.get_range" | "sycl.accessor.get_mem_range"
+  | "sycl.accessor.get_offset" | "sycl.accessor.distinct" ->
+    Kint
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
+  | "arith.minimumf" | "arith.maximumf" | "arith.negf" | "arith.sitofp"
+  | "math.sqrt" | "math.exp" | "math.absf" ->
+    Kfloat
+  | "memref.load" | "affine.load" ->
+    if element_is_float (Core.operand op 0).Core.vty then Kfloat else Kint
+  | "memref.alloca" | "memref.alloc" | "gpu.alloc_local"
+  | "sycl.accessor.subscript" ->
+    Kboxed
+  | _ -> Unknown
+
+(* A block's ops before its terminator, and the terminator's operands
+   ([||] when the block has none). *)
+let split_block (b : Core.block) =
+  let rec go acc = function
+    | [] -> (List.rev acc, [||])
+    | op :: rest -> (
+      match op.Core.name with
+      | "scf.yield" | "affine.yield" | "func.return" ->
+        (List.rev acc, op.Core.operands)
+      | _ -> go (op :: acc) rest)
+  in
+  go [] b.Core.body
+
+let loop_iter_inits (op : Core.op) =
+  if op.Core.name = "scf.for" then Dialects.Scf.for_iter_inits op
+  else Dialects.Affine_ops.for_iter_inits op
+
+(* The kind of every value of [kernel] and the device functions it
+   calls, by value id. arith.select results, loop-carried values and
+   scf.if results take the join of the values flowing into them, so
+   kinds are raised to a fixed point; function arguments and call
+   results are boxed. Ops too malformed to read are skipped: they
+   decode to code that raises before writing anything. *)
+let infer_kinds funcs (kernel : Core.op) =
+  let kinds = Hashtbl.create 256 in
+  let kind (v : Core.value) =
+    Option.value ~default:Unknown (Hashtbl.find_opt kinds v.Core.vid)
+  in
+  let changed = ref true in
+  let raise_to (v : Core.value) k =
+    let old = kind v in
+    let k = join old k in
+    if k <> old then begin
+      Hashtbl.replace kinds v.Core.vid k;
+      changed := true
+    end
+  in
+  (* Lane [j] of [dsts] receives lane [j] of every array in [srcs]. *)
+  let flow srcs (dsts : Core.value array) =
+    Array.iteri
+      (fun j dst ->
+        List.iter
+          (fun (src : Core.value array) ->
+            if j < Array.length src then raise_to dst (kind src.(j)))
+          srcs)
+      dsts
+  in
+  let seen = Hashtbl.create 8 in
+  let rec fn (f : Core.op) =
+    let body = Core.func_body f in
+    if not (Hashtbl.mem seen body.Core.bid) then begin
+      Hashtbl.replace seen body.Core.bid ();
+      Array.iter (fun a -> raise_to a Kboxed) body.Core.bargs;
+      ignore (block body)
+    end
+  and block b =
+    let ops, yields = split_block b in
+    List.iter op ops;
+    yields
+  and op (o : Core.op) =
+    try
+      match o.Core.name with
+      | "arith.select" ->
+        raise_to (Core.result o 0)
+          (join (kind (Core.operand o 1)) (kind (Core.operand o 2)))
+      | "scf.for" | "affine.for" ->
+        let body = Core.entry_block o.Core.regions.(0) in
+        raise_to (Core.block_arg body 0) Kint;
+        let inits = Array.of_list (loop_iter_inits o) in
+        let yields = block body in
+        let iter = Array.sub body.Core.bargs 1 (Array.length body.Core.bargs - 1) in
+        flow [ inits; yields ] iter;
+        flow [ inits; yields ] o.Core.results
+      | "scf.if" ->
+        let yields =
+          List.map
+            (fun i -> block (Core.entry_block o.Core.regions.(i)))
+            (if Core.num_regions o > 1 then [ 0; 1 ] else [ 0 ])
+        in
+        flow yields o.Core.results
+      | "func.call" -> (
+        Array.iter (fun r -> raise_to r Kboxed) o.Core.results;
+        match Option.bind (Core.attr_symbol o "callee") (Hashtbl.find_opt funcs) with
+        | Some f -> fn f
+        | None -> ())
+      | _ -> (
+        match result_kind o with
+        | Unknown -> ()
+        | k -> raise_to (Core.result o 0) k)
+    with _ -> ()
+  in
+  while !changed do
+    changed := false;
+    Hashtbl.reset seen;
+    fn kernel
+  done;
+  kinds
+
+(* ------------------------------------------------------------------ *)
 (* Decoded programs                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,26 +559,63 @@ type program = {
   entry : fn;
   ops : Core.op array;  (* by dense op index *)
   canonical : int array;  (* op indices in canonical (creation) order *)
-  n_slots : int;
+  bank_sizes : int array;  (* slots per bank, by bank number *)
+  n_defined : int;  (* defined-map length: the largest slot + 1 *)
+  has_barrier : bool;  (* whether a barrier op was decoded *)
 }
 
 type decoder = {
+  kinds : (int, kind) Hashtbl.t;  (* value id -> kind, {!infer_kinds} *)
   value_slots : (int, int) Hashtbl.t;  (* value id -> frame slot *)
+  next : int array;  (* next free index, by bank *)
+  mutable n_defined : int;
   mutable decoded : Core.op list;  (* by op index, newest first *)
   mutable n_ops : int;
+  mutable has_barrier : bool;
   funcs : (string, Core.op) Hashtbl.t;  (* device functions by symbol *)
   fns : (int, fn) Hashtbl.t;  (* decoded functions by body block id *)
 }
+
+let fresh_slot d bank =
+  let i = d.next.(bank) in
+  d.next.(bank) <- i + 1;
+  let s = (i * 4) + bank in
+  d.n_defined <- max d.n_defined (s + 1);
+  s
 
 let slot d (v : Core.value) =
   match Hashtbl.find_opt d.value_slots v.Core.vid with
   | Some s -> s
   | None ->
-    let s = Hashtbl.length d.value_slots in
+    let kind = Option.value ~default:Unknown (Hashtbl.find_opt d.kinds v.Core.vid) in
+    let s = fresh_slot d (bank_of kind) in
     Hashtbl.replace d.value_slots v.Core.vid s;
     s
 
 let slots d vs = Array.of_list (List.map (slot d) vs)
+
+(* [s], which a bank-specific write will use: it must be in [bank]. *)
+let in_bank bank s =
+  if s land 3 = bank then s
+  else raise (Sim_error "device simulator: value decoded into the wrong bank")
+
+(* Temporaries for values moving in lanes: lane [j] of every slot array
+   in [lanes] passes through temporary [j], in the join of the banks the
+   lane touches, so every value in a lane can be read before any is
+   written. *)
+let temps d lanes =
+  let n = List.fold_left (fun n a -> max n (Array.length a)) 0 lanes in
+  Array.init n (fun j ->
+      let bank =
+        List.fold_left
+          (fun b a ->
+            if j >= Array.length a then b
+            else
+              let b' = a.(j) land 3 in
+              if b < 0 || b = b' then b' else bank_boxed)
+          (-1) lanes
+      in
+      fresh_slot d (if bank < 0 then bank_boxed else bank))
 
 let run_block w (b : block_code) =
   let ops = b.ops in
@@ -333,23 +623,16 @@ let run_block w (b : block_code) =
     (Array.unsafe_get ops i) w
   done
 
-let read w (ss : int array) =
-  let n = Array.length ss in
-  if n = 0 then [||]
-  else begin
-    let a = Array.make n unbound in
-    for i = 0 to n - 1 do
-      a.(i) <- get w ss.(i)
-    done;
-    a
-  end
-
-let ints w (ss : int array) =
-  let a = Array.make (Array.length ss) 0 in
-  for i = 0 to Array.length ss - 1 do
-    a.(i) <- as_int (get w ss.(i))
+(* Move what block [b] yielded into [res] through [temps]: every yielded
+   value is read before any result is written. *)
+let bind_yields w (b : block_code) temps (res : int array) =
+  let ys = b.yields in
+  for j = 0 to Array.length ys - 1 do
+    copy w ys.(j) temps.(j)
   done;
-  a
+  for j = 0 to Array.length ys - 1 do
+    copy w temps.(j) res.(j)
+  done
 
 (* [Memory.linear_index] of the indices held in slots [idx], without
    building the index array. *)
@@ -358,40 +641,49 @@ let linear w (view : Memory.view) (idx : int array) =
   if Array.length idx > Array.length strides then Memory.rank_mismatch view;
   let lin = ref view.Memory.offset in
   for k = 0 to Array.length idx - 1 do
-    lin := !lin + (as_int (get w idx.(k)) * strides.(k))
+    lin := !lin + (get_int w idx.(k) * strides.(k))
   done;
   Memory.check view !lin
 
-(* Run a region's block and return what it yields. *)
-let branch w (b : block_code) =
-  run_block w b;
-  read w b.yields
-
-(* Bind an op's results to the values its region yielded. *)
-let bind_results w (res : int array) (vs : rv array) =
-  Array.iteri (fun i v -> set w res.(i) v) vs
-
 (* scf.for / affine.for after their bounds are known: one ALU charge
    per iteration, the iteration arguments rebound from what the body
-   yielded. *)
-let run_loop w k ~lb ~ub ~step ~iv ~(iter : int array) inits body res =
-  let cur = ref inits and i = ref lb in
+   yielded. Carried values pass through [temps], so a yield is the
+   parallel move it is in the IR. *)
+let run_loop w k ~lb ~ub ~step ~iv ~(iter : int array) ~(inits : int array)
+    ~temps (body : block_code) (res : int array) =
+  for j = 0 to Array.length inits - 1 do
+    copy w inits.(j) temps.(j)
+  done;
+  let carried = ref (Array.length inits) and i = ref lb in
   while !i < ub do
     alu w k;
-    set w iv (I !i);
-    let vs = !cur in
-    if Array.length vs <> Array.length iter then
+    set_int w iv !i;
+    if !carried <> Array.length iter then
       raise
         (Sim_error
            (Printf.sprintf "loop carries %d values into %d iteration arguments"
-              (Array.length vs) (Array.length iter)));
+              !carried (Array.length iter)));
     for j = 0 to Array.length iter - 1 do
-      set w iter.(j) vs.(j)
+      copy w temps.(j) iter.(j)
     done;
-    cur := branch w body;
+    run_block w body;
+    let ys = body.yields in
+    for j = 0 to Array.length ys - 1 do
+      copy w ys.(j) temps.(j)
+    done;
+    carried := Array.length ys;
     i := !i + step
   done;
-  bind_results w res !cur
+  for j = 0 to !carried - 1 do
+    copy w temps.(j) res.(j)
+  done
+
+let ints w (ss : int array) =
+  let a = Array.make (Array.length ss) 0 in
+  for i = 0 to Array.length ss - 1 do
+    a.(i) <- get_int w ss.(i)
+  done;
+  a
 
 (* An affine map ready to evaluate into an array. A map whose arity does
    not match its operands goes through [Map.eval], which rejects it. *)
@@ -405,26 +697,40 @@ let eval_map (a : amap) dims =
   then Array.map (fun e -> Affine_expr.eval dims [||] e) a.exprs
   else Array.of_list (Affine_expr.Map.eval a.map ~dims ~syms:[||])
 
-let getter_dim w ds = if ds < 0 then 0 else as_int (get w ds)
+let getter_dim w ds = if ds < 0 then 0 else get_int w ds
+
+(* As [Dialects.Arith.eval_fcmp], here so the compared floats stay
+   unboxed. *)
+let[@inline] fcmp (p : Dialects.Arith.fcmp_pred) (x : float) y =
+  match p with
+  | Dialects.Arith.Oeq -> x = y
+  | One -> x <> y
+  | Olt -> x < y
+  | Ole -> x <= y
+  | Ogt -> x > y
+  | Oge -> x >= y
 
 (* Dims and strides of every subscript's one-element view (views are
    never mutated, so one array serves them all). *)
 let unit_extent = [| 1 |]
 
 let subscript_view w acc_s (ids : int array) =
-  let acc = as_acc (get w acc_s) in
+  let acc = as_acc (get_value w acc_s) in
   let ids =
     if Array.length ids = 1 then
-      match get w ids.(0) with
-      | I i -> [| i |]
-      | Mem v ->
-        (* An id struct in private memory: one cell per dimension. *)
-        Array.init (Array.length acc.a_range) (fun d ->
-            Memory.cell_to_int (Memory.read v [| d |]))
-      | _ -> raise (Sim_error "bad subscript index")
+      let s = ids.(0) in
+      if s land 3 = bank_int then [| get_int w s |]
+      else
+        match get_value w s with
+        | I i -> [| i |]
+        | Mem v ->
+          (* An id struct in private memory: one cell per dimension. *)
+          Array.init (Array.length acc.a_range) (fun d ->
+              load_int v.Memory.base (linear1 v d))
+        | _ -> raise (Sim_error "bad subscript index")
     else
       (* Direct form: one index operand per dimension. *)
-      ints w ids
+      Array.map (fun s -> get_int w s) ids
   in
   (* Linearize against the *memory* range with the accessor offset,
      innermost dimension first. *)
@@ -450,18 +756,9 @@ let subscript_view w acc_s (ids : int array) =
 let fail e : code = fun _ -> raise e
 
 let rec decode_block d (b : Core.block) : block_code =
-  let rec go acc = function
-    | [] -> { ops = Array.of_list (List.rev acc); yields = [||] }
-    | op :: rest -> (
-      match op.Core.name with
-      | "scf.yield" | "affine.yield" | "func.return" ->
-        {
-          ops = Array.of_list (List.rev acc);
-          yields = Array.map (slot d) op.Core.operands;
-        }
-      | _ -> go (decode_op d op :: acc) rest)
-  in
-  go [] b.Core.body
+  let ops, yields = split_block b in
+  let ops = List.map (decode_op d) ops in
+  { ops = Array.of_list ops; yields = Array.map (slot d) yields }
 
 and decode_fn d (f : Core.op) : fn =
   let body = Core.func_body f in
@@ -469,7 +766,8 @@ and decode_fn d (f : Core.op) : fn =
   | Some fn -> fn
   | None ->
     let fn =
-      { args = Array.map (slot d) body.Core.bargs; body = { ops = [||]; yields = [||] } }
+      { args = Array.map (fun a -> in_bank bank_boxed (slot d a)) body.Core.bargs;
+        body = { ops = [||]; yields = [||] } }
     in
     Hashtbl.replace d.fns body.Core.bid fn;
     fn.body <- decode_block d body;
@@ -485,6 +783,8 @@ and decode_op d (op : Core.op) : code =
   d.decoded <- op :: d.decoded;
   try op_code d k op with e -> fail e
 
+(* A binary op reads its right operand first, so of two bad operands
+   the right one's error is raised. *)
 and op_code d k (op : Core.op) : code =
   let operand i = slot d (Core.operand op i) in
   let operands_from i =
@@ -492,48 +792,45 @@ and op_code d k (op : Core.op) : code =
   in
   let result i = slot d (Core.result op i) in
   let results () = Array.map (slot d) op.Core.results in
+  let int_result () = in_bank bank_int (result 0) in
+  let float_result () = in_bank bank_float (result 0) in
+  let boxed_result () = in_bank bank_boxed (result 0) in
   (* The optional dimension operand of a getter; -1 reads dimension 0. *)
   let dim_operand () = if Core.num_operands op >= 2 then operand 1 else -1 in
   let int2 charge f =
-    let a = operand 0 and b = operand 1 and r = result 0 in
+    let a = operand 0 and b = operand 1 and r = int_result () in
     fun w ->
       charge w k;
-      set w r (I (f (as_int (get w a)) (as_int (get w b))))
+      let y = get_int w b in
+      set_int w r (f (get_int w a) y)
   in
-  let float2 charge f =
-    let a = operand 0 and b = operand 1 and r = result 0 in
-    fun w ->
-      charge w k;
-      set w r (F (f (as_float (get w a)) (as_float (get w b))))
-  in
-  let unary charge f =
-    let a = operand 0 and r = result 0 in
-    fun w ->
-      charge w k;
-      set w r (f (get w a))
-  in
+  (* Float ops each get their own closure: through a float-typed
+     function parameter the operands and the result would be boxed. *)
+  let float2 () = (operand 0, operand 1, float_result ()) in
   let query f =
-    let ds = dim_operand () and r = result 0 in
+    let ds = dim_operand () and r = int_result () in
     fun w ->
       alu w k;
-      set w r (I (f w).(getter_dim w ds))
+      set_int w r (f w).(getter_dim w ds)
   in
   let acc_query f =
-    let a = operand 0 and ds = dim_operand () and r = result 0 in
+    let a = operand 0 and ds = dim_operand () and r = int_result () in
     fun w ->
       alu w k;
-      set w r (I (f (as_acc (get w a))).(getter_dim w ds))
+      set_int w r (f (as_acc (get_value w a))).(getter_dim w ds)
   in
   match op.Core.name with
   | "arith.constant" -> (
-    let const v =
-      let r = result 0 in
-      fun w -> set w r v
-    in
     match Core.attr op "value" with
-    | Some (Attr.Int i) -> const (I i)
-    | Some (Attr.Float f) -> const (F f)
-    | Some (Attr.Bool b) -> const (I (Bool.to_int b))
+    | Some (Attr.Int i) ->
+      let r = int_result () in
+      fun w -> set_int w r i
+    | Some (Attr.Float f) ->
+      let r = float_result () in
+      fun w -> set_float w r f
+    | Some (Attr.Bool b) ->
+      let r = int_result () and i = Bool.to_int b in
+      fun w -> set_int w r i
     | _ -> fail (Sim_error "arith.constant without numeric value"))
   | "arith.addi" -> int2 alu ( + )
   | "arith.subi" -> int2 alu ( - )
@@ -545,13 +842,47 @@ and op_code d k (op : Core.op) : code =
   | "arith.xori" -> int2 alu ( lxor )
   | "arith.minsi" -> int2 alu Int.min
   | "arith.maxsi" -> int2 alu Int.max
-  | "arith.addf" -> float2 alu ( +. )
-  | "arith.subf" -> float2 alu ( -. )
-  | "arith.mulf" -> float2 alu ( *. )
-  | "arith.divf" -> float2 fdiv ( /. )
-  | "arith.minimumf" -> float2 alu Float.min
-  | "arith.maximumf" -> float2 alu Float.max
-  | "arith.negf" -> unary alu (fun x -> F (-.as_float x))
+  | "arith.addf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      alu w k;
+      let y = get_float w b in
+      set_float w r (get_float w a +. y)
+  | "arith.subf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      alu w k;
+      let y = get_float w b in
+      set_float w r (get_float w a -. y)
+  | "arith.mulf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      alu w k;
+      let y = get_float w b in
+      set_float w r (get_float w a *. y)
+  | "arith.divf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      fdiv w k;
+      let y = get_float w b in
+      set_float w r (get_float w a /. y)
+  | "arith.minimumf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      alu w k;
+      let y = get_float w b in
+      set_float w r (Float.min (get_float w a) y)
+  | "arith.maximumf" ->
+    let a, b, r = float2 () in
+    fun w ->
+      alu w k;
+      let y = get_float w b in
+      set_float w r (Float.max (get_float w a) y)
+  | "arith.negf" ->
+    let a = operand 0 and r = float_result () in
+    fun w ->
+      alu w k;
+      set_float w r (-.get_float w a)
   | "arith.cmpi" -> (
     match Dialects.Arith.icmp_predicate op with
     | Some p ->
@@ -563,110 +894,150 @@ and op_code d k (op : Core.op) : code =
         Dialects.Arith.fcmp_pred_of_string
     with
     | Some p ->
-      let a = operand 0 and b = operand 1 and r = result 0 in
+      let a = operand 0 and b = operand 1 and r = int_result () in
       fun w ->
         alu w k;
-        set w r
-          (I
-             (Bool.to_int
-                (Dialects.Arith.eval_fcmp p (as_float (get w a))
-                   (as_float (get w b)))))
+        let y = get_float w b in
+        let x = get_float w a in
+        set_int w r (Bool.to_int (fcmp p x y))
     | None -> fail (Sim_error "cmpf without predicate"))
   | "arith.select" ->
     let c = operand 0 and t = operand 1 and e = operand 2 and r = result 0 in
     fun w ->
       alu w k;
-      set w r (if as_int (get w c) <> 0 then get w t else get w e)
-  | "arith.index_cast" -> unary (fun _ _ -> ()) (fun x -> I (as_int x))
-  | "arith.sitofp" -> unary alu (fun x -> F (float_of_int (as_int x)))
-  | "arith.fptosi" -> unary alu (fun x -> I (int_of_float (as_float x)))
-  | "math.sqrt" -> unary fdiv (fun x -> F (Float.sqrt (as_float x)))
-  | "math.exp" -> unary fdiv (fun x -> F (Float.exp (as_float x)))
-  | "math.absf" -> unary alu (fun x -> F (Float.abs (as_float x)))
+      copy w (if get_int w c <> 0 then t else e) r
+  | "arith.index_cast" ->
+    let a = operand 0 and r = int_result () in
+    fun w -> set_int w r (get_int w a)
+  | "arith.sitofp" ->
+    let a = operand 0 and r = float_result () in
+    fun w ->
+      alu w k;
+      set_float w r (float_of_int (get_int w a))
+  | "arith.fptosi" ->
+    let a = operand 0 and r = int_result () in
+    fun w ->
+      alu w k;
+      set_int w r (int_of_float (get_float w a))
+  | "math.sqrt" ->
+    let a = operand 0 and r = float_result () in
+    fun w ->
+      fdiv w k;
+      set_float w r (Float.sqrt (get_float w a))
+  | "math.exp" ->
+    let a = operand 0 and r = float_result () in
+    fun w ->
+      fdiv w k;
+      set_float w r (Float.exp (get_float w a))
+  | "math.absf" ->
+    let a = operand 0 and r = float_result () in
+    fun w ->
+      alu w k;
+      set_float w r (Float.abs (get_float w a))
   | "memref.alloca" | "memref.alloc" ->
     let ty = (Core.result op 0).Core.vty in
     let size, dims = alloc_size_of_type ty in
     let space =
       match ty with Types.Memref { space; _ } -> space | _ -> Types.Private
     in
-    let r = result 0 in
+    let r = boxed_result () in
     fun w ->
       let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
-      set w r (Mem (Memory.full_view ~dims a))
+      set_value w r (Mem (Memory.full_view ~dims a))
   | "gpu.alloc_local" ->
     let local_slot = Option.value ~default:0 (Core.attr_int op "slot") in
     let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
-    let r = result 0 in
+    let r = boxed_result () in
     fun w ->
       let a =
-        match Hashtbl.find_opt w.wg.locals local_slot with
-        | Some a -> a
-        | None ->
+        match Hashtbl.find w.wg.locals local_slot with
+        | a -> a
+        | exception Not_found ->
           let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
           Hashtbl.replace w.wg.locals local_slot a;
           a
       in
-      set w r (Mem (Memory.full_view ~dims a))
-  | "memref.load" ->
-    let m = operand 0 and idx = operands_from 1 and r = result 0 in
-    let is_float = element_is_float (Core.operand op 0).Core.vty in
-    fun w ->
-      let view = as_mem (get w m) in
-      let lin = linear w view idx in
-      record_access w k view lin;
-      set w r (load ~is_float view lin)
+      set_value w r (Mem (Memory.full_view ~dims a))
+  | "memref.load" -> (
+    let m = operand 0 and idx = operands_from 1 in
+    match result_kind op with
+    | Kfloat ->
+      let r = float_result () in
+      fun w ->
+        let view = as_mem (get_value w m) in
+        let lin = linear w view idx in
+        record_access w k view lin;
+        set_float w r (load_float view.Memory.base lin)
+    | _ ->
+      let r = int_result () in
+      fun w ->
+        let view = as_mem (get_value w m) in
+        let lin = linear w view idx in
+        record_access w k view lin;
+        set_int w r (load_int view.Memory.base lin))
   | "memref.store" ->
     let v = operand 0 and m = operand 1 and idx = operands_from 2 in
     let loc = op.Core.loc in
     fun w ->
-      let value = get w v in
-      let view = as_mem (get w m) in
-      store w k loc view (linear w view idx) value
+      check_defined w v;
+      let view = as_mem (get_value w m) in
+      store w k loc view (linear w view idx) v
   | "memref.dim" ->
-    let m = operand 0 and i = operand 1 and r = result 0 in
+    let m = operand 0 and i = operand 1 and r = int_result () in
     fun w ->
-      let view = as_mem (get w m) in
-      let d = as_int (get w i) in
-      set w r (I view.Memory.dims.(d))
+      let view = as_mem (get_value w m) in
+      let d = get_int w i in
+      set_int w r view.Memory.dims.(d)
   | "memref.dealloc" -> fun _ -> ()
   | "affine.apply" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
-    let dims = operands_from 0 and r = result 0 in
+    let dims = operands_from 0 and r = int_result () in
     fun w ->
       alu w k;
       (match eval_map m (ints w dims) with
-      | [| x |] -> set w r (I x)
+      | [| x |] -> set_int w r x
       | _ -> raise (Sim_error "affine.apply with multiple results"))
-  | "affine.load" ->
+  | "affine.load" -> (
     let m = amap (Dialects.Affine_ops.access_map op) in
-    let mem = operand 0 and dims = operands_from 1 and r = result 0 in
-    let is_float = element_is_float (Core.operand op 0).Core.vty in
-    fun w ->
-      let view = as_mem (get w mem) in
-      let lin = Memory.linear_index view (eval_map m (ints w dims)) in
-      record_access w k view lin;
-      set w r (load ~is_float view lin)
+    let mem = operand 0 and dims = operands_from 1 in
+    let lin w view = Memory.linear_index view (eval_map m (ints w dims)) in
+    match result_kind op with
+    | Kfloat ->
+      let r = float_result () in
+      fun w ->
+        let view = as_mem (get_value w mem) in
+        let lin = lin w view in
+        record_access w k view lin;
+        set_float w r (load_float view.Memory.base lin)
+    | _ ->
+      let r = int_result () in
+      fun w ->
+        let view = as_mem (get_value w mem) in
+        let lin = lin w view in
+        record_access w k view lin;
+        set_int w r (load_int view.Memory.base lin))
   | "affine.store" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let v = operand 0 and mem = operand 1 and dims = operands_from 2 in
     let loc = op.Core.loc in
     fun w ->
-      let value = get w v in
-      let view = as_mem (get w mem) in
+      check_defined w v;
+      let view = as_mem (get_value w mem) in
       let lin = Memory.linear_index view (eval_map m (ints w dims)) in
-      store w k loc view lin value
+      store w k loc view lin v
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
     let body_block = Dialects.Scf.for_body op in
-    let iv = slot d (Core.block_arg body_block 0) in
+    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
     let iter = slots d (Dialects.Scf.for_iter_args op) in
     let inits = slots d (Dialects.Scf.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
+    let temps = temps d [ inits; body.yields; iter; res ] in
     fun w ->
-      let lb = as_int (get w lb) and ub = as_int (get w ub)
-      and step = as_int (get w step) in
+      let lb = get_int w lb and ub = get_int w ub
+      and step = get_int w step in
       if step <= 0 then raise (Sim_error "scf.for with non-positive step");
-      run_loop w k ~lb ~ub ~step ~iv ~iter (read w inits) body res
+      run_loop w k ~lb ~ub ~step ~iv ~iter ~inits ~temps body res
   | "affine.for" ->
     let module A = Dialects.Affine_ops in
     let bound map operands =
@@ -680,14 +1051,15 @@ and op_code d k (op : Core.op) : code =
     let ub = bound (A.for_ub_map op) (A.for_ub_operands op) in
     let step = A.for_step op in
     let body_block = A.for_body op in
-    let iv = slot d (Core.block_arg body_block 0) in
+    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
     let iter = slots d (A.for_iter_args op) in
     let inits = slots d (A.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
+    let temps = temps d [ inits; body.yields; iter; res ] in
     fun w ->
       let lb = lb w in
       let ub = ub w in
-      run_loop w k ~lb ~ub ~step ~iv ~iter (read w inits) body res
+      run_loop w k ~lb ~ub ~step ~iv ~iter ~inits ~temps body res
   | "scf.if" ->
     let c = operand 0 in
     let then_ = decode_block d (Core.entry_block op.Core.regions.(0)) in
@@ -697,13 +1069,25 @@ and op_code d k (op : Core.op) : code =
       else None
     in
     let res = results () in
+    let temps =
+      temps d
+        [ then_.yields;
+          (match else_ with Some b -> b.yields | None -> [||]);
+          res ]
+    in
     fun w ->
       alu w k;
-      let vs =
-        if as_int (get w c) <> 0 then branch w then_
-        else match else_ with Some b -> branch w b | None -> [||]
-      in
-      bind_results w res vs
+      if get_int w c <> 0 then begin
+        run_block w then_;
+        bind_yields w then_ temps res
+      end
+      else begin
+        match else_ with
+        | Some b ->
+          run_block w b;
+          bind_yields w b temps res
+        | None -> ()
+      end
   | "func.call" -> (
     match Core.attr_symbol op "callee" with
     | None -> fail (Sim_error "call without callee")
@@ -711,14 +1095,27 @@ and op_code d k (op : Core.op) : code =
       match Hashtbl.find_opt d.funcs callee with
       | None -> fail (Sim_error ("call to unknown device function " ^ callee))
       | Some f ->
-        let fn = decode_fn d f and args = operands_from 0 and res = results () in
+        let fn = decode_fn d f and args = operands_from 0 in
+        let res = Array.map (in_bank bank_boxed) (results ()) in
+        (* Arguments bind one by one; results are read in full, then
+           bound. The callee's frame slots are shared by every call, so
+           a call boxes its arguments and results. *)
         fun w ->
-          Array.iteri (fun i a -> set w a (get w args.(i))) fn.args;
-          bind_results w res (branch w fn.body)))
+          let params = fn.args in
+          for i = 0 to Array.length params - 1 do
+            set_value w params.(i) (get_value w args.(i))
+          done;
+          let body = fn.body in
+          run_block w body;
+          let vs = Array.map (get_value w) body.yields in
+          for j = 0 to Array.length vs - 1 do
+            set_value w res.(j) vs.(j)
+          done))
   | "gpu.barrier" | "sycl.group_barrier" ->
     (* Remember which barrier op the group converges at, so the round
        charged by the scheduler can be attributed to it. Fibers of a
        group run sequentially, so this is deterministic. *)
+    d.has_barrier <- true;
     fun w ->
       w.wg.cur_barrier <- k;
       Effect.perform Barrier
@@ -730,41 +1127,43 @@ and op_code d k (op : Core.op) : code =
     query (fun w -> w.global_range)
   | "sycl.nd_item.get_local_range" -> query (fun w -> w.local_range)
   | "sycl.item.get_linear_id" ->
-    let r = result 0 in
+    let r = int_result () in
     fun w ->
       alu w k;
       let lin = ref 0 in
-      Array.iteri (fun d g -> lin := (!lin * w.global_range.(d)) + g) w.gid;
-      set w r (I !lin)
+      for d = 0 to Array.length w.gid - 1 do
+        lin := (!lin * w.global_range.(d)) + w.gid.(d)
+      done;
+      set_int w r !lin
   | "sycl.id.get" | "sycl.range.get" ->
-    let m = operand 0 and ds = dim_operand () and r = result 0 in
+    let m = operand 0 and ds = dim_operand () and r = int_result () in
     fun w ->
       alu w k;
-      let v = as_mem (get w m) in
-      set w r (I (Memory.cell_to_int (Memory.read v [| getter_dim w ds |])))
+      let v = as_mem (get_value w m) in
+      set_int w r (load_int v.Memory.base (linear1 v (getter_dim w ds)))
   | "sycl.constructor" ->
     let out = operand 0 and vals = slots d (Sycl_ops.constructor_args op) in
     fun w ->
-      let out = as_mem (get w out) in
-      Array.iteri
-        (fun i s ->
-          alu w k;
-          Memory.write out [| i |] (Memory.I (as_int (get w s))))
-        vals
+      let out = as_mem (get_value w out) in
+      for i = 0 to Array.length vals - 1 do
+        alu w k;
+        let v = get_int w vals.(i) in
+        store_int out.Memory.base (linear1 out i) v
+      done
   | "sycl.accessor.subscript" ->
-    let acc = operand 0 and ids = operands_from 1 and r = result 0 in
+    let acc = operand 0 and ids = operands_from 1 and r = boxed_result () in
     fun w ->
       alu w k;
-      set w r (Mem (subscript_view w acc ids))
+      set_value w r (Mem (subscript_view w acc ids))
   | "sycl.accessor.get_range" -> acc_query (fun a -> a.a_range)
   | "sycl.accessor.get_mem_range" -> acc_query (fun a -> a.a_mem_range)
   | "sycl.accessor.get_offset" -> acc_query (fun a -> a.a_offset)
   | "sycl.accessor.distinct" ->
-    let a = operand 0 and b = operand 1 and r = result 0 in
+    let a = operand 0 and b = operand 1 and r = int_result () in
     fun w ->
       alu w k;
-      let a = as_acc (get w a) and b = as_acc (get w b) in
-      set w r (I (Bool.to_int (a.a_alloc.Memory.aid <> b.a_alloc.Memory.aid)))
+      let a = as_acc (get_value w a) and b = as_acc (get_value w b) in
+      set_int w r (Bool.to_int (a.a_alloc.Memory.aid <> b.a_alloc.Memory.aid))
   | name -> fail (Sim_error ("device simulator: unsupported op " ^ name))
 
 let decode ~(module_op : Core.op) ~(kernel : Core.op) : program =
@@ -773,18 +1172,39 @@ let decode ~(module_op : Core.op) ~(kernel : Core.op) : program =
     (fun f -> Hashtbl.replace funcs (Core.func_sym f) f)
     (Core.funcs module_op);
   let d =
-    { value_slots = Hashtbl.create 256; decoded = []; n_ops = 0; funcs;
-      fns = Hashtbl.create 8 }
+    { kinds = infer_kinds funcs kernel; value_slots = Hashtbl.create 256;
+      next = Array.make 3 0; n_defined = 0; decoded = []; n_ops = 0;
+      has_barrier = false; funcs; fns = Hashtbl.create 8 }
   in
   let entry = decode_fn d kernel in
   let ops = Array.of_list (List.rev d.decoded) in
   let canonical = Array.init (Array.length ops) Fun.id in
   Array.sort (fun a b -> Int.compare ops.(a).Core.oid ops.(b).Core.oid) canonical;
-  { entry; ops; canonical; n_slots = Hashtbl.length d.value_slots }
+  { entry; ops; canonical; bank_sizes = Array.copy d.next;
+    n_defined = d.n_defined; has_barrier = d.has_barrier }
 
 (* ------------------------------------------------------------------ *)
 (* Work-group and launch scheduling                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Run one work-item: bind the kernel arguments, then run the body. *)
+let run_item (prog : program) (args : rv array) w =
+  let ps = prog.entry.args in
+  for i = 0 to Array.length ps - 1 do
+    if i < Array.length args then set_value w ps.(i) args.(i)
+    else raise (Sim_error "missing kernel argument")
+  done;
+  run_block w prog.entry.body
+
+(* A work-item's frame storage ({!wi_ctx}), allocated once per chunk and
+   reused by its groups. *)
+type frame = {
+  fr_ints : int array;
+  fr_floats : Float.Array.t;
+  fr_vals : rv array;
+  fr_defined : Bytes.t;
+  fr_occ : int array;
+}
 
 type fiber_status =
   | Fiber_done
@@ -843,8 +1263,10 @@ let n_totals = n_fields + 2
    group's compute cycles, which makes the attribution total equal
    [total_wg_cycles] and keeps the result independent of domain
    chunking (the apportionment uses per-group state only). An op with
-   no charge adds zero everywhere. *)
-let accumulate_wg (prog : program) (wg : wg_ctx) (tot : int array) =
+   no charge adds zero everywhere. [rems] receives each op's remainder;
+   the chunk reuses it for all its groups. *)
+let accumulate_wg (prog : program) (wg : wg_ctx) ~(rems : int array)
+    (tot : int array) =
   let p = wg.params in
   let at k f = wg.counters.((k * n_fields) + f) in
   let n = Array.length prog.ops in
@@ -852,18 +1274,11 @@ let accumulate_wg (prog : program) (wg : wg_ctx) (tot : int array) =
   let weight k = (at k f_alu * p.Cost.alu_cycles) + (at k f_fdiv * p.Cost.fdiv_cycles) in
   let total_weight = ref 0 and base_sum = ref 0 in
   for k = 0 to n - 1 do
-    total_weight := !total_weight + weight k;
-    base_sum := !base_sum + (weight k / sgs)
+    let wk = weight k in
+    total_weight := !total_weight + wk;
+    base_sum := !base_sum + (wk / sgs);
+    rems.(k) <- wk mod sgs
   done;
-  let leftover = (!total_weight / sgs) - !base_sum in
-  (* The ops receiving one extra cycle each: largest remainder first,
-     ties by canonical op order. *)
-  let extra = Array.make (if leftover > 0 then n else 0) 0 in
-  if leftover > 0 then
-    Array.to_list prog.canonical
-    |> List.filter (fun k -> weight k mod sgs > 0)
-    |> List.stable_sort (fun a b -> Int.compare (weight b mod sgs) (weight a mod sgs))
-    |> List.iteri (fun i k -> if i < leftover then extra.(k) <- 1);
   for k = 0 to n - 1 do
     let base = k * n_totals in
     for f = 0 to n_fields - 1 do
@@ -879,11 +1294,27 @@ let accumulate_wg (prog : program) (wg : wg_ctx) (tot : int array) =
       + (at k f_local * p.Cost.local_mem_cycles)
       + (at k f_const * p.Cost.const_mem_cycles)
     in
-    let compute_share = (weight k / sgs) + if leftover > 0 then extra.(k) else 0 in
     tot.(base + f_mem_cycles) <- tot.(base + f_mem_cycles) + mem_cycles;
     tot.(base + f_cycles) <-
-      tot.(base + f_cycles) + compute_share + mem_cycles
+      tot.(base + f_cycles) + (weight k / sgs) + mem_cycles
       + (at k f_barriers * p.Cost.barrier_cycles)
+  done;
+  (* The leftover compute cycles go one each to the ops with the largest
+     remainders, ties in canonical op order: one scan of the canonical
+     order per remainder value, largest first. *)
+  let leftover = ref ((!total_weight / sgs) - !base_sum) and r = ref (sgs - 1) in
+  while !leftover > 0 && !r > 0 do
+    let i = ref 0 in
+    while !leftover > 0 && !i < n do
+      let k = prog.canonical.(!i) in
+      if rems.(k) = !r then begin
+        let c = (k * n_totals) + f_cycles in
+        tot.(c) <- tot.(c) + 1;
+        decr leftover
+      end;
+      incr i
+    done;
+    decr r
   done
 
 (* Flush a chunk's per-op totals into its attribution and cache tables,
@@ -930,7 +1361,7 @@ let flush_totals (prog : program) (tot : int array)
 (** Flush a work-group's bookkeeping into the launch statistics and,
     when a table wants them, its per-op charges into the chunk totals. *)
 let flush_wg (prog : program) (into : Cost.launch_stats) (tot : int array option)
-    (wg : wg_ctx) (n_items : int) =
+    ~rems (wg : wg_ctx) (n_items : int) =
   let s = into in
   let p = wg.params in
   s.Cost.global_transactions <- s.Cost.global_transactions + wg.wg_global;
@@ -953,7 +1384,7 @@ let flush_wg (prog : program) (into : Cost.launch_stats) (tot : int array option
   in
   s.Cost.total_wg_cycles <- s.Cost.total_wg_cycles + wg_cycles;
   if wg_cycles > s.Cost.max_wg_cycles then s.Cost.max_wg_cycles <- wg_cycles;
-  Option.iter (accumulate_wg prog wg) tot
+  Option.iter (accumulate_wg prog wg ~rems) tot
 
 (* ------------------------------------------------------------------ *)
 (* Cross-group race detection                                          *)
@@ -1108,7 +1539,7 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
      accumulate only affects scheduling, never the merged totals). The
      counters, coalescing table, frames and occurrence counts are the
      chunk's, cleared here for each of its groups. *)
-  let run_group ~counters ~coalesce ~frames ~occs (into : Cost.launch_stats)
+  let run_group ~counters ~coalesce ~frames ~rems (into : Cost.launch_stats)
       (tot : int array option) (ctab : Cache.table option) (g : int) =
     let grp = unflatten group_range g in
     Array.fill counters 0 (Array.length counters) 0;
@@ -1144,41 +1575,41 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
         wg_evictions = 0;
       }
     in
-    let thunks =
-      List.init items_per_group (fun li ->
-          let lid = unflatten wg_size li in
-          let gid = Array.init nd (fun d -> (grp.(d) * wg_size.(d)) + lid.(d)) in
-          let lin_lid =
-            let l = ref 0 in
-            Array.iteri (fun d x -> l := (!l * wg_size.(d)) + x) lid;
-            !l
-          in
-          let slots = frames.(li) and occ = occs.(li) in
-          Array.fill slots 0 (Array.length slots) unbound;
-          Array.fill occ 0 (Array.length occ) 0;
-          let w =
-            {
-              wg;
-              gid;
-              lid;
-              grp;
-              global_range = global;
-              local_range = wg_size;
-              subgroup = lin_lid / params.Cost.subgroup_size;
-              slots;
-              occ;
-            }
-          in
-          fun () ->
-            let ps = prog.entry.args in
-            for i = 0 to Array.length ps - 1 do
-              if i < Array.length args then set w ps.(i) args.(i)
-              else raise (Sim_error "missing kernel argument")
-            done;
-            run_block w prog.entry.body)
+    let item li =
+      let lid = unflatten wg_size li in
+      let gid = Array.init nd (fun d -> (grp.(d) * wg_size.(d)) + lid.(d)) in
+      let f = frames.(li) in
+      Bytes.fill f.fr_defined 0 (Bytes.length f.fr_defined) '\000';
+      Array.fill f.fr_occ 0 (Array.length f.fr_occ) 0;
+      {
+        wg;
+        gid;
+        lid;
+        grp;
+        global_range = global;
+        local_range = wg_size;
+        (* [li] is the row-major linearization of [lid]. *)
+        subgroup = li / params.Cost.subgroup_size;
+        ints = f.fr_ints;
+        floats = f.fr_floats;
+        vals = f.fr_vals;
+        defined = f.fr_defined;
+        occ = f.fr_occ;
+      }
     in
-    run_workgroup wg thunks;
-    flush_wg prog into tot wg items_per_group
+    (* Only a barrier suspends a work-item. Without one, the work-items
+       run to completion one after another — the order the fiber
+       scheduler runs them in — as plain calls. *)
+    if prog.has_barrier then
+      run_workgroup wg
+        (List.init items_per_group (fun li ->
+             let w = item li in
+             fun () -> run_item prog args w))
+    else
+      for li = 0 to items_per_group - 1 do
+        run_item prog args (item li)
+      done;
+    flush_wg prog into tot ~rems wg items_per_group
   in
   (* Balanced contiguous chunks of the canonical group order, one per
      domain of the shared pool; [d = 1] runs the one chunk on the
@@ -1213,9 +1644,16 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
     let counters = Array.make (n_ops * n_fields) 0 in
     let coalesce = Array.make (n_ops * n_sub) [||] in
     let frames =
-      Array.init items_per_group (fun _ -> Array.make prog.n_slots unbound)
+      Array.init items_per_group (fun _ ->
+          {
+            fr_ints = Array.make prog.bank_sizes.(bank_int) 0;
+            fr_floats = Float.Array.make prog.bank_sizes.(bank_float) 0.0;
+            fr_vals = Array.make prog.bank_sizes.(bank_boxed) Unit;
+            fr_defined = Bytes.make prog.n_defined '\000';
+            fr_occ = Array.make n_ops 0;
+          })
     in
-    let occs = Array.init items_per_group (fun _ -> Array.make n_ops 0) in
+    let rems = Array.make n_ops 0 in
     let tot =
       if Option.is_some at || Option.is_some ct then
         Some (Array.make (n_ops * n_totals) 0)
@@ -1226,7 +1664,7 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
     let g = ref start in
     (try
        while !g < stop do
-         run_group ~counters ~coalesce ~frames ~occs s tot ct !g;
+         run_group ~counters ~coalesce ~frames ~rems s tot ct !g;
          incr g
        done
      with e -> failure := Some (!g, e));
@@ -1286,10 +1724,8 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
          Power-of-two bucket bounds for the rendered buckets. *)
       let bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |] in
       Cache.iter_hist t (fun dist count ->
-          for _ = 1 to count do
-            Sycl_obs.Metrics.observe reg ~bounds "sim.cache.reuse_distance"
-              dist
-          done)
+          Sycl_obs.Metrics.observe reg ~bounds ~count "sim.cache.reuse_distance"
+            dist)
     | None -> ())
   | _ -> ());
   (match footprints with

@@ -1,12 +1,14 @@
 (** The GPU device simulator.
 
     Executes kernel IR over an ND-range with correct work-group
-    semantics: work-items of a work-group run as OCaml 5 effect-handler
-    fibers; a group barrier suspends the fiber, and the scheduler resumes
-    all fibers of the group phase by phase — so the cooperative
-    local-memory prefetch generated by loop internalization executes
-    correctly, and a barrier in a divergent region is detected as the
-    deadlock it would be on hardware ({!Barrier_divergence}).
+    semantics: in a kernel with a barrier, work-items of a work-group run
+    as OCaml 5 effect-handler fibers; a group barrier suspends the fiber,
+    and the scheduler resumes all fibers of the group phase by phase — so
+    the cooperative local-memory prefetch generated by loop
+    internalization executes correctly, and a barrier in a divergent
+    region is detected as the deadlock it would be on hardware
+    ({!Barrier_divergence}). Work-items of a kernel without a barrier run
+    as plain calls, in the same order.
 
     Costs are accumulated per work-group: ALU cycles per executed op,
     memory transactions per (instruction, occurrence, sub-group) with
@@ -95,11 +97,12 @@ val default_cache_model : unit -> Cost.cache_model
 (** {1 Decoding} *)
 
 (** A kernel lowered once to its execution form: every SSA value of the
-    kernel and of the device functions it calls has a dense frame slot,
-    every op a dense index and a closure that executes it. Executing an
-    op is then a closure call on an array-backed frame, with no op-name
-    dispatch and no hashing; per-op charges are arrays indexed by the
-    op index. *)
+    kernel and of the device functions it calls has a frame slot in the
+    int, float or boxed bank its producer writes, every op a dense index
+    and a closure that executes it. Executing an op is then a closure
+    call on array-backed frames, with no op-name dispatch and no
+    hashing, and ints and floats stay unboxed; per-op charges are arrays
+    indexed by the op index. *)
 type program
 
 (** [decode ~module_op ~kernel] decodes [kernel], a function of

@@ -9,15 +9,23 @@ type cell =
   | I of int
   | F of float
 
+(* A cell is a tag byte plus an unboxed payload: the float in [floats]
+   or the int in [ints], whichever the tag names. Storing a cell then
+   allocates nothing, and the major GC has no per-cell box to mark. *)
 type allocation = {
   aid : int;
   space : Types.memspace;
-  data : cell array;
+  tags : Bytes.t;
+  floats : Float.Array.t;
+  ints : int array;
   (* Host-constant data propagated by the host-device analysis: reads go
      through the constant cache. *)
   mutable constant_cached : bool;
   label : string;
 }
+
+let float_tag = '\000'
+let int_tag = '\001'
 
 (* Atomic: the parallel simulator backend allocates work-group-local
    memory from several domains at once; racy increments could hand two
@@ -27,16 +35,30 @@ let aid_counter = Atomic.make 0
 let next_aid () = Atomic.fetch_and_add aid_counter 1 + 1
 
 let alloc ?(label = "") ?(space = Types.Global) ~(size : int) () =
-  { aid = next_aid (); space; data = Array.make (max size 1) (F 0.0);
+  let n = max size 1 in
+  { aid = next_aid (); space; tags = Bytes.make n float_tag;
+    floats = Float.Array.make n 0.0; ints = Array.make n 0;
     constant_cached = false; label }
 
-let alloc_ints ?label ?space size =
-  let a = alloc ?label ?space ~size () in
-  Array.fill a.data 0 (Array.length a.data) (I 0);
-  a
+let size (a : allocation) = Bytes.length a.tags
+
+let get_float (a : allocation) i =
+  if Bytes.get a.tags i = int_tag then float_of_int a.ints.(i)
+  else Float.Array.get a.floats i
+
+let set_float (a : allocation) i f =
+  Float.Array.set a.floats i f;
+  Bytes.set a.tags i float_tag
+
+let set_int (a : allocation) i n =
+  a.ints.(i) <- n;
+  Bytes.set a.tags i int_tag
+
+let get (a : allocation) i =
+  if Bytes.get a.tags i = int_tag then I a.ints.(i) else F (Float.Array.get a.floats i)
 
 (** A memref-style view: element [i0, i1, ...] lives at
-    [offset + sum(strides.(k) * ik)] in [alloc.data]. *)
+    [offset + sum(strides.(k) * ik)] of [base]. *)
 type view = {
   base : allocation;
   offset : int;
@@ -45,7 +67,7 @@ type view = {
 }
 
 let full_view ?(dims = [||]) (a : allocation) =
-  let dims = if dims = [||] then [| Array.length a.data |] else dims in
+  let dims = if dims = [||] then [| size a |] else dims in
   let n = Array.length dims in
   let strides = Array.make n 1 in
   for i = n - 2 downto 0 do
@@ -59,11 +81,11 @@ let rank_mismatch (v : view) =
   raise (Out_of_bounds (Printf.sprintf "rank mismatch on %s" v.base.label))
 
 let check (v : view) i =
-  if i < 0 || i >= Array.length v.base.data then
+  if i < 0 || i >= size v.base then
     raise
       (Out_of_bounds
          (Printf.sprintf "index %d out of bounds for %s (size %d)" i
-            v.base.label (Array.length v.base.data)))
+            v.base.label (size v.base)))
   else i
 
 let linear_index (v : view) (idx : int array) =
@@ -74,19 +96,12 @@ let linear_index (v : view) (idx : int array) =
   done;
   check v !i
 
-let read (v : view) (idx : int array) =
-  v.base.data.(linear_index v idx)
-
-let write (v : view) (idx : int array) (c : cell) =
-  v.base.data.(linear_index v idx) <- c
-
-let cell_to_float = function F f -> f | I i -> float_of_int i
-let cell_to_int = function I i -> i | F f -> int_of_float f
-
 (** Copy [n] elements between allocations (host<->device transfers). *)
 let blit ~(src : view) ~(dst : view) n =
-  let si = src.offset and di = dst.offset in
-  Array.blit src.base.data si dst.base.data di n
+  let s = src.base and d = dst.base and si = src.offset and di = dst.offset in
+  Array.blit s.ints si d.ints di n;
+  Float.Array.blit s.floats si d.floats di n;
+  Bytes.blit s.tags si d.tags di n
 
 (* ------------------------------------------------------------------ *)
 (* Write footprints (cross-group race detection)                       *)

@@ -11,24 +11,47 @@ type cell =
   | I of int
   | F of float
 
+(** An allocation stores cell [i] unboxed: [tags.[i]] is {!float_tag}
+    or {!int_tag}, and the payload is [floats.(i)] or [ints.(i)]
+    respectively (the other array's entry is meaningless). Go through
+    the accessors below; the fields are public so the simulator can read
+    and write cells without a function call, through which a float would
+    be boxed. *)
 type allocation = {
   aid : int;  (** unique id (used by the coalescing tables) *)
   space : Types.memspace;
-  data : cell array;
+  tags : Bytes.t;
+  floats : Float.Array.t;
+  ints : int array;
   mutable constant_cached : bool;
       (** set when compiler/runtime information proves the data constant;
           reads then use the constant-cache latency class *)
   label : string;
 }
 
+val float_tag : char
+val int_tag : char
+
+(** A float-zero-initialized allocation of [size] cells (at least one). *)
 val alloc :
   ?label:string -> ?space:Types.memspace -> size:int -> unit -> allocation
 
-(** Like {!alloc} with integer-zero initialization. *)
-val alloc_ints : ?label:string -> ?space:Types.memspace -> int -> allocation
+(** Number of cells. *)
+val size : allocation -> int
 
-(** A memref-style view: element [(i0, i1, ...)] lives at
-    [offset + sum(strides.(k) * ik)] in [base.data]. *)
+(** {2 Cell access}
+
+    By linear cell index; an index outside the allocation raises
+    [Invalid_argument]. [get_float] reads an int cell through
+    [float_of_int]; a setter also sets the cell's kind. *)
+
+val get : allocation -> int -> cell
+val get_float : allocation -> int -> float
+val set_float : allocation -> int -> float -> unit
+val set_int : allocation -> int -> int -> unit
+
+(** A memref-style view: element [(i0, i1, ...)] is cell
+    [offset + sum(strides.(k) * ik)] of [base]. *)
 type view = {
   base : allocation;
   offset : int;
@@ -52,12 +75,6 @@ val linear_index : view -> int array -> int
 val rank_mismatch : view -> 'a
 
 val check : view -> int -> int
-
-val read : view -> int array -> cell
-val write : view -> int array -> cell -> unit
-
-val cell_to_float : cell -> float
-val cell_to_int : cell -> int
 
 (** Copy [n] elements between allocations (host<->device transfers). *)
 val blit : src:view -> dst:view -> int -> unit

@@ -47,7 +47,7 @@ let rng seed = Random.State.make [| 0x5eed; seed |]
 let farray_init n f =
   let a = Memory.alloc ~label:"host-data" ~space:Types.Global ~size:n () in
   for i = 0 to n - 1 do
-    a.Memory.data.(i) <- Memory.F (f i)
+    Memory.set_float a i (f i)
   done;
   a
 
@@ -56,7 +56,7 @@ let farray_random st n =
 
 let farray_zeros n = farray_init n (fun _ -> 0.0)
 
-let read_f (a : Memory.allocation) i = Memory.cell_to_float a.Memory.data.(i)
+let read_f (a : Memory.allocation) i = Memory.get_float a i
 
 let harg (a : Memory.allocation) =
   Host_interp.Scalar (Interp.Mem (Memory.full_view a))

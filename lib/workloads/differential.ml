@@ -47,9 +47,8 @@ let run_with (w : Common.workload) (passes : Pass.t list) =
   let snapshot (hv : Common.Host_interp.hv) =
     match hv with
     | Common.Host_interp.Scalar (Common.Interp.Mem view) ->
-      Some
-        (Array.map Common.Memory.cell_to_float
-           view.Common.Memory.base.Common.Memory.data)
+      let a = view.Common.Memory.base in
+      Some (Array.init (Common.Memory.size a) (Common.Memory.get_float a))
     | _ -> None
   in
   (List.map snapshot args, validate ())
@@ -152,11 +151,11 @@ let render_digest (r : Common.Host_interp.run_result)
       match hv with
       | H.Scalar (Common.Interp.Mem view) ->
         Buffer.add_string buf (Printf.sprintf "buf %d:" i);
-        Array.iter
-          (fun c ->
-            Buffer.add_string buf
-              (Printf.sprintf " %h" (Common.Memory.cell_to_float c)))
-          view.Common.Memory.base.Common.Memory.data;
+        let a = view.Common.Memory.base in
+        for c = 0 to Common.Memory.size a - 1 do
+          Buffer.add_string buf
+            (Printf.sprintf " %h" (Common.Memory.get_float a c))
+        done;
         Buffer.add_char buf '\n'
       | _ -> ())
     args;

@@ -40,3 +40,11 @@ let count_ops m name = List.length (Core.collect_named m name)
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(** The cells of a simulated allocation, in order, and their values as
+    floats. *)
+let cells (a : Sycl_sim.Memory.allocation) =
+  Array.init (Sycl_sim.Memory.size a) (Sycl_sim.Memory.get a)
+
+let floats (a : Sycl_sim.Memory.allocation) =
+  Array.init (Sycl_sim.Memory.size a) (Sycl_sim.Memory.get_float a)

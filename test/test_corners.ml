@@ -22,8 +22,9 @@ let tests_list =
                     (Dialects.Arith.const_float b ~ty:Types.f64 2.0)))
         in
         let data = Memory.alloc ~size:8 () in
-        Array.iteri (fun i _ -> data.Memory.data.(i) <- Memory.F (float_of_int i))
-          data.Memory.data;
+        for i = 0 to Memory.size data - 1 do
+          Memory.set_float data i (float_of_int i)
+        done;
         let desc =
           Interp.Acc
             { Interp.a_alloc = data; a_range = [| 8 |]; a_mem_range = [| 8 |];
@@ -33,7 +34,7 @@ let tests_list =
           (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 8 ] ~wg_size:[ 8 ] ());
         Alcotest.(check (float 1e-9)) "doubled" 6.0
-          (Memory.cell_to_float data.Memory.data.(3)));
+          (Memory.get_float data 3));
     Alcotest.test_case "non-unit loop steps interpret correctly" `Quick (fun () ->
         let m = Helpers.fresh_module () in
         let k =
@@ -56,7 +57,7 @@ let tests_list =
              ~global:[ 4 ] ~wg_size:[ 4 ] ());
         (* iterations at 0,3,6,9 -> 4 increments *)
         Alcotest.(check (float 1e-6)) "four iterations" 4.0
-          (Memory.cell_to_float data.Memory.data.(0)));
+          (Memory.get_float data 0));
     Alcotest.test_case "memref.dim reads view dims at runtime" `Quick (fun () ->
         let m = Helpers.fresh_module () in
         let k =
@@ -79,7 +80,7 @@ let tests_list =
           (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 2 ] ~wg_size:[ 2 ] ());
         Alcotest.(check (float 1e-6)) "dim 1 is 7" 7.0
-          (Memory.cell_to_float data.Memory.data.(0)));
+          (Memory.get_float data 0));
     Alcotest.test_case "parser rejects malformed sycl types" `Quick (fun () ->
         Helpers.init ();
         List.iter

@@ -81,8 +81,9 @@ let run_program m n =
   let st = Random.State.make [| 5 |] in
   let mk () =
     let a = Memory.alloc ~size:n () in
-    Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F (Random.State.float st 1.0))
-      a.Memory.data;
+    for i = 0 to Memory.size a - 1 do
+      Memory.set_float a i (Random.State.float st 1.0)
+    done;
     a
   in
   let a = mk () and b = mk () in
@@ -101,15 +102,10 @@ let tests_list =
         let result, a, b, out = run_program m 64 in
         Alcotest.(check int) "single launch" 1 result.HI.kernel_launches;
         Array.iteri
-          (fun i cell ->
-            let expect =
-              2.0
-              *. (Memory.cell_to_float a.Memory.data.(i)
-                 +. Memory.cell_to_float b.Memory.data.(i))
-            in
-            Alcotest.(check (float 1e-4)) "fused result"
-              expect (Memory.cell_to_float cell))
-          out.Memory.data);
+          (fun i x ->
+            let expect = 2.0 *. (Memory.get_float a i +. Memory.get_float b i) in
+            Alcotest.(check (float 1e-4)) "fused result" expect x)
+          (Helpers.floats out));
     Alcotest.test_case "cross-work-item consumer refuses to fuse" `Quick (fun () ->
         let _m, stats = compile_fused ~second_reads_neighbour:true () in
         Alcotest.(check int) "no fusion" 0 (Pass.Stats.get stats "fusion.fused"));
@@ -135,15 +131,10 @@ let tests_list =
         (* Results still correct. *)
         let _, a, b, out = run_program m 32 in
         Array.iteri
-          (fun i cell ->
-            let expect =
-              2.0
-              *. (Memory.cell_to_float a.Memory.data.(i)
-                 +. Memory.cell_to_float b.Memory.data.(i))
-            in
-            Alcotest.(check (float 1e-4)) "forwarded result" expect
-              (Memory.cell_to_float cell))
-          out.Memory.data);
+          (fun i x ->
+            let expect = 2.0 *. (Memory.get_float a i +. Memory.get_float b i) in
+            Alcotest.(check (float 1e-4)) "forwarded result" expect x)
+          (Helpers.floats out));
     Alcotest.test_case "store-forwarding blocked by intervening may-alias write"
       `Quick (fun () ->
         let _m, f =
@@ -175,7 +166,7 @@ let tests_list =
           in
           let _ = Sycl_core.Driver.compile cfg m in
           let result, _, _, out = run_program m 64 in
-          (result, Memory.cell_to_float out.Memory.data.(5))
+          (result, Memory.get_float out 5)
         in
         let unfused, v1 = measure false in
         let fused, v2 = measure true in
@@ -245,12 +236,12 @@ let tests_list =
         (* Execute: 2 host iterations -> 2 launches of the fused kernel. *)
         let n = 32 in
         let a = Memory.alloc ~size:n () in
-        Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F 4.0) a.Memory.data;
+        for i = 0 to Memory.size a - 1 do Memory.set_float a i 4.0 done;
         let t = Memory.alloc ~size:n () and out = Memory.alloc ~size:n () in
         let r = HI.run ~module_op:m [ harg a; harg t; harg out; iarg n; iarg 2 ] in
         Alcotest.(check int) "two fused launches" 2 r.HI.kernel_launches;
         Alcotest.(check (float 1e-5)) "0.5*4 + 1" 3.0
-          (Memory.cell_to_float out.Memory.data.(7)));
+          (Memory.get_float out 7));
     Alcotest.test_case "store-forwarding works inside loop bodies" `Quick
       (fun () ->
         let _m, f =

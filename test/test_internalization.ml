@@ -98,8 +98,8 @@ let tests_list =
           let c = Memory.alloc ~label:"C" ~size:(n * n) () in
           let st = Random.State.make [| 42 |] in
           for idx = 0 to (n * n) - 1 do
-            a.Memory.data.(idx) <- Memory.F (Random.State.float st 1.0);
-            bb.Memory.data.(idx) <- Memory.F (Random.State.float st 1.0)
+            Memory.set_float a idx (Random.State.float st 1.0);
+            Memory.set_float bb idx (Random.State.float st 1.0)
           done;
           let desc alloc =
             Interp.Acc
@@ -116,7 +116,7 @@ let tests_list =
               ~args:[| Interp.Item; desc a; desc bb; desc c |]
               ~global:[ n; n ] ~wg_size:[ 16; 16 ] ()
           in
-          (Array.map (function Memory.F x -> x | Memory.I i -> float_of_int i) c.Memory.data,
+          (Array.init (Memory.size c) (Memory.get_float c),
            stats)
         in
         let m1 = Helpers.fresh_module () in
@@ -155,8 +155,8 @@ let tests_list =
         let bb = Memory.alloc ~label:"B" ~size:(n * n) () in
         let c = Memory.alloc ~label:"C" ~size:(n * n) () in
         for idx = 0 to (n * n) - 1 do
-          a.Memory.data.(idx) <- Memory.F 1.0;
-          bb.Memory.data.(idx) <- Memory.F 1.0
+          Memory.set_float a idx 1.0;
+          Memory.set_float bb idx 1.0
         done;
         let desc alloc =
           Interp.Acc
@@ -181,7 +181,7 @@ let tests_list =
               if Float.abs (x -. float_of_int n) > 1e-3 then
                 Alcotest.failf "bad result %f" x
             | Memory.I _ -> Alcotest.fail "int cell")
-          c.Memory.data);
+          (Helpers.cells c));
     Alcotest.test_case "rank-1 streamed access tiles in a 1-D kernel" `Quick
       (fun () ->
         let m = Helpers.fresh_module () in

@@ -81,8 +81,7 @@ let tests_list =
         (* Execute the lowered kernel directly (transpose semantics). *)
         let n = 8 in
         let a = Memory.alloc ~size:(n * n) () in
-        Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F (float_of_int i))
-          a.Memory.data;
+        for i = 0 to Memory.size a - 1 do Memory.set_float a i (float_of_int i) done;
         let c = Memory.alloc ~size:(n * n) () in
         let flat alloc =
           Interp.Mem (Memory.full_view alloc)
@@ -103,7 +102,7 @@ let tests_list =
         let ok = ref true in
         for i = 0 to n - 1 do
           for j = 0 to n - 1 do
-            let got = Memory.cell_to_float c.Memory.data.((i * n) + j) in
+            let got = Memory.get_float c ((i * n) + j) in
             if Float.abs (got -. float_of_int ((j * n) + i)) > 1e-6 then ok := false
           done
         done;

@@ -112,7 +112,7 @@ let tests_list =
         in
         Alcotest.(check int) "three launches" 3 r.HI.kernel_launches;
         Alcotest.(check (float 1e-6)) "value incremented thrice" 3.0
-          (Memory.cell_to_float data.Memory.data.(0)));
+          (Memory.get_float data 0));
     Alcotest.test_case "item linear id linearizes row-major" `Quick (fun () ->
         let module K = Sycl_frontend.Kernel in
         let module Interp = Sycl_sim.Interp in
@@ -141,10 +141,8 @@ let tests_list =
              ~global:[ 4; 4 ] ~wg_size:[ 2; 2 ] ());
         let ok = ref true in
         Array.iteri
-          (fun idx c ->
-            if Float.abs (Memory.cell_to_float c -. float_of_int idx) > 1e-6 then
-              ok := false)
-          out.Memory.data;
+          (fun idx x -> if Float.abs (x -. float_of_int idx) > 1e-6 then ok := false)
+          (Helpers.floats out);
         Alcotest.(check bool) "linear ids" true !ok);
     Alcotest.test_case "group ids exposed correctly" `Quick (fun () ->
         let module K = Sycl_frontend.Kernel in
@@ -172,7 +170,7 @@ let tests_list =
           (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 16 ] ~wg_size:[ 4 ] ());
         Alcotest.(check (float 1e-6)) "item 9 in group 2" 2.0
-          (Memory.cell_to_float out.Memory.data.(9)));
+          (Memory.get_float out 9));
   ]
 
 let tests = ("misc", tests_list)

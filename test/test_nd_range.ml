@@ -109,10 +109,8 @@ let tests_list =
         Alcotest.(check int) "8 work-groups" 8 stats.Sycl_sim.Cost.work_groups;
         let ok = ref true in
         Array.iteri
-          (fun idx cell ->
-            if Float.abs (Memory.cell_to_float cell -. float_of_int idx) > 1e-3
-            then ok := false)
-          out.Memory.data;
+          (fun idx x -> if Float.abs (x -. float_of_int idx) > 1e-3 then ok := false)
+          (Helpers.floats out);
         Alcotest.(check bool) "linearization correct" true !ok);
   ]
 

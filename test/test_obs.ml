@@ -76,6 +76,32 @@ let test_hist_overflow () =
     "p99 = max overflow value" (Some 5000)
     (Metrics.percentile r "h" 99.)
 
+(* [observe ~count:n v] records what n single observations of [v] do:
+   buckets, exact table, count, sum, percentiles and JSON. *)
+let test_hist_count () =
+  let bounds = [| 2; 8; 32 |] in
+  let samples = [ (3, 5); (1, 1); (40, 3); (8, 2); (3, 4); (9, 0); (32, 7) ] in
+  let single = Metrics.create () and counted = Metrics.create () in
+  List.iter
+    (fun (v, n) ->
+      for _ = 1 to n do
+        Metrics.observe single ~bounds "h" v
+      done;
+      Metrics.observe counted ~bounds ~count:n "h" v)
+    samples;
+  Metrics.observe counted ~bounds ~count:0 "unseen" 1;
+  Alcotest.(check string)
+    "JSON" (Json.to_string (Metrics.to_json single))
+    (Json.to_string (Metrics.to_json counted));
+  check_int "count" (Metrics.hist_sample_count single "h")
+    (Metrics.hist_sample_count counted "h");
+  for p = 1 to 100 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "p%d" p)
+      (Metrics.percentile single "h" (float_of_int p))
+      (Metrics.percentile counted "h" (float_of_int p))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Registry merge semantics                                            *)
 (* ------------------------------------------------------------------ *)
@@ -305,6 +331,8 @@ let tests =
       Alcotest.test_case "histogram: all equal" `Quick test_hist_all_equal;
       Alcotest.test_case "histogram: exact nearest-rank" `Quick
         test_hist_exact_rank;
+      Alcotest.test_case "histogram: a counted sample is n samples" `Quick
+        test_hist_count;
       Alcotest.test_case "histogram: bounds and overflow" `Quick
         test_hist_overflow;
       Alcotest.test_case "merge: counter/gauge/hist semantics" `Quick

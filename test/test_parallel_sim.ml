@@ -27,9 +27,7 @@ let launch ?(wg = [ 16 ]) ?(global = [ 64 ]) ?domains ?check_races m k args =
     ~wg_size:wg ()
 
 let floats alloc =
-  Array.map
-    (function Memory.F f -> f | Memory.I i -> float_of_int i)
-    alloc.Memory.data
+  Array.init (Memory.size alloc) (Memory.get_float alloc)
 
 let stats_str s = Format.asprintf "%a" Cost.pp_launch_stats s
 
@@ -85,12 +83,12 @@ let tests_list =
           let a = Memory.alloc ~label:"a" ~size:(n * n) () in
           let b = Memory.alloc ~label:"b" ~size:(n * n) () in
           let c = Memory.alloc ~label:"c" ~size:(n * n) () in
-          Array.iteri
-            (fun i _ -> a.Memory.data.(i) <- Memory.F (float_of_int (i mod 7)))
-            a.Memory.data;
-          Array.iteri
-            (fun i _ -> b.Memory.data.(i) <- Memory.F (float_of_int (i mod 5)))
-            b.Memory.data;
+          for i = 0 to Memory.size a - 1 do
+            Memory.set_float a i (float_of_int (i mod 7))
+          done;
+          for i = 0 to Memory.size b - 1 do
+            Memory.set_float b i (float_of_int (i mod 5))
+          done;
           let range = [| n; n |] in
           let stats =
             launch ~global:[ n; n ] ~wg:[ 4; 4 ] ~domains m k

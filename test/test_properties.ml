@@ -126,7 +126,7 @@ let run_expr_workload (e : expr) (mode : Driver.mode) =
     Array.map
       (fun data ->
         let a = Memory.alloc ~size:n () in
-        Array.iteri (fun i x -> a.Memory.data.(i) <- Memory.F x) data;
+        Array.iteri (fun i x -> Memory.set_float a i x) data;
         a)
       inputs
   in
@@ -139,7 +139,7 @@ let run_expr_workload (e : expr) (mode : Driver.mode) =
   let ok = ref true in
   for i = 0 to n - 1 do
     let expect = eval_expr inputs i e in
-    let got = Memory.cell_to_float out.Memory.data.(i) in
+    let got = Memory.get_float out i in
     let err = Float.abs (got -. expect) in
     if err > 1e-3 && err > 1e-3 *. Float.abs expect then ok := false
   done;
@@ -288,7 +288,7 @@ let expr_kernel_lowered =
         Array.map
           (fun data ->
             let a = Memory.alloc ~size:n () in
-            Array.iteri (fun i x -> a.Memory.data.(i) <- Memory.F x) data;
+            Array.iteri (fun i x -> Memory.set_float a i x) data;
             a)
           inputs
       in
@@ -301,7 +301,7 @@ let expr_kernel_lowered =
       let ok = ref true in
       for i = 0 to n - 1 do
         let expect = eval_expr inputs i e in
-        let got = Memory.cell_to_float out.Memory.data.(i) in
+        let got = Memory.get_float out i in
         let err = Float.abs (got -. expect) in
         if err > 1e-3 && err > 1e-3 *. Float.abs expect then ok := false
       done;

@@ -56,7 +56,7 @@ let run ?(via_temp = false) () =
   let _ = Pass.run_pipeline ~verify_each:true [ Sycl_core.Host_raising.pass ] m in
   let n = 64 in
   let a = Memory.alloc ~label:"a" ~size:n () in
-  Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F (float_of_int i)) a.Memory.data;
+  for i = 0 to Memory.size a - 1 do Memory.set_float a i (float_of_int i) done;
   let t = Memory.alloc ~label:"t" ~size:n () in
   let c = Memory.alloc ~label:"c" ~size:n () in
   let result = HI.run ~module_op:m [ harg a; harg t; harg c; iarg n ] in
@@ -72,7 +72,7 @@ let tests_list =
             match cell with
             | Memory.F x -> Alcotest.(check (float 1e-6)) "copied" (float_of_int i) x
             | Memory.I _ -> Alcotest.fail "int cell")
-          c.Memory.data);
+          (Helpers.cells c));
     Alcotest.test_case "transfers charged for used buffers" `Quick (fun () ->
         let result, _ = run () in
         Alcotest.(check bool) "transfer cycles > 0" true
@@ -83,7 +83,7 @@ let tests_list =
         Alcotest.(check int) "two launches" 2 result.HI.kernel_launches;
         Alcotest.(check bool) "dependency edge present" true
           (result.HI.dependency_edges >= 1);
-        (match c.Memory.data.(5) with
+        (match Memory.get c 5 with
         | Memory.F x -> Alcotest.(check (float 1e-6)) "data flowed through temp" 5.0 x
         | _ -> Alcotest.fail "int cell"));
     Alcotest.test_case "dead arguments reduce the launch overhead" `Quick (fun () ->
@@ -137,11 +137,11 @@ let tests_list =
         let b = Objects.make_buffer ~dims:[| 32 |] ~is_float:true host in
         let p = Cost.default in
         let dev, _ = Objects.ensure_on_device p b in
-        dev.Memory.data.(0) <- Memory.F 42.0;
+        Memory.set_float dev 0 42.0;
         Alcotest.(check int) "clean: no copy" 0 (Objects.sync_to_host p b);
         b.Objects.b_device_dirty <- true;
         Alcotest.(check bool) "dirty: copy happens" true (Objects.sync_to_host p b > 0);
-        (match host.Memory.data.(0) with
+        (match Memory.get host 0 with
         | Memory.F x -> Alcotest.(check (float 1e-6)) "data arrived" 42.0 x
         | _ -> Alcotest.fail "int cell"));
     Alcotest.test_case "USM program: malloc/memcpy/kernel/free" `Quick (fun () ->
@@ -176,8 +176,9 @@ let tests_list =
         let _ = Pass.run_pipeline ~verify_each:true [ Sycl_core.Host_raising.pass ] m in
         let n = 32 in
         let data = Memory.alloc ~size:n () in
-        Array.iteri (fun i _ -> data.Memory.data.(i) <- Memory.F (float_of_int i))
-          data.Memory.data;
+        for i = 0 to Memory.size data - 1 do
+          Memory.set_float data i (float_of_int i)
+        done;
         let result = HI.run ~module_op:m [ harg data; iarg n ] in
         Alcotest.(check bool) "memcpys charged" true (result.HI.transfer_cycles > 0);
         Array.iteri
@@ -186,7 +187,7 @@ let tests_list =
             | Memory.F x ->
               Alcotest.(check (float 1e-6)) "incremented" (float_of_int i +. 1.0) x
             | _ -> Alcotest.fail "int cell")
-          data.Memory.data);
+          (Helpers.cells data));
     Alcotest.test_case "host Repeat loop submits repeatedly" `Quick (fun () ->
         let m = Helpers.fresh_module () in
         ignore
@@ -224,7 +225,7 @@ let tests_list =
         let data = Memory.alloc ~size:n () in
         let result = HI.run ~module_op:m [ harg data; iarg n; iarg 5 ] in
         Alcotest.(check int) "five launches" 5 result.HI.kernel_launches;
-        (match data.Memory.data.(3) with
+        (match Memory.get data 3 with
         | Memory.F x -> Alcotest.(check (float 1e-6)) "incremented five times" 5.0 x
         | _ -> Alcotest.fail "int cell"));
     Alcotest.test_case "AdaptiveCpp launch hook fires once per kernel" `Quick

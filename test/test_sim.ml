@@ -23,9 +23,7 @@ let launch ?(wg = [ 16 ]) ?(global = [ 16 ]) m k args =
   Interp.launch ~module_op:m ~kernel:k ~args ~global ~wg_size:wg ()
 
 let floats alloc =
-  Array.map
-    (function Memory.F f -> f | Memory.I i -> float_of_int i)
-    alloc.Memory.data
+  Array.init (Memory.size alloc) (Memory.get_float alloc)
 
 let tests_list =
   [
@@ -43,7 +41,7 @@ let tests_list =
         in
         let a = Memory.alloc ~label:"a" ~size:16 () in
         let c = Memory.alloc ~label:"c" ~size:16 () in
-        Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F (float_of_int i)) a.Memory.data;
+        for i = 0 to Memory.size a - 1 do Memory.set_float a i (float_of_int i) done;
         ignore (launch m k [| Interp.Item; acc_desc a; acc_desc c |]);
         Array.iteri
           (fun i x -> Alcotest.(check (float 1e-6)) "c[i]" (2.0 *. float_of_int i) x)
@@ -245,7 +243,7 @@ let tests_list =
               | _ -> assert false)
         in
         let a = Memory.alloc ~label:"a" ~size:32 () in
-        Array.iteri (fun i _ -> a.Memory.data.(i) <- Memory.F (float_of_int i)) a.Memory.data;
+        for i = 0 to Memory.size a - 1 do Memory.set_float a i (float_of_int i) done;
         let c = Memory.alloc ~label:"c" ~size:8 () in
         let ranged =
           Interp.Acc
@@ -373,6 +371,150 @@ let tests_list =
           "device simulator: unsupported op test.unknown" (run ~taken:true);
         Alcotest.(check string) "undefined value read"
           "use of unbound SSA value in simulator" (run ~taken:false));
+    Alcotest.test_case "yield swaps loop-carried values as a parallel move"
+      `Quick (fun () ->
+        let m = Helpers.fresh_module () in
+        let k =
+          Sycl_frontend.Kernel.define m ~name:"swap" ~dims:1
+            ~args:[ K.Acc (1, S.Write, Types.f32) ]
+            (fun b ~item ~args ->
+              let out = List.hd args in
+              let i = K.gid b item 0 in
+              let loop =
+                Dialects.Scf.for_ b ~lb:(A.const_index b 0) ~ub:(A.const_index b 3)
+                  ~step:(A.const_index b 1)
+                  ~iter_args:[ K.fconst b 1.0; K.fconst b 2.0 ]
+                  (fun _ _ carried ->
+                    match carried with
+                    | [ x; y ] -> [ y; x ]
+                    | _ -> assert false)
+              in
+              (* out[i] = 10 * a + b after three swaps of (a, b) = (1, 2) *)
+              K.acc_set b out [ i ]
+                (K.addf b
+                   (K.mulf b (K.fconst b 10.0) (Core.result loop 0))
+                   (Core.result loop 1)))
+        in
+        let c = Memory.alloc ~label:"c" ~size:16 () in
+        ignore (launch m k [| Interp.Item; acc_desc c |]);
+        Array.iter (fun x -> Alcotest.(check (float 0.0)) "swapped" 21.0 x) (floats c));
+    Alcotest.test_case "a select of an int and a float feeds int and float ops"
+      `Quick (fun () ->
+        (* Ill-kinded IR: the select's result is read as an int by addi
+           and as a float by addf, converting as int_of_float and
+           float_of_int do. *)
+        let m = Helpers.fresh_module () in
+        let k =
+          Sycl_frontend.Kernel.define m ~name:"mixed" ~dims:1
+            ~args:[ K.Acc (1, S.Write, Types.i32); K.Acc (1, S.Write, Types.f32) ]
+            (fun b ~item ~args ->
+              match args with
+              | [ ints; floats ] ->
+                let i = K.gid b item 0 in
+                let low = A.cmpi b A.Slt i (A.const_index b 8) in
+                let s =
+                  A.select b low (A.const_int b ~ty:Types.i32 7) (K.fconst b 2.5)
+                in
+                K.acc_set b ints [ i ] (A.addi b s (A.const_int b ~ty:Types.i32 1));
+                K.acc_set b floats [ i ] (K.addf b s (K.fconst b 0.5))
+              | _ -> assert false)
+        in
+        let ints = Memory.alloc ~label:"ints" ~size:16 () in
+        let fl = Memory.alloc ~label:"floats" ~size:16 () in
+        ignore (launch m k [| Interp.Item; acc_desc ints; acc_desc fl |]);
+        for i = 0 to 15 do
+          let low = i < 8 in
+          Alcotest.(check bool) "addi on the select"
+            true (Memory.get ints i = Memory.I (if low then 8 else 3));
+          Alcotest.(check (float 0.0)) "addf on the select"
+            (if low then 7.5 else 3.0) (Memory.get_float fl i)
+        done);
+    Alcotest.test_case "an int stored in a float buffer keeps every bit"
+      `Quick (fun () ->
+        (* 2^53 + 1 has no float representation: a cell that held it as a
+           float would read back 2^53. *)
+        let big = (1 lsl 53) + 1 in
+        let m = Helpers.fresh_module () in
+        let k =
+          Sycl_frontend.Kernel.define m ~name:"big" ~dims:1
+            ~args:
+              [ K.Acc (1, S.Write, Types.f32); K.Acc (1, S.Read, Types.i64);
+                K.Acc (1, S.Write, Types.i64) ]
+            (fun b ~item ~args ->
+              match args with
+              | [ as_f32; as_i64; out ] ->
+                let i = K.gid b item 0 in
+                K.acc_set b as_f32 [ i ] (A.const_int b big);
+                K.acc_set b out [ i ] (K.acc_get b as_i64 [ i ])
+              | _ -> assert false)
+        in
+        let data = Memory.alloc ~label:"data" ~size:16 () in
+        let out = Memory.alloc ~label:"out" ~size:16 () in
+        ignore
+          (launch m k [| Interp.Item; acc_desc data; acc_desc data; acc_desc out |]);
+        for i = 0 to 15 do
+          Alcotest.(check bool) "stored cell" true (Memory.get data i = Memory.I big);
+          Alcotest.(check bool) "loaded back" true (Memory.get out i = Memory.I big)
+        done);
+    Alcotest.test_case "affine ops evaluate their maps as Affine_expr.eval"
+      `Quick (fun () ->
+        let module E = Affine_expr in
+        let module Af = Dialects.Affine_ops in
+        let map1 e = E.Map.make ~num_dims:1 ~num_syms:0 [ e ] in
+        let quot = E.floordiv (E.dim 0) (E.const 4)
+        and rem = E.modulo (E.dim 0) (E.const 4)
+        and up = E.ceildiv (E.sub (E.dim 0) (E.const 5)) (E.const 3)
+        and down = E.floordiv (E.sub (E.dim 0) (E.const 7)) (E.const 3) in
+        let at =
+          E.Map.make ~num_dims:2 ~num_syms:0 [ E.dim 0; E.mul (E.dim 1) (E.const 2) ]
+        in
+        let m = Helpers.fresh_module () in
+        let k =
+          Sycl_frontend.Kernel.define m ~name:"affine" ~dims:1
+            ~args:[ K.Ptr Types.f32; K.Ptr Types.f32 ]
+            (fun b ~item ~args ->
+              match args with
+              | [ grid; res ] ->
+                let i = K.gid b item 0 in
+                let q = Af.apply b (map1 quot) [ i ] in
+                let r = Af.apply b (map1 rem) [ i ] in
+                let float x = A.sitofp b (A.index_cast b x Types.i64) Types.f32 in
+                Af.store b (float i) grid at [ q; r ];
+                let back = Af.load b grid at [ q; r ] in
+                let trips =
+                  Af.for_ b ~lb:(Af.Value q) ~ub:(Af.Const 9)
+                    ~iter_args:[ K.fconst b 0.0 ]
+                    (fun bb _ acc -> [ K.addf bb (List.hd acc) (K.fconst bb 1.0) ])
+                in
+                (* res[i] = 1000 * down(i) + 100 * back + 10 * up(i) + trips *)
+                let scaled c x = K.mulf b (K.fconst b c) x in
+                let applied e = float (Af.apply b (map1 e) [ i ]) in
+                Af.store b
+                  (K.addf b
+                     (K.addf b
+                        (K.addf b (scaled 1000.0 (applied down)) (scaled 100.0 back))
+                        (scaled 10.0 (applied up)))
+                     (Core.result trips 0))
+                  res (E.Map.identity 1) [ i ]
+              | _ -> assert false)
+        in
+        let grid = Memory.alloc ~label:"grid" ~size:64 () in
+        let res = Memory.alloc ~label:"res" ~size:16 () in
+        ignore
+          (launch m k
+             [| Interp.Item; Interp.Mem (Memory.full_view ~dims:[| 8; 8 |] grid);
+                Interp.Mem (Memory.full_view res) |]);
+        for i = 0 to 15 do
+          let ev e = E.eval [| i |] [||] e in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "grid cell of %d" i) (float_of_int i)
+            (Memory.get_float grid ((ev quot * 8) + (ev rem * 2)));
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "res[%d]" i)
+            (float_of_int
+               ((1000 * ev down) + (100 * i) + (10 * ev up) + max 0 (9 - ev quot)))
+            (Memory.get_float res i)
+        done);
   ]
 
 let tests = ("simulator", tests_list)
