@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- stencil — stencil workloads (Section VIII text)
      dune exec bench/main.exe -- geomean — geo-mean summary vs paper numbers
      dune exec bench/main.exe -- ablation— per-optimization contribution table
-     dune exec bench/main.exe -- passes  — Bechamel pass-time microbenchmarks
      dune exec bench/main.exe -- profile — compile timing tree + Chrome trace
                                            of a simulated GEMM run
      dune exec bench/main.exe -- fuzz [--seed N] [--iters N] [--json PATH]
@@ -178,79 +177,6 @@ let run_ablation () =
         (st "loop-internalization/internalization.rejected-divergent")
         (st "host-device-propagation/hostdev.noalias-pair"))
     workloads
-
-(* ------------------------------------------------------------------ *)
-(* Pass-time microbenchmarks (Bechamel)                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_passes () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  (* Each sample: build a fresh GEMM joint module and run one pipeline
-     stage on it. Measures the compile-time cost of the SYCL-MLIR flow
-     (the "little cost" claim of Section IV). *)
-  let w = Polybench.gemm ~n:64 in
-  let fresh () =
-    let m = w.Common.w_module () in
-    (* Bring the module to the state the device passes see. *)
-    ignore
-      (Mlir.Pass.run_pipeline ~verify_each:false
-         [ Sycl_core.Host_raising.pass; Sycl_core.Canonicalize.pass;
-           Sycl_core.Cse.pass; Sycl_core.Host_device_prop.pass () ]
-         m);
-    m
-  in
-  let stage name (pass : Mlir.Pass.t) =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let m = fresh () in
-           pass.Mlir.Pass.run m (Mlir.Pass.Stats.create ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"passes"
-      [
-        Test.make ~name:"host-raising"
-          (Staged.stage (fun () ->
-               let m = w.Common.w_module () in
-               Sycl_core.Host_raising.pass.Mlir.Pass.run m (Mlir.Pass.Stats.create ())));
-        stage "licm" Sycl_core.Licm.pass;
-        stage "detect-reduction" Sycl_core.Detect_reduction.pass;
-        stage "loop-internalization" Sycl_core.Loop_internalization.pass;
-        stage "canonicalize" Sycl_core.Canonicalize.pass;
-        stage "cse" Sycl_core.Cse.pass;
-        stage "full-sycl-mlir-compile"
-          (Mlir.Pass.make "full" (fun _ _ ->
-               ignore
-                 (Driver.compile (Driver.config Driver.Sycl_mlir) (w.Common.w_module ()))));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    let results = Analyze.merge ols instances results in
-    results
-  in
-  Printf.printf "\nPass-time microbenchmarks (Bechamel, ns per run)\n";
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-40s %12.0f ns\n" name est
-          | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-        tbl)
-    results
-
 
 (* ------------------------------------------------------------------ *)
 (* Kernel fusion extension (Section VII outlook)                       *)
@@ -572,7 +498,9 @@ let run_profile () =
   if !hotspots then begin
     print_newline ();
     print_string
-      (Sycl_sim.Attribution.hotspots_to_string (Annotate.merged_attribution result))
+      (Sycl_sim.Attribution.hotspots_to_string
+         (Sycl_sim.Attribution.merge_launches
+            result.Sycl_runtime.Host_interp.per_kernel_attribution))
   end
 
 let () =
@@ -584,7 +512,6 @@ let () =
   | "stencil" -> run_stencil ()
   | "geomean" -> run_geomean ()
   | "ablation" -> run_ablation ()
-  | "passes" -> run_passes ()
   | "fusion" -> run_fusion ()
   | "profile" -> run_profile ()
   | "fuzz" -> run_fuzz ()
@@ -596,10 +523,9 @@ let () =
     run_stencil ();
     run_geomean ();
     run_ablation ();
-    run_fusion ();
-    run_passes ()
+    run_fusion ()
   | other ->
-    Printf.eprintf "unknown command %s (fig2|fig3|stencil|geomean|ablation|fusion|passes|profile|fuzz|report|compare|all)\n"
+    Printf.eprintf "unknown command %s (fig2|fig3|stencil|geomean|ablation|fusion|profile|fuzz|report|compare|all)\n"
       other;
     exit 1
    with Sycl_sim.Interp.Race_detected races ->

@@ -47,30 +47,32 @@ let report (w : Common.workload) (m : Common.measurement) =
     Format.printf "%a@?" Mlir.Pass.Stats.pp m.Common.m_stats
   end
 
-(** The run's profiling surfaces. Attribution and cache conservation
-    are asserted first (exit 1 on a violation). Under [--annotate] the
-    hotspot, cache and per-kernel profile tables print; [--annotated-ir]
-    writes the cost-annotated module; [--report-json] writes the run
-    report ({!Annotate.report_sections}). *)
+(** The run's profiling surfaces, all rendered from the run's one merged
+    table. Every launch is checked against its table first (exit 1 on a
+    conservation violation). Under [--annotate] the hotspot, cache and
+    per-kernel profile tables print; [--annotated-ir] writes the
+    cost-annotated module; [--report-json] writes the run report
+    ({!Annotate.report_sections}). *)
 let run_surfaces ~annotate ~annotated_ir ~report_json ~timer
     (r : Sycl_runtime.Host_interp.run_result) (module_op : Mlir.Core.op) =
-  let assert_ok what = function
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "error: %s conservation violated: %s\n" what msg;
-      exit 1
-  in
-  assert_ok "attribution" (Annotate.check_conservation r);
-  assert_ok "cache" (Annotate.check_cache_conservation r);
-  let tab = Annotate.merged_attribution r in
+  let launches = r.Sycl_runtime.Host_interp.per_kernel_attribution in
+  (match
+     Sycl_sim.Attribution.check_launches r.Sycl_runtime.Host_interp.per_kernel
+       launches
+   with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "error: conservation violated: %s\n" msg;
+    exit 1);
+  let tab = Sycl_sim.Attribution.merge_launches launches in
   if annotate then begin
     print_newline ();
     print_string (Sycl_sim.Attribution.hotspots_to_string tab);
     Option.iter
       (fun c ->
         print_newline ();
-        print_string (Sycl_sim.Cache.render c))
-      (Annotate.merged_cache r);
+        print_string c)
+      (Sycl_sim.Attribution.cache_to_string tab);
     print_string "\nkernel profile:\n";
     Format.printf "%a@?" Sycl_sim.Profile.pp_table
       (Sycl_sim.Profile.of_events r.Sycl_runtime.Host_interp.events)

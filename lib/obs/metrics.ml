@@ -2,13 +2,12 @@
    with exact percentile extraction, exported through the shared
    {!Mlir.Json} writer.
 
-   Domain-safety follows the simulator's launch-statistics design
-   (PR 4's [Cost.merge_launch_stats]): every registry is internally
-   mutex-protected so concurrent observation is safe, and for hot paths
-   the {!Sharded} wrapper gives each worker domain a private shard that
-   the owner merges back *in canonical shard order*, so the merged
-   registry is byte-identical no matter how many domains ran or how
-   their work interleaved. *)
+   Every registry is internally mutex-protected, so concurrent
+   observation is safe. Deterministic contents come from what is
+   recorded, not from how: the simulator records its device counters
+   once per launch, from statistics already merged in canonical chunk
+   order, so the registry is byte-identical whatever the domain
+   count. *)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -128,7 +127,7 @@ let mismatch name existing wanted =
        wanted)
 
 (** Add [by] (default 1) to counter [name], registering it at 0 first if
-    unseen. Counters are monotonic across a run; merges sum them. *)
+    unseen. Counters are monotonic across a run. *)
 let incr (r : registry) ?(by = 1) name =
   Mutex.protect r.r_mutex (fun () ->
       match Hashtbl.find_opt r.r_tbl name with
@@ -136,8 +135,7 @@ let incr (r : registry) ?(by = 1) name =
       | Some (Counter v) -> Hashtbl.replace r.r_tbl name (Counter (v + by))
       | Some m -> mismatch name m "counter")
 
-(** Set gauge [name] to [v] (last-write-wins; merges keep the maximum,
-    the only order-independent choice for point-in-time readings). *)
+(** Set gauge [name] to [v] (last write wins). *)
 let set_gauge (r : registry) name v =
   Mutex.protect r.r_mutex (fun () ->
       match Hashtbl.find_opt r.r_tbl name with
@@ -190,10 +188,7 @@ let names (r : registry) =
   Mutex.protect r.r_mutex (fun () ->
       List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) r.r_tbl []))
 
-(* ------------------------------------------------------------------ *)
-(* Merging                                                             *)
-(* ------------------------------------------------------------------ *)
-
+(** Fold histogram [src] into [into], sample by sample. *)
 let merge_hist ~(into : hist) (src : hist) =
   if into.h_bounds <> src.h_bounds then
     invalid_arg "Metrics: merging histograms with different bucket bounds";
@@ -205,67 +200,6 @@ let merge_hist ~(into : hist) (src : hist) =
     src.h_exact;
   into.h_count <- into.h_count + src.h_count;
   into.h_sum <- into.h_sum + src.h_sum
-
-let copy_hist (h : hist) =
-  {
-    h_bounds = Array.copy h.h_bounds;
-    h_buckets = Array.copy h.h_buckets;
-    h_exact = Hashtbl.copy h.h_exact;
-    h_count = h.h_count;
-    h_sum = h.h_sum;
-  }
-
-(** Fold [src] into [into]: counters sum, gauges keep the maximum,
-    histograms merge sample-by-sample. Commutative and associative, so
-    any canonical merge order yields the same registry. *)
-let merge ~(into : registry) (src : registry) =
-  let entries =
-    Mutex.protect src.r_mutex (fun () ->
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.r_tbl []))
-  in
-  Mutex.protect into.r_mutex (fun () ->
-      List.iter
-        (fun (name, m) ->
-          match (Hashtbl.find_opt into.r_tbl name, m) with
-          | None, Counter v -> Hashtbl.replace into.r_tbl name (Counter v)
-          | None, Gauge v -> Hashtbl.replace into.r_tbl name (Gauge v)
-          | None, Hist h -> Hashtbl.replace into.r_tbl name (Hist (copy_hist h))
-          | Some (Counter a), Counter b ->
-            Hashtbl.replace into.r_tbl name (Counter (a + b))
-          | Some (Gauge a), Gauge b ->
-            Hashtbl.replace into.r_tbl name (Gauge (max a b))
-          | Some (Hist a), Hist b -> merge_hist ~into:a b
-          | Some existing, _ -> mismatch name existing (kind_name m))
-        entries)
-
-(** Per-domain shards merged in canonical (index) order — the
-    [Cost.merge_launch_stats] pattern: workers write only their own
-    shard, so no locks contend on the hot path, and the owner folds
-    shards 0..n-1 after joining, making the result independent of
-    execution interleaving. *)
-module Sharded = struct
-  type t = registry array
-
-  let fresh_registry = create
-
-  let create n : t =
-    if n < 1 then invalid_arg "Metrics.Sharded.create: need at least one shard";
-    Array.init n (fun _ -> fresh_registry ())
-
-  let shard (t : t) i = t.(i)
-  let shards (t : t) = Array.length t
-
-  (** Fold every shard into [into], in shard-index order. *)
-  let merge_into ~(into : registry) (t : t) =
-    Array.iter (fun s -> merge ~into s) t
-
-  (** The merged registry, leaving the shards untouched. *)
-  let merged (t : t) =
-    let into = fresh_registry () in
-    merge_into ~into t;
-    into
-end
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)

@@ -60,10 +60,8 @@ type run_result = {
   per_kernel : (string * Cost.launch_stats) list;
   per_kernel_attribution : (string * Sycl_sim.Attribution.table) list;
       (** source-attributed charge tables, one per launch, in launch
-          order (paired 1:1 with [per_kernel]) *)
-  per_kernel_cache : (string * Sycl_sim.Cache.table) list;
-      (** per-op cache counters + reuse-distance histogram per launch,
-          in launch order; empty under the flat model *)
+          order (paired 1:1 with [per_kernel]); with a cache view under
+          a non-flat cache model *)
   events : Sycl_obs.Trace.span list;
       (** the run's charge timeline in simulated cycles: host-runtime
           and device-lane spans, for trace export and profiling *)
@@ -100,7 +98,6 @@ type state = {
   mutable r_deps : int;
   mutable r_per_kernel : (string * Cost.launch_stats) list;
   mutable r_attribution : (string * Sycl_sim.Attribution.table) list;
-  mutable r_cache : (string * Sycl_sim.Cache.table) list;
 }
 
 let lookup st (v : Core.value) =
@@ -344,20 +341,6 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
      the aggregate stats exactly), so collection cannot perturb the
      run — rendering it is what the --annotate surfaces gate. *)
   let attribution = Sycl_sim.Attribution.create () in
-  (* The cache table follows the same rule, but only exists under a
-     non-flat --cache-model: the flat model simulates no cache, so there
-     is nothing to collect and [per_kernel_cache] stays empty. *)
-  let cache_model =
-    match st.cache_model with
-    | Some m -> m
-    | None -> Interp.default_cache_model ()
-  in
-  let cache =
-    match cache_model with
-    | Cost.Flat -> None
-    | Cost.Direct_mapped | Cost.Set_associative ->
-      Some (Sycl_sim.Cache.create_table ())
-  in
   let program =
     match Hashtbl.find_opt st.decoded kernel_name with
     | Some p -> p
@@ -369,7 +352,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
   let stats =
     Interp.launch ~params:st.params ?domains:st.sim_domains
       ?check_races:st.check_races ~metrics:st.metrics ~attribution
-      ~cache_model ?cache ~program ~module_op:st.module_op ~kernel ~args
+      ?cache_model:st.cache_model ~program ~module_op:st.module_op ~kernel ~args
       ~global ~wg_size:wg ()
   in
   let dev_cycles = Cost.device_cycles st.params stats in
@@ -382,9 +365,6 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
     "runtime.launch_latency_cycles" !latency;
   st.r_per_kernel <- (kernel_name, stats) :: st.r_per_kernel;
   st.r_attribution <- (kernel_name, attribution) :: st.r_attribution;
-  (match cache with
-  | Some t -> st.r_cache <- (kernel_name, t) :: st.r_cache
-  | None -> ());
   let cmd_id = q.Objects.q_next_cmd in
   q.Objects.q_next_cmd <- cmd_id + 1;
   q.Objects.q_commands <-
@@ -625,7 +605,6 @@ let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
       r_deps = 0;
       r_per_kernel = [];
       r_attribution = [];
-      r_cache = [];
     }
   in
   let body = Core.func_body f in
@@ -647,7 +626,6 @@ let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
     dependency_edges = st.r_deps;
     per_kernel = List.rev st.r_per_kernel;
     per_kernel_attribution = List.rev st.r_attribution;
-    per_kernel_cache = List.rev st.r_cache;
     events = Profile.events st.recorder;
     metrics = st.metrics;
   }

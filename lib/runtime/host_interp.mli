@@ -48,11 +48,10 @@ type run_result = {
       (** per-op cycle/traffic attribution for each launch, in launch
           order parallel to [per_kernel]; always collected (a pure side
           table — it cannot perturb the simulation), rendered only when
-          a profiling surface asks for it *)
-  per_kernel_cache : (string * Sycl_sim.Cache.table) list;
-      (** per-op cache hit/miss counters and the exact reuse-distance
-          histogram for each launch, in launch order parallel to
-          [per_kernel]; empty under the flat cache model *)
+          a profiling surface asks for it. Under a non-flat cache model
+          each table also carries its launch's cache view: per-op
+          hits, misses, evictions and reuse distances, and the
+          reuse-distance histogram. *)
   events : Sycl_obs.Trace.span list;
       (** the run's charge timeline in simulated cycles: host-runtime
           and device-lane spans, for trace export and profiling *)

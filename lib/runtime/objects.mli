@@ -20,8 +20,6 @@ type buffer = {
   mutable b_last_readers : int list;
 }
 
-val buffer_elems : buffer -> int
-
 (** Simulated element width in bytes (every memory cell models a 4-byte
     f32/i32), for reporting transfer volume. *)
 val elem_bytes : int

@@ -1,7 +1,7 @@
 (* Source-attributed cost accounting: every charge the device simulator
-   records (ALU, fdiv, memory transactions, barrier rounds) is accounted
-   to the charging op and aggregated here, keyed by (op name, source
-   location). The per-work-group cycle formula of {!Cost} divides the
+   records (ALU, fdiv, memory transactions, barrier rounds, cache
+   probes) is accounted to the charging op and aggregated here, keyed by
+   (op name, source location). The per-work-group cycle formula of {!Cost} divides the
    summed compute charges by the sub-group width once per group, so
    per-op cycle shares are distributed inside each work-group with a
    largest-remainder rule in canonical op order — making the per-line
@@ -9,11 +9,13 @@
    (the conservation oracle) and keeping the distribution independent
    of how work-groups are chunked over worker domains.
 
-   The parallel backend accumulates one private table per worker and
-   merges them in canonical chunk order, mirroring
-   [Cost.merge_launch_stats]: all row fields are sums, so the merged
-   table is byte-identical to sequential accumulation whatever the
-   domain count. *)
+   The table is the only record of a launch's per-op charges: the
+   interpreter counts them per op and flushes one launch's totals into
+   it once, and every surface — hotspot lines, the cache view, the run
+   report, the annotated IR — is rendered from it. All row fields are
+   sums, so tables merge by addition ({!merge_launches}), and
+   {!check_launches} checks each launch's table against its launch
+   statistics. *)
 
 open Mlir
 
@@ -29,6 +31,9 @@ type counts = {
   mutable c_mem_cycles : int;  (** memory portion of [c_cycles] *)
   mutable c_hits : int;  (** cache hits among [c_global] (non-flat model) *)
   mutable c_misses : int;  (** cache misses among [c_global] *)
+  mutable c_evictions : int;  (** lines its cache misses evicted *)
+  mutable c_dist_sum : int;  (** summed reuse distances of its warm probes *)
+  mutable c_dist_count : int;  (** its warm probes (re-accesses) *)
 }
 
 type key = {
@@ -39,9 +44,16 @@ type key = {
 (* Rows are keyed by (op name, printed location): [Loc.to_string] is the
    textual syntax, so distinct locations never collide and the ordering
    is total. The original [Loc.t] is kept alongside for resolution. *)
-type table = { rows : (string * string, key * counts) Hashtbl.t }
+type table = {
+  rows : (string * string, key * counts) Hashtbl.t;
+  mutable reuse : Sycl_obs.Metrics.hist option;
+      (** the reuse distances of the warm cache probes: [Some] once a
+          launch under a non-flat cache model was flushed into the
+          table — even one that made no probes — which is what gives
+          the table its cache view *)
+}
 
-let create () = { rows = Hashtbl.create 64 }
+let create () = { rows = Hashtbl.create 64; reuse = None }
 
 let fresh_counts () =
   {
@@ -56,6 +68,9 @@ let fresh_counts () =
     c_mem_cycles = 0;
     c_hits = 0;
     c_misses = 0;
+    c_evictions = 0;
+    c_dist_sum = 0;
+    c_dist_count = 0;
   }
 
 (** The row for (op name, loc), created on first charge. *)
@@ -76,24 +91,52 @@ let rows (t : table) : (key * counts) list =
   |> List.sort (fun ((na, la), _) ((nb, lb), _) -> compare (la, na) (lb, nb))
   |> List.map snd
 
-(** Merge [src] into [into] in canonical row order (every field is a
-    sum — the attribution counterpart of [Cost.merge_launch_stats]). *)
-let merge ~(into : table) (src : table) =
+(** Add [c] to the row for (op name, loc). *)
+let add (t : table) ~op_name ~loc (c : counts) =
+  let d = row t ~op_name ~loc in
+  d.c_alu <- d.c_alu + c.c_alu;
+  d.c_fdiv <- d.c_fdiv + c.c_fdiv;
+  d.c_global <- d.c_global + c.c_global;
+  d.c_local <- d.c_local + c.c_local;
+  d.c_const <- d.c_const + c.c_const;
+  d.c_accesses <- d.c_accesses + c.c_accesses;
+  d.c_barriers <- d.c_barriers + c.c_barriers;
+  d.c_cycles <- d.c_cycles + c.c_cycles;
+  d.c_mem_cycles <- d.c_mem_cycles + c.c_mem_cycles;
+  d.c_hits <- d.c_hits + c.c_hits;
+  d.c_misses <- d.c_misses + c.c_misses;
+  d.c_evictions <- d.c_evictions + c.c_evictions;
+  d.c_dist_sum <- d.c_dist_sum + c.c_dist_sum;
+  d.c_dist_count <- d.c_dist_count + c.c_dist_count
+
+(** Power-of-two display buckets of the reuse-distance histogram, in
+    cache lines (its percentiles are exact whatever the buckets). *)
+let reuse_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
+
+(** The table's reuse-distance histogram, created empty — and with it
+    the cache view — on first use. *)
+let reuse_hist (t : table) =
+  match t.reuse with
+  | Some h -> h
+  | None ->
+    let h = Sycl_obs.Metrics.hist_make reuse_bounds in
+    t.reuse <- Some h;
+    h
+
+(** One table for a whole run: the launches' tables merged in launch
+    order. Every field is a sum, so the merged rows and histogram do not
+    depend on the order, and the merged table has a cache view when any
+    launch's table has one. *)
+let merge_launches (tabs : (string * table) list) : table =
+  let into = create () in
   List.iter
-    (fun (k, c) ->
-      let d = row into ~op_name:k.k_op ~loc:k.k_loc in
-      d.c_alu <- d.c_alu + c.c_alu;
-      d.c_fdiv <- d.c_fdiv + c.c_fdiv;
-      d.c_global <- d.c_global + c.c_global;
-      d.c_local <- d.c_local + c.c_local;
-      d.c_const <- d.c_const + c.c_const;
-      d.c_accesses <- d.c_accesses + c.c_accesses;
-      d.c_barriers <- d.c_barriers + c.c_barriers;
-      d.c_cycles <- d.c_cycles + c.c_cycles;
-      d.c_mem_cycles <- d.c_mem_cycles + c.c_mem_cycles;
-      d.c_hits <- d.c_hits + c.c_hits;
-      d.c_misses <- d.c_misses + c.c_misses)
-    (rows src)
+    (fun (_, src) ->
+      Hashtbl.iter (fun _ (k, c) -> add into ~op_name:k.k_op ~loc:k.k_loc c) src.rows;
+      Option.iter
+        (fun h -> Sycl_obs.Metrics.merge_hist ~into:(reuse_hist into) h)
+        src.reuse)
+    tabs;
+  into
 
 let total_cycles (t : table) =
   Hashtbl.fold (fun _ (_, c) acc -> acc + c.c_cycles) t.rows 0
@@ -102,32 +145,57 @@ let total_cycles (t : table) =
 (* Conservation oracle                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Attribution must be an exact decomposition of the launch aggregates:
-    every counter sums to its [Cost.launch_stats] field and the cycle
-    column sums to [total_wg_cycles] exactly. *)
-let conserves (t : table) (s : Cost.launch_stats) : (unit, string) result =
-  let sum f = Hashtbl.fold (fun _ (_, c) acc -> acc + f c) t.rows 0 in
-  let checks =
-    [
-      ("alu", sum (fun c -> c.c_alu), s.Cost.alu_ops);
-      ("fdiv", sum (fun c -> c.c_fdiv), s.Cost.fdiv_ops);
-      ("global", sum (fun c -> c.c_global), s.Cost.global_transactions);
-      ("local", sum (fun c -> c.c_local), s.Cost.local_transactions);
-      ("const", sum (fun c -> c.c_const), s.Cost.const_transactions);
-      ("barriers", sum (fun c -> c.c_barriers), s.Cost.barriers);
-      ("cycles", sum (fun c -> c.c_cycles), s.Cost.total_wg_cycles);
-      ("cache hits", sum (fun c -> c.c_hits), s.Cost.cache_hits);
-      ("cache misses", sum (fun c -> c.c_misses), s.Cost.cache_misses);
-    ]
+(** Check every launch against its table: [launches] and [tables] are a
+    run's per-launch statistics and tables, in launch order. Each table
+    must decompose its launch's aggregates exactly — every counter
+    column sums to its [Cost.launch_stats] field, and the cycle column,
+    apportioned per op, to [total_wg_cycles] — and under a cache model
+    every global transaction made exactly one cache probe
+    ([hits + misses = global_transactions]). Returns the first
+    violation. *)
+let check_launches (launches : (string * Cost.launch_stats) list)
+    (tables : (string * table) list) : (unit, string) result =
+  let check (name, (s : Cost.launch_stats)) (name', t) =
+    let sum f = Hashtbl.fold (fun _ (_, c) acc -> acc + f c) t.rows 0 in
+    let checks =
+      [
+        ("alu", sum (fun c -> c.c_alu), s.Cost.alu_ops);
+        ("fdiv", sum (fun c -> c.c_fdiv), s.Cost.fdiv_ops);
+        ("global", sum (fun c -> c.c_global), s.Cost.global_transactions);
+        ("local", sum (fun c -> c.c_local), s.Cost.local_transactions);
+        ("const", sum (fun c -> c.c_const), s.Cost.const_transactions);
+        ("barriers", sum (fun c -> c.c_barriers), s.Cost.barriers);
+        ("cycles", sum (fun c -> c.c_cycles), s.Cost.total_wg_cycles);
+        ("cache hits", sum (fun c -> c.c_hits), s.Cost.cache_hits);
+        ("cache misses", sum (fun c -> c.c_misses), s.Cost.cache_misses);
+        ("cache evictions", sum (fun c -> c.c_evictions), s.Cost.cache_evictions);
+      ]
+      @
+      if Option.is_none t.reuse then []
+      else
+        [
+          ( "cache probes",
+            s.Cost.cache_hits + s.Cost.cache_misses,
+            s.Cost.global_transactions );
+        ]
+    in
+    if name <> name' then Some "launch and table lists disagree"
+    else
+      List.find_map
+        (fun (what, got, want) ->
+          if got = want then None
+          else
+            Some (Printf.sprintf "%s: %s total %d != launch %d" name what got want))
+        checks
   in
-  match
-    List.find_opt (fun (_, got, want) -> got <> want) checks
-  with
-  | Some (what, got, want) ->
-    Error
-      (Printf.sprintf "attribution %s total %d != launch_stats %d" what got
-         want)
-  | None -> Ok ()
+  if List.compare_lengths launches tables <> 0 then
+    Error "launch and table lists disagree"
+  else
+    match
+      List.find_map (fun (l, t) -> check l t) (List.combine launches tables)
+    with
+    | Some msg -> Error msg
+    | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Source-line aggregation (perf-annotate view)                        *)
@@ -327,6 +395,111 @@ let to_json (t : table) : Json.t =
       ("total_cycles", Json.Int (total_cycles t));
       ("rows", Json.List (List.map row_to_json (rows t)));
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Cache view                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The cache view of a table with one: its reuse histogram, the rows
+   that made probes and their hit/miss/eviction totals. *)
+let cache_view (t : table) =
+  Option.map
+    (fun h ->
+      let probed =
+        List.filter (fun (_, c) -> c.c_hits + c.c_misses > 0) (rows t)
+      in
+      let sum f = List.fold_left (fun acc (_, c) -> acc + f c) 0 probed in
+      ( h,
+        probed,
+        sum (fun c -> c.c_hits),
+        sum (fun c -> c.c_misses),
+        sum (fun c -> c.c_evictions) ))
+    t.reuse
+
+(* Every probe is either a first touch (cold) or a warm re-access whose
+   distance the histogram holds, so the cold probes are the rest. *)
+let warm_cold (h : Sycl_obs.Metrics.hist) ~probes =
+  (h.Sycl_obs.Metrics.h_count, probes - h.Sycl_obs.Metrics.h_count)
+
+(** The cache table [--annotate] prints: totals, the reuse-distance
+    summary and one line per row that made probes. [None] when no
+    launch of the table ran a cache model. *)
+let cache_to_string (t : table) : string option =
+  Option.map
+    (fun (h, probed, hits, misses, evictions) ->
+      let buf = Buffer.create 256 in
+      Buffer.add_string buf
+        (Printf.sprintf "cache: hits=%d misses=%d evictions=%d hit_rate=%.4f\n"
+           hits misses evictions
+           (Cache.hit_rate ~hits ~misses));
+      let pct p =
+        match Sycl_obs.Metrics.hist_percentile h p with
+        | Some d -> string_of_int d
+        | None -> "-"
+      in
+      let warm, cold = warm_cold h ~probes:(hits + misses) in
+      Buffer.add_string buf
+        (Printf.sprintf "  reuse distance: warm=%d cold=%d p50=%s p90=%s p99=%s\n"
+           warm cold (pct 50.0) (pct 90.0) (pct 99.0));
+      List.iter
+        (fun (k, c) ->
+          let mean =
+            if c.c_dist_count = 0 then "-"
+            else
+              Printf.sprintf "%.1f"
+                (float_of_int c.c_dist_sum /. float_of_int c.c_dist_count)
+          in
+          Buffer.add_string buf
+            (Printf.sprintf
+               "  %s @ %s: hits=%d misses=%d evictions=%d mean_reuse=%s\n"
+               k.k_op (Loc.to_string k.k_loc) c.c_hits c.c_misses
+               c.c_evictions mean))
+        probed;
+      Buffer.contents buf)
+    (cache_view t)
+
+let cache_row_to_json (k, c) : Json.t =
+  Json.Obj
+    [
+      ("op", Json.String k.k_op);
+      ("loc", Json.String (Loc.to_string k.k_loc));
+      ("hits", Json.Int c.c_hits);
+      ("misses", Json.Int c.c_misses);
+      ("evictions", Json.Int c.c_evictions);
+      ("hit_rate", Json.Float (Cache.hit_rate ~hits:c.c_hits ~misses:c.c_misses));
+      ("reuse_dist_sum", Json.Int c.c_dist_sum);
+      ("reuse_count", Json.Int c.c_dist_count);
+    ]
+
+(** The cache view as JSON (the run report's [cache] section); [None]
+    when no launch of the table ran a cache model. *)
+let cache_to_json (t : table) : Json.t option =
+  Option.map
+    (fun (h, probed, hits, misses, evictions) ->
+      let pct p =
+        match Sycl_obs.Metrics.hist_percentile h p with
+        | Some d -> Json.Int d
+        | None -> Json.Null
+      in
+      let warm, cold = warm_cold h ~probes:(hits + misses) in
+      Json.Obj
+        [
+          ("hits", Json.Int hits);
+          ("misses", Json.Int misses);
+          ("evictions", Json.Int evictions);
+          ("hit_rate", Json.Float (Cache.hit_rate ~hits ~misses));
+          ( "reuse_distance",
+            Json.Obj
+              [
+                ("warm", Json.Int warm);
+                ("cold", Json.Int cold);
+                ("p50", pct 50.0);
+                ("p90", pct 90.0);
+                ("p99", pct 99.0);
+              ] );
+          ("rows", Json.List (List.map cache_row_to_json probed));
+        ])
+    (cache_view t)
 
 (* ------------------------------------------------------------------ *)
 (* Annotated IR                                                        *)

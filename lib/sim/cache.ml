@@ -11,7 +11,7 @@
        hits + misses = global_transactions
 
    holds by construction, exactly, with no epsilon (the conservation
-   oracle [conserves] checks it like [Attribution.conserves]).
+   oracle [Attribution.check_launches] checks it).
 
    Two organizations are modelled, selected by [Cost.cache_model]:
    direct-mapped ([ways = 1]) and set-associative with true LRU
@@ -23,11 +23,11 @@
    arrays with equal line offsets do conflict, as they would when the
    runtime base-aligns buffers).
 
-   Determinism: work-items of a group run as fibers on one domain in
-   canonical order, so the probe sequence — and therefore every counter
-   — is independent of the domain count. Each worker accumulates a
-   private [table] shard; shards are merged in canonical chunk order,
-   like [Cost.merge_launch_stats] and [Attribution].
+   Determinism: work-items of a group run on one domain in canonical
+   order, so the probe sequence — and therefore every counter — is
+   independent of the domain count. The interpreter counts each probe's
+   outcome per op, beside the op's other charges, so the per-op cache
+   columns live in the one {!Attribution} table.
 
    Alongside the hit/miss counters the model measures the *reuse
    distance* of every warm re-access: the number of distinct lines
@@ -179,191 +179,6 @@ let reuse_access (r : reuse) ~(aid : int) ~(line : int) : int option =
   Hashtbl.replace r.last key now;
   dist
 
-(* ------------------------------------------------------------------ *)
-(* The per-launch counter table                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-op cache behaviour, keyed like [Attribution]: the charging op's
-    (name, source location). *)
-type row = {
-  mutable r_hits : int;
-  mutable r_misses : int;
-  mutable r_evictions : int;
-  mutable r_dist_sum : int;  (* sum of measured (warm) reuse distances *)
-  mutable r_dist_count : int;  (* warm re-accesses *)
-}
-
-type table = {
-  rows : (string * string, (string * string) * row) Hashtbl.t;
-  hist : (int, int) Hashtbl.t;  (* reuse distance -> occurrences *)
-  mutable t_cold : int;  (* first-touch probes (no finite distance) *)
-}
-
-let create_table () =
-  { rows = Hashtbl.create 64; hist = Hashtbl.create 64; t_cold = 0 }
-
-let row (t : table) ~op_name ~loc =
-  let key = (op_name, loc) in
-  match Hashtbl.find_opt t.rows key with
-  | Some (_, r) -> r
-  | None ->
-    let r =
-      { r_hits = 0; r_misses = 0; r_evictions = 0; r_dist_sum = 0;
-        r_dist_count = 0 }
-    in
-    Hashtbl.replace t.rows key (key, r);
-    r
-
-let observe_distance (t : table) (d : int option) =
-  match d with
-  | None -> t.t_cold <- t.t_cold + 1
-  | Some d ->
-    Hashtbl.replace t.hist d
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.hist d))
-
-(** Sorted by (location, op name), like [Attribution.rows]. *)
-let rows (t : table) =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.rows []
-  |> List.sort (fun ((na, la), _) ((nb, lb), _) -> compare (la, na) (lb, nb))
-
-(** Merge [src] into [into]. Every field is a sum, so merging the
-    per-worker shards in canonical chunk order reproduces the
-    sequential table exactly. *)
-let merge ~(into : table) (src : table) =
-  List.iter
-    (fun ((name, loc), (r : row)) ->
-      let d = row into ~op_name:name ~loc in
-      d.r_hits <- d.r_hits + r.r_hits;
-      d.r_misses <- d.r_misses + r.r_misses;
-      d.r_evictions <- d.r_evictions + r.r_evictions;
-      d.r_dist_sum <- d.r_dist_sum + r.r_dist_sum;
-      d.r_dist_count <- d.r_dist_count + r.r_dist_count)
-    (rows src);
-  Hashtbl.iter
-    (fun d c ->
-      Hashtbl.replace into.hist d
-        (c + Option.value ~default:0 (Hashtbl.find_opt into.hist d)))
-    src.hist;
-  into.t_cold <- into.t_cold + src.t_cold
-
-let totals (t : table) =
-  List.fold_left
-    (fun (h, m, e) (_, r) -> (h + r.r_hits, m + r.r_misses, e + r.r_evictions))
-    (0, 0, 0) (rows t)
-
-(** Exact conservation against the launch totals, in the style of
-    [Attribution.conserves]: table rows sum to the launch counters and
-    every probe is a global transaction. No tolerance. *)
-let conserves (t : table) (s : Cost.launch_stats) =
-  let h, m, e = totals t in
-  let checks =
-    [
-      ("hits", h, s.Cost.cache_hits);
-      ("misses", m, s.Cost.cache_misses);
-      ("evictions", e, s.Cost.cache_evictions);
-      ( "probes",
-        s.Cost.cache_hits + s.Cost.cache_misses,
-        s.Cost.global_transactions );
-    ]
-  in
-  List.filter_map
-    (fun (what, got, want) ->
-      if got = want then None
-      else Some (Printf.sprintf "%s: table %d vs launch %d" what got want))
-    checks
-
-(** Iterate the reuse-distance histogram in ascending distance order
-    (deterministic regardless of hash order). *)
-let iter_hist (t : table) (f : int -> int -> unit) =
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) t.hist []
-  |> List.sort compare
-  |> List.iter (fun (d, c) -> f d c)
-
-(* Exact nearest-rank percentile over the distance histogram. *)
-let percentile (t : table) (p : float) =
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) t.hist 0 in
-  if total = 0 then None
-  else begin
-    let rank =
-      max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int total)))
-    in
-    let entries =
-      Hashtbl.fold (fun d c acc -> (d, c) :: acc) t.hist []
-      |> List.sort compare
-    in
-    let rec pick seen = function
-      | [] -> None
-      | (d, c) :: rest ->
-        if seen + c >= rank then Some d else pick (seen + c) rest
-    in
-    pick 0 entries
-  end
-
 let hit_rate ~hits ~misses =
   if hits + misses = 0 then 0.0
   else float_of_int hits /. float_of_int (hits + misses)
-
-let render (t : table) =
-  let buf = Buffer.create 256 in
-  let h, m, e = totals t in
-  Buffer.add_string buf
-    (Printf.sprintf "cache: hits=%d misses=%d evictions=%d hit_rate=%.4f\n" h m
-       e (hit_rate ~hits:h ~misses:m));
-  let pct p = match percentile t p with Some d -> string_of_int d | None -> "-" in
-  Buffer.add_string buf
-    (Printf.sprintf "  reuse distance: warm=%d cold=%d p50=%s p90=%s p99=%s\n"
-       (Hashtbl.fold (fun _ c acc -> acc + c) t.hist 0)
-       t.t_cold (pct 50.0) (pct 90.0) (pct 99.0));
-  List.iter
-    (fun ((name, loc), (r : row)) ->
-      let mean =
-        if r.r_dist_count = 0 then "-"
-        else
-          Printf.sprintf "%.1f"
-            (float_of_int r.r_dist_sum /. float_of_int r.r_dist_count)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  %s @ %s: hits=%d misses=%d evictions=%d mean_reuse=%s\n" name loc
-           r.r_hits r.r_misses r.r_evictions mean))
-    (rows t);
-  Buffer.contents buf
-
-let row_to_json ((name, loc), (r : row)) =
-  Mlir.Json.Obj
-    [
-      ("op", Mlir.Json.String name);
-      ("loc", Mlir.Json.String loc);
-      ("hits", Mlir.Json.Int r.r_hits);
-      ("misses", Mlir.Json.Int r.r_misses);
-      ("evictions", Mlir.Json.Int r.r_evictions);
-      ("hit_rate", Mlir.Json.Float (hit_rate ~hits:r.r_hits ~misses:r.r_misses));
-      ("reuse_dist_sum", Mlir.Json.Int r.r_dist_sum);
-      ("reuse_count", Mlir.Json.Int r.r_dist_count);
-    ]
-
-let to_json (t : table) =
-  let h, m, e = totals t in
-  let pct p =
-    match percentile t p with
-    | Some d -> Mlir.Json.Int d
-    | None -> Mlir.Json.Null
-  in
-  Mlir.Json.Obj
-    [
-      ("hits", Mlir.Json.Int h);
-      ("misses", Mlir.Json.Int m);
-      ("evictions", Mlir.Json.Int e);
-      ("hit_rate", Mlir.Json.Float (hit_rate ~hits:h ~misses:m));
-      ( "reuse_distance",
-        Mlir.Json.Obj
-          [
-            ( "warm",
-              Mlir.Json.Int (Hashtbl.fold (fun _ c acc -> acc + c) t.hist 0) );
-            ("cold", Mlir.Json.Int t.t_cold);
-            ("p50", pct 50.0);
-            ("p90", pct 90.0);
-            ("p99", pct 99.0);
-          ] );
-      ("rows", Mlir.Json.List (List.map row_to_json (rows t)));
-    ]

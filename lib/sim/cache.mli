@@ -3,16 +3,14 @@
     One {!state} per work-group, probed by the interpreter exactly once
     per new coalesced global transaction, so
     [hits + misses = global_transactions] holds by construction —
-    exactly, no epsilon ({!conserves}). Direct-mapped or set-associative
-    LRU, selected by {!Cost.cache_model}; the set index is
-    [line mod num_sets] (base-aligned allocation model) and the tag is
-    the full [(allocation id, line)] pair.
+    exactly, no epsilon ({!Attribution.check_launches}). Direct-mapped or
+    set-associative LRU, selected by {!Cost.cache_model}; the set index
+    is [line mod num_sets] (base-aligned allocation model) and the tag
+    is the full [(allocation id, line)] pair.
 
-    Work-items of a group run as fibers in canonical order on one
-    domain, so the probe sequence is independent of the domain count;
-    per-worker {!table} shards merge in canonical chunk order
-    ({!merge}), making every surface byte-identical whatever the
-    [--sim-domains] setting.
+    Work-items of a group run in canonical order on one domain, so the
+    probe sequence is independent of the domain count. The per-op
+    counters of the probes live in the one {!Attribution} table.
 
     Warm re-accesses additionally measure their exact LRU stack distance
     (distinct lines touched since the previous access of the same line)
@@ -43,51 +41,4 @@ val reuse_create : unit -> reuse
     re-access, or [None] for a first touch. *)
 val reuse_access : reuse -> aid:int -> line:int -> int option
 
-(** {1 The per-launch counter table}
-
-    Keyed like [Attribution]: the charging op's (name, source location
-    string). *)
-
-type row = {
-  mutable r_hits : int;
-  mutable r_misses : int;
-  mutable r_evictions : int;
-  mutable r_dist_sum : int;
-  mutable r_dist_count : int;
-}
-
-type table
-
-val create_table : unit -> table
-val row : table -> op_name:string -> loc:string -> row
-
-(** Add one measured reuse distance ([None] = cold first touch) to the
-    launch-global histogram. *)
-val observe_distance : table -> int option -> unit
-
-(** Rows sorted by (location, op name). *)
-val rows : table -> ((string * string) * row) list
-
-(** Merge [src] into [into]; all fields sum, so canonical chunk-order
-    merging reproduces the sequential table exactly. *)
-val merge : into:table -> table -> unit
-
-(** [(hits, misses, evictions)] summed over all rows. *)
-val totals : table -> int * int * int
-
-(** Exact conservation against the launch totals: row sums equal the
-    launch cache counters and [hits + misses = global_transactions].
-    Returns human-readable violations ([] = conserves). *)
-val conserves : table -> Cost.launch_stats -> string list
-
-(** Iterate the reuse-distance histogram (distance, count) in ascending
-    distance order. *)
-val iter_hist : table -> (int -> int -> unit) -> unit
-
-(** Exact nearest-rank percentile of the reuse-distance histogram
-    ([None] when no warm re-access was measured). *)
-val percentile : table -> float -> int option
-
 val hit_rate : hits:int -> misses:int -> float
-val render : table -> string
-val to_json : table -> Mlir.Json.t

@@ -17,12 +17,13 @@
    allocation. This is progressive lowering applied to the simulator:
    the IR is lowered once to a typed execution form.
 
-   Costs are accumulated per work-group: ALU cycles per executed op,
-   memory transactions per (instruction, occurrence, sub-group) with
-   cache-line coalescing, and barrier costs. The same charges are kept
-   per op, in arrays indexed by the op's dense index, for source
-   attribution. Private memory is treated as registers (no memory cost),
-   matching mem2reg-ed GPU code. *)
+   Charges are counted per op, in arrays indexed by the op's dense
+   index: ALU cycles per executed op, memory transactions per
+   (instruction, occurrence, sub-group) with cache-line coalescing, and
+   barrier rounds. A work-group's totals, which the cost formula prices,
+   are the sums of its per-op counters, and the same counters are the
+   launch's source attribution. Private memory is treated as registers
+   (no memory cost), matching mem2reg-ed GPU code. *)
 
 open Mlir
 module Sycl_types = Sycl_core.Sycl_types
@@ -89,6 +90,18 @@ let f_dist_sum = 10  (* summed warm reuse distances *)
 let f_dist_count = 11  (* warm re-accesses *)
 let n_fields = 12
 
+(* The reuse distances of a chunk's warm cache probes: [counts.(d)] of
+   them measured distance [d]. Grown on demand. *)
+type dist_hist = { mutable counts : int array }
+
+let add_dist (h : dist_hist) d n =
+  if d >= Array.length h.counts then begin
+    let grown = Array.make (max (d + 1) (2 * Array.length h.counts)) 0 in
+    Array.blit h.counts 0 grown 0 (Array.length h.counts);
+    h.counts <- grown
+  end;
+  h.counts.(d) <- h.counts.(d) + n
+
 type wg_ctx = {
   params : Cost.params;
   footprint : Memory.footprint option;
@@ -101,20 +114,11 @@ type wg_ctx = {
          sub-group's accesses made *)
   n_sub : int;  (* sub-groups per work-group *)
   cache_model : Cost.cache_model;
-  cache : Cache.state option;  (* per-group cache; None under Flat *)
-  reuse : Cache.reuse option;  (* per-group reuse-distance tracker *)
-  cache_tab : Cache.table option;  (* per-op cache counter sink *)
+  cache : (Cache.state * Cache.reuse) option;
+      (* the group's cache and reuse-distance tracker; None under Flat *)
+  dists : dist_hist;  (* the chunk's reuse distances *)
   mutable cur_barrier : int;
       (* index of the barrier op the group is suspended at, or -1 *)
-  mutable wg_alu : int;
-  mutable wg_fdiv : int;
-  mutable wg_barriers : int;
-  mutable wg_global : int;
-  mutable wg_local : int;
-  mutable wg_const : int;
-  mutable wg_hits : int;
-  mutable wg_misses : int;
-  mutable wg_evictions : int;
 }
 
 type wi_ctx = {
@@ -212,18 +216,11 @@ let count (g : wg_ctx) k f by =
   let i = (k * n_fields) + f in
   g.counters.(i) <- g.counters.(i) + by
 
-(* Every charge names the charging op so attribution can account it to
-   the op's source location; the per-wg aggregate counters stay the
-   single source of truth for the cost formula. *)
-let alu w k =
-  let g = w.wg in
-  g.wg_alu <- g.wg_alu + 1;
-  count g k f_alu 1
-
-let fdiv w k =
-  let g = w.wg in
-  g.wg_fdiv <- g.wg_fdiv + 1;
-  count g k f_fdiv 1
+(* Every charge is counted against the charging op only: the group's
+   totals, which the cost formula prices, are the sums of its per-op
+   counters ({!flush_wg}). *)
+let alu w k = count w.wg k f_alu 1
+let fdiv w k = count w.wg k f_fdiv 1
 
 (* ------------------------------------------------------------------ *)
 (* Device memory                                                       *)
@@ -293,49 +290,24 @@ let record_access w k (view : Memory.view) lin =
     let seen = per_occ.(occ) in
     if not (mem_int t seen) then begin
       per_occ.(occ) <- t :: seen;
-      (match cls with
-      | 0 ->
-        g.wg_global <- g.wg_global + 1;
-        count g k f_global 1
-      | 1 ->
-        g.wg_local <- g.wg_local + 1;
-        count g k f_local 1
-      | _ ->
-        g.wg_const <- g.wg_const + 1;
-        count g k f_const 1);
+      count g k (match cls with 0 -> f_global | 1 -> f_local | _ -> f_const) 1;
       (* Probe the cache exactly once per NEW coalesced global
          transaction, so hits + misses = global_transactions holds by
          construction. Work-items of a group run sequentially in
          canonical order, so the probe sequence is deterministic and
          domain-count independent. *)
       match g.cache with
-      | Some cache when cls = 0 -> (
+      | Some (cache, reuse) when cls = 0 -> (
         let { Cache.o_hit; o_evicted } =
           Cache.access cache ~aid:a.Memory.aid ~line
         in
-        if o_hit then begin
-          g.wg_hits <- g.wg_hits + 1;
-          count g k f_hits 1
-        end
-        else begin
-          g.wg_misses <- g.wg_misses + 1;
-          count g k f_misses 1
-        end;
-        if o_evicted then begin
-          g.wg_evictions <- g.wg_evictions + 1;
-          count g k f_evictions 1
-        end;
-        match g.reuse with
-        | Some r -> (
-          let d = Cache.reuse_access r ~aid:a.Memory.aid ~line in
-          (match g.cache_tab with
-          | Some t -> Cache.observe_distance t d
-          | None -> ());
-          match d with
-          | Some d ->
-            count g k f_dist_sum d;
-            count g k f_dist_count 1
-          | None -> ())
+        count g k (if o_hit then f_hits else f_misses) 1;
+        if o_evicted then count g k f_evictions 1;
+        match Cache.reuse_access reuse ~aid:a.Memory.aid ~line with
+        | Some d ->
+          count g k f_dist_sum d;
+          count g k f_dist_count 1;
+          add_dist g.dists d 1
         | None -> ())
       | _ -> ()
     end
@@ -1233,7 +1205,6 @@ let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
     if done_count = List.length statuses then ()
     else if done_count > 0 then raise Barrier_divergence
     else begin
-      wg.wg_barriers <- wg.wg_barriers + 1;
       if wg.cur_barrier >= 0 then count wg wg.cur_barrier f_barriers 1;
       let next =
         List.map
@@ -1254,36 +1225,40 @@ let f_cycles = n_fields
 let f_mem_cycles = n_fields + 1
 let n_totals = n_fields + 2
 
-(* Fold one work-group's per-op charges into the chunk totals [tot].
-   Memory transactions and barrier rounds carry exact per-op cycle
-   costs; the compute quotient
+(* Flush a finished work-group. Its per-op charges go into the chunk
+   totals [tot] and, in the same pass, into [sums], which then hold the
+   group's totals: those go into the launch statistics [s], priced by
+   {!Cost.wg_cycles}. Memory transactions and barrier rounds carry exact
+   per-op cycle costs; the compute quotient
    [(alu*alu_cycles + fdiv*fdiv_cycles) / subgroup_size] is divided once
    per group, so per-op shares use largest-remainder apportionment in
    canonical op (creation) order — the shares then sum exactly to the
-   group's compute cycles, which makes the attribution total equal
-   [total_wg_cycles] and keeps the result independent of domain
-   chunking (the apportionment uses per-group state only). An op with
-   no charge adds zero everywhere. [rems] receives each op's remainder;
-   the chunk reuses it for all its groups. *)
-let accumulate_wg (prog : program) (wg : wg_ctx) ~(rems : int array)
-    (tot : int array) =
+   group's compute cycles, which makes the per-op cycles, computed
+   apart from the group's, sum to [total_wg_cycles], and keeps the
+   result independent of domain chunking (the apportionment uses
+   per-group state only). An op with no charge adds zero everywhere.
+   [rems] (each op's remainder) and [sums] are work arrays the chunk
+   reuses for all its groups. *)
+let flush_wg (prog : program) (s : Cost.launch_stats) (tot : int array)
+    ~(rems : int array) ~(sums : int array) (wg : wg_ctx) (n_items : int) =
   let p = wg.params in
   let at k f = wg.counters.((k * n_fields) + f) in
   let n = Array.length prog.ops in
   let sgs = max 1 p.Cost.subgroup_size in
-  let weight k = (at k f_alu * p.Cost.alu_cycles) + (at k f_fdiv * p.Cost.fdiv_cycles) in
-  let total_weight = ref 0 and base_sum = ref 0 in
-  for k = 0 to n - 1 do
-    let wk = weight k in
-    total_weight := !total_weight + wk;
-    base_sum := !base_sum + (wk / sgs);
-    rems.(k) <- wk mod sgs
-  done;
+  Array.fill sums 0 n_fields 0;
+  let base_sum = ref 0 in
   for k = 0 to n - 1 do
     let base = k * n_totals in
     for f = 0 to n_fields - 1 do
-      tot.(base + f) <- tot.(base + f) + at k f
+      let c = at k f in
+      sums.(f) <- sums.(f) + c;
+      tot.(base + f) <- tot.(base + f) + c
     done;
+    let weight =
+      (at k f_alu * p.Cost.alu_cycles) + (at k f_fdiv * p.Cost.fdiv_cycles)
+    in
+    base_sum := !base_sum + (weight / sgs);
+    rems.(k) <- weight mod sgs;
     (* The op's global term uses the same hit/miss-differentiated
        formula as the group total (per-op hits + misses = per-op global
        transactions, exactly), so per-row cycles still sum to
@@ -1296,13 +1271,18 @@ let accumulate_wg (prog : program) (wg : wg_ctx) ~(rems : int array)
     in
     tot.(base + f_mem_cycles) <- tot.(base + f_mem_cycles) + mem_cycles;
     tot.(base + f_cycles) <-
-      tot.(base + f_cycles) + (weight k / sgs) + mem_cycles
+      tot.(base + f_cycles) + (weight / sgs) + mem_cycles
       + (at k f_barriers * p.Cost.barrier_cycles)
   done;
+  let g f = sums.(f) in
   (* The leftover compute cycles go one each to the ops with the largest
      remainders, ties in canonical op order: one scan of the canonical
      order per remainder value, largest first. *)
-  let leftover = ref ((!total_weight / sgs) - !base_sum) and r = ref (sgs - 1) in
+  let leftover =
+    ref
+      ((((g f_alu * p.Cost.alu_cycles) + (g f_fdiv * p.Cost.fdiv_cycles)) / sgs)
+      - !base_sum)
+  and r = ref (sgs - 1) in
   while !leftover > 0 && !r > 0 do
     let i = ref 0 in
     while !leftover > 0 && !i < n do
@@ -1315,76 +1295,60 @@ let accumulate_wg (prog : program) (wg : wg_ctx) ~(rems : int array)
       incr i
     done;
     decr r
-  done
+  done;
+  s.Cost.global_transactions <- s.Cost.global_transactions + g f_global;
+  s.Cost.local_transactions <- s.Cost.local_transactions + g f_local;
+  s.Cost.const_transactions <- s.Cost.const_transactions + g f_const;
+  s.Cost.alu_ops <- s.Cost.alu_ops + g f_alu;
+  s.Cost.fdiv_ops <- s.Cost.fdiv_ops + g f_fdiv;
+  s.Cost.barriers <- s.Cost.barriers + g f_barriers;
+  s.Cost.work_groups <- s.Cost.work_groups + 1;
+  s.Cost.work_items <- s.Cost.work_items + n_items;
+  s.Cost.cache_hits <- s.Cost.cache_hits + g f_hits;
+  s.Cost.cache_misses <- s.Cost.cache_misses + g f_misses;
+  s.Cost.cache_evictions <- s.Cost.cache_evictions + g f_evictions;
+  s.Cost.cache_mem_wait_cycles <-
+    s.Cost.cache_mem_wait_cycles + (g f_misses * p.Cost.global_mem_cycles);
+  let wg_cycles =
+    Cost.wg_cycles p ~model:wg.cache_model ~hits:(g f_hits)
+      ~misses:(g f_misses) ~alu:(g f_alu) ~fdiv:(g f_fdiv)
+      ~global:(g f_global) ~local:(g f_local) ~const:(g f_const)
+      ~barriers:(g f_barriers) ()
+  in
+  s.Cost.total_wg_cycles <- s.Cost.total_wg_cycles + wg_cycles;
+  if wg_cycles > s.Cost.max_wg_cycles then s.Cost.max_wg_cycles <- wg_cycles
 
-(* Flush a chunk's per-op totals into its attribution and cache tables,
-   one row per charging op (ops sharing a name and location share a
-   row), in canonical op order. The launch-global reuse histogram was
-   already fed at probe time. *)
-let flush_totals (prog : program) (tot : int array)
-    (atab : Attribution.table option) (ctab : Cache.table option) =
+(* Flush a launch's per-op totals into [tab], one row per charging op
+   (ops sharing a name and location share a row), in canonical op
+   order. *)
+let flush_totals (prog : program) (tot : int array) (tab : Attribution.table) =
   Array.iter
     (fun k ->
       let at f = tot.((k * n_totals) + f) in
-      let op = prog.ops.(k) in
-      (match atab with
-      | Some tab
-        when at f_alu + at f_fdiv + at f_accesses + at f_barriers + at f_hits
-             + at f_misses
-             > 0 ->
-        let row = Attribution.row tab ~op_name:op.Core.name ~loc:op.Core.loc in
-        row.Attribution.c_alu <- row.Attribution.c_alu + at f_alu;
-        row.Attribution.c_fdiv <- row.Attribution.c_fdiv + at f_fdiv;
-        row.Attribution.c_global <- row.Attribution.c_global + at f_global;
-        row.Attribution.c_local <- row.Attribution.c_local + at f_local;
-        row.Attribution.c_const <- row.Attribution.c_const + at f_const;
-        row.Attribution.c_accesses <- row.Attribution.c_accesses + at f_accesses;
-        row.Attribution.c_barriers <- row.Attribution.c_barriers + at f_barriers;
-        row.Attribution.c_cycles <- row.Attribution.c_cycles + at f_cycles;
-        row.Attribution.c_mem_cycles <- row.Attribution.c_mem_cycles + at f_mem_cycles;
-        row.Attribution.c_hits <- row.Attribution.c_hits + at f_hits;
-        row.Attribution.c_misses <- row.Attribution.c_misses + at f_misses
-      | _ -> ());
-      match ctab with
-      | Some tab when at f_hits + at f_misses > 0 ->
-        let r =
-          Cache.row tab ~op_name:op.Core.name ~loc:(Loc.to_string op.Core.loc)
-        in
-        r.Cache.r_hits <- r.Cache.r_hits + at f_hits;
-        r.Cache.r_misses <- r.Cache.r_misses + at f_misses;
-        r.Cache.r_evictions <- r.Cache.r_evictions + at f_evictions;
-        r.Cache.r_dist_sum <- r.Cache.r_dist_sum + at f_dist_sum;
-        r.Cache.r_dist_count <- r.Cache.r_dist_count + at f_dist_count
-      | _ -> ())
+      if
+        at f_alu + at f_fdiv + at f_accesses + at f_barriers + at f_hits
+        + at f_misses
+        > 0
+      then
+        let op = prog.ops.(k) in
+        Attribution.add tab ~op_name:op.Core.name ~loc:op.Core.loc
+          {
+            Attribution.c_alu = at f_alu;
+            c_fdiv = at f_fdiv;
+            c_global = at f_global;
+            c_local = at f_local;
+            c_const = at f_const;
+            c_accesses = at f_accesses;
+            c_barriers = at f_barriers;
+            c_cycles = at f_cycles;
+            c_mem_cycles = at f_mem_cycles;
+            c_hits = at f_hits;
+            c_misses = at f_misses;
+            c_evictions = at f_evictions;
+            c_dist_sum = at f_dist_sum;
+            c_dist_count = at f_dist_count;
+          })
     prog.canonical
-
-(** Flush a work-group's bookkeeping into the launch statistics and,
-    when a table wants them, its per-op charges into the chunk totals. *)
-let flush_wg (prog : program) (into : Cost.launch_stats) (tot : int array option)
-    ~rems (wg : wg_ctx) (n_items : int) =
-  let s = into in
-  let p = wg.params in
-  s.Cost.global_transactions <- s.Cost.global_transactions + wg.wg_global;
-  s.Cost.local_transactions <- s.Cost.local_transactions + wg.wg_local;
-  s.Cost.const_transactions <- s.Cost.const_transactions + wg.wg_const;
-  s.Cost.alu_ops <- s.Cost.alu_ops + wg.wg_alu;
-  s.Cost.fdiv_ops <- s.Cost.fdiv_ops + wg.wg_fdiv;
-  s.Cost.barriers <- s.Cost.barriers + wg.wg_barriers;
-  s.Cost.work_groups <- s.Cost.work_groups + 1;
-  s.Cost.work_items <- s.Cost.work_items + n_items;
-  s.Cost.cache_hits <- s.Cost.cache_hits + wg.wg_hits;
-  s.Cost.cache_misses <- s.Cost.cache_misses + wg.wg_misses;
-  s.Cost.cache_evictions <- s.Cost.cache_evictions + wg.wg_evictions;
-  s.Cost.cache_mem_wait_cycles <-
-    s.Cost.cache_mem_wait_cycles + (wg.wg_misses * p.Cost.global_mem_cycles);
-  let wg_cycles =
-    Cost.wg_cycles p ~model:wg.cache_model ~hits:wg.wg_hits
-      ~misses:wg.wg_misses ~alu:wg.wg_alu ~fdiv:wg.wg_fdiv ~global:wg.wg_global
-      ~local:wg.wg_local ~const:wg.wg_const ~barriers:wg.wg_barriers ()
-  in
-  s.Cost.total_wg_cycles <- s.Cost.total_wg_cycles + wg_cycles;
-  if wg_cycles > s.Cost.max_wg_cycles then s.Cost.max_wg_cycles <- wg_cycles;
-  Option.iter (accumulate_wg prog wg ~rems) tot
 
 (* ------------------------------------------------------------------ *)
 (* Cross-group race detection                                          *)
@@ -1456,29 +1420,24 @@ let domains_default =
   in
   Atomic.make initial
 let set_default_domains n = Atomic.set domains_default (max 1 n)
-let default_domain_count () = Atomic.get domains_default
 let check_races_default = Atomic.make false
 let set_default_check_races b = Atomic.set check_races_default b
-let default_check_races () = Atomic.get check_races_default
 
 (* Process-wide default behind --cache-model. Flat keeps every output
    surface byte-identical to the pre-cache behaviour. *)
 let cache_model_default = Atomic.make Cost.Flat
 let set_default_cache_model m = Atomic.set cache_model_default m
-let default_cache_model () = Atomic.get cache_model_default
 
 (** Launch [kernel] over [global]/[wg_size]. [args.(i)] binds kernel
     argument i; the item-like argument must be bound to [Item]. Returns
-    the accumulated launch statistics. When [metrics] is given, device
-    execution counters (work-groups, work-items, barriers) are recorded
-    into it through per-domain shards merged in canonical chunk order,
-    so the registry contents are independent of the domain count. When
-    [attribution] is given, every charge is additionally accounted to
-    the charging op's source location into that table — through
-    worker-private shards merged in the same canonical chunk order, so
-    the table is byte-identical whatever the domain count. *)
+    the accumulated launch statistics. Each chunk of work-groups keeps
+    per-op totals and a reuse-distance histogram; they are summed in
+    chunk order and, when [attribution] is given, flushed into that
+    table once, so the table is byte-identical whatever the domain
+    count. [metrics] receives the device execution counters, recorded
+    once from the merged statistics. *)
 let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
-    ?cache_model ?cache ?program ~(module_op : Core.op) ~(kernel : Core.op)
+    ?cache_model ?program ~(module_op : Core.op) ~(kernel : Core.op)
     ~(args : rv array) ~(global : int list) ~(wg_size : int list) () :
     Cost.launch_stats =
   let domains =
@@ -1539,8 +1498,8 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
      accumulate only affects scheduling, never the merged totals). The
      counters, coalescing table, frames and occurrence counts are the
      chunk's, cleared here for each of its groups. *)
-  let run_group ~counters ~coalesce ~frames ~rems (into : Cost.launch_stats)
-      (tot : int array option) (ctab : Cache.table option) (g : int) =
+  let run_group ~counters ~coalesce ~frames ~rems ~sums ~dists
+      (into : Cost.launch_stats) (tot : int array) (g : int) =
     let grp = unflatten group_range g in
     Array.fill counters 0 (Array.length counters) 0;
     Array.fill coalesce 0 (Array.length coalesce) [||];
@@ -1556,23 +1515,12 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
         cache_model;
         (* Fresh per-group cache + reuse state: groups own their core,
            so no cross-group (and thus no cross-domain) coupling. *)
-        cache = Cache.create params cache_model;
-        reuse =
-          (match (ctab, cache_model) with
-          | Some _, (Cost.Direct_mapped | Cost.Set_associative) ->
-            Some (Cache.reuse_create ())
-          | _ -> None);
-        cache_tab = ctab;
+        cache =
+          Option.map
+            (fun c -> (c, Cache.reuse_create ()))
+            (Cache.create params cache_model);
+        dists;
         cur_barrier = -1;
-        wg_alu = 0;
-        wg_fdiv = 0;
-        wg_barriers = 0;
-        wg_global = 0;
-        wg_local = 0;
-        wg_const = 0;
-        wg_hits = 0;
-        wg_misses = 0;
-        wg_evictions = 0;
       }
     in
     let item li =
@@ -1609,22 +1557,12 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
       for li = 0 to items_per_group - 1 do
         run_item prog args (item li)
       done;
-    flush_wg prog into tot ~rems wg items_per_group
+    flush_wg prog into tot ~rems ~sums wg items_per_group
   in
   (* Balanced contiguous chunks of the canonical group order, one per
      domain of the shared pool; [d = 1] runs the one chunk on the
      calling domain. *)
   let d = max 1 (min domains n_groups) in
-  (* One metrics shard per chunk; each chunk writes only its own shard,
-     and the owner folds them in index order after joining. *)
-  let sharded =
-    Option.map (fun _ -> Sycl_obs.Metrics.Sharded.create d) metrics
-  in
-  let record_shard (r : Sycl_obs.Metrics.registry) (s : Cost.launch_stats) =
-    Sycl_obs.Metrics.incr r ~by:s.Cost.work_groups "sim.work_groups";
-    Sycl_obs.Metrics.incr r ~by:s.Cost.work_items "sim.work_items";
-    Sycl_obs.Metrics.incr r ~by:s.Cost.barriers "sim.barriers"
-  in
   (* Each chunk accumulates a private launch_stats and stops at its
      first failing group, as a sequential loop stops the launch. Merging
      chunk stats in chunk order and re-raising the lowest failing group's
@@ -1637,10 +1575,8 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
   in
   let run_chunk i =
     let s = Cost.fresh_launch_stats () in
-    (* Chunk-private attribution and cache shards, merged in chunk order
-       below. *)
-    let at = Option.map (fun _ -> Attribution.create ()) attribution in
-    let ct = Option.map (fun _ -> Cache.create_table ()) cache in
+    let tot = Array.make (n_ops * n_totals) 0 in
+    let dists = { counts = [||] } in
     let counters = Array.make (n_ops * n_fields) 0 in
     let coalesce = Array.make (n_ops * n_sub) [||] in
     let frames =
@@ -1653,44 +1589,40 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
             fr_occ = Array.make n_ops 0;
           })
     in
-    let rems = Array.make n_ops 0 in
-    let tot =
-      if Option.is_some at || Option.is_some ct then
-        Some (Array.make (n_ops * n_totals) 0)
-      else None
-    in
+    let rems = Array.make n_ops 0 and sums = Array.make n_fields 0 in
     let failure = ref None in
     let start, stop = chunk i in
     let g = ref start in
     (try
        while !g < stop do
-         run_group ~counters ~coalesce ~frames ~rems s tot ct !g;
+         run_group ~counters ~coalesce ~frames ~rems ~sums ~dists s tot !g;
          incr g
        done
      with e -> failure := Some (!g, e));
-    Option.iter (fun tot -> flush_totals prog tot at ct) tot;
-    (* Chunk-private shard: recorded inside the worker domain, no
-       contention with the other chunks. *)
-    (match sharded with
-    | Some sh -> record_shard (Sycl_obs.Metrics.Sharded.shard sh i) s
-    | None -> ());
-    (s, at, ct, !failure)
+    (s, tot, dists, !failure)
   in
   let results = Sycl_obs.Pool.run d run_chunk in
-  Array.iter (fun (s, _, _, _) -> Cost.merge_launch_stats ~into:stats s) results;
+  (* Sum the chunks in chunk order into the first one's records. *)
+  let _, tot, dists, _ = results.(0) in
+  Array.iteri
+    (fun i (s, t, h, _) ->
+      Cost.merge_launch_stats ~into:stats s;
+      if i > 0 then begin
+        Array.iteri (fun j c -> tot.(j) <- tot.(j) + c) t;
+        Array.iteri (fun dist n -> if n > 0 then add_dist dists dist n) h.counts
+      end)
+    results;
+  let cached = cache_model <> Cost.Flat in
   (match attribution with
-  | Some into ->
-    Array.iter
-      (fun (_, at, _, _) ->
-        match at with Some src -> Attribution.merge ~into src | None -> ())
-      results
-  | None -> ());
-  (match cache with
-  | Some into ->
-    Array.iter
-      (fun (_, _, ct, _) ->
-        match ct with Some src -> Cache.merge ~into src | None -> ())
-      results
+  | Some tab ->
+    flush_totals prog tot tab;
+    (* A launch under a cache model gives the table its cache view, even
+       when it made no probe. *)
+    if cached then begin
+      let h = Attribution.reuse_hist tab in
+      Array.iteri (fun dist n -> Sycl_obs.Metrics.hist_observe ~count:n h dist)
+        dists.counts
+    end
   | None -> ());
   let first_failure =
     Array.fold_left
@@ -1702,32 +1634,30 @@ let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
       None results
   in
   (match first_failure with Some (_, e) -> raise e | None -> ());
-  (match (metrics, sharded) with
-  | Some reg, Some sh -> Sycl_obs.Metrics.Sharded.merge_into ~into:reg sh
-  | _ -> ());
-  (* Cache counters are recorded once from the merged totals (so they
-     are deterministic whatever the domain count), and only when a
-     non-flat model ran — a flat launch leaves the registry untouched,
+  (* Device counters are recorded once from the merged totals, so they
+     are deterministic whatever the domain count; the cache counters
+     only when a non-flat model ran — a flat launch leaves them out,
      keeping the metrics report byte-identical to the seed. *)
   (match metrics with
-  | Some reg when cache_model <> Cost.Flat ->
-    Sycl_obs.Metrics.incr reg ~by:stats.Cost.cache_hits "sim.cache.hits";
-    Sycl_obs.Metrics.incr reg ~by:stats.Cost.cache_misses "sim.cache.misses";
-    Sycl_obs.Metrics.incr reg ~by:stats.Cost.cache_evictions
-      "sim.cache.evictions";
-    Sycl_obs.Metrics.incr reg ~by:stats.Cost.cache_mem_wait_cycles
-      "sim.cache.mem_wait_cycles";
-    (match cache with
-    | Some t ->
+  | Some reg ->
+    let incr by name = Sycl_obs.Metrics.incr reg ~by name in
+    incr stats.Cost.work_groups "sim.work_groups";
+    incr stats.Cost.work_items "sim.work_items";
+    incr stats.Cost.barriers "sim.barriers";
+    if cached then begin
+      incr stats.Cost.cache_hits "sim.cache.hits";
+      incr stats.Cost.cache_misses "sim.cache.misses";
+      incr stats.Cost.cache_evictions "sim.cache.evictions";
+      incr stats.Cost.cache_mem_wait_cycles "sim.cache.mem_wait_cycles";
       (* Exact reuse-distance histogram (p50/p90/p99 are exact
-         nearest-rank because the registry keeps a value->count table).
-         Power-of-two bucket bounds for the rendered buckets. *)
-      let bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |] in
-      Cache.iter_hist t (fun dist count ->
-          Sycl_obs.Metrics.observe reg ~bounds ~count "sim.cache.reuse_distance"
-            dist)
-    | None -> ())
-  | _ -> ());
+         nearest-rank because the registry keeps a value->count table). *)
+      Array.iteri
+        (fun dist count ->
+          Sycl_obs.Metrics.observe reg ~bounds:Attribution.reuse_bounds ~count
+            "sim.cache.reuse_distance" dist)
+        dists.counts
+    end
+  | None -> ());
   (match footprints with
   | Some fps ->
     let races = detect_races fps in

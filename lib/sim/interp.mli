@@ -45,9 +45,6 @@ type rv =
   | Unit
 
 val as_int : rv -> int
-val as_float : rv -> float
-val as_mem : rv -> Memory.view
-val as_acc : rv -> acc_desc
 
 (** {1 Cross-group race detection}
 
@@ -83,16 +80,12 @@ val describe_race : race -> string
     onto the parallel backend). *)
 
 val set_default_domains : int -> unit
-val default_domain_count : unit -> int
 val set_default_check_races : bool -> unit
-val default_check_races : unit -> bool
 
 (** Process-wide default behind the [--cache-model] flag. [Cost.Flat]
     (the initial value) keeps every output surface byte-identical to the
     pre-cache behaviour. *)
 val set_default_cache_model : Cost.cache_model -> unit
-
-val default_cache_model : unit -> Cost.cache_model
 
 (** {1 Decoding} *)
 
@@ -121,7 +114,7 @@ val decode : module_op:Core.op -> kernel:Core.op -> program
     [program] is [kernel] already decoded by {!decode} (decoded here
     when absent), so a caller launching one kernel many times decodes it
     once.
-    [domains] (default {!default_domain_count}) selects the backend:
+    [domains] (default: the [--sim-domains] default) selects the backend:
     [1] executes work-groups sequentially in canonical order; [> 1]
     partitions the canonical order into balanced contiguous chunks run
     on the shared {!Sycl_obs.Pool}, each accumulating private statistics
@@ -129,25 +122,27 @@ val decode : module_op:Core.op -> kernel:Core.op -> program
     bit-identical to the sequential backend's, and a failing group
     raises the same exception the sequential backend would (the
     canonically first failure).
-    [check_races] (default {!default_check_races}) records per-group
-    write footprints and raises {!Race_detected} on overlap.
+    [check_races] (default: the [--sim-check-races] default) records
+    per-group write footprints and raises {!Race_detected} on overlap.
     [metrics] receives device execution counters ([sim.work_groups],
-    [sim.work_items], [sim.barriers]) recorded through per-domain shards
-    merged in canonical chunk order, so its contents are independent of
-    the domain count.
-    [attribution] receives per-op charge attribution: every cycle and
-    transaction of the launch is accounted to the charging op's
-    (name, source location), accumulated through per-domain shards
-    merged in canonical chunk order — output is byte-identical whatever
-    the domain count, and per-launch totals conserve against the
-    returned stats exactly ({!Attribution.conserves}).
-    [cache_model] (default {!default_cache_model}) selects the per-core
-    data cache simulated over the coalesced global transactions; under a
-    non-flat model the launch stats carry hit/miss/eviction/memory-wait
+    [sim.work_items], [sim.barriers], and under a non-flat cache model
+    [sim.cache.*] and the [sim.cache.reuse_distance] histogram),
+    recorded once from the merged statistics, so its contents are
+    independent of the domain count.
+    [attribution] receives the launch's per-op charges: every cycle and
+    transaction is accounted to the charging op's (name, source
+    location). Each chunk keeps per-op totals in an array indexed by op;
+    the chunks' arrays are summed in chunk order and flushed into the
+    table once, so it is byte-identical whatever the domain count and
+    conserves against the returned stats exactly
+    ({!Attribution.check_launches}). The group totals the stats are made
+    of are sums of the same per-op counters.
+    [cache_model] (default: the [--cache-model] default) selects the
+    per-core data cache simulated over the coalesced global
+    transactions; under a non-flat model the launch stats carry hit/miss/eviction/memory-wait
     counters with [hits + misses = global_transactions] exactly, and
-    [cache] (when given) receives per-op cache counters and the exact
-    reuse-distance histogram, sharded and merged in canonical chunk
-    order like [attribution] ({!Cache.conserves}). *)
+    [attribution] gains its cache view: per-op hits, misses, evictions
+    and reuse distances, and the launch's reuse-distance histogram. *)
 val launch :
   ?params:Cost.params ->
   ?domains:int ->
@@ -155,7 +150,6 @@ val launch :
   ?metrics:Sycl_obs.Metrics.registry ->
   ?attribution:Attribution.table ->
   ?cache_model:Cost.cache_model ->
-  ?cache:Cache.table ->
   ?program:program ->
   module_op:Core.op ->
   kernel:Core.op ->

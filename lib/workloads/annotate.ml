@@ -28,46 +28,17 @@ let located_workload (w : Common.workload) : Common.workload =
           (Printer.to_string (w.Common.w_module ())));
   }
 
-(** One table for the whole run: per-launch tables merged in launch
-    order (merging is commutative sums, so the order is cosmetic). *)
-let merged_attribution (r : H.run_result) : Attribution.table =
-  let t = Attribution.create () in
-  List.iter
-    (fun (_, src) -> Attribution.merge ~into:t src)
-    r.H.per_kernel_attribution;
-  t
-
-(** Same for the cache tables; [None] when the run simulated no cache
-    (the flat model collects nothing). *)
-let merged_cache (r : H.run_result) : Sycl_sim.Cache.table option =
-  match r.H.per_kernel_cache with
-  | [] -> None
-  | tabs ->
-    let t = Sycl_sim.Cache.create_table () in
-    List.iter (fun (_, src) -> Sycl_sim.Cache.merge ~into:t src) tabs;
-    Some t
-
 (* ------------------------------------------------------------------ *)
 (* The run report ([sycl_bench --report-json])                         *)
 (* ------------------------------------------------------------------ *)
 
-(** The merged cache table as JSON with the launch-side transaction
-    total prepended, so the conservation invariant is checkable from the
-    document alone: hits + misses = global_transactions, exactly. *)
-let cache_json (r : H.run_result) (tab : Sycl_sim.Cache.table) : Json.t =
-  let transactions =
-    List.fold_left
-      (fun acc (_, s) -> acc + s.Sycl_sim.Cost.global_transactions)
-      0 r.H.per_kernel
-  in
-  match Sycl_sim.Cache.to_json tab with
-  | Json.Obj kvs -> Json.Obj (("global_transactions", Json.Int transactions) :: kvs)
-  | j -> j
-
 (** The report sections of one simulated run: the runtime metrics
     registry, the merged trace (compile spans from [timing] when given,
-    hotspot counters from [attribution]), the attribution table, and —
-    under a non-flat cache model only — the cache counters. Named
+    hotspot counters from [attribution]), the run's merged attribution
+    table, and — when it has a cache view, that is under a non-flat
+    cache model — the cache counters, with the launch-side transaction
+    total prepended so the conservation invariant is checkable from the
+    document alone: hits + misses = global_transactions, exactly. Named
     workloads and [--file] modules produce the same sections. *)
 let report_sections ?timing ~(attribution : Attribution.table)
     (r : H.run_result) : (string * Json.t) list =
@@ -78,9 +49,15 @@ let report_sections ?timing ~(attribution : Attribution.table)
     ("attribution", Attribution.to_json attribution);
   ]
   @
-  match merged_cache r with
-  | Some tab -> [ ("cache", cache_json r tab) ]
-  | None -> []
+  match Attribution.cache_to_json attribution with
+  | Some (Json.Obj kvs) ->
+    let transactions =
+      List.fold_left
+        (fun acc (_, s) -> acc + s.Sycl_sim.Cost.global_transactions)
+        0 r.H.per_kernel
+    in
+    [ ("cache", Json.Obj (("global_transactions", Json.Int transactions) :: kvs)) ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Standalone .mlir file runner                                        *)
@@ -147,48 +124,10 @@ let delta_report (w : Common.workload) :
   let run_tab passes m =
     ignore (Pass.run_pipeline ~verify_each:false passes m);
     let args, _ = w.Common.w_data () in
-    merged_attribution (H.run ~module_op:m args)
+    Attribution.merge_launches (H.run ~module_op:m args).H.per_kernel_attribution
   in
   let before = run_tab (Differential.reference_pipeline ()) (parse ()) in
   let after, remarks =
     Remarks.collect (fun () -> run_tab (Differential.full_pipeline ()) (parse ()))
   in
   (Attribution.delta ~before ~after ~remarks, remarks)
-
-(* ------------------------------------------------------------------ *)
-(* Per-launch conservation (satellite oracle)                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Check that every launch's attribution decomposes its launch stats
-    exactly ({!Attribution.conserves}); returns the first violation. *)
-let check_conservation (r : H.run_result) : (unit, string) result =
-  let rec go stats tabs =
-    match (stats, tabs) with
-    | [], [] -> Ok ()
-    | (name, s) :: stats', (name', t) :: tabs' when name = name' -> (
-      match Attribution.conserves t s with
-      | Ok () -> go stats' tabs'
-      | Error msg -> Error (Printf.sprintf "%s: %s" name msg))
-    | _ -> Error "per_kernel and per_kernel_attribution lists disagree"
-  in
-  go r.H.per_kernel r.H.per_kernel_attribution
-
-(** Check that every launch's cache table decomposes its launch cache
-    counters exactly and that [hits + misses = global_transactions]
-    ({!Sycl_sim.Cache.conserves}). Trivially [Ok] under the flat model
-    (no tables are collected). *)
-let check_cache_conservation (r : H.run_result) : (unit, string) result =
-  if r.H.per_kernel_cache = [] then Ok ()
-  else
-    (* Under a non-flat model every launch collects a table, so the two
-       lists pair positionally like the attribution check. *)
-    let rec go stats tabs =
-      match (stats, tabs) with
-      | [], [] -> Ok ()
-      | (name, s) :: stats', (name', t) :: tabs' when name = name' -> (
-        match Sycl_sim.Cache.conserves t s with
-        | [] -> go stats' tabs'
-        | v :: _ -> Error (Printf.sprintf "%s: %s" name v))
-      | _ -> Error "per_kernel and per_kernel_cache lists disagree"
-    in
-    go r.H.per_kernel r.H.per_kernel_cache

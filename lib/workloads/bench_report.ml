@@ -170,7 +170,10 @@ let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
       (Annotate.located_workload w)
   in
-  let tab = Annotate.merged_attribution m.Common.m_result in
+  let tab =
+    Sycl_sim.Attribution.merge_launches
+      m.Common.m_result.Host_interp.per_kernel_attribution
+  in
   let total = Sycl_sim.Attribution.total_cycles tab in
   Sycl_sim.Attribution.by_line tab
   |> List.filteri (fun i _ -> i < n)
@@ -186,9 +189,8 @@ let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
          })
 
 (** The v6 cache section: compile the workload under SYCL-MLIR and run
-    it once more with the direct-mapped cache model. Counters sum over
-    every launch; the reuse percentiles come from the merged per-launch
-    histograms. *)
+    it once more with the direct-mapped cache model. Counters and reuse
+    percentiles come from the run's merged table. *)
 let cache_of_workload (w : Common.workload) : cache_metrics =
   let m = w.Common.w_module () in
   ignore
@@ -199,21 +201,26 @@ let cache_of_workload (w : Common.workload) : cache_metrics =
   let r =
     Host_interp.run ~cache_model:Cost.Direct_mapped ~module_op:m args
   in
-  let sum f =
-    List.fold_left (fun acc (_, s) -> acc + f s) 0 r.Host_interp.per_kernel
+  let tab =
+    Sycl_sim.Attribution.merge_launches r.Host_interp.per_kernel_attribution
   in
-  let hits = sum (fun s -> s.Cost.cache_hits) in
-  let misses = sum (fun s -> s.Cost.cache_misses) in
-  let pct =
-    match Annotate.merged_cache r with
-    | Some tab ->
-      fun p -> Option.value ~default:0 (Sycl_sim.Cache.percentile tab p)
-    | None -> fun _ -> 0
+  let sum f =
+    List.fold_left
+      (fun acc (_, c) -> acc + f c)
+      0
+      (Sycl_sim.Attribution.rows tab)
+  in
+  let hits = sum (fun c -> c.Sycl_sim.Attribution.c_hits) in
+  let misses = sum (fun c -> c.Sycl_sim.Attribution.c_misses) in
+  let pct p =
+    Option.value ~default:0
+      (Option.bind tab.Sycl_sim.Attribution.reuse (fun h ->
+           Metrics.hist_percentile h p))
   in
   {
     ca_hits = hits;
     ca_misses = misses;
-    ca_evictions = sum (fun s -> s.Cost.cache_evictions);
+    ca_evictions = sum (fun c -> c.Sycl_sim.Attribution.c_evictions);
     ca_hit_rate = Sycl_sim.Cache.hit_rate ~hits ~misses;
     ca_reuse_p50 = pct 50.0;
     ca_reuse_p90 = pct 90.0;

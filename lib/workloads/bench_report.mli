@@ -91,18 +91,6 @@ type report = {
   r_service : service_metrics;
 }
 
-val metrics_of : Common.measurement -> config_metrics
-
-(** The workload's top-[n] (default 3) hotspot lines from an extra
-    annotated SYCL-MLIR run of its located copy. *)
-val top_hotspots : ?n:int -> Common.workload -> hotspot list
-
-val entry_of_comparison : Common.comparison -> entry
-
-(** Sweep the workloads' modules through a fresh compile service twice
-    (cold round + cached round) and snapshot its telemetry. *)
-val collect_service : Common.workload list -> service_metrics
-
 (** Measure every workload under the three configurations, plus the
     compile-service sweep. *)
 val collect : label:string -> Common.workload list -> report

@@ -121,20 +121,17 @@ let render_digest (r : Common.Host_interp.run_result)
       Buffer.add_string buf
         (Format.asprintf "%s: %a\n" name Common.Cost.pp_launch_stats s))
     r.H.per_kernel;
-  (* Per-op attribution rows in canonical order: the determinism and
-     telemetry oracles cover the profiler's accounting byte-for-byte. *)
+  (* Per-op attribution rows in canonical order, and each launch's cache
+     view (none under the flat model): the determinism and telemetry
+     oracles cover the profiler's accounting byte-for-byte. *)
   List.iter
     (fun (name, tab) ->
       Buffer.add_string buf (Printf.sprintf "attribution %s:\n" name);
-      Buffer.add_string buf (Sycl_sim.Attribution.render tab))
+      Buffer.add_string buf (Sycl_sim.Attribution.render tab);
+      Option.iter
+        (fun c -> Buffer.add_string buf (Printf.sprintf "cache %s:\n%s" name c))
+        (Sycl_sim.Attribution.cache_to_string tab))
     r.H.per_kernel_attribution;
-  (* Cache counter tables (empty under the flat model, so the digest is
-     byte-identical to the pre-cache format there). *)
-  List.iter
-    (fun (name, tab) ->
-      Buffer.add_string buf (Printf.sprintf "cache %s:\n" name);
-      Buffer.add_string buf (Sycl_sim.Cache.render tab))
-    r.H.per_kernel_cache;
   List.iter
     (fun (e : Sycl_obs.Trace.span) ->
       Buffer.add_string buf
@@ -198,7 +195,7 @@ let check_parallel ?(domains = 4) (w : Common.workload) :
 (** Every launch's attribution table must decompose its launch stats
     exactly: each counter column sums to the corresponding
     [Cost.launch_stats] field and the cycle column to [total_wg_cycles]
-    ({!Sycl_sim.Attribution.conserves}). *)
+    ({!Sycl_sim.Attribution.check_launches}). *)
 let check_attribution (w : Common.workload) : (unit, Difftest.failure) result =
   let module H = Common.Host_interp in
   let fail detail =
@@ -214,20 +211,12 @@ let check_attribution (w : Common.workload) : (unit, Difftest.failure) result =
   with
   | exception e -> fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
   | r -> (
-    if
-      List.length r.H.per_kernel <> List.length r.H.per_kernel_attribution
-    then fail "per_kernel and per_kernel_attribution lists disagree"
-    else
-      match
-        List.find_map
-          (fun ((name, stats), (_, tab)) ->
-            match Sycl_sim.Attribution.conserves tab stats with
-            | Ok () -> None
-            | Error msg -> Some (name ^ ": " ^ msg))
-          (List.combine r.H.per_kernel r.H.per_kernel_attribution)
-      with
-      | Some detail -> fail detail
-      | None -> Ok ())
+    match
+      Sycl_sim.Attribution.check_launches r.H.per_kernel
+        r.H.per_kernel_attribution
+    with
+    | Error detail -> fail detail
+    | Ok () -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (e): telemetry neutrality                                    *)
@@ -253,10 +242,7 @@ let telemetry_run (w : Common.workload) ~(telemetry : bool) : string * string =
        report, attribution JSON, annotated IR dump) exactly as the CLI
        tools would. The annotation writes into a re-parsed clone — the
        module under test must stay byte-identical. *)
-    let tab = Sycl_sim.Attribution.create () in
-    List.iter
-      (fun (_, src) -> Sycl_sim.Attribution.merge ~into:tab src)
-      r.H.per_kernel_attribution;
+    let tab = Sycl_sim.Attribution.merge_launches r.H.per_kernel_attribution in
     let trace =
       Telemetry.merged_trace ~timing:(Instrument.timing_report tm)
         ~attribution:tab r
@@ -381,10 +367,10 @@ let check_service_cache (w : Common.workload) :
 (* Oracle (i): cache-model coherence                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Full run digest under an explicit cache model, with per-launch cache
+(* Full run digest under an explicit cache model, with per-launch
    conservation checked on the way ([hits + misses] must equal the
    launch's global transactions exactly, and the per-op table must sum
-   to the launch counters — {!Sycl_sim.Cache.conserves}). *)
+   to the launch counters — {!Sycl_sim.Attribution.check_launches}). *)
 let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
     string =
   let module H = Common.Host_interp in
@@ -392,14 +378,12 @@ let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
   ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
   let args, validate = w.Common.w_data () in
   let r = H.run ~sim_domains:domains ?cache_model ~module_op:m args in
-  List.iter2
-    (fun (kname, stats) (_, tab) ->
-      match Sycl_sim.Cache.conserves tab stats with
-      | [] -> ()
-      | v :: _ ->
-        failwith (Printf.sprintf "%s: cache conservation violated: %s" kname v))
-    (if r.H.per_kernel_cache = [] then [] else r.H.per_kernel)
-    r.H.per_kernel_cache;
+  (match
+     Sycl_sim.Attribution.check_launches r.H.per_kernel
+       r.H.per_kernel_attribution
+   with
+  | Ok () -> ()
+  | Error v -> failwith ("cache conservation violated: " ^ v));
   render_digest r args ~valid:(validate ())
 
 (** Cache-model coherence: under each non-flat model the cache counters

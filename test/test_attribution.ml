@@ -1,5 +1,6 @@
 (* The source-attributed hotspot profiler: conservation against launch
-   statistics, domain-count independence of every rendering, the golden
+   statistics (and the check's rejection of each perturbed column), the
+   run merge, domain-count independence of every rendering, the golden
    matmul hotspot table, annotated-IR round-tripping and the
    Fused/CallSite join of the optimization-delta report. *)
 
@@ -23,14 +24,71 @@ let run_matmul ?sim_domains ?cache_model () =
   let args = Annotate.synth_args m ~size:16 in
   (m, H.run ?sim_domains ?cache_model ~module_op:m args)
 
-let merged r = Annotate.merged_attribution r
+let merged r = Attribution.merge_launches r.H.per_kernel_attribution
+
+let check_launches (r : H.run_result) =
+  Attribution.check_launches r.H.per_kernel r.H.per_kernel_attribution
+
+(* Compile a located workload with the default SYCL-MLIR pipeline and run
+   it on its own data. *)
+let run_workload ?cache_model (w : Common.workload) =
+  Helpers.init ();
+  let w = Annotate.located_workload w in
+  let m = w.Common.w_module () in
+  ignore
+    (Sycl_core.Driver.compile (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
+  let args, _ = w.Common.w_data () in
+  H.run ?cache_model ~module_op:m args
+
+(* The columns [Attribution.check_launches] compares with the launch
+   statistics, under the names it reports them by, with a setter that
+   adds to the column. *)
+let checked_columns : (string * (Attribution.counts -> int -> unit)) list =
+  Attribution.
+    [
+      ("alu", fun c d -> c.c_alu <- c.c_alu + d);
+      ("fdiv", fun c d -> c.c_fdiv <- c.c_fdiv + d);
+      ("global", fun c d -> c.c_global <- c.c_global + d);
+      ("local", fun c d -> c.c_local <- c.c_local + d);
+      ("const", fun c d -> c.c_const <- c.c_const + d);
+      ("barriers", fun c d -> c.c_barriers <- c.c_barriers + d);
+      ("cycles", fun c d -> c.c_cycles <- c.c_cycles + d);
+      ("cache hits", fun c d -> c.c_hits <- c.c_hits + d);
+      ("cache misses", fun c d -> c.c_misses <- c.c_misses + d);
+      ("cache evictions", fun c d -> c.c_evictions <- c.c_evictions + d);
+    ]
+
+(* Every column of a row, for sums over tables. *)
+let all_columns : (string * (Attribution.counts -> int)) list =
+  Attribution.
+    [
+      ("alu", fun c -> c.c_alu);
+      ("fdiv", fun c -> c.c_fdiv);
+      ("global", fun c -> c.c_global);
+      ("local", fun c -> c.c_local);
+      ("const", fun c -> c.c_const);
+      ("accesses", fun c -> c.c_accesses);
+      ("barriers", fun c -> c.c_barriers);
+      ("cycles", fun c -> c.c_cycles);
+      ("mem_cycles", fun c -> c.c_mem_cycles);
+      ("hits", fun c -> c.c_hits);
+      ("misses", fun c -> c.c_misses);
+      ("evictions", fun c -> c.c_evictions);
+      ("dist_sum", fun c -> c.c_dist_sum);
+      ("dist_count", fun c -> c.c_dist_count);
+    ]
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
 
 let tests_list =
   [
     Alcotest.test_case "matmul: attribution conserves launch stats exactly"
       `Quick (fun () ->
         let _, r = run_matmul () in
-        (match Annotate.check_conservation r with
+        (match check_launches r with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "conservation violated: %s" msg);
         (* And the merged table's cycle total equals the summed per-launch
@@ -42,6 +100,95 @@ let tests_list =
         in
         Alcotest.(check int) "total cycles" total_stats
           (Attribution.total_cycles (merged r)));
+    Alcotest.test_case "conservation check rejects each perturbed column"
+      `Quick (fun () ->
+        (* Under the dm model every comparison of the check is live: one
+           extra unit in any checked column of one row, a probe the
+           transactions do not account for, or a launch list that does
+           not pair with its tables must each be reported. *)
+        let _, r = run_matmul ~cache_model:Sycl_sim.Cost.Direct_mapped () in
+        let launches = r.H.per_kernel and tables = r.H.per_kernel_attribution in
+        let expect_ok what =
+          match Attribution.check_launches launches tables with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" what msg
+        in
+        let expect_error what ~needle =
+          match Attribution.check_launches launches tables with
+          | Ok () -> Alcotest.failf "%s: check passed" what
+          | Error msg ->
+            if not (contains ~needle msg) then
+              Alcotest.failf "%s: %S does not name %S" what msg needle
+        in
+        expect_ok "unperturbed run";
+        let _, c =
+          match tables with
+          | (_, t) :: _ -> List.hd (Attribution.rows t)
+          | [] -> Alcotest.fail "no launch"
+        in
+        List.iter
+          (fun (col, bump) ->
+            bump c 1;
+            expect_error col ~needle:(": " ^ col ^ " total ");
+            bump c (-1))
+          checked_columns;
+        expect_ok "perturbations undone";
+        (* A hit in both the table and the launch balances the hit column
+           but not the probe count. *)
+        let s = snd (List.hd launches) in
+        s.Sycl_sim.Cost.cache_hits <- s.Sycl_sim.Cost.cache_hits + 1;
+        c.Attribution.c_hits <- c.Attribution.c_hits + 1;
+        expect_error "unaccounted probe" ~needle:": cache probes total ";
+        s.Sycl_sim.Cost.cache_hits <- s.Sycl_sim.Cost.cache_hits - 1;
+        c.Attribution.c_hits <- c.Attribution.c_hits - 1;
+        expect_ok "probe undone";
+        let disagree what ls ts =
+          match Attribution.check_launches ls ts with
+          | Ok () -> Alcotest.failf "%s: check passed" what
+          | Error msg ->
+            Alcotest.(check string) what "launch and table lists disagree" msg
+        in
+        disagree "missing table" launches (List.tl tables);
+        disagree "renamed table" launches
+          (List.map (fun (name, t) -> (name ^ "'", t)) tables));
+    Alcotest.test_case "run merge: each column sums the launch tables" `Quick
+      (fun () ->
+        (* 3mm launches one kernel three times. Every column of the merged
+           table, and its count of warm probes, is the sum over the launch
+           tables, and the order of the launches does not change it. *)
+        let r =
+          run_workload ~cache_model:Sycl_sim.Cost.Direct_mapped
+            (Polybench.three_mm ~n:16)
+        in
+        let tables = List.map snd r.H.per_kernel_attribution in
+        Alcotest.(check int) "three launches" 3 (List.length tables);
+        let tab = merged r in
+        let column f t =
+          List.fold_left (fun acc (_, c) -> acc + f c) 0 (Attribution.rows t)
+        in
+        let over_launches f =
+          List.fold_left (fun acc t -> acc + f t) 0 tables
+        in
+        List.iter
+          (fun (col, f) ->
+            Alcotest.(check int) col (over_launches (column f)) (column f tab))
+          all_columns;
+        let warm t =
+          match t.Attribution.reuse with
+          | Some h -> h.Sycl_obs.Metrics.h_count
+          | None -> Alcotest.fail "no cache view under the dm model"
+        in
+        Alcotest.(check int) "warm probes" (over_launches warm) (warm tab);
+        Alcotest.(check bool) "some warm probes" true (warm tab > 0);
+        let rev =
+          Attribution.merge_launches (List.rev r.H.per_kernel_attribution)
+        in
+        Alcotest.(check string) "render in reverse order" (Attribution.render tab)
+          (Attribution.render rev);
+        Alcotest.(check (option string))
+          "cache table in reverse order"
+          (Attribution.cache_to_string tab)
+          (Attribution.cache_to_string rev));
     Alcotest.test_case "matmul: >= 95%% of cycles land on known lines" `Quick
       (fun () ->
         let _, r = run_matmul () in
@@ -174,7 +321,7 @@ let tests_list =
              (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
         let args, _ = w.Common.w_data () in
         let r = H.run ~module_op:m args in
-        (match Annotate.check_conservation r with
+        (match check_launches r with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "conservation violated: %s" msg);
         let barriers_run =

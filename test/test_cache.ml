@@ -7,6 +7,7 @@
 
 open Mlir
 module Cache = Sycl_sim.Cache
+module Attribution = Sycl_sim.Attribution
 module Cost = Sycl_sim.Cost
 module H = Sycl_runtime.Host_interp
 module AP = Sycl_core.Analysis_printer
@@ -44,13 +45,22 @@ let run_workload ?cache_model (w : Common.workload) =
   let args, _ = w.Common.w_data () in
   H.run ?cache_model ~module_op:m args
 
+let merged (r : H.run_result) =
+  Attribution.merge_launches r.H.per_kernel_attribution
+
+(* A table's cache view; every launch under a non-flat model has one. *)
+let cache_view to_view tab =
+  match to_view tab with
+  | Some v -> v
+  | None -> Alcotest.fail "no cache view under a non-flat model"
+
 let state_exn model =
   match Cache.create Cost.default model with
   | Some s -> s
   | None -> Alcotest.fail "expected a cache state for a non-flat model"
 
 let check_conserved name (r : H.run_result) =
-  (match Annotate.check_cache_conservation r with
+  (match Attribution.check_launches r.H.per_kernel r.H.per_kernel_attribution with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: %s" name msg);
   (* And hits + misses decompose the transaction count exactly. *)
@@ -60,7 +70,7 @@ let check_conserved name (r : H.run_result) =
         (name ^ ": hits + misses = global transactions")
         s.Cost.global_transactions
         (s.Cost.cache_hits + s.Cost.cache_misses))
-    r.H.per_kernel r.H.per_kernel_cache
+    r.H.per_kernel r.H.per_kernel_attribution
 
 let tests_list =
   [
@@ -128,8 +138,7 @@ let tests_list =
       `Quick (fun () ->
         let _, r = run_matmul ~cache_model:Cost.Direct_mapped () in
         let table =
-          Sycl_sim.Attribution.hotspots_to_string
-            (Annotate.merged_attribution r)
+          Sycl_sim.Attribution.hotspots_to_string (merged r)
         in
         let golden =
           In_channel.with_open_text "../examples/matmul.hotspots.txt"
@@ -150,14 +159,16 @@ let tests_list =
             let render r =
               String.concat ""
                 (List.map
-                   (fun (name, tab) -> name ^ ":\n" ^ Cache.render tab)
-                   r.H.per_kernel_cache)
+                   (fun (name, tab) ->
+                     name ^ ":\n" ^ cache_view Attribution.cache_to_string tab)
+                   r.H.per_kernel_attribution)
             in
             let json r =
               String.concat ""
                 (List.map
-                   (fun (_, tab) -> Json.to_string (Cache.to_json tab))
-                   r.H.per_kernel_cache)
+                   (fun (_, tab) ->
+                     Json.to_string (cache_view Attribution.cache_to_json tab))
+                   r.H.per_kernel_attribution)
             in
             Alcotest.(check string) "render identical" (render r1) (render r4);
             Alcotest.(check string) "JSON identical" (json r1) (json r4))
@@ -166,7 +177,10 @@ let tests_list =
       (fun () ->
         let _, r = run_matmul () in
         Alcotest.(check int) "no cache tables" 0
-          (List.length r.H.per_kernel_cache);
+          (List.length
+             (List.filter_map
+                (fun (_, tab) -> Attribution.cache_to_string tab)
+                r.H.per_kernel_attribution));
         List.iter
           (fun (_, (s : Cost.launch_stats)) ->
             Alcotest.(check int) "no hits" 0 s.Cost.cache_hits;
@@ -174,17 +188,13 @@ let tests_list =
             Alcotest.(check int) "no evictions" 0 s.Cost.cache_evictions;
             Alcotest.(check int) "no wait cycles" 0 s.Cost.cache_mem_wait_cycles)
           r.H.per_kernel;
-        let table =
-          Sycl_sim.Attribution.hotspots_to_string
-            (Annotate.merged_attribution r)
-        in
+        let table = Sycl_sim.Attribution.hotspots_to_string (merged r) in
         Alcotest.(check bool) "no hitrate column under flat" false
           (contains ~needle:"hitrate" table);
         (* Explicit flat behaves exactly like the default. *)
         let _, r_flat = run_matmul ~cache_model:Cost.Flat () in
         Alcotest.(check string) "explicit flat table identical" table
-          (Sycl_sim.Attribution.hotspots_to_string
-             (Annotate.merged_attribution r_flat)));
+          (Sycl_sim.Attribution.hotspots_to_string (merged r_flat)));
     Alcotest.test_case
       "predicted in-capacity reuse implies >= 90%% measured hit rate" `Quick
       (fun () ->
@@ -224,22 +234,24 @@ let tests_list =
         Alcotest.(check bool) "some accesses predicted streaming" true
           (!streaming <> []);
         let _, r = run_matmul ~cache_model:Cost.Set_associative () in
-        let tab =
-          match Annotate.merged_cache r with
-          | Some t -> t
-          | None -> Alcotest.fail "no cache table under assoc"
-        in
+        let tab = merged r in
+        if tab.Attribution.reuse = None then
+          Alcotest.fail "no cache table under assoc";
         let hits = ref 0 and misses = ref 0 and matched = ref 0 in
         List.iter
-          (fun ((_, loc), (row : Cache.row)) ->
+          (fun ((k : Attribution.key), (row : Attribution.counts)) ->
+            let loc = Loc.to_string k.Attribution.k_loc in
             let names l = contains ~needle:l loc in
-            if List.exists names !predicted && not (List.exists names !streaming)
+            if
+              row.Attribution.c_hits + row.Attribution.c_misses > 0
+              && List.exists names !predicted
+              && not (List.exists names !streaming)
             then begin
               incr matched;
-              hits := !hits + row.Cache.r_hits;
-              misses := !misses + row.Cache.r_misses
+              hits := !hits + row.Attribution.c_hits;
+              misses := !misses + row.Attribution.c_misses
             end)
-          (Cache.rows tab);
+          (Attribution.rows tab);
         Alcotest.(check bool) "predicted rows observed dynamically" true
           (!matched > 0);
         let rate = Cache.hit_rate ~hits:!hits ~misses:!misses in

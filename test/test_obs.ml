@@ -1,7 +1,8 @@
 (* The observability subsystem: exact histogram percentiles (including
-   bucket-boundary and overflow cases), registry merge semantics, sharded
-   cross-domain determinism, and the merged compile/runtime/device trace
-   (lane layout, monotonic timestamps, Chrome JSON shape). *)
+   bucket-boundary and overflow cases), histogram merge, cross-domain
+   determinism of the runtime metrics, and the merged
+   compile/runtime/device trace (lane layout, monotonic timestamps,
+   Chrome JSON shape). *)
 
 open Sycl_workloads
 module Metrics = Sycl_obs.Metrics
@@ -103,61 +104,39 @@ let test_hist_count () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Registry merge semantics                                            *)
+(* Histogram merge                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_merge_semantics () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a ~by:3 "c";
-  Metrics.incr b ~by:4 "c";
-  Metrics.set_gauge a "g" 7;
-  Metrics.set_gauge b "g" 5;
-  Metrics.observe a "h" 1;
-  Metrics.observe b "h" 99;
-  Metrics.merge ~into:a b;
-  check_int "counters sum" 7 (Metrics.counter_value a "c");
-  Alcotest.(check (option int)) "gauges max" (Some 7) (Metrics.gauge_value a "g");
-  check_int "histograms merge" 2 (Metrics.hist_sample_count a "h");
-  Alcotest.(check (option int)) "merged p99" (Some 99)
-    (Metrics.percentile a "h" 99.)
-
-let test_merge_kind_mismatch () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a "x";
-  Metrics.set_gauge b "x" 1;
-  check "kind mismatch raises" true
-    (match Metrics.merge ~into:a b with
+(* [merge_hist] folds a histogram in as if each of its samples had been
+   observed into the target: count, sum, buckets and every percentile
+   equal those of one histogram fed both sample sets, and the source is
+   left as it was. Histograms with other bucket bounds do not merge. *)
+let test_hist_merge () =
+  let bounds = [| 2; 8; 32 |] in
+  let fill vs =
+    let h = Metrics.hist_make bounds in
+    List.iter (Metrics.hist_observe h) vs;
+    h
+  in
+  let a = [ 1; 3; 3; 40; 8 ] and b = [ 9; 32; 2; 100; 3 ] in
+  let into = fill a and src = fill b and both = fill (a @ b) in
+  Metrics.merge_hist ~into src;
+  check_int "count" both.Metrics.h_count into.Metrics.h_count;
+  check_int "sum" both.Metrics.h_sum into.Metrics.h_sum;
+  check "buckets" true (both.Metrics.h_buckets = into.Metrics.h_buckets);
+  for p = 1 to 100 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "p%d" p)
+      (Metrics.hist_percentile both (float_of_int p))
+      (Metrics.hist_percentile into (float_of_int p))
+  done;
+  check_int "source count unchanged" (List.length b) src.Metrics.h_count;
+  check "different bounds rejected" true
+    (match Metrics.merge_hist ~into (Metrics.hist_make [| 2; 8 |]) with
     | () -> false
-    | exception Invalid_argument _ -> true)
-
-(* Sharded collection merges in canonical shard order: however work is
-   distributed over shards, the merged registry (and its JSON) is
-   identical. *)
-let test_sharded_canonical () =
-  let fill order =
-    let sh = Metrics.Sharded.create 4 in
-    List.iter
-      (fun i ->
-        let r = Metrics.Sharded.shard sh i in
-        Metrics.incr r ~by:(i + 1) "work";
-        Metrics.observe r "lat" ((i + 1) * 10))
-      order;
-    Json.to_string (Metrics.to_json (Metrics.Sharded.merged sh))
-  in
-  let a = fill [ 0; 1; 2; 3 ] and b = fill [ 3; 1; 0; 2 ] in
-  check "fill order is irrelevant" true (a = b);
-  (* and distribution over shards is irrelevant too *)
-  let one_shard =
-    let sh = Metrics.Sharded.create 4 in
-    let r = Metrics.Sharded.shard sh 2 in
-    List.iter
-      (fun i ->
-        Metrics.incr r ~by:(i + 1) "work";
-        Metrics.observe r "lat" ((i + 1) * 10))
-      [ 0; 1; 2; 3 ];
-    Json.to_string (Metrics.to_json (Metrics.Sharded.merged sh))
-  in
-  check "distribution is irrelevant" true (a = one_shard)
+    | exception Invalid_argument _ -> true);
+  check_int "rejected merge left the target alone" both.Metrics.h_count
+    into.Metrics.h_count
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain metrics determinism                                    *)
@@ -335,12 +314,8 @@ let tests =
         test_hist_count;
       Alcotest.test_case "histogram: bounds and overflow" `Quick
         test_hist_overflow;
-      Alcotest.test_case "merge: counter/gauge/hist semantics" `Quick
-        test_merge_semantics;
-      Alcotest.test_case "merge: kind mismatch rejected" `Quick
-        test_merge_kind_mismatch;
-      Alcotest.test_case "sharded: canonical merge" `Quick
-        test_sharded_canonical;
+      Alcotest.test_case "histogram merge: sample by sample, same bounds only"
+        `Quick test_hist_merge;
       Alcotest.test_case "runtime metrics: 1-vs-4 domains identical" `Quick
         test_domains_deterministic;
       Alcotest.test_case "runtime metrics: event kinds present" `Quick

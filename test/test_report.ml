@@ -6,10 +6,14 @@
 
 open Sycl_workloads
 module H = Common.Host_interp
+module Attribution = Sycl_sim.Attribution
 module Report = Sycl_obs.Report
 module Json = Mlir.Json
 
 let check = Alcotest.(check bool)
+
+let merged (r : H.run_result) =
+  Attribution.merge_launches r.H.per_kernel_attribution
 
 let section name report =
   match Json.member name report with
@@ -30,7 +34,7 @@ let gemm_report ?(cache_model = Common.Cost.Direct_mapped) ~domains () =
        m);
   let args, _ = w.Common.w_data () in
   let r = H.run ~sim_domains:domains ~cache_model ~module_op:m args in
-  let attribution = Annotate.merged_attribution r in
+  let attribution = merged r in
   ( r,
     Report.to_json
       (Annotate.report_sections
@@ -66,27 +70,83 @@ let test_sections_are_surface_documents () =
   let r, report = gemm_report ~domains:1 () in
   check "attribution = Attribution.to_json" true
     (section "attribution" report
-    = Sycl_sim.Attribution.to_json (Annotate.merged_attribution r));
+    = Attribution.to_json (merged r));
   let transactions =
     List.fold_left
       (fun acc (_, s) -> acc + s.Common.Cost.global_transactions)
       0 r.H.per_kernel
   in
   let expected_cache =
-    match Annotate.merged_cache r with
-    | Some tab -> (
-      match Sycl_sim.Cache.to_json tab with
-      | Json.Obj kvs -> Json.Obj (("global_transactions", Json.Int transactions) :: kvs)
-      | _ -> Alcotest.fail "Cache.to_json is not an object")
+    match Attribution.cache_to_json (merged r) with
+    | Some (Json.Obj kvs) ->
+      Json.Obj (("global_transactions", Json.Int transactions) :: kvs)
+    | Some _ -> Alcotest.fail "Attribution.cache_to_json is not an object"
     | None -> Alcotest.fail "no cache table under the dm model"
   in
-  check "cache = Cache.to_json with global_transactions" true
+  check "cache = Attribution.cache_to_json with global_transactions" true
     (section "cache" report = expected_cache);
   check "metrics = Metrics.to_json" true
     (section "metrics" report = Sycl_obs.Metrics.to_json r.H.metrics);
   (* A flat run produces no cache table, so no cache section. *)
   let _, flat = gemm_report ~cache_model:Common.Cost.Flat ~domains:1 () in
   check "flat run has no cache section" true (Json.member "cache" flat = None)
+
+(* A program that submits the kernel [idle] [launches] times, simulated
+   under [cache_model]: its run, report and --annotate cache table. The
+   kernel reads its id and touches no memory, so a launch makes no
+   global transaction. *)
+let idle_run ~cache_model ~launches =
+  let module K = Sycl_frontend.Kernel in
+  let module Host = Sycl_frontend.Host in
+  let m = Helpers.fresh_module () in
+  ignore
+    (K.define m ~name:"idle" ~dims:1 ~args:[] (fun b ~item ~args:_ ->
+         ignore (K.gid b item 0)));
+  let submit =
+    Host.Submit
+      { Host.cg_kernel = "idle"; cg_global = [ Host.Const 64 ];
+        cg_local = None; cg_captures = [] }
+  in
+  ignore
+    (Host.emit m
+       { Host.host_args = []; buffers = []; globals = [];
+         body = List.init launches (fun _ -> submit) });
+  ignore (Mlir.Pass.run_pipeline [ Sycl_core.Host_raising.pass ] m);
+  let r = H.run ~cache_model ~module_op:m [] in
+  let attribution = merged r in
+  ( r,
+    Report.to_json (Annotate.report_sections ~attribution r),
+    Attribution.cache_to_string attribution )
+
+(* The cache view exists exactly when a non-flat model ran a launch —
+   even one that made no probe, whose counters are then all zero. *)
+let test_cache_view_gating () =
+  let r, report, table =
+    idle_run ~cache_model:Common.Cost.Direct_mapped ~launches:1
+  in
+  Alcotest.(check int) "one launch" 1 r.H.kernel_launches;
+  let cache = section "cache" report in
+  List.iter
+    (fun k -> Alcotest.(check (option int)) (k ^ " = 0") (Some 0) (int k cache))
+    [ "global_transactions"; "hits"; "misses"; "evictions" ];
+  let reuse = section "reuse_distance" cache in
+  List.iter
+    (fun k -> Alcotest.(check (option int)) (k ^ " = 0") (Some 0) (int k reuse))
+    [ "warm"; "cold" ];
+  check "no cache rows" true (Json.member "rows" cache = Some (Json.List []));
+  Alcotest.(check (option string))
+    "zero cache table"
+    (Some
+       "cache: hits=0 misses=0 evictions=0 hit_rate=0.0000\n\
+       \  reuse distance: warm=0 cold=0 p50=- p90=- p99=-\n")
+    table;
+  let absent what (_, report, table) =
+    check (what ^ ": no cache section") true (Json.member "cache" report = None);
+    check (what ^ ": no cache table") true (table = None)
+  in
+  absent "flat run" (idle_run ~cache_model:Common.Cost.Flat ~launches:1);
+  absent "dm run with no launch"
+    (idle_run ~cache_model:Common.Cost.Direct_mapped ~launches:0)
 
 let test_sections_domain_independent () =
   let _, seq = gemm_report ~domains:1 () in
@@ -108,7 +168,7 @@ let test_file_report_sections () =
   let sections =
     Annotate.report_sections
       ~timing:(Mlir.Instrument.timing_report tm)
-      ~attribution:(Annotate.merged_attribution r) r
+      ~attribution:(merged r) r
   in
   let report = Report.to_json sections in
   ignore (section "metrics" report);
@@ -135,6 +195,9 @@ let tests =
         `Quick test_kernel_spans_sum_to_device_cycles;
       Alcotest.test_case "sections are the surfaces' JSON documents" `Quick
         test_sections_are_surface_documents;
+      Alcotest.test_case
+        "cache view: present for a probe-less dm launch, else absent" `Quick
+        test_cache_view_gating;
       Alcotest.test_case "non-trace sections identical at 1 and 4 domains"
         `Quick test_sections_domain_independent;
       Alcotest.test_case "--file report has metrics and trace" `Quick
