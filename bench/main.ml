@@ -19,9 +19,11 @@
                                          — exit 1 on cycle/validity
                                            regressions or missing workloads
 
-   Global flags (any subcommand):
+   Global flags (any subcommand), which make up the one simulator
+   configuration every simulating subcommand runs with:
      --sim-domains N     — run the device simulator's work-groups on N
-                           worker domains (default: recommended count)
+                           worker domains (default: SYCL_SIM_DOMAINS when
+                           set, else the recommended count)
      --sim-check-races   — detect work-groups writing overlapping global
                            locations (exit 1 with a report)
      --cache-model M     — simulate a per-core data cache (flat|dm|assoc;
@@ -35,35 +37,40 @@
 open Sycl_workloads
 module Driver = Sycl_core.Driver
 
-(* Global simulator flags, valid with every subcommand:
-     --sim-domains N     worker domains for the device simulator
-     --sim-check-races   cross-group write-overlap detection
-   They are stripped from argv here and applied as the simulator's
-   process-wide defaults, so each subcommand's own parser never sees
-   them. *)
-let filtered_args =
-  let rec go acc = function
+(* The global simulator flags are stripped from argv here, so each
+   subcommand's own parser never sees them, and make up the simulator
+   configuration [sim]. SYCL_SIM_DOMAINS stands in for an absent
+   --sim-domains, as in sycl_bench. *)
+let sim, filtered_args =
+  let parse_domains what v =
+    match Sycl_sim.Sim_config.domains_of_string v with
+    | Some n -> n
+    | None ->
+      Printf.eprintf "bad %s %s (want an integer >= 1)\n" what v;
+      exit 2
+  in
+  let rec go domains_flag (sim : Sycl_sim.Sim_config.t) acc = function
     | "--sim-domains" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> Sycl_sim.Interp.set_default_domains n
-      | _ ->
-        Printf.eprintf "bad --sim-domains %s (want an integer >= 1)\n" v;
-        exit 2);
-      go acc rest
+      go (Some (parse_domains "--sim-domains" v)) sim acc rest
     | "--sim-check-races" :: rest ->
-      Sycl_sim.Interp.set_default_check_races true;
-      go acc rest
-    | "--cache-model" :: v :: rest ->
-      (match Sycl_sim.Cost.model_of_string v with
-      | Some m -> Sycl_sim.Interp.set_default_cache_model m
+      go domains_flag { sim with check_races = true } acc rest
+    | "--cache-model" :: v :: rest -> (
+      match Sycl_sim.Cost.model_of_string v with
+      | Some cache_model -> go domains_flag { sim with cache_model } acc rest
       | None ->
         Printf.eprintf "bad --cache-model %s (want flat|dm|assoc)\n" v;
-        exit 2);
-      go acc rest
-    | x :: rest -> go (x :: acc) rest
-    | [] -> List.rev acc
+        exit 2)
+    | x :: rest -> go domains_flag sim (x :: acc) rest
+    | [] ->
+      let domains =
+        match (domains_flag, Sys.getenv_opt "SYCL_SIM_DOMAINS") with
+        | Some n, _ -> n
+        | None, Some v -> parse_domains "SYCL_SIM_DOMAINS" v
+        | None, None -> Domain.recommended_domain_count ()
+      in
+      ({ sim with domains }, List.rev acc)
   in
-  go [] (List.tl (Array.to_list Sys.argv))
+  go None Sycl_sim.Sim_config.default [] (List.tl (Array.to_list Sys.argv))
 
 let cmd = match filtered_args with c :: _ -> c | [] -> "all"
 let subcommand_args () = match filtered_args with _ :: rest -> rest | [] -> []
@@ -74,7 +81,7 @@ let rows key mk =
   match Hashtbl.find_opt rows_cache key with
   | Some r -> r
   | None ->
-    let r = List.map Suite.run_row (mk ()) in
+    let r = List.map (Suite.run_row ~sim) (mk ()) in
     Hashtbl.replace rows_cache key r;
     r
 
@@ -153,11 +160,11 @@ let run_ablation () =
   print_newline ();
   List.iter
     (fun (w : Common.workload) ->
-      let base = Common.measure (Driver.config Driver.Dpcpp) w in
+      let base = Common.measure ~sim (Driver.config Driver.Dpcpp) w in
       Printf.printf "%-16s" w.Common.w_name;
       List.iter
         (fun (_, cfg) ->
-          let m = Common.measure cfg w in
+          let m = Common.measure ~sim cfg w in
           Printf.printf " %29.2fx%s" (Common.speedup base m)
             (if m.Common.m_valid then "  " else " !!"))
         ablation_configs;
@@ -167,7 +174,7 @@ let run_ablation () =
   Printf.printf "\nCompile-time statistics under SYCL-MLIR (cf. Section VIII):\n";
   List.iter
     (fun (w : Common.workload) ->
-      let m = Common.measure (Driver.config Driver.Sycl_mlir) w in
+      let m = Common.measure ~sim (Driver.config Driver.Sycl_mlir) w in
       let st k = Mlir.Pass.Stats.get m.Common.m_stats k in
       Printf.printf
         "  %-14s reductions rewritten=%d  refs prefetched=%d  divergent-rejected=%d  noalias pairs=%d\n"
@@ -190,7 +197,7 @@ let run_fusion () =
     let cfg = Driver.config ~enable_fusion Driver.Sycl_mlir in
     let compiled = Driver.compile cfg m in
     let args, validate = w.Common.w_data () in
-    let result = Sycl_runtime.Host_interp.run ~module_op:m args in
+    let result = Common.run_host ~sim m args in
     (result, validate (), Mlir.Pass.merged_stats compiled.Driver.pipeline_result)
   in
   let unfused, v1, _ = measure false in
@@ -283,21 +290,21 @@ let run_fuzz () =
       | Error f ->
         record i f.Mlir.Difftest.f_oracle
           (w.Common.w_name ^ ": " ^ f.Mlir.Difftest.f_detail));
-      (match Differential.check w with
+      (match Differential.check ~sim w with
       | Ok () -> ()
       | Error d ->
         record i "differential" (Differential.divergence_to_string d));
       (* Oracle (d): sequential vs. parallel backend determinism — the
          full run digest (stats, metrics, profile, buffers) must be
          byte-identical under worker domains. *)
-      (match Differential.check_parallel ~domains:4 w with
+      (match Differential.check_parallel ~sim ~domains:4 w with
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
       (* Oracle (e): telemetry neutrality — enabling timing
          instrumentation and trace/metrics export must not change the
          compiled IR or the run digest. *)
-      (match Differential.check_telemetry_neutral w with
+      (match Differential.check_telemetry_neutral ~sim w with
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
@@ -310,7 +317,7 @@ let run_fuzz () =
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
       (* Oracle (g): attribution conservation — every launch's per-op
          attribution must decompose its launch statistics exactly. *)
-      (match Differential.check_attribution w with
+      (match Differential.check_attribution ~sim w with
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
@@ -324,7 +331,7 @@ let run_fuzz () =
       (* Oracle (i): cache-model coherence — exact conservation under
          both non-flat models, domain-count byte-identity of the cache
          digest, and flat ≡ default. *)
-      match Differential.check_cache_coherence ~domains:4 w with
+      match Differential.check_cache_coherence ~sim ~domains:4 w with
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail
@@ -382,7 +389,7 @@ let run_report () =
   let path =
     match !out with Some p -> p | None -> Printf.sprintf "BENCH_%s.json" !label
   in
-  let r = Bench_report.collect ~label:!label (Suite.all ()) in
+  let r = Bench_report.collect ~sim ~label:!label (Suite.all ()) in
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Bench_report.to_json r));
   let invalid =
@@ -484,7 +491,7 @@ let run_profile () =
   Format.printf "%a@?" Mlir.Instrument.pp_timing (Mlir.Instrument.timing_report tm);
   (* Execute and export the merged compile + runtime + device trace. *)
   let args, _validate = w.Common.w_data () in
-  let result = Sycl_runtime.Host_interp.run ~module_op:m args in
+  let result = Common.run_host ~sim m args in
   let trace =
     Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) result
   in

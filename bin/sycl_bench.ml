@@ -102,12 +102,12 @@ let run_surfaces ~annotate ~annotated_ir ~report_json ~timer
       | Error msg -> cannot_write "report" msg)
     report_json
 
-let run_mlir_file cfg ~path ~size ~annotate ~annotated_ir ~report_json =
+let run_mlir_file ~sim cfg ~path ~size ~annotate ~annotated_ir ~report_json =
   let timer = Mlir.Instrument.timer () in
   let instrumentations =
     if report_json <> None then [ Mlir.Instrument.timing timer ] else []
   in
-  match Annotate.run_file cfg ~instrumentations ~size path with
+  match Annotate.run_file ~sim cfg ~instrumentations ~size path with
   | exception Annotate.File_error msg ->
     Printf.eprintf "error: %s: %s\n" path msg;
     exit 2
@@ -137,9 +137,9 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
        --compare or --delta";
     exit 2
   end;
-  Option.iter Sycl_sim.Interp.set_default_domains sim_domains;
-  if check_races then Sycl_sim.Interp.set_default_check_races true;
-  Option.iter Sycl_sim.Interp.set_default_cache_model cache_model;
+  let sim =
+    { Sycl_sim.Sim_config.domains = sim_domains; check_races; cache_model }
+  in
   let config mode =
     Driver.config ~enable_licm:(not no_licm)
       ~enable_reduction:(not no_reduction)
@@ -150,7 +150,7 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
   try
   match file_arg with
   | Some path ->
-    run_mlir_file (config mode) ~path ~size ~annotate ~annotated_ir
+    run_mlir_file ~sim (config mode) ~path ~size ~annotate ~annotated_ir
       ~report_json
   | None ->
   match bench with
@@ -164,18 +164,18 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
       exit 2
     | Some w ->
       if delta then begin
-        let ds, _remarks = Annotate.delta_report w in
+        let ds, _remarks = Annotate.delta_report ~sim w in
         print_string (Sycl_sim.Attribution.delta_to_string ds)
       end
       else if compare then begin
-        let base = Common.measure (config Driver.Dpcpp) w in
+        let base = Common.measure ~sim (config Driver.Dpcpp) w in
         report w base;
         print_newline ();
-        let opt = Common.measure (config Driver.Sycl_mlir) w in
+        let opt = Common.measure ~sim (config Driver.Sycl_mlir) w in
         report w opt;
         Printf.printf "\nspeedup SYCL-MLIR over DPC++: %.2fx\n"
           (Common.speedup base opt);
-        (match Common.measure (config Driver.Adaptive_cpp) w with
+        (match Common.measure ~sim (config Driver.Adaptive_cpp) w with
         | acpp when acpp.Common.m_valid ->
           Printf.printf "speedup AdaptiveCpp over DPC++: %.2fx\n"
             (Common.speedup base acpp)
@@ -196,7 +196,7 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
         let instrumentations =
           if report_json <> None then [ Mlir.Instrument.timing timer ] else []
         in
-        let m = Common.measure ~instrumentations (config mode) w in
+        let m = Common.measure ~sim ~instrumentations (config mode) w in
         report w m;
         run_surfaces ~annotate ~annotated_ir ~report_json ~timer
           m.Common.m_result m.Common.m_module;
@@ -246,13 +246,29 @@ let report_json_arg =
               located run of $(b,--annotate). Single runs only (not \
               $(b,--compare) or $(b,--delta)).")
 
+let domains_conv =
+  Arg.conv
+    ( (fun s ->
+        match Sycl_sim.Sim_config.domains_of_string s with
+        | Some n -> Ok n
+        | None ->
+          Error
+            (`Msg
+              (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))),
+      Format.pp_print_int )
+
 let sim_domains_arg =
-  Arg.(value & opt (some int) None
-       & info [ "sim-domains" ] ~docv:"N"
+  let env =
+    Cmd.Env.info "SYCL_SIM_DOMAINS"
+      ~doc:"Domain count when $(b,--sim-domains) is absent."
+  in
+  Arg.(value & opt domains_conv (Domain.recommended_domain_count ())
+       & info [ "sim-domains" ] ~env ~docv:"N"
+           ~absent:"the recommended domain count"
            ~doc:
              "Execute the simulated device's work-groups on $(docv) worker \
-              domains (default: the recommended domain count). Results are \
-              bit-identical to the sequential backend.")
+              domains. Results are bit-identical to the sequential \
+              backend.")
 
 let check_races_arg =
   Arg.(value & flag
@@ -272,7 +288,7 @@ let cache_model_conv =
         Format.pp_print_string fmt (Sycl_sim.Cost.model_to_string m) )
 
 let cache_model_arg =
-  Arg.(value & opt (some cache_model_conv) None
+  Arg.(value & opt cache_model_conv Sycl_sim.Cost.Flat
        & info [ "cache-model" ] ~docv:"MODEL"
            ~doc:
              "Simulate a per-core data cache over the coalesced global \

@@ -35,12 +35,4 @@ let to_string id =
     invalid_arg (Printf.sprintf "Atom.to_string: unknown atom %d" id)
   else arr.(id)
 
-(** The canonical shared string equal to [s]. *)
-let canonical s = to_string (intern s)
-
-let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Int.compare a b
-let hash (a : t) = a
-
-(** Number of atoms interned so far. *)
-let count () = Array.length (Atomic.get names)

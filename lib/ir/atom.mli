@@ -16,13 +16,4 @@ val intern : string -> t
     never returned by {!intern}. *)
 val to_string : t -> string
 
-(** [canonical s] is the one shared string equal to [s] — comparing two
-    canonical strings hits the physical-equality fast path. *)
-val canonical : string -> string
-
-val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
-
-(** Number of atoms interned so far (atom ids are [0 .. count () - 1]). *)
-val count : unit -> int

@@ -4,8 +4,6 @@
    [a] properly dominates [b] iff, after lifting [b] to the op in [a]'s
    block that (transitively) contains it, [a] appears earlier. *)
 
-let block_of (op : Core.op) = op.parent_block
-
 (** Index of [op] in its block body, or None if detached. *)
 let index_in_block (op : Core.op) =
   match op.parent_block with
@@ -64,15 +62,6 @@ let value_visible_at (v : Core.value) (user : Core.op) =
       | None -> false
     in
     inside user
-
-(** The innermost op with a Loop control kind (per the registry) containing
-    [op], if any. *)
-let rec enclosing_loop (op : Core.op) =
-  match Core.parent_op op with
-  | None -> None
-  | Some p ->
-    if (Op_registry.info p).Op_registry.control = Op_registry.Loop then Some p
-    else enclosing_loop p
 
 (** Is [block] one of [region]'s blocks or nested below them? *)
 let block_in_region (region : Core.region) (block : Core.block) =

@@ -17,9 +17,6 @@ val properly_dominates : Core.op -> Core.op -> bool
     is a block argument of an enclosing block)? *)
 val value_visible_at : Core.value -> Core.op -> bool
 
-(** Innermost registered Loop op containing the given op. *)
-val enclosing_loop : Core.op -> Core.op option
-
 (** Is the block one of the region's blocks or nested below them? *)
 val block_in_region : Core.region -> Core.block -> bool
 

@@ -35,8 +35,6 @@ let diag_to_string d =
       (Loc.diag_prefix d.d_loc)
       d.message d.d_context (Printer.summary op) chain
 
-exception Verification_failed of diag list
-
 let verify ?(allow_unregistered = true) (top : Core.op) =
   let diags = ref [] in
   let fail ?op fmt =
@@ -122,11 +120,6 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
   in
   Core.walk top ~f:check_op;
   match List.rev !diags with [] -> Ok () | ds -> Error ds
-
-let verify_exn ?allow_unregistered top =
-  match verify ?allow_unregistered top with
-  | Ok () -> ()
-  | Error ds -> raise (Verification_failed ds)
 
 (* Common per-op check helpers for dialects to build their verify hooks. *)
 

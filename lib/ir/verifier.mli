@@ -15,14 +15,10 @@ type diag = {
     position; structured locations also print their full chain. *)
 val diag_to_string : diag -> string
 
-exception Verification_failed of diag list
-
 (** Verify an op and everything nested in it. With
     [allow_unregistered = false], operations without a registry entry are
     also reported. *)
 val verify : ?allow_unregistered:bool -> Core.op -> (unit, diag list) result
-
-val verify_exn : ?allow_unregistered:bool -> Core.op -> unit
 
 (** {2 Helpers for dialect verify hooks} *)
 

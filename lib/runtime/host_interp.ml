@@ -18,6 +18,7 @@ module Interp = Sycl_sim.Interp
 module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
 module Profile = Sycl_sim.Profile
+module Sim_config = Sycl_sim.Sim_config
 module Sycl_types = Sycl_core.Sycl_types
 module Sycl_host_ops = Sycl_core.Sycl_host_ops
 module Dead_arg_elim = Sycl_core.Dead_arg_elim
@@ -35,7 +36,6 @@ type hv =
 
 let as_scalar = function Scalar rv -> rv | _ -> raise (Host_error "expected scalar")
 let as_int v = Interp.as_int (as_scalar v)
-let as_queue = function Queue q -> q | _ -> raise (Host_error "expected queue")
 let as_handler = function Handler h -> h | _ -> raise (Host_error "expected handler")
 let as_buffer = function Buffer b -> b | _ -> raise (Host_error "expected buffer")
 
@@ -70,8 +70,10 @@ type run_result = {
           plus device execution counters ([sim.*]) *)
 }
 
+(* Every run is priced with the one cost model. *)
+let params = Cost.default
+
 type state = {
-  params : Cost.params;
   module_op : Core.op;
   env : (int, hv) Hashtbl.t;
   globals : (string, Memory.allocation) Hashtbl.t;
@@ -84,9 +86,7 @@ type state = {
      its first launch, after the JIT hook has specialized it, and the
      run changes no kernel after that. *)
   decoded : (string, Interp.program) Hashtbl.t;
-  sim_domains : int option;  (* simulator backend knobs; None = defaults *)
-  check_races : bool option;
-  cache_model : Cost.cache_model option;
+  sim : Sim_config.t;
   recorder : Profile.recorder;
   metrics : Metrics.registry;
   mutable r_device : int;
@@ -180,13 +180,13 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
      buffer/accessor model (the DAG waits this command group incurred). *)
   let deps = Objects.dependencies_of h.Objects.h_captures in
   st.r_deps <- st.r_deps + List.length deps;
-  st.r_sched <- st.r_sched + st.params.Cost.scheduler_cycles;
-  charge st.params.Cost.scheduler_cycles;
+  st.r_sched <- st.r_sched + params.Cost.scheduler_cycles;
+  charge params.Cost.scheduler_cycles;
   Metrics.incr st.metrics "runtime.submits";
   Metrics.incr st.metrics ~by:(List.length deps) "runtime.dag_wait_edges";
   Profile.record_seg sg ~cat:"submit" ~name:("submit:" ^ kernel_name)
     ~args:[ ("dependency_edges", List.length deps) ]
-    ~dur:st.params.Cost.scheduler_cycles ();
+    ~dur:params.Cost.scheduler_cycles ();
   (* Data movement + argument binding. *)
   let max_idx =
     List.fold_left (fun acc (i, _) -> max acc i) 0 h.Objects.h_captures
@@ -200,7 +200,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
       match cap with
       | Objects.Cap_accessor a ->
         let b = a.Objects.acc_buffer in
-        let dev, cost = Objects.ensure_on_device st.params b in
+        let dev, cost = Objects.ensure_on_device params b in
         st.r_transfer <- st.r_transfer + cost;
         charge cost;
         if cost > 0 then begin
@@ -239,7 +239,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
             in
             Memory.blit ~src:(Memory.full_view host) ~dst:(Memory.full_view d)
               elems;
-            let cost = Cost.transfer_cycles st.params ~elems in
+            let cost = Cost.transfer_cycles params ~elems in
             st.r_transfer <- st.r_transfer + cost;
             charge cost;
             if cost > 0 then begin
@@ -328,7 +328,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
       let arr = Array.of_list !expanded in
       (arr, Array.length arr - 1)
   in
-  let overhead = Cost.launch_overhead st.params ~live_args in
+  let overhead = Cost.launch_overhead params ~live_args in
   st.r_launch <- st.r_launch + overhead;
   st.r_launch_count <- st.r_launch_count + 1;
   charge overhead;
@@ -350,16 +350,14 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
       p
   in
   let stats =
-    Interp.launch ~params:st.params ?domains:st.sim_domains
-      ?check_races:st.check_races ~metrics:st.metrics ~attribution
-      ?cache_model:st.cache_model ~program ~module_op:st.module_op ~kernel ~args
-      ~global ~wg_size:wg ()
+    Interp.launch ~config:st.sim ~metrics:st.metrics ~attribution ~program
+      ~module_op:st.module_op ~kernel ~args ~global ~wg_size:wg ()
   in
-  let dev_cycles = Cost.device_cycles st.params stats in
+  let dev_cycles = Cost.device_cycles params stats in
   st.r_device <- st.r_device + dev_cycles;
   charge dev_cycles;
   Profile.record_seg sg ~cat:"kernel" ~name:kernel_name
-    ~args:(Profile.breakdown st.params stats) ~dur:dev_cycles ();
+    ~args:(Profile.breakdown params stats) ~dur:dev_cycles ();
   Profile.commit st.recorder sg;
   Metrics.observe st.metrics ~bounds:Metrics.latency_bounds
     "runtime.launch_latency_cycles" !latency;
@@ -524,7 +522,7 @@ and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
   | "sycl.host.wait" -> `Next
   | "sycl.host.buffer_dtor" ->
     let b = as_buffer (operand 0) in
-    let cost = Objects.sync_to_host st.params b in
+    let cost = Objects.sync_to_host params b in
     st.r_transfer <- st.r_transfer + cost;
     if cost > 0 then begin
       Metrics.incr st.metrics "runtime.transfers_d2h";
@@ -550,7 +548,7 @@ and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
     in
     let dst = view_of (operand 1) and src = view_of (operand 2) in
     Memory.blit ~src ~dst n;
-    let cost = Cost.transfer_cycles st.params ~elems:n in
+    let cost = Cost.transfer_cycles params ~elems:n in
     st.r_transfer <- st.r_transfer + cost;
     if cost > 0 then begin
       Metrics.incr st.metrics "runtime.memcpys";
@@ -572,17 +570,18 @@ and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
 (** Execute host function [main] of [module_op]. [main_args.(i)] binds the
     i-th host argument, typically host data arrays wrapped as
     [Scalar (Interp.Mem view)]. *)
-let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
-    ?check_races ?cache_model ~(module_op : Core.op) ?(main = "main")
+let run ?launch_hook ?(jit_cycles = 0)
+    ?(sim_domains = Sim_config.(default.domains))
+    ?(check_races = Sim_config.(default.check_races))
+    ?(cache_model = Sim_config.(default.cache_model)) ~(module_op : Core.op)
     (main_args : hv list) : run_result =
   let f =
-    match Core.lookup_func module_op main with
+    match Core.lookup_func module_op "main" with
     | Some f -> f
-    | None -> raise (Host_error ("no host function " ^ main))
+    | None -> raise (Host_error "no host function main")
   in
   let st =
     {
-      params;
       module_op;
       env = Hashtbl.create 128;
       globals = Hashtbl.create 8;
@@ -591,9 +590,7 @@ let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
       jit_cycles_per_kernel = jit_cycles;
       jitted = Hashtbl.create 4;
       decoded = Hashtbl.create 4;
-      sim_domains;
-      check_races;
-      cache_model;
+      sim = { Sim_config.domains = sim_domains; check_races; cache_model };
       recorder = Profile.recorder ();
       metrics = Metrics.create ();
       r_device = 0;

@@ -1406,28 +1406,6 @@ let detect_races (fps : Memory.footprint array) : race list =
 (* Launch                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Process-wide defaults behind the --sim-domains / --sim-check-races
-   CLI flags, so entry points configure the backend once instead of
-   threading parameters through every call site. *)
-let domains_default =
-  (* SYCL_SIM_DOMAINS overrides the recommended count so a whole test or
-     CI run can be forced onto the parallel backend without plumbing a
-     flag through every entry point. *)
-  let initial =
-    match Option.bind (Sys.getenv_opt "SYCL_SIM_DOMAINS") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | _ -> Domain.recommended_domain_count ()
-  in
-  Atomic.make initial
-let set_default_domains n = Atomic.set domains_default (max 1 n)
-let check_races_default = Atomic.make false
-let set_default_check_races b = Atomic.set check_races_default b
-
-(* Process-wide default behind --cache-model. Flat keeps every output
-   surface byte-identical to the pre-cache behaviour. *)
-let cache_model_default = Atomic.make Cost.Flat
-let set_default_cache_model m = Atomic.set cache_model_default m
-
 (** Launch [kernel] over [global]/[wg_size]. [args.(i)] binds kernel
     argument i; the item-like argument must be bound to [Item]. Returns
     the accumulated launch statistics. Each chunk of work-groups keeps
@@ -1436,25 +1414,11 @@ let set_default_cache_model m = Atomic.set cache_model_default m
     table once, so the table is byte-identical whatever the domain
     count. [metrics] receives the device execution counters, recorded
     once from the merged statistics. *)
-let launch ?(params = Cost.default) ?domains ?check_races ?metrics ?attribution
-    ?cache_model ?program ~(module_op : Core.op) ~(kernel : Core.op)
-    ~(args : rv array) ~(global : int list) ~(wg_size : int list) () :
-    Cost.launch_stats =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Atomic.get domains_default
-  in
-  let check_races =
-    match check_races with
-    | Some b -> b
-    | None -> Atomic.get check_races_default
-  in
-  let cache_model =
-    match cache_model with
-    | Some m -> m
-    | None -> Atomic.get cache_model_default
-  in
+let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
+    ~(module_op : Core.op) ~(kernel : Core.op) ~(args : rv array)
+    ~(global : int list) ~(wg_size : int list) () : Cost.launch_stats =
+  let { Sim_config.domains; check_races; cache_model } = config in
+  let params = Cost.default in
   let stats = Cost.fresh_launch_stats () in
   let global = Array.of_list global and wg_size = Array.of_list wg_size in
   let nd = Array.length global in

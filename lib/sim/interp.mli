@@ -71,22 +71,6 @@ exception Race_detected of race list
 
 val describe_race : race -> string
 
-(** {1 Backend defaults}
-
-    Process-wide defaults behind the [--sim-domains] and
-    [--sim-check-races] CLI flags. The domain count starts at
-    [Domain.recommended_domain_count ()], or at [SYCL_SIM_DOMAINS] when
-    that environment variable is set (how CI forces a whole test run
-    onto the parallel backend). *)
-
-val set_default_domains : int -> unit
-val set_default_check_races : bool -> unit
-
-(** Process-wide default behind the [--cache-model] flag. [Cost.Flat]
-    (the initial value) keeps every output surface byte-identical to the
-    pre-cache behaviour. *)
-val set_default_cache_model : Cost.cache_model -> unit
-
 (** {1 Decoding} *)
 
 (** A kernel lowered once to its execution form: every SSA value of the
@@ -114,16 +98,17 @@ val decode : module_op:Core.op -> kernel:Core.op -> program
     [program] is [kernel] already decoded by {!decode} (decoded here
     when absent), so a caller launching one kernel many times decodes it
     once.
-    [domains] (default: the [--sim-domains] default) selects the backend:
-    [1] executes work-groups sequentially in canonical order; [> 1]
-    partitions the canonical order into balanced contiguous chunks run
-    on the shared {!Sycl_obs.Pool}, each accumulating private statistics
-    that are merged in chunk order — the returned stats are
-    bit-identical to the sequential backend's, and a failing group
-    raises the same exception the sequential backend would (the
-    canonically first failure).
-    [check_races] (default: the [--sim-check-races] default) records
-    per-group write footprints and raises {!Race_detected} on overlap.
+    [config] (default {!Sim_config.default}) holds the run's settings.
+    Its [domains] selects the backend: [1] executes work-groups
+    sequentially in canonical order; [> 1] partitions the canonical
+    order into balanced contiguous chunks run on the shared
+    {!Sycl_obs.Pool}, each accumulating private statistics that are
+    merged in chunk order — the returned stats are bit-identical to the
+    sequential backend's, and a failing group raises the same exception
+    the sequential backend would (the canonically first failure). Its
+    [check_races] records per-group write footprints and raises
+    {!Race_detected} on overlap. The launch is priced with
+    {!Cost.default}.
     [metrics] receives device execution counters ([sim.work_groups],
     [sim.work_items], [sim.barriers], and under a non-flat cache model
     [sim.cache.*] and the [sim.cache.reuse_distance] histogram),
@@ -137,19 +122,16 @@ val decode : module_op:Core.op -> kernel:Core.op -> program
     conserves against the returned stats exactly
     ({!Attribution.check_launches}). The group totals the stats are made
     of are sums of the same per-op counters.
-    [cache_model] (default: the [--cache-model] default) selects the
-    per-core data cache simulated over the coalesced global
-    transactions; under a non-flat model the launch stats carry hit/miss/eviction/memory-wait
-    counters with [hits + misses = global_transactions] exactly, and
+    [config]'s [cache_model] selects the per-core data cache simulated
+    over the coalesced global transactions; under a non-flat model the
+    launch stats carry hit/miss/eviction/memory-wait counters with
+    [hits + misses = global_transactions] exactly, and
     [attribution] gains its cache view: per-op hits, misses, evictions
     and reuse distances, and the launch's reuse-distance histogram. *)
 val launch :
-  ?params:Cost.params ->
-  ?domains:int ->
-  ?check_races:bool ->
+  ?config:Sim_config.t ->
   ?metrics:Sycl_obs.Metrics.registry ->
   ?attribution:Attribution.table ->
-  ?cache_model:Cost.cache_model ->
   ?program:program ->
   module_op:Core.op ->
   kernel:Core.op ->

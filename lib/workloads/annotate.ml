@@ -90,11 +90,12 @@ let synth_args (m : Core.op) ~(size : int) : H.hv list =
     (Core.block_args (Core.func_body main))
 
 (** Parse [path], compile it under [cfg] (with [instrumentations]
-    around every pass) and execute [main] with synthesized arguments.
+    around every pass) and execute [main] with synthesized arguments
+    under the simulator settings [sim].
     The parser stamps every op with its position in the file — under the
     basename, so the report (and any golden comparison against it) is
     independent of the invocation directory. *)
-let run_file (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
+let run_file ?sim (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
     (path : string) : Core.op * H.run_result =
   let text =
     try In_channel.with_open_text path In_channel.input_all
@@ -104,27 +105,28 @@ let run_file (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
   let m = Parser.parse_module ~file:(Filename.basename path) text in
   ignore (Common.Driver.compile ?instrumentations cfg m);
   let args = synth_args m ~size in
-  (m, H.run ~module_op:m args)
+  (m, Common.run_host ?sim m args)
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-delta report                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Run the located [w] twice — unoptimized reference pipeline (host
-    raising only) vs. the full SYCL-MLIR pipeline with optimization
-    remarks collected — and join the two attributions per source line
-    ({!Attribution.delta}): each line's cycle delta lands next to the
-    remarks that claimed it, with lines surviving only as
-    [Fused]/[CallSite] constituents forwarded to the row carrying their
-    cycles. *)
-let delta_report (w : Common.workload) :
+(** Run the located [w] twice under the simulator settings [sim] —
+    unoptimized reference pipeline (host raising only) vs. the full
+    SYCL-MLIR pipeline with optimization remarks collected — and join
+    the two attributions per source line ({!Attribution.delta}): each
+    line's cycle delta lands next to the remarks that claimed it, with
+    lines surviving only as [Fused]/[CallSite] constituents forwarded to
+    the row carrying their cycles. *)
+let delta_report ?sim (w : Common.workload) :
     Attribution.delta_row list * Remarks.t list =
   let text = Printer.to_string (w.Common.w_module ()) in
   let parse () = Parser.parse_module ~file:(virtual_file w) text in
   let run_tab passes m =
     ignore (Pass.run_pipeline ~verify_each:false passes m);
     let args, _ = w.Common.w_data () in
-    Attribution.merge_launches (H.run ~module_op:m args).H.per_kernel_attribution
+    Attribution.merge_launches
+      (Common.run_host ?sim m args).H.per_kernel_attribution
   in
   let before = run_tab (Differential.reference_pipeline ()) (parse ()) in
   let after, remarks =

@@ -164,9 +164,9 @@ let metrics_of (m : Common.measurement) : config_metrics =
     the located copy (printed and re-parsed under a virtual file name)
     measured under the SYCL-MLIR configuration. Deterministic — the
     simulator and the attribution's canonical ordering are. *)
-let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
+let top_hotspots ~sim ?(n = 3) (w : Common.workload) : hotspot list =
   let m =
-    Common.measure
+    Common.measure ~sim
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
       (Annotate.located_workload w)
   in
@@ -189,9 +189,9 @@ let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
          })
 
 (** The v6 cache section: compile the workload under SYCL-MLIR and run
-    it once more with the direct-mapped cache model. Counters and reuse
-    percentiles come from the run's merged table. *)
-let cache_of_workload (w : Common.workload) : cache_metrics =
+    it once more under [sim] with the direct-mapped cache model.
+    Counters and reuse percentiles come from the run's merged table. *)
+let cache_of_workload ~sim (w : Common.workload) : cache_metrics =
   let m = w.Common.w_module () in
   ignore
     (Sycl_core.Driver.compile
@@ -199,7 +199,9 @@ let cache_of_workload (w : Common.workload) : cache_metrics =
        m);
   let args, _ = w.Common.w_data () in
   let r =
-    Host_interp.run ~cache_model:Cost.Direct_mapped ~module_op:m args
+    Common.run_host
+      ~sim:{ sim with Sycl_sim.Sim_config.cache_model = Cost.Direct_mapped }
+      m args
   in
   let tab =
     Sycl_sim.Attribution.merge_launches r.Host_interp.per_kernel_attribution
@@ -271,7 +273,7 @@ let compile_of_comparison (c : Common.comparison) : compile_metrics =
     co_wall_us = wall_us;
   }
 
-let entry_of_comparison (c : Common.comparison) : entry =
+let entry_of_comparison ~sim (c : Common.comparison) : entry =
   let w = c.Common.c_workload in
   {
     e_name = w.Common.w_name;
@@ -286,9 +288,9 @@ let entry_of_comparison (c : Common.comparison) : entry =
       @ [ ("sycl-mlir", metrics_of c.Common.c_sycl_mlir) ];
     e_speedup = Common.speedup c.Common.c_base c.Common.c_sycl_mlir;
     e_pass_stats = Pass.Stats.to_list c.Common.c_sycl_mlir.Common.m_stats;
-    e_hotspots = top_hotspots w;
+    e_hotspots = top_hotspots ~sim w;
     e_compile = compile_of_comparison c;
-    e_cache = cache_of_workload w;
+    e_cache = cache_of_workload ~sim w;
   }
 
 (* Sweep every workload module through the compile service twice: round
@@ -345,12 +347,15 @@ let collect_service (workloads : Common.workload list) : service_metrics =
       float_of_int requests_total *. 1e6 /. float_of_int (max 1 wall_us);
   }
 
-let collect ~label (workloads : Common.workload list) : report =
+let collect ?(sim = Sycl_sim.Sim_config.default) ~label
+    (workloads : Common.workload list) : report =
   (* Sequence explicitly: record fields evaluate in unspecified order,
      and the measurements must not run against a registry frozen by the
      service sweep before the dialects initialized. *)
   let entries =
-    List.map (fun w -> entry_of_comparison (Common.compare_workload w)) workloads
+    List.map
+      (fun w -> entry_of_comparison ~sim (Common.compare_workload ~sim w))
+      workloads
   in
   let service = collect_service workloads in
   {

@@ -91,9 +91,12 @@ type report = {
   r_service : service_metrics;
 }
 
-(** Measure every workload under the three configurations, plus the
+(** Measure every workload under the three configurations with the
+    simulator settings [sim] (default {!Sycl_sim.Sim_config.default};
+    the cache section always runs the direct-mapped model), plus the
     compile-service sweep. *)
-val collect : label:string -> Common.workload list -> report
+val collect :
+  ?sim:Sycl_sim.Sim_config.t -> label:string -> Common.workload list -> report
 
 val to_json : report -> string
 

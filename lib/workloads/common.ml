@@ -7,6 +7,7 @@ open Mlir
 module Interp = Sycl_sim.Interp
 module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
+module Sim_config = Sycl_sim.Sim_config
 module Host_interp = Sycl_runtime.Host_interp
 module Driver = Sycl_core.Driver
 module Kernel = Sycl_frontend.Kernel
@@ -99,12 +100,21 @@ type measurement = {
 
 exception Unsupported of string
 
-(** Compile and execute [w] under [cfg]; the measured run excludes JIT
-    warm-up (the paper's methodology discards the first run).
-    [instrumentations] are installed around every compile pass (how the
-    bench driver collects compile-phase timing for the merged trace). *)
-let measure ?(params = Cost.default) ?(instrumentations = [])
-    (cfg : Driver.config) (w : workload) : measurement =
+(** Execute host [main] of the compiled module [m] on [args] under the
+    simulator settings [sim] (default {!Sim_config.default}): the one
+    way the workload harnesses run a module. *)
+let run_host ?(sim = Sim_config.default) ?launch_hook ?jit_cycles m args =
+  Host_interp.run ?launch_hook ?jit_cycles ~sim_domains:sim.Sim_config.domains
+    ~check_races:sim.Sim_config.check_races
+    ~cache_model:sim.Sim_config.cache_model ~module_op:m args
+
+(** Compile and execute [w] under [cfg] with the simulator settings
+    [sim]; the measured run excludes JIT warm-up (the paper's
+    methodology discards the first run). [instrumentations] are
+    installed around every compile pass (how the bench driver collects
+    compile-phase timing for the merged trace). *)
+let measure ?sim ?(instrumentations = []) (cfg : Driver.config)
+    (w : workload) : measurement =
   if cfg.Driver.mode = Driver.Adaptive_cpp && not w.w_acpp_ok then
     raise (Unsupported w.w_name);
   let m = w.w_module () in
@@ -119,17 +129,17 @@ let measure ?(params = Cost.default) ?(instrumentations = [])
                  ~wg:info.Host_interp.li_wg
                  ~noalias_pairs:info.Host_interp.li_noalias_pairs
                  ~constant_args:info.Host_interp.li_constant_args)),
-        params.Cost.jit_compile_cycles )
+        Cost.default.Cost.jit_compile_cycles )
     | Driver.Dpcpp | Driver.Sycl_mlir -> (None, 0)
   in
   (* Warm-up run (JIT specialization happens here for AdaptiveCpp). *)
   (match cfg.Driver.mode with
   | Driver.Adaptive_cpp ->
     let args, _ = w.w_data () in
-    ignore (Host_interp.run ~params ?launch_hook ~jit_cycles ~module_op:m args)
+    ignore (run_host ?sim ?launch_hook ~jit_cycles m args)
   | _ -> ());
   let args, validate = w.w_data () in
-  let result = Host_interp.run ~params ?launch_hook ~jit_cycles ~module_op:m args in
+  let result = run_host ?sim ?launch_hook ~jit_cycles m args in
   (* The measured run excludes the one-time JIT charge. *)
   let cycles = result.Host_interp.total_cycles - result.Host_interp.jit_cycles in
   {
@@ -159,14 +169,14 @@ type comparison = {
 let speedup (base : measurement) (m : measurement) =
   float_of_int base.m_cycles /. float_of_int (max 1 m.m_cycles)
 
-let compare_workload ?params (w : workload) : comparison =
-  let base = measure ?params (Driver.config Driver.Dpcpp) w in
+let compare_workload ?sim (w : workload) : comparison =
+  let base = measure ?sim (Driver.config Driver.Dpcpp) w in
   let acpp =
-    match measure ?params (Driver.config Driver.Adaptive_cpp) w with
+    match measure ?sim (Driver.config Driver.Adaptive_cpp) w with
     | m -> if m.m_valid then Some m else None
     | exception Unsupported _ -> None
   in
-  let sycl_mlir = measure ?params (Driver.config Driver.Sycl_mlir) w in
+  let sycl_mlir = measure ?sim (Driver.config Driver.Sycl_mlir) w in
   { c_workload = w; c_base = base; c_acpp = acpp; c_sycl_mlir = sycl_mlir }
 
 let geomean xs =

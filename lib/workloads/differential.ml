@@ -11,6 +11,7 @@
    names the first pass whose output diverges. *)
 
 open Mlir
+module Sim_config = Sycl_sim.Sim_config
 
 type divergence = {
   d_workload : string;
@@ -36,14 +37,14 @@ let reference_pipeline () =
   | raising :: _ -> [ raising ]
   | [] -> []
 
-(** Run [w] compiled with [passes]; returns the per-argument buffer
-    snapshots (floats; None for scalar args) and the ground-truth
-    verdict. *)
-let run_with (w : Common.workload) (passes : Pass.t list) =
+(** Run [w] compiled with [passes] under [sim]; returns the
+    per-argument buffer snapshots (floats; None for scalar args) and the
+    ground-truth verdict. *)
+let run_with ?sim (w : Common.workload) (passes : Pass.t list) =
   let m = w.Common.w_module () in
   ignore (Pass.run_pipeline ~verify_each:false passes m);
   let args, validate = w.Common.w_data () in
-  ignore (Common.Host_interp.run ~module_op:m args);
+  ignore (Common.run_host ?sim m args);
   let snapshot (hv : Common.Host_interp.hv) =
     match hv with
     | Common.Host_interp.Scalar (Common.Interp.Mem view) ->
@@ -62,15 +63,17 @@ let buffers_agree ?(tol = 1e-3) a b =
   | _ -> false
 
 (** Check one workload: reference (raising only) vs. full SYCL-MLIR
-    pipeline, both against ground truth and against each other. *)
-let check ?(tol = 1e-3) (w : Common.workload) : (unit, divergence) result =
+    pipeline, both run under [sim], both against ground truth and
+    against each other. *)
+let check ?sim ?(tol = 1e-3) (w : Common.workload) :
+    (unit, divergence) result =
   let fail detail =
     let first_bad_pass =
       Difftest.bisect_passes ~passes:(full_pipeline ()) ~base:1
         ~fresh:(fun () -> w.Common.w_module ())
         ~check:(fun m ->
           let args, validate = w.Common.w_data () in
-          match Common.Host_interp.run ~module_op:m args with
+          match Common.run_host ?sim m args with
           | _ -> validate ()
           | exception _ -> false)
         ()
@@ -80,8 +83,8 @@ let check ?(tol = 1e-3) (w : Common.workload) : (unit, divergence) result =
         d_first_bad_pass = first_bad_pass }
   in
   match
-    ( run_with w (reference_pipeline ()),
-      run_with w (full_pipeline ()) )
+    ( run_with ?sim w (reference_pipeline ()),
+      run_with ?sim w (full_pipeline ()) )
   with
   | exception e ->
     fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
@@ -161,20 +164,23 @@ let render_digest (r : Common.Host_interp.run_result)
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let run_digest (w : Common.workload) ~(domains : int) : string =
-  let module H = Common.Host_interp in
+let run_digest ~sim (w : Common.workload) : string =
   let m = w.Common.w_module () in
   ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
   let args, validate = w.Common.w_data () in
-  let r = H.run ~sim_domains:domains ~module_op:m args in
+  let r = Common.run_host ~sim m args in
   render_digest r args ~valid:(validate ())
 
 (** Sequential-vs-parallel determinism: the full run digest under
     [domains] worker domains must be byte-identical to the sequential
-    backend's. Used by the fuzz loop and the parallel-sim tests. *)
-let check_parallel ?(domains = 4) (w : Common.workload) :
-    (unit, Difftest.failure) result =
-  match (run_digest w ~domains:1, run_digest w ~domains) with
+    backend's. Both runs take the rest of their settings from [sim].
+    Used by the fuzz loop and the parallel-sim tests. *)
+let check_parallel ?(sim = Sim_config.default) ?(domains = 4)
+    (w : Common.workload) : (unit, Difftest.failure) result =
+  match
+    ( run_digest ~sim:{ sim with Sim_config.domains = 1 } w,
+      run_digest ~sim:{ sim with Sim_config.domains } w )
+  with
   | exception e ->
     Error
       {
@@ -192,11 +198,12 @@ let check_parallel ?(domains = 4) (w : Common.workload) :
 (* Oracle (g): attribution conservation                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Every launch's attribution table must decompose its launch stats
-    exactly: each counter column sums to the corresponding
-    [Cost.launch_stats] field and the cycle column to [total_wg_cycles]
-    ({!Sycl_sim.Attribution.check_launches}). *)
-let check_attribution (w : Common.workload) : (unit, Difftest.failure) result =
+(** Every launch's attribution table, from a run under [sim], must
+    decompose its launch stats exactly: each counter column sums to the
+    corresponding [Cost.launch_stats] field and the cycle column to
+    [total_wg_cycles] ({!Sycl_sim.Attribution.check_launches}). *)
+let check_attribution ?sim (w : Common.workload) :
+    (unit, Difftest.failure) result =
   let module H = Common.Host_interp in
   let fail detail =
     Error
@@ -207,7 +214,7 @@ let check_attribution (w : Common.workload) : (unit, Difftest.failure) result =
     let m = w.Common.w_module () in
     ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
     let args, _ = w.Common.w_data () in
-    H.run ~module_op:m args
+    Common.run_host ?sim m args
   with
   | exception e -> fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
   | r -> (
@@ -222,10 +229,12 @@ let check_attribution (w : Common.workload) : (unit, Difftest.failure) result =
 (* Oracle (e): telemetry neutrality                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile and run [w], optionally with pass-timing instrumentation
-   installed and the merged trace + metrics JSON rendered (and
-   discarded). Returns the compiled IR text and the full run digest. *)
-let telemetry_run (w : Common.workload) ~(telemetry : bool) : string * string =
+(* Compile and run [w] under [sim], optionally with pass-timing
+   instrumentation installed and the merged trace + metrics JSON
+   rendered (and discarded). Returns the compiled IR text and the full
+   run digest. *)
+let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
+    string * string =
   let module H = Common.Host_interp in
   let m = w.Common.w_module () in
   let tm = Instrument.timer () in
@@ -235,7 +244,7 @@ let telemetry_run (w : Common.workload) ~(telemetry : bool) : string * string =
        m);
   let ir = Printer.to_string m in
   let args, validate = w.Common.w_data () in
-  let r = H.run ~module_op:m args in
+  let r = Common.run_host ?sim m args in
   if telemetry then begin
     (* Exercise the export paths too: render the merged trace, the
        metrics JSON and the profiler surfaces (--annotate: hotspot
@@ -257,14 +266,15 @@ let telemetry_run (w : Common.workload) ~(telemetry : bool) : string * string =
   end;
   (ir, render_digest r args ~valid:(validate ()))
 
-(** Telemetry must observe, never perturb: compiling and running with
-    timing instrumentation plus trace/metrics export enabled must leave
-    the compiled IR and the full run digest byte-identical to a plain
-    run. *)
-let check_telemetry_neutral (w : Common.workload) :
+(** Telemetry must observe, never perturb: compiling and running under
+    [sim] with timing instrumentation plus trace/metrics export enabled
+    must leave the compiled IR and the full run digest byte-identical
+    to a plain run. *)
+let check_telemetry_neutral ?sim (w : Common.workload) :
     (unit, Difftest.failure) result =
   match
-    (telemetry_run w ~telemetry:false, telemetry_run w ~telemetry:true)
+    ( telemetry_run ?sim w ~telemetry:false,
+      telemetry_run ?sim w ~telemetry:true )
   with
   | exception e ->
     Error
@@ -367,17 +377,16 @@ let check_service_cache (w : Common.workload) :
 (* Oracle (i): cache-model coherence                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Full run digest under an explicit cache model, with per-launch
-   conservation checked on the way ([hits + misses] must equal the
-   launch's global transactions exactly, and the per-op table must sum
-   to the launch counters — {!Sycl_sim.Attribution.check_launches}). *)
-let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
-    string =
+(* Full run digest under [sim], with per-launch conservation checked on
+   the way ([hits + misses] must equal the launch's global transactions
+   exactly, and the per-op table must sum to the launch counters —
+   {!Sycl_sim.Attribution.check_launches}). *)
+let cache_digest ?sim (w : Common.workload) : string =
   let module H = Common.Host_interp in
   let m = w.Common.w_module () in
   ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
   let args, validate = w.Common.w_data () in
-  let r = H.run ~sim_domains:domains ?cache_model ~module_op:m args in
+  let r = Common.run_host ?sim m args in
   (match
      Sycl_sim.Attribution.check_launches r.H.per_kernel
        r.H.per_kernel_attribution
@@ -389,11 +398,13 @@ let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
 (** Cache-model coherence: under each non-flat model the cache counters
     conserve exactly on every launch and the full digest (launch stats,
     per-op cache tables, reuse histograms, metrics, buffers) is
-    byte-identical between the sequential and the 4-domain backend; an
-    explicit [--cache-model flat] is byte-identical to the default
-    (no-cache) run. *)
-let check_cache_coherence ?(domains = 4) (w : Common.workload) :
-    (unit, Difftest.failure) result =
+    byte-identical between the sequential and the [domains]-domain
+    backend; an explicit flat model is byte-identical to a run given no
+    settings at all, so the default is the flat model. The runs take
+    their race check from [sim]; its cache model and domain count are
+    the ones under test and are set per run. *)
+let check_cache_coherence ?(sim = Sim_config.default) ?(domains = 4)
+    (w : Common.workload) : (unit, Difftest.failure) result =
   let name = w.Common.w_name in
   let fail detail =
     Error
@@ -401,14 +412,14 @@ let check_cache_coherence ?(domains = 4) (w : Common.workload) :
         f_detail = name ^ ": " ^ detail; f_ir = None }
   in
   match
-    let per_model model =
-      ( cache_digest w ~cache_model:model ~domains:1 (),
-        cache_digest w ~cache_model:model ~domains () )
+    let run cache_model domains =
+      cache_digest ~sim:{ sim with Sim_config.cache_model; domains } w
     in
+    let per_model model = (run model 1, run model domains) in
     ( per_model Common.Cost.Direct_mapped,
       per_model Common.Cost.Set_associative,
-      cache_digest w ~cache_model:Common.Cost.Flat ~domains:1 (),
-      cache_digest w ~domains:1 () )
+      run Common.Cost.Flat 1,
+      cache_digest w )
   with
   | exception e ->
     fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))

@@ -32,8 +32,8 @@ type row = {
   r_comparison : comparison;
 }
 
-let run_row ?params (w : workload) : row =
-  let c = compare_workload ?params w in
+let run_row ?sim (w : workload) : row =
+  let c = compare_workload ?sim w in
   {
     r_name = w.w_name;
     r_acpp = Option.map (fun m -> speedup c.c_base m) c.c_acpp;

@@ -48,3 +48,18 @@ let cells (a : Sycl_sim.Memory.allocation) =
 
 let floats (a : Sycl_sim.Memory.allocation) =
   Array.init (Sycl_sim.Memory.size a) (Sycl_sim.Memory.get_float a)
+
+(** The simulator domain count of every test that simulates and names
+    no count of its own: [SYCL_SIM_DOMAINS] when set (CI runs the whole
+    suite under 4 to cover the parallel backend), else the recommended
+    count. *)
+let sim_domains =
+  match Sys.getenv_opt "SYCL_SIM_DOMAINS" with
+  | None -> Domain.recommended_domain_count ()
+  | Some v -> (
+    match Sycl_sim.Sim_config.domains_of_string v with
+    | Some n -> n
+    | None -> invalid_arg ("SYCL_SIM_DOMAINS=" ^ v ^ ": want an integer >= 1"))
+
+(** {!Sycl_sim.Sim_config.default} on {!sim_domains} domains. *)
+let sim = { Sycl_sim.Sim_config.default with domains = sim_domains }

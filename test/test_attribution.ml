@@ -16,13 +16,13 @@ let matmul_text () =
    compile it with the default SYCL-MLIR pipeline and run it with
    synthesized size-16 arguments — exactly what
    `sycl-bench --file examples/matmul.mlir` does. *)
-let run_matmul ?sim_domains ?cache_model () =
+let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
   Helpers.init ();
   let m = Parser.parse_module ~file:"matmul.mlir" (matmul_text ()) in
   ignore
     (Sycl_core.Driver.compile (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
   let args = Annotate.synth_args m ~size:16 in
-  (m, H.run ?sim_domains ?cache_model ~module_op:m args)
+  (m, H.run ~sim_domains ?cache_model ~module_op:m args)
 
 let merged r = Attribution.merge_launches r.H.per_kernel_attribution
 
@@ -38,7 +38,7 @@ let run_workload ?cache_model (w : Common.workload) =
   ignore
     (Sycl_core.Driver.compile (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
   let args, _ = w.Common.w_data () in
-  H.run ?cache_model ~module_op:m args
+  H.run ~sim_domains:Helpers.sim_domains ?cache_model ~module_op:m args
 
 (* The columns [Attribution.check_launches] compares with the launch
    statistics, under the names it reports them by, with a setter that
@@ -298,7 +298,9 @@ let tests_list =
     Alcotest.test_case "delta report: optimization shows on a remark line"
       `Quick (fun () ->
         Helpers.init ();
-        let ds, remarks = Annotate.delta_report (Polybench.gemm ~n:16) in
+        let ds, remarks =
+          Annotate.delta_report ~sim:Helpers.sim (Polybench.gemm ~n:16)
+        in
         Alcotest.(check bool) "remarks collected" true (remarks <> []);
         Alcotest.(check bool)
           "some remark-bearing line saves cycles" true
@@ -320,7 +322,7 @@ let tests_list =
           (Sycl_core.Driver.compile
              (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
         let args, _ = w.Common.w_data () in
-        let r = H.run ~module_op:m args in
+        let r = H.run ~sim_domains:Helpers.sim_domains ~module_op:m args in
         (match check_launches r with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "conservation violated: %s" msg);
@@ -344,7 +346,7 @@ let tests_list =
         Helpers.init ();
         let rng = Random.State.make [| 7; 21 |] in
         let w = Differential.random_workload rng in
-        match Differential.check_attribution w with
+        match Differential.check_attribution ~sim:Helpers.sim w with
         | Ok () -> ()
         | Error f -> Alcotest.fail f.Difftest.f_detail);
   ]

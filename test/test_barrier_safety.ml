@@ -55,7 +55,8 @@ let tests_list =
             let static_bad = BS.check m <> [] in
             let dynamic_bad =
               match
-                Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item |]
+                Interp.launch ~config:Helpers.sim
+                  ~module_op:m ~kernel:k ~args:[| Interp.Item |]
                   ~global:[ 32 ] ~wg_size:[ 32 ] ()
               with
               | _ -> false

@@ -25,7 +25,7 @@ let contains ~needle hay =
 
 (* Parse + compile the matmul example exactly like `sycl-bench --file`,
    then run it under [cache_model]. *)
-let run_matmul ?sim_domains ?cache_model () =
+let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
   Helpers.init ();
   let m = Parser.parse_module ~file:"matmul.mlir" (matmul_text ()) in
   ignore
@@ -33,7 +33,7 @@ let run_matmul ?sim_domains ?cache_model () =
        (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
        m);
   let args = Annotate.synth_args m ~size:16 in
-  (m, H.run ?sim_domains ?cache_model ~module_op:m args)
+  (m, H.run ~sim_domains ?cache_model ~module_op:m args)
 
 let run_workload ?cache_model (w : Common.workload) =
   Helpers.init ();
@@ -43,7 +43,7 @@ let run_workload ?cache_model (w : Common.workload) =
        (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
        m);
   let args, _ = w.Common.w_data () in
-  H.run ?cache_model ~module_op:m args
+  H.run ~sim_domains:Helpers.sim_domains ?cache_model ~module_op:m args
 
 let merged (r : H.run_result) =
   Attribution.merge_launches r.H.per_kernel_attribution
@@ -260,6 +260,18 @@ let tests_list =
             "predicted in-capacity accesses measured only %.1f%% hits \
              (%d/%d over %d rows)"
             (100.0 *. rate) !hits (!hits + !misses) !matched);
+    Alcotest.test_case "cache-coherence oracle holds for a dm caller" `Quick
+      (fun () ->
+        (* The oracle's flat leg compares an explicit flat run with a run
+           given no settings; the caller's model must not leak into
+           either. *)
+        Helpers.init ();
+        let sim =
+          { Helpers.sim with Sycl_sim.Sim_config.cache_model = Cost.Direct_mapped }
+        in
+        match Differential.check_cache_coherence ~sim (Polybench.mvt ~n:8) with
+        | Ok () -> ()
+        | Error f -> Alcotest.fail (Difftest.failure_to_string f));
   ]
 
 let tests = ("cache", tests_list)

@@ -31,7 +31,8 @@ let tests_list =
               a_offset = [| 0 |]; a_is_float = true }
         in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 8 ] ~wg_size:[ 8 ] ());
         Alcotest.(check (float 1e-9)) "doubled" 6.0
           (Memory.get_float data 3));
@@ -53,7 +54,8 @@ let tests_list =
               a_offset = [| 0 |]; a_is_float = true }
         in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 4 ] ~wg_size:[ 4 ] ());
         (* iterations at 0,3,6,9 -> 4 increments *)
         Alcotest.(check (float 1e-6)) "four iterations" 4.0
@@ -77,7 +79,8 @@ let tests_list =
               a_offset = [| 0 |]; a_is_float = true }
         in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 2 ] ~wg_size:[ 2 ] ());
         Alcotest.(check (float 1e-6)) "dim 1 is 7" 7.0
           (Memory.get_float data 0));
@@ -119,7 +122,8 @@ let tests_list =
         in
         Alcotest.(check bool) "raises Sim_error" true
           (match
-             Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item |]
+             Interp.launch ~config:Helpers.sim
+               ~module_op:m ~kernel:k ~args:[| Interp.Item |]
                ~global:[ 1 ] ~wg_size:[ 1 ] ()
            with
           | _ -> false
@@ -135,7 +139,8 @@ let tests_list =
         in
         Alcotest.(check bool) "raises Sim_error" true
           (match
-             Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item |]
+             Interp.launch ~config:Helpers.sim
+               ~module_op:m ~kernel:k ~args:[| Interp.Item |]
                ~global:[ 4 ] ~wg_size:[ 4 ] ()
            with
           | _ -> false

@@ -88,7 +88,10 @@ let run_program m n =
   in
   let a = mk () and b = mk () in
   let t = Memory.alloc ~size:n () and out = Memory.alloc ~size:n () in
-  let result = HI.run ~module_op:m [ harg a; harg b; harg t; harg out; iarg n ] in
+  let result =
+    HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+      [ harg a; harg b; harg t; harg out; iarg n ]
+  in
   (result, a, b, out)
 
 let tests_list =
@@ -238,7 +241,10 @@ let tests_list =
         let a = Memory.alloc ~size:n () in
         for i = 0 to Memory.size a - 1 do Memory.set_float a i 4.0 done;
         let t = Memory.alloc ~size:n () and out = Memory.alloc ~size:n () in
-        let r = HI.run ~module_op:m [ harg a; harg t; harg out; iarg n; iarg 2 ] in
+        let r =
+          HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+            [ harg a; harg t; harg out; iarg n; iarg 2 ]
+        in
         Alcotest.(check int) "two fused launches" 2 r.HI.kernel_launches;
         Alcotest.(check (float 1e-5)) "0.5*4 + 1" 3.0
           (Memory.get_float out 7));

@@ -112,7 +112,7 @@ let tests_list =
               }
           in
           let stats =
-            Interp.launch ~module_op:m ~kernel:f
+            Interp.launch ~config:Helpers.sim ~module_op:m ~kernel:f
               ~args:[| Interp.Item; desc a; desc bb; desc c |]
               ~global:[ n; n ] ~wg_size:[ 16; 16 ] ()
           in
@@ -169,7 +169,7 @@ let tests_list =
             }
         in
         let stats =
-          Interp.launch ~module_op:m ~kernel:f
+          Interp.launch ~config:Helpers.sim ~module_op:m ~kernel:f
             ~args:[| Interp.Item; desc a; desc bb; desc c |]
             ~global:[ n; n ] ~wg_size:[ 8; 8 ] ()
         in

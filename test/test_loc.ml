@@ -386,7 +386,9 @@ let diagnostics_cases =
               a_offset = [| 0 |]; a_is_float = true }
         in
         match
-          Interp.launch ~check_races:true ~module_op:m ~kernel:k
+          Interp.launch
+            ~config:{ Helpers.sim with Sycl_sim.Sim_config.check_races = true }
+            ~module_op:m ~kernel:k
             ~args:[| Interp.Item; acc |] ~global:[ 32 ] ~wg_size:[ 16 ] ()
         with
         | _ -> Alcotest.fail "expected Race_detected"

@@ -37,7 +37,10 @@ let tests_list =
         let _ = Pass.run_pipeline ~verify_each:true [ Sycl_core.Host_raising.pass ] m in
         ignore (lower m);
         let args, validate = w.Common.w_data () in
-        let r = Sycl_runtime.Host_interp.run ~module_op:m args in
+        let r =
+          Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+            ~module_op:m args
+        in
         Alcotest.(check bool) "valid" true (validate ());
         ignore r);
     Alcotest.test_case "lowered gemm (post-optimization) executes correctly"
@@ -54,7 +57,9 @@ let tests_list =
           = 1);
         Helpers.check_verifies m;
         let args, validate = w.Common.w_data () in
-        ignore (Sycl_runtime.Host_interp.run ~module_op:m args);
+        ignore
+          (Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+             ~module_op:m args);
         Alcotest.(check bool) "valid" true (validate ()));
     Alcotest.test_case "2-D accessor lowers to row-major address arithmetic"
       `Quick (fun () ->
@@ -97,7 +102,8 @@ let tests_list =
         in
         let args = Array.of_list ((Interp.Item :: flat a) @ flat c) in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args ~global:[ n; n ]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args ~global:[ n; n ]
              ~wg_size:[ 4; 4 ] ());
         let ok = ref true in
         for i = 0 to n - 1 do
@@ -151,7 +157,8 @@ let tests_list =
           let _ = Pass.run_pipeline [ Sycl_core.Host_raising.pass ] m in
           if lowered then ignore (lower m);
           let args, _ = w.Common.w_data () in
-          (Sycl_runtime.Host_interp.run ~module_op:m args)
+          (Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+             ~module_op:m args)
             .Sycl_runtime.Host_interp.launch_overhead_cycles
         in
         Alcotest.(check bool) "flattened ABI passes more words" true
@@ -163,7 +170,7 @@ let tests_list =
         in
         List.iter
           (fun (w : Common.workload) ->
-            let m = Common.measure cfg w in
+            let m = Common.measure ~sim:Helpers.sim cfg w in
             Alcotest.(check bool) (w.Common.w_name ^ " valid") true
               m.Common.m_valid)
           [

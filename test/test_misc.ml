@@ -106,7 +106,7 @@ let tests_list =
         let _ = Pass.run_pipeline [ Sycl_core.Host_raising.pass ] m in
         let data = Memory.alloc ~size:8 () in
         let r =
-          HI.run ~module_op:m
+          HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
             [ HI.Scalar (Sycl_sim.Interp.Mem (Memory.full_view data));
               HI.Scalar (Sycl_sim.Interp.I 8) ]
         in
@@ -137,7 +137,8 @@ let tests_list =
               a_offset = [| 0; 0 |]; a_is_float = true }
         in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 4; 4 ] ~wg_size:[ 2; 2 ] ());
         let ok = ref true in
         Array.iteri
@@ -167,7 +168,8 @@ let tests_list =
               a_offset = [| 0 |]; a_is_float = true }
         in
         ignore
-          (Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          (Interp.launch ~config:Helpers.sim
+             ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
              ~global:[ 16 ] ~wg_size:[ 4 ] ());
         Alcotest.(check (float 1e-6)) "item 9 in group 2" 2.0
           (Memory.get_float out 9));

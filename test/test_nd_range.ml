@@ -13,7 +13,10 @@ let tests_list =
         let w = Extensions.tiled_matmul ~n:32 ~m_tile:8 in
         List.iter
           (fun mode ->
-            let m = Common.measure (Driver.config ~verify_each:true mode) w in
+            let m =
+              Common.measure ~sim:Helpers.sim
+                (Driver.config ~verify_each:true mode) w
+            in
             Alcotest.(check bool)
               (Driver.mode_to_string mode ^ " valid")
               true m.Common.m_valid)
@@ -21,7 +24,9 @@ let tests_list =
     Alcotest.test_case "explicit local size is honored by the runtime" `Quick
       (fun () ->
         let w = Extensions.tiled_matmul ~n:32 ~m_tile:8 in
-        let m = Common.measure (Driver.config Driver.Dpcpp) w in
+        let m =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Dpcpp) w
+        in
         match m.Common.m_result.Sycl_runtime.Host_interp.per_kernel with
         | [ (_, stats) ] ->
           (* 32x32 global over 8x8 groups = 16 work-groups. *)
@@ -38,8 +43,12 @@ let tests_list =
            automatic transformation. *)
         let naive = Polybench.gemm ~n:32 in
         let tiled = Extensions.tiled_matmul ~n:32 ~m_tile:8 in
-        let mn = Common.measure (Driver.config Driver.Dpcpp) naive in
-        let mt = Common.measure (Driver.config Driver.Dpcpp) tiled in
+        let mn =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Dpcpp) naive
+        in
+        let mt =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Dpcpp) tiled
+        in
         Alcotest.(check bool) "tiled cheaper on device" true
           (mt.Common.m_result.Sycl_runtime.Host_interp.device_cycles
           < mn.Common.m_result.Sycl_runtime.Host_interp.device_cycles));
@@ -51,9 +60,15 @@ let tests_list =
            performance. *)
         let naive = Polybench.gemm ~n:32 in
         let tiled = Extensions.tiled_matmul ~n:32 ~m_tile:8 in
-        let base = Common.measure (Driver.config Driver.Dpcpp) naive in
-        let auto = Common.measure (Driver.config Driver.Sycl_mlir) naive in
-        let hand = Common.measure (Driver.config Driver.Dpcpp) tiled in
+        let base =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Dpcpp) naive
+        in
+        let auto =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Sycl_mlir) naive
+        in
+        let hand =
+          Common.measure ~sim:Helpers.sim (Driver.config Driver.Dpcpp) tiled
+        in
         let dev m = m.Common.m_result.Sycl_runtime.Host_interp.device_cycles in
         let a = dev auto and h = dev hand and b = dev base in
         Alcotest.(check bool)
@@ -74,7 +89,10 @@ let tests_list =
         let stats = Pass.merged_stats compiled.Driver.pipeline_result in
         ignore stats;
         let args, validate = w.Common.w_data () in
-        let r = Sycl_runtime.Host_interp.run ~module_op:m args in
+        let r =
+          Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+            ~module_op:m args
+        in
         ignore r;
         Alcotest.(check bool) "still correct" true (validate ()));
     Alcotest.test_case "3-D launch works end to end" `Quick (fun () ->
@@ -103,7 +121,8 @@ let tests_list =
               a_is_float = true }
         in
         let stats =
-          Interp.launch ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
+          Interp.launch ~config:Helpers.sim
+            ~module_op:m ~kernel:k ~args:[| Interp.Item; desc |]
             ~global:[ 8; 8; 8 ] ~wg_size:[ 4; 4; 4 ] ()
         in
         Alcotest.(check int) "8 work-groups" 8 stats.Sycl_sim.Cost.work_groups;

@@ -168,7 +168,9 @@ let test_runtime_metrics_present () =
   let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
   ignore (Sycl_core.Driver.compile cfg m);
   let args, _ = w.Common.w_data () in
-  let r = Common.Host_interp.run ~module_op:m args in
+  let r =
+    Common.Host_interp.run ~sim_domains:Helpers.sim_domains ~module_op:m args
+  in
   let reg = r.Common.Host_interp.metrics in
   check "submits counted" true (Metrics.counter_value reg "runtime.submits" > 0);
   check "launches counted" true
@@ -198,7 +200,9 @@ let merged_sink () =
        ~instrumentations:[ Mlir.Instrument.timing tm ]
        cfg m);
   let args, _ = w.Common.w_data () in
-  let r = Common.Host_interp.run ~module_op:m args in
+  let r =
+    Common.Host_interp.run ~sim_domains:Helpers.sim_domains ~module_op:m args
+  in
   let sink =
     Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) r
   in

@@ -22,9 +22,11 @@ let acc_desc ?(range = [| 16 |]) alloc =
       a_is_float = true;
     }
 
-let launch ?(wg = [ 16 ]) ?(global = [ 64 ]) ?domains ?check_races m k args =
-  Interp.launch ?domains ?check_races ~module_op:m ~kernel:k ~args ~global
-    ~wg_size:wg ()
+let launch ?(wg = [ 16 ]) ?(global = [ 64 ]) ?(domains = Helpers.sim_domains)
+    ?(check_races = false) m k args =
+  Interp.launch
+    ~config:{ Helpers.sim with Sycl_sim.Sim_config.domains; check_races }
+    ~module_op:m ~kernel:k ~args ~global ~wg_size:wg ()
 
 let floats alloc =
   Array.init (Memory.size alloc) (Memory.get_float alloc)
@@ -216,6 +218,51 @@ let tests_list =
         with
         | Ok () -> ()
         | Error f -> Alcotest.fail (Difftest.failure_to_string f));
+    Alcotest.test_case "two simulator configurations run at once" `Quick
+      (fun () ->
+        (* GEMM measured under dm and under the default settings in two
+           tasks of one pool job: each run sees only its own settings. *)
+        let module Common = Sycl_workloads.Common in
+        let module Sim_config = Sycl_sim.Sim_config in
+        Helpers.init ();
+        let configs =
+          [| { Sim_config.default with cache_model = Cost.Direct_mapped };
+             Sim_config.default |]
+        in
+        let run sim =
+          let m =
+            Common.measure ~sim
+              (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+              (Sycl_workloads.Polybench.gemm ~n:16)
+          in
+          let r = m.Common.m_result in
+          ( Sycl_workloads.Differential.render_digest r [] ~valid:m.Common.m_valid,
+            r )
+        in
+        let sequential = Array.map (fun sim -> fst (run sim)) configs in
+        let concurrent = Sycl_obs.Pool.run 2 (fun i -> run configs.(i)) in
+        Array.iteri
+          (fun i (digest, _) ->
+            Alcotest.(check string) "digest of the sequential run"
+              sequential.(i) digest)
+          concurrent;
+        let cache_view (_, r) =
+          Sycl_sim.Attribution.cache_to_string
+            (Sycl_sim.Attribution.merge_launches
+               r.Common.Host_interp.per_kernel_attribution)
+        in
+        Alcotest.(check bool) "dm run has a cache view" true
+          (cache_view concurrent.(0) <> None);
+        Alcotest.(check bool) "default run has none" true
+          (cache_view concurrent.(1) = None);
+        let dm_launches = (snd concurrent.(0)).Common.Host_interp.per_kernel in
+        Alcotest.(check bool) "dm run launched" true (dm_launches <> []);
+        List.iter
+          (fun (_, s) ->
+            Alcotest.(check int) "hits + misses = global transactions"
+              s.Cost.global_transactions
+              (s.Cost.cache_hits + s.Cost.cache_misses))
+          dm_launches);
     Alcotest.test_case "profile segments commit atomically and in order" `Quick
       (fun () ->
         let r = Profile.recorder () in

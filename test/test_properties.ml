@@ -133,7 +133,7 @@ let run_expr_workload (e : expr) (mode : Driver.mode) =
   let out = Memory.alloc ~size:n () in
   let harg a = HI.Scalar (Interp.Mem (Memory.full_view a)) in
   ignore
-    (HI.run ~module_op:m
+    (HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
        [ harg allocs.(0); harg allocs.(1); harg allocs.(2); harg out;
          HI.Scalar (Interp.I n) ]);
   let ok = ref true in
@@ -295,7 +295,7 @@ let expr_kernel_lowered =
       let out = Memory.alloc ~size:n () in
       let harg a = HI.Scalar (Interp.Mem (Memory.full_view a)) in
       ignore
-        (HI.run ~module_op:m
+        (HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
            [ harg allocs.(0); harg allocs.(1); harg allocs.(2); harg out;
              HI.Scalar (Interp.I n) ]);
       let ok = ref true in

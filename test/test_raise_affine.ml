@@ -85,7 +85,9 @@ let tests_list =
         Alcotest.(check int) "reduction fires on affine form" 1
           (Pass.Stats.get stats "detect-reduction/reduction.rewritten");
         let args, validate = w.Sycl_workloads.Common.w_data () in
-        ignore (Sycl_runtime.Host_interp.run ~module_op:m args);
+        ignore
+          (Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+             ~module_op:m args);
         Alcotest.(check bool) "valid" true (validate ()));
     Alcotest.test_case "negative or dynamic steps are left as scf" `Quick (fun () ->
         let m, f =

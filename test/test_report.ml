@@ -112,7 +112,7 @@ let idle_run ~cache_model ~launches =
        { Host.host_args = []; buffers = []; globals = [];
          body = List.init launches (fun _ -> submit) });
   ignore (Mlir.Pass.run_pipeline [ Sycl_core.Host_raising.pass ] m);
-  let r = H.run ~cache_model ~module_op:m [] in
+  let r = H.run ~sim_domains:Helpers.sim_domains ~cache_model ~module_op:m [] in
   let attribution = merged r in
   ( r,
     Report.to_json (Annotate.report_sections ~attribution r),
@@ -160,7 +160,7 @@ let test_sections_domain_independent () =
 let test_file_report_sections () =
   let tm = Mlir.Instrument.timer () in
   let _, r =
-    Annotate.run_file
+    Annotate.run_file ~sim:Helpers.sim
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
       ~instrumentations:[ Mlir.Instrument.timing tm ]
       "../examples/matmul.mlir"

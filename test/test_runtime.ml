@@ -59,7 +59,10 @@ let run ?(via_temp = false) () =
   for i = 0 to Memory.size a - 1 do Memory.set_float a i (float_of_int i) done;
   let t = Memory.alloc ~label:"t" ~size:n () in
   let c = Memory.alloc ~label:"c" ~size:n () in
-  let result = HI.run ~module_op:m [ harg a; harg t; harg c; iarg n ] in
+  let result =
+    HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+      [ harg a; harg t; harg c; iarg n ]
+  in
   (result, c)
 
 let tests_list =
@@ -95,7 +98,9 @@ let tests_list =
           let n = 16 in
           let a = Memory.alloc ~size:n () and t = Memory.alloc ~size:n ()
           and c = Memory.alloc ~size:n () in
-          (HI.run ~module_op:m [ harg a; harg t; harg c; iarg n ]).HI.launch_overhead_cycles
+          (HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+             [ harg a; harg t; harg c; iarg n ])
+            .HI.launch_overhead_cycles
         in
         (* Mark one argument dead and relaunch. *)
         Core.set_attr k "sycl.dead_args" (Attr.Array [ Attr.Int 1 ]);
@@ -103,7 +108,9 @@ let tests_list =
           let n = 16 in
           let a = Memory.alloc ~size:n () and t = Memory.alloc ~size:n ()
           and c = Memory.alloc ~size:n () in
-          (HI.run ~module_op:m [ harg a; harg t; harg c; iarg n ]).HI.launch_overhead_cycles
+          (HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+             [ harg a; harg t; harg c; iarg n ])
+            .HI.launch_overhead_cycles
         in
         Alcotest.(check bool) "cheaper launch" true (cost_with_dead < cost_with_all));
     Alcotest.test_case "scheduler dependencies follow the accessor model" `Quick
@@ -179,7 +186,10 @@ let tests_list =
         for i = 0 to Memory.size data - 1 do
           Memory.set_float data i (float_of_int i)
         done;
-        let result = HI.run ~module_op:m [ harg data; iarg n ] in
+        let result =
+          HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+            [ harg data; iarg n ]
+        in
         Alcotest.(check bool) "memcpys charged" true (result.HI.transfer_cycles > 0);
         Array.iteri
           (fun i cell ->
@@ -223,7 +233,10 @@ let tests_list =
         let _ = Pass.run_pipeline ~verify_each:true [ Sycl_core.Host_raising.pass ] m in
         let n = 16 in
         let data = Memory.alloc ~size:n () in
-        let result = HI.run ~module_op:m [ harg data; iarg n; iarg 5 ] in
+        let result =
+          HI.run ~sim_domains:Helpers.sim_domains ~module_op:m
+            [ harg data; iarg n; iarg 5 ]
+        in
         Alcotest.(check int) "five launches" 5 result.HI.kernel_launches;
         (match Memory.get data 3 with
         | Memory.F x -> Alcotest.(check (float 1e-6)) "incremented five times" 5.0 x
@@ -239,7 +252,8 @@ let tests_list =
         let a = Memory.alloc ~size:n () and t = Memory.alloc ~size:n ()
         and c = Memory.alloc ~size:n () in
         let result =
-          HI.run ~launch_hook:hook ~jit_cycles:12345 ~module_op:m
+          HI.run ~sim_domains:Helpers.sim_domains
+            ~launch_hook:hook ~jit_cycles:12345 ~module_op:m
             [ harg a; harg t; harg c; iarg n ]
         in
         (* Same kernel used twice: one JIT, two launches. *)

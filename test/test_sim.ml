@@ -20,7 +20,8 @@ let acc_desc ?(range = [| 16 |]) alloc =
     }
 
 let launch ?(wg = [ 16 ]) ?(global = [ 16 ]) m k args =
-  Interp.launch ~module_op:m ~kernel:k ~args ~global ~wg_size:wg ()
+  Interp.launch ~config:Helpers.sim ~module_op:m ~kernel:k ~args ~global
+    ~wg_size:wg ()
 
 let floats alloc =
   Array.init (Memory.size alloc) (Memory.get_float alloc)
@@ -322,7 +323,8 @@ let tests_list =
         let stats s = Format.asprintf "%a" Cost.pp_launch_stats s in
         let program = Interp.decode ~module_op:m ~kernel:k in
         let reused () =
-          Interp.launch ~program ~module_op:m ~kernel:k ~args ~global:[ 16 ]
+          Interp.launch ~config:Helpers.sim
+            ~program ~module_op:m ~kernel:k ~args ~global:[ 16 ]
             ~wg_size:[ 16 ] ()
         in
         let fresh = stats (launch m k args) in

@@ -139,7 +139,9 @@ let tests_list =
         Helpers.init ();
         let measure name =
           match W.Suite.find name with
-          | Some w -> W.Common.measure (Driver.config Driver.Sycl_mlir) w
+          | Some w ->
+            W.Common.measure ~sim:Helpers.sim
+              (Driver.config Driver.Sycl_mlir) w
           | None -> Alcotest.failf "workload %s not found" name
         in
         let lin = measure "LinearRegressionCoeff" in

@@ -13,7 +13,10 @@ let roundtrip_and_run (w : Common.workload) mode =
   let parsed = Parser.parse_module text in
   ignore (Driver.compile (Driver.config ~verify_each:true mode) parsed);
   let args, validate = w.Common.w_data () in
-  let result = Sycl_runtime.Host_interp.run ~module_op:parsed args in
+  let result =
+    Sycl_runtime.Host_interp.run ~sim_domains:Helpers.sim_domains
+      ~module_op:parsed args
+  in
   (result, validate ())
 
 let tests_list =

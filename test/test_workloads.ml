@@ -49,7 +49,7 @@ let config_of = function
 let validate_case (w : Common.workload) mode =
   Alcotest.test_case (Printf.sprintf "%s [%s]" w.Common.w_name mode) `Quick
     (fun () ->
-      match Common.measure (config_of mode) w with
+      match Common.measure ~sim:Helpers.sim (config_of mode) w with
       | m ->
         Alcotest.(check bool) "results validate" true m.Common.m_valid;
         Alcotest.(check bool) "simulation ran" true (m.Common.m_cycles > 0)
@@ -60,8 +60,8 @@ let validate_case (w : Common.workload) mode =
 let never_slower_case (w : Common.workload) =
   Alcotest.test_case (Printf.sprintf "%s sycl-mlir not absurdly slower" w.Common.w_name)
     `Quick (fun () ->
-      let base = Common.measure (config_of "dpcpp") w in
-      let opt = Common.measure (config_of "sycl-mlir") w in
+      let base = Common.measure ~sim:Helpers.sim (config_of "dpcpp") w in
+      let opt = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
       (* Versioning may add small overheads; anything beyond 25% points
          at a real regression in the pipeline. *)
       Alcotest.(check bool) "within 0.8x" true
@@ -73,7 +73,7 @@ let ablation_consistency =
       let w = Polybench.gemm ~n:16 in
       List.iter
         (fun cfg ->
-          let m = Common.measure cfg w in
+          let m = Common.measure ~sim:Helpers.sim cfg w in
           Alcotest.(check bool) "valid" true m.Common.m_valid)
         [
           Driver.config ~enable_internalization:false Driver.Sycl_mlir;
@@ -86,7 +86,7 @@ let ablation_consistency =
 let gramschmidt_divergence_rejected =
   Alcotest.test_case "gramschmidt candidate rejected as divergent" `Quick (fun () ->
       let w = Polybench.gramschmidt ~n:16 in
-      let m = Common.measure (config_of "sycl-mlir") w in
+      let m = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
       Alcotest.(check bool) "rejected-divergent stat" true
         (Mlir.Pass.Stats.get m.Common.m_stats
            "loop-internalization/internalization.rejected-divergent"
@@ -99,7 +99,7 @@ let paper_attribution_stats =
   Alcotest.test_case "paper-reported prefetch counts (gemm 2, syr2k 4)" `Quick
     (fun () ->
       let check_prefetch w expected =
-        let m = Common.measure (config_of "sycl-mlir") w in
+        let m = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
         Alcotest.(check int)
           (w.Common.w_name ^ " prefetched refs")
           expected
@@ -115,8 +115,8 @@ let qcheck_gemm_equivalence =
     (fun i ->
       let n = 16 * i in
       let w = Polybench.gemm ~n in
-      let base = Common.measure (config_of "dpcpp") w in
-      let opt = Common.measure (config_of "sycl-mlir") w in
+      let base = Common.measure ~sim:Helpers.sim (config_of "dpcpp") w in
+      let opt = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
       base.Common.m_valid && opt.Common.m_valid)
 
 let tests =
