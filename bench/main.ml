@@ -10,7 +10,8 @@
      dune exec bench/main.exe -- ablation— per-optimization contribution table
      dune exec bench/main.exe -- profile — compile timing tree + Chrome trace
                                            of a simulated GEMM run
-     dune exec bench/main.exe -- fuzz [--seed N] [--iters N] [--json PATH]
+     dune exec bench/main.exe -- fuzz [--seed N] [--iters N] [--diff-every N]
+                                      [--json PATH]
                                          — differential fuzzing harness
      dune exec bench/main.exe -- report [--label L] [--out PATH]
                                          — schema-versioned metrics snapshot
@@ -74,6 +75,28 @@ let sim, filtered_args =
 
 let cmd = match filtered_args with c :: _ -> c | [] -> "all"
 let subcommand_args () = match filtered_args with _ :: rest -> rest | [] -> []
+
+(* A bad flag value or an unwritable output file exits 2 with a message
+   before any work starts, rather than as an uncaught exception (after
+   the work, for an output file). *)
+let int_flag ?min cmd flag v =
+  match (int_of_string_opt v, min) with
+  | Some n, None -> n
+  | Some n, Some lo when n >= lo -> n
+  | _ ->
+    Printf.eprintf "%s: bad %s %s (want an integer%s)\n" cmd flag v
+      (match min with Some lo -> Printf.sprintf " >= %d" lo | None -> "");
+    exit 2
+
+let open_output cmd path =
+  try Out_channel.open_text path
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot write %s\n" cmd msg;
+    exit 2
+
+let write_output oc text =
+  output_string oc text;
+  Out_channel.close oc
 
 let rows_cache : (string, Suite.row list) Hashtbl.t = Hashtbl.create 4
 
@@ -243,9 +266,13 @@ let run_fuzz () =
   let seed = ref 42 and iters = ref 500 and diff_every = ref 100 in
   let json_path = ref None in
   let rec parse_args = function
-    | "--seed" :: v :: rest -> seed := int_of_string v; parse_args rest
-    | "--iters" :: v :: rest -> iters := int_of_string v; parse_args rest
-    | "--diff-every" :: v :: rest -> diff_every := int_of_string v; parse_args rest
+    | "--seed" :: v :: rest -> seed := int_flag "fuzz" "--seed" v; parse_args rest
+    | "--iters" :: v :: rest ->
+      iters := int_flag ~min:0 "fuzz" "--iters" v;
+      parse_args rest
+    | "--diff-every" :: v :: rest ->
+      diff_every := int_flag ~min:1 "fuzz" "--diff-every" v;
+      parse_args rest
     | "--json" :: v :: rest -> json_path := Some v; parse_args rest
     | [] -> ()
     | other :: _ ->
@@ -253,6 +280,9 @@ let run_fuzz () =
       exit 2
   in
   parse_args (subcommand_args ());
+  let json_out =
+    Option.map (fun path -> (path, open_output "fuzz" path)) !json_path
+  in
   Dialects.Register.init ();
   (* (iteration, oracle, detail) *)
   let failures : (int * string * string) list ref = ref [] in
@@ -341,9 +371,9 @@ let run_fuzz () =
   Printf.printf
     "\nfuzz: seed=%d iters=%d — %d round-trip checks, %d verify+differential rounds, %d failure(s)\n"
     !seed !iters !roundtrip_runs !diff_runs (List.length failures);
-  (match !json_path with
+  (match json_out with
   | None -> ()
-  | Some path ->
+  | Some (path, oc) ->
     let doc =
       Mlir.Json.Obj
         [
@@ -364,9 +394,7 @@ let run_fuzz () =
                  failures) );
         ]
     in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Mlir.Json.to_string doc);
-        output_string oc "\n");
+    write_output oc (Mlir.Json.to_string doc ^ "\n");
     Printf.printf "fuzz: report written to %s\n" path);
   if failures <> [] then exit 1
 
@@ -389,9 +417,9 @@ let run_report () =
   let path =
     match !out with Some p -> p | None -> Printf.sprintf "BENCH_%s.json" !label
   in
+  let oc = open_output "report" path in
   let r = Bench_report.collect ~sim ~label:!label (Suite.all ()) in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Bench_report.to_json r));
+  write_output oc (Bench_report.to_json r);
   let invalid =
     List.concat_map
       (fun (e : Bench_report.entry) ->
@@ -475,6 +503,8 @@ let run_profile () =
       exit 2
   in
   parse_args (subcommand_args ());
+  let path = "gemm_trace.json" in
+  let oc = open_output "profile" path in
   let w = Polybench.gemm ~n:64 in
   (* Under --hotspots run a located copy (printed and re-parsed under a
      virtual file name) so the attribution reports source lines. *)
@@ -495,10 +525,7 @@ let run_profile () =
   let trace =
     Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) result
   in
-  let path = "gemm_trace.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc
-        (Mlir.Json.to_string (Sycl_obs.Trace.export trace) ^ "\n"));
+  write_output oc (Mlir.Json.to_string (Sycl_obs.Trace.export trace) ^ "\n");
   Printf.printf "\nSimulated-run profile (trace written to %s):\n" path;
   Format.printf "%a@?" Sycl_sim.Profile.pp_table
     (Sycl_sim.Profile.of_events result.Sycl_runtime.Host_interp.events);

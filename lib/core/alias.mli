@@ -27,9 +27,6 @@ val result_to_string : result -> string
     subscripts. *)
 val base_of : Core.value -> base
 
-(** Memory space of a pointer-like value, when determinable from its type. *)
-val memspace_of : Core.value -> Types.memspace option
-
 (** Alias relation between two pointer-like values. Conservative:
     [May_alias] whenever disjointness or equality cannot be proven. *)
 val alias : Core.value -> Core.value -> result
@@ -42,20 +39,11 @@ val must_alias : Core.value -> Core.value -> bool
     The host-device analysis records argument-level facts as function
     attributes; both directions are consumed transparently by {!alias}. *)
 
-(** Attribute naming pairs of kernel arguments proven disjoint. *)
-val noalias_attr : string
-
+(** Pairs of kernel arguments proven disjoint. *)
 val noalias_pairs : Core.op -> (int * int) list
 val add_noalias_pair : Core.op -> int -> int -> unit
 
-(** Attribute naming pairs of kernel arguments proven to reference the
-    same object (introduced by kernel fusion). *)
-val mustalias_attr : string
-
+(** Pairs of kernel arguments proven to reference the same object
+    (introduced by kernel fusion). *)
 val mustalias_pairs : Core.op -> (int * int) list
 val add_mustalias_pair : Core.op -> int -> int -> unit
-
-(** Are two arguments of the same function proven disjoint / identical? *)
-val args_proven_disjoint : Core.value -> Core.value -> bool
-
-val args_proven_same : Core.value -> Core.value -> bool

@@ -17,7 +17,6 @@ val alias_group_attr : string
 val arg_alias_groups_attr : string
 val uniform_attr : string
 val arg_uniform_attr : string
-val divergent_attr : string
 val def_id_attr : string
 val reaching_mods_attr : string
 val reaching_pmods_attr : string

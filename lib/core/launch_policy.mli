@@ -10,10 +10,6 @@
 
 val preferred_wg_1d : int
 val preferred_wg_2d : int
-val preferred_wg_3d : int
-
-(** Largest power of two <= [cap] that divides [n] (at least 1). *)
-val divisor_pow2 : cap:int -> int -> int
 
 (** Work-group sizes for a global range (each divides its extent). *)
 val default_wg_size : int list -> int list

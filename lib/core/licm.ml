@@ -157,8 +157,7 @@ let missed_reason (summary : write_summary) inv (op : Core.op) :
       values to be used only inside the loop — both are checked;
     - loads under [Hoist_load_if_distinct] additionally require a runtime
       accessor-overlap versioning condition. *)
-let optimize_loop stats (uniformity : Uniformity.t option) (loop : Core.op) =
-  ignore uniformity;
+let optimize_loop stats (loop : Core.op) =
   let region = loop.Core.regions.(0) in
   let inv v = Dominance.defined_outside_region region v in
   let summary = summarize_writes loop in
@@ -303,13 +302,13 @@ let optimize_loop stats (uniformity : Uniformity.t option) (loop : Core.op) =
     List.length pure + List.length loads
   end
 
-let run_on_func ?uniformity (f : Core.op) stats =
+let run_on_func (f : Core.op) stats =
   (* Innermost first. *)
   let loops = ref [] in
   Core.walk f ~f:(fun o -> if is_loop o then loops := o :: !loops);
-  List.iter (fun l -> ignore (optimize_loop stats uniformity l)) !loops
+  List.iter (fun l -> ignore (optimize_loop stats l)) !loops
 
-let pass = Pass.on_functions "licm" (fun f stats -> run_on_func f stats)
+let pass = Pass.on_functions "licm" run_on_func
 
 let init () =
   (* Runtime accessor disjointness test, evaluated by the device

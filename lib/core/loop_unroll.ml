@@ -7,7 +7,7 @@
 
 open Mlir
 
-let default_threshold = 16
+let threshold = 16
 
 let const_trip (loop : Core.op) =
   if Dialects.Scf.is_for loop then
@@ -76,7 +76,7 @@ let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
   Core.erase_op_unsafe loop;
   Pass.Stats.bump stats "unroll.unrolled"
 
-let run_on_func ?(threshold = default_threshold) (f : Core.op) stats =
+let run_on_func (f : Core.op) stats =
   (* Rejections are reported once per loop, not once per fixpoint sweep. *)
   let reported = Hashtbl.create 8 in
   let reject loop key message =
@@ -108,7 +108,7 @@ let run_on_func ?(threshold = default_threshold) (f : Core.op) stats =
               = None
             in
             if
-              trips * body_size loop <= threshold * default_threshold
+              trips * body_size loop <= threshold * threshold
               && trips <= threshold
               && innermost
             then begin
@@ -133,4 +133,4 @@ let run_on_func ?(threshold = default_threshold) (f : Core.op) stats =
       (List.rev loops)
   done
 
-let pass = Pass.on_functions "loop-unroll" (fun f stats -> run_on_func f stats)
+let pass = Pass.on_functions "loop-unroll" run_on_func

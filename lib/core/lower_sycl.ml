@@ -23,9 +23,6 @@ open Mlir
 
 let abi_attr = "sycl.abi_expansion"
 
-(** Per-capture expansion recorded for the runtime: 0 = passthrough
-    scalar/pointer, d > 0 = accessor of dimensionality d flattened into
-    1 + 3d arguments (data, range, mem_range, offset). *)
 let expansion_of_kernel (kernel : Core.op) : int list option =
   match Core.attr kernel abi_attr with
   | Some (Attr.Array xs) -> Some (List.filter_map Attr.as_int xs)

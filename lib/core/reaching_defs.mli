@@ -16,12 +16,10 @@ open Mlir
 
 type t
 
-(** Analyze the region under a function (typically a kernel). *)
-val analyze : Core.op -> t
-
-(** Like {!analyze}, also registering the function's arguments so that
-    argument-vs-argument queries use the full alias analysis (including
-    host-provided no-alias facts). *)
+(** Analyze the region under a function (typically a kernel), also
+    registering the function's arguments so that argument-vs-argument
+    queries use the full alias analysis (including host-provided no-alias
+    facts). *)
 val analyze_with_args : Core.op -> t
 
 type defs = {
@@ -32,7 +30,3 @@ type defs = {
 (** Reaching definitions for the memory referenced by a value, observed
     just before [at]. *)
 val defs_at : t -> Core.value -> at:Core.op -> defs
-
-(** Register a value as a queryable base (done by {!analyze_with_args}
-    for function arguments). *)
-val note_base_value : t -> Core.value -> unit

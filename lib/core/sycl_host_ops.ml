@@ -77,15 +77,12 @@ let free b q p = Builder.op0 b "sycl.host.free" ~operands:[ q; p ]
 
 (* Matchers *)
 
-let is_queue_ctor op = op.Core.name = "sycl.host.queue_ctor"
 let is_buffer_ctor op = op.Core.name = "sycl.host.buffer_ctor"
 let is_submit op = op.Core.name = "sycl.host.submit"
 let is_accessor_ctor op = op.Core.name = "sycl.host.accessor_ctor"
 let is_set_captured op = op.Core.name = "sycl.host.set_captured"
 let is_set_nd_range op = op.Core.name = "sycl.host.set_nd_range"
 let is_parallel_for op = op.Core.name = "sycl.host.parallel_for"
-let is_wait op = op.Core.name = "sycl.host.wait"
-let is_buffer_dtor op = op.Core.name = "sycl.host.buffer_dtor"
 
 let accessor_ctor_mode op =
   Option.bind (Core.attr_string op "mode") Sycl_types.access_mode_of_string

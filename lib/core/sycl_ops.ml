@@ -18,8 +18,6 @@ let getter name b item dim_v =
 
 let item_get_id b item dim = getter "sycl.item.get_id" b item dim
 let item_get_range b item dim = getter "sycl.item.get_range" b item dim
-let item_get_linear_id b item =
-  Builder.op1 b "sycl.item.get_linear_id" ~operands:[ item ] ~result_type:Types.Index
 
 let nd_item_get_global_id b item dim = getter "sycl.nd_item.get_global_id" b item dim
 let nd_item_get_local_id b item dim = getter "sycl.nd_item.get_local_id" b item dim
@@ -28,7 +26,6 @@ let nd_item_get_global_range b item dim = getter "sycl.nd_item.get_global_range"
 let nd_item_get_local_range b item dim = getter "sycl.nd_item.get_local_range" b item dim
 
 let id_get b id_mem dim = getter "sycl.id.get" b id_mem dim
-let range_get b range_mem dim = getter "sycl.range.get" b range_mem dim
 
 (* Names of getters yielding values that differ between work-items of the
    same work-group: these are the analysis' sources of non-uniformity
@@ -74,8 +71,6 @@ let constructor b cls out args =
     ~attrs:[ ("class", Attr.Symbol cls) ]
 
 let is_constructor op = op.Core.name = "sycl.constructor"
-let constructor_class op = Core.attr_symbol op "class"
-let constructor_out op = Core.operand op 0
 let constructor_args op = List.tl (Core.operands op)
 
 (* ------------------------------------------------------------------ *)
@@ -112,8 +107,6 @@ let accessor_subscript_multi b acc indices =
     ~result_type:(subscript_result_type acc)
 
 (** 1-D subscript with a plain index. *)
-let accessor_subscript_1d b acc idx = accessor_subscript b acc idx
-
 let is_subscript op = op.Core.name = "sycl.accessor.subscript"
 let subscript_accessor op = Core.operand op 0
 let subscript_index op = Core.operand op 1
@@ -127,7 +120,6 @@ let subscript_is_direct op =
     accessors, Section VII-B): access range, underlying memory range and
     offset, per dimension. *)
 let accessor_get_range b acc dim = getter "sycl.accessor.get_range" b acc dim
-let accessor_get_mem_range b acc dim = getter "sycl.accessor.get_mem_range" b acc dim
 let accessor_get_offset b acc dim = getter "sycl.accessor.get_offset" b acc dim
 
 let accessor_member_getters =

@@ -48,9 +48,6 @@ type Types.t +=
 let id n = Id n
 let item n = Item n
 let nd_item n = Nd_item n
-let range n = Range n
-let nd_range n = Nd_range n
-let group n = Group n
 
 let accessor ?(mode = Read_write) ~dims element =
   Accessor { acc_dims = dims; acc_element = element; acc_mode = mode }
@@ -117,64 +114,61 @@ let init () =
        identifier that follows the '!'. *)
     let parse kind (p : Parser.t) =
       let expect_angle_int () =
-        Parser.expect p Parser.Langle;
-        let n =
-          match p.Parser.tok with
-          | Parser.Int_lit n -> Parser.advance p; n
-          | _ -> raise (Parser.Parse_error "expected integer in sycl type")
-        in
-        n
+        Parser.expect_punct p "<";
+        match Parser.accept_int p with
+        | Some n -> n
+        | None -> raise (Parser.Parse_error "expected integer in sycl type")
       in
       match kind with
       | "sycl.id" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Id n
       | "sycl.item" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Item n
       | "sycl.nd_item" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Nd_item n
       | "sycl.range" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Range n
       | "sycl.nd_range" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Nd_range n
       | "sycl.group" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         Group n
       | "sycl.accessor" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Comma;
+        Parser.expect_punct p ",";
         let element = Parser.parse_type p in
-        Parser.expect p Parser.Comma;
+        Parser.expect_punct p ",";
         let mode_s =
-          match p.Parser.tok with
-          | Parser.Ident s -> Parser.advance p; s
-          | _ -> raise (Parser.Parse_error "expected access mode")
+          match Parser.accept_ident p with
+          | Some s -> s
+          | None -> raise (Parser.Parse_error "expected access mode")
         in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         (match access_mode_of_string mode_s with
         | Some mode -> accessor ~mode ~dims:n element
         | None -> raise (Parser.Parse_error ("bad access mode " ^ mode_s)))
       | "sycl.local_accessor" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Comma;
+        Parser.expect_punct p ",";
         let element = Parser.parse_type p in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         local_accessor ~dims:n element
       | "sycl.buffer" ->
         let n = expect_angle_int () in
-        Parser.expect p Parser.Comma;
+        Parser.expect_punct p ",";
         let element = Parser.parse_type p in
-        Parser.expect p Parser.Rangle;
+        Parser.expect_punct p ">";
         buffer ~dims:n element
       | "sycl.queue" -> Queue
       | "sycl.handler" -> Handler

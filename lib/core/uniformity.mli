@@ -22,11 +22,8 @@ type lattice =
   | Non_uniform
 
 val lattice_to_string : lattice -> string
-val join : lattice -> lattice -> lattice
 
-(** Functions tagged with this attribute are SYCL kernel entry points. *)
-val kernel_attr : string
-
+(** Is the function a SYCL kernel entry point? *)
 val is_kernel : Core.op -> bool
 
 type t

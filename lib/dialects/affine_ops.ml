@@ -41,7 +41,6 @@ let is_for op = op.Core.name = "affine.for"
 let is_yield op = op.Core.name = "affine.yield"
 
 let for_body op = Core.entry_block op.Core.regions.(0)
-let for_iv op = Core.block_arg (for_body op) 0
 let for_iter_args op = List.tl (Core.block_args (for_body op))
 let for_step op = Option.value ~default:1 (Core.attr_int op "step")
 

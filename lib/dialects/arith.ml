@@ -43,8 +43,6 @@ let muli b x y = binop "arith.muli" b x y
 let divsi b x y = binop "arith.divsi" b x y
 let remsi b x y = binop "arith.remsi" b x y
 let andi b x y = binop "arith.andi" b x y
-let ori b x y = binop "arith.ori" b x y
-let xori b x y = binop "arith.xori" b x y
 let minsi b x y = binop "arith.minsi" b x y
 let maxsi b x y = binop "arith.maxsi" b x y
 let addf b x y = binop "arith.addf" b x y
@@ -79,7 +77,6 @@ let math_unary name b x =
 
 (* math.* unary float functions live here for convenience. *)
 let sqrt b x = math_unary "math.sqrt" b x
-let exp b x = math_unary "math.exp" b x
 let absf b x = math_unary "math.absf" b x
 
 (* ------------------------------------------------------------------ *)

@@ -1,24 +1,9 @@
 (* Unstructured control flow: cf.br and cf.cond_br terminators carrying
-   block successors, following MLIR's cf dialect. These are what the
-   random IR generator uses to exercise multi-block CFG printing and
-   parsing (block labels, forward successor references). *)
+   block successors, following MLIR's cf dialect. The random IR generator
+   emits them to exercise multi-block CFG printing and parsing (block
+   labels, forward successor references). *)
 
 open Mlir
-
-(** [br b ~dest ~args] builds an unconditional branch. [args] are the
-    values forwarded to [dest]'s block arguments. *)
-let br b ~dest ?(args = []) () =
-  Builder.op0 b "cf.br" ~operands:args ~successors:[ dest ]
-
-(** [cond_br b cond ~then_ ~else_] branches on an i1 condition. Branch
-    arguments are not modelled separately per edge: [args] go to
-    whichever successor is taken (both must agree on signature). *)
-let cond_br b cond ~then_ ~else_ ?(args = []) () =
-  Builder.op0 b "cf.cond_br" ~operands:(cond :: args)
-    ~successors:[ then_; else_ ]
-
-let is_br op = op.Core.name = "cf.br"
-let is_cond_br op = op.Core.name = "cf.cond_br"
 
 let init_done = ref false
 

@@ -12,10 +12,6 @@ open Mlir
 (** The opaque handle type used for runtime objects on the host. *)
 let handle = Types.i64
 
-let alloca b ?(size = 1) element =
-  Builder.op1 b "llvm.alloca" ~operands:[]
-    ~result_type:(Types.memref ~space:Types.Private [ Some size ] element)
-
 let call b callee ~operands ~results =
   Builder.op b "llvm.call" ~operands ~result_types:results
     ~attrs:[ ("callee", Attr.Symbol callee) ]
@@ -27,10 +23,6 @@ let call0 b callee ~operands = ignore (call b callee ~operands ~results:[])
 
 let callee op = Core.attr_symbol op "callee"
 let is_call op = op.Core.name = "llvm.call"
-
-let is_call_to name op = is_call op && callee op = Some name
-
-let return b vs = Builder.op0 b "llvm.return" ~operands:vs
 
 (** Module-level constant global carrying dense data (e.g. the Sobel
     filter coefficient array of Section VIII). *)

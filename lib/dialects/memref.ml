@@ -9,19 +9,10 @@ let alloca b ?(space = Types.Private) shape element =
   Builder.op1 b "memref.alloca" ~operands:[]
     ~result_type:(Types.memref ~space (List.map (fun d -> Some d) shape) element)
 
-let alloc b ?(space = Types.Global) shape element =
-  Builder.op1 b "memref.alloc" ~operands:[]
-    ~result_type:(Types.memref ~space (List.map (fun d -> Some d) shape) element)
-
 let element_type (v : Core.value) =
   match v.Core.vty with
   | Types.Memref { element; _ } -> element
   | t -> invalid_arg ("memref element_type: not a memref: " ^ Types.to_string t)
-
-let memspace (v : Core.value) =
-  match v.Core.vty with
-  | Types.Memref { space; _ } -> space
-  | _ -> invalid_arg "memref memspace: not a memref"
 
 let load b mem indices =
   Builder.op1 b "memref.load" ~operands:(mem :: indices)
@@ -33,8 +24,6 @@ let store b value mem indices =
 let dim b mem i =
   let idx = Arith.const_index b i in
   Builder.op1 b "memref.dim" ~operands:[ mem; idx ] ~result_type:Types.Index
-
-let dealloc b mem = Builder.op0 b "memref.dealloc" ~operands:[ mem ]
 
 let is_load op = op.Core.name = "memref.load"
 let is_store op = op.Core.name = "memref.store"

@@ -54,13 +54,7 @@ let for_step op = Core.operand op 2
 let for_iter_inits op = List.filteri (fun i _ -> i >= 3) (Core.operands op)
 
 let for_body op = Core.entry_block op.Core.regions.(0)
-let for_iv op = Core.block_arg (for_body op) 0
 let for_iter_args op = List.tl (Core.block_args (for_body op))
-
-let body_terminator block =
-  match List.rev block.Core.body with
-  | t :: _ -> t
-  | [] -> invalid_arg "body_terminator: empty block"
 
 let init_done = ref false
 

@@ -53,9 +53,6 @@ type program = {
   body : stmt list;
 }
 
-(** Opaque runtime-handle type used in the low-level host IR. *)
-val handle : Types.t
-
 (** Emit the program as a [@main] function (plus globals) into a module;
     returns the main func op. *)
 val emit : Core.op -> program -> Core.op

@@ -15,8 +15,6 @@ type arg_spec =
   | Scal of Types.t  (** by-value scalar capture *)
   | Ptr of Types.t  (** USM device pointer (1-D) *)
 
-val arg_type : arg_spec -> Types.t
-
 (** Define a kernel function in a module; the body receives a builder,
     the item argument and the capture arguments. [nd] selects an nd_item
     kernel (local ids / group barriers available in source). The function

@@ -38,16 +38,11 @@ val eval : int array -> int array -> t -> int
 (** Affine in the polyhedral sense (mul/mod/div only by constants). *)
 val is_pure_affine : t -> bool
 
-val is_const : t -> bool
-
 (** Decompose a linear expression into per-dimension coefficients, a
     per-symbol coefficient vector and a constant offset; [None] when not
     linear. *)
 val linear_coeffs :
   num_dims:int -> num_syms:int -> t -> (int array * int array * int) option
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** An affine map [(d0, ..., dn)\[s0, ..., sm\] -> (e0, ..., ek)]. *)
 module Map : sig

@@ -74,8 +74,6 @@ let rec to_string = function
     ^ ">"
   | Affine_map m -> "affine_map<" ^ Affine_expr.Map.to_string m ^ ">"
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)
-
 (* Structural equality via [compare] rather than [=] so [Float nan]
    equals itself (polymorphic [=] uses IEEE comparison on floats, which
    would make any nan-carrying attribute unequal to its parsed copy). *)
@@ -83,13 +81,10 @@ let equal (a : t) (b : t) = compare a b = 0
 
 (* Accessors returning [None] on kind mismatch. *)
 let as_int = function Int i -> Some i | Bool b -> Some (Bool.to_int b) | _ -> None
-let as_float = function Float f -> Some f | _ -> None
 let as_string = function String s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | Int i -> Some (i <> 0) | _ -> None
 let as_type = function Type t -> Some t | _ -> None
 let as_symbol = function Symbol s -> Some s | _ -> None
-let as_array = function Array a -> Some a | _ -> None
-let as_affine_map = function Affine_map m -> Some m | _ -> None
 
 (** Is this attribute a numeric constant usable for folding? *)
 let is_numeric = function Int _ | Float _ | Bool _ -> true | _ -> false

@@ -5,43 +5,20 @@ type insertion_point =
   | Before of Core.op
 
 type t = {
-  mutable ip : insertion_point option;
+  ip : insertion_point;
   (* Default source location stamped (by [insert]) onto inserted ops that
      carry no location of their own. Lets a pass set the location once per
      rewrite site instead of threading ?loc through every dialect helper. *)
   mutable default_loc : Loc.t;
 }
 
-let create () = { ip = None; default_loc = Loc.Unknown }
-
-let at_end block = { ip = Some (At_end block); default_loc = Loc.Unknown }
-let before op = { ip = Some (Before op); default_loc = Loc.Unknown }
-
-let set_insertion_point_to_end b block = b.ip <- Some (At_end block)
-let set_insertion_point_before b op = b.ip <- Some (Before op)
-let set_insertion_point_after b op =
-  (* Inserting "after op" = remembering the op following it, or block end. *)
-  match op.Core.parent_block with
-  | None -> invalid_arg "set_insertion_point_after: detached op"
-  | Some block ->
-    let rec find = function
-      | [] -> invalid_arg "set_insertion_point_after: op not in block"
-      | o :: rest when o == op -> (
-        match rest with [] -> At_end block | next :: _ -> Before next)
-      | _ :: rest -> find rest
-    in
-    b.ip <- Some (find block.Core.body)
-
-let after op =
-  let b = create () in
-  set_insertion_point_after b op;
-  b
+let at_end block = { ip = At_end block; default_loc = Loc.Unknown }
+let before op = { ip = Before op; default_loc = Loc.Unknown }
 
 let insertion_block b =
   match b.ip with
-  | Some (At_end block) -> Some block
-  | Some (Before op) -> op.Core.parent_block
-  | None -> None
+  | At_end block -> Some block
+  | Before op -> op.Core.parent_block
 
 let set_default_loc b loc = b.default_loc <- loc
 let default_loc b = b.default_loc
@@ -56,9 +33,8 @@ let with_loc b loc f =
     their own pick up the builder's default location. *)
 let insert b op =
   (match b.ip with
-  | None -> invalid_arg "Builder.insert: no insertion point"
-  | Some (At_end block) -> Core.append_op block op
-  | Some (Before anchor) -> Core.insert_before ~anchor op);
+  | At_end block -> Core.append_op block op
+  | Before anchor -> Core.insert_before ~anchor op);
   if not (Loc.is_known op.Core.loc) then op.Core.loc <- b.default_loc;
   op
 
@@ -78,10 +54,3 @@ let op1 ?attrs ?regions ?successors ?loc ~operands ~result_type b name =
 (** Like {!op} for zero-result operations; returns unit. *)
 let op0 ?attrs ?regions ?successors ?loc ~operands b name =
   ignore (op ?attrs ?regions ?successors ?loc ~operands ~result_types:[] b name)
-
-(** Run [f] with the insertion point temporarily moved to the end of
-    [block], restoring it afterwards. *)
-let within b block f =
-  let saved = b.ip in
-  b.ip <- Some (At_end block);
-  Fun.protect ~finally:(fun () -> b.ip <- saved) f

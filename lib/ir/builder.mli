@@ -1,25 +1,11 @@
 (** Insertion-point based IR construction, mirroring MLIR's [OpBuilder]. *)
 
-type insertion_point =
-  | At_end of Core.block
-  | Before of Core.op
+type t
 
-type t = {
-  mutable ip : insertion_point option;
-  mutable default_loc : Loc.t;
-}
-
-val create : unit -> t
-
-(** Builders positioned at a block end / before an op / after an op. *)
+(** Builders positioned at a block end / before an op. *)
 val at_end : Core.block -> t
 
 val before : Core.op -> t
-val after : Core.op -> t
-
-val set_insertion_point_to_end : t -> Core.block -> unit
-val set_insertion_point_before : t -> Core.op -> unit
-val set_insertion_point_after : t -> Core.op -> unit
 
 val insertion_block : t -> Core.block option
 
@@ -70,7 +56,3 @@ val op0 :
   t ->
   string ->
   unit
-
-(** Run a function with the insertion point temporarily moved to the end
-    of a block, restoring it afterwards. *)
-val within : t -> Core.block -> (unit -> 'a) -> 'a

@@ -96,13 +96,8 @@ let with_listener l f =
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let value_type v = v.vty
-
 let defining_op v =
   match v.vdef with Op_result (op, _) -> Some op | Block_arg _ -> None
-
-let result_index v =
-  match v.vdef with Op_result (_, i) -> Some i | Block_arg _ -> None
 
 let value_equal a b = a.vid = b.vid
 
@@ -253,10 +248,6 @@ let replace_all_uses_with old_v new_v =
   let us = old_v.uses in
   List.iter (fun (op, i) -> set_operand op i new_v) us
 
-let replace_uses_if old_v new_v pred =
-  let us = old_v.uses in
-  List.iter (fun (op, i) -> if pred op then set_operand op i new_v) us
-
 (* Block body surgery. Ops are compared physically (each op record is
    unique), so list rebuilding is safe. *)
 
@@ -329,10 +320,6 @@ let move_before ~anchor op =
   detach_op op;
   insert_before ~anchor op
 
-let move_to_end block op =
-  detach_op op;
-  append_op block op
-
 (* ------------------------------------------------------------------ *)
 (* Navigation and traversal                                            *)
 (* ------------------------------------------------------------------ *)
@@ -341,12 +328,6 @@ let parent_op_of_block b =
   Option.bind b.parent_region (fun r -> r.parent_op)
 
 let parent_op op = Option.bind op.parent_block parent_op_of_block
-
-let rec ancestors op =
-  match parent_op op with None -> [] | Some p -> p :: ancestors p
-
-(** Is [anc] a (transitive) ancestor op of [op]? *)
-let is_ancestor ~anc op = List.exists (fun a -> a == anc) (ancestors op)
 
 (** Is the block containing [op] nested inside (or equal to) [region]? *)
 let rec is_in_region region op =
@@ -366,22 +347,6 @@ let rec walk op ~f =
     (fun r ->
       List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) r.blocks)
     op.regions
-
-(** Walk, but a snapshot of each block body is taken first so [f] may erase
-    or insert ops while walking. *)
-let rec walk_mutable op ~f =
-  f op;
-  Array.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          let snapshot = b.body in
-          List.iter (fun o -> if o.parent_block <> None then walk_mutable o ~f) snapshot)
-        r.blocks)
-    op.regions
-
-let walk_region region ~f =
-  List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) region.blocks
 
 (** Collect ops satisfying [p] in pre-order. *)
 let collect op ~p =
@@ -425,12 +390,6 @@ let lookup_func m name =
     (module_block m).body
 
 let funcs m = List.filter is_func (module_block m).body
-
-(** The function type of a func.func op. *)
-let func_type op =
-  match attr_type op "function_type" with
-  | Some (Types.Function (a, r)) -> (a, r)
-  | _ -> invalid_arg "func_type: op has no function_type attribute"
 
 let func_body op =
   assert (is_func op);

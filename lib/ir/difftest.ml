@@ -21,18 +21,6 @@ type failure = {
 let failure_to_string f =
   Printf.sprintf "[%s] %s" f.f_oracle f.f_detail
 
-(** Structured form for fuzz/CI reports (shared {!Json} writer, so
-    arbitrary bytes in IR text or parse errors stay valid JSON). *)
-let failure_to_json (f : failure) : Json.t =
-  Json.Obj
-    ([
-       ("oracle", Json.String f.f_oracle);
-       ("detail", Json.String f.f_detail);
-     ]
-    @ match f.f_ir with
-      | Some ir -> [ ("ir", Json.String ir) ]
-      | None -> [])
-
 (* First line number (1-based) where two texts disagree, with both lines —
    small enough to put in a report, unlike two whole modules. *)
 let first_diff a b =

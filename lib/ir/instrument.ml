@@ -146,13 +146,6 @@ let ir_change (cl : change_log) =
       cl.cl_before <- None;
       cl.cl_entries <- (pass_name, changed) :: cl.cl_entries)
 
-let pp_changes fmt (cl : change_log) =
-  List.iter
-    (fun (pass, changed) ->
-      Format.fprintf fmt "  %-40s %s@." pass
-        (if changed then "changed" else "no-op"))
-    (changes cl)
-
 (* ------------------------------------------------------------------ *)
 (* Location coverage (--stats)                                         *)
 (* ------------------------------------------------------------------ *)

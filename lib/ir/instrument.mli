@@ -68,8 +68,6 @@ val changes : change_log -> (string * bool) list
 (** Pass executions that left the module bit-identical. *)
 val noop_passes : change_log -> string list
 
-val pp_changes : Format.formatter -> change_log -> unit
-
 (** {1 Location coverage} *)
 
 type loc_coverage_entry = {

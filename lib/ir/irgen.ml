@@ -9,25 +9,17 @@
    block-terminating ops — but makes no dialect-semantics promises:
    it feeds the print→parse→print fixpoint oracle, not the simulator. *)
 
-type config = {
-  max_region_depth : int;  (** nesting limit for region-bearing ops *)
-  max_ops_per_block : int;
-  max_blocks_per_cfg : int;  (** blocks in a generated CFG region *)
-  max_funcs : int;  (** top-level ops per module *)
-}
-
-let default_config =
-  { max_region_depth = 3; max_ops_per_block = 4; max_blocks_per_cfg = 4;
-    max_funcs = 3 }
+let max_region_depth = 3 (* nesting limit for region-bearing ops *)
+let max_ops_per_block = 4
+let max_blocks_per_cfg = 4 (* blocks in a generated CFG region *)
+let max_funcs = 3 (* top-level ops per module *)
 
 type t = {
   rng : Random.State.t;
-  config : config;
   mutable n_syms : int;  (** fresh-name counter for symbols/attr keys *)
 }
 
-let create ?(config = default_config) seed =
-  { rng = Random.State.make [| 0x1e9e; seed |]; config; n_syms = 0 }
+let create seed = { rng = Random.State.make [| 0x1e9e; seed |]; n_syms = 0 }
 
 let int g n = Random.State.int g.rng n
 let pick g xs = List.nth xs (int g (List.length xs))
@@ -236,7 +228,7 @@ let rec gen_op g ~depth (env : env) : Core.op =
 
 (* A straight-line block body; returns the ops and the extended env. *)
 and gen_body g ~depth (env : env) =
-  let n = 1 + int g g.config.max_ops_per_block in
+  let n = 1 + int g max_ops_per_block in
   let rec go acc env i =
     if i = n then (List.rev acc, env)
     else
@@ -261,7 +253,7 @@ and gen_region g ~depth (env : env) : Core.region =
    block-local values plus the enclosing env, so print order equals
    def order. *)
 and gen_cfg_region g ~depth (env : env) : Core.region =
-  let n = 2 + int g (g.config.max_blocks_per_cfg - 1) in
+  let n = 2 + int g (max_blocks_per_cfg - 1) in
   let blocks =
     List.init n (fun _ ->
         Core.create_block ~args:(List.init (int g 2) (fun _ -> gen_type g)) ())
@@ -300,7 +292,7 @@ let gen_func g =
   let arg_tys = List.init (int g 3) (fun _ -> gen_type g) in
   let block = Core.create_block ~args:arg_tys () in
   let ops, _ =
-    gen_body g ~depth:g.config.max_region_depth (Core.block_args block)
+    gen_body g ~depth:max_region_depth (Core.block_args block)
   in
   List.iter (Core.append_op block) ops;
   Core.append_op block
@@ -320,7 +312,7 @@ let gen_global g =
 let gen_module g : Core.op =
   let m = Core.create_module () in
   let body = Core.entry_block m.Core.regions.(0) in
-  for _ = 1 to 1 + int g g.config.max_funcs do
+  for _ = 1 to 1 + int g max_funcs do
     Core.append_op body
       (if int g 4 = 0 then gen_global g else gen_func g)
   done;

@@ -12,11 +12,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Escape a byte string into valid JSON string contents (no quotes).
-    Control and non-ASCII bytes become [\u00XX], so the output is
-    pure-ASCII valid JSON for any input bytes. *)
-val escape_string : string -> string
-
 (** Deterministic serialization. Default is pretty-printed (2-space
     indent, trailing newline NOT included); [compact] is single-line. *)
 val to_string : ?compact:bool -> t -> string

@@ -32,9 +32,6 @@ val to_string : t -> string
 (** First concrete [(file, line, col)] reachable from the location. *)
 val resolve : t -> (string * int * int) option
 
-(** [Some "file:line:col"] when resolvable. *)
-val render : t -> string option
-
 (** ["file:line:col: "] or [""] — prepend to diagnostic messages. *)
 val diag_prefix : t -> string
 

@@ -162,7 +162,6 @@ let rec is_pure op =
 
 let is_speculatable op = (info op).speculatable
 let is_terminator op = (info op).terminator
-let is_non_uniform_source op = (info op).non_uniform_source
 
 let effects_on_value op v =
   match memory_effects op with

@@ -91,7 +91,6 @@ val is_pure : Core.op -> bool
 
 val is_speculatable : Core.op -> bool
 val is_terminator : Core.op -> bool
-val is_non_uniform_source : Core.op -> bool
 
 (** Effects of an op touching a specific value ([None] = unknown). *)
 val effects_on_value : Core.op -> Core.value -> effect_kind list option

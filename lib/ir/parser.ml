@@ -286,9 +286,20 @@ let expect_ident p =
 
 let accept p tok = if p.tok = tok then (advance p; true) else false
 
-(* Dialect type parsers: keyed by the identifier after '!'. *)
+(* Dialect type parsers: keyed by the identifier after '!'. They read
+   tokens by spelling, through [expect_punct], [accept_int] and
+   [accept_ident], so the token type stays private to this module. *)
 let dialect_type_parsers : (string, t -> Types.t) Hashtbl.t = Hashtbl.create 8
 let register_type_parser key f = Hashtbl.replace dialect_type_parsers key f
+
+let expect_punct p s =
+  if token_to_string p.tok = s then advance p
+  else
+    error p.lx
+      (Printf.sprintf "expected %s but found %s" s (token_to_string p.tok))
+
+let accept_int p = match p.tok with Int_lit n -> advance p; Some n | _ -> None
+let accept_ident p = match p.tok with Ident s -> advance p; Some s | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)

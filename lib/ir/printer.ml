@@ -134,25 +134,17 @@ and print_region env level (r : Core.region) =
   indent env level;
   Buffer.add_char env.buf '}'
 
-let op_to_string ?(env = None) ?(debuginfo = false) op =
+let to_string ?(debuginfo = false) op =
   let env =
-    match env with
-    | Some e -> e
-    | None ->
-      { buf = Buffer.create 1024; names = Hashtbl.create 64;
-        block_names = Hashtbl.create 16; counter = 0; debuginfo }
+    { buf = Buffer.create 1024; names = Hashtbl.create 64;
+      block_names = Hashtbl.create 16; counter = 0; debuginfo }
   in
-  Buffer.clear env.buf;
   print_op env 0 op;
   Buffer.contents env.buf
-
-let to_string ?debuginfo op = op_to_string ?debuginfo op
 
 let print ?(out = stdout) ?debuginfo op =
   output_string out (to_string ?debuginfo op);
   output_char out '\n'
-
-let pp fmt op = Format.pp_print_string fmt (to_string op)
 
 (** Short one-line description of an op, for diagnostics. *)
 let summary (op : Core.op) =

@@ -144,8 +144,6 @@ let to_string (r : t) =
     (flag_of_kind r.r_kind)
     r.r_pass r.r_name
 
-let pp fmt r = Format.pp_print_string fmt (to_string r)
-
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip (via the shared Json module)                        *)
 (* ------------------------------------------------------------------ *)
@@ -172,8 +170,6 @@ let to_json_value (r : t) : Json.t =
         ("col", Json.Int col);
       ]
     | None -> [])
-
-let to_json (r : t) = Json.to_string ~compact:true (to_json_value r)
 
 let list_to_json rs =
   Json.to_string (Json.List (List.map to_json_value rs)) ^ "\n"

@@ -13,7 +13,6 @@ type kind =
   | Analysis
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 type t = {
   r_pass : string;  (** emitting pass, e.g. ["licm"] *)
@@ -75,12 +74,9 @@ val collect : (unit -> 'a) -> 'a * t list
     one. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Structured form, for embedding in larger documents. *)
 val to_json_value : t -> Json.t
 
-val to_json : t -> string
 val list_to_json : t list -> string
 
 exception Json_error of string

@@ -14,18 +14,8 @@ val pattern : string -> (Core.op -> bool) -> pattern
 val set_constant_materializer :
   (Builder.t -> Attr.t -> Types.t -> Core.value) -> unit
 
-val materialize_constant : Builder.t -> Attr.t -> Types.t -> Core.value
-
-(** The constant attribute produced by a registered, zero-operand,
-    constant-like op. *)
-val constant_value : Core.op -> Attr.t option
-
 (** The constant attribute of a value's defining op, if constant-like. *)
 val constant_of_value : Core.value -> Attr.t option
-
-(** Try to fold an op in place; on success all uses are replaced and the
-    op erased. *)
-val try_fold : Core.op -> bool
 
 (** Erase the op if it is pure (including nested ops) and unused. *)
 val erase_if_dead : Core.op -> bool

@@ -30,10 +30,8 @@ type t +=
   | None_type
 
 let i1 = Integer 1
-let i8 = Integer 8
 let i32 = Integer 32
 let i64 = Integer 64
-let index = Index
 let f32 = F32
 let f64 = F64
 
@@ -92,5 +90,4 @@ let rec to_string ty =
     in
     try_printers !printers
 
-let pp fmt ty = Format.pp_print_string fmt (to_string ty)
 let equal (a : t) (b : t) = a = b

@@ -123,17 +123,6 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
 
 (* Common per-op check helpers for dialects to build their verify hooks. *)
 
-let check_num_operands op n =
-  if Core.num_operands op = n then Ok ()
-  else
-    Error
-      (Printf.sprintf "expected %d operands, got %d" n (Core.num_operands op))
-
-let check_num_results op n =
-  if Core.num_results op = n then Ok ()
-  else
-    Error (Printf.sprintf "expected %d results, got %d" n (Core.num_results op))
-
 let check_num_regions op n =
   if Core.num_regions op = n then Ok ()
   else

@@ -22,8 +22,6 @@ val verify : ?allow_unregistered:bool -> Core.op -> (unit, diag list) result
 
 (** {2 Helpers for dialect verify hooks} *)
 
-val check_num_operands : Core.op -> int -> (unit, string) result
-val check_num_results : Core.op -> int -> (unit, string) result
 val check_num_regions : Core.op -> int -> (unit, string) result
 
 val check_operand_type :

@@ -166,12 +166,6 @@ let counter_value (r : registry) name =
       | Some (Counter v) -> v
       | _ -> 0)
 
-let gauge_value (r : registry) name =
-  Mutex.protect r.r_mutex (fun () ->
-      match Hashtbl.find_opt r.r_tbl name with
-      | Some (Gauge v) -> Some v
-      | _ -> None)
-
 let percentile (r : registry) name p =
   Mutex.protect r.r_mutex (fun () ->
       match Hashtbl.find_opt r.r_tbl name with
@@ -183,10 +177,6 @@ let hist_sample_count (r : registry) name =
       match Hashtbl.find_opt r.r_tbl name with
       | Some (Hist h) -> h.h_count
       | _ -> 0)
-
-let names (r : registry) =
-  Mutex.protect r.r_mutex (fun () ->
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) r.r_tbl []))
 
 (** Fold histogram [src] into [into], sample by sample. *)
 let merge_hist ~(into : hist) (src : hist) =

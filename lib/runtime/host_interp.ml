@@ -166,16 +166,21 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
     | Some l -> l
     | None -> Sycl_core.Launch_policy.default_wg_size global
   in
-  (* All of this launch's charges are recorded into a private segment
-     and committed onto the run timeline in one step, so the charges of
-     one launch are contiguous and interleaved launches (nested runs,
-     parallel callers) cannot corrupt each other's timestamps. *)
-  let sg = Profile.segment () in
   (* End-to-end latency of this launch: every cycle charged between
      queue submission and device completion (observed into the
      launch-latency histogram at the end). *)
   let latency = ref 0 in
   let charge c = latency := !latency + c in
+  let h2d ~label ~bytes cost =
+    st.r_transfer <- st.r_transfer + cost;
+    charge cost;
+    if cost > 0 then begin
+      Metrics.incr st.metrics "runtime.transfers_h2d";
+      Metrics.incr st.metrics ~by:bytes "runtime.transfer_bytes_h2d"
+    end;
+    Profile.record st.recorder ~cat:"transfer" ~name:("h2d:" ^ label)
+      ~args:[ ("bytes", bytes) ] ~dur:cost ()
+  in
   (* Queue submit: scheduler bookkeeping + dependency edges from the
      buffer/accessor model (the DAG waits this command group incurred). *)
   let deps = Objects.dependencies_of h.Objects.h_captures in
@@ -184,7 +189,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
   charge params.Cost.scheduler_cycles;
   Metrics.incr st.metrics "runtime.submits";
   Metrics.incr st.metrics ~by:(List.length deps) "runtime.dag_wait_edges";
-  Profile.record_seg sg ~cat:"submit" ~name:("submit:" ^ kernel_name)
+  Profile.record st.recorder ~cat:"submit" ~name:("submit:" ^ kernel_name)
     ~args:[ ("dependency_edges", List.length deps) ]
     ~dur:params.Cost.scheduler_cycles ();
   (* Data movement + argument binding. *)
@@ -201,17 +206,8 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
       | Objects.Cap_accessor a ->
         let b = a.Objects.acc_buffer in
         let dev, cost = Objects.ensure_on_device params b in
-        st.r_transfer <- st.r_transfer + cost;
-        charge cost;
-        if cost > 0 then begin
-          Metrics.incr st.metrics "runtime.transfers_h2d";
-          Metrics.incr st.metrics ~by:(Objects.buffer_bytes b)
-            "runtime.transfer_bytes_h2d"
-        end;
-        Profile.record_seg sg ~cat:"transfer"
-          ~name:("h2d:" ^ b.Objects.b_host.Memory.label)
-          ~args:[ ("bytes", Objects.buffer_bytes b) ]
-          ~dur:cost ();
+        h2d ~label:b.Objects.b_host.Memory.label
+          ~bytes:(Objects.buffer_bytes b) cost;
         (match a.Objects.acc_mode with
         | Sycl_types.Write | Sycl_types.Read_write -> b.Objects.b_device_dirty <- true
         | Sycl_types.Read -> ());
@@ -239,18 +235,8 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
             in
             Memory.blit ~src:(Memory.full_view host) ~dst:(Memory.full_view d)
               elems;
-            let cost = Cost.transfer_cycles params ~elems in
-            st.r_transfer <- st.r_transfer + cost;
-            charge cost;
-            if cost > 0 then begin
-              Metrics.incr st.metrics "runtime.transfers_h2d";
-              Metrics.incr st.metrics ~by:(elems * Objects.elem_bytes)
-                "runtime.transfer_bytes_h2d"
-            end;
-            Profile.record_seg sg ~cat:"transfer"
-              ~name:("h2d:" ^ host.Memory.label)
-              ~args:[ ("bytes", elems * Objects.elem_bytes) ]
-              ~dur:cost ();
+            h2d ~label:host.Memory.label ~bytes:(elems * Objects.elem_bytes)
+              (Cost.transfer_cycles params ~elems);
             Hashtbl.replace st.device_copies host.Memory.aid d;
             d
         in
@@ -264,7 +250,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
     st.r_jit <- st.r_jit + st.jit_cycles_per_kernel;
     charge st.jit_cycles_per_kernel;
     Metrics.incr st.metrics "runtime.jit_specializations";
-    Profile.record_seg sg ~cat:"jit" ~name:("jit:" ^ kernel_name)
+    Profile.record st.recorder ~cat:"jit" ~name:("jit:" ^ kernel_name)
       ~dur:st.jit_cycles_per_kernel ();
     let pairs = ref [] in
     List.iteri
@@ -334,7 +320,7 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
   charge overhead;
   Metrics.incr st.metrics "runtime.kernel_launches";
   Metrics.incr st.metrics ~by:overhead "runtime.launch_overhead_cycles";
-  Profile.record_seg sg ~cat:"launch" ~name:kernel_name
+  Profile.record st.recorder ~cat:"launch" ~name:kernel_name
     ~args:[ ("live_args", live_args) ] ~dur:overhead ();
   (* Execute on the device simulator. Attribution is always collected:
      it is a pure side table (the conservation oracle checks it equals
@@ -356,9 +342,8 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
   let dev_cycles = Cost.device_cycles params stats in
   st.r_device <- st.r_device + dev_cycles;
   charge dev_cycles;
-  Profile.record_seg sg ~cat:"kernel" ~name:kernel_name
+  Profile.record st.recorder ~cat:"kernel" ~name:kernel_name
     ~args:(Profile.breakdown params stats) ~dur:dev_cycles ();
-  Profile.commit st.recorder sg;
   Metrics.observe st.metrics ~bounds:Metrics.latency_bounds
     "runtime.launch_latency_cycles" !latency;
   st.r_per_kernel <- (kernel_name, stats) :: st.r_per_kernel;
@@ -497,28 +482,22 @@ and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
         (List.map (fun v -> as_int (lookup st v)))
         (Sycl_host_ops.nd_range_local op);
     `Next
-  | "sycl.host.parallel_for" -> (
+  | "sycl.host.parallel_for" ->
     let h = as_handler (operand 0) in
     h.Objects.h_kernel <- Sycl_host_ops.parallel_for_kernel op;
     (* In DPC++/SYCL-MLIR the command group executes when dependencies
        allow; our in-order host interp executes it here. *)
-    match
-      List.find_map
-        (fun (_, c) -> match c with Objects.Cap_accessor _ -> Some () | _ -> None)
-        h.Objects.h_captures
-    with
-    | _ ->
-      let q =
-        (* Queue recovered from the submit that produced the handler. *)
-        match Core.defining_op (Core.operand op 0) with
-        | Some sub when Sycl_host_ops.is_submit sub -> (
-          match lookup st (Core.operand sub 0) with
-          | Queue q -> q
-          | _ -> raise (Host_error "submit on non-queue"))
-        | _ -> raise (Host_error "handler without submit")
-      in
-      launch_kernel st q h;
-      `Next)
+    let q =
+      (* Queue recovered from the submit that produced the handler. *)
+      match Core.defining_op (Core.operand op 0) with
+      | Some sub when Sycl_host_ops.is_submit sub -> (
+        match lookup st (Core.operand sub 0) with
+        | Queue q -> q
+        | _ -> raise (Host_error "submit on non-queue"))
+      | _ -> raise (Host_error "handler without submit")
+    in
+    launch_kernel st q h;
+    `Next
   | "sycl.host.wait" -> `Next
   | "sycl.host.buffer_dtor" ->
     let b = as_buffer (operand 0) in

@@ -11,7 +11,6 @@ open Mlir
 module Interp = Sycl_sim.Interp
 module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
-module Profile = Sycl_sim.Profile
 
 exception Host_error of string
 

@@ -97,8 +97,6 @@ let create ?(cache_capacity = 256) ?workers ?(verify_each = false) ~pipeline
     clock = 0;
   }
 
-let workers t = t.n_workers
-let cache_capacity t = t.capacity
 let metrics t = t.reg
 let cache_length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.cache)
 

@@ -113,9 +113,6 @@ val compile_one : t -> request -> response
     workers join. *)
 val run_batch : t -> request list -> response list
 
-val workers : t -> int
-val cache_capacity : t -> int
-
 (** Current number of cached results (ready entries only). *)
 val cache_length : t -> int
 

@@ -14,63 +14,28 @@ module Trace = Sycl_obs.Trace
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** A per-launch recording segment: spans carry timestamps relative to
-    the segment start. A launch records into a private segment and the
-    whole segment is committed onto the shared recorder timeline in one
-    step, so two interleaved launches (nested [run]s, parallel worker
-    domains) can no longer corrupt each other's clock. *)
-type segment = {
-  mutable sg_clock : int;  (** relative to segment start *)
-  mutable sg_rev : Trace.span list;  (** newest first, relative timestamps *)
-}
-
-let segment () = { sg_clock = 0; sg_rev = [] }
-
-let record_seg (sg : segment) ~(cat : string) ~(name : string)
-    ?(args = []) ~(dur : int) () =
-  if dur > 0 then begin
-    sg.sg_rev <-
-      { Trace.sp_name = name; sp_cat = cat;
-        sp_lane = (if cat = "kernel" then Trace.Device else Trace.Host);
-        sp_ts = sg.sg_clock; sp_dur = dur; sp_args = args }
-      :: sg.sg_rev;
-    sg.sg_clock <- sg.sg_clock + dur
-  end
-
-(** Records spans on a single simulated timeline: each committed
-    segment starts at the current clock and advances it — the host
-    runtime is in-order, so charges simply concatenate. The mutex makes
-    commits atomic under concurrent recording. *)
+(** One run's simulated timeline. The host runtime is in-order and a
+    run records on its own domain, so each charge simply starts where
+    the previous one ended. *)
 type recorder = {
-  rc_mutex : Mutex.t;
   mutable rc_clock : int;
   mutable rc_rev : Trace.span list;  (** newest first *)
 }
 
-let recorder () = { rc_mutex = Mutex.create (); rc_clock = 0; rc_rev = [] }
+let recorder () = { rc_clock = 0; rc_rev = [] }
 
-(** Shift [sg]'s spans onto the recorder clock and append them, then
-    advance the clock by the segment's span — atomically. *)
-let commit (r : recorder) (sg : segment) =
-  Mutex.protect r.rc_mutex (fun () ->
-      let base = r.rc_clock in
-      (* sg_rev is newest first; walking it oldest-first while consing
-         keeps rc_rev newest first. *)
-      List.iter
-        (fun (sp : Trace.span) ->
-          r.rc_rev <- { sp with Trace.sp_ts = base + sp.Trace.sp_ts } :: r.rc_rev)
-        (List.rev sg.sg_rev);
-      r.rc_clock <- base + sg.sg_clock)
-
-(** One-shot convenience: a single span committed immediately. *)
 let record (r : recorder) ~(cat : string) ~(name : string)
     ?(args = []) ~(dur : int) () =
-  let sg = segment () in
-  record_seg sg ~cat ~name ~args ~dur ();
-  commit r sg
+  if dur > 0 then begin
+    r.rc_rev <-
+      { Trace.sp_name = name; sp_cat = cat;
+        sp_lane = (if cat = "kernel" then Trace.Device else Trace.Host);
+        sp_ts = r.rc_clock; sp_dur = dur; sp_args = args }
+      :: r.rc_rev;
+    r.rc_clock <- r.rc_clock + dur
+  end
 
-let events (r : recorder) =
-  Mutex.protect r.rc_mutex (fun () -> List.rev r.rc_rev)
+let events (r : recorder) = List.rev r.rc_rev
 
 (* ------------------------------------------------------------------ *)
 (* Kernel event payload                                                *)
@@ -88,15 +53,19 @@ let breakdown (p : Cost.params) (s : Cost.launch_stats) : (string * int) list =
       + (s.Cost.cache_misses * p.Cost.global_mem_cycles)
     else s.Cost.global_transactions * p.Cost.global_mem_cycles
   in
+  let memory_cycles =
+    global_cycles
+    + (s.Cost.local_transactions * p.Cost.local_mem_cycles)
+    + (s.Cost.const_transactions * p.Cost.const_mem_cycles)
+  and barrier_cycles = s.Cost.barriers * p.Cost.barrier_cycles in
   [
-    ("compute_cycles",
-     (s.Cost.alu_ops * p.Cost.alu_cycles)
-     + (s.Cost.fdiv_ops * p.Cost.fdiv_cycles));
-    ("memory_cycles",
-     global_cycles
-     + (s.Cost.local_transactions * p.Cost.local_mem_cycles)
-     + (s.Cost.const_transactions * p.Cost.const_mem_cycles));
-    ("barrier_cycles", s.Cost.barriers * p.Cost.barrier_cycles);
+    (* {!Cost.wg_cycles} amortizes ALU and fdiv charges over the
+       sub-group width, flooring once per work-group. Memory and barrier
+       charges are linear, so compute is exactly what they leave of the
+       work-group cycles. *)
+    ("compute_cycles", s.Cost.total_wg_cycles - memory_cycles - barrier_cycles);
+    ("memory_cycles", memory_cycles);
+    ("barrier_cycles", barrier_cycles);
     ("global_transactions", s.Cost.global_transactions);
     ("local_transactions", s.Cost.local_transactions);
     ("const_transactions", s.Cost.const_transactions);

@@ -6,39 +6,15 @@
     Time convention: 1 simulated cycle = 1 us of trace time, so cycle
     counts read directly off the trace viewer. *)
 
-(** A per-launch recording segment: timestamps are relative to the
-    segment start. Record a launch's charges into a private segment and
-    {!commit} it, so interleaved launches (nested runs, parallel worker
-    domains) cannot corrupt each other's timeline. *)
-type segment
-
-val segment : unit -> segment
-
-(** Append a span at the segment's current relative clock and advance
-    it by [dur]. Category ["kernel"] goes on the device lane; the others
-    (["submit"], ["transfer"], ["jit"], ["launch"]) go on the
-    host-runtime lane. Zero-duration charges are dropped. *)
-val record_seg :
-  segment ->
-  cat:string ->
-  name:string ->
-  ?args:(string * int) list ->
-  dur:int ->
-  unit ->
-  unit
-
-(** Records committed segments on a single simulated timeline: each
-    commit starts at the current clock and advances it (the host
-    runtime is in-order). Thread-safe. *)
+(** One run's simulated timeline (the host runtime is in-order). *)
 type recorder
 
 val recorder : unit -> recorder
 
-(** Atomically shift the segment onto the recorder clock, append its
-    spans, and advance the clock by the segment's span. *)
-val commit : recorder -> segment -> unit
-
-(** One-shot convenience: a single span committed immediately. *)
+(** Append a span at the recorder's clock and advance the clock by
+    [dur]. Category ["kernel"] goes on the device lane; the others
+    (["submit"], ["transfer"], ["jit"], ["launch"]) go on the
+    host-runtime lane. Zero-duration charges are dropped. *)
 val record :
   recorder ->
   cat:string ->
@@ -53,8 +29,9 @@ val record :
 val events : recorder -> Sycl_obs.Trace.span list
 
 (** Cycle breakdown of a launch — the args payload of a kernel span:
-    compute/memory/barrier cycles, transaction and work-item counts,
-    [total_wg_cycles], [max_wg_cycles], [num_cu]. *)
+    compute/memory/barrier cycles (summing to [total_wg_cycles]),
+    transaction and work-item counts, [total_wg_cycles],
+    [max_wg_cycles], [num_cu]. *)
 val breakdown : Cost.params -> Cost.launch_stats -> (string * int) list
 
 type kernel_profile = {

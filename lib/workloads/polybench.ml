@@ -21,7 +21,6 @@ let racc = K.Acc (2, S.Read, f32)
 let rwacc = K.Acc (2, S.Read_write, f32)
 let racc1 = K.Acc (1, S.Read, f32)
 let rwacc1 = K.Acc (1, S.Read_write, f32)
-let wacc1 = K.Acc (1, S.Write, f32)
 let wacc = K.Acc (2, S.Write, f32)
 
 let mem = Types.memref_dyn f32

@@ -35,8 +35,6 @@ let cap_rw i = Host.Capture_acc (i, S.Read_write)
 let emit_host m ~args ~buffers ?(globals = []) ~body () =
   ignore (Host.emit m { Host.host_args = args; buffers; globals; body })
 
-let snapshot (a : Sycl_sim.Memory.allocation) n = Array.init n (read_f a)
-
 let mk ~name ~paper ~n w_module w_data =
   { w_name = name; w_category = Single_kernel; w_problem_size = n;
     w_paper_size = paper; w_module; w_data; w_acpp_ok = true }

@@ -1,7 +1,6 @@
 (* Parallel multi-domain simulator backend: sequential-vs-parallel
    equivalence (stats, memory, profile), the cross-group race detector,
-   identical error reporting under both backends, and the per-launch
-   profile segments. *)
+   and identical error reporting under both backends. *)
 
 open Mlir
 module A = Dialects.Arith
@@ -10,7 +9,6 @@ module S = Sycl_core.Sycl_types
 module Interp = Sycl_sim.Interp
 module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
-module Profile = Sycl_sim.Profile
 
 let acc_desc ?(range = [| 16 |]) alloc =
   Interp.Acc
@@ -263,32 +261,6 @@ let tests_list =
               s.Cost.global_transactions
               (s.Cost.cache_hits + s.Cost.cache_misses))
           dm_launches);
-    Alcotest.test_case "profile segments commit atomically and in order" `Quick
-      (fun () ->
-        let r = Profile.recorder () in
-        let s1 = Profile.segment () and s2 = Profile.segment () in
-        (* Interleaved recording into two segments — the old shared-clock
-           recorder would interleave the timestamps. *)
-        Profile.record_seg s1 ~cat:"launch" ~name:"a" ~dur:5 ();
-        Profile.record_seg s2 ~cat:"launch" ~name:"b" ~dur:3 ();
-        Profile.record_seg s1 ~cat:"kernel" ~name:"a" ~dur:2 ();
-        Profile.commit r s1;
-        Profile.commit r s2;
-        match Profile.events r with
-        | [ e1; e2; e3 ] ->
-          Alcotest.(check string) "a first" "a" e1.Sycl_obs.Trace.sp_name;
-          Alcotest.(check int) "a starts at 0" 0 e1.Sycl_obs.Trace.sp_ts;
-          Alcotest.(check int) "a kernel follows" 5 e2.Sycl_obs.Trace.sp_ts;
-          Alcotest.(check bool) "launch on the host lane" true
-            (e1.Sycl_obs.Trace.sp_lane = Sycl_obs.Trace.Host);
-          Alcotest.(check bool) "kernel on the device lane" true
-            (e2.Sycl_obs.Trace.sp_lane = Sycl_obs.Trace.Device);
-          Alcotest.(check string) "b after a" "b" e3.Sycl_obs.Trace.sp_name;
-          Alcotest.(check int) "b shifted past a's span" 7 e3.Sycl_obs.Trace.sp_ts;
-          Alcotest.(check int) "clock advanced by both spans" 3
-            e3.Sycl_obs.Trace.sp_dur
-        | evs ->
-          Alcotest.failf "expected 3 events, got %d" (List.length evs));
   ]
 
 let tests = ("parallel-sim", tests_list)
