@@ -201,13 +201,30 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
         run_surfaces ~annotate ~annotated_ir ~report_json ~timer
           m.Common.m_result m.Common.m_module;
         if not m.Common.m_valid then exit 1)
-  with Sycl_sim.Interp.Race_detected races ->
+  with
+  | Sycl_sim.Interp.Race_detected races ->
     Printf.eprintf
       "RACE: %d pair(s) of work-groups wrote overlapping global locations\n"
       (List.length races);
     List.iter
       (fun r -> Printf.eprintf "  %s\n" (Sycl_sim.Interp.describe_race r))
       races;
+    exit 1
+  | Sycl_sim.Interp.Sim_error msg
+  | Sycl_sim.Memory.Out_of_bounds msg
+  | Sycl_runtime.Host_interp.Host_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+  | Sycl_sim.Interp.Barrier_divergence ->
+    prerr_endline
+      "error: a barrier was reached by only part of a work-group (divergent \
+       barrier)";
+    exit 1
+  | Common.Unsupported name ->
+    Printf.eprintf
+      "error: %s is unsupported under AdaptiveCpp (modeled validation \
+       failure)\n"
+      name;
     exit 1
 
 let list_arg = Arg.(value & flag & info [ "list"; "l" ] ~doc:"List workloads.")

@@ -106,6 +106,22 @@ let nd_range_local op =
     Some (List.filteri (fun i _ -> i > d) (Core.operands op))
   else None
 
+(* [dims] global sizes after the handler, then as many local sizes when
+   [has_local] is set. *)
+let verify_set_nd_range op =
+  let d = nd_range_dims op in
+  let local = Core.attr op "has_local" = Some (Attr.Bool true) in
+  let want = 1 + if local then 2 * d else d in
+  if d < 1 || d > 3 then
+    Error (Printf.sprintf "sycl.host.set_nd_range: dims = %d, want 1 to 3" d)
+  else if Core.num_operands op <> want then
+    Error
+      (Printf.sprintf
+         "sycl.host.set_nd_range with dims = %d%s takes %d operands, got %d" d
+         (if local then " and a local range" else "")
+         want (Core.num_operands op))
+  else Ok ()
+
 let init_done = ref false
 
 let init () =
@@ -115,26 +131,25 @@ let init () =
     (* Host ops interact with the runtime: model them as opaque effects so
        nothing reorders around them, except the pure queries. *)
     let effectful =
+      {
+        Op_registry.default_info with
+        Op_registry.memory_effects =
+          (fun _ ->
+            Some
+              [
+                (Op_registry.Read, Op_registry.Anywhere);
+                (Op_registry.Write, Op_registry.Anywhere);
+              ]);
+      }
+    in
+    List.iter
+      (fun name -> Op_registry.register name effectful)
       [
         "sycl.host.queue_ctor"; "sycl.host.buffer_ctor"; "sycl.host.submit";
         "sycl.host.accessor_ctor"; "sycl.host.set_captured";
-        "sycl.host.set_nd_range"; "sycl.host.parallel_for"; "sycl.host.wait";
-        "sycl.host.buffer_dtor"; "sycl.host.malloc_device"; "sycl.host.memcpy";
-        "sycl.host.free";
-      ]
-    in
-    List.iter
-      (fun name ->
-        Op_registry.register name
-          {
-            Op_registry.default_info with
-            Op_registry.memory_effects =
-              (fun _ ->
-                Some
-                  [
-                    (Op_registry.Read, Op_registry.Anywhere);
-                    (Op_registry.Write, Op_registry.Anywhere);
-                  ]);
-          })
-      effectful
+        "sycl.host.parallel_for"; "sycl.host.wait"; "sycl.host.buffer_dtor";
+        "sycl.host.malloc_device"; "sycl.host.memcpy"; "sycl.host.free";
+      ];
+    Op_registry.register "sycl.host.set_nd_range"
+      { effectful with Op_registry.verify = verify_set_nd_range }
   end

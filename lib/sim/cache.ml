@@ -3,10 +3,11 @@
    The interpreter already coalesces every memory access into cache-line
    transactions per (instruction, occurrence, sub-group); this module
    simulates what those *global* transactions do to a per-core data
-   cache. One [state] is created per work-group (work-groups own their
-   core for the duration of a launch in the model, matching inter-group
-   independence), and the coalescing code probes it exactly once per new
-   global transaction — so
+   cache. Every work-group starts from an empty [state] (work-groups own
+   their core for the duration of a launch in the model, matching
+   inter-group independence): the simulator makes one per chunk of
+   groups and {!reset}s it before each group. The coalescing code probes
+   it exactly once per new global transaction — so
 
        hits + misses = global_transactions
 
@@ -39,20 +40,20 @@
    Fenwick tree over probe positions. *)
 
 (* ------------------------------------------------------------------ *)
-(* Cache state (one per work-group)                                    *)
+(* Cache state (emptied for each work-group)                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The tag is (t_aid, t_line); [t_aid = -1] marks an invalid way
-   (allocation ids are never negative). Plain int fields keep a probe
-   free of allocation and polymorphic comparison. *)
-type slot = {
-  mutable t_aid : int;
-  mutable t_line : int;
-  mutable stamp : int;  (* last-use tick, for LRU *)
-}
-
+(* Way [w] of set [s] is entry [s * ways + w] of three flat arrays: the
+   tag (allocation id, line) and the last-use tick, for LRU. An
+   allocation id of -1 marks an invalid way (ids are never negative).
+   Plain int arrays keep a probe free of allocation and polymorphic
+   comparison, and a reset is three fills. *)
 type state = {
-  sets : slot array array;  (* num_sets x ways *)
+  ways : int;
+  num_sets : int;
+  aids : int array;
+  lines : int array;
+  stamps : int array;
   mutable tick : int;
 }
 
@@ -66,13 +67,16 @@ let create (p : Cost.params) (model : Cost.cache_model) : state option =
       | _ -> max 1 p.Cost.cache_ways
     in
     let num_sets = max 1 (p.Cost.cache_lines / ways) in
+    let n = num_sets * ways in
     Some
-      {
-        sets =
-          Array.init num_sets (fun _ ->
-              Array.init ways (fun _ -> { t_aid = -1; t_line = 0; stamp = 0 }));
-        tick = 0;
-      }
+      { ways; num_sets; aids = Array.make n (-1); lines = Array.make n 0;
+        stamps = Array.make n 0; tick = 0 }
+
+let reset (st : state) =
+  Array.fill st.aids 0 (Array.length st.aids) (-1);
+  Array.fill st.lines 0 (Array.length st.lines) 0;
+  Array.fill st.stamps 0 (Array.length st.stamps) 0;
+  st.tick <- 0
 
 type outcome = { o_hit : bool; o_evicted : bool }
 
@@ -80,37 +84,35 @@ let hit = { o_hit = true; o_evicted = false }
 let miss = { o_hit = false; o_evicted = false }
 let miss_evicting = { o_hit = false; o_evicted = true }
 
-(** Probe the cache for the line [(aid, line)]: on a hit the slot's LRU
+(** Probe the cache for the line [(aid, line)]: on a hit the way's LRU
     stamp is refreshed; on a miss the line is installed, evicting the
     least-recently-used valid way when the set is full. *)
 let access (st : state) ~(aid : int) ~(line : int) : outcome =
   st.tick <- st.tick + 1;
-  let set = st.sets.(line mod Array.length st.sets) in
-  let ways = Array.length set in
-  let rec find i =
-    if i = ways then -1
-    else
-      let s = set.(i) in
-      if s.t_aid = aid && s.t_line = line then i else find (i + 1)
-  in
-  let w = find 0 in
-  if w >= 0 then begin
-    set.(w).stamp <- st.tick;
+  let first = (line mod st.num_sets) * st.ways in
+  let last = first + st.ways - 1 in
+  let w = ref first in
+  while !w <= last && not (st.aids.(!w) = aid && st.lines.(!w) = line) do
+    incr w
+  done;
+  if !w <= last then begin
+    st.stamps.(!w) <- st.tick;
     hit
   end
   else begin
-    (* Fill: an invalid way if any, else the LRU way (lowest stamp; ties
-       impossible because stamps are distinct ticks). *)
-    let victim = ref set.(0) in
-    Array.iter
-      (fun s ->
-        if !victim.t_aid >= 0 && (s.t_aid < 0 || s.stamp < !victim.stamp)
-        then victim := s)
-      set;
-    let evicted = !victim.t_aid >= 0 in
-    !victim.t_aid <- aid;
-    !victim.t_line <- line;
-    !victim.stamp <- st.tick;
+    (* Fill: the first invalid way if any, else the LRU way (lowest
+       stamp; ties impossible because stamps are distinct ticks). *)
+    let victim = ref first in
+    for i = first to last do
+      if st.aids.(!victim) >= 0
+         && (st.aids.(i) < 0 || st.stamps.(i) < st.stamps.(!victim))
+      then victim := i
+    done;
+    let v = !victim in
+    let evicted = st.aids.(v) >= 0 in
+    st.aids.(v) <- aid;
+    st.lines.(v) <- line;
+    st.stamps.(v) <- st.tick;
     if evicted then miss_evicting else miss
   end
 
@@ -123,20 +125,38 @@ let access (st : state) ~(aid : int) ~(line : int) : outcome =
    re-access whose previous position is [prev] is then the number of
    live positions in (prev, now) — the count of distinct lines touched
    in between. The tree grows by doubling; live positions are re-added
-   on growth (amortized O(log n) per probe). *)
+   on growth (amortized O(log n) per probe).
+
+   Each line's live position is found in an open-addressing table keyed
+   by the packed line ({!line_key}): linear probing over a power-of-two
+   array that is at most half full, with no deletions (a line's entry is
+   only ever overwritten). *)
 type reuse = {
   mutable bit : int array;  (* 1-based Fenwick array *)
   mutable pos : int;  (* last assigned position *)
-  last : (int, int) Hashtbl.t;  (* packed line -> its live position *)
+  mutable keys : int array;  (* packed line, or [no_key] *)
+  mutable live : int array;  (* the key's live position *)
+  mutable n_keys : int;
 }
 
+let no_key = -1
+
 (* (allocation id, line) as one int key: lines stay below 2^32, so the
-   packing is injective for any id a process can mint. *)
+   packing is injective for any id a process can mint, and the key is
+   never negative. *)
 let line_key ~aid ~line = (aid lsl 32) lor line
 
-(* Starts small — one tracker is made per work-group — and doubles on
-   demand. *)
-let reuse_create () = { bit = Array.make 65 0; pos = 0; last = Hashtbl.create 16 }
+(* Starts small and doubles on demand; one tracker serves all the groups
+   of a chunk, reset in between. *)
+let reuse_create () =
+  { bit = Array.make 65 0; pos = 0; keys = Array.make 16 no_key;
+    live = Array.make 16 0; n_keys = 0 }
+
+let reuse_reset (r : reuse) =
+  Array.fill r.bit 0 (Array.length r.bit) 0;
+  r.pos <- 0;
+  Array.fill r.keys 0 (Array.length r.keys) no_key;
+  r.n_keys <- 0
 
 let bit_add (r : reuse) i delta =
   let n = Array.length r.bit - 1 in
@@ -156,27 +176,59 @@ let bit_sum (r : reuse) i =
   done;
   !s
 
+(* The index of [key]'s entry in [keys], or of the empty entry where it
+   belongs. Both halves of the key are mixed in, so lines of different
+   allocations spread out. *)
+let find_key (keys : int array) key =
+  let mask = Array.length keys - 1 in
+  let h = (key lxor (key lsr 32)) * 0x2545F4914F6CDD1D in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while keys.(!i) <> key && keys.(!i) <> no_key do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow_keys (r : reuse) =
+  let keys = r.keys and live = r.live in
+  r.keys <- Array.make (2 * Array.length keys) no_key;
+  r.live <- Array.make (2 * Array.length keys) 0;
+  Array.iteri
+    (fun j key ->
+      if key <> no_key then begin
+        let i = find_key r.keys key in
+        r.keys.(i) <- key;
+        r.live.(i) <- live.(j)
+      end)
+    keys
+
 let reuse_grow (r : reuse) =
   r.bit <- Array.make ((2 * (Array.length r.bit - 1)) + 1) 0;
-  Hashtbl.iter (fun _ p -> bit_add r p 1) r.last
+  Array.iteri (fun i key -> if key <> no_key then bit_add r r.live.(i) 1) r.keys
 
 (** Record a probe of [(aid, line)]; returns the exact reuse distance,
-    or [None] for a first touch (cold). *)
-let reuse_access (r : reuse) ~(aid : int) ~(line : int) : int option =
+    or -1 for a first touch (cold). *)
+let reuse_access (r : reuse) ~(aid : int) ~(line : int) : int =
   let key = line_key ~aid ~line in
   if r.pos >= Array.length r.bit - 1 then reuse_grow r;
   let now = r.pos + 1 in
   r.pos <- now;
+  let i = find_key r.keys key in
   let dist =
-    match Hashtbl.find_opt r.last key with
-    | Some prev ->
+    if r.keys.(i) = key then begin
+      let prev = r.live.(i) in
       let d = bit_sum r (now - 1) - bit_sum r prev in
       bit_add r prev (-1);
-      Some d
-    | None -> None
+      d
+    end
+    else begin
+      r.keys.(i) <- key;
+      r.n_keys <- r.n_keys + 1;
+      -1
+    end
   in
   bit_add r now 1;
-  Hashtbl.replace r.last key now;
+  r.live.(i) <- now;
+  if 2 * r.n_keys > Array.length r.keys then grow_keys r;
   dist
 
 let hit_rate ~hits ~misses =

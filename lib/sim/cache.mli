@@ -1,7 +1,8 @@
 (** Per-core (per-work-group) data cache model.
 
-    One {!state} per work-group, probed by the interpreter exactly once
-    per new coalesced global transaction, so
+    Every work-group starts from an empty {!state} ({!reset} between
+    groups), probed by the interpreter exactly once per new coalesced
+    global transaction, so
     [hits + misses = global_transactions] holds by construction —
     exactly, no epsilon ({!Attribution.check_launches}). Direct-mapped or
     set-associative LRU, selected by {!Cost.cache_model}; the set index
@@ -25,6 +26,10 @@ type state
 (** [None] under {!Cost.Flat} (no cache is simulated). *)
 val create : Cost.params -> Cost.cache_model -> state option
 
+(** Empty the cache in place: afterwards it behaves as a fresh
+    {!create}d one. *)
+val reset : state -> unit
+
 type outcome = { o_hit : bool; o_evicted : bool }
 
 (** Probe for line [(aid, line)], updating LRU state and filling on a
@@ -37,8 +42,12 @@ type reuse
 
 val reuse_create : unit -> reuse
 
+(** Forget every probe in place: afterwards the tracker answers as a
+    fresh {!reuse_create}d one. *)
+val reuse_reset : reuse -> unit
+
 (** Record a probe; returns the exact LRU stack distance of a warm
-    re-access, or [None] for a first touch. *)
-val reuse_access : reuse -> aid:int -> line:int -> int option
+    re-access, or -1 for a first touch. *)
+val reuse_access : reuse -> aid:int -> line:int -> int
 
 val hit_rate : hits:int -> misses:int -> float

@@ -10,12 +10,14 @@
    A kernel is decoded once before it runs ({!decode}): every SSA value
    of the kernel and of the device functions it calls gets a slot in one
    of three frame banks — ints, unboxed floats, boxed runtime values —
-   chosen by what the value's producer writes, and every op a dense
-   index and a closure that does its work. An executed op is then one
-   closure call that reads and writes the work-item's frame — no
-   op-name dispatch, no hashing and, for int and float values, no
-   allocation. This is progressive lowering applied to the simulator:
-   the IR is lowered once to a typed execution form.
+   chosen by what the value's producer writes (an accessor subscript's
+   element reference takes one place in two of them), and every op a
+   dense index and a closure that does its work. An executed op is then
+   one closure call that reads and writes the work-item's frame — no
+   op-name dispatch, no hashing and, for int and float values and
+   element references, no allocation. This is progressive lowering
+   applied to the simulator: the IR is lowered once to a typed
+   execution form.
 
    Charges are counted per op, in arrays indexed by the op's dense
    index: ALU cycles per executed op, memory transactions per
@@ -102,9 +104,11 @@ let add_dist (h : dist_hist) d n =
   end;
   h.counts.(d) <- h.counts.(d) + n
 
+(* A work-group's context. A chunk of work-groups makes one and resets it
+   before each of its groups ({!launch}). *)
 type wg_ctx = {
   params : Cost.params;
-  footprint : Memory.footprint option;
+  mutable footprint : Memory.footprint option;
       (* per-group global-write footprint, recorded under --sim-check-races *)
   locals : (int, Memory.allocation) Hashtbl.t;  (* gpu.alloc_local slot *)
   counters : int array;  (* per-op charges, see [n_fields] *)
@@ -115,12 +119,17 @@ type wg_ctx = {
   n_sub : int;  (* sub-groups per work-group *)
   cache_model : Cost.cache_model;
   cache : (Cache.state * Cache.reuse) option;
-      (* the group's cache and reuse-distance tracker; None under Flat *)
+      (* the cache and reuse-distance tracker, emptied for each group;
+         None under Flat *)
   dists : dist_hist;  (* the chunk's reuse distances *)
   mutable cur_barrier : int;
       (* index of the barrier op the group is suspended at, or -1 *)
 }
 
+(* A work-item's context. A chunk of work-groups makes one per local
+   linear id and reuses it for each of its groups: [gid], the frame and
+   [occ] are reset before each group runs, [grp] is the chunk's current
+   group id and [lid] a row of the launch's local-id table. *)
 type wi_ctx = {
   wg : wg_ctx;
   gid : int array;
@@ -149,12 +158,26 @@ type wi_ctx = {
    and reading or writing them allocates nothing. Slots come from the
    decoder that sized the frame, so the unchecked accesses below stay
    in range; a bank-specific write is only decoded for a slot of that
-   bank ({!in_bank}). *)
+   bank ({!in_bank}).
+
+   An element reference — what [sycl.accessor.subscript] yields — takes
+   position [index] of two banks: the accessor value in [vals] and the
+   element's linear index in [ints]. Writing one is two stores; a reader
+   that needs a runtime value gets the one-element view it stands for
+   ({!get_value}). *)
 let bank_int = 0
 let bank_float = 1
 let bank_boxed = 2
+let bank_elem = 3
 
 let unbound () = raise (Sim_error "use of unbound SSA value in simulator")
+
+let wrong_bank () =
+  raise (Sim_error "device simulator: value decoded into the wrong bank")
+
+(* Dims and strides of an element reference's one-element view (views
+   are never mutated, so one array serves them all). *)
+let unit_extent = [| 1 |]
 
 let[@inline] check_defined w s =
   if Bytes.unsafe_get w.defined s = '\000' then unbound ()
@@ -177,14 +200,23 @@ let[@inline] get_float w s =
   | 1 -> Float.Array.unsafe_get w.floats i
   | _ -> as_float (Array.unsafe_get w.vals i)
 
-(* A slot as a runtime value: an int or a float gets boxed. *)
+(* A slot as a runtime value: an int or a float gets boxed, an element
+   reference becomes its one-element view. *)
 let get_value w s =
   check_defined w s;
   let i = s lsr 2 in
   match s land 3 with
   | 0 -> I (Array.unsafe_get w.ints i)
   | 1 -> F (Float.Array.unsafe_get w.floats i)
-  | _ -> Array.unsafe_get w.vals i
+  | 2 -> Array.unsafe_get w.vals i
+  | _ ->
+    Mem
+      {
+        Memory.base = (as_acc (Array.unsafe_get w.vals i)).a_alloc;
+        offset = Array.unsafe_get w.ints i;
+        dims = unit_extent;
+        strides = unit_extent;
+      }
 
 let[@inline] set_int w s v =
   Array.unsafe_set w.ints (s lsr 2) v;
@@ -196,6 +228,13 @@ let[@inline] set_float w s v =
 
 let set_value w s v =
   Array.unsafe_set w.vals (s lsr 2) v;
+  Bytes.unsafe_set w.defined s '\001'
+
+(* An element reference to cell [lin] of accessor [acc]'s allocation. *)
+let[@inline] set_elem w s (acc : rv) lin =
+  let i = s lsr 2 in
+  Array.unsafe_set w.vals i acc;
+  Array.unsafe_set w.ints i lin;
   Bytes.unsafe_set w.defined s '\001'
 
 (* Copy slot [src] into slot [dst]. Decoding puts [dst] in [src]'s bank
@@ -210,7 +249,12 @@ let copy w src dst =
   | 1 ->
     let x = get_float w src in
     set_float w dst x
-  | _ -> set_value w dst (get_value w src)
+  | 2 -> set_value w dst (get_value w src)
+  | _ ->
+    check_defined w src;
+    if src land 3 <> bank_elem then wrong_bank ();
+    let i = src lsr 2 in
+    set_elem w dst (Array.unsafe_get w.vals i) (Array.unsafe_get w.ints i)
 
 let count (g : wg_ctx) k f by =
   let i = (k * n_fields) + f in
@@ -264,8 +308,7 @@ let rec mem_int (x : int) = function
   | [] -> false
   | y :: ys -> x = y || mem_int x ys
 
-let record_access w k (view : Memory.view) lin =
-  let a = view.Memory.base in
+let record_access w k (a : Memory.allocation) lin =
   match a.Memory.space with
   | Types.Private -> alu w k
   | _ ->
@@ -303,26 +346,26 @@ let record_access w k (view : Memory.view) lin =
         in
         count g k (if o_hit then f_hits else f_misses) 1;
         if o_evicted then count g k f_evictions 1;
-        match Cache.reuse_access reuse ~aid:a.Memory.aid ~line with
-        | Some d ->
+        let d = Cache.reuse_access reuse ~aid:a.Memory.aid ~line in
+        if d >= 0 then begin
           count g k f_dist_sum d;
           count g k f_dist_count 1;
           add_dist g.dists d 1
-        | None -> ())
+        end)
       | _ -> ()
     end
 
-(* A store of slot [v]'s value (already checked defined): its charge,
-   its entry in the group's write footprint (tagged with the storing
-   op's source location, so a race report can name the culprit store —
-   only global-space writes are kept, see {!Memory.footprint_write}) and
-   the write itself. *)
-let store w k loc (view : Memory.view) lin v =
-  record_access w k view lin;
+(* A store of slot [v]'s value (already checked defined) to cell [lin]
+   of [a]: its charge, its entry in the group's write footprint (tagged
+   with the storing op's source location, so a race report can name the
+   culprit store — only global-space writes are kept, see
+   {!Memory.footprint_write}) and the write itself. *)
+let store w k loc (a : Memory.allocation) lin v =
+  record_access w k a lin;
   (match w.wg.footprint with
-  | Some fp -> Memory.footprint_write ~loc fp view lin
+  | Some fp -> Memory.footprint_write ~loc fp a lin
   | None -> ());
-  let a = view.Memory.base and i = v lsr 2 in
+  let i = v lsr 2 in
   match v land 3 with
   | 0 -> store_int a lin (Array.unsafe_get w.ints i)
   | 1 -> store_float a lin (Float.Array.unsafe_get w.floats i)
@@ -334,8 +377,9 @@ let store w k loc (view : Memory.view) lin v =
 
 (* [Memory.linear_index view [| i |]]. *)
 let linear1 (view : Memory.view) i =
-  if Array.length view.Memory.strides < 1 then Memory.rank_mismatch view;
-  Memory.check view (view.Memory.offset + (i * view.Memory.strides.(0)))
+  let a = view.Memory.base in
+  if Array.length view.Memory.strides < 1 then Memory.rank_mismatch a;
+  Memory.check a (view.Memory.offset + (i * view.Memory.strides.(0)))
 
 (* ------------------------------------------------------------------ *)
 (* SYCL struct storage helpers                                         *)
@@ -368,19 +412,22 @@ let element_is_float (ty : Types.t) =
 (* The bank a value lives in is decided by what its producer writes,
    not by its declared type, so ill-kinded IR converts on reads exactly
    as [as_int]/[as_float] do. [Unknown] is the bottom of the join: a
-   value nothing writes. *)
-type kind = Unknown | Kint | Kfloat | Kboxed
+   value nothing writes. [Kelem] is an element reference, joined with
+   any other kind it is boxed. *)
+type kind = Unknown | Kint | Kfloat | Kelem | Kboxed
 
 let join a b =
   match (a, b) with
   | Unknown, k | k, Unknown -> k
   | Kint, Kint -> Kint
   | Kfloat, Kfloat -> Kfloat
+  | Kelem, Kelem -> Kelem
   | _ -> Kboxed
 
 let bank_of = function
   | Kint -> bank_int
   | Kfloat -> bank_float
+  | Kelem -> bank_elem
   | Kboxed | Unknown -> bank_boxed
 
 (* The kind an op writes to its first result, for ops whose results do
@@ -410,9 +457,8 @@ let result_kind (op : Core.op) =
     Kfloat
   | "memref.load" | "affine.load" ->
     if element_is_float (Core.operand op 0).Core.vty then Kfloat else Kint
-  | "memref.alloca" | "memref.alloc" | "gpu.alloc_local"
-  | "sycl.accessor.subscript" ->
-    Kboxed
+  | "memref.alloca" | "memref.alloc" | "gpu.alloc_local" -> Kboxed
+  | "sycl.accessor.subscript" -> Kelem
   | _ -> Unknown
 
 (* A block's ops before its terminator, and the terminator's operands
@@ -549,8 +595,20 @@ type decoder = {
 }
 
 let fresh_slot d bank =
-  let i = d.next.(bank) in
-  d.next.(bank) <- i + 1;
+  let i =
+    if bank = bank_elem then begin
+      (* The next index free in both banks an element reference uses. *)
+      let i = max d.next.(bank_int) d.next.(bank_boxed) in
+      d.next.(bank_int) <- i + 1;
+      d.next.(bank_boxed) <- i + 1;
+      i
+    end
+    else begin
+      let i = d.next.(bank) in
+      d.next.(bank) <- i + 1;
+      i
+    end
+  in
   let s = (i * 4) + bank in
   d.n_defined <- max d.n_defined (s + 1);
   s
@@ -567,25 +625,27 @@ let slot d (v : Core.value) =
 let slots d vs = Array.of_list (List.map (slot d) vs)
 
 (* [s], which a bank-specific write will use: it must be in [bank]. *)
-let in_bank bank s =
-  if s land 3 = bank then s
-  else raise (Sim_error "device simulator: value decoded into the wrong bank")
+let in_bank bank s = if s land 3 = bank then s else wrong_bank ()
 
 (* Temporaries for values moving in lanes: lane [j] of every slot array
-   in [lanes] passes through temporary [j], in the join of the banks the
-   lane touches, so every value in a lane can be read before any is
-   written. *)
-let temps d lanes =
+   in [srcs] and [dsts] passes through temporary [j], so every value in
+   a lane can be read before any is written. The temporary is in the
+   join of the banks the lane touches — or an element reference when the
+   lane's destinations are: then every source that is ever written is
+   one, and the others, in the boxed bank, raise when read. *)
+let temps d ~srcs ~dsts =
+  let lanes = srcs @ dsts in
   let n = List.fold_left (fun n a -> max n (Array.length a)) 0 lanes in
   Array.init n (fun j ->
+      let bank_at a = if j < Array.length a then a.(j) land 3 else -1 in
       let bank =
-        List.fold_left
-          (fun b a ->
-            if j >= Array.length a then b
-            else
-              let b' = a.(j) land 3 in
-              if b < 0 || b = b' then b' else bank_boxed)
-          (-1) lanes
+        if List.exists (fun a -> bank_at a = bank_elem) dsts then bank_elem
+        else
+          List.fold_left
+            (fun b a ->
+              let b' = bank_at a in
+              if b' < 0 then b else if b < 0 || b = b' then b' else bank_boxed)
+            (-1) lanes
       in
       fresh_slot d (if bank < 0 then bank_boxed else bank))
 
@@ -606,16 +666,32 @@ let bind_yields w (b : block_code) temps (res : int array) =
     copy w temps.(j) res.(j)
   done
 
-(* [Memory.linear_index] of the indices held in slots [idx], without
-   building the index array. *)
-let linear w (view : Memory.view) (idx : int array) =
-  let strides = view.Memory.strides in
-  if Array.length idx > Array.length strides then Memory.rank_mismatch view;
-  let lin = ref view.Memory.offset in
+(* [Memory.linear_index] of the indices held in slots [idx] into a view
+   of [a] at [offset] with [strides], without building the view or the
+   index array. *)
+let linear w (a : Memory.allocation) offset (strides : int array)
+    (idx : int array) =
+  if Array.length idx > Array.length strides then Memory.rank_mismatch a;
+  let lin = ref offset in
   for k = 0 to Array.length idx - 1 do
     lin := !lin + (get_int w idx.(k) * strides.(k))
   done;
-  Memory.check view !lin
+  Memory.check a !lin
+
+(* An access to the cell [m[idx]]: [f w a lin] accesses cell [lin] of
+   allocation [a]. An element reference [m] is read where it lies, any
+   other value as a view. *)
+let access_code m (idx : int array) (f : wi_ctx -> Memory.allocation -> int -> unit)
+    : code =
+  if m land 3 = bank_elem then fun w ->
+    check_defined w m;
+    let i = m lsr 2 in
+    let a = (as_acc (Array.unsafe_get w.vals i)).a_alloc in
+    f w a (linear w a (Array.unsafe_get w.ints i) unit_extent idx)
+  else fun w ->
+    let v = as_mem (get_value w m) in
+    let a = v.Memory.base in
+    f w a (linear w a v.Memory.offset v.Memory.strides idx)
 
 (* scf.for / affine.for after their bounds are known: one ALU charge
    per iteration, the iteration arguments rebound from what the body
@@ -682,48 +758,44 @@ let[@inline] fcmp (p : Dialects.Arith.fcmp_pred) (x : float) y =
   | Ogt -> x > y
   | Oge -> x >= y
 
-(* Dims and strides of every subscript's one-element view (views are
-   never mutated, so one array serves them all). *)
-let unit_extent = [| 1 |]
+(* One step of Horner's rule for [acc]'s linear index: index [i] of
+   dimension [d] after the dimensions before it gave [lin]. Indices are
+   linear against the accessor's *memory* range, with its offset; an
+   index beyond its dimensions leaves [lin] alone (the rank is checked
+   once all are read). *)
+let[@inline] horner (acc : acc_desc) lin d i =
+  if d < Array.length acc.a_mem_range then
+    let off = if d < Array.length acc.a_offset then acc.a_offset.(d) else 0 in
+    (lin * acc.a_mem_range.(d)) + i + off
+  else lin
 
-let subscript_view w acc_s (ids : int array) =
-  let acc = as_acc (get_value w acc_s) in
-  let ids =
-    if Array.length ids = 1 then
-      let s = ids.(0) in
-      if s land 3 = bank_int then [| get_int w s |]
-      else
-        match get_value w s with
-        | I i -> [| i |]
-        | Mem v ->
-          (* An id struct in private memory: one cell per dimension. *)
-          Array.init (Array.length acc.a_range) (fun d ->
-              load_int v.Memory.base (linear1 v d))
-        | _ -> raise (Sim_error "bad subscript index")
-    else
-      (* Direct form: one index operand per dimension. *)
-      Array.map (fun s -> get_int w s) ids
-  in
-  (* Linearize against the *memory* range with the accessor offset,
-     innermost dimension first. *)
-  let range = acc.a_mem_range and offset = acc.a_offset in
-  let n = Array.length range in
-  if Array.length ids > n then
+(* The linear index of element [acc[ids]]. Every index is read, in
+   operand order, before the rank is checked. *)
+let subscript_index w (acc : acc_desc) (ids : int array) =
+  let lin = ref 0 and n_ids = ref (Array.length ids) in
+  if Array.length ids = 1 && ids.(0) land 3 <> bank_int then begin
+    match get_value w ids.(0) with
+    | I i -> lin := horner acc 0 0 i
+    | Mem v ->
+      (* An id struct in private memory: one cell per dimension. *)
+      n_ids := Array.length acc.a_range;
+      for d = 0 to !n_ids - 1 do
+        lin := horner acc !lin d (load_int v.Memory.base (linear1 v d))
+      done
+    | _ -> raise (Sim_error "bad subscript index")
+  end
+  else
+    (* Direct form: one index operand per dimension. *)
+    for d = 0 to Array.length ids - 1 do
+      lin := horner acc !lin d (get_int w ids.(d))
+    done;
+  let range = acc.a_mem_range in
+  if !n_ids > Array.length range then
     raise (Sim_error "subscript with more indices than accessor dimensions");
-  let lin = ref 0 and stride = ref 1 in
-  for d = n - 1 downto 0 do
-    if d < Array.length ids then begin
-      let off = if d < Array.length offset then offset.(d) else 0 in
-      lin := !lin + ((ids.(d) + off) * !stride)
-    end;
-    stride := !stride * range.(d)
+  for d = !n_ids to Array.length range - 1 do
+    lin := !lin * range.(d)
   done;
-  {
-    Memory.base = acc.a_alloc;
-    Memory.offset = !lin;
-    Memory.dims = unit_extent;
-    Memory.strides = unit_extent;
-  }
+  !lin
 
 let fail e : code = fun _ -> raise e
 
@@ -935,25 +1007,21 @@ and op_code d k (op : Core.op) : code =
     match result_kind op with
     | Kfloat ->
       let r = float_result () in
-      fun w ->
-        let view = as_mem (get_value w m) in
-        let lin = linear w view idx in
-        record_access w k view lin;
-        set_float w r (load_float view.Memory.base lin)
+      access_code m idx (fun w a lin ->
+          record_access w k a lin;
+          set_float w r (load_float a lin))
     | _ ->
       let r = int_result () in
-      fun w ->
-        let view = as_mem (get_value w m) in
-        let lin = linear w view idx in
-        record_access w k view lin;
-        set_int w r (load_int view.Memory.base lin))
+      access_code m idx (fun w a lin ->
+          record_access w k a lin;
+          set_int w r (load_int a lin)))
   | "memref.store" ->
     let v = operand 0 and m = operand 1 and idx = operands_from 2 in
     let loc = op.Core.loc in
+    let access = access_code m idx (fun w a lin -> store w k loc a lin v) in
     fun w ->
       check_defined w v;
-      let view = as_mem (get_value w m) in
-      store w k loc view (linear w view idx) v
+      access w
   | "memref.dim" ->
     let m = operand 0 and i = operand 1 and r = int_result () in
     fun w ->
@@ -979,14 +1047,14 @@ and op_code d k (op : Core.op) : code =
       fun w ->
         let view = as_mem (get_value w mem) in
         let lin = lin w view in
-        record_access w k view lin;
+        record_access w k view.Memory.base lin;
         set_float w r (load_float view.Memory.base lin)
     | _ ->
       let r = int_result () in
       fun w ->
         let view = as_mem (get_value w mem) in
         let lin = lin w view in
-        record_access w k view lin;
+        record_access w k view.Memory.base lin;
         set_int w r (load_int view.Memory.base lin))
   | "affine.store" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
@@ -996,7 +1064,7 @@ and op_code d k (op : Core.op) : code =
       check_defined w v;
       let view = as_mem (get_value w mem) in
       let lin = Memory.linear_index view (eval_map m (ints w dims)) in
-      store w k loc view lin v
+      store w k loc view.Memory.base lin v
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
     let body_block = Dialects.Scf.for_body op in
@@ -1004,7 +1072,7 @@ and op_code d k (op : Core.op) : code =
     let iter = slots d (Dialects.Scf.for_iter_args op) in
     let inits = slots d (Dialects.Scf.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
-    let temps = temps d [ inits; body.yields; iter; res ] in
+    let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
     fun w ->
       let lb = get_int w lb and ub = get_int w ub
       and step = get_int w step in
@@ -1027,7 +1095,7 @@ and op_code d k (op : Core.op) : code =
     let iter = slots d (A.for_iter_args op) in
     let inits = slots d (A.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
-    let temps = temps d [ inits; body.yields; iter; res ] in
+    let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
     fun w ->
       let lb = lb w in
       let ub = ub w in
@@ -1043,9 +1111,9 @@ and op_code d k (op : Core.op) : code =
     let res = results () in
     let temps =
       temps d
-        [ then_.yields;
-          (match else_ with Some b -> b.yields | None -> [||]);
-          res ]
+        ~srcs:
+          [ then_.yields; (match else_ with Some b -> b.yields | None -> [||]) ]
+        ~dsts:[ res ]
     in
     fun w ->
       alu w k;
@@ -1123,10 +1191,16 @@ and op_code d k (op : Core.op) : code =
         store_int out.Memory.base (linear1 out i) v
       done
   | "sycl.accessor.subscript" ->
-    let acc = operand 0 and ids = operands_from 1 and r = boxed_result () in
+    let acc = operand 0 and ids = operands_from 1 in
+    let r = in_bank bank_elem (result 0) in
+    (* The accessor value is copied into the reference now: a callee's
+       frame slots are shared by its calls, so the accessor's own slot
+       may hold another value by the time the reference is read. *)
     fun w ->
       alu w k;
-      set_value w r (Mem (subscript_view w acc ids))
+      let accv = get_value w acc in
+      let lin = subscript_index w (as_acc accv) ids in
+      set_elem w r accv lin
   | "sycl.accessor.get_range" -> acc_query (fun a -> a.a_range)
   | "sycl.accessor.get_mem_range" -> acc_query (fun a -> a.a_mem_range)
   | "sycl.accessor.get_offset" -> acc_query (fun a -> a.a_offset)
@@ -1167,16 +1241,6 @@ let run_item (prog : program) (args : rv array) w =
     else raise (Sim_error "missing kernel argument")
   done;
   run_block w prog.entry.body
-
-(* A work-item's frame storage ({!wi_ctx}), allocated once per chunk and
-   reused by its groups. *)
-type frame = {
-  fr_ints : int array;
-  fr_floats : Float.Array.t;
-  fr_vals : rv array;
-  fr_defined : Bytes.t;
-  fr_occ : int array;
-}
 
 type fiber_status =
   | Fiber_done
@@ -1225,6 +1289,38 @@ let f_cycles = n_fields
 let f_mem_cycles = n_fields + 1
 let n_totals = n_fields + 2
 
+(* Largest-remainder apportionment of [leftover] units: [give k] once
+   for each of the [leftover] ops with the largest remainders
+   [rems.(k)], ties in [canonical] order; an op with remainder 0 gets
+   nothing. Remainders are below [Array.length counts], a work array:
+   the ops are counted per remainder value to find the cut, the
+   smallest remainder that still gets units, and one pass in canonical
+   order hands them out. *)
+let apportion ~(canonical : int array) ~(rems : int array)
+    ~(counts : int array) leftover give =
+  if leftover > 0 then begin
+    Array.fill counts 0 (Array.length counts) 0;
+    for k = 0 to Array.length rems - 1 do
+      counts.(rems.(k)) <- counts.(rems.(k)) + 1
+    done;
+    let cut = ref (Array.length counts - 1) and left = ref leftover in
+    while !cut > 0 && counts.(!cut) < !left do
+      left := !left - counts.(!cut);
+      decr cut
+    done;
+    (* Every op above the cut gets a unit, the first [at_cut] at it. *)
+    let at_cut = ref (if !cut > 0 then !left else 0) in
+    for i = 0 to Array.length canonical - 1 do
+      let k = canonical.(i) in
+      let r = rems.(k) in
+      if r > !cut then give k
+      else if r = !cut && !at_cut > 0 then begin
+        decr at_cut;
+        give k
+      end
+    done
+  end
+
 (* Flush a finished work-group. Its per-op charges go into the chunk
    totals [tot] and, in the same pass, into [sums], which then hold the
    group's totals: those go into the launch statistics [s], priced by
@@ -1232,15 +1328,17 @@ let n_totals = n_fields + 2
    per-op cycle costs; the compute quotient
    [(alu*alu_cycles + fdiv*fdiv_cycles) / subgroup_size] is divided once
    per group, so per-op shares use largest-remainder apportionment in
-   canonical op (creation) order — the shares then sum exactly to the
-   group's compute cycles, which makes the per-op cycles, computed
-   apart from the group's, sum to [total_wg_cycles], and keeps the
-   result independent of domain chunking (the apportionment uses
-   per-group state only). An op with no charge adds zero everywhere.
-   [rems] (each op's remainder) and [sums] are work arrays the chunk
-   reuses for all its groups. *)
+   canonical op (creation) order ({!apportion}, whose [give] adds the
+   op's unit to [tot]) — the shares then sum exactly to the group's
+   compute cycles, which makes the per-op cycles, computed apart from
+   the group's, sum to [total_wg_cycles], and keeps the result
+   independent of domain chunking (the apportionment uses per-group
+   state only). An op with no charge adds zero everywhere. [rems] (each
+   op's remainder), [counts] and [sums] are work arrays the chunk reuses
+   for all its groups. *)
 let flush_wg (prog : program) (s : Cost.launch_stats) (tot : int array)
-    ~(rems : int array) ~(sums : int array) (wg : wg_ctx) (n_items : int) =
+    ~(rems : int array) ~(counts : int array) ~(sums : int array) ~give
+    (wg : wg_ctx) (n_items : int) =
   let p = wg.params in
   let at k f = wg.counters.((k * n_fields) + f) in
   let n = Array.length prog.ops in
@@ -1275,27 +1373,10 @@ let flush_wg (prog : program) (s : Cost.launch_stats) (tot : int array)
       + (at k f_barriers * p.Cost.barrier_cycles)
   done;
   let g f = sums.(f) in
-  (* The leftover compute cycles go one each to the ops with the largest
-     remainders, ties in canonical op order: one scan of the canonical
-     order per remainder value, largest first. *)
-  let leftover =
-    ref
-      ((((g f_alu * p.Cost.alu_cycles) + (g f_fdiv * p.Cost.fdiv_cycles)) / sgs)
-      - !base_sum)
-  and r = ref (sgs - 1) in
-  while !leftover > 0 && !r > 0 do
-    let i = ref 0 in
-    while !leftover > 0 && !i < n do
-      let k = prog.canonical.(!i) in
-      if rems.(k) = !r then begin
-        let c = (k * n_totals) + f_cycles in
-        tot.(c) <- tot.(c) + 1;
-        decr leftover
-      end;
-      incr i
-    done;
-    decr r
-  done;
+  apportion ~canonical:prog.canonical ~rems ~counts
+    ((((g f_alu * p.Cost.alu_cycles) + (g f_fdiv * p.Cost.fdiv_cycles)) / sgs)
+    - !base_sum)
+    give;
   s.Cost.global_transactions <- s.Cost.global_transactions + g f_global;
   s.Cost.local_transactions <- s.Cost.local_transactions + g f_local;
   s.Cost.const_transactions <- s.Cost.const_transactions + g f_const;
@@ -1420,8 +1501,15 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
   let { Sim_config.domains; check_races; cache_model } = config in
   let params = Cost.default in
   let stats = Cost.fresh_launch_stats () in
+  let nd = List.length global in
+  if List.length wg_size <> nd then
+    raise
+      (Sim_error
+         (Printf.sprintf "work-group size of rank %d for a global range of rank %d"
+            (List.length wg_size) nd));
+  if nd < 1 || nd > 3 then
+    raise (Sim_error (Printf.sprintf "ND-range of rank %d (want 1 to 3)" nd));
   let global = Array.of_list global and wg_size = Array.of_list wg_size in
-  let nd = Array.length global in
   Array.iteri
     (fun d g ->
       if wg_size.(d) <= 0 || g mod wg_size.(d) <> 0 then
@@ -1439,89 +1527,27 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
   (* Iterate over all work-groups. *)
   let n_groups = Array.fold_left ( * ) 1 group_range in
   let items_per_group = Array.fold_left ( * ) 1 wg_size in
-  let n_sub =
-    let sgs = max 1 params.Cost.subgroup_size in
-    (items_per_group + sgs - 1) / sgs
-  in
-  let unflatten range lin =
-    let idx = Array.make nd 0 in
+  let sgs = max 1 params.Cost.subgroup_size in
+  let n_sub = (items_per_group + sgs - 1) / sgs in
+  (* Row-major [lin] as an index of [range], into [idx]. *)
+  let unflatten_into idx range lin =
     let rest = ref lin in
     for d = nd - 1 downto 0 do
       idx.(d) <- !rest mod range.(d);
       rest := !rest / range.(d)
-    done;
-    idx
+    done
+  in
+  (* The local id of every local linear id, shared by all chunks. *)
+  let lids =
+    Array.init items_per_group (fun li ->
+        let lid = Array.make nd 0 in
+        unflatten_into lid wg_size li;
+        lid)
   in
   let footprints =
     if check_races then
       Some (Array.init n_groups (fun _ -> Memory.footprint ()))
     else None
-  in
-  (* Execute one work-group, accumulating into [into] (its chunk's
-     private record — group results are independent, so where they
-     accumulate only affects scheduling, never the merged totals). The
-     counters, coalescing table, frames and occurrence counts are the
-     chunk's, cleared here for each of its groups. *)
-  let run_group ~counters ~coalesce ~frames ~rems ~sums ~dists
-      (into : Cost.launch_stats) (tot : int array) (g : int) =
-    let grp = unflatten group_range g in
-    Array.fill counters 0 (Array.length counters) 0;
-    Array.fill coalesce 0 (Array.length coalesce) [||];
-    let wg =
-      {
-        params;
-        footprint =
-          (match footprints with Some a -> Some a.(g) | None -> None);
-        locals = Hashtbl.create 4;
-        counters;
-        coalesce;
-        n_sub;
-        cache_model;
-        (* Fresh per-group cache + reuse state: groups own their core,
-           so no cross-group (and thus no cross-domain) coupling. *)
-        cache =
-          Option.map
-            (fun c -> (c, Cache.reuse_create ()))
-            (Cache.create params cache_model);
-        dists;
-        cur_barrier = -1;
-      }
-    in
-    let item li =
-      let lid = unflatten wg_size li in
-      let gid = Array.init nd (fun d -> (grp.(d) * wg_size.(d)) + lid.(d)) in
-      let f = frames.(li) in
-      Bytes.fill f.fr_defined 0 (Bytes.length f.fr_defined) '\000';
-      Array.fill f.fr_occ 0 (Array.length f.fr_occ) 0;
-      {
-        wg;
-        gid;
-        lid;
-        grp;
-        global_range = global;
-        local_range = wg_size;
-        (* [li] is the row-major linearization of [lid]. *)
-        subgroup = li / params.Cost.subgroup_size;
-        ints = f.fr_ints;
-        floats = f.fr_floats;
-        vals = f.fr_vals;
-        defined = f.fr_defined;
-        occ = f.fr_occ;
-      }
-    in
-    (* Only a barrier suspends a work-item. Without one, the work-items
-       run to completion one after another — the order the fiber
-       scheduler runs them in — as plain calls. *)
-    if prog.has_barrier then
-      run_workgroup wg
-        (List.init items_per_group (fun li ->
-             let w = item li in
-             fun () -> run_item prog args w))
-    else
-      for li = 0 to items_per_group - 1 do
-        run_item prog args (item li)
-      done;
-    flush_wg prog into tot ~rems ~sums wg items_per_group
   in
   (* Balanced contiguous chunks of the canonical group order, one per
      domain of the shared pool; [d = 1] runs the one chunk on the
@@ -1537,29 +1563,97 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
     let start = (i * q) + min i r in
     (start, start + q + if i < r then 1 else 0)
   in
+  (* A chunk's work-group and work-item contexts, counters and work
+     arrays are made once and reset for each of its groups (group
+     results are independent, so where they accumulate only affects
+     scheduling, never the merged totals). *)
   let run_chunk i =
     let s = Cost.fresh_launch_stats () in
     let tot = Array.make (n_ops * n_totals) 0 in
+    let give k =
+      let c = (k * n_totals) + f_cycles in
+      tot.(c) <- tot.(c) + 1
+    in
     let dists = { counts = [||] } in
-    let counters = Array.make (n_ops * n_fields) 0 in
-    let coalesce = Array.make (n_ops * n_sub) [||] in
-    let frames =
-      Array.init items_per_group (fun _ ->
+    let wg =
+      {
+        params;
+        footprint = None;
+        locals = Hashtbl.create 4;
+        counters = Array.make (n_ops * n_fields) 0;
+        coalesce = Array.make (n_ops * n_sub) [||];
+        n_sub;
+        cache_model;
+        cache =
+          Option.map
+            (fun c -> (c, Cache.reuse_create ()))
+            (Cache.create params cache_model);
+        dists;
+        cur_barrier = -1;
+      }
+    in
+    let grp = Array.make nd 0 in
+    let items =
+      Array.init items_per_group (fun li ->
           {
-            fr_ints = Array.make prog.bank_sizes.(bank_int) 0;
-            fr_floats = Float.Array.make prog.bank_sizes.(bank_float) 0.0;
-            fr_vals = Array.make prog.bank_sizes.(bank_boxed) Unit;
-            fr_defined = Bytes.make prog.n_defined '\000';
-            fr_occ = Array.make n_ops 0;
+            wg;
+            gid = Array.make nd 0;
+            lid = lids.(li);
+            grp;
+            global_range = global;
+            local_range = wg_size;
+            (* [li] is the row-major linearization of [lid]. *)
+            subgroup = li / params.Cost.subgroup_size;
+            ints = Array.make prog.bank_sizes.(bank_int) 0;
+            floats = Float.Array.make prog.bank_sizes.(bank_float) 0.0;
+            vals = Array.make prog.bank_sizes.(bank_boxed) Unit;
+            defined = Bytes.make prog.n_defined '\000';
+            occ = Array.make n_ops 0;
           })
     in
-    let rems = Array.make n_ops 0 and sums = Array.make n_fields 0 in
+    (* Only a barrier suspends a work-item. Without one, the work-items
+       run to completion one after another — the order the fiber
+       scheduler runs them in — as plain calls. *)
+    let fibers =
+      if prog.has_barrier then
+        List.init items_per_group (fun li () -> run_item prog args items.(li))
+      else []
+    in
+    let rems = Array.make n_ops 0 and counts = Array.make sgs 0
+    and sums = Array.make n_fields 0 in
+    (* Execute group [g]: reset the contexts to it, run its work-items,
+       and flush its charges. Every group starts from an empty cache. *)
+    let run_group g =
+      unflatten_into grp group_range g;
+      Array.fill wg.counters 0 (Array.length wg.counters) 0;
+      Array.fill wg.coalesce 0 (Array.length wg.coalesce) [||];
+      wg.footprint <-
+        (match footprints with Some a -> Some a.(g) | None -> None);
+      Hashtbl.reset wg.locals;
+      (match wg.cache with
+      | Some (c, reuse) ->
+        Cache.reset c;
+        Cache.reuse_reset reuse
+      | None -> ());
+      wg.cur_barrier <- -1;
+      Array.iter
+        (fun w ->
+          for d = 0 to nd - 1 do
+            w.gid.(d) <- (grp.(d) * wg_size.(d)) + w.lid.(d)
+          done;
+          Bytes.fill w.defined 0 (Bytes.length w.defined) '\000';
+          Array.fill w.occ 0 (Array.length w.occ) 0)
+        items;
+      if prog.has_barrier then run_workgroup wg fibers
+      else Array.iter (run_item prog args) items;
+      flush_wg prog s tot ~rems ~counts ~sums ~give wg items_per_group
+    in
     let failure = ref None in
     let start, stop = chunk i in
     let g = ref start in
     (try
        while !g < stop do
-         run_group ~counters ~coalesce ~frames ~rems ~sums ~dists s tot !g;
+         run_group !g;
          incr g
        done
      with e -> failure := Some (!g, e));

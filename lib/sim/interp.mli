@@ -90,10 +90,28 @@ type program
     state and may be shared across launches and domains. *)
 val decode : module_op:Core.op -> kernel:Core.op -> program
 
+(** [apportion ~canonical ~rems ~counts leftover give] hands out
+    [leftover] units by largest remainder: [give k] is called once for
+    each of the [leftover] ops [k] with the largest [rems.(k)], ties
+    broken by position in [canonical] (a permutation of the op
+    indices), in [canonical] order; an op with remainder 0 gets
+    nothing. Every remainder must be below [Array.length counts], which
+    is a work array. This is how a work-group's compute cycles, divided
+    once per group, are shared among its ops. *)
+val apportion :
+  canonical:int array ->
+  rems:int array ->
+  counts:int array ->
+  int ->
+  (int -> unit) ->
+  unit
+
 (** Launch [kernel] over [global] with work-groups of [wg_size].
     [args.(i)] binds kernel argument [i]; the item-like argument must be
-    bound to {!Item}. Every dimension of [global] must be divisible by
-    the corresponding [wg_size]. Returns accumulated launch statistics.
+    bound to {!Item}. [global] and [wg_size] must have the same rank, 1
+    to 3, and every dimension of [global] must be divisible by the
+    corresponding [wg_size]; otherwise {!Sim_error} is raised before
+    anything runs. Returns accumulated launch statistics.
 
     [program] is [kernel] already decoded by {!decode} (decoded here
     when absent), so a caller launching one kernel many times decodes it

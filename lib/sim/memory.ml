@@ -77,24 +77,24 @@ let full_view ?(dims = [||]) (a : allocation) =
 
 exception Out_of_bounds of string
 
-let rank_mismatch (v : view) =
-  raise (Out_of_bounds (Printf.sprintf "rank mismatch on %s" v.base.label))
+let rank_mismatch (a : allocation) =
+  raise (Out_of_bounds (Printf.sprintf "rank mismatch on %s" a.label))
 
-let check (v : view) i =
-  if i < 0 || i >= size v.base then
+let check (a : allocation) i =
+  if i < 0 || i >= size a then
     raise
       (Out_of_bounds
-         (Printf.sprintf "index %d out of bounds for %s (size %d)" i
-            v.base.label (size v.base)))
+         (Printf.sprintf "index %d out of bounds for %s (size %d)" i a.label
+            (size a)))
   else i
 
 let linear_index (v : view) (idx : int array) =
-  if Array.length idx > Array.length v.strides then rank_mismatch v;
+  if Array.length idx > Array.length v.strides then rank_mismatch v.base;
   let i = ref v.offset in
   for k = 0 to Array.length idx - 1 do
     i := !i + (idx.(k) * v.strides.(k))
   done;
-  check v !i
+  check v.base !i
 
 (** Copy [n] elements between allocations (host<->device transfers). *)
 let blit ~(src : view) ~(dst : view) n =
@@ -123,19 +123,19 @@ let footprint () =
   { fp_cells = Hashtbl.create 64; fp_labels = Hashtbl.create 4;
     fp_locs = Hashtbl.create 64 }
 
-(** Record a write of cell [lin] (a {!linear_index} result) through [v],
-    remembering the writing op's location [loc] (first writer wins).
-    Only global-space writes are footprinted: local and private memory
-    are per-group / per-item by construction. *)
-let footprint_write ?(loc = Loc.Unknown) (fp : footprint) (v : view) (lin : int) =
-  match v.base.space with
+(** Record a write of cell [lin] of [a], remembering the writing op's
+    location [loc] (first writer wins). Only global-space writes are
+    footprinted: local and private memory are per-group / per-item by
+    construction. *)
+let footprint_write ?(loc = Loc.Unknown) (fp : footprint) (a : allocation) (lin : int) =
+  match a.space with
   | Types.Global ->
-    let aid = v.base.aid in
+    let aid = a.aid in
     Hashtbl.replace fp.fp_cells (aid, lin) ();
     if Loc.is_known loc && not (Hashtbl.mem fp.fp_locs (aid, lin)) then
       Hashtbl.replace fp.fp_locs (aid, lin) loc;
     if not (Hashtbl.mem fp.fp_labels aid) then
-      Hashtbl.replace fp.fp_labels aid v.base.label
+      Hashtbl.replace fp.fp_labels aid a.label
   | Types.Local | Types.Private -> ()
 
 (** Footprinted cells, sorted by (allocation id, cell) so reports are

@@ -69,12 +69,12 @@ exception Out_of_bounds of string
 val linear_index : view -> int array -> int
 
 (** The two checks of {!linear_index}, for callers that compute the
-    linear index themselves: [rank_mismatch v] raises the error for more
-    indices than [v] has dimensions; [check v i] returns [i] when it
-    lies inside [v]'s allocation and raises {!Out_of_bounds} otherwise. *)
-val rank_mismatch : view -> 'a
+    linear index themselves: [rank_mismatch a] raises the error for more
+    indices than a view of [a] has dimensions; [check a i] returns [i]
+    when it is a cell of [a] and raises {!Out_of_bounds} otherwise. *)
+val rank_mismatch : allocation -> 'a
 
-val check : view -> int -> int
+val check : allocation -> int -> int
 
 (** Copy [n] elements between allocations (host<->device transfers). *)
 val blit : src:view -> dst:view -> int -> unit
@@ -89,10 +89,10 @@ type footprint
 
 val footprint : unit -> footprint
 
-(** Record a write of cell [lin] (a {!linear_index} result) through the
-    view, remembering the writing op's location (first writer wins).
-    Only global-space writes are recorded. *)
-val footprint_write : ?loc:Loc.t -> footprint -> view -> int -> unit
+(** Record a write of cell [lin] of the allocation, remembering the
+    writing op's location (first writer wins). Only global-space writes
+    are recorded. *)
+val footprint_write : ?loc:Loc.t -> footprint -> allocation -> int -> unit
 
 (** The footprinted (allocation id, cell) pairs, sorted — deterministic
     regardless of insertion order. *)

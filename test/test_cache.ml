@@ -72,8 +72,55 @@ let check_conserved name (r : H.run_result) =
         (s.Cost.cache_hits + s.Cost.cache_misses))
     r.H.per_kernel r.H.per_kernel_attribution
 
+(* The LRU stack distance of every probe of [probes] by brute force: the
+   number of distinct lines probed since the line's previous probe, or
+   -1 on its first. *)
+let stack_distances probes =
+  let stack = ref [] (* most recent first *) in
+  List.map
+    (fun key ->
+      let rec pos i = function
+        | [] -> -1
+        | k :: rest -> if k = key then i else pos (i + 1) rest
+      in
+      let d = pos 0 !stack in
+      stack := key :: List.filter (fun k -> k <> key) !stack;
+      d)
+    probes
+
+(* Sequences of (allocation id, line) probes: enough probes to grow the
+   tracker's position tree past its 64 initial positions, and enough
+   distinct lines to grow its table past 16 entries. *)
+let probes_gen =
+  QCheck2.Gen.(
+    list_size (int_range 70 300) (pair (int_range 0 3) (int_range 0 60)))
+
 let tests_list =
   [
+    Helpers.qtest ~count:200
+      "reuse_access gives exact LRU stack distances, also after a reset"
+      QCheck2.Gen.(pair probes_gen probes_gen)
+      (fun (first, second) ->
+        let run r = List.map (fun (aid, line) -> Cache.reuse_access r ~aid ~line) in
+        let r = Cache.reuse_create () in
+        let before = run r first in
+        Cache.reuse_reset r;
+        let after = run r second in
+        before = stack_distances first
+        && after = stack_distances second
+        && after = run (Cache.reuse_create ()) second);
+    Helpers.qtest ~count:100 "a reset cache probes as a fresh one"
+      QCheck2.Gen.(pair probes_gen probes_gen)
+      (fun (first, second) ->
+        List.for_all
+          (fun model ->
+            let run s =
+              List.map (fun (aid, line) -> Cache.access s ~aid ~line) in
+            let s = state_exn model in
+            ignore (run s first);
+            Cache.reset s;
+            run s second = run (state_exn model) second)
+          [ Cost.Direct_mapped; Cost.Set_associative ]);
     Alcotest.test_case "direct-mapped: conflicting lines evict each other"
       `Quick (fun () ->
         (* Cost.default has 64 lines; direct-mapped means line l lives in

@@ -26,6 +26,53 @@ let launch ?(wg = [ 16 ]) ?(global = [ 16 ]) m k args =
 let floats alloc =
   Array.init (Memory.size alloc) (Memory.get_float alloc)
 
+(* An allocation of [n] cells holding 0., 1., ... *)
+let iota label n =
+  let a = Memory.alloc ~label ~size:n () in
+  for i = 0 to n - 1 do Memory.set_float a i (float_of_int i) done;
+  a
+
+let ranged alloc ~range ~mem_range ~offset =
+  Interp.Acc
+    { Interp.a_alloc = alloc; a_range = range; a_mem_range = mem_range;
+      a_offset = offset; a_is_float = true }
+
+(* What a launch raised, as text: "ok" when it raised nothing. *)
+let outcome f =
+  match f () with
+  | _ -> "ok"
+  | exception Interp.Sim_error msg -> "Sim_error: " ^ msg
+  | exception Memory.Out_of_bounds msg -> "Out_of_bounds: " ^ msg
+
+(* A 1-D kernel over [c] (write) and [a] (read) whose body is [f]. *)
+let kernel_ca f =
+  let m = Helpers.fresh_module () in
+  let k =
+    K.define m ~name:"k" ~dims:1
+      ~args:[ K.Acc (1, S.Write, Types.f32); K.Acc (1, S.Read, Types.f32) ]
+      (fun b ~item ~args ->
+        match args with [ c; a ] -> f b (K.gid b item 0) c a | _ -> assert false)
+  in
+  (m, k)
+
+(* The direct O(n x subgroup size) largest-remainder scan, the
+   reference for {!Interp.apportion}: one scan of the canonical order
+   per remainder value, largest first. *)
+let apportion_scan ~sgs ~canonical ~rems leftover give =
+  let leftover = ref leftover and r = ref (sgs - 1) in
+  while !leftover > 0 && !r > 0 do
+    let i = ref 0 in
+    while !leftover > 0 && !i < Array.length canonical do
+      let k = canonical.(!i) in
+      if rems.(k) = !r then begin
+        give k;
+        decr leftover
+      end;
+      incr i
+    done;
+    decr r
+  done
+
 let tests_list =
   [
     Alcotest.test_case "elementwise kernel computes correctly" `Quick (fun () ->
@@ -517,6 +564,251 @@ let tests_list =
                ((1000 * ev down) + (100 * i) + (10 * ev up) + max 0 (9 - ev quot)))
             (Memory.get_float res i)
         done);
+    Alcotest.test_case
+      "element references address 1-D, 2-D and id-struct subscripts with offsets"
+      `Quick (fun () ->
+        let m = Helpers.fresh_module () in
+        let k =
+          K.define m ~name:"refs" ~dims:2
+            ~args:
+              [ K.Acc (2, S.Read, Types.f32); K.Acc (1, S.Read, Types.f32);
+                K.Acc (2, S.Write, Types.f32); K.Acc (2, S.Write, Types.f32) ]
+            (fun b ~item ~args ->
+              match args with
+              | [ a2; a1; direct; via_id ] ->
+                let i = K.gid b item 0 and j = K.gid b item 1 in
+                (* direct[i][j] = a2[i][j] + 1000 * a1[i] *)
+                K.acc_set b direct [ i; j ]
+                  (K.addf b (K.acc_get b a2 [ i; j ])
+                     (K.mulf b (K.fconst b 1000.0) (K.acc_get b a1 [ i ])));
+                (* via_id[i][j] = a2[id(i, j)], read through an id struct *)
+                let id =
+                  Builder.op1 b "memref.alloca" ~operands:[]
+                    ~result_type:
+                      (Types.memref ~space:Types.Private [ Some 1 ] (S.id 2))
+                in
+                Sycl_core.Sycl_ops.constructor b "id" id [ i; j ];
+                let r = Sycl_core.Sycl_ops.accessor_subscript b a2 id in
+                K.acc_set b via_id [ i; j ]
+                  (Dialects.Memref.load b r [ A.const_index b 0 ])
+              | _ -> assert false)
+        in
+        (* a2 is the 4x4 window at (2, 3) of an 8x8 buffer, a1 the 4
+           cells from 16 of a 32-cell one. *)
+        let a2 = iota "a2" 64 and a1 = iota "a1" 32 in
+        let direct = Memory.alloc ~label:"direct" ~size:16 () in
+        let via_id = Memory.alloc ~label:"via_id" ~size:16 () in
+        ignore
+          (launch ~global:[ 4; 4 ] ~wg:[ 2; 4 ] m k
+             [| Interp.Item;
+                ranged a2 ~range:[| 4; 4 |] ~mem_range:[| 8; 8 |] ~offset:[| 2; 3 |];
+                ranged a1 ~range:[| 4 |] ~mem_range:[| 32 |] ~offset:[| 16 |];
+                acc_desc ~range:[| 4; 4 |] direct; acc_desc ~range:[| 4; 4 |] via_id |]);
+        for i = 0 to 3 do
+          for j = 0 to 3 do
+            let cell = float_of_int (((i + 2) * 8) + j + 3) in
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "direct[%d][%d]" i j)
+              (cell +. (1000.0 *. float_of_int (16 + i)))
+              (Memory.get_float direct ((i * 4) + j));
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "via_id[%d][%d]" i j)
+              cell
+              (Memory.get_float via_id ((i * 4) + j))
+          done
+        done);
+    Alcotest.test_case
+      "an element reference read by a yield, a select, a call and memref.dim"
+      `Quick (fun () ->
+        let m = Helpers.fresh_module () in
+        ignore
+          (Dialects.Func.func m "twice_at" ~args:[ Types.memref_dyn Types.f32 ]
+             ~results:[ Types.f32 ] (fun b vals ->
+               let r = List.hd vals in
+               let x = Dialects.Memref.load b r [ A.const_index b 0 ] in
+               Dialects.Func.return b [ K.mulf b (K.fconst b 2.0) x ]));
+        let k =
+          K.define m ~name:"readers" ~dims:1
+            ~args:
+              [ K.Acc (1, S.Read, Types.f32); K.Ptr Types.f32;
+                K.Acc (1, S.Write, Types.f32); K.Acc (1, S.Write, Types.f32);
+                K.Acc (1, S.Write, Types.f32) ]
+            (fun b ~item ~args ->
+              match args with
+              | [ a; p; by_if; by_mixed; by_call ] ->
+                let i = K.gid b item 0 in
+                let low = A.cmpi b A.Slt i (A.const_index b 8) in
+                let sub j = K.acc_view b a [ j ] in
+                let ty = Types.memref_dyn Types.f32 in
+                let c0 = A.const_index b 0 in
+                (* Both branches yield references: the result is one. *)
+                let both =
+                  Dialects.Scf.if_ b low ~result_types:[ ty ]
+                    ~then_:(fun bb -> [ sub i ])
+                    ~else_:(fun bb ->
+                      [ Sycl_core.Sycl_ops.accessor_subscript_multi bb a
+                          [ A.addi bb i (A.const_index bb 16) ] ])
+                    ()
+                in
+                let sel = A.select b low (Core.result both 0) (sub i) in
+                K.acc_set b by_if [ i ]
+                  (K.addf b (Dialects.Memref.load b (Core.result both 0) [ c0 ])
+                     (K.mulf b (K.fconst b 100.0) (Dialects.Memref.load b sel [ c0 ])));
+                (* A reference joined with a view is a view. *)
+                let mixed =
+                  Dialects.Scf.if_ b low ~result_types:[ ty ]
+                    ~then_:(fun bb -> [ sub i ])
+                    ~else_:(fun _ -> [ p ])
+                    ()
+                in
+                K.acc_set b by_mixed [ i ]
+                  (Dialects.Memref.load b (Core.result mixed 0) [ c0 ]);
+                (* A call argument, and memref.dim of the reference (1). *)
+                let r = sub i in
+                let dim =
+                  A.sitofp b
+                    (A.index_cast b (Dialects.Memref.dim b r 0) Types.i64)
+                    Types.f32
+                in
+                K.acc_set b by_call [ i ]
+                  (K.addf b dim
+                     (Dialects.Func.call1 b "twice_at" ~operands:[ r ]
+                        ~result:Types.f32))
+              | _ -> assert false)
+        in
+        let a = iota "a" 32 and p = iota "p" 4 in
+        for i = 0 to 3 do Memory.set_float p i (float_of_int (-1 - i)) done;
+        let by_if = Memory.alloc ~label:"by_if" ~size:16 () in
+        let by_mixed = Memory.alloc ~label:"by_mixed" ~size:16 () in
+        let by_call = Memory.alloc ~label:"by_call" ~size:16 () in
+        ignore
+          (launch m k
+             [| Interp.Item; acc_desc ~range:[| 32 |] a;
+                Interp.Mem (Memory.full_view p); acc_desc by_if;
+                acc_desc by_mixed; acc_desc by_call |]);
+        for i = 0 to 15 do
+          let low = i < 8 in
+          let fi = float_of_int i in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "by_if[%d]" i)
+            (if low then fi +. (100.0 *. fi) else (fi +. 16.0) +. (100.0 *. fi))
+            (Memory.get_float by_if i);
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "by_mixed[%d]" i)
+            (if low then fi else -1.0)
+            (Memory.get_float by_mixed i);
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "by_call[%d]" i)
+            ((2.0 *. fi) +. 1.0) (Memory.get_float by_call i)
+        done);
+    Alcotest.test_case "subscript and element-reference errors keep their messages"
+      `Quick (fun () ->
+        let run f =
+          let m, k = kernel_ca f in
+          let a = Memory.alloc ~label:"a" ~size:16 () in
+          let c = Memory.alloc ~label:"c" ~size:16 () in
+          outcome (fun () -> launch m k [| Interp.Item; acc_desc c; acc_desc a |])
+        in
+        (* A value defined only on a branch no work-item takes. *)
+        let never b i =
+          let v = ref None in
+          ignore
+            (Dialects.Scf.if_ b (A.cmpi b A.Slt i (A.const_index b 0))
+               ~then_:(fun bb ->
+                 v := Some (A.const_index bb 0);
+                 [])
+               ());
+          Option.get !v
+        in
+        let store_at b c i r idx =
+          K.acc_set b c [ i ] (Dialects.Memref.load b r idx)
+        in
+        Alcotest.(check string) "more indices than dimensions"
+          "Sim_error: subscript with more indices than accessor dimensions"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ i; i ]) [ A.const_index b 0 ]));
+        Alcotest.(check string) "every index is read before the rank check"
+          "Sim_error: use of unbound SSA value in simulator"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ i; never b i ]) [ A.const_index b 0 ]));
+        Alcotest.(check string) "a float index"
+          "Sim_error: bad subscript index"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ K.fconst b 1.0 ]) [ A.const_index b 0 ]));
+        Alcotest.(check string) "an unbound index"
+          "Sim_error: use of unbound SSA value in simulator"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ never b i ]) [ A.const_index b 0 ]));
+        Alcotest.(check string) "a load past the end"
+          "Out_of_bounds: index 16 out of bounds for a (size 16)"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ A.addi b i (A.const_index b 16) ])
+                 [ A.const_index b 0 ]));
+        Alcotest.(check string) "a load one past the reference"
+          "Out_of_bounds: index 16 out of bounds for a (size 16)"
+          (run (fun b i c a ->
+               store_at b c i (K.acc_view b a [ A.const_index b 15 ])
+                 [ A.const_index b 1 ]));
+        Alcotest.(check string) "two indices into the one-element view"
+          "Out_of_bounds: rank mismatch on a"
+          (run (fun b i c a ->
+               let c0 = A.const_index b 0 in
+               store_at b c i (K.acc_view b a [ i ]) [ c0; c0 ]));
+        Alcotest.(check string) "a store past the end"
+          "Out_of_bounds: index 17 out of bounds for c (size 16)"
+          (run (fun b i c a ->
+               Dialects.Memref.store b (K.acc_get b a [ i ])
+                 (K.acc_view b c [ A.addi b i (A.const_index b 17) ])
+                 [ A.const_index b 0 ])));
+    Alcotest.test_case "launch ranks must agree and lie in 1..3" `Quick (fun () ->
+        (* a[gid] += 1: a mismatched rank used to run the wrong number of
+           work-items or escape as Invalid_argument. *)
+        let m = Helpers.fresh_module () in
+        let k =
+          K.define m ~name:"bump" ~dims:1
+            ~args:[ K.Acc (1, S.Read_write, Types.f32) ]
+            (fun b ~item ~args ->
+              K.acc_update b (List.hd args) [ K.gid b item 0 ] (fun v ->
+                  K.addf b v (K.fconst b 1.0)))
+        in
+        let a = Memory.alloc ~label:"a" ~size:16 () in
+        let run global wg =
+          outcome (fun () -> launch ~global ~wg m k [| Interp.Item; acc_desc a |])
+        in
+        Alcotest.(check string) "1-D global, 2-D group"
+          "Sim_error: work-group size of rank 2 for a global range of rank 1"
+          (run [ 16 ] [ 4; 4 ]);
+        Alcotest.(check string) "2-D global, 1-D group"
+          "Sim_error: work-group size of rank 1 for a global range of rank 2"
+          (run [ 16; 1 ] [ 4 ]);
+        Alcotest.(check string) "rank 0"
+          "Sim_error: ND-range of rank 0 (want 1 to 3)" (run [] []);
+        Alcotest.(check string) "rank 4"
+          "Sim_error: ND-range of rank 4 (want 1 to 3)"
+          (run [ 16; 1; 1; 1 ] [ 4; 1; 1; 1 ]);
+        Alcotest.(check bool) "nothing ran" true
+          (Array.for_all (fun x -> x = 0.0) (floats a));
+        Alcotest.(check string) "a matching rank runs" "ok" (run [ 16 ] [ 4 ]);
+        Alcotest.(check bool) "each item once" true
+          (Array.for_all (fun x -> x = 1.0) (floats a)));
+    Helpers.qtest ~count:500
+      "apportion gives what the O(n x sgs) scan gives"
+      QCheck2.Gen.(
+        let* sgs = int_range 1 16 in
+        let* n = int_range 0 40 in
+        (* Few distinct remainders, so ties are common. *)
+        let* rems = array_size (pure n) (oneof [ pure 0; int_range 0 (sgs - 1); pure (sgs - 1) ]) in
+        let* canonical = shuffle_a (Array.init n Fun.id) in
+        let* leftover = int_range (-2) (n + 2) in
+        pure (sgs, rems, canonical, leftover))
+      (fun (sgs, rems, canonical, leftover) ->
+        let got = Array.make (Array.length rems) 0
+        and want = Array.make (Array.length rems) 0 in
+        Interp.apportion ~canonical ~rems ~counts:(Array.make sgs 0) leftover
+          (fun k -> got.(k) <- got.(k) + 1);
+        apportion_scan ~sgs ~canonical ~rems leftover (fun k ->
+            want.(k) <- want.(k) + 1);
+        got = want);
   ]
 
 let tests = ("simulator", tests_list)

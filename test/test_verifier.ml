@@ -140,6 +140,41 @@ let tests_list =
         | _ -> Alcotest.fail "expected Pass_failed"
         | exception Pass.Pass_failed { pass; _ } ->
           Alcotest.(check string) "pass name" "breaker" pass);
+    Alcotest.test_case "sycl.host.set_nd_range checks its rank and operands"
+      `Quick (fun () ->
+        Helpers.init ();
+        let verify ~dims ~has_local n_sizes =
+          let m, _ =
+            Helpers.with_func
+              ~args:(Sycl_core.Sycl_types.Handler :: List.init 6 (fun _ -> Types.Index))
+              (fun b vals ->
+                Builder.op0 b "sycl.host.set_nd_range"
+                  ~operands:(List.filteri (fun i _ -> i <= n_sizes) vals)
+                  ~attrs:[ ("dims", Attr.Int dims); ("has_local", Attr.Bool has_local) ])
+          in
+          match Verifier.verify m with
+          | Ok () -> "ok"
+          | Error ds -> String.concat "; " (List.map (fun d -> d.Verifier.message) ds)
+        in
+        List.iter
+          (fun (dims, has_local, n) ->
+            Alcotest.(check string)
+              (Printf.sprintf "dims %d, local %b, %d sizes" dims has_local n)
+              "ok" (verify ~dims ~has_local n))
+          [ (1, false, 1); (1, true, 2); (2, false, 2); (2, true, 4); (3, true, 6) ];
+        Alcotest.(check string) "a 1-D range with two local sizes"
+          "sycl.host.set_nd_range with dims = 1 and a local range takes 3 \
+           operands, got 4"
+          (verify ~dims:1 ~has_local:true 3);
+        Alcotest.(check string) "a missing global size"
+          "sycl.host.set_nd_range with dims = 2 takes 3 operands, got 2"
+          (verify ~dims:2 ~has_local:false 1);
+        Alcotest.(check string) "rank 0"
+          "sycl.host.set_nd_range: dims = 0, want 1 to 3"
+          (verify ~dims:0 ~has_local:false 0);
+        Alcotest.(check string) "rank 4"
+          "sycl.host.set_nd_range: dims = 4, want 1 to 3"
+          (verify ~dims:4 ~has_local:false 4));
   ]
 
 let tests = ("verifier", tests_list)
