@@ -283,7 +283,6 @@ let run_fuzz () =
   let json_out =
     Option.map (fun path -> (path, open_output "fuzz" path)) !json_path
   in
-  Dialects.Register.init ();
   (* (iteration, oracle, detail) *)
   let failures : (int * string * string) list ref = ref [] in
   let record i oracle detail =

@@ -240,6 +240,13 @@ let run_serve_mode service =
     round_summary reg ~round:1 ~modules:!count ~wall_us ~before:(0, 0, 0);
   !failed
 
+let failed_verification what diagnostics =
+  Printf.eprintf "%s failed verification:\n" what;
+  List.iter
+    (fun d -> Printf.eprintf "  %s\n" (Mlir.Verifier.diag_to_string d))
+    diagnostics;
+  exit 1
+
 (* Write the [--report-json] document, or exit 1. *)
 let write_report path sections =
   match Sycl_obs.Report.write path sections with
@@ -365,10 +372,6 @@ let compile_trace ~parse_seconds tm =
 let run passes verify stats timing remarks report_json print_analysis
     dump_before dump_after debuginfo batch serve jobs repeat cache_size
     out_dir inputs =
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
   (* `--remarks FILE` (unglued): cmdliner hands FILE to --remarks even
      though its value is optional. When it names an existing file and no
      positional input was given, the user meant it as the input. *)
@@ -486,19 +489,17 @@ let run passes verify stats timing remarks report_json print_analysis
               ("trace", compile_trace ~parse_seconds tm);
             ])
         report_json
+    | exception Mlir.Pass.Invalid_input diagnostics ->
+      failed_verification (Printf.sprintf "input %s" file) diagnostics
     | exception Mlir.Pass.Pass_failed { pass; diagnostics } ->
-      Printf.eprintf "pass %s failed verification:\n" pass;
-      List.iter
-        (fun d -> Printf.eprintf "  %s\n" (Mlir.Verifier.diag_to_string d))
-        diagnostics;
-      exit 1)
+      failed_verification ("pass " ^ pass) diagnostics)
 
 let passes_arg =
   let doc = "Comma-separated pass pipeline. Known passes: " ^ known_passes in
   Arg.(value & opt (list string) [ "canonicalize" ] & info [ "passes"; "p" ] ~doc)
 
 let verify_arg =
-  Arg.(value & flag & info [ "verify-each" ] ~doc:"Verify the IR after every pass.")
+  Arg.(value & flag & info [ "verify-each" ] ~doc:"Verify the input, then the IR after every pass.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print pass statistics to stderr.")

@@ -68,10 +68,6 @@ let matmul_module () =
   m
 
 let () =
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
   let argv = List.tl (Array.to_list Sys.argv) in
   let debuginfo = List.mem "--debuginfo" argv in
   let which =

@@ -14,10 +14,6 @@ module S = Sycl_core.Sycl_types
 
 
 let build () =
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
   let m = Core.create_module () in
   (* A kernel that queries its ND-range and accessor members — all of
      which the host knows. The global size here is a compile-time constant

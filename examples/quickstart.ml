@@ -13,11 +13,8 @@ module Memory = Sycl_sim.Memory
 module Host_interp = Sycl_runtime.Host_interp
 
 let () =
-  (* 1. Register the dialects (builtin + SYCL). *)
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
+  (* 1. Nothing to register: the dialects (builtin + SYCL) registered
+        their ops when this program was linked against them. *)
 
   (* 2. Build the joint module: one device kernel plus the host program
         (the latter is emitted as low-level runtime-ABI calls, exactly

@@ -240,11 +240,11 @@ let compile ?(instrumentations = []) (cfg : config) (m : Core.op) : compiled =
   let passes = host_pipeline cfg @ device_pipeline cfg in
   let pipeline_result =
     try Pass.run_pipeline ~verify_each:cfg.verify_each ~instrumentations passes m
-    with Pass.Pass_failed { pass; diagnostics } ->
-      raise
-        (Compile_error
-           (Printf.sprintf "pass %s failed verification: %s" pass
-              (String.concat "; " (List.map Verifier.diag_to_string diagnostics))))
+    with
+    | Pass.Invalid_input diagnostics ->
+      raise (Compile_error (Verifier.failure "input" diagnostics))
+    | Pass.Pass_failed { pass; diagnostics } ->
+      raise (Compile_error (Verifier.failure ("pass " ^ pass) diagnostics))
   in
   { cfg; joint = m; pipeline_result }
 

@@ -22,8 +22,6 @@
 
 open Mlir
 
-let fused_counter = ref 0
-
 (* ------------------------------------------------------------------ *)
 (* Safety analysis                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -180,12 +178,27 @@ let construction_only_between (block : Core.block) (a : Core.op) (b : Core.op) =
 let item_type (kernel : Core.op) =
   (List.hd (Core.block_args (Core.func_body kernel))).Core.vty
 
-let build_fused (m : Core.op) (a : site) (b : site) : Core.op =
-  incr fused_counter;
-  let name =
-    Printf.sprintf "%s_%s_fused%d" (Core.func_sym a.s_kernel)
-      (Core.func_sym b.s_kernel) !fused_counter
+(* [<a>_<b>_fused<k>], where [k] counts this run's fusions and skips
+   every name the module already defines: the name depends on the module
+   alone, not on what the process compiled before. *)
+let fused_name (m : Core.op) ~fusions (a : site) (b : site) =
+  let defined name =
+    List.exists
+      (fun o -> Core.attr_string o "sym_name" = Some name)
+      (Core.module_block m).Core.body
   in
+  let rec next () =
+    incr fusions;
+    let name =
+      Printf.sprintf "%s_%s_fused%d" (Core.func_sym a.s_kernel)
+        (Core.func_sym b.s_kernel) !fusions
+    in
+    if defined name then next () else name
+  in
+  next ()
+
+let build_fused (m : Core.op) ~fusions (a : site) (b : site) : Core.op =
+  let name = fused_name m ~fusions a b in
   let args_a = List.tl (Core.block_args (Core.func_body a.s_kernel)) in
   let args_b = List.tl (Core.block_args (Core.func_body b.s_kernel)) in
   let arg_tys =
@@ -238,8 +251,8 @@ let build_fused (m : Core.op) (a : site) (b : site) : Core.op =
     (Alias.noalias_pairs b.s_kernel);
   fused
 
-let fuse (m : Core.op) (a : site) (b : site) stats =
-  let fused = build_fused m a b in
+let fuse (m : Core.op) ~fusions (a : site) (b : site) stats =
+  let fused = build_fused m ~fusions a b in
   let n_a = List.length a.s_captures in
   (* Captures over the same buffer become must-aliased arguments of the
      fused kernel — what lets store-forwarding internalize the dataflow. *)
@@ -313,7 +326,7 @@ let missed_fusion_reason (block : Core.block) (a : site) (b : site) :
        inter-kernel dependence"
   else None
 
-let try_fuse_in_block (m : Core.op) (block : Core.block) stats : bool =
+let try_fuse_in_block (m : Core.op) ~fusions (block : Core.block) stats : bool =
   let pfs = List.filter Sycl_host_ops.is_parallel_for block.Core.body in
   let rec pairs = function
     | pf_a :: (pf_b :: _ as rest) -> (
@@ -321,7 +334,7 @@ let try_fuse_in_block (m : Core.op) (block : Core.block) stats : bool =
       | Some a, Some b -> (
         match missed_fusion_reason block a b with
         | None ->
-          fuse m a b stats;
+          fuse m ~fusions a b stats;
           true
         | Some reason ->
           if Remarks.enabled () then
@@ -337,6 +350,7 @@ let try_fuse_in_block (m : Core.op) (block : Core.block) stats : bool =
   pairs pfs
 
 let run (m : Core.op) stats =
+  let fusions = ref 0 in
   List.iter
     (fun f ->
       if not (Dialects.Func.is_declaration f) then
@@ -348,7 +362,7 @@ let run (m : Core.op) stats =
                     (* Fuse repeatedly: a fused site may fuse again. *)
                     let continue_ = ref true in
                     while !continue_ do
-                      continue_ := try_fuse_in_block m blk stats
+                      continue_ := try_fuse_in_block m ~fusions blk stats
                     done)
                   r.Core.blocks)
               op.Core.regions))

@@ -309,8 +309,3 @@ let run_on_func (f : Core.op) stats =
   List.iter (fun l -> ignore (optimize_loop stats l)) !loops
 
 let pass = Pass.on_functions "licm" run_on_func
-
-let init () =
-  (* Runtime accessor disjointness test, evaluated by the device
-     interpreter. Pure: it reads only descriptor metadata. *)
-  Op_registry.register "sycl.accessor.distinct" Op_registry.pure_info

@@ -5,7 +5,3 @@ open Mlir
 
 val run_on_func : Core.op -> Pass.Stats.t -> unit
 val pass : Pass.t
-
-(** Register [sycl.accessor.distinct], the runtime check of the
-    versioning condition. *)
-val init : unit -> unit

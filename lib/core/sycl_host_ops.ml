@@ -122,34 +122,28 @@ let verify_set_nd_range op =
          want (Core.num_operands op))
   else Ok ()
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Sycl_types.init ();
-    (* Host ops interact with the runtime: model them as opaque effects so
-       nothing reorders around them, except the pure queries. *)
-    let effectful =
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ ->
-            Some
-              [
-                (Op_registry.Read, Op_registry.Anywhere);
-                (Op_registry.Write, Op_registry.Anywhere);
-              ]);
-      }
-    in
-    List.iter
-      (fun name -> Op_registry.register name effectful)
-      [
-        "sycl.host.queue_ctor"; "sycl.host.buffer_ctor"; "sycl.host.submit";
-        "sycl.host.accessor_ctor"; "sycl.host.set_captured";
-        "sycl.host.parallel_for"; "sycl.host.wait"; "sycl.host.buffer_dtor";
-        "sycl.host.malloc_device"; "sycl.host.memcpy"; "sycl.host.free";
-      ];
-    Op_registry.register "sycl.host.set_nd_range"
-      { effectful with Op_registry.verify = verify_set_nd_range }
-  end
+let () =
+  (* Host ops interact with the runtime: model them as opaque effects so
+     nothing reorders around them, except the pure queries. *)
+  let effectful =
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ ->
+          Some
+            [
+              (Op_registry.Read, Op_registry.Anywhere);
+              (Op_registry.Write, Op_registry.Anywhere);
+            ]);
+    }
+  in
+  List.iter
+    (fun name -> Op_registry.register name effectful)
+    [
+      "sycl.host.queue_ctor"; "sycl.host.buffer_ctor"; "sycl.host.submit";
+      "sycl.host.accessor_ctor"; "sycl.host.set_captured";
+      "sycl.host.parallel_for"; "sycl.host.wait"; "sycl.host.buffer_dtor";
+      "sycl.host.malloc_device"; "sycl.host.memcpy"; "sycl.host.free";
+    ];
+  Op_registry.register "sycl.host.set_nd_range"
+    { effectful with Op_registry.verify = verify_set_nd_range }

@@ -140,65 +140,63 @@ let is_barrier op =
 (* Registration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Sycl_types.init ();
-    (* Getters are pure; some are non-uniformity sources. *)
-    List.iter
-      (fun name ->
-        Op_registry.register name
-          { Op_registry.pure_info with Op_registry.non_uniform_source = true })
-      non_uniform_getters;
-    List.iter
-      (fun name -> Op_registry.register name Op_registry.pure_info)
-      uniform_getters;
-    (* id/range member reads: read the struct's memory. *)
-    List.iter
-      (fun name ->
-        Op_registry.register name
-          {
-            Op_registry.default_info with
-            Op_registry.memory_effects =
-              (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
-            Op_registry.speculatable = true;
-          })
-      [ "sycl.id.get"; "sycl.range.get" ];
-    (* Accessor member getters are pure (they read the by-value accessor
-       descriptor, not memory). *)
-    List.iter
-      (fun name -> Op_registry.register name Op_registry.pure_info)
-      accessor_member_getters;
-    (* The constructor writes the object representation to operand 0. *)
-    Op_registry.register "sycl.constructor"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 0) ]);
-      };
-    (* Subscript reads the id struct (operand 1) and computes an address;
-       it does not itself touch the accessor's data. Its result aliases the
-       accessor's underlying memory — encoded in the SYCL alias analysis. *)
-    Op_registry.register "sycl.accessor.subscript"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun op ->
-            if subscript_is_direct op then Some []
-            else Some [ (Op_registry.Read, Op_registry.On_operand 1) ]);
-        Op_registry.speculatable = true;
-      };
-    Op_registry.register "sycl.group_barrier"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ ->
-            Some
-              [
-                (Op_registry.Read, Op_registry.Anywhere);
-                (Op_registry.Write, Op_registry.Anywhere);
-              ]);
-      }
-  end
+let () =
+  (* Getters are pure; some are non-uniformity sources. *)
+  List.iter
+    (fun name ->
+      Op_registry.register name
+        { Op_registry.pure_info with Op_registry.non_uniform_source = true })
+    non_uniform_getters;
+  List.iter
+    (fun name -> Op_registry.register name Op_registry.pure_info)
+    uniform_getters;
+  (* id/range member reads: read the struct's memory. *)
+  List.iter
+    (fun name ->
+      Op_registry.register name
+        {
+          Op_registry.default_info with
+          Op_registry.memory_effects =
+            (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
+          Op_registry.speculatable = true;
+        })
+    [ "sycl.id.get"; "sycl.range.get" ];
+  (* Accessor member getters are pure (they read the by-value accessor
+     descriptor, not memory). *)
+  List.iter
+    (fun name -> Op_registry.register name Op_registry.pure_info)
+    accessor_member_getters;
+  (* The runtime accessor disjointness test of LICM's versioning,
+     evaluated by the device interpreter. Pure: it reads only descriptor
+     metadata. *)
+  Op_registry.register "sycl.accessor.distinct" Op_registry.pure_info;
+  (* The constructor writes the object representation to operand 0. *)
+  Op_registry.register "sycl.constructor"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 0) ]);
+    };
+  (* Subscript reads the id struct (operand 1) and computes an address;
+     it does not itself touch the accessor's data. Its result aliases the
+     accessor's underlying memory — encoded in the SYCL alias analysis. *)
+  Op_registry.register "sycl.accessor.subscript"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun op ->
+          if subscript_is_direct op then Some []
+          else Some [ (Op_registry.Read, Op_registry.On_operand 1) ]);
+      Op_registry.speculatable = true;
+    };
+  Op_registry.register "sycl.group_barrier"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ ->
+          Some
+            [
+              (Op_registry.Read, Op_registry.Anywhere);
+              (Op_registry.Write, Op_registry.Anywhere);
+            ]);
+    }

@@ -103,83 +103,78 @@ let to_string ty =
   | Event -> "!sycl.event"
   | _ -> raise Not_found
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Types.register_printer (fun ty ->
-        match to_string ty with s -> Some s | exception Not_found -> None);
-    (* Textual parser for !sycl.* types. Registered under the "sycl.xxx"
-       identifier that follows the '!'. *)
-    let parse kind (p : Parser.t) =
-      let expect_angle_int () =
-        Parser.expect_punct p "<";
-        match Parser.accept_int p with
-        | Some n -> n
-        | None -> raise (Parser.Parse_error "expected integer in sycl type")
-      in
-      match kind with
-      | "sycl.id" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Id n
-      | "sycl.item" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Item n
-      | "sycl.nd_item" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Nd_item n
-      | "sycl.range" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Range n
-      | "sycl.nd_range" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Nd_range n
-      | "sycl.group" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ">";
-        Group n
-      | "sycl.accessor" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ",";
-        let element = Parser.parse_type p in
-        Parser.expect_punct p ",";
-        let mode_s =
-          match Parser.accept_ident p with
-          | Some s -> s
-          | None -> raise (Parser.Parse_error "expected access mode")
-        in
-        Parser.expect_punct p ">";
-        (match access_mode_of_string mode_s with
-        | Some mode -> accessor ~mode ~dims:n element
-        | None -> raise (Parser.Parse_error ("bad access mode " ^ mode_s)))
-      | "sycl.local_accessor" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ",";
-        let element = Parser.parse_type p in
-        Parser.expect_punct p ">";
-        local_accessor ~dims:n element
-      | "sycl.buffer" ->
-        let n = expect_angle_int () in
-        Parser.expect_punct p ",";
-        let element = Parser.parse_type p in
-        Parser.expect_punct p ">";
-        buffer ~dims:n element
-      | "sycl.queue" -> Queue
-      | "sycl.handler" -> Handler
-      | "sycl.event" -> Event
-      | k -> raise (Parser.Parse_error ("unknown sycl type !" ^ k))
+let () =
+  Types.register_printer (fun ty ->
+      match to_string ty with s -> Some s | exception Not_found -> None);
+  (* Textual parser for !sycl.* types. Registered under the "sycl.xxx"
+     identifier that follows the '!'. *)
+  let parse kind (p : Parser.t) =
+    let expect_angle_int () =
+      Parser.expect_punct p "<";
+      match Parser.accept_int p with
+      | Some n -> n
+      | None -> raise (Parser.Parse_error "expected integer in sycl type")
     in
-    List.iter
-      (fun kind -> Parser.register_type_parser kind (parse kind))
-      [
-        "sycl.id"; "sycl.item"; "sycl.nd_item"; "sycl.range"; "sycl.nd_range";
-        "sycl.group"; "sycl.accessor"; "sycl.local_accessor"; "sycl.buffer";
-        "sycl.queue"; "sycl.handler"; "sycl.event";
-      ]
-  end
+    match kind with
+    | "sycl.id" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Id n
+    | "sycl.item" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Item n
+    | "sycl.nd_item" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Nd_item n
+    | "sycl.range" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Range n
+    | "sycl.nd_range" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Nd_range n
+    | "sycl.group" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ">";
+      Group n
+    | "sycl.accessor" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ",";
+      let element = Parser.parse_type p in
+      Parser.expect_punct p ",";
+      let mode_s =
+        match Parser.accept_ident p with
+        | Some s -> s
+        | None -> raise (Parser.Parse_error "expected access mode")
+      in
+      Parser.expect_punct p ">";
+      (match access_mode_of_string mode_s with
+      | Some mode -> accessor ~mode ~dims:n element
+      | None -> raise (Parser.Parse_error ("bad access mode " ^ mode_s)))
+    | "sycl.local_accessor" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ",";
+      let element = Parser.parse_type p in
+      Parser.expect_punct p ">";
+      local_accessor ~dims:n element
+    | "sycl.buffer" ->
+      let n = expect_angle_int () in
+      Parser.expect_punct p ",";
+      let element = Parser.parse_type p in
+      Parser.expect_punct p ">";
+      buffer ~dims:n element
+    | "sycl.queue" -> Queue
+    | "sycl.handler" -> Handler
+    | "sycl.event" -> Event
+    | k -> raise (Parser.Parse_error ("unknown sycl type !" ^ k))
+  in
+  List.iter
+    (fun kind -> Parser.register_type_parser kind (parse kind))
+    [
+      "sycl.id"; "sycl.item"; "sycl.nd_item"; "sycl.range"; "sycl.nd_range";
+      "sycl.group"; "sycl.accessor"; "sycl.local_accessor"; "sycl.buffer";
+      "sycl.queue"; "sycl.handler"; "sycl.event";
+    ]

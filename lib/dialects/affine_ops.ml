@@ -96,61 +96,56 @@ let access_map op =
   | Some (Attr.Affine_map m) -> m
   | _ -> invalid_arg "affine access op: missing map"
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Op_registry.register "affine.for"
-      {
-        Op_registry.default_info with
-        Op_registry.control = Op_registry.Loop;
-        Op_registry.memory_effects = (fun _ -> Some []);
-        Op_registry.verify =
-          (fun op ->
-            let ( let* ) = Verifier.( let* ) in
-            let* () = Verifier.check_num_regions op 1 in
-            if Core.num_results op <> List.length (for_iter_args op) then
-              Error "affine.for results must match iter_args"
-            else Ok ());
-      };
-    Op_registry.register "affine.yield"
-      {
-        Op_registry.default_info with
-        Op_registry.terminator = true;
-        Op_registry.memory_effects = (fun _ -> Some []);
-      };
-    Op_registry.register "affine.load"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
-      };
-    Op_registry.register "affine.store"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 1) ]);
-      };
-    Op_registry.register "affine.apply"
-      {
-        Op_registry.pure_info with
-        Op_registry.fold =
-          (fun op consts ->
-            if Array.for_all Option.is_some consts then
-              let vals =
-                Array.map
-                  (fun c -> match c with Some (Attr.Int i) -> i | _ -> min_int)
-                  consts
-              in
-              if Array.exists (fun v -> v = min_int) vals then None
-              else
-                let m = access_map op in
-                match
-                  Affine_expr.Map.eval m ~dims:vals ~syms:[||]
-                with
-                | [ r ] -> Some (Op_registry.Fold_attrs [ Attr.Int r ])
-                | _ -> None
-            else None);
-      }
-  end
+let () =
+  Op_registry.register "affine.for"
+    {
+      Op_registry.default_info with
+      Op_registry.control = Op_registry.Loop;
+      Op_registry.memory_effects = (fun _ -> Some []);
+      Op_registry.verify =
+        (fun op ->
+          let ( let* ) = Verifier.( let* ) in
+          let* () = Verifier.check_num_regions op 1 in
+          if Core.num_results op <> List.length (for_iter_args op) then
+            Error "affine.for results must match iter_args"
+          else Ok ());
+    };
+  Op_registry.register "affine.yield"
+    {
+      Op_registry.default_info with
+      Op_registry.terminator = true;
+      Op_registry.memory_effects = (fun _ -> Some []);
+    };
+  Op_registry.register "affine.load"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
+    };
+  Op_registry.register "affine.store"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 1) ]);
+    };
+  Op_registry.register "affine.apply"
+    {
+      Op_registry.pure_info with
+      Op_registry.fold =
+        (fun op consts ->
+          if Array.for_all Option.is_some consts then
+            let vals =
+              Array.map
+                (fun c -> match c with Some (Attr.Int i) -> i | _ -> min_int)
+                consts
+            in
+            if Array.exists (fun v -> v = min_int) vals then None
+            else
+              let m = access_map op in
+              match
+                Affine_expr.Map.eval m ~dims:vals ~syms:[||]
+              with
+              | [ r ] -> Some (Op_registry.Fold_attrs [ Attr.Int r ])
+              | _ -> None
+          else None);
+    }

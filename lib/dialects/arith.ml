@@ -164,88 +164,92 @@ let cmpf_fold op consts =
       (Option.bind (Core.attr_string op "predicate") fcmp_pred_of_string)
   | _ -> None
 
-let pure_with_fold fold =
-  { Op_registry.pure_info with Op_registry.fold }
+(* Every arith and math op has one result; [operands] is its operand
+   count. Folds and the simulator index operands without checking. *)
+let pure_with_fold ~operands fold =
+  let verify op =
+    if Core.num_operands op = operands && Core.num_results op = 1 then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s takes %d operand(s) and 1 result, got %d and %d"
+           op.Core.name operands (Core.num_operands op) (Core.num_results op))
+  in
+  { Op_registry.pure_info with Op_registry.fold; verify }
 
 let register_binop name eval =
-  Op_registry.register name (pure_with_fold (binary_fold eval))
+  Op_registry.register name (pure_with_fold ~operands:2 (binary_fold eval))
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    (* Constant: folds to its own attribute (marks it constant-like). *)
-    Op_registry.register "arith.constant"
-      (pure_with_fold (fun op _ ->
-           Option.map (fun a -> Op_registry.Fold_attrs [ a ]) (Core.attr op "value")));
-    Op_registry.register "arith.addi" (pure_with_fold addi_fold);
-    Op_registry.register "arith.muli" (pure_with_fold muli_fold);
-    register_binop "arith.subi" (int2 ( - ));
-    register_binop "arith.divsi" (int2 (fun a b -> if b = 0 then 0 else a / b));
-    register_binop "arith.remsi" (int2 (fun a b -> if b = 0 then 0 else a mod b));
-    register_binop "arith.andi" (int2 ( land ));
-    register_binop "arith.ori" (int2 ( lor ));
-    register_binop "arith.xori" (int2 ( lxor ));
-    register_binop "arith.minsi" (int2 min);
-    register_binop "arith.maxsi" (int2 max);
-    register_binop "arith.addf" (float2 ( +. ));
-    register_binop "arith.subf" (float2 ( -. ));
-    register_binop "arith.mulf" (float2 ( *. ));
-    register_binop "arith.divf" (float2 ( /. ));
-    register_binop "arith.minimumf" (float2 Float.min);
-    register_binop "arith.maximumf" (float2 Float.max);
-    Op_registry.register "arith.negf"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Float x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Float (-.x) ])
-           | _ -> None));
-    Op_registry.register "arith.cmpi" (pure_with_fold cmp_fold);
-    Op_registry.register "arith.cmpf" (pure_with_fold cmpf_fold);
-    Op_registry.register "arith.select"
-      (pure_with_fold (fun op consts ->
-           match consts.(0) with
-           | Some (Attr.Bool true) | Some (Attr.Int 1) ->
-             Some (Op_registry.Fold_values [ Core.operand op 1 ])
-           | Some (Attr.Bool false) | Some (Attr.Int 0) ->
-             Some (Op_registry.Fold_values [ Core.operand op 2 ])
-           | _ -> None));
-    Op_registry.register "arith.index_cast"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Int x) |] -> Some (Op_registry.Fold_attrs [ Attr.Int x ])
-           | _ -> None));
-    Op_registry.register "arith.sitofp"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Int x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Float (float_of_int x) ])
-           | _ -> None));
-    Op_registry.register "arith.fptosi"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Float x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Int (int_of_float x) ])
-           | _ -> None));
-    Op_registry.register "math.sqrt"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Float x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Float (Float.sqrt x) ])
-           | _ -> None));
-    Op_registry.register "math.exp"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Float x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Float (Float.exp x) ])
-           | _ -> None));
-    Op_registry.register "math.absf"
-      (pure_with_fold (fun _ consts ->
-           match consts with
-           | [| Some (Attr.Float x) |] ->
-             Some (Op_registry.Fold_attrs [ Attr.Float (Float.abs x) ])
-           | _ -> None));
-    (* arith.constant materializes folded constants everywhere. *)
-    Rewrite.set_constant_materializer (fun b attr ty -> constant b attr ty)
-  end
+let () =
+  (* Constant: folds to its own attribute (marks it constant-like). *)
+  Op_registry.register "arith.constant"
+    (pure_with_fold ~operands:0 (fun op _ ->
+         Option.map (fun a -> Op_registry.Fold_attrs [ a ]) (Core.attr op "value")));
+  Op_registry.register "arith.addi" (pure_with_fold ~operands:2 addi_fold);
+  Op_registry.register "arith.muli" (pure_with_fold ~operands:2 muli_fold);
+  register_binop "arith.subi" (int2 ( - ));
+  register_binop "arith.divsi" (int2 (fun a b -> if b = 0 then 0 else a / b));
+  register_binop "arith.remsi" (int2 (fun a b -> if b = 0 then 0 else a mod b));
+  register_binop "arith.andi" (int2 ( land ));
+  register_binop "arith.ori" (int2 ( lor ));
+  register_binop "arith.xori" (int2 ( lxor ));
+  register_binop "arith.minsi" (int2 min);
+  register_binop "arith.maxsi" (int2 max);
+  register_binop "arith.addf" (float2 ( +. ));
+  register_binop "arith.subf" (float2 ( -. ));
+  register_binop "arith.mulf" (float2 ( *. ));
+  register_binop "arith.divf" (float2 ( /. ));
+  register_binop "arith.minimumf" (float2 Float.min);
+  register_binop "arith.maximumf" (float2 Float.max);
+  Op_registry.register "arith.negf"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Float x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Float (-.x) ])
+         | _ -> None));
+  Op_registry.register "arith.cmpi" (pure_with_fold ~operands:2 cmp_fold);
+  Op_registry.register "arith.cmpf" (pure_with_fold ~operands:2 cmpf_fold);
+  Op_registry.register "arith.select"
+    (pure_with_fold ~operands:3 (fun op consts ->
+         match consts.(0) with
+         | Some (Attr.Bool true) | Some (Attr.Int 1) ->
+           Some (Op_registry.Fold_values [ Core.operand op 1 ])
+         | Some (Attr.Bool false) | Some (Attr.Int 0) ->
+           Some (Op_registry.Fold_values [ Core.operand op 2 ])
+         | _ -> None));
+  Op_registry.register "arith.index_cast"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Int x) |] -> Some (Op_registry.Fold_attrs [ Attr.Int x ])
+         | _ -> None));
+  Op_registry.register "arith.sitofp"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Int x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Float (float_of_int x) ])
+         | _ -> None));
+  Op_registry.register "arith.fptosi"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Float x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Int (int_of_float x) ])
+         | _ -> None));
+  Op_registry.register "math.sqrt"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Float x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Float (Float.sqrt x) ])
+         | _ -> None));
+  Op_registry.register "math.exp"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Float x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Float (Float.exp x) ])
+         | _ -> None));
+  Op_registry.register "math.absf"
+    (pure_with_fold ~operands:1 (fun _ consts ->
+         match consts with
+         | [| Some (Attr.Float x) |] ->
+           Some (Op_registry.Fold_attrs [ Attr.Float (Float.abs x) ])
+         | _ -> None));
+  (* arith.constant materializes folded constants everywhere. *)
+  Rewrite.set_constant_materializer (fun b attr ty -> constant b attr ty)

@@ -49,43 +49,38 @@ let call1 b callee ~operands ~result =
 let callee op = Core.attr_symbol op "callee"
 let is_call op = op.Core.name = "func.call"
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Op_registry.register "func.func"
-      {
-        Op_registry.default_info with
-        Op_registry.control = Op_registry.Seq;
-        Op_registry.memory_effects = (fun _ -> Some []);
-        Op_registry.verify =
-          (fun op ->
-            let ( let* ) = Verifier.( let* ) in
-            let* () = Verifier.check_num_regions op 1 in
-            match (Core.attr_string op "sym_name", Core.attr_type op "function_type") with
-            | Some _, Some (Types.Function (args, _)) ->
-              if is_declaration op then Ok ()
-              else
-                let entry = Core.func_body op in
-                let arg_tys = List.map (fun v -> v.Core.vty) (Core.block_args entry) in
-                if arg_tys = args then Ok ()
-                else Error "entry block arguments do not match function type"
-            | _ -> Error "func.func requires sym_name and function_type");
-      };
-    Op_registry.register "func.return"
-      {
-        Op_registry.default_info with
-        Op_registry.terminator = true;
-        Op_registry.memory_effects = (fun _ -> Some []);
-      };
-    (* Calls have unknown effects by default; analyses use the call graph
-       to refine. *)
-    Op_registry.register "func.call" Op_registry.default_info;
-    Op_registry.register "builtin.module"
-      {
-        Op_registry.default_info with
-        Op_registry.control = Op_registry.Seq;
-        Op_registry.memory_effects = (fun _ -> Some []);
-      }
-  end
+let () =
+  Op_registry.register "func.func"
+    {
+      Op_registry.default_info with
+      Op_registry.control = Op_registry.Seq;
+      Op_registry.memory_effects = (fun _ -> Some []);
+      Op_registry.verify =
+        (fun op ->
+          let ( let* ) = Verifier.( let* ) in
+          let* () = Verifier.check_num_regions op 1 in
+          match (Core.attr_string op "sym_name", Core.attr_type op "function_type") with
+          | Some _, Some (Types.Function (args, _)) ->
+            if is_declaration op then Ok ()
+            else
+              let entry = Core.func_body op in
+              let arg_tys = List.map (fun v -> v.Core.vty) (Core.block_args entry) in
+              if arg_tys = args then Ok ()
+              else Error "entry block arguments do not match function type"
+          | _ -> Error "func.func requires sym_name and function_type");
+    };
+  Op_registry.register "func.return"
+    {
+      Op_registry.default_info with
+      Op_registry.terminator = true;
+      Op_registry.memory_effects = (fun _ -> Some []);
+    };
+  (* Calls have unknown effects by default; analyses use the call graph
+     to refine. *)
+  Op_registry.register "func.call" Op_registry.default_info;
+  Op_registry.register "builtin.module"
+    {
+      Op_registry.default_info with
+      Op_registry.control = Op_registry.Seq;
+      Op_registry.memory_effects = (fun _ -> Some []);
+    }

@@ -56,28 +56,23 @@ let alloc_local b shape element =
       (Types.memref ~space:Types.Local (List.map (fun d -> Some d) shape) element)
     ~attrs:[ ("slot", Attr.Int slot) ]
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    (* The barrier synchronizes memory: treat as read+write anywhere so no
-       memory operation is moved across it. *)
-    Op_registry.register "gpu.barrier"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ ->
-            Some
-              [
-                (Op_registry.Read, Op_registry.Anywhere);
-                (Op_registry.Write, Op_registry.Anywhere);
-              ]);
-      };
-    Op_registry.register "gpu.alloc_local"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-      }
-  end
+let () =
+  (* The barrier synchronizes memory: treat as read+write anywhere so no
+     memory operation is moved across it. *)
+  Op_registry.register "gpu.barrier"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ ->
+          Some
+            [
+              (Op_registry.Read, Op_registry.Anywhere);
+              (Op_registry.Write, Op_registry.Anywhere);
+            ]);
+    };
+  Op_registry.register "gpu.alloc_local"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
+    }

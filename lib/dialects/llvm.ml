@@ -69,26 +69,21 @@ let lookup_global m name =
       o.Core.name = "llvm.global" && Core.attr_string o "sym_name" = Some name)
     (Core.module_block m).Core.body
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Op_registry.register "llvm.call" Op_registry.default_info;
-    Op_registry.register "llvm.alloca"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-      };
-    Op_registry.register "llvm.return"
-      {
-        Op_registry.default_info with
-        Op_registry.terminator = true;
-        Op_registry.memory_effects = (fun _ -> Some []);
-      };
-    Op_registry.register "llvm.global"
-      { Op_registry.default_info with Op_registry.memory_effects = (fun _ -> Some []) };
-    Op_registry.register "llvm.addressof"
-      { Op_registry.pure_info with Op_registry.speculatable = true }
-  end
+let () =
+  Op_registry.register "llvm.call" Op_registry.default_info;
+  Op_registry.register "llvm.alloca"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
+    };
+  Op_registry.register "llvm.return"
+    {
+      Op_registry.default_info with
+      Op_registry.terminator = true;
+      Op_registry.memory_effects = (fun _ -> Some []);
+    };
+  Op_registry.register "llvm.global"
+    { Op_registry.default_info with Op_registry.memory_effects = (fun _ -> Some []) };
+  Op_registry.register "llvm.addressof"
+    { Op_registry.pure_info with Op_registry.speculatable = true }

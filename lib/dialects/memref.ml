@@ -40,54 +40,49 @@ let store_parts op =
   | v :: m :: idx -> (v, m, idx)
   | _ -> invalid_arg "store_parts"
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Op_registry.register "memref.alloca"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-      };
-    Op_registry.register "memref.alloc"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-      };
-    Op_registry.register "memref.load"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
-      };
-    Op_registry.register "memref.store"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 1) ]);
-      };
-    Op_registry.register "memref.dealloc"
-      {
-        Op_registry.default_info with
-        Op_registry.memory_effects =
-          (fun _ -> Some [ (Op_registry.Free, Op_registry.On_operand 0) ]);
-      };
-    Op_registry.register "memref.dim"
-      {
-        Op_registry.pure_info with
-        Op_registry.fold =
-          (fun op consts ->
-            match consts with
-            | [| _; Some (Attr.Int i) |] -> (
-              match (Core.operand op 0).Core.vty with
-              | Types.Memref { shape; _ } -> (
-                match List.nth_opt shape i with
-                | Some (Some d) -> Some (Op_registry.Fold_attrs [ Attr.Int d ])
-                | _ -> None)
+let () =
+  Op_registry.register "memref.alloca"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
+    };
+  Op_registry.register "memref.alloc"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
+    };
+  Op_registry.register "memref.load"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
+    };
+  Op_registry.register "memref.store"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 1) ]);
+    };
+  Op_registry.register "memref.dealloc"
+    {
+      Op_registry.default_info with
+      Op_registry.memory_effects =
+        (fun _ -> Some [ (Op_registry.Free, Op_registry.On_operand 0) ]);
+    };
+  Op_registry.register "memref.dim"
+    {
+      Op_registry.pure_info with
+      Op_registry.fold =
+        (fun op consts ->
+          match consts with
+          | [| _; Some (Attr.Int i) |] -> (
+            match (Core.operand op 0).Core.vty with
+            | Types.Memref { shape; _ } -> (
+              match List.nth_opt shape i with
+              | Some (Some d) -> Some (Op_registry.Fold_attrs [ Attr.Int d ])
               | _ -> None)
-            | _ -> None);
-      }
-  end
+            | _ -> None)
+          | _ -> None);
+    }

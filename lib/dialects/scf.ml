@@ -56,48 +56,43 @@ let for_iter_inits op = List.filteri (fun i _ -> i >= 3) (Core.operands op)
 let for_body op = Core.entry_block op.Core.regions.(0)
 let for_iter_args op = List.tl (Core.block_args (for_body op))
 
-let init_done = ref false
-
-let init () =
-  if not !init_done then begin
-    init_done := true;
-    Op_registry.register "scf.for"
-      {
-        Op_registry.default_info with
-        Op_registry.control = Op_registry.Loop;
-        (* Effects are those of the body; None = derived by analyses
-           recursing into the region. The op itself reads nothing. *)
-        Op_registry.memory_effects = (fun _ -> Some []);
-        Op_registry.verify =
-          (fun op ->
-            let ( let* ) = Verifier.( let* ) in
-            let* () = Verifier.check_num_regions op 1 in
-            let n_iter = Core.num_operands op - 3 in
-            if n_iter < 0 then Error "scf.for needs lb, ub, step"
-            else if Core.num_results op <> n_iter then
-              Error "scf.for results must match iter_args"
-            else if
-              List.length (Core.block_args (for_body op)) <> n_iter + 1
-            then Error "scf.for body must take iv plus iter_args"
-            else Ok ());
-      };
-    Op_registry.register "scf.if"
-      {
-        Op_registry.default_info with
-        Op_registry.control = Op_registry.Branch;
-        Op_registry.memory_effects = (fun _ -> Some []);
-        Op_registry.verify =
-          (fun op ->
-            if Core.num_regions op < 1 || Core.num_regions op > 2 then
-              Error "scf.if takes one or two regions"
-            else if Core.num_results op > 0 && Core.num_regions op <> 2 then
-              Error "scf.if with results requires an else region"
-            else Ok ());
-      };
-    Op_registry.register "scf.yield"
-      {
-        Op_registry.default_info with
-        Op_registry.terminator = true;
-        Op_registry.memory_effects = (fun _ -> Some []);
-      }
-  end
+let () =
+  Op_registry.register "scf.for"
+    {
+      Op_registry.default_info with
+      Op_registry.control = Op_registry.Loop;
+      (* Effects are those of the body; None = derived by analyses
+         recursing into the region. The op itself reads nothing. *)
+      Op_registry.memory_effects = (fun _ -> Some []);
+      Op_registry.verify =
+        (fun op ->
+          let ( let* ) = Verifier.( let* ) in
+          let* () = Verifier.check_num_regions op 1 in
+          let n_iter = Core.num_operands op - 3 in
+          if n_iter < 0 then Error "scf.for needs lb, ub, step"
+          else if Core.num_results op <> n_iter then
+            Error "scf.for results must match iter_args"
+          else if
+            List.length (Core.block_args (for_body op)) <> n_iter + 1
+          then Error "scf.for body must take iv plus iter_args"
+          else Ok ());
+    };
+  Op_registry.register "scf.if"
+    {
+      Op_registry.default_info with
+      Op_registry.control = Op_registry.Branch;
+      Op_registry.memory_effects = (fun _ -> Some []);
+      Op_registry.verify =
+        (fun op ->
+          if Core.num_regions op < 1 || Core.num_regions op > 2 then
+            Error "scf.if takes one or two regions"
+          else if Core.num_results op > 0 && Core.num_regions op <> 2 then
+            Error "scf.if with results requires an else region"
+          else Ok ());
+    };
+  Op_registry.register "scf.yield"
+    {
+      Op_registry.default_info with
+      Op_registry.terminator = true;
+      Op_registry.memory_effects = (fun _ -> Some []);
+    }

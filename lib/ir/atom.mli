@@ -3,8 +3,7 @@
 
     An atom is a small dense integer with O(1) equality. Interning is
     thread-safe (mutex-protected table); [to_string] is lock-free and
-    safe from any domain, so frozen registries may index by atom id
-    concurrently. *)
+    safe from any domain. *)
 
 type t = int
 

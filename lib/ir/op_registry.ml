@@ -64,87 +64,34 @@ let default_info =
 (** Convenience: a pure (no memory effects, speculatable) op_info. *)
 let pure_info = { default_info with memory_effects = (fun _ -> Some []); speculatable = true }
 
-(* Registration happens once, at init time, on a single domain; lookups
-   happen everywhere, including concurrently from compile-service worker
-   domains. A plain shared Hashtbl would let a late [register] resize the
-   bucket array underneath a concurrent [lookup] (a torn table). The
-   contract (documented in the .mli) is therefore:
-
-   - before {!freeze}: registration and lookup are init-phase,
-     single-domain operations (exactly today's dialect-init flow);
-     registrations racing each other are still serialized by a mutex.
-   - {!freeze} snapshots the table into an immutable copy. From then on
-     every lookup reads the snapshot, which is never mutated again, so
-     concurrent reads are safe without a lock.
-   - [register] after {!freeze} is a no-op for an already-registered
-     name (dialect [init] functions are idempotent re-registrations and
-     may legitimately run again, e.g. in tests) and an error for a new
-     name — new semantic information must not appear while worker
-     domains are compiling. *)
-let table : (string, op_info) Hashtbl.t = Hashtbl.create 128
+(* One table, indexed by the atom of the op name ([Core.op.name_id]).
+   Dialect modules register when they are linked (their top-level
+   [let () = ...] runs before [main]); reads happen everywhere, including
+   concurrently on compile-service worker domains. [register] publishes a
+   grown copy under the mutex — the copy-on-grow scheme of [Atom.intern]
+   — so a reader on any domain sees the old table or the new one, never a
+   torn one. A later registration of a name replaces its info. *)
+let table : op_info option array Atomic.t = Atomic.make [||]
 let table_mutex = Mutex.create ()
 
-(* The frozen snapshot carries both the name-keyed copy (for [lookup] by
-   arbitrary strings) and an atom-id-indexed array: [info] on the hot
-   path becomes a single array read off the op's interned [name_id],
-   with no hashing of the name at all. Atoms interned after the freeze
-   index past the array's end — correctly reading as unregistered. *)
-let frozen :
-    ((string, op_info) Hashtbl.t * op_info option array) option Atomic.t =
-  Atomic.make None
-
 let register name info =
-  match Atomic.get frozen with
-  | Some (snapshot, _) ->
-    if not (Hashtbl.mem snapshot name) then
-      invalid_arg
-        (Printf.sprintf
-           "Op_registry.register: registry is frozen; cannot register new op %S \
-            (dialects must register before Op_registry.freeze)"
-           name)
-  | None -> Mutex.protect table_mutex (fun () -> Hashtbl.replace table name info)
-
-let register_pure name = register name pure_info
-
-(** Idempotent: the first call snapshots, later calls are no-ops. *)
-let freeze () =
+  let id = Atom.intern name in
   Mutex.protect table_mutex (fun () ->
-      if Atomic.get frozen = None then begin
-        let snapshot = Hashtbl.copy table in
-        let by_id =
-          Hashtbl.fold (fun name info acc -> (Atom.intern name, info) :: acc)
-            snapshot []
-        in
-        let size =
-          1 + List.fold_left (fun m (id, _) -> max m id) (-1) by_id
-        in
-        let arr = Array.make size None in
-        List.iter (fun (id, info) -> arr.(id) <- Some info) by_id;
-        Atomic.set frozen (Some (snapshot, arr))
-      end)
+      let old = Atomic.get table in
+      let n = Array.length old in
+      Atomic.set table
+        (Array.init (max n (id + 1)) (fun i ->
+             if i = id then Some info else if i < n then old.(i) else None)))
 
-let is_frozen () = Atomic.get frozen <> None
+let of_atom id =
+  let t = Atomic.get table in
+  if id < Array.length t then Array.unsafe_get t id else None
 
-let lookup name =
-  match Atomic.get frozen with
-  | Some (snapshot, _) -> Hashtbl.find_opt snapshot name
-  | None -> Hashtbl.find_opt table name
+let registered (op : Core.op) = of_atom op.Core.name_id
+let lookup name = of_atom (Atom.intern name)
 
 let info op =
-  match Atomic.get frozen with
-  | Some (_, arr) ->
-    let id = op.Core.name_id in
-    if id < Array.length arr then
-      match Array.unsafe_get arr id with
-      | Some i -> i
-      | None -> default_info
-    else default_info
-  | None -> (
-    match Hashtbl.find_opt table op.Core.name with
-    | Some i -> i
-    | None -> default_info)
-
-let is_registered name = lookup name <> None
+  match registered op with Some i -> i | None -> default_info
 
 (* Queries used throughout the analyses. *)
 

@@ -50,37 +50,24 @@ val default_info : op_info
 (** No memory effects, speculatable. *)
 val pure_info : op_info
 
-(** {2 Registration and freezing}
+(** {2 Registration}
 
-    Registration is an {e init-time-only} operation: dialects register
-    their ops on a single domain before any concurrent compilation
-    starts. Once every dialect has initialized, call {!freeze} — from
-    then on the registry serves lookups from an immutable snapshot, so
-    worker domains may query it concurrently without synchronization.
+    Each dialect module registers its ops in a top-level [let () = ...],
+    so linking the module registers them. The table may be read from any
+    domain at any time; a registration, even a late one, publishes a new
+    table atomically. *)
 
-    After {!freeze}, [register] of an {e already-registered} name is a
-    no-op (dialect [init] functions are idempotent and may run again),
-    while [register] of a {e new} name raises [Invalid_argument]: new
-    semantic information must not appear while workers are compiling.
-    The compile service freezes the registry before spawning workers. *)
-
+(** Register [info] for the op [name], replacing any earlier info. *)
 val register : string -> op_info -> unit
-val register_pure : string -> unit
 
-(** Snapshot the table and switch lookups to the immutable copy.
-    Idempotent; later registrations of known names become no-ops. *)
-val freeze : unit -> unit
+(** The registered info of an op's name, if any. *)
+val registered : Core.op -> op_info option
 
-val is_frozen : unit -> bool
-
-(** Safe to call concurrently from any domain once {!freeze} has run;
-    before that, only during the single-domain init phase. *)
+(** The registered info of the op name [name], if any. *)
 val lookup : string -> op_info option
 
 (** Info for an op (defaults when unregistered). *)
 val info : Core.op -> op_info
-
-val is_registered : string -> bool
 
 (** {2 Queries} *)
 

@@ -42,21 +42,28 @@ exception
     diagnostics : Verifier.diag list;
   }
 
+exception Invalid_input of Verifier.diag list
+
 type pipeline_result = {
   per_pass_stats : (string * Stats.t) list;
   per_pass_time : (string * float) list;
 }
 
 (** Run [passes] over module [m]. When [verify_each] is set (default), the
-    verifier runs after every pass and a failure is attributed to the pass
-    that just ran. [instrumentations] fire around every pass execution
-    (timing, IR-change detection, dumps — see {!Instrument}).
+    verifier runs on the input and after every pass; a failure is
+    attributed to the input or to the pass that just ran.
+    [instrumentations] fire around every pass execution (timing,
+    IR-change detection, dumps — see {!Instrument}).
     [remarks_sink] scopes an optimization-remark sink to exactly this
     pipeline ({!Remarks.with_sink}), so nested or concurrent pipelines
     each keep their own stream. *)
 let run_pipeline ?(verify_each = true) ?(instrumentations = []) ?remarks_sink
     passes m =
   let go () =
+    (if verify_each then
+       match Verifier.verify m with
+       | Ok () -> ()
+       | Error diagnostics -> raise (Invalid_input diagnostics));
     let per_pass_stats = ref [] in
     let per_pass_time = ref [] in
     List.iter

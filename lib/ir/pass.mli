@@ -29,14 +29,17 @@ exception
     diagnostics : Verifier.diag list;
   }
 
+(** The module failed verification before the first pass ran. *)
+exception Invalid_input of Verifier.diag list
+
 type pipeline_result = {
   per_pass_stats : (string * Stats.t) list;
   per_pass_time : (string * float) list;  (** seconds *)
 }
 
 (** Run a pipeline over a module. With [verify_each] (default), the
-    verifier runs after every pass and failures are attributed to the
-    pass that just ran; [instrumentations] fire around every pass
+    verifier runs on the input, raising {!Invalid_input}, and after every
+    pass, raising {!Pass_failed} for the pass that just ran; [instrumentations] fire around every pass
     execution (see {!Instrument}). [remarks_sink] scopes an
     optimization-remark sink to exactly this pipeline run
     ({!Remarks.with_sink}): it is popped on the way out, so nested or

@@ -35,6 +35,10 @@ let diag_to_string d =
       (Loc.diag_prefix d.d_loc)
       d.message d.d_context (Printer.summary op) chain
 
+let failure what diags =
+  Printf.sprintf "%s failed verification: %s" what
+    (String.concat "; " (List.map diag_to_string diags))
+
 let verify ?(allow_unregistered = true) (top : Core.op) =
   let diags = ref [] in
   let fail ?op fmt =
@@ -56,17 +60,20 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
           fail ~op "operand %d does not dominate its use" i)
       op.Core.operands;
     (* Registration and op-specific checks. *)
-    (match Op_registry.lookup op.Core.name with
-    | Some info -> (
-      match info.Op_registry.verify op with
-      | Ok () -> ()
-      | Error msg -> fail ~op "%s" msg)
-    | None ->
-      if not allow_unregistered then
-        fail ~op "unregistered operation '%s'" op.Core.name);
+    let info =
+      match Op_registry.registered op with
+      | Some info ->
+        (match info.Op_registry.verify op with
+        | Ok () -> ()
+        | Error msg -> fail ~op "%s" msg);
+        info
+      | None ->
+        if not allow_unregistered then
+          fail ~op "unregistered operation '%s'" op.Core.name;
+        Op_registry.default_info
+    in
     (* Region structure: every non-empty block in a code-bearing region
        must end with a terminator when the op expects sequential bodies. *)
-    let info = Op_registry.info op in
     (match info.Op_registry.control with
     | Op_registry.Leaf -> ()
     | Op_registry.Seq | Op_registry.Branch | Op_registry.Loop ->
@@ -88,7 +95,7 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
     (* Successor sanity: only terminators may carry successors, and every
        successor must be a block of the region enclosing this op. *)
     if Core.num_successors op > 0 then begin
-      if not (Op_registry.is_terminator op) then
+      if not info.Op_registry.terminator then
         fail ~op "only terminators may have block successors";
       let enclosing_blocks =
         match op.Core.parent_block with

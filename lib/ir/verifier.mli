@@ -15,6 +15,9 @@ type diag = {
     position; structured locations also print their full chain. *)
 val diag_to_string : diag -> string
 
+(** ["<what> failed verification: <diag>; <diag>..."]. *)
+val failure : string -> diag list -> string
+
 (** Verify an op and everything nested in it. With
     [allow_unregistered = false], operations without a registry entry are
     also reported. *)

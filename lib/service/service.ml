@@ -75,9 +75,6 @@ let wall_bounds =
 
 let create ?(cache_capacity = 256) ?workers ?(verify_each = false) ~pipeline
     ~pipeline_key () =
-  (* All dialect registration must be done by now: workers read the op
-     registry concurrently, which is only safe against a frozen table. *)
-  Op_registry.freeze ();
   let n_workers =
     match workers with
     | Some w -> max 1 w
@@ -167,9 +164,9 @@ let release t key entry =
       Condition.broadcast t.cond;
       !evicted)
 
-(* Release a claim without publishing (parse errors never reach here,
-   but a truly unexpected exception must not strand coalesced waiters:
-   they wake, find neither entry nor claim, and compile themselves). *)
+(* Release a claim without publishing. A compile that raised must not
+   strand coalesced waiters: they wake, find neither entry nor claim, and
+   compile themselves. *)
 let abandon t key =
   Mutex.protect t.mutex (fun () ->
       Hashtbl.remove t.pending key;
@@ -230,7 +227,7 @@ let process t (rq : request) : response =
           "service-cost"
       in
       let collected = ref [] in
-      let outcome =
+      let compiled =
         match
           Remarks.isolated
             (fun r -> collected := r :: !collected)
@@ -238,28 +235,34 @@ let process t (rq : request) : response =
               Pass.run_pipeline ~verify_each:t.verify_each
                 ~instrumentations:[ cost_instr ] t.pipeline m)
         with
-        | (_ : Pass.pipeline_result) -> Success (Printer.to_string m)
+        | (_ : Pass.pipeline_result) -> Ok (Success (Printer.to_string m))
+        | exception Pass.Invalid_input diagnostics ->
+          Ok (Failure (Verifier.failure "input" diagnostics))
         | exception Pass.Pass_failed { pass; diagnostics } ->
-          Failure
-            (Printf.sprintf "pass %s failed verification: %s" pass
-               (String.concat "; "
-                  (List.map Verifier.diag_to_string diagnostics)))
-        | exception e ->
-          abandon t key;
-          raise e
+          Ok (Failure (Verifier.failure ("pass " ^ pass) diagnostics))
+        | exception e -> Error e
       in
-      let remarks = List.rev !collected in
-      let entry =
-        { c_outcome = outcome; c_remarks = remarks; c_cost = !cost;
-          c_last_use = 0 }
-      in
-      let evicted = release t key entry in
-      Metrics.incr t.reg "service.cache_misses";
-      if evicted > 0 then
-        Metrics.incr t.reg ~by:evicted "service.cache_evictions";
-      Metrics.observe t.reg ~bounds:cost_bounds "service.compile_cost_units"
-        !cost;
-      finish ~outcome ~hit:false ~remarks ~cost:!cost)
+      match compiled with
+      | Error e ->
+        (* Answered like a parse error: counted, never cached. *)
+        abandon t key;
+        Metrics.incr t.reg "service.errors";
+        finish
+          ~outcome:(Failure ("compile raised " ^ Printexc.to_string e))
+          ~hit:false ~remarks:[] ~cost:0
+      | Ok outcome ->
+        let remarks = List.rev !collected in
+        let entry =
+          { c_outcome = outcome; c_remarks = remarks; c_cost = !cost;
+            c_last_use = 0 }
+        in
+        let evicted = release t key entry in
+        Metrics.incr t.reg "service.cache_misses";
+        if evicted > 0 then
+          Metrics.incr t.reg ~by:evicted "service.cache_evictions";
+        Metrics.observe t.reg ~bounds:cost_bounds "service.compile_cost_units"
+          !cost;
+        finish ~outcome ~hit:false ~remarks ~cost:!cost)
 
 let deliver_remarks (rs : response) = List.iter Remarks.broadcast rs.rs_remarks
 

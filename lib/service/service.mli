@@ -23,10 +23,11 @@
     The cache is bounded: beyond [cache_capacity] entries the least
     recently used entry is evicted (and re-requesting it recompiles).
 
+    A request that fails to parse, or whose compile raises an exception,
+    is answered with a {!Failure}, counted in [service.errors] and never
+    cached; the service keeps answering later requests.
+
     Thread-safety prerequisites (the service enforces/relies on these):
-    - {!create} calls [Op_registry.freeze] — all dialects must be
-      registered (init functions called) before the first service is
-      created;
     - op/value ids come from an atomic counter ([Core.next_id]), so
       modules built on different domains never share ids;
     - remarks are captured per request with [Remarks.isolated] on the
@@ -58,7 +59,9 @@ type request = {
 
 type outcome =
   | Success of string  (** printed module after the pipeline *)
-  | Failure of string  (** parse error or pass failure, human-readable *)
+  | Failure of string
+      (** parse error, verification failure or a compile that raised,
+          human-readable *)
 
 type response = {
   rs_name : string;
@@ -78,8 +81,7 @@ type t
     [workers] (default [Domain.recommended_domain_count ()]) bounds how
     many domains of the shared {!Sycl_obs.Pool} {!run_batch} uses;
     [verify_each] (default false) runs
-    the verifier after every pass of every compile. Freezes the op
-    registry. *)
+    the verifier after every pass of every compile. *)
 val create :
   ?cache_capacity:int ->
   ?workers:int ->

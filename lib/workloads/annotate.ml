@@ -89,9 +89,10 @@ let synth_args (m : Core.op) ~(size : int) : H.hv list =
                 (Types.to_string t))))
     (Core.block_args (Core.func_body main))
 
-(** Parse [path], compile it under [cfg] (with [instrumentations]
-    around every pass) and execute [main] with synthesized arguments
-    under the simulator settings [sim].
+(** Parse and verify [path], compile it under [cfg] (with
+    [instrumentations] around every pass) and execute [main] with
+    synthesized arguments under the simulator settings [sim]. A parse or
+    verification failure raises {!File_error}.
     The parser stamps every op with its position in the file — under the
     basename, so the report (and any golden comparison against it) is
     independent of the invocation directory. *)
@@ -101,8 +102,13 @@ let run_file ?sim (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error msg -> raise (File_error msg)
   in
-  ignore (Common.fresh_module ());
-  let m = Parser.parse_module ~file:(Filename.basename path) text in
+  let m =
+    try Parser.parse_module ~file:(Filename.basename path) text
+    with Parser.Parse_error msg -> raise (File_error ("parse error: " ^ msg))
+  in
+  (match Verifier.verify m with
+  | Ok () -> ()
+  | Error ds -> raise (File_error (Verifier.failure "input" ds)));
   ignore (Common.Driver.compile ?instrumentations cfg m);
   let args = synth_args m ~size in
   (m, Common.run_host ?sim m args)

@@ -298,13 +298,6 @@ let entry_of_comparison ~sim (c : Common.comparison) : entry =
    the hit rate lands at exactly 1/2 (the capacity is far above the
    suite size — no evictions, hence deterministic counters). *)
 let collect_service (workloads : Common.workload list) : service_metrics =
-  (* Creating the service freezes the op registry, so every dialect must
-     have registered by now — do it explicitly rather than relying on a
-     workload builder having run first. *)
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
   let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
   let pipeline =
     Sycl_core.Driver.host_pipeline cfg @ Sycl_core.Driver.device_pipeline cfg
@@ -349,9 +342,6 @@ let collect_service (workloads : Common.workload list) : service_metrics =
 
 let collect ?(sim = Sycl_sim.Sim_config.default) ~label
     (workloads : Common.workload list) : report =
-  (* Sequence explicitly: record fields evaluate in unspecified order,
-     and the measurements must not run against a registry frozen by the
-     service sweep before the dialects initialized. *)
   let entries =
     List.map
       (fun w -> entry_of_comparison ~sim (Common.compare_workload ~sim w))

@@ -76,13 +76,7 @@ let check_array ?(tol = 1e-3) (a : Memory.allocation) (expected : float array) =
     expected;
   !ok
 
-(** A fresh module with all dialects registered. *)
-let fresh_module () =
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ();
-  Core.create_module ()
+let fresh_module () = Core.create_module ()
 
 (* ------------------------------------------------------------------ *)
 (* Measurement harness                                                 *)

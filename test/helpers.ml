@@ -2,15 +2,7 @@
 
 open Mlir
 
-let init () =
-  Dialects.Register.init ();
-  Sycl_core.Sycl_ops.init ();
-  Sycl_core.Sycl_host_ops.init ();
-  Sycl_core.Licm.init ()
-
-let fresh_module () =
-  init ();
-  Core.create_module ()
+let fresh_module () = Core.create_module ()
 
 (** A module with a single function [name] whose body is built by [f]. *)
 let with_func ?(name = "f") ?(args = []) ?(results = []) f =

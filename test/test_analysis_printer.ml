@@ -19,7 +19,6 @@ let check_contains report needle =
     (contains ~needle report)
 
 let printed_analyses () =
-  Helpers.init ();
   let src = In_channel.with_open_text matmul_path In_channel.input_all in
   let m = Parser.parse_module src in
   let buf = Buffer.create 1024 in

@@ -17,7 +17,6 @@ let matmul_text () =
    synthesized size-16 arguments — exactly what
    `sycl-bench --file examples/matmul.mlir` does. *)
 let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
-  Helpers.init ();
   let m = Parser.parse_module ~file:"matmul.mlir" (matmul_text ()) in
   ignore
     (Sycl_core.Driver.compile (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
@@ -32,7 +31,6 @@ let check_launches (r : H.run_result) =
 (* Compile a located workload with the default SYCL-MLIR pipeline and run
    it on its own data. *)
 let run_workload ?cache_model (w : Common.workload) =
-  Helpers.init ();
   let w = Annotate.located_workload w in
   let m = w.Common.w_module () in
   ignore
@@ -297,7 +295,6 @@ let tests_list =
         | [] -> Alcotest.fail "empty delta"));
     Alcotest.test_case "delta report: optimization shows on a remark line"
       `Quick (fun () ->
-        Helpers.init ();
         let ds, remarks =
           Annotate.delta_report ~sim:Helpers.sim (Polybench.gemm ~n:16)
         in
@@ -315,7 +312,6 @@ let tests_list =
         (* The internalized GEMM executes cooperative prefetches with
            work-group barriers — the barrier-round accounting must both
            conserve and attribute to the barrier op itself. *)
-        Helpers.init ();
         let w = Annotate.located_workload (Polybench.gemm ~n:16) in
         let m = w.Common.w_module () in
         ignore
@@ -343,7 +339,6 @@ let tests_list =
         Alcotest.(check bool) "barrier rounds attributed to barrier ops" true
           (barrier_rows <> []));
     Alcotest.test_case "fuzzed workload: conservation oracle" `Quick (fun () ->
-        Helpers.init ();
         let rng = Random.State.make [| 7; 21 |] in
         let w = Differential.random_workload rng in
         match Differential.check_attribution ~sim:Helpers.sim w with

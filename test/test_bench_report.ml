@@ -292,7 +292,6 @@ let tests_list =
           (List.length (BR.compare_reports ~baseline:base removed)));
     Alcotest.test_case "measured snapshot round-trips and self-compares clean"
       `Slow (fun () ->
-        Helpers.init ();
         let r =
           BR.collect ~label:"test" [ W.Single_kernel.vec_add ~n:256 ]
         in

@@ -26,7 +26,6 @@ let contains ~needle hay =
 (* Parse + compile the matmul example exactly like `sycl-bench --file`,
    then run it under [cache_model]. *)
 let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
-  Helpers.init ();
   let m = Parser.parse_module ~file:"matmul.mlir" (matmul_text ()) in
   ignore
     (Sycl_core.Driver.compile
@@ -36,7 +35,6 @@ let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
   (m, H.run ~sim_domains ?cache_model ~module_op:m args)
 
 let run_workload ?cache_model (w : Common.workload) =
-  Helpers.init ();
   let m = w.Common.w_module () in
   ignore
     (Sycl_core.Driver.compile
@@ -165,7 +163,6 @@ let tests_list =
     Alcotest.test_case
       "barrier (gemm) and stencil (jacobi) runs conserve exactly" `Quick
       (fun () ->
-        Helpers.init ();
         List.iter
           (fun model ->
             let gemm =
@@ -254,7 +251,6 @@ let tests_list =
            optimized pipeline fuses source locations, so a runtime row
            inherits a prediction when its location names a predicted
            source line and no streaming one. *)
-        Helpers.init ();
         let src = Parser.parse_module ~file:"matmul.mlir" (matmul_text ()) in
         AP.set_sink ignore;
         ignore (Pass.run_pipeline [ AP.print_reuse ] src);
@@ -312,7 +308,6 @@ let tests_list =
         (* The oracle's flat leg compares an explicit flat run with a run
            given no settings; the caller's model must not leak into
            either. *)
-        Helpers.init ();
         let sim =
           { Helpers.sim with Sycl_sim.Sim_config.cache_model = Cost.Direct_mapped }
         in

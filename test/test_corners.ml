@@ -85,7 +85,6 @@ let tests_list =
         Alcotest.(check (float 1e-6)) "dim 1 is 7" 7.0
           (Memory.get_float data 0));
     Alcotest.test_case "parser rejects malformed sycl types" `Quick (fun () ->
-        Helpers.init ();
         List.iter
           (fun src ->
             match Parser.parse_string src with
@@ -98,7 +97,6 @@ let tests_list =
             "f() ({ ^bb0(%a: !sycl.nosuchtype<1>): })";
           ]);
     Alcotest.test_case "parser handles negative float attrs" `Quick (fun () ->
-        Helpers.init ();
         let op =
           Parser.parse_string
             "%0 = arith.constant() {value = -3.0} : () -> (f32)"

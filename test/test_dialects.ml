@@ -34,7 +34,6 @@ let fold_agrees name (build : Builder.t -> Core.value -> Core.value -> Core.valu
 let tests_list =
   [
     Alcotest.test_case "memory effects: load reads, store writes" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func ~args:[ Types.memref_dyn Types.f32 ] (fun b vals ->
               let mem = List.hd vals in
@@ -48,7 +47,6 @@ let tests_list =
         check_bool "load does not write" true (R.writes_memory load = Some false);
         check_bool "store writes" true (R.writes_memory store = Some true));
     Alcotest.test_case "pure ops have no effects" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func (fun b _ ->
               let x = A.const_int b 1 in
@@ -58,25 +56,21 @@ let tests_list =
         check_bool "pure" true (R.is_pure add);
         check_bool "speculatable" true (R.is_speculatable add));
     Alcotest.test_case "scf.for is a Loop with pure shell" `Quick (fun () ->
-        Helpers.init ();
         check_bool "loop control" true
           ((Option.get (R.lookup "scf.for")).R.control = R.Loop);
         check_bool "yield is terminator" true
           (Option.get (R.lookup "scf.yield")).R.terminator);
     Alcotest.test_case "barrier reads and writes anywhere" `Quick (fun () ->
-        Helpers.init ();
         let _m, f = Helpers.with_func (fun b _ -> Dialects.Gpu.barrier b) in
         let bar = List.hd (Core.collect_named f "gpu.barrier") in
         check_bool "not pure" false (R.is_pure bar);
         check_bool "writes" true (R.writes_memory bar = Some true));
     Alcotest.test_case "sycl getters: uniformity trait" `Quick (fun () ->
-        Helpers.init ();
         check_bool "global id is non-uniform source" true
           (Option.get (R.lookup "sycl.nd_item.get_global_id")).R.non_uniform_source;
         check_bool "group id is uniform" false
           (Option.get (R.lookup "sycl.nd_item.get_group_id")).R.non_uniform_source);
     Alcotest.test_case "sycl.constructor writes its out-operand" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func (fun b _ ->
               let id =
@@ -92,7 +86,6 @@ let tests_list =
           (R.memory_effects ctor = Some [ (R.Write, R.On_operand 0) ]));
     Alcotest.test_case "direct subscript is pure; id-struct subscript reads" `Quick
       (fun () ->
-        Helpers.init ();
         let acc_ty = Sycl_core.Sycl_types.accessor ~dims:2 Types.f32 in
         let _m, f =
           Helpers.with_func ~args:[ acc_ty ] (fun b vals ->
@@ -113,7 +106,6 @@ let tests_list =
           check_bool "via id reads" true (R.reads_memory via_id = Some true)
         | _ -> Alcotest.fail "expected two subscripts");
     Alcotest.test_case "memref.dim folds for static shapes" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func (fun b _ ->
               let mem = Dialects.Memref.alloca b [ 4; 8 ] Types.f32 in
@@ -125,7 +117,6 @@ let tests_list =
           | Some (R.Fold_attrs [ Attr.Int 8 ]) -> true
           | _ -> false));
     Alcotest.test_case "select folds on constant condition" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func (fun b _ ->
               let c = A.const_bool b true in
@@ -141,7 +132,6 @@ let tests_list =
           | Some (R.Fold_values [ v ]) -> Core.value_equal v (Core.operand sel 1)
           | _ -> false));
     Alcotest.test_case "addi identity x+0" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func ~args:[ Types.i64 ] (fun b vals ->
               let x = List.hd vals in
@@ -154,7 +144,6 @@ let tests_list =
           | Some (R.Fold_values [ v ]) -> Core.value_equal v (Core.operand add 0)
           | _ -> false));
     Alcotest.test_case "affine.for accessor helpers" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func ~args:[ Types.Index ] (fun b vals ->
               let n = List.hd vals in
@@ -172,6 +161,19 @@ let tests_list =
           (List.length (Dialects.Affine_ops.for_ub_operands loop));
         check_int "no lb operands" 0
           (List.length (Dialects.Affine_ops.for_lb_operands loop)));
+    Alcotest.test_case "a second registration replaces the info" `Quick
+      (fun () ->
+        let name = "test.reregistered" in
+        R.register name R.default_info;
+        R.register name R.pure_info;
+        let _m, f =
+          Helpers.with_func (fun b _ ->
+              Builder.op0 b name ~operands:[])
+        in
+        let op = List.hd (Core.collect_named f name) in
+        check_bool "pure" true (R.is_pure op);
+        check_bool "speculatable" true
+          (Option.get (R.lookup name)).R.speculatable);
     Alcotest.test_case "func declaration vs definition" `Quick (fun () ->
         let m = Helpers.fresh_module () in
         let d = Dialects.Func.declare m "ext" ~args:[ Types.i64 ] ~results:[] in

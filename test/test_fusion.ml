@@ -9,6 +9,7 @@ module A = Dialects.Arith
 module Memory = Sycl_sim.Memory
 module HI = Sycl_runtime.Host_interp
 module Interp = Sycl_sim.Interp
+module W = Sycl_workloads
 
 let harg a = HI.Scalar (Interp.Mem (Memory.full_view a))
 let iarg n = HI.Scalar (Interp.I n)
@@ -303,6 +304,40 @@ let tests_list =
         let stats = Pass.Stats.create () in
         Sycl_core.Kernel_fusion.pass.Pass.run m stats;
         Alcotest.(check int) "no fusion" 0 (Pass.Stats.get stats "fusion.fused"));
+    Alcotest.test_case "fused names depend only on the module" `Quick (fun () ->
+        (* The fusion counter used to be process-global, so a second
+           compile of the same module named its kernels _fused3 and
+           _fused4 instead of _fused1 and _fused2. *)
+        let compile () =
+          let m = (W.Extensions.elementwise_chain ~n:64).W.Common.w_module () in
+          ignore
+            (Sycl_core.Driver.compile
+               (Sycl_core.Driver.config ~enable_fusion:true
+                  Sycl_core.Driver.Sycl_mlir)
+               m);
+          m
+        in
+        let first = compile () in
+        Alcotest.(check string) "second compile" (Printer.to_string first)
+          (Printer.to_string (compile ()));
+        Alcotest.(check (list string)) "the kernel of the first compile"
+          [ "chain_add_chain_sq_fused1_chain_sub_fused2" ]
+          (List.map Core.func_sym
+             (List.filter Sycl_core.Uniformity.is_kernel (Core.funcs first))));
+    Alcotest.test_case "a fused name skips a symbol the module defines" `Quick
+      (fun () ->
+        let m = (W.Extensions.elementwise_chain ~n:64).W.Common.w_module () in
+        ignore
+          (Dialects.Func.func m "chain_add_chain_sq_fused1" ~args:[] ~results:[]
+             (fun b _ -> Dialects.Func.return b []));
+        ignore
+          (Pass.run_pipeline
+             [ Sycl_core.Host_raising.pass; Sycl_core.Kernel_fusion.pass ] m);
+        let syms = List.map Core.func_sym (Core.funcs m) in
+        Alcotest.(check int) "symbols stay distinct"
+          (List.length syms) (List.length (List.sort_uniq compare syms));
+        Alcotest.(check bool) "the fused kernel took the next number" true
+          (List.mem "chain_add_chain_sq_fused2_chain_sub_fused3" syms));
   ]
 
 let tests = ("kernel-fusion", tests_list)

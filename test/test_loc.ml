@@ -55,7 +55,6 @@ let constructor_cases =
 (* ------------------------------------------------------------------ *)
 
 let parse_one_op src =
-  Helpers.init ();
   let m = Parser.parse_module ~file:"in.mlir" src in
   let fn = List.hd (Core.module_block m).Core.body in
   (m, fn)
@@ -134,7 +133,6 @@ let parser_cases =
           (contains s "loc("));
     Alcotest.test_case "checked-in debuginfo golden round-trips byte-identically"
       `Quick (fun () ->
-        Helpers.init ();
         let src =
           In_channel.with_open_text "../examples/matmul.loc.mlir"
             In_channel.input_all
@@ -276,7 +274,6 @@ let diagnostics_cases =
   [
     Alcotest.test_case "remarks render the anchor op's position" `Quick
       (fun () ->
-        Helpers.init ();
         let op =
           Core.create_op "arith.addi" ~operands:[] ~result_types:[]
             ~loc:(Loc.file ~file:"mm.cpp" ~line:42 ~col:7)
@@ -295,7 +292,6 @@ let diagnostics_cases =
           (contains (Remarks.to_string r) "mm.cpp:42:7:"));
     Alcotest.test_case "full pipeline emits located remarks for parsed IR"
       `Quick (fun () ->
-        Helpers.init ();
         let src =
           In_channel.with_open_text "../examples/matmul.mlir"
             In_channel.input_all

@@ -40,7 +40,6 @@ let tests_list =
         Alcotest.(check bool) "accessor detected" true
           (S.is_accessor (S.local_accessor ~dims:1 Types.f32)));
     Alcotest.test_case "printer summary is concise" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func ~args:[ Types.i64 ] (fun b vals ->
               ignore (A.addi b (List.hd vals) (List.hd vals)))
@@ -51,7 +50,6 @@ let tests_list =
           (String.length s < 40
           && String.sub s 0 10 = "arith.addi"));
     Alcotest.test_case "effects_on_value distinguishes operands" `Quick (fun () ->
-        Helpers.init ();
         let _m, f =
           Helpers.with_func
             ~args:[ Types.memref_dyn Types.f32; Types.memref_dyn Types.f32 ]

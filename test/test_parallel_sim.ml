@@ -222,7 +222,6 @@ let tests_list =
            tasks of one pool job: each run sees only its own settings. *)
         let module Common = Sycl_workloads.Common in
         let module Sim_config = Sycl_sim.Sim_config in
-        Helpers.init ();
         let configs =
           [| { Sim_config.default with cache_model = Cost.Direct_mapped };
              Sim_config.default |]

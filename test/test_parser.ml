@@ -4,26 +4,22 @@ open Mlir
 
 let roundtrip name src_builder =
   Alcotest.test_case name `Quick (fun () ->
-      Helpers.init ();
       let m = src_builder () in
       let s = Printer.to_string m in
       let m' = Parser.parse_module s in
       Alcotest.(check string) "round trip" s (Printer.to_string m'))
 
 let parse_type s =
-  Helpers.init ();
   let p = Parser.make_parser s in
   Parser.parse_type p
 
 let type_roundtrip name ty =
   Alcotest.test_case ("type " ^ name) `Quick (fun () ->
-      Helpers.init ();
       let s = Types.to_string ty in
       Alcotest.(check string) "type round trip" s (Types.to_string (parse_type s)))
 
 let attr_roundtrip name a =
   Alcotest.test_case ("attr " ^ name) `Quick (fun () ->
-      Helpers.init ();
       let s = Attr.to_string a in
       let p = Parser.make_parser s in
       let a' = Parser.parse_attr p in
@@ -31,7 +27,6 @@ let attr_roundtrip name a =
 
 let parse_fails name src =
   Alcotest.test_case ("error: " ^ name) `Quick (fun () ->
-      Helpers.init ();
       match Parser.parse_module src with
       | _ -> Alcotest.fail "expected a parse error"
       | exception Parser.Parse_error _ -> ())
@@ -149,14 +144,12 @@ let tests_list =
     parse_fails "result arity mismatch"
       "builtin.module() ({ %0, %1 = arith.constant() {value = 1} : () -> (i32) })";
     Alcotest.test_case "parse accepts comments and whitespace" `Quick (fun () ->
-        Helpers.init ();
         let m =
           Parser.parse_module
             "// leading comment\nbuiltin.module() ({\n  // inner\n})"
         in
         Alcotest.(check bool) "is module" true (Core.is_module m));
     Alcotest.test_case "parse_string on non-module op" `Quick (fun () ->
-        Helpers.init ();
         let op = Parser.parse_string "%0 = arith.constant() {value = 3} : () -> (i64)" in
         Alcotest.(check int) "constant value" 3
           (Option.get (Dialects.Arith.constant_int op)));

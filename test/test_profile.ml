@@ -11,7 +11,6 @@ module Profile = Sycl_sim.Profile
 module Trace = Sycl_obs.Trace
 
 let run_workload cache_model (w : Common.workload) =
-  Helpers.init ();
   let m = w.Common.w_module () in
   ignore
     (Sycl_core.Driver.compile

@@ -188,6 +188,39 @@ let test_file_report_sections () =
   Alcotest.(check (list string)) "same sections as a named workload"
     (names named) (names report)
 
+(* [--file] verifies what it parses: a malformed or unparsable module is
+   a [File_error] carrying the diagnostic, not an exception from a pass. *)
+let test_file_rejects_malformed () =
+  let run text =
+    let path = Filename.temp_file "run_file" ".mlir" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc text);
+        match
+          Annotate.run_file ~sim:Helpers.sim
+            (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+            path
+        with
+        | _ -> Alcotest.fail "the malformed module ran"
+        | exception Annotate.File_error msg -> (Filename.basename path, msg))
+  in
+  let file, msg =
+    run
+      "builtin.module() ({\n\
+      \  func.func() ({\n\
+      \  ^bb0(%0: index):\n\
+      \    %1 = arith.addi(%0) : (index) -> (index)\n\
+      \    func.return()\n\
+      \  }) {function_type = (index) -> (), sym_name = \"main\"}\n\
+       })\n"
+  in
+  check msg true
+    (String.starts_with msg
+       ~prefix:("input failed verification: " ^ file ^ ":4:5: arith.addi takes 2"));
+  let _, msg = run "not mlir" in
+  check msg true (String.starts_with msg ~prefix:"parse error: ")
+
 let tests =
   ( "report",
     [
@@ -202,4 +235,6 @@ let tests =
         `Quick test_sections_domain_independent;
       Alcotest.test_case "--file report has metrics and trace" `Quick
         test_file_report_sections;
+      Alcotest.test_case "--file rejects a malformed module with its diagnostic"
+        `Quick test_file_rejects_malformed;
     ] )

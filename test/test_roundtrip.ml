@@ -10,7 +10,6 @@ open Mlir
    textually and structurally (Attr.equal is nan-safe). *)
 let attr_case name a =
   Alcotest.test_case ("attr " ^ name) `Quick (fun () ->
-      Helpers.init ();
       let op =
         Core.create_op "test.op" ~operands:[] ~result_types:[]
           ~attrs:[ ("value", a) ]
@@ -25,7 +24,6 @@ let attr_case name a =
 
 let parse_op_fails name src =
   Alcotest.test_case ("error: " ^ name) `Quick (fun () ->
-      Helpers.init ();
       match Parser.parse_string src with
       | _ -> Alcotest.fail "expected a parse error"
       | exception Parser.Parse_error _ -> ())
@@ -93,7 +91,6 @@ let regression_cases =
     parse_op_fails "truncated hex string escape"
       "test.op() {s = \"a\\x4\"}";
     Alcotest.test_case "hex string escape reads back" `Quick (fun () ->
-        Helpers.init ();
         let op = Parser.parse_string "test.op() {s = \"a\\x00\\x7Fb\"}" in
         Alcotest.(check bool) "bytes" true
           (Core.attr op "s" = Some (Attr.String "a\000\127b")));
@@ -101,7 +98,6 @@ let regression_cases =
        dynamic-dim preprocessing pass over the raw source. *)
     Alcotest.test_case "question mark in string with dynamic memref" `Quick
       (fun () ->
-        Helpers.init ();
         let op =
           Parser.parse_string
             "%0 = test.op() {s = \"really?\"} : () -> (memref<? x f32>)"
@@ -113,7 +109,6 @@ let regression_cases =
           (Printer.to_string (Parser.parse_string s)));
     (* -infinity and dense_f specials used to fail to re-parse. *)
     Alcotest.test_case "negative infinity parses" `Quick (fun () ->
-        Helpers.init ();
         let op =
           Parser.parse_string
             "%0 = arith.constant() {value = -infinity} : () -> (f64)"
@@ -175,7 +170,6 @@ let cfg_cases =
       (fun () ->
         (* Regression: a single-block region whose block is a successor
            target must print a ^bb0 header or the branch cannot re-parse. *)
-        Helpers.init ();
         let b = Core.create_block () in
         let op =
           Core.create_op "test.wrap" ~operands:[] ~result_types:[]
@@ -245,7 +239,6 @@ let cfg_cases =
 let irgen_cases =
   [
     Alcotest.test_case "irgen battery (200 seeds)" `Quick (fun () ->
-        Helpers.init ();
         for seed = 0 to 199 do
           let g = Irgen.create seed in
           match Difftest.check_roundtrip (Irgen.gen_module g) with

@@ -1,9 +1,6 @@
 (* The compile service (lib/service): content-addressed caching,
    coalescing, LRU eviction, multi-domain safety of the id mint and the
-   op registry, and exactly-once remark delivery.
-
-   This suite runs LAST: creating a service freezes the op registry, and
-   the freeze-semantics test registers on purpose. *)
+   op registry, and exactly-once remark delivery. *)
 
 open Mlir
 module Service = Sycl_service.Service
@@ -39,12 +36,29 @@ let module_text_reformatted k =
 let pipeline () = [ Sycl_core.Canonicalize.pass ]
 
 let make_service ?(capacity = 64) ?(workers = 4) () =
-  Helpers.init ();
   let pipeline = pipeline () in
   Service.create ~cache_capacity:capacity ~workers ~pipeline
     ~pipeline_key:(Service.pipeline_key_of_passes pipeline) ()
 
 let rq ?(name = "m") k = { Service.rq_name = name; rq_text = module_text k }
+
+(* Canonicalize indexes the second operand of this malformed arith.addi
+   and raises Invalid_argument. *)
+let raising_text =
+  "builtin.module() ({\n\
+  \  func.func() ({\n\
+  \    %0 = arith.constant() {value = 1} : () -> (index)\n\
+  \    %1 = arith.addi(%0) : (index) -> (index)\n\
+  \    func.return(%1) : (index) -> ()\n\
+  \  }) {function_type = () -> (index), sym_name = \"f\"}\n\
+   })\n"
+
+(* The printed result of running [pipeline] over [text] on this domain,
+   without a service. *)
+let direct_compile pipeline text =
+  let m = Parser.parse_module text in
+  ignore (Pass.run_pipeline ~verify_each:false pipeline m);
+  Printer.to_string m
 let counter s n = Metrics.counter_value (Service.metrics s) n
 
 let success (rs : Service.response) =
@@ -67,18 +81,6 @@ let tests_list =
         let distinct = List.sort_uniq compare all in
         Alcotest.(check int) "no duplicate ids" (4 * per_domain)
           (List.length distinct));
-    Alcotest.test_case "creating a service freezes the op registry" `Quick
-      (fun () ->
-        let _s = make_service () in
-        Alcotest.(check bool) "frozen" true (Op_registry.is_frozen ());
-        (* Dialect init functions are idempotent and must stay callable. *)
-        Helpers.init ();
-        Alcotest.(check bool) "known op still registered" true
-          (Op_registry.is_registered "arith.constant");
-        (* A brand-new name is a programming error once workers exist. *)
-        match Op_registry.register_pure "test.post_freeze_op" with
-        | () -> Alcotest.fail "expected Invalid_argument for a new name"
-        | exception Invalid_argument _ -> ());
     Alcotest.test_case "identical in-flight requests coalesce to one compile"
       `Quick (fun () ->
         let s = make_service () in
@@ -116,7 +118,6 @@ let tests_list =
           (success r2));
     Alcotest.test_case "pass list and driver config change the cache key"
       `Quick (fun () ->
-        Helpers.init ();
         let text = module_text 1 in
         let m = Mlir.Parser.parse_module text in
         let canonical = Service.canonical_text m in
@@ -192,7 +193,6 @@ let tests_list =
     Alcotest.test_case
       "remarks arrive exactly once, in request order, and replay on hits"
       `Quick (fun () ->
-        Helpers.init ();
         (* A synthetic pass emitting one remark per function, tagged with
            the function's name — so delivery order is observable. *)
         let noisy =
@@ -255,6 +255,126 @@ let tests_list =
            regardless of scheduling. *)
         Alcotest.(check int) "misses" 3 (counter s "service.cache_misses");
         Alcotest.(check int) "hits" 9 (counter s "service.cache_hits"));
+    Alcotest.test_case "a batch that fuses kernels equals direct compiles"
+      `Quick (fun () ->
+        (* b's first kernel reads get_id dimension 1, so only its second
+           and third kernels fuse; a process-global fusion counter named
+           that kernel _fused3 in the batch and _fused1 alone. *)
+        let a =
+          Printer.to_string
+            ((Sycl_workloads.Extensions.elementwise_chain ~n:64)
+               .Sycl_workloads.Common.w_module ())
+        in
+        let get_id_dim d =
+          Printf.sprintf "    %%4 = arith.constant() {value = %d} : () -> (i32)" d
+        in
+        let b =
+          String.concat "\n"
+            (List.mapi
+               (fun i l ->
+                 if i <> 3 then l
+                 else begin
+                   Alcotest.(check string) "line 4" (get_id_dim 0) l;
+                   get_id_dim 1
+                 end)
+               (String.split_on_char '\n' a))
+        in
+        let pipeline =
+          [ Sycl_core.Host_raising.pass; Sycl_core.Kernel_fusion.pass ]
+        in
+        let s =
+          Service.create ~workers:1 ~pipeline
+            ~pipeline_key:(Service.pipeline_key_of_passes pipeline) ()
+        in
+        let responses =
+          Service.run_batch s
+            [ { Service.rq_name = "a"; rq_text = a };
+              { Service.rq_name = "b"; rq_text = b } ]
+        in
+        List.iter2
+          (fun text rs ->
+            Alcotest.(check string) rs.Service.rs_name
+              (direct_compile pipeline text) (success rs))
+          [ a; b ] responses);
+    Alcotest.test_case "a compile that raises is answered; the service goes on"
+      `Quick (fun () ->
+        let bad = { Service.rq_name = "bad"; rq_text = raising_text } in
+        let good = rq ~name:"good" 7 in
+        let expected = direct_compile (pipeline ()) (module_text 7) in
+        let check_failure (rs : Service.response) =
+          match rs.Service.rs_outcome with
+          | Service.Failure msg ->
+            Alcotest.(check string) "names the exception"
+              "compile raised Invalid_argument(\"index out of bounds\")" msg
+          | Service.Success _ -> Alcotest.fail "the raising request succeeded"
+        in
+        let s1 = make_service () in
+        check_failure (Service.compile_one s1 bad);
+        Alcotest.(check string) "good after bad" expected
+          (success (Service.compile_one s1 good));
+        let s2 = make_service () in
+        (match Service.run_batch s2 [ bad; good ] with
+        | [ r_bad; r_good ] ->
+          check_failure r_bad;
+          Alcotest.(check string) "good in the same batch" expected
+            (success r_good)
+        | _ -> Alcotest.fail "expected two responses");
+        List.iter
+          (fun s ->
+            Alcotest.(check int) "one error" 1 (counter s "service.errors");
+            Alcotest.(check int) "only the good module cached" 1
+              (Service.cache_length s);
+            let again = Service.compile_one s good in
+            Alcotest.(check bool) "still answers from its cache" true
+              again.Service.rs_cache_hit;
+            Alcotest.(check string) "cached bytes" expected (success again))
+          [ s1; s2 ]);
+    Alcotest.test_case "registering during a 4-domain batch is safe" `Quick
+      (fun () ->
+        (* Registration publishes a grown copy of the op table; workers
+           reading it meanwhile see the old table or the new one. *)
+        let cfg = Driver.config Driver.Sycl_mlir in
+        let pipeline = Driver.host_pipeline cfg @ Driver.device_pipeline cfg in
+        let matmul =
+          In_channel.with_open_text "../examples/matmul.mlir"
+            In_channel.input_all
+        in
+        let texts = matmul :: List.init 7 (fun k -> module_text (100 + k)) in
+        let expected = List.map (direct_compile pipeline) texts in
+        let s =
+          Service.create ~workers:4 ~pipeline
+            ~pipeline_key:(Driver.config_key cfg) ()
+        in
+        let stop = Atomic.make false in
+        let registrar =
+          Domain.spawn (fun () ->
+              let n = ref 0 in
+              while (not (Atomic.get stop)) && !n < 500 do
+                Op_registry.register
+                  (Printf.sprintf "test.late_op_%d" !n)
+                  Op_registry.pure_info;
+                incr n;
+                Domain.cpu_relax ()
+              done;
+              !n)
+        in
+        let responses =
+          Service.run_batch s
+            (List.mapi
+               (fun i text ->
+                 { Service.rq_name = string_of_int i; rq_text = text })
+               texts)
+        in
+        Atomic.set stop true;
+        let registered = Domain.join registrar in
+        Alcotest.(check bool) "names were registered" true (registered > 0);
+        List.iter2
+          (fun e rs -> Alcotest.(check string) rs.Service.rs_name e (success rs))
+          expected responses;
+        Alcotest.(check bool) "the last one is visible" true
+          (Op_registry.lookup
+             (Printf.sprintf "test.late_op_%d" (registered - 1))
+          <> None));
   ]
 
 let tests = ("service", tests_list)

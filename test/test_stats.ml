@@ -136,7 +136,6 @@ let tests_list =
       "workload compile: reduction, internalization, host-device, dead-arg \
        counters"
       `Slow (fun () ->
-        Helpers.init ();
         let measure name =
           match W.Suite.find name with
           | Some w ->
@@ -162,7 +161,6 @@ let tests_list =
             "dce/dce.erased" ]);
     Alcotest.test_case "fusion compile: fusion and store-forwarding counters"
       `Quick (fun () ->
-        Helpers.init ();
         let w = W.Extensions.elementwise_chain ~n:2048 in
         let m = w.W.Common.w_module () in
         let compiled =

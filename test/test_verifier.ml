@@ -142,7 +142,6 @@ let tests_list =
           Alcotest.(check string) "pass name" "breaker" pass);
     Alcotest.test_case "sycl.host.set_nd_range checks its rank and operands"
       `Quick (fun () ->
-        Helpers.init ();
         let verify ~dims ~has_local n_sizes =
           let m, _ =
             Helpers.with_func
@@ -175,6 +174,71 @@ let tests_list =
         Alcotest.(check string) "rank 4"
           "sycl.host.set_nd_range: dims = 4, want 1 to 3"
           (verify ~dims:4 ~has_local:false 4));
+    Alcotest.test_case "arith and math ops check their operand and result counts"
+      `Quick (fun () ->
+        (* Canonicalize and the simulator index these operands without
+           checking; each shape below used to verify. *)
+        let verify line =
+          let m =
+            Parser.parse_module
+              (Printf.sprintf
+                 "builtin.module() ({\n\
+                 \  func.func() ({\n\
+                 \  ^bb0(%%0: index, %%1: i1, %%2: f32):\n\
+                 \    %s\n\
+                 \    func.return()\n\
+                 \  }) {function_type = (index, i1, f32) -> (), sym_name = \"f\"}\n\
+                  })\n"
+                 line)
+          in
+          match Verifier.verify m with
+          | Ok () -> "ok"
+          | Error ds -> String.concat "; " (List.map (fun d -> d.Verifier.message) ds)
+        in
+        Alcotest.(check string) "well-formed" "ok"
+          (verify "%3 = arith.select(%1, %0, %0) : (i1, index, index) -> (index)");
+        List.iter
+          (fun (expected, line) -> Alcotest.(check string) line expected (verify line))
+          [
+            ( "arith.addi takes 2 operand(s) and 1 result, got 1 and 1",
+              "%3 = arith.addi(%0) : (index) -> (index)" );
+            ( "arith.cmpi takes 2 operand(s) and 1 result, got 1 and 1",
+              "%3 = arith.cmpi(%0) {predicate = 0} : (index) -> (i1)" );
+            ( "arith.select takes 3 operand(s) and 1 result, got 2 and 1",
+              "%3 = arith.select(%0, %0) : (index, index) -> (index)" );
+            ( "arith.constant takes 0 operand(s) and 1 result, got 1 and 1",
+              "%3 = arith.constant(%0) {value = 1} : (index) -> (index)" );
+            ( "arith.index_cast takes 1 operand(s) and 1 result, got 0 and 1",
+              "%3 = arith.index_cast() : () -> (i64)" );
+            ( "math.sqrt takes 1 operand(s) and 1 result, got 2 and 1",
+              "%3 = math.sqrt(%2, %2) : (f32, f32) -> (f32)" );
+            ( "arith.addf takes 2 operand(s) and 1 result, got 2 and 0",
+              "arith.addf(%2, %2) : (f32, f32) -> ()" );
+          ]);
+    Alcotest.test_case "verify_each verifies the input before the first pass"
+      `Quick (fun () ->
+        let m =
+          Parser.parse_module ~file:"in.mlir"
+            "builtin.module() ({\n\
+            \  func.func() ({\n\
+            \  ^bb0(%0: index):\n\
+            \    scf.for(%0, %0) ({\n\
+            \    ^bb1(%1: index):\n\
+            \      scf.yield()\n\
+            \    }) : (index, index) -> ()\n\
+            \    func.return()\n\
+            \  }) {function_type = (index) -> (), sym_name = \"f\"}\n\
+             })\n"
+        in
+        List.iter
+          (fun passes ->
+            match Pass.run_pipeline ~verify_each:true passes m with
+            | _ -> Alcotest.fail "the malformed input passed"
+            | exception Pass.Invalid_input [ d ] ->
+              Alcotest.(check string) "located diagnostic"
+                "in.mlir:4:5: scf.for needs lb, ub, step"
+                (Loc.diag_prefix d.Verifier.d_loc ^ d.Verifier.message))
+          [ []; [ Sycl_core.Canonicalize.pass ] ]);
   ]
 
 let tests = ("verifier", tests_list)
