@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- stencil — stencil workloads (Section VIII text)
      dune exec bench/main.exe -- geomean — geo-mean summary vs paper numbers
      dune exec bench/main.exe -- ablation— per-optimization contribution table
-     dune exec bench/main.exe -- profile — compile timing tree + Chrome trace
+     dune exec bench/main.exe -- profile — pass timing + Chrome trace
                                            of a simulated GEMM run
      dune exec bench/main.exe -- fuzz [--seed N] [--iters N] [--diff-every N]
                                       [--json PATH]
@@ -162,8 +162,7 @@ let ablation_configs =
      Driver.config ~enable_reduction:false Driver.Sycl_mlir);
     ("without LICM", Driver.config ~enable_licm:false Driver.Sycl_mlir);
     ("without host-device propagation",
-     Driver.config ~enable_host_device:false ~enable_alias_refinement:false
-       Driver.Sycl_mlir);
+     Driver.config ~enable_host_device:false Driver.Sycl_mlir);
   ]
 
 let run_ablation () =
@@ -198,7 +197,8 @@ let run_ablation () =
   List.iter
     (fun (w : Common.workload) ->
       let m = Common.measure ~sim (Driver.config Driver.Sycl_mlir) w in
-      let st k = Mlir.Pass.Stats.get m.Common.m_stats k in
+      let stats = Mlir.Pass.merged_stats m.Common.m_compile in
+      let st k = Mlir.Pass.Stats.get stats k in
       Printf.printf
         "  %-14s reductions rewritten=%d  refs prefetched=%d  divergent-rejected=%d  noalias pairs=%d\n"
         w.Common.w_name
@@ -311,7 +311,7 @@ let run_fuzz () =
       let rng = Random.State.make [| !seed; i |] in
       let w = Differential.random_workload rng in
       let cfg = Driver.config Driver.Sycl_mlir in
-      let passes = Driver.host_pipeline cfg @ Driver.device_pipeline cfg in
+      let passes = Driver.pipeline cfg in
       (match
          Mlir.Difftest.check_pipeline_verified ~passes (w.Common.w_module ())
        with
@@ -330,9 +330,9 @@ let run_fuzz () =
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
-      (* Oracle (e): telemetry neutrality — enabling timing
-         instrumentation and trace/metrics export must not change the
-         compiled IR or the run digest. *)
+      (* Oracle (e): telemetry neutrality — rendering the trace, metrics
+         and profiler exports must not change the compiled IR or the run
+         digest. *)
       (match Differential.check_telemetry_neutral ~sim w with
       | Ok () -> ()
       | Error f ->
@@ -489,7 +489,7 @@ let run_compare () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Observability: compile-time timing tree + simulator trace for GEMM   *)
+(* Observability: compile-time pass timing + simulator trace for GEMM  *)
 (* ------------------------------------------------------------------ *)
 
 let run_profile () =
@@ -508,22 +508,17 @@ let run_profile () =
   (* Under --hotspots run a located copy (printed and re-parsed under a
      virtual file name) so the attribution reports source lines. *)
   let w = if !hotspots then Annotate.located_workload w else w in
-  (* Compile with the timing instrumentation — the per-pass wall-time
-     report backs the "little compile-time cost" discussion. *)
+  (* The pass manager's per-pass wall time backs the "little
+     compile-time cost" discussion. *)
   let m = w.Common.w_module () in
-  let tm = Mlir.Instrument.timer () in
-  ignore
-    (Driver.compile
-       ~instrumentations:[ Mlir.Instrument.timing tm ]
-       (Driver.config Driver.Sycl_mlir) m);
+  let compiled = Driver.compile (Driver.config Driver.Sycl_mlir) m in
+  let timing = compiled.Driver.pipeline_result in
   Printf.printf "\nGEMM (n=64) SYCL-MLIR compile timing\n";
-  Format.printf "%a@?" Mlir.Instrument.pp_timing (Mlir.Instrument.timing_report tm);
+  Format.printf "%a@?" Mlir.Pass.pp_timing timing;
   (* Execute and export the merged compile + runtime + device trace. *)
   let args, _validate = w.Common.w_data () in
   let result = Common.run_host ~sim m args in
-  let trace =
-    Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) result
-  in
+  let trace = Telemetry.merged_trace ~timing result in
   write_output oc (Mlir.Json.to_string (Sycl_obs.Trace.export trace) ^ "\n");
   Printf.printf "\nSimulated-run profile (trace written to %s):\n" path;
   Format.printf "%a@?" Sycl_sim.Profile.pp_table

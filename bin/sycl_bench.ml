@@ -42,9 +42,10 @@ let report (w : Common.workload) (m : Common.measurement) =
     (fun (name, s) ->
       Format.printf "  kernel %-18s %a@." name Sycl_sim.Cost.pp_launch_stats s)
     r.Sycl_runtime.Host_interp.per_kernel;
-  if Mlir.Pass.Stats.to_list m.Common.m_stats <> [] then begin
+  let stats = Mlir.Pass.merged_stats m.Common.m_compile in
+  if Mlir.Pass.Stats.to_list stats <> [] then begin
     Printf.printf "  compile-time statistics:\n";
-    Format.printf "%a@?" Mlir.Pass.Stats.pp m.Common.m_stats
+    Format.printf "%a@?" Mlir.Pass.Stats.pp stats
   end
 
 (** The run's profiling surfaces, all rendered from the run's one merged
@@ -52,8 +53,9 @@ let report (w : Common.workload) (m : Common.measurement) =
     conservation violation). Under [--annotate] the hotspot, cache and
     per-kernel profile tables print; [--annotated-ir] writes the
     cost-annotated module; [--report-json] writes the run report
-    ({!Annotate.report_sections}). *)
-let run_surfaces ~annotate ~annotated_ir ~report_json ~timer
+    ({!Annotate.report_sections}), with the compile spans of [timing],
+    the compile's pipeline result. *)
+let run_surfaces ~annotate ~annotated_ir ~report_json ~timing
     (r : Sycl_runtime.Host_interp.run_result) (module_op : Mlir.Core.op) =
   let launches = r.Sycl_runtime.Host_interp.per_kernel_attribution in
   (match
@@ -94,24 +96,18 @@ let run_surfaces ~annotate ~annotated_ir ~report_json ~timer
     (fun path ->
       match
         Sycl_obs.Report.write path
-          (Annotate.report_sections
-             ~timing:(Mlir.Instrument.timing_report timer)
-             ~attribution:tab r)
+          (Annotate.report_sections ~timing ~attribution:tab r)
       with
       | Ok () -> Printf.eprintf "report written to %s\n" path
       | Error msg -> cannot_write "report" msg)
     report_json
 
 let run_mlir_file ~sim cfg ~path ~size ~annotate ~annotated_ir ~report_json =
-  let timer = Mlir.Instrument.timer () in
-  let instrumentations =
-    if report_json <> None then [ Mlir.Instrument.timing timer ] else []
-  in
-  match Annotate.run_file ~sim cfg ~instrumentations ~size path with
+  match Annotate.run_file ~sim cfg ~size path with
   | exception Annotate.File_error msg ->
     Printf.eprintf "error: %s: %s\n" path msg;
     exit 2
-  | m, r ->
+  | m, timing, r ->
     Printf.printf "%s (size %d)\n" path size;
     Printf.printf "  total cycles: %d\n" r.Sycl_runtime.Host_interp.total_cycles;
     Printf.printf "    device:          %d\n"
@@ -125,7 +121,7 @@ let run_mlir_file ~sim cfg ~path ~size ~annotate ~annotated_ir ~report_json =
       (fun (name, s) ->
         Format.printf "  kernel %-18s %a@." name Sycl_sim.Cost.pp_launch_stats s)
       r.Sycl_runtime.Host_interp.per_kernel;
-    run_surfaces ~annotate ~annotated_ir ~report_json ~timer r m
+    run_surfaces ~annotate ~annotated_ir ~report_json ~timing r m
 
 let run list_flag bench mode compare no_licm no_reduction no_internalization
     no_hostdev fusion report_json sim_domains check_races cache_model annotate
@@ -144,8 +140,7 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
     Driver.config ~enable_licm:(not no_licm)
       ~enable_reduction:(not no_reduction)
       ~enable_internalization:(not no_internalization)
-      ~enable_host_device:(not no_hostdev)
-      ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
+      ~enable_host_device:(not no_hostdev) ~enable_fusion:fusion mode
   in
   try
   match file_arg with
@@ -192,14 +187,10 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
             Annotate.located_workload w
           else w
         in
-        let timer = Mlir.Instrument.timer () in
-        let instrumentations =
-          if report_json <> None then [ Mlir.Instrument.timing timer ] else []
-        in
-        let m = Common.measure ~sim ~instrumentations (config mode) w in
+        let m = Common.measure ~sim (config mode) w in
         report w m;
-        run_surfaces ~annotate ~annotated_ir ~report_json ~timer
-          m.Common.m_result m.Common.m_module;
+        run_surfaces ~annotate ~annotated_ir ~report_json
+          ~timing:m.Common.m_compile m.Common.m_result m.Common.m_module;
         if not m.Common.m_valid then exit 1)
   with
   | Sycl_sim.Interp.Race_detected races ->

@@ -5,7 +5,8 @@
      echo '...' | sycl-mlir-opt --passes sycl-mlir  (full pipeline)
 
    Observability (all reports go to stderr, the module to stdout):
-     --timing            per-pass wall-time tree (-mlir-timing style)
+     --timing            per-pass wall time merged by name (-mlir-timing
+                         style); Total is the pipeline run
      --remarks[=REGEX]   optimization remarks (-Rpass style), filtered
                          by pass name
      --stats             merged pass-statistics report (-stats style)
@@ -47,7 +48,7 @@ let pass_of_name = function
   | "detect-reduction" -> Some Sycl_core.Detect_reduction.pass
   | "loop-internalization" -> Some Sycl_core.Loop_internalization.pass
   | "host-raising" -> Some Sycl_core.Host_raising.pass
-  | "host-device-propagation" -> Some (Sycl_core.Host_device_prop.pass ())
+  | "host-device-propagation" -> Some Sycl_core.Host_device_prop.pass
   | "dead-argument-elimination" -> Some Sycl_core.Dead_arg_elim.pass
   | "kernel-fusion" -> Some Sycl_core.Kernel_fusion.pass
   | "store-forwarding" -> Some Sycl_core.Store_forwarding.pass
@@ -67,12 +68,8 @@ let resolve_pipeline names =
     (fun name ->
       match name with
       | "none" -> []  (* empty pipeline: parse, verify, print *)
-      | "sycl-mlir" ->
-        Driver.host_pipeline (Driver.config Driver.Sycl_mlir)
-        @ Driver.device_pipeline (Driver.config Driver.Sycl_mlir)
-      | "dpcpp" ->
-        Driver.host_pipeline (Driver.config Driver.Dpcpp)
-        @ Driver.device_pipeline (Driver.config Driver.Dpcpp)
+      | "sycl-mlir" -> Driver.pipeline (Driver.config Driver.Sycl_mlir)
+      | "dpcpp" -> Driver.pipeline (Driver.config Driver.Dpcpp)
       | name -> (
         match pass_of_name name with
         | Some p -> [ p ]
@@ -270,6 +267,12 @@ let remark_collector remark_filter =
       | _ -> ()),
     fun () -> List.rev !all )
 
+(* Run [body] with [sink] installed when remarks are printed or
+   reported. *)
+let with_remark_sink ~remarks ~report_json sink body =
+  if remarks <> None || report_json <> None then Mlir.Remarks.with_sink sink body
+  else body ()
+
 let run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~report_json
     ~remarks ~remark_filter ~verify pipeline inputs =
   let pipeline_key = Service.pipeline_key_of_passes pipeline in
@@ -283,11 +286,7 @@ let run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~report_json
     if serve then run_serve_mode service
     else run_batch_mode service ~repeat ~out_dir inputs
   in
-  let failed =
-    if remarks <> None || report_json <> None then
-      Mlir.Remarks.with_sink sink body
-    else body ()
-  in
+  let failed = with_remark_sink ~remarks ~report_json sink body in
   Option.iter
     (fun path ->
       write_report path
@@ -310,9 +309,10 @@ let stats_json (result : Mlir.Pass.pipeline_result) lc =
       ( "passes",
         List
           (List.map2
-             (fun (name, st) (_, seconds) ->
+             (fun (name, st) (t : Mlir.Pass.timing) ->
                Obj
-                 [ ("pass", String name); ("seconds", Float seconds);
+                 [ ("pass", String name);
+                   ("seconds", Float t.Mlir.Pass.t_seconds);
                    ("stats", stats_obj st) ])
              result.Mlir.Pass.per_pass_stats result.Mlir.Pass.per_pass_time) );
       ("merged", stats_obj (Mlir.Pass.merged_stats result));
@@ -340,11 +340,11 @@ let compile_metrics (result : Mlir.Pass.pipeline_result) m =
     (fun (k, v) -> Metrics.incr reg ~by:v ("compile.stat." ^ k))
     (Mlir.Pass.Stats.to_list (Mlir.Pass.merged_stats result));
   List.iter
-    (fun ((_ : string), seconds) ->
+    (fun (t : Mlir.Pass.timing) ->
       Metrics.observe reg
         ~bounds:[| 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
         "compile.pass_wall_us"
-        (Sycl_obs.Trace.us_of_wall seconds))
+        (Sycl_obs.Trace.us_of_wall t.Mlir.Pass.t_seconds))
     result.Mlir.Pass.per_pass_time;
   let known, total = Mlir.Instrument.count_locs m in
   Metrics.set_gauge reg "compile.ops_located" known;
@@ -352,9 +352,9 @@ let compile_metrics (result : Mlir.Pass.pipeline_result) m =
   Metrics.to_json reg
 
 (* Compile-lane trace: a parse span, then the pass pipeline laid out
-   from the timing tree — the compiler's side of the merged telemetry
-   timeline. *)
-let compile_trace ~parse_seconds tm =
+   from its pipeline result — the compiler's side of the merged
+   telemetry timeline. *)
+let compile_trace ~parse_seconds result =
   let module Trace = Sycl_obs.Trace in
   let sink = Trace.make_sink () in
   Trace.add sink
@@ -366,7 +366,7 @@ let compile_trace ~parse_seconds tm =
       sp_dur = max 1 (Trace.us_of_wall parse_seconds);
       sp_args = [];
     };
-  Trace.add_timing ~root_name:"passes" sink (Mlir.Instrument.timing_report tm);
+  Trace.add_timing ~root_name:"passes" sink result;
   Trace.export sink
 
 let run passes verify stats timing remarks report_json print_analysis
@@ -392,16 +392,25 @@ let run passes verify stats timing remarks report_json print_analysis
       Printf.eprintf "error: --batch and --serve are mutually exclusive\n";
       exit 2
     end;
-    if debuginfo then begin
-      Printf.eprintf
-        "error: --mlir-print-debuginfo is not supported in service mode \
-         (cached output must be canonical)\n";
-      exit 2
-    end;
-    if print_analysis <> [] then begin
-      Printf.eprintf "error: --print-analysis is not supported in service mode\n";
-      exit 2
-    end;
+    (* Flags whose output a service run would silently drop. *)
+    let service = "in service mode" and serve_only = "with --serve" in
+    List.iter
+      (fun (given, flag, where) ->
+        if given then begin
+          Printf.eprintf "error: %s is not supported %s\n" flag where;
+          exit 2
+        end)
+      [
+        ( debuginfo, "--mlir-print-debuginfo",
+          service ^ " (cached output must be canonical)" );
+        (print_analysis <> [], "--print-analysis", service);
+        (timing, "--timing", service);
+        (stats, "--stats", service);
+        (dump_before <> None, "--dump-before", service);
+        (dump_after <> None, "--dump-after", service);
+        (serve && out_dir <> None, "--out-dir", serve_only);
+        (serve && repeat <> 1, "--repeat", serve_only);
+      ];
     run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~report_json
       ~remarks ~remark_filter ~verify (resolve_pipeline passes) inputs
   end;
@@ -430,6 +439,12 @@ let run passes verify stats timing remarks report_json print_analysis
     exit 1
   | m -> (
     let parse_seconds = Unix.gettimeofday () -. parse_started in
+    (* Passes assume a well-formed module: check the input before any
+       runs, as --verify-each would. *)
+    (match Mlir.Verifier.verify m with
+    | Ok () -> ()
+    | Error diagnostics ->
+      failed_verification (Printf.sprintf "input %s" file) diagnostics);
     let printers =
       List.map
         (fun name ->
@@ -443,19 +458,10 @@ let run passes verify stats timing remarks report_json print_analysis
     in
     let pipeline = resolve_pipeline passes @ printers in
     let reporting = report_json <> None in
-    (* The sink is scoped to exactly this pipeline run via
-       Pass.run_pipeline, instead of being installed globally — a nested
-       pipeline can no longer steal or drop it. *)
     let sink, collected = remark_collector remark_filter in
-    let remarks_sink =
-      if remarks <> None || reporting then Some sink else None
-    in
-    let tm = Mlir.Instrument.timer () in
     let lc = Mlir.Instrument.loc_coverage_log () in
     let instrumentations =
-      (if timing || reporting then [ Mlir.Instrument.timing tm ] else [])
-      @ (if stats || reporting then [ Mlir.Instrument.loc_coverage lc ]
-         else [])
+      (if stats || reporting then [ Mlir.Instrument.loc_coverage lc ] else [])
       @ (match dump_before with
         | Some f ->
           [ Mlir.Instrument.dump ~before:true ~after:false ~filter:f () ]
@@ -466,14 +472,13 @@ let run passes verify stats timing remarks report_json print_analysis
       | None -> []
     in
     match
-      Mlir.Pass.run_pipeline ~verify_each:verify ~instrumentations
-        ?remarks_sink pipeline m
+      with_remark_sink ~remarks ~report_json sink (fun () ->
+          Mlir.Pass.run_pipeline ~verify_each:verify ~instrumentations pipeline
+            m)
     with
     | result ->
       Mlir.Printer.print ~debuginfo m;
-      if timing then
-        Format.eprintf "%a@?" Mlir.Instrument.pp_timing
-          (Mlir.Instrument.timing_report tm);
+      if timing then Format.eprintf "%a@?" Mlir.Pass.pp_timing result;
       if stats then begin
         Printf.eprintf "// pass statistics:\n";
         Format.eprintf "%a@?" Mlir.Pass.Stats.pp (Mlir.Pass.merged_stats result);
@@ -486,11 +491,9 @@ let run passes verify stats timing remarks report_json print_analysis
               ("stats", stats_json result lc);
               ("remarks", remarks_json (collected ()));
               ("metrics", compile_metrics result m);
-              ("trace", compile_trace ~parse_seconds tm);
+              ("trace", compile_trace ~parse_seconds result);
             ])
         report_json
-    | exception Mlir.Pass.Invalid_input diagnostics ->
-      failed_verification (Printf.sprintf "input %s" file) diagnostics
     | exception Mlir.Pass.Pass_failed { pass; diagnostics } ->
       failed_verification ("pass " ^ pass) diagnostics)
 
@@ -499,7 +502,7 @@ let passes_arg =
   Arg.(value & opt (list string) [ "canonicalize" ] & info [ "passes"; "p" ] ~doc)
 
 let verify_arg =
-  Arg.(value & flag & info [ "verify-each" ] ~doc:"Verify the input, then the IR after every pass.")
+  Arg.(value & flag & info [ "verify-each" ] ~doc:"Verify the IR after every pass (the input is always verified).")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print pass statistics to stderr.")

@@ -76,7 +76,7 @@ let () =
     Pass.run_pipeline ~verify_each:true
       [
         Sycl_core.Canonicalize.pass; Sycl_core.Cse.pass;
-        Sycl_core.Host_device_prop.pass ();
+        Sycl_core.Host_device_prop.pass;
         Sycl_core.Canonicalize.pass; Sycl_core.Cse.pass; Sycl_core.Dce.pass;
         Sycl_core.Dead_arg_elim.pass;
       ]

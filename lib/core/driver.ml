@@ -37,7 +37,6 @@ type config = {
   enable_reduction : bool;
   enable_internalization : bool;
   enable_host_device : bool;
-  enable_alias_refinement : bool;
   (* Compile-time kernel fusion: the Section VII extension. Off by
      default — the paper's evaluated compiler did not include it. *)
   enable_fusion : bool;
@@ -50,15 +49,14 @@ type config = {
 
 let config ?(enable_licm = true) ?(enable_reduction = true)
     ?(enable_internalization = true) ?(enable_host_device = true)
-    ?(enable_alias_refinement = true) ?(enable_fusion = false)
-    ?(enable_lowering = false) ?(verify_each = false) mode =
+    ?(enable_fusion = false) ?(enable_lowering = false) ?(verify_each = false)
+    mode =
   {
     mode;
     enable_licm;
     enable_reduction;
     enable_internalization;
     enable_host_device;
-    enable_alias_refinement;
     enable_fusion;
     enable_lowering;
     verify_each;
@@ -77,7 +75,6 @@ let config_key (cfg : config) : string =
     enable_reduction;
     enable_internalization;
     enable_host_device;
-    enable_alias_refinement;
     enable_fusion;
     enable_lowering;
     verify_each;
@@ -96,7 +93,6 @@ let config_key (cfg : config) : string =
       b "reduction" enable_reduction;
       b "internalization" enable_internalization;
       b "host-device" enable_host_device;
-      b "alias-refinement" enable_alias_refinement;
       b "fusion" enable_fusion;
       b "lowering" enable_lowering;
       b "verify-each" verify_each;
@@ -205,17 +201,7 @@ let host_pipeline (cfg : config) : Pass.t list =
          [ Kernel_fusion.pass; Canonicalize.pass; Cse.pass; Store_forwarding.pass ]
        else [])
     @
-    if cfg.enable_host_device then
-      [
-        Host_device_prop.pass
-          ~options:
-            {
-              Host_device_prop.default_options with
-              Host_device_prop.alias_refinement = cfg.enable_alias_refinement;
-            }
-          ();
-      ]
-    else []
+    if cfg.enable_host_device then [ Host_device_prop.pass ] else []
   | Dpcpp | Adaptive_cpp ->
     (* The host side still needs raising so the runtime can execute the
        module, but no information flows to the device compiler: raising
@@ -223,6 +209,11 @@ let host_pipeline (cfg : config) : Pass.t list =
        compilation. We model this by running raising WITHOUT the
        host-device propagation pass. *)
     [ Host_raising.pass; Canonicalize.pass; Cse.pass ]
+
+(** The whole pipeline in the order {!compile} runs it: host, then
+    device. *)
+let pipeline (cfg : config) : Pass.t list =
+  host_pipeline cfg @ device_pipeline cfg
 
 type compiled = {
   cfg : config;
@@ -237,9 +228,10 @@ exception Compile_error of string
     baselines, device compilation is isolated. *)
 let compile ?(instrumentations = []) (cfg : config) (m : Core.op) : compiled =
   if not (Core.is_module m) then raise (Compile_error "expected a module");
-  let passes = host_pipeline cfg @ device_pipeline cfg in
   let pipeline_result =
-    try Pass.run_pipeline ~verify_each:cfg.verify_each ~instrumentations passes m
+    try
+      Pass.run_pipeline ~verify_each:cfg.verify_each ~instrumentations
+        (pipeline cfg) m
     with
     | Pass.Invalid_input diagnostics ->
       raise (Compile_error (Verifier.failure "input" diagnostics))

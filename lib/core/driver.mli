@@ -26,7 +26,6 @@ type config = {
   enable_reduction : bool;
   enable_internalization : bool;
   enable_host_device : bool;
-  enable_alias_refinement : bool;
   enable_fusion : bool;  (** the Section VII fusion extension (default off) *)
   enable_lowering : bool;
       (** progressive lowering to the flattened kernel ABI (default off) *)
@@ -41,7 +40,6 @@ val config :
   ?enable_reduction:bool ->
   ?enable_internalization:bool ->
   ?enable_host_device:bool ->
-  ?enable_alias_refinement:bool ->
   ?enable_fusion:bool ->
   ?enable_lowering:bool ->
   ?verify_each:bool ->
@@ -64,6 +62,9 @@ val device_pipeline : config -> Pass.t list
     module; host-device propagation only under {!Sycl_mlir}). *)
 val host_pipeline : config -> Pass.t list
 
+(** The host pipeline, then the device pipeline: what {!compile} runs. *)
+val pipeline : config -> Pass.t list
+
 type compiled = {
   cfg : config;
   joint : Core.op;  (** the module: host main + device kernels *)
@@ -73,7 +74,7 @@ type compiled = {
 exception Compile_error of string
 
 (** Compile a joint module in place. [instrumentations] are threaded to
-    {!Pass.run_pipeline} (timing, IR-change detection, IR dumps). *)
+    {!Pass.run_pipeline}. *)
 val compile :
   ?instrumentations:Instrument.t list -> config -> Core.op -> compiled
 

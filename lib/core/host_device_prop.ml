@@ -13,29 +13,13 @@
      them as constant-cached data.
    - Accessor aliasing: captures rooted in distinct buffers over distinct
      host allocations are recorded as no-alias pairs on the kernel,
-     refining the device alias analysis (Section VII's outlook, realized
-     here as an option).
+     refining the device alias analysis (Section VII's outlook).
 
    Downstream, constants enable expression/control-flow simplification on
    the device and — via SYCL Dead Argument Elimination — cheaper kernel
    launches on the host. *)
 
 open Mlir
-
-type options = {
-  propagate_nd_range : bool;
-  propagate_accessor_members : bool;
-  propagate_constants : bool;
-  alias_refinement : bool;
-}
-
-let default_options =
-  {
-    propagate_nd_range = true;
-    propagate_accessor_members = true;
-    propagate_constants = true;
-    alias_refinement = true;
-  }
 
 let const_int_of v =
   match Rewrite.constant_of_value v with
@@ -119,17 +103,17 @@ let kernel_arg (kernel : Core.op) i =
 
 let remark = Remarks.emit ~pass:"host-device-propagation"
 
-let propagate_site (opts : options) stats (m : Core.op) (site : launch_site) =
+let propagate_site stats (m : Core.op) (site : launch_site) =
   let kernel = site.ls_kernel in
   let kname = Core.func_sym kernel in
   (* --- ND-range --- *)
   let global_consts = List.map const_int_of site.ls_global in
   let global_known = List.for_all Option.is_some global_consts in
-  if opts.propagate_nd_range && not global_known then
+  if not global_known then
     remark ~name:"ndrange-unknown" Remarks.Missed ~func:kname
       "ND-range not propagated: the host launch range is not a compile-time \
        constant";
-  if opts.propagate_nd_range && global_known then begin
+  if global_known then begin
     let global = List.map Option.get global_consts in
     Core.set_attr kernel "sycl.global_size"
       (Attr.Array (List.map (fun i -> Attr.Int i) global));
@@ -170,8 +154,7 @@ let propagate_site (opts : options) stats (m : Core.op) (site : launch_site) =
       | None -> ()
       | Some arg -> (
         match Core.defining_op host_v with
-        | Some def when Sycl_host_ops.is_accessor_ctor def
-                        && opts.propagate_accessor_members -> (
+        | Some def when Sycl_host_ops.is_accessor_ctor def -> (
           let buf = Sycl_host_ops.accessor_ctor_buffer def in
           let buf_dims_const =
             match Core.defining_op buf with
@@ -221,8 +204,7 @@ let propagate_site (opts : options) stats (m : Core.op) (site : launch_site) =
                 | _ -> ())
               getters
           end)
-        | Some def when Dialects.Arith.is_constant def && opts.propagate_constants
-          -> (
+        | Some def when Dialects.Arith.is_constant def -> (
           (* Constant scalar capture: materialize inside the kernel. *)
           match Dialects.Arith.constant_attr def with
           | Some a when Core.has_uses arg ->
@@ -252,8 +234,7 @@ let propagate_site (opts : options) stats (m : Core.op) (site : launch_site) =
                  idx);
             Pass.Stats.bump stats "hostdev.capture-const"
           | _ -> ())
-        | Some def when def.Core.name = "llvm.addressof" && opts.propagate_constants
-          -> (
+        | Some def when def.Core.name = "llvm.addressof" -> (
           (* Capture of a constant global array (e.g. the Sobel filter):
              the device may treat it as constant-cached data. *)
           match
@@ -278,39 +259,35 @@ let propagate_site (opts : options) stats (m : Core.op) (site : launch_site) =
         | _ -> ()))
     site.ls_captures;
   (* --- accessor aliasing (host-informed no-alias facts) --- *)
-  if opts.alias_refinement then begin
-    (* Two accessors alias only when built over the same buffer (or
-       overlapping sub-buffers, which this dialect does not model): each
-       SYCL buffer owns its device memory, so accessors over *distinct*
-       buffer objects are disjoint regardless of the host pointers. *)
-    let accessor_captures =
-      List.filter_map
-        (fun (idx, v) ->
-          match Core.defining_op v with
-          | Some def when Sycl_host_ops.is_accessor_ctor def ->
-            Some (idx, Sycl_host_ops.accessor_ctor_buffer def)
-          | _ -> None)
-        site.ls_captures
-    in
-    List.iteri
-      (fun i (idx_a, buf_a) ->
-        List.iteri
-          (fun j (idx_b, buf_b) ->
-            if j > i && not (Core.value_equal buf_a buf_b) then begin
-              Alias.add_noalias_pair kernel idx_a idx_b;
-              remark ~name:"noalias-pair" Remarks.Analysis ~func:kname
-                (Printf.sprintf
-                   "accessor arguments %d and %d capture distinct buffers: \
-                    recorded as no-alias for the device alias analysis"
-                   idx_a idx_b);
-              Pass.Stats.bump stats "hostdev.noalias-pair"
-            end)
-          accessor_captures)
-      accessor_captures
-  end
+  (* Two accessors alias only when built over the same buffer (or
+     overlapping sub-buffers, which this dialect does not model): each
+     SYCL buffer owns its device memory, so accessors over *distinct*
+     buffer objects are disjoint regardless of the host pointers. *)
+  let accessor_captures =
+    List.filter_map
+      (fun (idx, v) ->
+        match Core.defining_op v with
+        | Some def when Sycl_host_ops.is_accessor_ctor def ->
+          Some (idx, Sycl_host_ops.accessor_ctor_buffer def)
+        | _ -> None)
+      site.ls_captures
+  in
+  List.iteri
+    (fun i (idx_a, buf_a) ->
+      List.iteri
+        (fun j (idx_b, buf_b) ->
+          if j > i && not (Core.value_equal buf_a buf_b) then begin
+            Alias.add_noalias_pair kernel idx_a idx_b;
+            remark ~name:"noalias-pair" Remarks.Analysis ~func:kname
+              (Printf.sprintf
+                 "accessor arguments %d and %d capture distinct buffers: \
+                  recorded as no-alias for the device alias analysis"
+                 idx_a idx_b);
+            Pass.Stats.bump stats "hostdev.noalias-pair"
+          end)
+        accessor_captures)
+    accessor_captures
 
-let run ?(options = default_options) (m : Core.op) stats =
-  List.iter (propagate_site options stats m) (launch_sites m)
-
-let pass ?options () =
-  Pass.make "host-device-propagation" (fun m stats -> run ?options m stats)
+let pass =
+  Pass.make "host-device-propagation" (fun m stats ->
+      List.iter (propagate_site stats m) (launch_sites m))

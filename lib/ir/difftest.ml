@@ -4,9 +4,10 @@
 
    Oracle (a) — print → parse → print fixpoint: any module's printed form
    must re-parse, and the re-parse must print identically.
-   Oracle (b) — verify-each: the verifier must accept the module after
-   every pass of a pipeline; failures are attributed to the offending
-   pass via an {!Instrument.verify_after} hook.
+   Oracle (b) — verify-each: the verifier must accept the input and the
+   module after every pass of a pipeline; the pass manager's
+   [~verify_each] stops at the first failure and names the input or the
+   offending pass.
    Oracle (c) — simulator differential: optimized vs. unoptimized
    execution must agree. That oracle needs the simulator and workload
    layers, so it lives above this library (see Sycl_workloads.Differential);
@@ -67,34 +68,24 @@ let check_roundtrip ?(debuginfo = false) (m : Core.op) : (unit, failure) result 
 (* Oracle (b): verifier accepts every pass's output                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Run [passes] over [m] with a verifier instrument after every pass.
-    Unlike [Pass.run_pipeline ~verify_each:true] this does not stop at
-    the first failure: every offending pass is collected, and the error
-    names the first one. *)
+(** Run [passes] over [m] with [Pass.run_pipeline ~verify_each:true]:
+    it verifies the input, then the module after every pass, and stops
+    at the first failure, which names the input or the breaking pass. *)
 let check_pipeline_verified ~(passes : Pass.t list) (m : Core.op) :
     (unit, failure) result =
-  let offenders = ref [] in
-  let sink ~pass_name diags = offenders := (pass_name, diags) :: !offenders in
-  let describe (pass_name, diags) =
-    Printf.sprintf "pass '%s' broke the IR: %s" pass_name
-      (String.concat "; " (List.map Verifier.diag_to_string diags))
-  in
-  match
-    Pass.run_pipeline ~verify_each:false
-      ~instrumentations:[ Instrument.verify_after ~sink () ]
-      passes m
-  with
-  | _ -> (
-    match List.rev !offenders with
-    | [] -> Ok ()
-    | first :: _ ->
-      Error
-        { f_oracle = "verify-each"; f_detail = describe first;
-          f_ir = Some (Printer.to_string m) })
-  | exception Pass.Pass_failed { pass; diagnostics } ->
+  let fail detail =
     Error
-      { f_oracle = "verify-each"; f_detail = describe (pass, diagnostics);
+      { f_oracle = "verify-each"; f_detail = detail;
         f_ir = Some (Printer.to_string m) }
+  in
+  match Pass.run_pipeline ~verify_each:true passes m with
+  | _ -> Ok ()
+  | exception Pass.Invalid_input diagnostics ->
+    fail (Verifier.failure "input" diagnostics)
+  | exception Pass.Pass_failed { pass; diagnostics } ->
+    fail
+      (Printf.sprintf "pass '%s' broke the IR: %s" pass
+         (String.concat "; " (List.map Verifier.diag_to_string diagnostics)))
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (d): determinism — two renderings must agree byte-for-byte   *)

@@ -44,52 +44,56 @@ exception
 
 exception Invalid_input of Verifier.diag list
 
+type timing = {
+  t_pass : string;
+  t_start : float;
+  t_seconds : float;
+}
+
 type pipeline_result = {
   per_pass_stats : (string * Stats.t) list;
-  per_pass_time : (string * float) list;
+  per_pass_time : timing list;
+  wall : float;
 }
 
 (** Run [passes] over module [m]. When [verify_each] is set (default), the
     verifier runs on the input and after every pass; a failure is
     attributed to the input or to the pass that just ran.
-    [instrumentations] fire around every pass execution (timing,
-    IR-change detection, dumps — see {!Instrument}).
-    [remarks_sink] scopes an optimization-remark sink to exactly this
-    pipeline ({!Remarks.with_sink}), so nested or concurrent pipelines
-    each keep their own stream. *)
-let run_pipeline ?(verify_each = true) ?(instrumentations = []) ?remarks_sink
-    passes m =
-  let go () =
-    (if verify_each then
-       match Verifier.verify m with
-       | Ok () -> ()
-       | Error diagnostics -> raise (Invalid_input diagnostics));
-    let per_pass_stats = ref [] in
-    let per_pass_time = ref [] in
-    List.iter
-      (fun pass ->
-        let stats = Stats.create () in
-        Instrument.run_before instrumentations ~pass_name:pass.pass_name m;
-        let t0 = Unix.gettimeofday () in
-        pass.run m stats;
-        let dt = Unix.gettimeofday () -. t0 in
-        Instrument.run_after instrumentations ~pass_name:pass.pass_name m;
-        per_pass_stats := (pass.pass_name, stats) :: !per_pass_stats;
-        per_pass_time := (pass.pass_name, dt) :: !per_pass_time;
-        if verify_each then
-          match Verifier.verify m with
-          | Ok () -> ()
-          | Error diagnostics ->
-            raise (Pass_failed { pass = pass.pass_name; diagnostics }))
-      passes;
-    {
-      per_pass_stats = List.rev !per_pass_stats;
-      per_pass_time = List.rev !per_pass_time;
-    }
-  in
-  match remarks_sink with
-  | None -> go ()
-  | Some sink -> Remarks.with_sink sink go
+    [instrumentations] fire around every pass execution (location
+    coverage, dumps — see {!Instrument}). The clock is read at entry,
+    around every pass and at exit, so the result times each execution
+    and the whole run. *)
+let run_pipeline ?(verify_each = true) ?(instrumentations = []) passes m =
+  let started = Unix.gettimeofday () in
+  (if verify_each then
+     match Verifier.verify m with
+     | Ok () -> ()
+     | Error diagnostics -> raise (Invalid_input diagnostics));
+  let per_pass_stats = ref [] in
+  let per_pass_time = ref [] in
+  List.iter
+    (fun pass ->
+      let stats = Stats.create () in
+      Instrument.run_before instrumentations ~pass_name:pass.pass_name m;
+      let t0 = Unix.gettimeofday () in
+      pass.run m stats;
+      let dt = Unix.gettimeofday () -. t0 in
+      Instrument.run_after instrumentations ~pass_name:pass.pass_name m;
+      per_pass_stats := (pass.pass_name, stats) :: !per_pass_stats;
+      per_pass_time :=
+        { t_pass = pass.pass_name; t_start = t0 -. started; t_seconds = dt }
+        :: !per_pass_time;
+      if verify_each then
+        match Verifier.verify m with
+        | Ok () -> ()
+        | Error diagnostics ->
+          raise (Pass_failed { pass = pass.pass_name; diagnostics }))
+    passes;
+  {
+    per_pass_stats = List.rev !per_pass_stats;
+    per_pass_time = List.rev !per_pass_time;
+    wall = Unix.gettimeofday () -. started;
+  }
 
 (** Merge the stats of every pass occurrence into one table keyed by
     "pass/stat". *)
@@ -102,3 +106,40 @@ let merged_stats (r : pipeline_result) =
         (Stats.to_list stats))
     r.per_pass_stats;
   out
+
+(** Per distinct pass name, in first-execution order: its number of
+    executions and their summed seconds (repeated runs of a pass merge
+    into one line, like mlir's TimingManager). *)
+let timing_lines (r : pipeline_result) =
+  List.fold_left
+    (fun lines t ->
+      if List.exists (fun (name, _, _) -> String.equal name t.t_pass) lines then
+        List.map
+          (fun ((name, n, s) as line) ->
+            if String.equal name t.t_pass then (name, n + 1, s +. t.t_seconds)
+            else line)
+          lines
+      else lines @ [ (t.t_pass, 1, t.t_seconds) ])
+    [] r.per_pass_time
+
+(** The [-mlir-timing]-style report: total header, one line per
+    {!timing_lines} entry with its share of [wall], then Rest (time
+    outside passes) and Total. *)
+let pp_timing fmt (r : pipeline_result) =
+  let total = Float.max r.wall 1e-9 in
+  let line name count seconds =
+    Format.fprintf fmt "  %9.4f (%5.1f%%)  %s%s@." seconds
+      (100.0 *. seconds /. total)
+      name
+      (if count > 1 then Printf.sprintf " (%d)" count else "")
+  in
+  Format.fprintf fmt
+    "===%s===@.  ... Pass execution timing report ...@.===%s===@."
+    (String.make 60 '-') (String.make 60 '-');
+  Format.fprintf fmt "  Total Execution Time: %.4f seconds@.@." r.wall;
+  Format.fprintf fmt "  ----Wall Time----  ----Name----@.";
+  let lines = timing_lines r in
+  List.iter (fun (name, count, seconds) -> line name count seconds) lines;
+  let accounted = List.fold_left (fun a (_, _, s) -> a +. s) 0.0 lines in
+  if r.wall -. accounted > 1e-6 then line "Rest" 1 (r.wall -. accounted);
+  line "Total" 1 r.wall

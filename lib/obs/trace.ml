@@ -3,7 +3,7 @@
    Spans from the three layers of the stack land in one timeline with a
    distinct lane (Chrome-trace process) per layer:
 
-     pid 1  compile       parse + pass pipeline (Instrument timing tree)
+     pid 1  compile       parse + pass pipeline (Pass.pipeline_result)
      pid 2  host runtime  queue submits, DAG waits, transfers, JIT, launches
      pid 3  device        kernel execution (work-groups over CUs)
 
@@ -98,45 +98,38 @@ let span_end (sk : sink) =
       List.fold_left (fun acc sp -> max acc (sp.sp_ts + sp.sp_dur)) 0 sk.sk_rev)
 
 (* ------------------------------------------------------------------ *)
-(* Compile-side spans from the Instrument timing tree                  *)
+(* Compile-side spans from the pass manager's record                   *)
 (* ------------------------------------------------------------------ *)
 
 let us_of_wall w = int_of_float (Float.round (w *. 1e6))
 
-(** Flatten a pass-timing tree into Compile-lane spans starting at
-    [base]: the root covers [base, base + wall), children are laid out
-    sequentially inside their parent (the pass manager runs them in
-    order, so sequential placement reflects execution). *)
-let of_timing ?(base = 0) ?(cat = "pass") ?(root_name = "compile")
-    (root : Mlir.Instrument.timing_node) : span list =
-  let acc = ref [] in
-  let emit name ts dur args =
-    if dur > 0 then
-      acc :=
-        { sp_name = name; sp_cat = cat; sp_lane = Compile; sp_ts = ts;
-          sp_dur = dur; sp_args = args }
-        :: !acc
-  in
-  let rec walk (n : Mlir.Instrument.timing_node) name ts =
-    emit name ts
-      (us_of_wall n.Mlir.Instrument.t_wall)
-      (if n.Mlir.Instrument.t_count > 1 then
-         [ ("count", n.Mlir.Instrument.t_count) ]
-       else []);
-    let cursor = ref ts in
-    List.iter
-      (fun (c : Mlir.Instrument.timing_node) ->
-        walk c c.Mlir.Instrument.t_name !cursor;
-        cursor := !cursor + us_of_wall c.Mlir.Instrument.t_wall)
-      n.Mlir.Instrument.t_children
-  in
-  walk root root_name base;
-  List.rev !acc
-
-(** Record a timing tree into [sk] at the current end of its timeline. *)
+(** Record a pipeline run into [sk] at the current end of its timeline:
+    a root span covering the run's wall time, and inside it one span per
+    distinct pass ({!Mlir.Pass.timing_lines}), laid end to end in
+    first-execution order, with a [count] argument when the pass ran
+    more than once. Pass spans are rounded from their running total, so
+    they never end past the root; spans that round to 0 us are left
+    out. *)
 let add_timing ?(root_name = "compile") (sk : sink)
-    (root : Mlir.Instrument.timing_node) =
-  add_all sk (of_timing ~base:(span_end sk) ~root_name root)
+    (r : Mlir.Pass.pipeline_result) =
+  let base = span_end sk in
+  let span name ~from ~until args =
+    let dur = us_of_wall until - us_of_wall from in
+    if dur > 0 then
+      [ { sp_name = name; sp_cat = "pass"; sp_lane = Compile;
+          sp_ts = base + us_of_wall from; sp_dur = dur; sp_args = args } ]
+    else []
+  in
+  let _, passes =
+    List.fold_left_map
+      (fun from (name, count, seconds) ->
+        ( from +. seconds,
+          span name ~from ~until:(from +. seconds)
+            (if count > 1 then [ ("count", count) ] else []) ))
+      0.0 (Mlir.Pass.timing_lines r)
+  in
+  add_all sk
+    (span root_name ~from:0.0 ~until:r.Mlir.Pass.wall [] @ List.concat passes)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)

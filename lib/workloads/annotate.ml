@@ -33,12 +33,13 @@ let located_workload (w : Common.workload) : Common.workload =
 (* ------------------------------------------------------------------ *)
 
 (** The report sections of one simulated run: the runtime metrics
-    registry, the merged trace (compile spans from [timing] when given,
-    hotspot counters from [attribution]), the run's merged attribution
-    table, and — when it has a cache view, that is under a non-flat
-    cache model — the cache counters, with the launch-side transaction
-    total prepended so the conservation invariant is checkable from the
-    document alone: hits + misses = global_transactions, exactly. Named
+    registry, the merged trace (compile spans from [timing], the
+    compile's pipeline result, when given; hotspot counters from
+    [attribution]), the run's merged attribution table, and — when it
+    has a cache view, that is under a non-flat cache model — the cache
+    counters, with the launch-side transaction total prepended so the
+    conservation invariant is checkable from the document alone:
+    hits + misses = global_transactions, exactly. Named
     workloads and [--file] modules produce the same sections. *)
 let report_sections ?timing ~(attribution : Attribution.table)
     (r : H.run_result) : (string * Json.t) list =
@@ -89,15 +90,15 @@ let synth_args (m : Core.op) ~(size : int) : H.hv list =
                 (Types.to_string t))))
     (Core.block_args (Core.func_body main))
 
-(** Parse and verify [path], compile it under [cfg] (with
-    [instrumentations] around every pass) and execute [main] with
-    synthesized arguments under the simulator settings [sim]. A parse or
-    verification failure raises {!File_error}.
+(** Parse and verify [path], compile it under [cfg] and execute [main]
+    with synthesized arguments under the simulator settings [sim];
+    returns the compiled module, its pipeline result and the run. A
+    parse or verification failure raises {!File_error}.
     The parser stamps every op with its position in the file — under the
     basename, so the report (and any golden comparison against it) is
     independent of the invocation directory. *)
-let run_file ?sim (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
-    (path : string) : Core.op * H.run_result =
+let run_file ?sim (cfg : Common.Driver.config) ?(size = 16) (path : string) :
+    Core.op * Pass.pipeline_result * H.run_result =
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error msg -> raise (File_error msg)
@@ -109,9 +110,9 @@ let run_file ?sim (cfg : Common.Driver.config) ?instrumentations ?(size = 16)
   (match Verifier.verify m with
   | Ok () -> ()
   | Error ds -> raise (File_error (Verifier.failure "input" ds)));
-  ignore (Common.Driver.compile ?instrumentations cfg m);
+  let compiled = Common.Driver.compile cfg m in
   let args = synth_args m ~size in
-  (m, Common.run_host ?sim m args)
+  (m, compiled.Common.Driver.pipeline_result, Common.run_host ?sim m args)
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-delta report                                           *)

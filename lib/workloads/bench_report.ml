@@ -254,7 +254,9 @@ let per_pass_stat (pass_stats : (string * int) list) ~stat =
     run's merged stats. *)
 let compile_of_comparison (c : Common.comparison) : compile_metrics =
   let w = c.Common.c_workload in
-  let pass_stats = Pass.Stats.to_list c.Common.c_sycl_mlir.Common.m_stats in
+  let pass_stats =
+    Pass.Stats.to_list (Pass.merged_stats c.Common.c_sycl_mlir.Common.m_compile)
+  in
   let text = Mlir.Printer.to_string (w.Common.w_module ()) in
   let t0 = Unix.gettimeofday () in
   let parsed = Parser.parse_module ~file:(w.Common.w_name ^ ".mlir") text in
@@ -287,7 +289,8 @@ let entry_of_comparison ~sim (c : Common.comparison) : entry =
        | None -> []))
       @ [ ("sycl-mlir", metrics_of c.Common.c_sycl_mlir) ];
     e_speedup = Common.speedup c.Common.c_base c.Common.c_sycl_mlir;
-    e_pass_stats = Pass.Stats.to_list c.Common.c_sycl_mlir.Common.m_stats;
+    e_pass_stats =
+      Pass.Stats.to_list (Pass.merged_stats c.Common.c_sycl_mlir.Common.m_compile);
     e_hotspots = top_hotspots ~sim w;
     e_compile = compile_of_comparison c;
     e_cache = cache_of_workload ~sim w;
@@ -299,9 +302,7 @@ let entry_of_comparison ~sim (c : Common.comparison) : entry =
    suite size — no evictions, hence deterministic counters). *)
 let collect_service (workloads : Common.workload list) : service_metrics =
   let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
-  let pipeline =
-    Sycl_core.Driver.host_pipeline cfg @ Sycl_core.Driver.device_pipeline cfg
-  in
+  let pipeline = Sycl_core.Driver.pipeline cfg in
   let service =
     Service.create ~cache_capacity:1024 ~pipeline
       ~pipeline_key:(Sycl_core.Driver.config_key cfg) ()

@@ -88,7 +88,8 @@ type measurement = {
   m_cycles : int;
   m_valid : bool;
   m_result : Host_interp.run_result;
-  m_stats : Pass.Stats.t;  (** merged compile-time pass statistics *)
+  m_compile : Pass.pipeline_result;
+      (** the compile's per-pass statistics and times *)
   m_module : Core.op;  (** the compiled module (for annotated IR dumps) *)
 }
 
@@ -104,15 +105,12 @@ let run_host ?(sim = Sim_config.default) ?launch_hook ?jit_cycles m args =
 
 (** Compile and execute [w] under [cfg] with the simulator settings
     [sim]; the measured run excludes JIT warm-up (the paper's
-    methodology discards the first run). [instrumentations] are
-    installed around every compile pass (how the bench driver collects
-    compile-phase timing for the merged trace). *)
-let measure ?sim ?(instrumentations = []) (cfg : Driver.config)
-    (w : workload) : measurement =
+    methodology discards the first run). *)
+let measure ?sim (cfg : Driver.config) (w : workload) : measurement =
   if cfg.Driver.mode = Driver.Adaptive_cpp && not w.w_acpp_ok then
     raise (Unsupported w.w_name);
   let m = w.w_module () in
-  let compiled = Driver.compile ~instrumentations cfg m in
+  let compiled = Driver.compile cfg m in
   let launch_hook, jit_cycles =
     match cfg.Driver.mode with
     | Driver.Adaptive_cpp ->
@@ -142,7 +140,7 @@ let measure ?sim ?(instrumentations = []) (cfg : Driver.config)
     m_cycles = cycles;
     m_valid = validate ();
     m_result = result;
-    m_stats = Pass.merged_stats compiled.Driver.pipeline_result;
+    m_compile = compiled.Driver.pipeline_result;
     m_module = m;
   }
 

@@ -27,8 +27,7 @@ let divergence_to_string d =
 
 (* The pipeline under test, flattened the way Driver.compile runs it. *)
 let full_pipeline () =
-  let cfg = Common.Driver.config Common.Driver.Sycl_mlir in
-  Common.Driver.host_pipeline cfg @ Common.Driver.device_pipeline cfg
+  Common.Driver.pipeline (Common.Driver.config Common.Driver.Sycl_mlir)
 
 (* Host raising alone: the unoptimized reference. It is the first pass of
    every host pipeline and mandatory for Host_interp to run the module. *)
@@ -229,19 +228,15 @@ let check_attribution ?sim (w : Common.workload) :
 (* Oracle (e): telemetry neutrality                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile and run [w] under [sim], optionally with pass-timing
-   instrumentation installed and the merged trace + metrics JSON
-   rendered (and discarded). Returns the compiled IR text and the full
-   run digest. *)
+(* Compile and run [w] under [sim], optionally with the merged trace
+   (compile spans from the pipeline result) and metrics JSON rendered
+   (and discarded). Returns the compiled IR text and the full run
+   digest. *)
 let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
     string * string =
   let module H = Common.Host_interp in
   let m = w.Common.w_module () in
-  let tm = Instrument.timer () in
-  let instrumentations = if telemetry then [ Instrument.timing tm ] else [] in
-  ignore
-    (Pass.run_pipeline ~verify_each:false ~instrumentations (full_pipeline ())
-       m);
+  let compile = Pass.run_pipeline ~verify_each:false (full_pipeline ()) m in
   let ir = Printer.to_string m in
   let args, validate = w.Common.w_data () in
   let r = Common.run_host ?sim m args in
@@ -253,8 +248,7 @@ let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
        module under test must stay byte-identical. *)
     let tab = Sycl_sim.Attribution.merge_launches r.H.per_kernel_attribution in
     let trace =
-      Telemetry.merged_trace ~timing:(Instrument.timing_report tm)
-        ~attribution:tab r
+      Telemetry.merged_trace ~timing:compile ~attribution:tab r
     in
     ignore (Json.to_string (Sycl_obs.Trace.export trace));
     ignore (Json.to_string (Sycl_obs.Metrics.to_json r.H.metrics));
@@ -267,8 +261,7 @@ let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
   (ir, render_digest r args ~valid:(validate ()))
 
 (** Telemetry must observe, never perturb: compiling and running under
-    [sim] with timing instrumentation plus trace/metrics export enabled
-    must leave the compiled IR and the full run digest byte-identical
+    [sim] with the trace/metrics/profiler exports rendered must leave the compiled IR and the full run digest byte-identical
     to a plain run. *)
 let check_telemetry_neutral ?sim (w : Common.workload) :
     (unit, Difftest.failure) result =

@@ -6,8 +6,9 @@
 module H = Common.Host_interp
 module Trace = Sycl_obs.Trace
 
-(** Compile-phase spans from [timing] (when given) on the compile lane,
-    then the run's charge spans shifted past them on the host-runtime and
+(** Compile-phase spans from [timing], the compile's pipeline result
+    (when given), on the compile lane, then the run's charge spans
+    shifted past them on the host-runtime and
     device lanes — one chrome://tracing load shows parse -> passes ->
     queue ops -> kernel cycles. Counter events ride along on the device
     lane at the start of the run: the top five hotspot lines of

@@ -115,7 +115,7 @@ let tests_list =
         ignore (raise_module m);
         let _ =
           Pass.run_pipeline ~verify_each:true
-            [ HP.pass (); Sycl_core.Canonicalize.pass; Sycl_core.Cse.pass;
+            [ HP.pass; Sycl_core.Canonicalize.pass; Sycl_core.Cse.pass;
               Sycl_core.Dce.pass; Sycl_core.Dead_arg_elim.pass ]
             m
         in
@@ -141,7 +141,7 @@ let tests_list =
         ignore (raise_module m);
         let _ =
           Pass.run_pipeline ~verify_each:true
-            [ HP.pass (); Sycl_core.Canonicalize.pass; Sycl_core.Dce.pass ]
+            [ HP.pass; Sycl_core.Canonicalize.pass; Sycl_core.Dce.pass ]
             m
         in
         let k = Option.get (Core.lookup_func m "k") in
@@ -178,7 +178,7 @@ let tests_list =
                  ];
              });
         ignore (raise_module m);
-        let _ = Pass.run_pipeline ~verify_each:true [ HP.pass () ] m in
+        let _ = Pass.run_pipeline ~verify_each:true [ HP.pass ] m in
         let k = Option.get (Core.lookup_func m "k") in
         Alcotest.(check bool) "constant arg recorded" true
           (Core.attr k "sycl.constant_args" = Some (Attr.Array [ Attr.Int 1 ])));

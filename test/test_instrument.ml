@@ -1,11 +1,12 @@
-(* Pass instrumentation: timing-tree shape, IR-change detection via
-   module fingerprints, and before/after IR snapshots. *)
+(* The pass manager's record of a pipeline run (per-execution timings,
+   lines merged by name, the -mlir-timing report) and the IR-snapshot
+   instrumentation. *)
 
 open Mlir
 module A = Dialects.Arith
 
 (* A module whose function contains one dead pure op: the first dce run
-   erases it (IR changes), a second run finds nothing (no-op). *)
+   erases it, a second run finds nothing. *)
 let module_with_dead_op () =
   let m, _f =
     Helpers.with_func ~args:[ Types.i64 ] (fun b vals ->
@@ -16,66 +17,56 @@ let module_with_dead_op () =
 
 let tests_list =
   [
-    Alcotest.test_case "timing tree merges repeated passes by name" `Quick
+    Alcotest.test_case "pipeline record times every pass run" `Quick
       (fun () ->
         let m = module_with_dead_op () in
-        let tm = Instrument.timer () in
-        ignore
-          (Pass.run_pipeline ~verify_each:false
-             ~instrumentations:[ Instrument.timing tm ]
-             [ Sycl_core.Dce.pass; Sycl_core.Canonicalize.pass;
-               Sycl_core.Dce.pass ]
-             m);
-        let root = Instrument.timing_report tm in
-        let names =
-          List.map (fun c -> c.Instrument.t_name) root.Instrument.t_children
+        let r =
+          Pass.run_pipeline ~verify_each:true
+            [ Sycl_core.Dce.pass; Sycl_core.Canonicalize.pass;
+              Sycl_core.Dce.pass ]
+            m
         in
-        Alcotest.(check (list string)) "one line per distinct pass"
-          [ "dce"; "canonicalize" ] names;
-        let dce = List.hd root.Instrument.t_children in
-        Alcotest.(check int) "both dce runs merged" 2 dce.Instrument.t_count;
-        Alcotest.(check bool) "root covers its children" true
-          (root.Instrument.t_wall
-          >= List.fold_left
-               (fun a c -> a +. c.Instrument.t_wall)
-               0.0 root.Instrument.t_children);
-        (* The report must render (with a Total line) without raising. *)
+        let times = r.Pass.per_pass_time in
+        Alcotest.(check (list string)) "one timing per execution, in order"
+          [ "dce"; "canonicalize"; "dce" ]
+          (List.map (fun t -> t.Pass.t_pass) times);
+        let rec sequential from = function
+          | [] -> true
+          | t :: rest ->
+            t.Pass.t_start >= from && t.Pass.t_seconds >= 0.0
+            && sequential (t.Pass.t_start +. t.Pass.t_seconds) rest
+        in
+        Alcotest.(check bool) "starts non-decreasing, each after the last" true
+          (sequential 0.0 times);
+        Alcotest.(check bool) "every execution inside wall" true
+          (List.for_all
+             (fun t -> t.Pass.t_start +. t.Pass.t_seconds <= r.Pass.wall)
+             times);
+        let lines = Pass.timing_lines r in
+        Alcotest.(check (list (pair string int))) "dce x2, then canonicalize"
+          [ ("dce", 2); ("canonicalize", 1) ]
+          (List.map (fun (name, n, _) -> (name, n)) lines);
+        (match (lines, times) with
+        | (_, _, dce) :: _, [ d1; _; d2 ] ->
+          Alcotest.(check (float 0.0)) "dce line sums both runs"
+            (d1.Pass.t_seconds +. d2.Pass.t_seconds) dce
+        | _ -> Alcotest.fail "unexpected shape");
+        (* The report renders the merged lines and a Total line. *)
         let buf = Buffer.create 256 in
         let fmt = Format.formatter_of_buffer buf in
-        Instrument.pp_timing fmt root;
+        Pass.pp_timing fmt r;
         Format.pp_print_flush fmt ();
-        Alcotest.(check bool) "report has a Total line" true
-          (let s = Buffer.contents buf in
-           let rec contains i =
-             i + 5 <= String.length s
-             && (String.sub s i 5 = "Total" || contains (i + 1))
-           in
-           contains 0));
-    Alcotest.test_case "ir-change flags the no-op second dce run" `Quick
-      (fun () ->
-        let m = module_with_dead_op () in
-        let cl = Instrument.change_log () in
-        ignore
-          (Pass.run_pipeline ~verify_each:false
-             ~instrumentations:[ Instrument.ir_change cl ]
-             [ Sycl_core.Dce.pass; Sycl_core.Dce.pass ]
-             m);
-        Alcotest.(check (list (pair string bool)))
-          "first run changes, second is a no-op"
-          [ ("dce", true); ("dce", false) ]
-          (Instrument.changes cl);
-        Alcotest.(check (list string)) "no-op list" [ "dce" ]
-          (Instrument.noop_passes cl));
-    Alcotest.test_case "fingerprint is stable and change-sensitive" `Quick
-      (fun () ->
-        let m = module_with_dead_op () in
-        let fp1 = Instrument.fingerprint m in
-        Alcotest.(check bool) "re-fingerprinting is identical" true
-          (Digest.equal fp1 (Instrument.fingerprint m));
-        ignore
-          (Pass.run_pipeline ~verify_each:false [ Sycl_core.Dce.pass ] m);
-        Alcotest.(check bool) "erasing an op changes the fingerprint" false
-          (Digest.equal fp1 (Instrument.fingerprint m)));
+        let s = Buffer.contents buf in
+        let contains sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool) "dce line carries its count" true
+          (contains "dce (2)");
+        Alcotest.(check bool) "report has a Total line" true (contains "Total"));
     Alcotest.test_case "dump-after fires once per matching pass run" `Quick
       (fun () ->
         let m = module_with_dead_op () in

@@ -299,16 +299,14 @@ let diagnostics_cases =
         let m = Parser.parse_module ~file:"matmul.mlir" src in
         let located = ref 0 in
         let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
-        let passes =
-          Sycl_core.Driver.host_pipeline cfg
-          @ Sycl_core.Driver.device_pipeline cfg
-        in
-        ignore
-          (Pass.run_pipeline ~verify_each:false
-             ~remarks_sink:(fun r ->
-               if contains (Remarks.to_string r) "matmul.mlir:" then
-                 incr located)
-             passes m);
+        Remarks.with_sink
+          (fun r ->
+            if contains (Remarks.to_string r) "matmul.mlir:" then incr located)
+          (fun () ->
+            ignore
+              (Pass.run_pipeline ~verify_each:false
+                 (Sycl_core.Driver.pipeline cfg)
+                 m));
         Alcotest.(check bool) "located remarks emitted" true (!located > 0));
     Alcotest.test_case "verifier names function, path and location" `Quick
       (fun () ->

@@ -2,7 +2,7 @@
    bucket-boundary and overflow cases), histogram merge, cross-domain
    determinism of the runtime metrics, and the merged
    compile/runtime/device trace (lane layout, monotonic timestamps,
-   Chrome JSON shape). *)
+   Chrome JSON shape, a compile lane that covers only the compile). *)
 
 open Sycl_workloads
 module Metrics = Sycl_obs.Metrics
@@ -186,25 +186,21 @@ let test_runtime_metrics_present () =
 (* Merged trace                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile with timing instrumentation, run, and merge both into one
-   sink the way the CLI tools do: compile-phase spans land on the
+(* Compile, run, and merge the compile's pipeline result and the run into
+   one sink the way the CLI tools do: compile-phase spans land on the
    Compile lane, runtime spans on the Host lane, kernel spans on the
    Device lane; runtime timestamps start after the compile spans. *)
 let merged_sink () =
   let w = Single_kernel.vec_add ~n:256 in
   let m = w.Common.w_module () in
-  let tm = Mlir.Instrument.timer () in
   let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
-  ignore
-    (Sycl_core.Driver.compile
-       ~instrumentations:[ Mlir.Instrument.timing tm ]
-       cfg m);
+  let compiled = Sycl_core.Driver.compile cfg m in
   let args, _ = w.Common.w_data () in
   let r =
     Common.Host_interp.run ~sim_domains:Helpers.sim_domains ~module_op:m args
   in
   let sink =
-    Telemetry.merged_trace ~timing:(Mlir.Instrument.timing_report tm) r
+    Telemetry.merged_trace ~timing:compiled.Sycl_core.Driver.pipeline_result r
   in
   let compile_end =
     List.fold_left
@@ -247,6 +243,44 @@ let test_trace_monotonic () =
      sorted sps);
   check "non-negative timestamps and durations" true
     (List.for_all (fun s -> s.Trace.sp_ts >= 0 && s.Trace.sp_dur >= 0) sps)
+
+(* The compile lane is the compile: work after it (here a 20 ms sleep
+   between the run and the export) stretches neither the compile root
+   span nor the runtime lane's start. *)
+let test_trace_compile_span () =
+  let w = Polybench.gemm ~n:8 in
+  let m = w.Common.w_module () in
+  let compiled =
+    Sycl_core.Driver.compile
+      (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+      m
+  in
+  let args, _ = w.Common.w_data () in
+  let r =
+    Common.Host_interp.run ~sim_domains:Helpers.sim_domains ~module_op:m args
+  in
+  Unix.sleepf 0.02;
+  let sps =
+    Trace.spans
+      (Telemetry.merged_trace ~timing:compiled.Sycl_core.Driver.pipeline_result
+         r)
+  in
+  let root =
+    List.find
+      (fun s -> s.Trace.sp_lane = Trace.Compile && s.Trace.sp_name = "compile")
+      sps
+  in
+  check "compile root span shorter than the sleep" true
+    (root.Trace.sp_dur < 20_000);
+  let first_runtime =
+    List.fold_left
+      (fun acc s ->
+        if s.Trace.sp_lane = Trace.Compile then acc else min acc s.Trace.sp_ts)
+      max_int sps
+  in
+  check_int "runtime lane starts where the compile ends"
+    (root.Trace.sp_ts + root.Trace.sp_dur)
+    first_runtime
 
 let test_trace_json_shape () =
   let sink, _ = merged_sink () in
@@ -330,6 +364,8 @@ let tests =
         test_trace_monotonic;
       Alcotest.test_case "merged trace: Chrome JSON shape" `Quick
         test_trace_json_shape;
+      Alcotest.test_case "merged trace: the compile span is the compile"
+        `Quick test_trace_compile_span;
       Alcotest.test_case "pool: results in index order" `Quick test_pool_order;
       Alcotest.test_case "pool: lowest failing task re-raised" `Quick
         test_pool_errors;

@@ -155,15 +155,20 @@ let tests_list =
         let outer = ref [] and inner = ref [] in
         let nested =
           Pass.make "nested" (fun m _ ->
-              ignore
-                (Pass.run_pipeline ~verify_each:false
-                   ~remarks_sink:(fun r -> inner := r :: !inner)
-                   [ emit_pass "inner" ] m))
+              Remarks.with_sink
+                (fun r -> inner := r :: !inner)
+                (fun () ->
+                  ignore
+                    (Pass.run_pipeline ~verify_each:false [ emit_pass "inner" ]
+                       m)))
         in
-        ignore
-          (Pass.run_pipeline ~verify_each:false
-             ~remarks_sink:(fun r -> outer := r :: !outer)
-             [ emit_pass "before"; nested; emit_pass "after" ] m);
+        Remarks.with_sink
+          (fun r -> outer := r :: !outer)
+          (fun () ->
+            ignore
+              (Pass.run_pipeline ~verify_each:false
+                 [ emit_pass "before"; nested; emit_pass "after" ]
+                 m));
         Alcotest.(check int) "inner saw one remark" 1 (List.length !inner);
         Alcotest.(check int) "outer saw all three" 3 (List.length !outer);
         Alcotest.(check bool) "no sink left installed" false

@@ -20,26 +20,24 @@ let section name report =
   | Some s -> s
   | None -> Alcotest.failf "report has no %s section" name
 
-(* The report sycl_bench writes for a located GEMM run: compiled with the
-   pass-timing instrumentation, simulated under [cache_model] on
+(* The report sycl_bench writes for a located GEMM run: its compile
+   spans from the pipeline result, simulated under [cache_model] on
    [domains] worker domains. *)
 let gemm_report ?(cache_model = Common.Cost.Direct_mapped) ~domains () =
   let w = Annotate.located_workload (Polybench.gemm ~n:16) in
   let m = w.Common.w_module () in
-  let tm = Mlir.Instrument.timer () in
-  ignore
-    (Sycl_core.Driver.compile
-       ~instrumentations:[ Mlir.Instrument.timing tm ]
-       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-       m);
+  let compiled =
+    Sycl_core.Driver.compile
+      (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+      m
+  in
   let args, _ = w.Common.w_data () in
   let r = H.run ~sim_domains:domains ~cache_model ~module_op:m args in
   let attribution = merged r in
   ( r,
     Report.to_json
       (Annotate.report_sections
-         ~timing:(Mlir.Instrument.timing_report tm)
-         ~attribution r) )
+         ~timing:compiled.Sycl_core.Driver.pipeline_result ~attribution r) )
 
 let trace_events report =
   match Json.member "traceEvents" (section "trace" report) with
@@ -158,17 +156,13 @@ let test_sections_domain_independent () =
     [ "metrics"; "attribution"; "cache" ]
 
 let test_file_report_sections () =
-  let tm = Mlir.Instrument.timer () in
-  let _, r =
+  let _, timing, r =
     Annotate.run_file ~sim:Helpers.sim
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-      ~instrumentations:[ Mlir.Instrument.timing tm ]
       "../examples/matmul.mlir"
   in
   let sections =
-    Annotate.report_sections
-      ~timing:(Mlir.Instrument.timing_report tm)
-      ~attribution:(merged r) r
+    Annotate.report_sections ~timing ~attribution:(merged r) r
   in
   let report = Report.to_json sections in
   ignore (section "metrics" report);

@@ -287,6 +287,34 @@ let harness_cases =
           in
           Alcotest.(check bool) "names breaker" true
             (contains f.Difftest.f_detail "breaker"));
+    Alcotest.test_case "verify-each stops at the breaking pass" `Quick
+      (fun () ->
+        let after =
+          Pass.make "after" (fun _ _ -> failwith "ran after the breaker")
+        in
+        match
+          Difftest.check_pipeline_verified
+            ~passes:[ nop_pass "good-a"; breaker_pass; after ]
+            (simple_module ())
+        with
+        | Ok () -> Alcotest.fail "expected a verify-each failure"
+        | Error f ->
+          Alcotest.(check bool) "names breaker" true
+            (String.starts_with ~prefix:"pass 'breaker' broke the IR: "
+               f.Difftest.f_detail));
+    Alcotest.test_case "verify-each blames an invalid input, not a pass" `Quick
+      (fun () ->
+        let m = simple_module () in
+        ignore (breaker_pass.Pass.run m (Pass.Stats.create ()));
+        match
+          Difftest.check_pipeline_verified ~passes:[ nop_pass "good-a" ] m
+        with
+        | Ok () -> Alcotest.fail "expected a verify-each failure"
+        | Error f ->
+          Alcotest.(check string) "oracle" "verify-each" f.Difftest.f_oracle;
+          Alcotest.(check bool) "names the input" true
+            (String.starts_with ~prefix:"input failed verification: "
+               f.Difftest.f_detail));
     Alcotest.test_case "pass bisection names the first bad pass" `Quick
       (fun () ->
         let passes =
@@ -307,19 +335,6 @@ let harness_cases =
           (Difftest.bisect_passes ~passes ~fresh:simple_module
              ~check:(fun m -> Result.is_ok (Verifier.verify m))
              ()));
-    Alcotest.test_case "Instrument.verify_after reports into its sink" `Quick
-      (fun () ->
-        let hits = ref [] in
-        let sink ~pass_name diags =
-          hits := (pass_name, List.length diags) :: !hits
-        in
-        ignore
-          (Pass.run_pipeline ~verify_each:false
-             ~instrumentations:[ Instrument.verify_after ~sink () ]
-             [ nop_pass "ok"; breaker_pass ]
-             (simple_module ()));
-        Alcotest.(check bool) "breaker reported" true
-          (List.exists (fun (p, n) -> p = "breaker" && n > 0) !hits));
   ]
 
 let tests =

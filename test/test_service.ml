@@ -334,7 +334,7 @@ let tests_list =
         (* Registration publishes a grown copy of the op table; workers
            reading it meanwhile see the old table or the new one. *)
         let cfg = Driver.config Driver.Sycl_mlir in
-        let pipeline = Driver.host_pipeline cfg @ Driver.device_pipeline cfg in
+        let pipeline = Driver.pipeline cfg in
         let matmul =
           In_channel.with_open_text "../examples/matmul.mlir"
             In_channel.input_all

@@ -145,7 +145,7 @@ let tests_list =
         in
         let lin = measure "LinearRegressionCoeff" in
         List.iter
-          (check_nonzero lin.W.Common.m_stats)
+          (check_nonzero (Mlir.Pass.merged_stats lin.W.Common.m_compile))
           [ "detect-reduction/reduction.rewritten";
             "licm/licm.hoisted-pure";
             "sycl-dead-argument-elimination/dead-args.marked";
@@ -155,7 +155,7 @@ let tests_list =
             "canonicalize/rewrites" ];
         let km = measure "KMeans" in
         List.iter
-          (check_nonzero km.W.Common.m_stats)
+          (check_nonzero (Mlir.Pass.merged_stats km.W.Common.m_compile))
           [ "loop-internalization/internalization.prefetched";
             "host-device-propagation/hostdev.noalias-pair";
             "dce/dce.erased" ]);

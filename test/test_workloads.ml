@@ -79,8 +79,7 @@ let ablation_consistency =
           Driver.config ~enable_internalization:false Driver.Sycl_mlir;
           Driver.config ~enable_reduction:false Driver.Sycl_mlir;
           Driver.config ~enable_licm:false Driver.Sycl_mlir;
-          Driver.config ~enable_host_device:false ~enable_alias_refinement:false
-            Driver.Sycl_mlir;
+          Driver.config ~enable_host_device:false Driver.Sycl_mlir;
         ])
 
 let gramschmidt_divergence_rejected =
@@ -88,11 +87,11 @@ let gramschmidt_divergence_rejected =
       let w = Polybench.gramschmidt ~n:16 in
       let m = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
       Alcotest.(check bool) "rejected-divergent stat" true
-        (Mlir.Pass.Stats.get m.Common.m_stats
+        (Mlir.Pass.Stats.get (Mlir.Pass.merged_stats m.Common.m_compile)
            "loop-internalization/internalization.rejected-divergent"
         >= 1);
       Alcotest.(check int) "nothing prefetched" 0
-        (Mlir.Pass.Stats.get m.Common.m_stats
+        (Mlir.Pass.Stats.get (Mlir.Pass.merged_stats m.Common.m_compile)
            "loop-internalization/internalization.prefetched"))
 
 let paper_attribution_stats =
@@ -103,7 +102,7 @@ let paper_attribution_stats =
         Alcotest.(check int)
           (w.Common.w_name ^ " prefetched refs")
           expected
-          (Mlir.Pass.Stats.get m.Common.m_stats
+          (Mlir.Pass.Stats.get (Mlir.Pass.merged_stats m.Common.m_compile)
              "loop-internalization/internalization.prefetched")
       in
       check_prefetch (Polybench.gemm ~n:16) 2;
