@@ -16,9 +16,9 @@
      dune exec bench/main.exe -- report [--label L] [--out PATH]
                                          — schema-versioned metrics snapshot
                                            (BENCH_<label>.json)
-     dune exec bench/main.exe -- compare OLD.json NEW.json [--tolerance F]
-                                         — exit 1 on cycle/validity
-                                           regressions or missing workloads
+     dune exec bench/main.exe -- compare OLD.json NEW.json
+                                         — list every deterministic field
+                                           that differs; exit 1 if any does
 
    Global flags (any subcommand), which make up the one simulator
    configuration every simulating subcommand runs with:
@@ -434,33 +434,23 @@ let run_report () =
     path;
   List.iter (fun s -> Printf.printf "  !! failed validation: %s\n" s) invalid
 
-(** [compare OLD NEW] — regression gate; exits 1 when NEW regresses. *)
+(** [compare OLD NEW] — list every deterministic field that differs
+    (see [Bench_report.diff]); exits 1 if any does. *)
 let run_compare () =
-  let tolerance = ref 0.05 and files = ref [] in
-  let rec parse_args = function
-    | "--tolerance" :: v :: rest -> (
-      (match float_of_string_opt v with
-      | Some f when f >= 0.0 -> tolerance := f
-      | _ ->
-        Printf.eprintf "compare: bad --tolerance %s\n" v;
-        exit 2);
-      parse_args rest)
-    | f :: rest -> files := f :: !files; parse_args rest
-    | [] -> ()
-  in
-  parse_args (subcommand_args ());
+  let is_flag = String.starts_with ~prefix:"-" in
   let old_path, new_path =
-    match List.rev !files with
-    | [ a; b ] -> (a, b)
+    match subcommand_args () with
+    | [ a; b ] when not (is_flag a || is_flag b) -> (a, b)
     | _ ->
-      Printf.eprintf "usage: compare OLD.json NEW.json [--tolerance F]\n";
+      Printf.eprintf "usage: compare OLD.json NEW.json\n";
       exit 2
   in
   let load path =
     match
-      Bench_report.of_json (In_channel.with_open_text path In_channel.input_all)
+      let text = In_channel.with_open_text path In_channel.input_all in
+      (Bench_report.of_json text, Mlir.Json.parse text)
     with
-    | r -> r
+    | loaded -> loaded
     | exception Sys_error msg ->
       Printf.eprintf "compare: cannot read %s: %s\n" path msg;
       exit 2
@@ -468,25 +458,18 @@ let run_compare () =
       Printf.eprintf "compare: %s: %s\n" path msg;
       exit 2
   in
-  let baseline = load old_path and current = load new_path in
-  let issues =
-    Bench_report.compare_reports ~tolerance:!tolerance ~baseline current
-  in
-  Printf.printf
-    "compare: %s (%d workloads) vs %s (%d workloads), tolerance %.1f%%\n"
-    baseline.Bench_report.r_label
-    (List.length baseline.Bench_report.r_entries)
-    current.Bench_report.r_label
-    (List.length current.Bench_report.r_entries)
-    (100.0 *. !tolerance);
-  if issues = [] then Printf.printf "compare: no regressions\n"
-  else begin
-    List.iter
-      (fun i -> Printf.printf "  REGRESSION %s\n" (Bench_report.issue_to_string i))
-      issues;
-    Printf.printf "compare: %d issue(s)\n" (List.length issues);
+  let old_r, old_doc = load old_path and new_r, new_doc = load new_path in
+  Printf.printf "compare: %s (%d workloads) vs %s (%d workloads)\n"
+    old_r.Bench_report.r_label
+    (List.length old_r.Bench_report.r_entries)
+    new_r.Bench_report.r_label
+    (List.length new_r.Bench_report.r_entries);
+  match Bench_report.diff old_doc new_doc with
+  | [] -> Printf.printf "compare: no differences\n"
+  | diffs ->
+    List.iter (Printf.printf "  %s\n") diffs;
+    Printf.printf "compare: %d difference(s)\n" (List.length diffs);
     exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Observability: compile-time pass timing + simulator trace for GEMM  *)

@@ -328,7 +328,7 @@ let file_arg =
               positions feed the attribution surfaces.")
 
 let size_arg =
-  Arg.(value & opt int 16
+  Arg.(value & opt (Int_arg.at_least 0) 16
        & info [ "size" ] ~docv:"N"
            ~doc:
              "Problem size for $(b,--file) runs: scalar main arguments are \

@@ -29,7 +29,7 @@
      --serve             read `// -----`-separated modules from stdin one
                          at a time, answer each on stdout (same cache)
      --jobs N            worker domains (default: recommended count)
-     --repeat N          sweep the batch N times (cache-hit demo/CI)
+     --repeat N          sweep the batch N times (cache-hit demo)
      --cache-size N      result-cache capacity (LRU beyond it)
      --out-dir DIR       write each result to DIR/<basename> instead of
                          stdout; bytes identical to a single-shot run *)
@@ -135,7 +135,7 @@ let write_out_dir dir (rs : Service.response) text =
     Printf.eprintf "error: cannot write %s: %s\n" path msg;
     exit 1
 
-(* One line per round so CI (and humans) can grep the hit rate; counters
+(* One line per round so tests (and humans) can read the hit rate; counters
    are cumulative in the registry, so each round reports the delta. *)
 let round_summary reg ~round ~modules ~wall_us ~before:(h0, m0, e0) =
   let module Metrics = Sycl_obs.Metrics in
@@ -167,7 +167,7 @@ let run_batch_mode service ~repeat ~out_dir inputs =
   end;
   let reg = Service.metrics service in
   let failed = ref false in
-  for round = 1 to max 1 repeat do
+  for round = 1 to repeat do
     let before = counters reg in
     let t0 = Unix.gettimeofday () in
     let responses = Service.run_batch service requests in
@@ -580,21 +580,21 @@ let serve_arg =
               the batch-mode result cache.")
 
 let jobs_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt (Int_arg.at_least 0) 0
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:
              "Worker domains for --batch (0 = the runtime's recommended \
               domain count).")
 
 let repeat_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (Int_arg.at_least 1) 1
        & info [ "repeat" ] ~docv:"N"
            ~doc:
              "Sweep the batch $(docv) times; rounds after the first should \
               be pure cache hits. Each round reports hits/misses to stderr.")
 
 let cache_size_arg =
-  Arg.(value & opt int 256
+  Arg.(value & opt (Int_arg.at_least 1) 256
        & info [ "cache-size" ] ~docv:"N"
            ~doc:
              "Result-cache capacity; least-recently-used entries are \

@@ -3,8 +3,9 @@
      dune exec examples/gen_ir.exe -- matmul > examples/matmul.mlir
      dune exec examples/gen_ir.exe -- matmul --debuginfo > examples/matmul.loc.mlir
 
-   The files under examples/ are committed so the CLI tools (and CI's
-   smoke test) have stable textual inputs without running OCaml first.
+   The files under examples/ are committed so the CLI tools (and the
+   transcripts of test/cli) have stable textual inputs without running
+   OCaml first.
    [--debuginfo] prints a trailing loc(...) on every op — the golden
    input for the location round-trip checks. *)
 

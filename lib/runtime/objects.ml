@@ -9,7 +9,6 @@ module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
 
 type buffer = {
-  b_id : int;
   b_dims : int array;
   b_is_float : bool;
   b_host : Memory.allocation;  (** host-side storage (owned) *)
@@ -44,7 +43,6 @@ type capture =
   | Cap_host_mem of Memory.view  (** raw host data, e.g. a constant table *)
 
 type handler = {
-  h_id : int;
   mutable h_captures : (int * capture) list;
   mutable h_global : int list;
   mutable h_local : int list option;
@@ -58,21 +56,15 @@ type command = {
 }
 
 type queue = {
-  q_id : int;
   mutable q_commands : command list;  (** in submission order, newest first *)
   mutable q_next_cmd : int;
 }
 
-let next_id =
-  let c = ref 0 in
-  fun () -> incr c; !c
-
-let make_queue () = { q_id = next_id (); q_commands = []; q_next_cmd = 1 }
+let make_queue () = { q_commands = []; q_next_cmd = 1 }
 
 let make_buffer ~(dims : int array) ~(is_float : bool)
     (host : Memory.allocation) =
   {
-    b_id = next_id ();
     b_dims = dims;
     b_is_float = is_float;
     b_host = host;
@@ -85,7 +77,6 @@ let make_buffer ~(dims : int array) ~(is_float : bool)
 
 let make_handler () =
   {
-    h_id = next_id ();
     h_captures = [];
     h_global = [];
     h_local = None;

@@ -9,7 +9,6 @@ module Memory = Sycl_sim.Memory
 module Cost = Sycl_sim.Cost
 
 type buffer = {
-  b_id : int;
   b_dims : int array;
   b_is_float : bool;
   b_host : Memory.allocation;  (** host-side storage (owned) *)
@@ -40,7 +39,6 @@ type capture =
   | Cap_host_mem of Memory.view  (** raw host data, e.g. a constant table *)
 
 type handler = {
-  h_id : int;
   mutable h_captures : (int * capture) list;
   mutable h_global : int list;
   mutable h_local : int list option;
@@ -54,7 +52,6 @@ type command = {
 }
 
 type queue = {
-  q_id : int;
   mutable q_commands : command list;  (** newest first *)
   mutable q_next_cmd : int;
 }

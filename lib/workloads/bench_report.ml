@@ -1,10 +1,10 @@
 (* Benchmark metrics pipeline: a schema-versioned JSON snapshot of the
    simulated evaluation (per-workload cycles, memory traffic, validity,
-   compile-time pass statistics) plus a comparator. `bench report` writes
-   one; `bench compare old.json new.json` flags cycle regressions beyond
-   a tolerance, validity regressions, and vanished workloads — the CI
-   gate that keeps optimizations from silently rotting. The simulator is
-   deterministic, so a self-comparison is exact. *)
+   compile-time pass statistics) plus an exact field diff. `bench report`
+   writes one; `bench compare old.json new.json` lists every
+   deterministic field that differs and fails on any. The simulator is
+   deterministic, so every field outside [label] and the "measured"
+   subtrees must equal the checked-in baseline's. *)
 
 open Mlir
 module Host_interp = Sycl_runtime.Host_interp
@@ -16,29 +16,25 @@ module Service = Sycl_service.Service
    direction, DAG-wait edge count, launch-latency percentiles) fed by
    the runtime telemetry registry.
    v3: a report-level "service" section from a two-round compile-service
-   sweep of the suite — cache hit/miss/eviction counters, compile-latency
-   percentiles in deterministic cost units (gated by [compare_reports]
-   like cycles), and measured wall-clock throughput (informational only:
-   machine-dependent, never gated, excluded from determinism diffs).
+   sweep of the suite — cache hit/miss/eviction counters and
+   compile-latency percentiles in deterministic cost units, plus measured
+   wall-clock throughput under "measured" (machine-dependent, so left out
+   of [diff]).
    v4: every workload carries a "hotspots" section — the top-3 source
    lines by attributed device cycles from a located SYCL-MLIR run — so a
-   cycle regression flagged by [compare_reports] names the line that now
-   dominates. Informational context, not a separate gate.
+   cycle difference comes with the line that now dominates.
    v5: every workload carries a "compile" section of deterministic
    compiler-speed counters — ops visited per pass (the rewrite drivers,
    CSE and store-forwarding count every op they examine), rewrites per
-   pass, and parser ops/chars processed — gated by [compare_reports]
-   exactly like cycle regressions, so a pass that quietly returns to
-   rescanning the module fails CI. Compile wall time lives in the
-   entry's "measured" subobject: machine-dependent, informational,
-   excluded from determinism diffs and never gated.
+   pass, and parser ops/chars processed — so a pass that quietly returns
+   to rescanning the module changes the report. Compile wall time lives
+   in the entry's "measured" subobject.
    v6: every workload carries a "cache" section from an extra SYCL-MLIR
    run under the direct-mapped cache model (--cache-model dm):
    hit/miss/eviction counters, the hit rate and the exact
    reuse-distance percentiles. All deterministic (the cache is probed
-   in canonical order); [compare_reports] gates the per-workload hit
-   rate like the service hit rate, so a transform that quietly destroys
-   locality fails CI. *)
+   in canonical order), so a transform that quietly destroys locality
+   changes the report. *)
 let schema_version = 6
 
 (** One hotspot line of a workload's located SYCL-MLIR run. *)
@@ -66,7 +62,7 @@ type config_metrics = {
 }
 
 (** The v5 "compile" section: deterministic compiler-speed counters for
-    the SYCL-MLIR configuration, plus measured (non-gated) wall time. *)
+    the SYCL-MLIR configuration, plus measured wall time. *)
 type compile_metrics = {
   co_parse_ops : int;  (** ops materialized by parsing the printed module *)
   co_parse_chars : int;  (** characters of IR text the parser processed *)
@@ -386,9 +382,8 @@ let hotspot_to_json (h : hotspot) : Json.t =
       ("share", Json.Float h.h_share) ]
 
 (* Like the service section, the entry's machine-dependent wall time is
-   isolated under "measured" so the CI determinism diff can drop exactly
-   that subtree; everything else in "compile" is deterministic and
-   gated. *)
+   isolated under "measured", the subtree [diff] leaves out; everything
+   else in "compile" is deterministic. *)
 let compile_to_json (c : compile_metrics) : Json.t =
   let counts kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
   Json.Obj
@@ -427,9 +422,8 @@ let entry_to_json (e : entry) : Json.t =
       ("compile", compile_to_json e.e_compile);
       ("cache", cache_to_json e.e_cache) ]
 
-(* The "measured" subobject isolates every machine-dependent field; CI's
-   determinism comparison drops exactly that subtree and compares the
-   rest byte-for-byte. *)
+(* The "measured" subobject isolates every machine-dependent field; [diff]
+   leaves out exactly that subtree and compares the rest. *)
 let service_to_json (s : service_metrics) : Json.t =
   Json.Obj
     [ ("requests", Json.Int s.sv_requests);
@@ -601,192 +595,73 @@ let of_json (s : string) : report =
 (* ---------------------------------------------------------------- *)
 (* Comparison                                                        *)
 
-type issue_kind =
-  | Cycle_regression
-  | Latency_regression  (** a launch-latency percentile grew past tolerance *)
-  | Validity_regression
-  | Missing_workload
-  | Missing_config
-  | Compile_latency_regression
-      (** a compile-service cost-unit percentile grew past tolerance *)
-  | Hit_rate_regression  (** the service cache hit rate dropped past tolerance *)
-  | Compiler_speed_regression
-      (** a deterministic compiler-speed counter (ops visited, rewrites,
-          parser ops/chars) grew past tolerance (v5) *)
+(* The one list of run-varying fields: the label, and every "measured"
+   subtree (compile wall time, service throughput). *)
+let rec deterministic ~top (j : Json.t) : Json.t =
+  match j with
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "measured" || (top && k = "label") then None
+           else Some (k, deterministic ~top:false v))
+         kvs)
+  | Json.List l -> Json.List (List.map (deterministic ~top:false) l)
+  | j -> j
 
-type issue = {
-  i_kind : issue_kind;
-  i_workload : string;
-  i_config : string;  (** "" for workload-level issues *)
-  i_detail : string;
-}
+let union xs ys = xs @ List.filter (fun y -> not (List.mem y xs)) ys
 
-let issue_to_string (i : issue) =
-  if i.i_config = "" then Printf.sprintf "%s: %s" i.i_workload i.i_detail
-  else Printf.sprintf "%s [%s]: %s" i.i_workload i.i_config i.i_detail
-
-(** Compare [current] against [baseline]: cycle counts and
-    launch-latency percentiles may grow by at most [tolerance] (a
-    fraction, default 5%), validity must not regress, and every baseline
-    workload/config must still be present. New workloads and
-    improvements are fine. *)
-let compare_reports ?(tolerance = 0.05) ~(baseline : report)
-    (current : report) : issue list =
-  let issues = ref [] in
-  let add i = issues := i :: !issues in
-  List.iter
-    (fun (old_e : entry) ->
-      match
-        List.find_opt (fun e -> e.e_name = old_e.e_name) current.r_entries
-      with
-      | None ->
-        add
-          { i_kind = Missing_workload; i_workload = old_e.e_name;
-            i_config = "";
-            i_detail =
-              Printf.sprintf "workload present in %s but missing from %s"
-                baseline.r_label current.r_label }
-      | Some new_e ->
-        List.iter
-          (fun (cfg, (old_m : config_metrics)) ->
-            match List.assoc_opt cfg new_e.e_configs with
-            | None ->
-              add
-                { i_kind = Missing_config; i_workload = old_e.e_name;
-                  i_config = cfg;
-                  i_detail = "configuration missing from the new report" }
-            | Some new_m ->
-              let budget_of v =
-                int_of_float
-                  (Float.round (float_of_int v *. (1.0 +. tolerance)))
-              in
-              let gate ?(hint = "") kind what old_v new_v =
-                if new_v > budget_of old_v then
-                  add
-                    { i_kind = kind; i_workload = old_e.e_name;
-                      i_config = cfg;
-                      i_detail =
-                        Printf.sprintf
-                          "%s regressed %d -> %d (+%.1f%%, tolerance %.1f%%)%s"
-                          what old_v new_v
-                          (100.0
-                          *. (float_of_int new_v /. float_of_int (max 1 old_v)
-                             -. 1.0))
-                          (100.0 *. tolerance) hint }
-              in
-              (* A cycle regression names the line that now dominates the
-                 workload (the v4 hotspot section) — the gate itself stays
-                 on the cycle tolerance. *)
-              let hot_hint =
-                match new_e.e_hotspots with
-                | h :: _ ->
-                  Printf.sprintf "; hottest line: %s (%d cycles, %.1f%%)"
-                    h.h_line h.h_cycles (100.0 *. h.h_share)
-                | [] -> ""
-              in
-              gate ~hint:hot_hint Cycle_regression "cycles" old_m.cm_cycles
-                new_m.cm_cycles;
-              gate Latency_regression "launch latency p50"
-                old_m.cm_launch_p50 new_m.cm_launch_p50;
-              gate Latency_regression "launch latency p90"
-                old_m.cm_launch_p90 new_m.cm_launch_p90;
-              gate Latency_regression "launch latency p99"
-                old_m.cm_launch_p99 new_m.cm_launch_p99;
-              if old_m.cm_valid && not new_m.cm_valid then
-                add
-                  { i_kind = Validity_regression; i_workload = old_e.e_name;
-                    i_config = cfg;
-                    i_detail = "result validated in the baseline but no longer does" })
-          old_e.e_configs;
-        (* v5 compiler-speed gate: the deterministic counters obey the
-           same growth budget as cycles. Wall time ("measured") is
-           deliberately not inspected here. A pass present in the
-           baseline but absent from the new report was removed from the
-           pipeline — not a regression. *)
-        let gate_speed what old_v new_v =
-          let budget =
-            int_of_float
-              (Float.round (float_of_int old_v *. (1.0 +. tolerance)))
-          in
-          if new_v > budget then
-            add
-              { i_kind = Compiler_speed_regression; i_workload = old_e.e_name;
-                i_config = "sycl-mlir";
-                i_detail =
-                  Printf.sprintf
-                    "%s regressed %d -> %d (+%.1f%%, tolerance %.1f%%)"
-                    what old_v new_v
-                    (100.0
-                    *. (float_of_int new_v /. float_of_int (max 1 old_v)
-                       -. 1.0))
-                    (100.0 *. tolerance) }
-        in
-        let c_old = old_e.e_compile and c_new = new_e.e_compile in
-        gate_speed "parser ops processed" c_old.co_parse_ops
-          c_new.co_parse_ops;
-        gate_speed "parser chars processed" c_old.co_parse_chars
-          c_new.co_parse_chars;
-        List.iter
-          (fun (pass, old_v) ->
-            match List.assoc_opt pass c_new.co_ops_visited with
-            | Some new_v ->
-              gate_speed (pass ^ " ops visited") old_v new_v
-            | None -> ())
-          c_old.co_ops_visited;
-        List.iter
-          (fun (pass, old_v) ->
-            match List.assoc_opt pass c_new.co_rewrites with
-            | Some new_v -> gate_speed (pass ^ " rewrites") old_v new_v
-            | None -> ())
-          c_old.co_rewrites;
-        (* v6 cache gate: the simulated data-cache hit rate under the
-           direct-mapped model may not drop by more than the tolerance
-           fraction. Counters are deterministic, so there is no epsilon
-           beyond float-comparison slack. *)
-        let ca_old = old_e.e_cache and ca_new = new_e.e_cache in
-        if
-          ca_new.ca_hit_rate < (ca_old.ca_hit_rate *. (1.0 -. tolerance)) -. 1e-9
-        then
-          add
-            { i_kind = Hit_rate_regression; i_workload = old_e.e_name;
-              i_config = "sycl-mlir";
-              i_detail =
-                Printf.sprintf
-                  "data-cache hit rate regressed %.1f%% -> %.1f%% (dm model, \
-                   tolerance %.1f%%)"
-                  (100.0 *. ca_old.ca_hit_rate) (100.0 *. ca_new.ca_hit_rate)
-                  (100.0 *. tolerance) })
-    baseline.r_entries;
-  (* Report-level compile-service gates: the deterministic cost-unit
-     percentiles obey the same growth budget as cycles; the hit rate may
-     not drop by more than the tolerance fraction. Wall-clock throughput
-     is machine-dependent and deliberately not gated. *)
-  let s_old = baseline.r_service and s_new = current.r_service in
-  let gate_cost what old_v new_v =
-    if
-      new_v
-      > int_of_float (Float.round (float_of_int old_v *. (1.0 +. tolerance)))
-    then
-      add
-        { i_kind = Compile_latency_regression; i_workload = "<service>";
-          i_config = "";
-          i_detail =
-            Printf.sprintf
-              "%s regressed %d -> %d cost units (+%.1f%%, tolerance %.1f%%)"
-              what old_v new_v
-              (100.0
-              *. (float_of_int new_v /. float_of_int (max 1 old_v) -. 1.0))
-              (100.0 *. tolerance) }
+(* The names of a list whose objects each carry a distinct "name". *)
+let names (l : Json.t list) =
+  let ns =
+    List.filter_map
+      (fun j -> Option.bind (Json.member "name" j) Json.as_string)
+      l
   in
-  gate_cost "compile latency p50" s_old.sv_cost_p50 s_new.sv_cost_p50;
-  gate_cost "compile latency p90" s_old.sv_cost_p90 s_new.sv_cost_p90;
-  gate_cost "compile latency p99" s_old.sv_cost_p99 s_new.sv_cost_p99;
-  if s_new.sv_hit_rate < (s_old.sv_hit_rate *. (1.0 -. tolerance)) -. 1e-9 then
-    add
-      { i_kind = Hit_rate_regression; i_workload = "<service>"; i_config = "";
-        i_detail =
-          Printf.sprintf
-            "cache hit rate regressed %.1f%% -> %.1f%% (tolerance %.1f%%)"
-            (100.0 *. s_old.sv_hit_rate) (100.0 *. s_new.sv_hit_rate)
-            (100.0 *. tolerance) };
-  List.rev !issues
+  let n = List.length ns in
+  if n = List.length l && List.length (List.sort_uniq compare ns) = n then
+    Some ns
+  else None
+
+let diff (a : Json.t) (b : Json.t) : string list =
+  let out = ref [] in
+  let show = function
+    | None -> "<missing>"
+    | Some v -> Json.to_string ~compact:true v
+  in
+  let add path x y =
+    out := Printf.sprintf "%s: %s -> %s" path (show x) (show y) :: !out
+  in
+  let rec go path x y =
+    match (x, y) with
+    | Some (Json.Obj xs), Some (Json.Obj ys) ->
+      List.iter
+        (fun k ->
+          go
+            (if path = "" then k else path ^ "." ^ k)
+            (List.assoc_opt k xs) (List.assoc_opt k ys))
+        (union (List.map fst xs) (List.map fst ys))
+    | Some (Json.List xs), Some (Json.List ys) -> (
+      match (names xs, names ys) with
+      | Some nx, Some ny ->
+        let kx = List.combine nx xs and ky = List.combine ny ys in
+        List.iter
+          (fun n ->
+            go
+              (Printf.sprintf "%s[%s]" path n)
+              (List.assoc_opt n kx) (List.assoc_opt n ky))
+          (union nx ny);
+        let common ns others = List.filter (fun n -> List.mem n others) ns in
+        let order ns = Some (Json.List (List.map (fun n -> Json.String n) ns)) in
+        if common nx ny <> common ny nx then
+          add (path ^ " (order)") (order (common nx ny)) (order (common ny nx))
+      | _ ->
+        for i = 0 to max (List.length xs) (List.length ys) - 1 do
+          go
+            (Printf.sprintf "%s[%d]" path i)
+            (List.nth_opt xs i) (List.nth_opt ys i)
+        done)
+    | _ -> if x <> y then add path x y
+  in
+  go "" (Some (deterministic ~top:true a)) (Some (deterministic ~top:true b));
+  List.rev !out

@@ -1,5 +1,6 @@
 (** Benchmark metrics pipeline: schema-versioned JSON snapshots of the
-    simulated evaluation, and a regression comparator for CI gating. *)
+    simulated evaluation, and an exact diff of their deterministic
+    fields. *)
 
 val schema_version : int
 
@@ -21,7 +22,7 @@ type config_metrics = {
 }
 
 (** One hotspot line of a workload's located SYCL-MLIR run (the v4
-    "hotspots" section — context for cycle regressions, never gated). *)
+    "hotspots" section). *)
 type hotspot = {
   h_line : string;  (** ["file:line"] into the workload's virtual IR dump *)
   h_cycles : int;
@@ -29,21 +30,20 @@ type hotspot = {
 }
 
 (** The v5 per-workload "compile" section: deterministic compiler-speed
-    counters for the SYCL-MLIR configuration — gated by
-    {!compare_reports} like cycles — plus the measured (never gated)
-    parse + pipeline wall time. *)
+    counters for the SYCL-MLIR configuration, plus the measured parse +
+    pipeline wall time. *)
 type compile_metrics = {
   co_parse_ops : int;  (** ops materialized by parsing the printed module *)
   co_parse_chars : int;  (** characters of IR text the parser processed *)
   co_ops_visited : (string * int) list;  (** pass name -> ops examined *)
   co_rewrites : (string * int) list;  (** pass name -> rewrites performed *)
-  co_wall_us : int;  (** measured; excluded from determinism diffs *)
+  co_wall_us : int;  (** measured; left out of {!diff} *)
 }
 
 (** The v6 per-workload "cache" section: simulated data-cache counters
     from an extra SYCL-MLIR run under the direct-mapped model, plus the
     exact reuse-distance percentiles of that run. All fields are
-    deterministic; the hit rate is gated by {!compare_reports}. *)
+    deterministic. *)
 type cache_metrics = {
   ca_hits : int;
   ca_misses : int;  (** [ca_hits + ca_misses] = global transactions *)
@@ -106,35 +106,15 @@ exception Report_error of string
     schema-version mismatch. *)
 val of_json : string -> report
 
-type issue_kind =
-  | Cycle_regression
-  | Latency_regression  (** a launch-latency percentile grew past tolerance *)
-  | Validity_regression
-  | Missing_workload
-  | Missing_config
-  | Compile_latency_regression
-      (** a compile-service cost-unit percentile grew past tolerance *)
-  | Hit_rate_regression
-      (** a cache hit rate dropped past tolerance — the compile-service
-          cache (v3) or a workload's simulated data cache (v6) *)
-  | Compiler_speed_regression
-      (** a deterministic compiler-speed counter (ops visited, rewrites,
-          parser ops/chars) grew past tolerance (v5) *)
-
-type issue = {
-  i_kind : issue_kind;
-  i_workload : string;
-  i_config : string;
-  i_detail : string;
-}
-
-val issue_to_string : issue -> string
-
-(** Issues in [current] relative to [baseline]; empty means the gate
-    passes. [tolerance] is the permitted fractional growth for cycles,
-    launch-latency percentiles and compile-service cost-unit
-    percentiles, and the permitted fractional drop in the service and
-    per-workload data-cache hit rates (default 0.05). Measured service
-    wall time / throughput is never gated. *)
-val compare_reports :
-  ?tolerance:float -> baseline:report -> report -> issue list
+(** Every deterministic field that differs between two parsed reports,
+    as one ["path: old -> new"] line each, in the old report's field
+    order. Deterministic means every field except the top-level [label]
+    and the ["measured"] subtrees. A list whose objects each carry a
+    distinct ["name"] (the workloads) is matched by name, as in
+    [workloads[GEMM].configs.sycl-mlir.cycles: 104864 -> 104900], and a
+    change of its order is one ["path (order)"] line; other lists are
+    matched by index. A value present on one side only reads
+    [<missing>] on the other. Values print as compact {!Mlir.Json}, so
+    floats are exact. Empty exactly when the deterministic fields are
+    equal. *)
+val diff : Mlir.Json.t -> Mlir.Json.t -> string list

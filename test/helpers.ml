@@ -43,8 +43,8 @@ let floats (a : Sycl_sim.Memory.allocation) =
 
 (** The simulator domain count of every test that simulates and names
     no count of its own: [SYCL_SIM_DOMAINS] when set (CI runs the whole
-    suite under 4 to cover the parallel backend), else the recommended
-    count. *)
+    suite under 1 and under 4 to cover both backends), else the
+    recommended count. *)
 let sim_domains =
   match Sys.getenv_opt "SYCL_SIM_DOMAINS" with
   | None -> Domain.recommended_domain_count ()

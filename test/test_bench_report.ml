@@ -1,6 +1,6 @@
 (* The benchmark-regression pipeline: JSON round-trip of reports, the
-   comparator's regression/tolerance/missing-workload semantics, and one
-   measured end-to-end snapshot. *)
+   exact field diff's paths, values and ignored fields, and one measured
+   end-to-end snapshot. *)
 
 module BR = Sycl_workloads.Bench_report
 module W = Sycl_workloads
@@ -85,7 +85,39 @@ let report ?(label = "base") ?(service = service ()) entries : BR.report =
     r_service = service;
   }
 
-let kinds issues = List.map (fun i -> i.BR.i_kind) issues
+let doc r = Mlir.Json.parse (BR.to_json r)
+let diff a b = BR.diff (doc a) (doc b)
+let check_diff what expected a b =
+  Alcotest.(check (list string)) what expected (diff a b)
+
+(* Workload [name] of [r] as a diff line shows it: compact, without its
+   "measured" wall time. *)
+let workload_json r name =
+  let rec strip = function
+    | Mlir.Json.Obj kvs ->
+      Mlir.Json.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "measured" then None else Some (k, strip v))
+           kvs)
+    | j -> j
+  in
+  match Mlir.Json.member "workloads" (doc r) with
+  | Some (Mlir.Json.List ws) ->
+    strip
+      (List.find
+         (fun w -> Mlir.Json.member "name" w = Some (Mlir.Json.String name))
+         ws)
+  | _ -> Alcotest.fail "no workloads"
+
+let compact = Mlir.Json.to_string ~compact:true
+
+let sycl_mlir path = "workloads[w].configs.sycl-mlir." ^ path
+
+let with_sycl_mlir_cycles cycles =
+  report ~label:"new"
+    [ entry ~name:"w"
+        ~configs:[ ("dpcpp", metrics ()); ("sycl-mlir", metrics ~cycles ()) ]
+        () ]
 
 let tests_list =
   [
@@ -93,44 +125,33 @@ let tests_list =
         let r = report [ entry ~name:"a" (); entry ~name:"b" () ] in
         let r' = BR.of_json (BR.to_json r) in
         Alcotest.(check bool) "equal" true (r = r'));
-    Alcotest.test_case "self-comparison is clean" `Quick (fun () ->
+    Alcotest.test_case "self-comparison is empty" `Quick (fun () ->
         let r = report [ entry () ] in
-        Alcotest.(check int) "no issues" 0
-          (List.length (BR.compare_reports ~baseline:r r)));
-    Alcotest.test_case "cycle regression beyond tolerance flags" `Quick
+        check_diff "no differences" [] r r);
+    Alcotest.test_case "cycle regression becomes a path with both values"
+      `Quick (fun () ->
+        (* The fixture derives device and transfer cycles from cycles. *)
+        check_diff "three fields"
+          [ sycl_mlir "cycles: 900 -> 1200";
+            sycl_mlir "device_cycles: 450 -> 600";
+            sycl_mlir "transfer_cycles: 225 -> 300" ]
+          (report [ entry ~name:"w" () ])
+          (with_sycl_mlir_cycles 1200));
+    Alcotest.test_case "tolerance boundary: 945 and 946 both differ" `Quick
       (fun () ->
+        (* The old 5% gate passed 945 and failed 946; equality fails both. *)
         let base = report [ entry ~name:"w" () ] in
-        let worse =
-          report ~label:"new"
-            [ entry ~name:"w"
-                ~configs:
-                  [ ("dpcpp", metrics ()); ("sycl-mlir", metrics ~cycles:1200 ()) ]
-                () ]
-        in
-        match BR.compare_reports ~baseline:base worse with
-        | [ i ] ->
-          Alcotest.(check bool) "kind" true (i.BR.i_kind = BR.Cycle_regression);
-          Alcotest.(check string) "config" "sycl-mlir" i.BR.i_config
-        | issues -> Alcotest.failf "expected 1 issue, got %d" (List.length issues));
-    Alcotest.test_case "tolerance boundary: exactly at budget passes" `Quick
-      (fun () ->
-        let base = report [ entry ~name:"w" () ] in
-        let at_limit cycles =
-          report
-            [ entry ~name:"w"
-                ~configs:
-                  [ ("dpcpp", metrics ()); ("sycl-mlir", metrics ~cycles ()) ]
-                () ]
-        in
-        (* baseline sycl-mlir is 900 cycles; 5% budget = 945. *)
-        Alcotest.(check int) "945 passes" 0
-          (List.length (BR.compare_reports ~baseline:base (at_limit 945)));
-        Alcotest.(check int) "946 fails" 1
-          (List.length (BR.compare_reports ~baseline:base (at_limit 946)));
-        Alcotest.(check int) "wider tolerance admits it" 0
-          (List.length
-             (BR.compare_reports ~tolerance:0.10 ~baseline:base (at_limit 946))));
-    Alcotest.test_case "validity regression flags" `Quick (fun () ->
+        check_diff "945"
+          [ sycl_mlir "cycles: 900 -> 945";
+            sycl_mlir "device_cycles: 450 -> 472";
+            sycl_mlir "transfer_cycles: 225 -> 236" ]
+          base (with_sycl_mlir_cycles 945);
+        check_diff "946"
+          [ sycl_mlir "cycles: 900 -> 946";
+            sycl_mlir "device_cycles: 450 -> 473";
+            sycl_mlir "transfer_cycles: 225 -> 236" ]
+          base (with_sycl_mlir_cycles 946));
+    Alcotest.test_case "validity regression is a difference" `Quick (fun () ->
         let base = report [ entry ~name:"w" () ] in
         let invalid =
           report
@@ -140,21 +161,26 @@ let tests_list =
                     ("sycl-mlir", metrics ~cycles:900 ~valid:false ()) ]
                 () ]
         in
-        Alcotest.(check bool) "validity issue" true
-          (List.mem BR.Validity_regression
-             (kinds (BR.compare_reports ~baseline:base invalid))));
-    Alcotest.test_case "missing workload and config flag" `Quick (fun () ->
+        check_diff "valid" [ sycl_mlir "valid: true -> false" ] base invalid);
+    Alcotest.test_case "missing workload and config read <missing>" `Quick
+      (fun () ->
         let base = report [ entry ~name:"kept" (); entry ~name:"dropped" () ] in
         let cur =
           report
             [ entry ~name:"kept" ~configs:[ ("dpcpp", metrics ()) ] () ]
         in
-        let ks = kinds (BR.compare_reports ~baseline:base cur) in
-        Alcotest.(check bool) "missing workload" true
-          (List.mem BR.Missing_workload ks);
-        Alcotest.(check bool) "missing config" true (List.mem BR.Missing_config ks));
-    Alcotest.test_case "new workloads and improvements are fine" `Quick
-      (fun () ->
+        let configs = Mlir.Json.member "configs" (workload_json base "kept") in
+        let sycl_mlir_json =
+          Option.get (Option.bind configs (Mlir.Json.member "sycl-mlir"))
+        in
+        check_diff "missing"
+          [ "workloads[kept].configs.sycl-mlir: " ^ compact sycl_mlir_json
+            ^ " -> <missing>";
+            "workloads[dropped]: " ^ compact (workload_json base "dropped")
+            ^ " -> <missing>" ]
+          base cur);
+    Alcotest.test_case "new workloads and improvements are differences too"
+      `Quick (fun () ->
         let base = report [ entry ~name:"w" () ] in
         let better =
           report
@@ -164,8 +190,19 @@ let tests_list =
                 ();
               entry ~name:"extra" () ]
         in
-        Alcotest.(check int) "no issues" 0
-          (List.length (BR.compare_reports ~baseline:base better)));
+        check_diff "improvement and new workload"
+          [ sycl_mlir "cycles: 900 -> 500";
+            sycl_mlir "device_cycles: 450 -> 250";
+            sycl_mlir "transfer_cycles: 225 -> 125";
+            "workloads[extra]: <missing> -> "
+            ^ compact (workload_json better "extra") ]
+          base better);
+    Alcotest.test_case "workload order is a deterministic field" `Quick
+      (fun () ->
+        let a = entry ~name:"a" () and b = entry ~name:"b" () in
+        check_diff "order"
+          [ {|workloads (order): ["a","b"] -> ["b","a"]|} ]
+          (report [ a; b ]) (report [ b; a ]));
     Alcotest.test_case "malformed input raises Report_error" `Quick (fun () ->
         let bad s =
           match BR.of_json s with
@@ -180,8 +217,8 @@ let tests_list =
              "{\"schema_version\": %d, \"label\": \"x\", \"workloads\": \
               [{\"name\": 3}]}"
              BR.schema_version));
-    Alcotest.test_case "injected percentile regression fails the gate" `Quick
-      (fun () ->
+    Alcotest.test_case "injected percentile change is named by its path"
+      `Quick (fun () ->
         let base = report [ entry ~name:"w" () ] in
         let worse =
           report ~label:"new"
@@ -191,93 +228,74 @@ let tests_list =
                     ("sycl-mlir", metrics ~cycles:900 ~p99:2000 ()) ]
                 () ]
         in
-        let issues = BR.compare_reports ~baseline:base worse in
-        Alcotest.(check bool) "latency issue" true
-          (List.mem BR.Latency_regression (kinds issues));
-        Alcotest.(check bool) "no cycle issue" false
-          (List.mem BR.Cycle_regression (kinds issues)));
-    Alcotest.test_case "service compile-latency regression fails the gate"
+        check_diff "p99 only"
+          [ sycl_mlir "metrics.launch_latency.p99: 800 -> 2000" ]
+          base worse);
+    Alcotest.test_case "service compile-latency change is a difference"
       `Quick (fun () ->
         let base = report [ entry () ] in
-        (* 5% budget over p99=4000 is 4200. *)
-        let ok = report ~service:(service ~cost_p99:4200 ()) [ entry () ] in
-        Alcotest.(check int) "at budget passes" 0
-          (List.length (BR.compare_reports ~baseline:base ok));
-        let worse = report ~service:(service ~cost_p99:4201 ()) [ entry () ] in
-        let issues = BR.compare_reports ~baseline:base worse in
-        Alcotest.(check bool) "compile-latency issue" true
-          (List.mem BR.Compile_latency_regression (kinds issues));
-        Alcotest.(check bool) "nothing else" true
-          (List.for_all (fun k -> k = BR.Compile_latency_regression)
-             (kinds issues)));
-    Alcotest.test_case "service hit-rate regression fails the gate" `Quick
+        (* 4200 was the old gate's budget over p99=4000; it differs now. *)
+        check_diff "at the old budget"
+          [ "service.compile_latency.p99: 4000 -> 4200" ]
+          base
+          (report ~service:(service ~cost_p99:4200 ()) [ entry () ]);
+        check_diff "past it"
+          [ "service.compile_latency.p99: 4000 -> 4201" ]
+          base
+          (report ~service:(service ~cost_p99:4201 ()) [ entry () ]));
+    Alcotest.test_case "service hit-rate reads both values exactly" `Quick
       (fun () ->
         let base = report [ entry () ] in
-        (* 5% of 0.5 is 0.025: 0.475 passes, anything lower flags. *)
-        let ok = report ~service:(service ~hit_rate:0.475 ()) [ entry () ] in
-        Alcotest.(check int) "at budget passes" 0
-          (List.length (BR.compare_reports ~baseline:base ok));
-        let worse = report ~service:(service ~hit_rate:0.4 ()) [ entry () ] in
-        Alcotest.(check bool) "hit-rate issue" true
-          (List.mem BR.Hit_rate_regression
-             (kinds (BR.compare_reports ~baseline:base worse))));
-    Alcotest.test_case "workload data-cache hit-rate regression fails (v6)"
+        check_diff "0.475" [ "service.hit_rate: 0.5 -> 0.475" ] base
+          (report ~service:(service ~hit_rate:0.475 ()) [ entry () ]);
+        check_diff "0.4" [ "service.hit_rate: 0.5 -> 0.4" ] base
+          (report ~service:(service ~hit_rate:0.4 ()) [ entry () ]));
+    Alcotest.test_case "workload data-cache hit-rate change is a difference (v6)"
       `Quick (fun () ->
         let base = report [ entry ~name:"w" () ] in
-        (* Baseline hit rate is 0.75; 5% of that is 0.0375, so 0.7125
-           passes and anything lower flags against the workload. *)
         let at hr =
           report ~label:"new"
             [ entry ~name:"w" ~cache:(cache ~hit_rate:hr ()) () ]
         in
-        Alcotest.(check int) "at budget passes" 0
-          (List.length (BR.compare_reports ~baseline:base (at 0.7125)));
-        (match BR.compare_reports ~baseline:base (at 0.6) with
-        | [ i ] ->
-          Alcotest.(check bool) "kind" true
-            (i.BR.i_kind = BR.Hit_rate_regression);
-          Alcotest.(check string) "workload" "w" i.BR.i_workload
-        | issues ->
-          Alcotest.failf "expected 1 issue, got %d" (List.length issues));
-        Alcotest.(check int) "wider tolerance admits it" 0
-          (List.length
-             (BR.compare_reports ~tolerance:0.25 ~baseline:base (at 0.6))));
-    Alcotest.test_case "compiler-speed regression fails the gate (v5)" `Quick
+        check_diff "0.7125" [ "workloads[w].cache.hit_rate: 0.75 -> 0.7125" ]
+          base (at 0.7125);
+        check_diff "0.6" [ "workloads[w].cache.hit_rate: 0.75 -> 0.6" ] base
+          (at 0.6));
+    Alcotest.test_case "compiler-speed regression is a difference (v5)" `Quick
       (fun () ->
         let base = report [ entry ~name:"w" () ] in
-        (* Baseline canonicalize ops_visited is 400; 5% budget = 420. *)
         let at n =
           report ~label:"new"
             [ entry ~name:"w" ~compile:(compile ~ops_visited:n ()) () ]
         in
-        Alcotest.(check int) "at budget passes" 0
-          (List.length (BR.compare_reports ~baseline:base (at 420)));
-        let issues = BR.compare_reports ~baseline:base (at 421) in
-        Alcotest.(check bool) "compiler-speed issue" true
-          (List.mem BR.Compiler_speed_regression (kinds issues));
-        Alcotest.(check bool) "nothing else" true
-          (List.for_all (fun k -> k = BR.Compiler_speed_regression)
-             (kinds issues)));
-    Alcotest.test_case "parser counters are gated, wall time is not" `Quick
-      (fun () ->
+        check_diff "420"
+          [ "workloads[w].compile.ops_visited.canonicalize: 400 -> 420" ]
+          base (at 420);
+        check_diff "421"
+          [ "workloads[w].compile.ops_visited.canonicalize: 400 -> 421" ]
+          base (at 421));
+    Alcotest.test_case "parser counters are compared, measured and label are not"
+      `Quick (fun () ->
         let base = report [ entry ~name:"w" () ] in
-        (* Wall time is "measured": a 100x change must not flag. *)
+        (* Wall time and throughput are "measured": a 100x change and a
+           new label are no difference. *)
         let slow =
           report ~label:"new"
+            ~service:{ (service ()) with BR.sv_wall_us = 1; sv_modules_per_sec = 1.0 }
             [ entry ~name:"w"
                 ~compile:{ (compile ()) with BR.co_wall_us = 77_700 }
                 () ]
         in
-        Alcotest.(check int) "wall time not gated" 0
-          (List.length (BR.compare_reports ~baseline:base slow));
+        check_diff "measured and label ignored" [] base slow;
         let more_parse =
           report ~label:"new"
             [ entry ~name:"w" ~compile:(compile ~parse_ops:200 ()) () ]
         in
-        Alcotest.(check bool) "parse ops gated" true
-          (List.mem BR.Compiler_speed_regression
-             (kinds (BR.compare_reports ~baseline:base more_parse)));
-        (* A pass removed from the pipeline is not a regression. *)
+        check_diff "parse counters"
+          [ "workloads[w].compile.parse.ops: 120 -> 200";
+            "workloads[w].compile.parse.chars: 4800 -> 8000" ]
+          base more_parse;
+        (* A pass removed from the pipeline drops its counters. *)
         let removed =
           report ~label:"new"
             [ entry ~name:"w"
@@ -288,17 +306,18 @@ let tests_list =
                   }
                 () ]
         in
-        Alcotest.(check int) "removed pass is fine" 0
-          (List.length (BR.compare_reports ~baseline:base removed)));
-    Alcotest.test_case "measured snapshot round-trips and self-compares clean"
+        check_diff "removed pass"
+          [ "workloads[w].compile.ops_visited.canonicalize: 400 -> <missing>";
+            "workloads[w].compile.rewrites.canonicalize: 20 -> <missing>" ]
+          base removed);
+    Alcotest.test_case "measured snapshot round-trips and self-diffs empty"
       `Slow (fun () ->
         let r =
           BR.collect ~label:"test" [ W.Single_kernel.vec_add ~n:256 ]
         in
         let r' = BR.of_json (BR.to_json r) in
         Alcotest.(check bool) "round-trip equal" true (r = r');
-        Alcotest.(check int) "self-compare clean" 0
-          (List.length (BR.compare_reports ~baseline:r r'));
+        check_diff "self-diff empty" [] r r';
         Alcotest.(check bool) "has sycl-mlir config" true
           (List.for_all
              (fun (e : BR.entry) ->

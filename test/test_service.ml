@@ -345,7 +345,7 @@ let tests_list =
           Service.create ~workers:4 ~pipeline
             ~pipeline_key:(Driver.config_key cfg) ()
         in
-        let stop = Atomic.make false in
+        let stop = Atomic.make false and started = Atomic.make false in
         let registrar =
           Domain.spawn (fun () ->
               let n = ref 0 in
@@ -354,10 +354,16 @@ let tests_list =
                   (Printf.sprintf "test.late_op_%d" !n)
                   Op_registry.pure_info;
                 incr n;
+                Atomic.set started true;
                 Domain.cpu_relax ()
               done;
               !n)
         in
+        (* On a loaded machine the new domain may not run before the
+           batch ends: start the batch once registration is under way. *)
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
         let responses =
           Service.run_batch s
             (List.mapi
