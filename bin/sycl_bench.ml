@@ -25,9 +25,9 @@ let mode_of_string = function
   | "acpp" | "adaptivecpp" -> Ok Driver.Adaptive_cpp
   | s -> Error (`Msg ("unknown mode " ^ s ^ " (dpcpp|sycl-mlir|acpp)"))
 
-let report (w : Common.workload) (m : Common.measurement) =
+let report (w : Common.workload) mode (m : Common.measurement) =
   let r = m.Common.m_result in
-  Printf.printf "%s under %s\n" w.Common.w_name (Driver.mode_to_string m.Common.m_mode);
+  Printf.printf "%s under %s\n" w.Common.w_name (Driver.mode_to_string mode);
   Printf.printf "  validation: %s\n" (if m.Common.m_valid then "PASSED" else "FAILED");
   Printf.printf "  total cycles: %d\n" m.Common.m_cycles;
   Printf.printf "    device:          %d\n" r.Sycl_runtime.Host_interp.device_cycles;
@@ -164,10 +164,10 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
       end
       else if compare then begin
         let base = Common.measure ~sim (config Driver.Dpcpp) w in
-        report w base;
+        report w Driver.Dpcpp base;
         print_newline ();
         let opt = Common.measure ~sim (config Driver.Sycl_mlir) w in
-        report w opt;
+        report w Driver.Sycl_mlir opt;
         Printf.printf "\nspeedup SYCL-MLIR over DPC++: %.2fx\n"
           (Common.speedup base opt);
         (match Common.measure ~sim (config Driver.Adaptive_cpp) w with
@@ -179,16 +179,8 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
           print_endline "AdaptiveCpp: unsupported (modeled validation failure)")
       end
       else
-        (* The profiling surfaces report per source line, so they run a
-           located copy of the workload: printed and re-parsed under a
-           virtual file name (semantically identical — see Annotate). *)
-        let w =
-          if annotate || report_json <> None || annotated_ir <> None then
-            Annotate.located_workload w
-          else w
-        in
         let m = Common.measure ~sim (config mode) w in
-        report w m;
+        report w mode m;
         run_surfaces ~annotate ~annotated_ir ~report_json
           ~timing:m.Common.m_compile m.Common.m_result m.Common.m_module;
         if not m.Common.m_valid then exit 1)
@@ -250,9 +242,8 @@ let report_json_arg =
               hotspot and cache counter series), an $(b,attribution) \
               section (the per-op cycle table) and, under a non-flat \
               $(b,--cache-model), a $(b,cache) section (per-op cache \
-              counters and the reuse-distance histogram). Implies the \
-              located run of $(b,--annotate). Single runs only (not \
-              $(b,--compare) or $(b,--delta)).")
+              counters and the reuse-distance histogram). Single runs \
+              only (not $(b,--compare) or $(b,--delta)).")
 
 let domains_conv =
   Arg.conv
@@ -315,9 +306,9 @@ let annotate_arg =
               total, memory transactions and the coalescing ratio; then the \
               cache table (non-flat $(b,--cache-model)) and the per-kernel \
               profile (launches, launch overhead, device cycles, \
-              occupancy). Named \
-              workloads are printed and re-parsed under a virtual file name \
-              so every op carries a source location.")
+              occupancy). A named workload's lines point into its \
+              module as printed under the virtual file \
+              $(i,NAME).sycl.mlir.")
 
 let file_arg =
   Arg.(value & opt (some string) None

@@ -4,7 +4,7 @@
    same situation). This pass reports every barrier whose enclosing
    control flow is not provably uniform — a static version of that check,
    usable as a verification gate after transformations that insert
-   barriers. *)
+   barriers — as one located analysis remark per barrier. *)
 
 open Mlir
 
@@ -42,7 +42,7 @@ let pass =
       Pass.Stats.bump ~by:(List.length diags) stats "barrier-safety.divergent-barriers";
       List.iter
         (fun d ->
-          Logs.warn (fun k ->
-              k "kernel %s: group barrier under divergent control flow"
-                d.bd_kernel))
+          Remarks.emit ~pass:"barrier-safety" ~name:"divergent-barrier"
+            Remarks.Analysis ~op:d.bd_barrier
+            "group barrier under divergent control flow")
         diags)

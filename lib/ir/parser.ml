@@ -897,15 +897,3 @@ let parse_module ?file src =
   if not (Core.is_module op) then
     raise (Parse_error "expected a builtin.module at top level");
   op
-
-(** Parse a standalone location expression (the inner form of [loc(...)]),
-    e.g. ["\"f.cpp\":3:1"] or ["callsite(\"a\" at \"b\")"] — used by the
-    remarks JSON reader. *)
-let parse_loc src =
-  let p = make_parser src in
-  let l = parse_loc_expr p in
-  if p.tok <> Eof then
-    error p.lx
-      (Printf.sprintf "trailing input after location: %s"
-         (token_to_string p.tok));
-  l

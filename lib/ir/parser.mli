@@ -12,9 +12,6 @@ val parse_string : ?file:string -> string -> Core.op
 (** {!parse_string}, requiring a [builtin.module] at top level. *)
 val parse_module : ?file:string -> string -> Core.op
 
-(** A standalone location expression, the inner form of [loc(...)]. *)
-val parse_loc : string -> Loc.t
-
 val make_parser : ?file:string -> string -> t
 val parse_type : t -> Types.t
 val parse_attr : t -> Attr.t

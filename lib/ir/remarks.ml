@@ -16,12 +16,6 @@ let kind_to_string = function
   | Missed -> "missed"
   | Analysis -> "analysis"
 
-let kind_of_string = function
-  | "passed" -> Some Passed
-  | "missed" -> Some Missed
-  | "analysis" -> Some Analysis
-  | _ -> None
-
 type t = {
   r_pass : string;  (** emitting pass, e.g. ["licm"] *)
   r_name : string;  (** remark identifier, e.g. ["hoisted-mem"] *)
@@ -145,7 +139,7 @@ let to_string (r : t) =
     r.r_pass r.r_name
 
 (* ------------------------------------------------------------------ *)
-(* JSON round-trip (via the shared Json module)                        *)
+(* JSON (via the shared Json module)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let to_json_value (r : t) : Json.t =
@@ -157,7 +151,7 @@ let to_json_value (r : t) : Json.t =
        ("function", Json.String r.r_func);
        ("op", Json.String r.r_op);
        ("message", Json.String r.r_message);
-       (* Textual form (round-trips via [Parser.parse_loc]) ... *)
+       (* Textual form ... *)
        ("loc", Json.String (Loc.to_string r.r_loc));
      ]
     (* ... plus the resolved position, pre-digested for consumers. *)
@@ -170,45 +164,3 @@ let to_json_value (r : t) : Json.t =
         ("col", Json.Int col);
       ]
     | None -> [])
-
-let list_to_json rs =
-  Json.to_string (Json.List (List.map to_json_value rs)) ^ "\n"
-
-exception Json_error of string
-
-let of_json_value (v : Json.t) : t =
-  let field k =
-    match Option.bind (Json.member k v) Json.as_string with
-    | Some s -> s
-    | None -> raise (Json_error (Printf.sprintf "missing field %S" k))
-  in
-  let kind =
-    match kind_of_string (field "kind") with
-    | Some k -> k
-    | None -> raise (Json_error "bad remark kind")
-  in
-  let loc =
-    (* Absent in pre-location documents; defaults to Unknown. *)
-    match Option.bind (Json.member "loc" v) Json.as_string with
-    | None -> Loc.Unknown
-    | Some s -> (
-      match Parser.parse_loc s with
-      | l -> l
-      | exception Parser.Parse_error msg ->
-        raise (Json_error (Printf.sprintf "bad remark location %S: %s" s msg)))
-  in
-  {
-    r_pass = field "pass";
-    r_name = field "name";
-    r_kind = kind;
-    r_func = field "function";
-    r_op = field "op";
-    r_message = field "message";
-    r_loc = loc;
-  }
-
-let parse_json_remarks (s : string) : t list =
-  match Json.parse s with
-  | exception Json.Parse_error msg -> raise (Json_error msg)
-  | Json.List items -> List.map of_json_value items
-  | _ -> raise (Json_error "expected a JSON array of remark objects")

@@ -76,10 +76,3 @@ val to_string : t -> string
 
 (** Structured form, for embedding in larger documents. *)
 val to_json_value : t -> Json.t
-
-val list_to_json : t list -> string
-
-exception Json_error of string
-
-(** Parse what {!list_to_json} produces. Raises {!Json_error}. *)
-val parse_json_remarks : string -> t list

@@ -1,32 +1,17 @@
 (* The hotspot-profiler harness: turns the simulator's per-op attribution
-   (Sycl_sim.Attribution) into user-facing surfaces.
+   (Sycl_sim.Attribution) into user-facing surfaces — the run report,
+   standalone [.mlir] runs and the optimization-delta report.
 
    Frontend-built workloads carry [Loc.Unknown] on every op — the
-   builders have no source text. The profiler therefore runs a *located*
-   copy: the module is printed and re-parsed under a virtual file name,
-   so every op carries the [file:line] of its own textual form and the
-   hotspot report reads like perf-annotate over the IR dump. Standalone
-   [.mlir] files keep their real path. *)
+   builders have no source text — so every measurement runs a located
+   module ({!Common.located_module}): printed and re-parsed under
+   [<name>.sycl.mlir], every op carries the [file:line] of its own
+   textual form and the hotspot report reads like perf-annotate over the
+   IR dump. Standalone [.mlir] files keep their real path. *)
 
 open Mlir
 module H = Common.Host_interp
 module Attribution = Sycl_sim.Attribution
-
-(** The virtual file name a located workload's locations point into. *)
-let virtual_file (w : Common.workload) = w.Common.w_name ^ ".sycl.mlir"
-
-(** [w] with its module printed and re-parsed under {!virtual_file}, so
-    every op carries a concrete source location. Semantically identical:
-    the textual pipeline tests prove print -> parse -> compile -> run
-    matches the in-memory module. *)
-let located_workload (w : Common.workload) : Common.workload =
-  {
-    w with
-    Common.w_module =
-      (fun () ->
-        Parser.parse_module ~file:(virtual_file w)
-          (Printer.to_string (w.Common.w_module ())));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* The run report ([sycl_bench --report-json])                         *)
@@ -118,25 +103,22 @@ let run_file ?sim (cfg : Common.Driver.config) ?(size = 16) (path : string) :
 (* Optimization-delta report                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Run the located [w] twice under the simulator settings [sim] —
-    unoptimized reference pipeline (host raising only) vs. the full
-    SYCL-MLIR pipeline with optimization remarks collected — and join
-    the two attributions per source line ({!Attribution.delta}): each
-    line's cycle delta lands next to the remarks that claimed it, with
-    lines surviving only as [Fused]/[CallSite] constituents forwarded to
-    the row carrying their cycles. *)
+(** Run [w] twice under the simulator settings [sim] — unoptimized
+    reference pipeline (host raising only) vs. the full SYCL-MLIR
+    pipeline with optimization remarks collected — and join the two
+    attributions per source line of the located module
+    ({!Attribution.delta}): each line's cycle delta lands next to the
+    remarks that claimed it, with lines surviving only as
+    [Fused]/[CallSite] constituents forwarded to the row carrying their
+    cycles. *)
 let delta_report ?sim (w : Common.workload) :
     Attribution.delta_row list * Remarks.t list =
-  let text = Printer.to_string (w.Common.w_module ()) in
-  let parse () = Parser.parse_module ~file:(virtual_file w) text in
-  let run_tab passes m =
-    ignore (Pass.run_pipeline ~verify_each:false passes m);
-    let args, _ = w.Common.w_data () in
+  let table passes =
     Attribution.merge_launches
-      (Common.run_host ?sim m args).H.per_kernel_attribution
+      (Differential.run ?sim passes w).Common.m_result.H.per_kernel_attribution
   in
-  let before = run_tab (Differential.reference_pipeline ()) (parse ()) in
+  let before = table (Differential.reference_pipeline ()) in
   let after, remarks =
-    Remarks.collect (fun () -> run_tab (Differential.full_pipeline ()) (parse ()))
+    Remarks.collect (fun () -> table (Differential.full_pipeline ()))
   in
   (Attribution.delta ~before ~after ~remarks, remarks)

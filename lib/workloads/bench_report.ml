@@ -156,16 +156,11 @@ let metrics_of (m : Common.measurement) : config_metrics =
     cm_launch_p99 = pct 99.0;
   }
 
-(** The workload's top-[n] hotspot lines, from an extra annotated run:
-    the located copy (printed and re-parsed under a virtual file name)
-    measured under the SYCL-MLIR configuration. Deterministic — the
-    simulator and the attribution's canonical ordering are. *)
-let top_hotspots ~sim ?(n = 3) (w : Common.workload) : hotspot list =
-  let m =
-    Common.measure ~sim
-      (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-      (Annotate.located_workload w)
-  in
+(** The top-[n] hotspot lines of the SYCL-MLIR measurement [m], whose
+    located module points them into the workload's IR dump.
+    Deterministic — the simulator and the attribution's canonical
+    ordering are. *)
+let top_hotspots ?(n = 3) (m : Common.measurement) : hotspot list =
   let tab =
     Sycl_sim.Attribution.merge_launches
       m.Common.m_result.Host_interp.per_kernel_attribution
@@ -184,23 +179,19 @@ let top_hotspots ~sim ?(n = 3) (w : Common.workload) : hotspot list =
                 /. float_of_int total);
          })
 
-(** The v6 cache section: compile the workload under SYCL-MLIR and run
-    it once more under [sim] with the direct-mapped cache model.
-    Counters and reuse percentiles come from the run's merged table. *)
+(** The v6 cache section: the workload measured under SYCL-MLIR once
+    more, with [sim]'s direct-mapped cache model. Counters and reuse
+    percentiles come from the run's merged table. *)
 let cache_of_workload ~sim (w : Common.workload) : cache_metrics =
-  let m = w.Common.w_module () in
-  ignore
-    (Sycl_core.Driver.compile
-       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-       m);
-  let args, _ = w.Common.w_data () in
-  let r =
-    Common.run_host
+  let m =
+    Common.measure
       ~sim:{ sim with Sycl_sim.Sim_config.cache_model = Cost.Direct_mapped }
-      m args
+      (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+      w
   in
   let tab =
-    Sycl_sim.Attribution.merge_launches r.Host_interp.per_kernel_attribution
+    Sycl_sim.Attribution.merge_launches
+      m.Common.m_result.Host_interp.per_kernel_attribution
   in
   let sum f =
     List.fold_left
@@ -287,7 +278,7 @@ let entry_of_comparison ~sim (c : Common.comparison) : entry =
     e_speedup = Common.speedup c.Common.c_base c.Common.c_sycl_mlir;
     e_pass_stats =
       Pass.Stats.to_list (Pass.merged_stats c.Common.c_sycl_mlir.Common.m_compile);
-    e_hotspots = top_hotspots ~sim w;
+    e_hotspots = top_hotspots c.Common.c_sycl_mlir;
     e_compile = compile_of_comparison c;
     e_cache = cache_of_workload ~sim w;
   }

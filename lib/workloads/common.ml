@@ -83,66 +83,77 @@ let fresh_module () = Core.create_module ()
 (* ------------------------------------------------------------------ *)
 
 type measurement = {
-  m_workload : string;
-  m_mode : Driver.mode;
-  m_cycles : int;
-  m_valid : bool;
+  m_cycles : int;  (** modeled cycles, the one-time JIT charge left out *)
+  m_valid : bool;  (** the workload's ground-truth check after the run *)
+  m_args : Host_interp.hv list;  (** the host data, as the run left it *)
   m_result : Host_interp.run_result;
   m_compile : Pass.pipeline_result;
       (** the compile's per-pass statistics and times *)
-  m_module : Core.op;  (** the compiled module (for annotated IR dumps) *)
+  m_module : Core.op;  (** the compiled located module *)
 }
 
 exception Unsupported of string
 
 (** Execute host [main] of the compiled module [m] on [args] under the
-    simulator settings [sim] (default {!Sim_config.default}): the one
-    way the workload harnesses run a module. *)
+    simulator settings [sim] (default {!Sim_config.default}). *)
 let run_host ?(sim = Sim_config.default) ?launch_hook ?jit_cycles m args =
   Host_interp.run ?launch_hook ?jit_cycles ~sim_domains:sim.Sim_config.domains
     ~check_races:sim.Sim_config.check_races
     ~cache_model:sim.Sim_config.cache_model ~module_op:m args
 
-(** Compile and execute [w] under [cfg] with the simulator settings
-    [sim]; the measured run excludes JIT warm-up (the paper's
-    methodology discards the first run). *)
-let measure ?sim (cfg : Driver.config) (w : workload) : measurement =
-  if cfg.Driver.mode = Driver.Adaptive_cpp && not w.w_acpp_ok then
-    raise (Unsupported w.w_name);
-  let m = w.w_module () in
-  let compiled = Driver.compile cfg m in
+(** [w]'s module printed and re-parsed under the virtual file name
+    [<name>.sycl.mlir], so every op carries the [file:line] of its own
+    textual form. Semantically identical: the textual pipeline tests
+    prove print -> parse -> compile -> run matches the in-memory
+    module. *)
+let located_module (w : workload) : Core.op =
+  Parser.parse_module ~file:(w.w_name ^ ".sycl.mlir")
+    (Printer.to_string (w.w_module ()))
+
+(** The one compile-and-run path: compile [w]'s located module with
+    [compile] and run its [main] exactly once, on fresh host data, under
+    the simulator settings [sim]. Under [jit] (AdaptiveCpp) the runtime
+    specializes each kernel at its first launch and charges the JIT
+    cycles for it; [m_cycles] leaves that charge out, as the paper's
+    methodology discards the first run's JIT. *)
+let compile_and_run ?sim ?(jit = false) ~compile (w : workload) : measurement =
+  let m = located_module w in
+  let pipeline_result = compile m in
   let launch_hook, jit_cycles =
-    match cfg.Driver.mode with
-    | Driver.Adaptive_cpp ->
+    if jit then
       ( Some
           (fun kernel (info : Host_interp.launch_info) ->
             ignore
-              (Driver.specialize_at_launch kernel ~global:info.Host_interp.li_global
-                 ~wg:info.Host_interp.li_wg
+              (Driver.specialize_at_launch kernel
+                 ~global:info.Host_interp.li_global ~wg:info.Host_interp.li_wg
                  ~noalias_pairs:info.Host_interp.li_noalias_pairs
                  ~constant_args:info.Host_interp.li_constant_args)),
         Cost.default.Cost.jit_compile_cycles )
-    | Driver.Dpcpp | Driver.Sycl_mlir -> (None, 0)
+    else (None, 0)
   in
-  (* Warm-up run (JIT specialization happens here for AdaptiveCpp). *)
-  (match cfg.Driver.mode with
-  | Driver.Adaptive_cpp ->
-    let args, _ = w.w_data () in
-    ignore (run_host ?sim ?launch_hook ~jit_cycles m args)
-  | _ -> ());
   let args, validate = w.w_data () in
   let result = run_host ?sim ?launch_hook ~jit_cycles m args in
-  (* The measured run excludes the one-time JIT charge. *)
-  let cycles = result.Host_interp.total_cycles - result.Host_interp.jit_cycles in
+  let valid = validate () in
   {
-    m_workload = w.w_name;
-    m_mode = cfg.Driver.mode;
-    m_cycles = cycles;
-    m_valid = validate ();
+    m_cycles = result.Host_interp.total_cycles - result.Host_interp.jit_cycles;
+    m_valid = valid;
+    m_args = args;
     m_result = result;
-    m_compile = compiled.Driver.pipeline_result;
+    m_compile = pipeline_result;
     m_module = m;
   }
+
+(** The measurement of [w] under [cfg]: its located module compiled by
+    {!Driver.compile} and run once under [sim] ({!compile_and_run}).
+    Every surface of a measured run reads this one record. Raises
+    {!Unsupported} for a workload AdaptiveCpp fails on. *)
+let measure ?sim (cfg : Driver.config) (w : workload) : measurement =
+  if cfg.Driver.mode = Driver.Adaptive_cpp && not w.w_acpp_ok then
+    raise (Unsupported w.w_name);
+  compile_and_run ?sim
+    ~jit:(cfg.Driver.mode = Driver.Adaptive_cpp)
+    ~compile:(fun m -> (Driver.compile cfg m).Driver.pipeline_result)
+    w
 
 let default_configs =
   [

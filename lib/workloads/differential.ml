@@ -36,22 +36,24 @@ let reference_pipeline () =
   | raising :: _ -> [ raising ]
   | [] -> []
 
-(** Run [w] compiled with [passes] under [sim]; returns the
-    per-argument buffer snapshots (floats; None for scalar args) and the
-    ground-truth verdict. *)
-let run_with ?sim (w : Common.workload) (passes : Pass.t list) =
-  let m = w.Common.w_module () in
-  ignore (Pass.run_pipeline ~verify_each:false passes m);
-  let args, validate = w.Common.w_data () in
-  ignore (Common.run_host ?sim m args);
-  let snapshot (hv : Common.Host_interp.hv) =
-    match hv with
-    | Common.Host_interp.Scalar (Common.Interp.Mem view) ->
-      let a = view.Common.Memory.base in
-      Some (Array.init (Common.Memory.size a) (Common.Memory.get_float a))
-    | _ -> None
-  in
-  (List.map snapshot args, validate ())
+(** [w] compiled with [passes] and run once under [sim]
+    ({!Common.compile_and_run}): the one run behind every oracle here
+    that simulates, and behind the optimization-delta report. *)
+let run ?sim (passes : Pass.t list) (w : Common.workload) : Common.measurement =
+  Common.compile_and_run ?sim
+    ~compile:(Pass.run_pipeline ~verify_each:false passes)
+    w
+
+(* The per-argument buffer snapshots of a run (floats; None for scalar
+   args). *)
+let buffers (m : Common.measurement) =
+  List.map
+    (function
+      | Common.Host_interp.Scalar (Common.Interp.Mem view) ->
+        let a = view.Common.Memory.base in
+        Some (Array.init (Common.Memory.size a) (Common.Memory.get_float a))
+      | _ -> None)
+    m.Common.m_args
 
 let buffers_agree ?(tol = 1e-3) a b =
   match (a, b) with
@@ -69,7 +71,7 @@ let check ?sim ?(tol = 1e-3) (w : Common.workload) :
   let fail detail =
     let first_bad_pass =
       Difftest.bisect_passes ~passes:(full_pipeline ()) ~base:1
-        ~fresh:(fun () -> w.Common.w_module ())
+        ~fresh:(fun () -> Common.located_module w)
         ~check:(fun m ->
           let args, validate = w.Common.w_data () in
           match Common.run_host ?sim m args with
@@ -81,35 +83,52 @@ let check ?sim ?(tol = 1e-3) (w : Common.workload) :
       { d_workload = w.Common.w_name; d_detail = detail;
         d_first_bad_pass = first_bad_pass }
   in
-  match
-    ( run_with ?sim w (reference_pipeline ()),
-      run_with ?sim w (full_pipeline ()) )
-  with
+  match (run ?sim (reference_pipeline ()) w, run ?sim (full_pipeline ()) w) with
   | exception e ->
     fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
-  | (ref_bufs, ref_ok), (opt_bufs, opt_ok) ->
-    if not ref_ok then
+  | reference, optimized ->
+    if not reference.Common.m_valid then
       Error
         { d_workload = w.Common.w_name;
           d_detail = "unoptimized reference fails its own ground truth";
           d_first_bad_pass = None }
-    else if not opt_ok then fail "optimized run fails ground truth"
-    else if not (List.for_all2 (buffers_agree ~tol) ref_bufs opt_bufs) then
+    else if not optimized.Common.m_valid then
+      fail "optimized run fails ground truth"
+    else if
+      not
+        (List.for_all2 (buffers_agree ~tol) (buffers reference)
+           (buffers optimized))
+    then
       fail "optimized and unoptimized buffers diverge"
     else Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* Oracle (d): sequential vs. parallel simulator determinism           *)
+(* The run digest, and oracle (g): attribution conservation            *)
 (* ------------------------------------------------------------------ *)
 
-(* Render everything observable about a run — cost counters, per-kernel
-   launch statistics, the metrics registry (as canonical JSON, so counter
-   and percentile determinism is part of the contract), the profile
-   timeline, and every output buffer bit-for-bit (hex floats) — so any
-   divergence between two runs shows up as a byte difference. *)
-let render_digest (r : Common.Host_interp.run_result)
-    (args : Common.Host_interp.hv list) ~(valid : bool) : string =
+exception Not_conserved of string
+
+(** Everything observable about the run [m] as text: cost counters,
+    per-kernel launch statistics, the per-op attribution tables and
+    cache views, the profile timeline, every output buffer bit for bit
+    (hex floats) and the metrics registry (as canonical JSON, so counter
+    and percentile determinism is part of the contract) — so any
+    divergence between two runs shows up as a byte difference. Oracle
+    (g) is checked on the way: every launch's attribution table must
+    decompose its launch statistics exactly
+    ({!Sycl_sim.Attribution.check_launches}: each counter column sums to
+    the launch's field, the cycle column to [total_wg_cycles], and under
+    a non-flat cache model hits + misses to the global transactions),
+    else {!Not_conserved}. *)
+let digest (m : Common.measurement) : string =
   let module H = Common.Host_interp in
+  let r = m.Common.m_result in
+  (match
+     Sycl_sim.Attribution.check_launches r.H.per_kernel
+       r.H.per_kernel_attribution
+   with
+  | Ok () -> ()
+  | Error v -> raise (Not_conserved v));
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -117,7 +136,7 @@ let render_digest (r : Common.Host_interp.run_result)
         launches=%d deps=%d valid=%b\n"
        r.H.total_cycles r.H.device_cycles r.H.launch_overhead_cycles
        r.H.transfer_cycles r.H.scheduler_cycles r.H.jit_cycles
-       r.H.kernel_launches r.H.dependency_edges valid);
+       r.H.kernel_launches r.H.dependency_edges m.Common.m_valid);
   List.iter
     (fun (name, s) ->
       Buffer.add_string buf
@@ -146,29 +165,40 @@ let render_digest (r : Common.Host_interp.run_result)
                  e.Sycl_obs.Trace.sp_args))))
     r.H.events;
   List.iteri
-    (fun i hv ->
-      match hv with
-      | H.Scalar (Common.Interp.Mem view) ->
+    (fun i -> function
+      | Some floats ->
         Buffer.add_string buf (Printf.sprintf "buf %d:" i);
-        let a = view.Common.Memory.base in
-        for c = 0 to Common.Memory.size a - 1 do
-          Buffer.add_string buf
-            (Printf.sprintf " %h" (Common.Memory.get_float a c))
-        done;
+        Array.iter
+          (fun x -> Buffer.add_string buf (Printf.sprintf " %h" x))
+          floats;
         Buffer.add_char buf '\n'
-      | _ -> ())
-    args;
+      | None -> ())
+    (buffers m);
   Buffer.add_string buf
     (Json.to_string (Sycl_obs.Metrics.to_json r.H.metrics));
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let run_digest ~sim (w : Common.workload) : string =
-  let m = w.Common.w_module () in
-  ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
-  let args, validate = w.Common.w_data () in
-  let r = Common.run_host ~sim m args in
-  render_digest r args ~valid:(validate ())
+(* The digest of [w] compiled with the full pipeline and run under
+   [sim]. *)
+let run_digest ?sim (w : Common.workload) =
+  digest (run ?sim (full_pipeline ()) w)
+
+(* [oracle]'s failure for an exception [w]'s runs raised — oracle (g)'s,
+   [attribution-conservation], when a digest found a launch whose
+   attribution does not conserve. *)
+let raised ~oracle (w : Common.workload) e : (unit, Difftest.failure) result =
+  let f_oracle, detail =
+    match e with
+    | Not_conserved v -> ("attribution-conservation", v)
+    | e -> (oracle, "execution raised " ^ Printexc.to_string e)
+  in
+  Error
+    { Difftest.f_oracle; f_detail = w.Common.w_name ^ ": " ^ detail; f_ir = None }
+
+(* ------------------------------------------------------------------ *)
+(* Oracle (d): sequential vs. parallel simulator determinism           *)
+(* ------------------------------------------------------------------ *)
 
 (** Sequential-vs-parallel determinism: the full run digest under
     [domains] worker domains must be byte-identical to the sequential
@@ -180,49 +210,10 @@ let check_parallel ?(sim = Sim_config.default) ?(domains = 4)
     ( run_digest ~sim:{ sim with Sim_config.domains = 1 } w,
       run_digest ~sim:{ sim with Sim_config.domains } w )
   with
-  | exception e ->
-    Error
-      {
-        Difftest.f_oracle = "determinism";
-        f_detail =
-          Printf.sprintf "%s: execution raised %s" w.Common.w_name
-            (Printexc.to_string e);
-        f_ir = None;
-      }
+  | exception e -> raised ~oracle:"determinism" w e
   | reference, subject ->
     Difftest.check_deterministic ~oracle:"determinism"
       ~what:(w.Common.w_name ^ " run digest") ~reference ~subject ()
-
-(* ------------------------------------------------------------------ *)
-(* Oracle (g): attribution conservation                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Every launch's attribution table, from a run under [sim], must
-    decompose its launch stats exactly: each counter column sums to the
-    corresponding [Cost.launch_stats] field and the cycle column to
-    [total_wg_cycles] ({!Sycl_sim.Attribution.check_launches}). *)
-let check_attribution ?sim (w : Common.workload) :
-    (unit, Difftest.failure) result =
-  let module H = Common.Host_interp in
-  let fail detail =
-    Error
-      { Difftest.f_oracle = "attribution-conservation";
-        f_detail = w.Common.w_name ^ ": " ^ detail; f_ir = None }
-  in
-  match
-    let m = w.Common.w_module () in
-    ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
-    let args, _ = w.Common.w_data () in
-    Common.run_host ?sim m args
-  with
-  | exception e -> fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
-  | r -> (
-    match
-      Sycl_sim.Attribution.check_launches r.H.per_kernel
-        r.H.per_kernel_attribution
-    with
-    | Error detail -> fail detail
-    | Ok () -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (e): telemetry neutrality                                    *)
@@ -235,11 +226,9 @@ let check_attribution ?sim (w : Common.workload) :
 let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
     string * string =
   let module H = Common.Host_interp in
-  let m = w.Common.w_module () in
-  let compile = Pass.run_pipeline ~verify_each:false (full_pipeline ()) m in
-  let ir = Printer.to_string m in
-  let args, validate = w.Common.w_data () in
-  let r = Common.run_host ?sim m args in
+  let m = run ?sim (full_pipeline ()) w in
+  let r = m.Common.m_result in
+  let ir = Printer.to_string m.Common.m_module in
   if telemetry then begin
     (* Exercise the export paths too: render the merged trace, the
        metrics JSON and the profiler surfaces (--annotate: hotspot
@@ -248,7 +237,7 @@ let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
        module under test must stay byte-identical. *)
     let tab = Sycl_sim.Attribution.merge_launches r.H.per_kernel_attribution in
     let trace =
-      Telemetry.merged_trace ~timing:compile ~attribution:tab r
+      Telemetry.merged_trace ~timing:m.Common.m_compile ~attribution:tab r
     in
     ignore (Json.to_string (Sycl_obs.Trace.export trace));
     ignore (Json.to_string (Sycl_obs.Metrics.to_json r.H.metrics));
@@ -258,26 +247,19 @@ let telemetry_run ?sim (w : Common.workload) ~(telemetry : bool) :
     Sycl_sim.Attribution.annotate_module tab clone;
     ignore (Printer.to_string clone)
   end;
-  (ir, render_digest r args ~valid:(validate ()))
+  (ir, digest m)
 
 (** Telemetry must observe, never perturb: compiling and running under
-    [sim] with the trace/metrics/profiler exports rendered must leave the compiled IR and the full run digest byte-identical
-    to a plain run. *)
+    [sim] with the trace/metrics/profiler exports rendered must leave
+    the compiled IR and the full run digest byte-identical to a plain
+    run. *)
 let check_telemetry_neutral ?sim (w : Common.workload) :
     (unit, Difftest.failure) result =
   match
     ( telemetry_run ?sim w ~telemetry:false,
       telemetry_run ?sim w ~telemetry:true )
   with
-  | exception e ->
-    Error
-      {
-        Difftest.f_oracle = "telemetry-neutral";
-        f_detail =
-          Printf.sprintf "%s: execution raised %s" w.Common.w_name
-            (Printexc.to_string e);
-        f_ir = None;
-      }
+  | exception e -> raised ~oracle:"telemetry-neutral" w e
   | (ref_ir, ref_digest), (tel_ir, tel_digest) -> (
     match
       Difftest.check_deterministic ~oracle:"telemetry-neutral"
@@ -370,52 +352,29 @@ let check_service_cache (w : Common.workload) :
 (* Oracle (i): cache-model coherence                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Full run digest under [sim], with per-launch conservation checked on
-   the way ([hits + misses] must equal the launch's global transactions
-   exactly, and the per-op table must sum to the launch counters —
-   {!Sycl_sim.Attribution.check_launches}). *)
-let cache_digest ?sim (w : Common.workload) : string =
-  let module H = Common.Host_interp in
-  let m = w.Common.w_module () in
-  ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
-  let args, validate = w.Common.w_data () in
-  let r = Common.run_host ?sim m args in
-  (match
-     Sycl_sim.Attribution.check_launches r.H.per_kernel
-       r.H.per_kernel_attribution
-   with
-  | Ok () -> ()
-  | Error v -> failwith ("cache conservation violated: " ^ v));
-  render_digest r args ~valid:(validate ())
-
-(** Cache-model coherence: under each non-flat model the cache counters
-    conserve exactly on every launch and the full digest (launch stats,
-    per-op cache tables, reuse histograms, metrics, buffers) is
-    byte-identical between the sequential and the [domains]-domain
-    backend; an explicit flat model is byte-identical to a run given no
-    settings at all, so the default is the flat model. The runs take
-    their race check from [sim]; its cache model and domain count are
-    the ones under test and are set per run. *)
+(** Cache-model coherence: under each non-flat model the full digest
+    (launch stats, per-op cache tables, reuse histograms, metrics,
+    buffers) is byte-identical between the sequential and the
+    [domains]-domain backend (each digest also checks that the cache
+    counters conserve exactly on every launch: oracle (g)); an explicit
+    flat model is byte-identical to a run given no settings at all, so
+    the default is the flat model. The runs take their race check from
+    [sim]; its cache model and domain count are the ones under test and
+    are set per run. *)
 let check_cache_coherence ?(sim = Sim_config.default) ?(domains = 4)
     (w : Common.workload) : (unit, Difftest.failure) result =
   let name = w.Common.w_name in
-  let fail detail =
-    Error
-      { Difftest.f_oracle = "cache-coherence";
-        f_detail = name ^ ": " ^ detail; f_ir = None }
-  in
   match
-    let run cache_model domains =
-      cache_digest ~sim:{ sim with Sim_config.cache_model; domains } w
+    let model_digest cache_model domains =
+      run_digest ~sim:{ sim with Sim_config.cache_model; domains } w
     in
-    let per_model model = (run model 1, run model domains) in
+    let per_model model = (model_digest model 1, model_digest model domains) in
     ( per_model Common.Cost.Direct_mapped,
       per_model Common.Cost.Set_associative,
-      run Common.Cost.Flat 1,
-      cache_digest w )
+      model_digest Common.Cost.Flat 1,
+      run_digest w )
   with
-  | exception e ->
-    fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
+  | exception e -> raised ~oracle:"cache-coherence" w e
   | (dm_seq, dm_par), (as_seq, as_par), flat, default -> (
     let pair what reference subject =
       Difftest.check_deterministic ~oracle:"cache-coherence"

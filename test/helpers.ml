@@ -55,3 +55,11 @@ let sim_domains =
 
 (** {!Sycl_sim.Sim_config.default} on {!sim_domains} domains. *)
 let sim = { Sycl_sim.Sim_config.default with domains = sim_domains }
+
+(** [w] measured under the default SYCL-MLIR configuration on {!sim},
+    with [cache_model] (default flat). *)
+let measure_sycl_mlir ?(cache_model = Sycl_sim.Cost.Flat) w =
+  Sycl_workloads.Common.measure
+    ~sim:{ sim with cache_model }
+    (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
+    w

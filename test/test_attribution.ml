@@ -28,15 +28,10 @@ let merged r = Attribution.merge_launches r.H.per_kernel_attribution
 let check_launches (r : H.run_result) =
   Attribution.check_launches r.H.per_kernel r.H.per_kernel_attribution
 
-(* Compile a located workload with the default SYCL-MLIR pipeline and run
-   it on its own data. *)
+(* The run of a workload measured under the default SYCL-MLIR
+   configuration. *)
 let run_workload ?cache_model (w : Common.workload) =
-  let w = Annotate.located_workload w in
-  let m = w.Common.w_module () in
-  ignore
-    (Sycl_core.Driver.compile (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
-  let args, _ = w.Common.w_data () in
-  H.run ~sim_domains:Helpers.sim_domains ?cache_model ~module_op:m args
+  (Helpers.measure_sycl_mlir ?cache_model w).Common.m_result
 
 (* The columns [Attribution.check_launches] compares with the launch
    statistics, under the names it reports them by, with a setter that
@@ -312,13 +307,7 @@ let tests_list =
         (* The internalized GEMM executes cooperative prefetches with
            work-group barriers — the barrier-round accounting must both
            conserve and attribute to the barrier op itself. *)
-        let w = Annotate.located_workload (Polybench.gemm ~n:16) in
-        let m = w.Common.w_module () in
-        ignore
-          (Sycl_core.Driver.compile
-             (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
-        let args, _ = w.Common.w_data () in
-        let r = H.run ~sim_domains:Helpers.sim_domains ~module_op:m args in
+        let r = run_workload (Polybench.gemm ~n:16) in
         (match check_launches r with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "conservation violated: %s" msg);
@@ -339,11 +328,35 @@ let tests_list =
         Alcotest.(check bool) "barrier rounds attributed to barrier ops" true
           (barrier_rows <> []));
     Alcotest.test_case "fuzzed workload: conservation oracle" `Quick (fun () ->
+        (* Oracle (g) is checked by every run digest. *)
         let rng = Random.State.make [| 7; 21 |] in
         let w = Differential.random_workload rng in
-        match Differential.check_attribution ~sim:Helpers.sim w with
-        | Ok () -> ()
-        | Error f -> Alcotest.fail f.Difftest.f_detail);
+        match Differential.run_digest ~sim:Helpers.sim w with
+        | _ -> ()
+        | exception Differential.Not_conserved detail -> Alcotest.fail detail);
+    Alcotest.test_case "a digest rejects a run that does not conserve" `Quick
+      (fun () ->
+        (* One cycle more on one row of a measured run: the digest raises,
+           and the oracles running it report oracle (g). *)
+        let w = Polybench.gemm ~n:16 in
+        let m = Helpers.measure_sycl_mlir w in
+        ignore (Differential.digest m);
+        (match m.Common.m_result.H.per_kernel_attribution with
+        | (_, t) :: _ ->
+          let _, c = List.hd (Attribution.rows t) in
+          c.Attribution.c_cycles <- c.Attribution.c_cycles + 1
+        | [] -> Alcotest.fail "no launch");
+        match Differential.digest m with
+        | _ -> Alcotest.fail "digest accepted a perturbed run"
+        | exception (Differential.Not_conserved detail as e) -> (
+          Alcotest.(check bool)
+            (detail ^ " names the cycle column") true
+            (contains ~needle:": cycles total " detail);
+          match Differential.raised ~oracle:"determinism" w e with
+          | Error f ->
+            Alcotest.(check string) "reported as oracle (g)"
+              "attribution-conservation" f.Difftest.f_oracle
+          | Ok () -> Alcotest.fail "no failure"));
   ]
 
 let tests = ("attribution", tests_list)

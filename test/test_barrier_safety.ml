@@ -66,6 +66,30 @@ let tests_list =
               (Printf.sprintf "agreement (divergent=%b)" divergent)
               static_bad dynamic_bad)
           [ false; true ]);
+    Alcotest.test_case "pass remarks each divergent barrier at its line" `Quick
+      (fun () ->
+        (* The kernel as parsed from text, so the remark carries the
+           barrier's file:line:col. *)
+        let remarks ~divergent =
+          let built, _ = build_kernel ~divergent in
+          let m = Parser.parse_module ~file:"k.mlir" (Printer.to_string built) in
+          snd
+            (Remarks.collect (fun () ->
+                 Pass.run_pipeline ~verify_each:false [ BS.pass ] m))
+        in
+        Alcotest.(check int) "uniform kernel: no remark" 0
+          (List.length (remarks ~divergent:false));
+        match remarks ~divergent:true with
+        | [ r ] ->
+          Alcotest.(check string) "kernel named" "k" r.Remarks.r_func;
+          Alcotest.(check string) "anchored at the barrier" "gpu.barrier"
+            r.Remarks.r_op;
+          Alcotest.(check string) "remark"
+            "k.mlir:9:7: remark (analysis): k (gpu.barrier): group barrier \
+             under divergent control flow \
+             [-Rpass-analysis=barrier-safety:divergent-barrier]"
+            (Remarks.to_string r)
+        | rs -> Alcotest.failf "expected 1 remark, got %d" (List.length rs));
     Alcotest.test_case "internalization output is barrier-safe" `Quick (fun () ->
         let w = Sycl_workloads.Polybench.gemm ~n:16 in
         let m = w.Sycl_workloads.Common.w_module () in

@@ -35,13 +35,7 @@ let run_matmul ?(sim_domains = Helpers.sim_domains) ?cache_model () =
   (m, H.run ~sim_domains ?cache_model ~module_op:m args)
 
 let run_workload ?cache_model (w : Common.workload) =
-  let m = w.Common.w_module () in
-  ignore
-    (Sycl_core.Driver.compile
-       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-       m);
-  let args, _ = w.Common.w_data () in
-  H.run ~sim_domains:Helpers.sim_domains ?cache_model ~module_op:m args
+  (Helpers.measure_sycl_mlir ?cache_model w).Common.m_result
 
 let merged (r : H.run_result) =
   Attribution.merge_launches r.H.per_kernel_attribution
@@ -166,8 +160,7 @@ let tests_list =
         List.iter
           (fun model ->
             let gemm =
-              run_workload ~cache_model:model
-                (Annotate.located_workload (Polybench.gemm ~n:16))
+              run_workload ~cache_model:model (Polybench.gemm ~n:16)
             in
             check_conserved "gemm" gemm;
             Alcotest.(check bool) "gemm hit barriers" true

@@ -233,8 +233,7 @@ let tests_list =
               (Sycl_workloads.Polybench.gemm ~n:16)
           in
           let r = m.Common.m_result in
-          ( Sycl_workloads.Differential.render_digest r [] ~valid:m.Common.m_valid,
-            r )
+          (Sycl_workloads.Differential.digest m, r)
         in
         let sequential = Array.map (fun sim -> fst (run sim)) configs in
         let concurrent = Sycl_obs.Pool.run 2 (fun i -> run configs.(i)) in

@@ -11,13 +11,7 @@ module Profile = Sycl_sim.Profile
 module Trace = Sycl_obs.Trace
 
 let run_workload cache_model (w : Common.workload) =
-  let m = w.Common.w_module () in
-  ignore
-    (Sycl_core.Driver.compile
-       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-       m);
-  let args, _ = w.Common.w_data () in
-  H.run ~sim_domains:Helpers.sim_domains ~cache_model ~module_op:m args
+  (Helpers.measure_sycl_mlir ~cache_model w).Common.m_result
 
 (* GEMM and the jacobi stencil, each under the flat and direct-mapped
    cache models, labelled for failure messages. *)

@@ -90,34 +90,6 @@ let tests_list =
           (Remarks.enabled ());
         let (), rs = Remarks.collect (fun () -> ()) in
         Alcotest.(check int) "nothing collected" 0 (List.length rs));
-    Alcotest.test_case "remark JSON round-trips" `Quick (fun () ->
-        let rs =
-          [
-            { Remarks.r_pass = "licm"; r_name = "hoisted-mem";
-              r_kind = Remarks.Passed; r_func = "k"; r_op = "memref.load";
-              r_message = "hoisted \"guarded\" load\nsecond line \\ end";
-              r_loc = Loc.file ~file:"mm.sycl \"q\".cpp" ~line:12 ~col:5 };
-            { Remarks.r_pass = "kernel-fusion"; r_name = "not-fused";
-              r_kind = Remarks.Missed; r_func = "main"; r_op = "";
-              r_message = "a kernel contains a work-group barrier";
-              r_loc =
-                Loc.CallSite
-                  { callee = Loc.Name ("k", Loc.Unknown);
-                    caller = Loc.file ~file:"host.cpp" ~line:3 ~col:1 } };
-            { Remarks.r_pass = "host-device-propagation";
-              r_name = "noalias-pair"; r_kind = Remarks.Analysis;
-              r_func = "gemm"; r_op = ""; r_message = "args 1 and 2 disjoint";
-              r_loc = Loc.Unknown };
-          ]
-        in
-        let parsed = Remarks.parse_json_remarks (Remarks.list_to_json rs) in
-        Alcotest.(check int) "same count" (List.length rs) (List.length parsed);
-        List.iter2
-          (fun a b ->
-            Alcotest.(check bool)
-              ("round-trip of " ^ a.Remarks.r_name)
-              true (a = b))
-          rs parsed);
     Alcotest.test_case "collectors nest and outer sink still fires" `Quick
       (fun () ->
         let (((), inner), outer) =

@@ -24,20 +24,17 @@ let section name report =
    spans from the pipeline result, simulated under [cache_model] on
    [domains] worker domains. *)
 let gemm_report ?(cache_model = Common.Cost.Direct_mapped) ~domains () =
-  let w = Annotate.located_workload (Polybench.gemm ~n:16) in
-  let m = w.Common.w_module () in
-  let compiled =
-    Sycl_core.Driver.compile
+  let m =
+    Common.measure
+      ~sim:{ Sycl_sim.Sim_config.default with domains; cache_model }
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
-      m
+      (Polybench.gemm ~n:16)
   in
-  let args, _ = w.Common.w_data () in
-  let r = H.run ~sim_domains:domains ~cache_model ~module_op:m args in
-  let attribution = merged r in
+  let r = m.Common.m_result in
   ( r,
     Report.to_json
-      (Annotate.report_sections
-         ~timing:compiled.Sycl_core.Driver.pipeline_result ~attribution r) )
+      (Annotate.report_sections ~timing:m.Common.m_compile
+         ~attribution:(merged r) r) )
 
 let trace_events report =
   match Json.member "traceEvents" (section "trace" report) with

@@ -118,6 +118,50 @@ let qcheck_gemm_equivalence =
       let opt = Common.measure ~sim:Helpers.sim (config_of "sycl-mlir") w in
       base.Common.m_valid && opt.Common.m_valid)
 
+(* A measurement is one run of the located module: AdaptiveCpp
+   specializes each kernel once, so its no-alias facts are recorded
+   once. *)
+let acpp_specializes_once =
+  Alcotest.test_case "acpp measurement specializes each kernel once" `Quick
+    (fun () ->
+      let m =
+        Common.measure ~sim:Helpers.sim (Driver.config Driver.Adaptive_cpp)
+          (Polybench.gemm ~n:16)
+      in
+      match Mlir.Core.lookup_func m.Common.m_module "gemm" with
+      | None -> Alcotest.fail "no gemm kernel"
+      | Some k ->
+        Alcotest.(check (list (pair int int)))
+          "each no-alias pair once" [ (2, 3); (1, 3); (1, 2) ]
+          (Sycl_core.Alias.noalias_pairs k))
+
+(* ... and every op of that module has a line, so the hottest row of
+   the attribution is a line of the workload's IR dump. *)
+let measurement_is_located =
+  Alcotest.test_case "sycl-mlir measurement's hotspots are IR lines" `Quick
+    (fun () ->
+      let m =
+        Common.measure ~sim:Helpers.sim (Driver.config Driver.Sycl_mlir)
+          (Polybench.gemm ~n:16)
+      in
+      let module A = Sycl_sim.Attribution in
+      match
+        A.by_line
+          (A.merge_launches
+             m.Common.m_result.Sycl_runtime.Host_interp.per_kernel_attribution)
+      with
+      | top :: _ ->
+        let prefix = "GEMM.sycl.mlir:" in
+        let line = top.A.l_line in
+        let n = String.length prefix in
+        Alcotest.(check string) "file" prefix
+          (String.sub line 0 (min n (String.length line)));
+        Alcotest.(check bool)
+          (line ^ " has a line number") true
+          (int_of_string_opt (String.sub line n (String.length line - n))
+          <> None)
+      | [] -> Alcotest.fail "no attribution rows")
+
 let tests =
   let ws = small_workloads () in
   ( "workloads-e2e",
@@ -129,4 +173,5 @@ let tests =
     @ [
         ablation_consistency; gramschmidt_divergence_rejected;
         paper_attribution_stats; qcheck_gemm_equivalence;
+        acpp_specializes_once; measurement_is_located;
       ] )
