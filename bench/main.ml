@@ -257,9 +257,11 @@ let run_fusion () =
     (g) attribution conservation (every launch's per-op attribution
         decomposes its launch statistics exactly), checked by every
         run digest of (d), (e) and (i),
-    (h) rewrite equivalence (worklist vs. legacy bounded driver:
-        on modules where the legacy driver converges, byte-identical
-        canonicalized IR),
+    (h) incremental pass manager equivalence (under each of the three
+        configurations, the pipeline run with its skipped repeats and
+        seeded canonicalize gives the same module, remarks and pass
+        counters as running every pass in turn outside the pass
+        manager),
     (i) cache-model coherence (under dm and assoc models the full
         digest is byte-identical between 1 and 4 domains, and an
         explicit flat model is byte-identical to the default no-cache
@@ -350,10 +352,9 @@ let run_fuzz () =
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);
-      (* Oracle (h): rewrite equivalence — where the legacy
-         bounded driver converges, the worklist driver must reach the
-         same fixpoint, byte for byte. *)
-      (match Differential.check_worklist_equivalence w with
+      (* Oracle (h): incremental pass manager equivalence — skipping
+         and seeding must not change what the pipeline produces. *)
+      (match Differential.check_incremental_equivalence w with
       | Ok () -> ()
       | Error f ->
         record i f.Mlir.Difftest.f_oracle f.Mlir.Difftest.f_detail);

@@ -127,12 +127,21 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
     no_hostdev fusion report_json sim_domains check_races cache_model annotate
     file_arg size annotated_ir delta =
   if list_flag then (list_workloads (); exit 0);
-  if report_json <> None && (compare || delta) then begin
-    prerr_endline
-      "error: --report-json describes one run; it cannot be combined with \
-       --compare or --delta";
-    exit 2
-  end;
+  (if compare || delta then
+     let single_run =
+       List.filter_map
+         (fun (set, name) -> if set then Some name else None)
+         [ (report_json <> None, "--report-json"); (annotate, "--annotate");
+           (annotated_ir <> None, "--annotated-ir") ]
+     in
+     match single_run with
+     | [] -> ()
+     | name :: _ ->
+       Printf.eprintf
+         "error: %s describes one run; it cannot be combined with --compare \
+          or --delta\n"
+         name;
+       exit 2);
   let sim =
     { Sycl_sim.Sim_config.domains = sim_domains; check_races; cache_model }
   in
@@ -308,7 +317,8 @@ let annotate_arg =
               profile (launches, launch overhead, device cycles, \
               occupancy). A named workload's lines point into its \
               module as printed under the virtual file \
-              $(i,NAME).sycl.mlir.")
+              $(i,NAME).sycl.mlir. Single runs only (not $(b,--compare) \
+              or $(b,--delta)).")
 
 let file_arg =
   Arg.(value & opt (some string) None
@@ -332,7 +342,8 @@ let annotated_ir_arg =
              "Write the compiled module with per-op sycl.cycles / \
               sycl.mem_cycles attributes recorded from the run to $(docv). \
               The attributes are discardable and round-trip through the \
-              parser and verifier.")
+              parser and verifier. Single runs only (not $(b,--compare) or \
+              $(b,--delta)).")
 
 let delta_arg =
   Arg.(value & flag

@@ -313,6 +313,7 @@ let stats_json (result : Mlir.Pass.pipeline_result) lc =
                Obj
                  [ ("pass", String name);
                    ("seconds", Float t.Mlir.Pass.t_seconds);
+                   ("skipped", Bool t.Mlir.Pass.t_skipped);
                    ("stats", stats_obj st) ])
              result.Mlir.Pass.per_pass_stats result.Mlir.Pass.per_pass_time) );
       ("merged", stats_obj (Mlir.Pass.merged_stats result));

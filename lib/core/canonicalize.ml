@@ -172,7 +172,7 @@ let patterns =
     select_same; reassoc_const ]
 
 let pass =
-  Pass.make "canonicalize" (fun m stats ->
+  Pass.make ~idempotent:true "canonicalize" (fun m stats ->
       (* Per-kind counters ("canonicalize.fold", "canonicalize.dce",
          "canonicalize.pattern.<name>") plus the historical total. *)
       let on_rewrite ~func kind op =
@@ -191,7 +191,11 @@ let pass =
                | "dce" -> "dead pure-op elimination"
                | name -> "pattern " ^ name))
       in
-      let st = Rewrite.apply_greedily ~on_rewrite m patterns in
+      (* From its second execution in a pipeline run, only the ops
+         stamped since the previous one ended can have become
+         rewritable: the previous one left a fixpoint. *)
+      let since = Pass.previous_end "canonicalize" in
+      let st = Rewrite.apply_greedily ?since ~on_rewrite m patterns in
       Pass.Stats.bump ~by:st.Rewrite.rw_rewrites stats "rewrites";
       (* Compiler-speed counter: deterministic, gated by bench compare. *)
       Pass.Stats.bump ~by:st.Rewrite.rw_ops_visited stats

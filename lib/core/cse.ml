@@ -104,4 +104,4 @@ let run_on_func (f : Core.op) stats =
     (fun b -> go (Hashtbl.create 64) b)
     f.Core.regions.(0).Core.blocks
 
-let pass = Pass.on_functions "cse" run_on_func
+let pass = Pass.on_functions ~idempotent:true "cse" run_on_func

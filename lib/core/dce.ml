@@ -57,4 +57,4 @@ let run_on_func (f : Core.op) stats =
       !ops
   done
 
-let pass = Pass.on_functions "dce" run_on_func
+let pass = Pass.on_functions ~idempotent:true "dce" run_on_func

@@ -170,8 +170,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
     Core.set_operands term (Core.operands term @ [ yielded ]);
     Core.erase_op c.red_store;
     (* Move the body into a fresh region for the rebuilt loop op. *)
-    old_region.Core.blocks <- [];
-    let region = Core.create_region ~blocks:[ old_body ] () in
+    let region = Core.create_region ~blocks:(Core.take_blocks old_region) () in
     let new_loop =
       Builder.insert b
         (Core.create_op loop.Core.name

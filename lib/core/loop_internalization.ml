@@ -439,7 +439,12 @@ let innermost_loops (f : Core.op) =
       end);
   List.rev !loops
 
-let run_on_kernel (uniformity : Uniformity.t) (kernel : Core.op) stats =
+(* [uniformity] and the kernel's reaching definitions are computed on
+   first use, so a kernel with no loop to look at pays for neither. The
+   first use always precedes the first rewrite (each loop is analyzed
+   before it is tiled), so both still describe the kernel as the pass
+   found it. *)
+let run_on_kernel (uniformity : Uniformity.t Lazy.t) (kernel : Core.op) stats =
   let kname = Core.func_sym kernel in
   match wg_tile_size kernel ~kd:(Memory_access.kernel_dims kernel) with
   | None ->
@@ -447,7 +452,7 @@ let run_on_kernel (uniformity : Uniformity.t) (kernel : Core.op) stats =
       "kernel not internalized: no usable work-group tile size (launch \
        configuration unknown or non-square)"
   | Some m ->
-    let rd = Reaching_defs.analyze_with_args kernel in
+    let rd = lazy (Reaching_defs.analyze_with_args kernel) in
     List.iter
       (fun loop ->
         let bound_operands =
@@ -458,6 +463,7 @@ let run_on_kernel (uniformity : Uniformity.t) (kernel : Core.op) stats =
             Dialects.Affine_ops.for_lb_operands loop
             @ Dialects.Affine_ops.for_ub_operands loop
         in
+        let uniformity = Lazy.force uniformity in
         if
           Uniformity.in_divergent_region uniformity loop
           || List.exists
@@ -474,7 +480,9 @@ let run_on_kernel (uniformity : Uniformity.t) (kernel : Core.op) stats =
           remark ~name:"rejected-step" Remarks.Missed ~op:loop
             "loop not internalized: only unit-step loops are tiled"
         else begin
-          let accesses = Memory_access.analyze_loop ~kernel rd loop in
+          let accesses =
+            Memory_access.analyze_loop ~kernel (Lazy.force rd) loop
+          in
           let cands =
             List.filter_map
               (is_candidate ~kd:(Memory_access.kernel_dims kernel) loop)
@@ -505,7 +513,7 @@ let run_on_kernel (uniformity : Uniformity.t) (kernel : Core.op) stats =
       (innermost_loops kernel)
 
 let run (m : Core.op) stats =
-  let uniformity = Uniformity.analyze m in
+  let uniformity = lazy (Uniformity.analyze m) in
   List.iter
     (fun f -> if Uniformity.is_kernel f then run_on_kernel uniformity f stats)
     (Core.funcs m)

@@ -31,9 +31,9 @@ let raise_loop (loop : Core.op) : bool =
         Builder.op0 b "affine.yield" ~operands;
         Core.erase_op term
       | _ -> ());
-      let old_region = loop.Core.regions.(0) in
-      old_region.Core.blocks <- [];
-      let region = Core.create_region ~blocks:[ body ] () in
+      let region =
+        Core.create_region ~blocks:(Core.take_blocks loop.Core.regions.(0)) ()
+      in
       let new_loop =
         Core.create_op "affine.for"
           ~operands:(lb_ops @ ub_ops @ inits)

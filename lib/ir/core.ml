@@ -34,6 +34,9 @@ and op = {
   (* Source location (MLIR-style). The parser records textual positions,
      builders stamp defaults, transforms propagate deliberately. *)
   mutable loc : Loc.t;
+  (* The generation of the last mutation after which a rewrite must look
+     at this op again (see [stamp]); 0 for an op never attached. *)
+  mutable stamp : int;
 }
 
 and block = {
@@ -57,6 +60,29 @@ and region = {
 let next_id =
   let counter = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add counter 1 + 1
+
+(* ------------------------------------------------------------------ *)
+(* The change record                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One process-wide monotonic generation counter. Every mutator below
+   stamps, with a fresh generation, each op that a later rewrite must
+   look at again: the mutated op, the users of an op whose operands or
+   attributes changed, the producers of operands it dropped, every
+   ancestor of an erased or moved op, and every op of an inserted
+   subtree. So the ops changed since generation [g] are exactly those
+   with [stamp > g], and a module none of whose ops was stamped since
+   [g] is unchanged. The counter is atomic for the same reason as
+   [next_id]: compile-service workers mutate their modules
+   concurrently. *)
+let generation_counter = Atomic.make 0
+
+(** The latest generation handed out. *)
+let generation () = Atomic.get generation_counter
+
+let fresh_generation () = Atomic.fetch_and_add generation_counter 1 + 1
+
+let stamp op = op.stamp <- fresh_generation ()
 
 (* ------------------------------------------------------------------ *)
 (* Mutation listeners                                                  *)
@@ -101,6 +127,14 @@ let defining_op v =
 
 let value_equal a b = a.vid = b.vid
 
+let stamp_def v = match v.vdef with Op_result (op, _) -> stamp op | Block_arg _ -> ()
+
+(* A changed op and its users: a user may fold or match differently
+   through it (a constant's value, the operands reassociation reads). *)
+let stamp_with_users op =
+  stamp op;
+  Array.iter (fun r -> List.iter (fun (user, _) -> stamp user) r.uses) op.results
+
 let uses v = v.uses
 let has_uses v = v.uses <> []
 let num_uses v = List.length v.uses
@@ -131,6 +165,7 @@ let create_op ?(attrs = []) ?(regions = []) ?(successors = [])
       successors = Array.of_list successors;
       parent_block = None;
       loc;
+      stamp = 0;
     }
   in
   op.results <-
@@ -171,11 +206,31 @@ let entry_block r =
 let block_args b = Array.to_list b.bargs
 let block_arg b i = b.bargs.(i)
 
+let parent_op_of_block b =
+  Option.bind b.parent_region (fun r -> r.parent_op)
+
+(* Removing an op with effects may leave every enclosing op pure. *)
+let rec stamp_ancestors_of_block b =
+  match parent_op_of_block b with
+  | Some p ->
+    stamp p;
+    Option.iter stamp_ancestors_of_block p.parent_block
+  | None -> ()
+
 let add_block_arg b ty =
   let i = Array.length b.bargs in
   let v = { vid = next_id (); vty = ty; vdef = Block_arg (b, i); uses = [] } in
   b.bargs <- Array.append b.bargs [| v |];
+  Option.iter stamp (parent_op_of_block b);
   v
+
+(** Detach every block of [r] (to move them into another region). *)
+let take_blocks r =
+  let blocks = r.blocks in
+  r.blocks <- [];
+  List.iter (fun b -> b.parent_region <- None) blocks;
+  Option.iter stamp r.parent_op;
+  blocks
 
 let result op i = op.results.(i)
 let results op = Array.to_list op.results
@@ -187,9 +242,12 @@ let num_operands op = Array.length op.operands
 let attr op key = List.assoc_opt key op.attrs
 
 let set_attr op key a =
-  op.attrs <- (key, a) :: List.remove_assoc key op.attrs
+  op.attrs <- (key, a) :: List.remove_assoc key op.attrs;
+  stamp_with_users op
 
-let remove_attr op key = op.attrs <- List.remove_assoc key op.attrs
+let remove_attr op key =
+  op.attrs <- List.remove_assoc key op.attrs;
+  stamp_with_users op
 
 let attr_int op key = Option.bind (attr op key) Attr.as_int
 let attr_string op key = Option.bind (attr op key) Attr.as_string
@@ -203,7 +261,9 @@ let num_regions op = Array.length op.regions
 let successor op i = op.successors.(i)
 let successors op = Array.to_list op.successors
 let num_successors op = Array.length op.successors
-let set_successors op bs = op.successors <- Array.of_list bs
+let set_successors op bs =
+  op.successors <- Array.of_list bs;
+  stamp op
 
 (** Is [block] the target of some successor edge within its region? *)
 let is_successor_target (block : block) =
@@ -227,6 +287,8 @@ let set_operand op i v =
     remove_use old op i;
     op.operands.(i) <- v;
     add_use v op i;
+    stamp_with_users op;
+    stamp_def old;
     notify_listeners (fun l -> l.on_operand_replaced op old)
   end
 
@@ -235,12 +297,16 @@ let set_operands op vs =
   Array.iteri (fun i old -> remove_use old op i) olds;
   op.operands <- Array.of_list vs;
   Array.iteri (fun i v -> add_use v op i) op.operands;
+  stamp_with_users op;
   Array.iteri
     (fun i old ->
       let changed =
         i >= Array.length op.operands || not (value_equal op.operands.(i) old)
       in
-      if changed then notify_listeners (fun l -> l.on_operand_replaced op old))
+      if changed then begin
+        stamp_def old;
+        notify_listeners (fun l -> l.on_operand_replaced op old)
+      end)
     olds
 
 let replace_all_uses_with old_v new_v =
@@ -251,17 +317,28 @@ let replace_all_uses_with old_v new_v =
 (* Block body surgery. Ops are compared physically (each op record is
    unique), so list rebuilding is safe. *)
 
+(* An inserted op stands for its whole subtree: every op in it is new
+   to the enclosing IR, so every op in it gets the one fresh stamp. *)
+let rec stamp_subtree g op =
+  op.stamp <- g;
+  Array.iter
+    (fun r -> List.iter (fun b -> List.iter (stamp_subtree g) b.body) r.blocks)
+    op.regions
+
+let attached block op =
+  op.parent_block <- Some block;
+  stamp_subtree (fresh_generation ()) op;
+  notify_listeners (fun l -> l.on_op_inserted op)
+
 let append_op block op =
   assert (op.parent_block = None);
   block.body <- block.body @ [ op ];
-  op.parent_block <- Some block;
-  notify_listeners (fun l -> l.on_op_inserted op)
+  attached block op
 
 let prepend_op block op =
   assert (op.parent_block = None);
   block.body <- op :: block.body;
-  op.parent_block <- Some block;
-  notify_listeners (fun l -> l.on_op_inserted op)
+  attached block op
 
 let insert_before ~anchor op =
   match anchor.parent_block with
@@ -274,8 +351,7 @@ let insert_before ~anchor op =
       | o :: rest -> o :: go rest
     in
     block.body <- go block.body;
-    op.parent_block <- Some block;
-    notify_listeners (fun l -> l.on_op_inserted op)
+    attached block op
 
 let insert_after ~anchor op =
   match anchor.parent_block with
@@ -288,8 +364,7 @@ let insert_after ~anchor op =
       | o :: rest -> o :: go rest
     in
     block.body <- go block.body;
-    op.parent_block <- Some block;
-    notify_listeners (fun l -> l.on_op_inserted op)
+    attached block op
 
 (** Detach [op] from its block without touching its operands' use lists. *)
 let detach_op op =
@@ -297,9 +372,17 @@ let detach_op op =
   | None -> ()
   | Some block ->
     block.body <- List.filter (fun o -> not (o == op)) block.body;
-    op.parent_block <- None
+    op.parent_block <- None;
+    stamp_ancestors_of_block block
 
 exception Has_uses of op
+
+let drop_operands op =
+  Array.iteri
+    (fun i v ->
+      remove_use v op i;
+      stamp_def v)
+    op.operands
 
 (** Remove [op] entirely: drops operand uses; fails if results are used. *)
 let erase_op op =
@@ -307,13 +390,13 @@ let erase_op op =
   (* Notify while the parent block and operand uses are still in place. *)
   notify_listeners (fun l -> l.on_op_erased op);
   detach_op op;
-  Array.iteri (fun i v -> remove_use v op i) op.operands
+  drop_operands op
 
 (** Erase without checking uses (for bulk deletion of whole regions). *)
 let erase_op_unsafe op =
   notify_listeners (fun l -> l.on_op_erased op);
   detach_op op;
-  Array.iteri (fun i v -> remove_use v op i) op.operands
+  drop_operands op
 
 (** Move [op] (possibly attached elsewhere) to just before [anchor]. *)
 let move_before ~anchor op =
@@ -323,9 +406,6 @@ let move_before ~anchor op =
 (* ------------------------------------------------------------------ *)
 (* Navigation and traversal                                            *)
 (* ------------------------------------------------------------------ *)
-
-let parent_op_of_block b =
-  Option.bind b.parent_region (fun r -> r.parent_op)
 
 let parent_op op = Option.bind op.parent_block parent_op_of_block
 
@@ -347,6 +427,13 @@ let rec walk op ~f =
     (fun r ->
       List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) r.blocks)
     op.regions
+
+(** Was [op], or an op nested in it, stamped after generation [g]? *)
+let changed_since g op =
+  let exception Changed in
+  match walk op ~f:(fun o -> if o.stamp > g then raise Changed) with
+  | () -> false
+  | exception Changed -> true
 
 (** Collect ops satisfying [p] in pre-order. *)
 let collect op ~p =

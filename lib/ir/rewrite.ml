@@ -73,10 +73,10 @@ let try_fold (op : Core.op) : bool =
 (** Erase [op] if it is pure (including nested ops) and unused. *)
 let erase_if_dead (op : Core.op) : bool =
   if
-    (not (Op_registry.is_terminator op))
+    Core.num_results op > 0
+    && (not (Op_registry.is_terminator op))
     && Array.for_all (fun r -> not (Core.has_uses r)) op.Core.results
     && Op_registry.is_pure op
-    && Core.num_results op > 0
   then begin
     (* Pure ops have no nested code with effects; safe to drop wholesale. *)
     Core.walk op ~f:(fun o -> if not (o == op) then Core.erase_op_unsafe o);
@@ -89,13 +89,11 @@ let erase_if_dead (op : Core.op) : bool =
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** What a driver run did. [rw_converged] is [false] only for the legacy
-    bounded driver, which can stop before fixpoint; the worklist driver
-    either converges or raises {!Cap_exceeded}. *)
+(** What a driver run did. The driver either converges or raises
+    {!Cap_exceeded}. *)
 type stats = {
   rw_rewrites : int;  (** rewrites performed (folds, DCE, patterns) *)
   rw_ops_visited : int;  (** attached ops popped/examined by the driver *)
-  rw_converged : bool;  (** true when a real fixpoint was reached *)
 }
 
 exception Cap_exceeded of { scope : string; rewrites : int; cap : int }
@@ -142,46 +140,17 @@ let visit_op ~on_rewrite ~count patterns op =
 
 let no_rewrite = fun ~func:(_ : string) (_ : string) (_ : Core.op) -> ()
 
-(** The seed driver, kept for differential testing: re-walk the whole
-    scope until nothing changes or [max_iterations] sweeps have run. It
-    can stop {e before} fixpoint — silently — which is exactly the bug
-    the worklist driver fixes; [rw_converged] reports whether the last
-    sweep was quiescent. *)
-let apply_greedily_legacy ?(max_iterations = 10) ?(on_rewrite = no_rewrite)
-    (top : Core.op) patterns =
-  let total = ref 0 in
-  let visited = ref 0 in
-  let changed = ref true in
-  let iter = ref 0 in
-  while !changed && !iter < max_iterations do
-    changed := false;
-    incr iter;
-    (* Snapshot the ops: patterns may mutate the IR. *)
-    let ops = ref [] in
-    Core.walk top ~f:(fun o -> if not (o == top) then ops := o :: !ops);
-    List.iter
-      (fun op ->
-        (* Skip ops that a previous rewrite already detached. *)
-        if op.Core.parent_block <> None then begin
-          incr visited;
-          let count () =
-            incr total;
-            changed := true
-          in
-          ignore (visit_op ~on_rewrite ~count patterns op)
-        end)
-      (List.rev !ops)
-  done;
-  { rw_rewrites = !total; rw_ops_visited = !visited; rw_converged = not !changed }
-
-(** Worklist driver: seed with every op in pre-order, then re-enqueue
-    only what a rewrite may have changed — the users of replaced values,
-    the defining ops of dropped operands (they may be dead now), the
-    parents of erased ops, and newly inserted ops. Runs to a true
-    fixpoint with cost proportional to rewrites performed; a scope that
-    keeps rewriting past [cap] raises {!Cap_exceeded} instead of
-    silently returning half-canonicalized IR. *)
-let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
+(** Worklist driver: seed with every op in pre-order — or, given
+    [since], with only the ops stamped after that generation (see
+    {!Core.stamp}) — then re-enqueue only what a rewrite may have
+    changed: the users of replaced values, the defining ops of dropped
+    operands (they may be dead now), the parents of erased ops (every
+    ancestor when the erased op has effects), and newly inserted ops. Runs to a true fixpoint with cost proportional
+    to rewrites performed; a scope that keeps rewriting past [cap]
+    raises {!Cap_exceeded} instead of silently returning
+    half-canonicalized IR. *)
+let apply_worklist ?cap ?since ?(on_rewrite = no_rewrite) (top : Core.op)
+    patterns =
   let queue = Queue.create () in
   let queued : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let enqueue op =
@@ -190,13 +159,19 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
       Queue.add op queue
     end
   in
-  Core.walk top ~f:enqueue;
-  let seeded = Queue.length queue in
-  (* Generous: proportional to the scope, never a fixed small constant.
-     Any real pattern set performs O(ops) rewrites; only a rewrite loop
-     (two patterns undoing each other, a fold that re-creates its input)
-     can reach this. *)
-  let cap = match cap with Some c -> c | None -> 1_000 + (100 * seeded) in
+  let changed o =
+    match since with None -> true | Some g -> o.Core.stamp > g
+  in
+  let scope = ref 0 in
+  Core.walk top ~f:(fun o ->
+      incr scope;
+      if changed o then enqueue o);
+  (* Generous: proportional to the scope (never to the seed, nor a fixed
+     small constant). Any real pattern set performs O(ops) rewrites;
+     only a rewrite loop (two patterns undoing each other, a fold that
+     re-creates its input) can reach this. [scope] counts [top] itself,
+     which is never visited. *)
+  let cap = match cap with Some c -> c | None -> 1_000 + (100 * (!scope - 1)) in
   let enqueue_def v =
     match Core.defining_op v with Some d -> enqueue d | None -> ()
   in
@@ -210,9 +185,17 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
           enqueue_def old);
       on_op_erased =
         (fun o ->
-          (* The parent may simplify (e.g. an emptied region); operand
-             producers may have lost their last use. *)
-          (match Core.parent_op o with Some p -> enqueue p | None -> ());
+          (* The parent may simplify (e.g. an emptied region), and when
+             [o] has effects every ancestor may have become pure, hence
+             dead; operand producers may have lost their last use. *)
+          let rec enqueue_above ~all o =
+            match Core.parent_op o with
+            | Some p ->
+              enqueue p;
+              if all then enqueue_above ~all p
+            | None -> ()
+          in
+          enqueue_above ~all:(not (Op_registry.is_pure o)) o;
           Array.iter enqueue_def o.Core.operands);
     }
   in
@@ -238,7 +221,7 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
           ignore (visit_op ~on_rewrite ~count patterns op)
         end
       done);
-  { rw_rewrites = !total; rw_ops_visited = !visited; rw_converged = true }
+  { rw_rewrites = !total; rw_ops_visited = !visited }
 
 (** Apply [patterns] plus folding and dead-op erasure to fixpoint over
     [top] and everything nested in it, with the worklist driver.
@@ -246,5 +229,5 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
     symbol (captured before the rewrite, since the op may be erased by
     it), the kind ("fold", "dce", or the pattern name) and the rewritten
     op — callers use it for per-pattern statistics and remarks. *)
-let apply_greedily ?on_rewrite (top : Core.op) patterns =
-  apply_worklist ?on_rewrite top patterns
+let apply_greedily ?since ?on_rewrite (top : Core.op) patterns =
+  apply_worklist ?since ?on_rewrite top patterns

@@ -22,49 +22,41 @@ val erase_if_dead : Core.op -> bool
 
 (** {2 Drivers} *)
 
-(** What a driver run did. [rw_converged] is [false] only for the legacy
-    bounded driver, which can stop before fixpoint; the worklist driver
-    either converges or raises {!Cap_exceeded}. *)
+(** What a driver run did. *)
 type stats = {
   rw_rewrites : int;  (** rewrites performed (folds, DCE, patterns) *)
   rw_ops_visited : int;  (** attached ops examined by the driver *)
-  rw_converged : bool;  (** true when a real fixpoint was reached *)
 }
 
 (** Raised by the worklist driver when more than [cap] rewrites fire in
     one scope — a pattern set that never reaches fixpoint. Loud on
-    purpose: the legacy driver's silent stop is the bug this replaces. *)
+    purpose: stopping silently would return half-rewritten IR. *)
 exception Cap_exceeded of { scope : string; rewrites : int; cap : int }
 
-(** Worklist driver: seed with every op, re-enqueue only the users of
+(** Worklist driver: seed with every op in pre-order — or, given
+    [since], with only the ops stamped after generation [since] (see
+    {!Core.stamp}), in pre-order — then re-enqueue only the users of
     replaced values, the defining ops of dropped operands, the parents
-    of erased ops, and newly inserted ops. Runs to a true fixpoint with
+    of erased ops (every ancestor when the erased op has effects), and
+    newly inserted ops. Runs to a true fixpoint with
     cost proportional to rewrites performed. [cap] bounds the number of
-    rewrites (default: generous, proportional to the scope size);
-    exceeding it raises {!Cap_exceeded}. *)
+    rewrites (default: generous, proportional to the size of the scope,
+    not of the seed); exceeding it raises {!Cap_exceeded}. *)
 val apply_worklist :
   ?cap:int ->
-  ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
-  Core.op ->
-  pattern list ->
-  stats
-
-(** The seed driver, kept as the reference that {e fuzz oracle (h)} and
-    the rewrite tests compare the worklist driver against: re-walks the
-    whole scope up to [max_iterations] times and can stop silently before
-    fixpoint ([rw_converged = false]). *)
-val apply_greedily_legacy :
-  ?max_iterations:int ->
+  ?since:int ->
   ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
   Core.op ->
   pattern list ->
   stats
 
 (** Apply patterns plus folding and dead-op erasure to fixpoint with the
-    worklist driver. [on_rewrite] fires once per rewrite with the
-    enclosing function's symbol (captured before the rewrite), the kind
-    ("fold", "dce", or the pattern name) and the rewritten op. *)
+    worklist driver ([since] as in {!apply_worklist}). [on_rewrite] fires
+    once per rewrite with the enclosing function's symbol (captured
+    before the rewrite), the kind ("fold", "dce", or the pattern name)
+    and the rewritten op. *)
 val apply_greedily :
+  ?since:int ->
   ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
   Core.op ->
   pattern list ->

@@ -389,46 +389,72 @@ let check_cache_coherence ?(sim = Sim_config.default) ?(domains = 4)
         pair "flat digest (explicit flat vs default)" default flat))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle (h): worklist / legacy rewrite equivalence                   *)
+(* Oracle (h): incremental pass manager equivalence                    *)
 (* ------------------------------------------------------------------ *)
 
-(** The worklist driver replaced the legacy bounded re-walk driver; on
-    any module shallow enough for the legacy driver to actually converge
-    (its silent [max_iterations] cutoff not hit), both must reach the
-    same fixpoint — byte-identical printed IR under the canonicalize
-    pattern set. Modules where the legacy driver gives up early are
-    skipped: there the two drivers legitimately differ (that divergence
-    is the bug the worklist driver fixes, covered by the deep-chain
-    regression test). *)
-let check_worklist_equivalence (w : Common.workload) :
+(* The counters a seeded or skipped execution may change: what the
+   passes looked at, never what they did. *)
+let visit_counter key =
+  String.ends_with ~suffix:"ops_visited" key || key = "cse/cse.candidates"
+
+(** The pass manager skips an idempotent pass when nothing changed since
+    its previous execution and seeds canonicalize with the ops changed
+    since its previous execution. Under each of the three
+    configurations, compiling [w] with {!Pass.run_pipeline} must give
+    the same printed module, remarks and pass counters (bar visit
+    counters) as calling each pass's [run] in turn outside the pass
+    manager, where every canonicalize sweeps every op and nothing is
+    skipped. *)
+let check_incremental_equivalence (w : Common.workload) :
     (unit, Difftest.failure) result =
-  let name = w.Common.w_name in
-  let fail detail ir =
-    Error
-      { Difftest.f_oracle = "worklist-equivalence";
-        f_detail = name ^ ": " ^ detail; f_ir = ir }
+  let pipelined passes m = Pass.run_pipeline ~verify_each:false passes m in
+  let pass_by_pass passes m =
+    { Pass.per_pass_stats =
+        List.map
+          (fun (p : Pass.t) ->
+            let st = Pass.Stats.create () in
+            p.Pass.run m st;
+            (p.Pass.pass_name, st))
+          passes;
+      per_pass_time = [];
+      wall = 0.0 }
   in
-  match
-    let text = Printer.to_string (w.Common.w_module ()) in
-    let patterns = Sycl_core.Canonicalize.patterns in
-    let legacy_m = Parser.parse_module text in
-    let legacy_st = Rewrite.apply_greedily_legacy legacy_m patterns in
-    let worklist_m = Parser.parse_module text in
-    let worklist_st = Rewrite.apply_worklist worklist_m patterns in
-    ( legacy_st, Printer.to_string legacy_m,
-      worklist_st, Printer.to_string worklist_m )
-  with
-  | exception e -> fail (Printf.sprintf "raised %s" (Printexc.to_string e)) None
-  | legacy_st, legacy_ir, worklist_st, worklist_ir ->
-    if not legacy_st.Rewrite.rw_converged then
-      (* Too deep for the bounded driver — no converged reference. *)
-      Ok ()
-    else if not worklist_st.Rewrite.rw_converged then
-      fail "worklist driver reported non-convergence" (Some worklist_ir)
-    else if legacy_ir <> worklist_ir then
-      fail "worklist fixpoint diverges from the converged legacy fixpoint"
-        (Some worklist_ir)
-    else Ok ()
+  (* The printed module, its remarks and its counters, bar visits. *)
+  let compiled compile cfg =
+    let m = w.Common.w_module () in
+    let r, remarks =
+      Remarks.collect (fun () -> compile (Common.Driver.pipeline cfg) m)
+    in
+    ( Printer.to_string m,
+      List.map Remarks.to_string remarks,
+      List.filter
+        (fun (k, _) -> not (visit_counter k))
+        (Pass.Stats.to_list (Pass.merged_stats r)) )
+  in
+  let check cfg =
+    let fail detail ir =
+      Error
+        { Difftest.f_oracle = "incremental-equivalence";
+          f_detail =
+            Printf.sprintf "%s (%s): %s" w.Common.w_name
+              (Common.Driver.mode_to_string cfg.Common.Driver.mode)
+              detail;
+          f_ir = ir }
+    in
+    match (compiled pipelined cfg, compiled pass_by_pass cfg) with
+    | exception e -> fail ("raised " ^ Printexc.to_string e) None
+    | (ir, remarks, stats), (ref_ir, ref_remarks, ref_stats) ->
+      if ir <> ref_ir then
+        fail "module differs from the pass-by-pass compile" (Some ir)
+      else if remarks <> ref_remarks then
+        fail "remarks differ from the pass-by-pass compile" None
+      else if stats <> ref_stats then
+        fail "pass counters differ from the pass-by-pass compile" None
+      else Ok ()
+  in
+  List.fold_left
+    (fun acc cfg -> match acc with Ok () -> check cfg | Error _ -> acc)
+    (Ok ()) Common.default_configs
 
 (* ------------------------------------------------------------------ *)
 (* Randomized workload selection for the fuzz loop                     *)

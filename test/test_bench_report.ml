@@ -310,6 +310,24 @@ let tests_list =
           [ "workloads[w].compile.ops_visited.canonicalize: 400 -> <missing>";
             "workloads[w].compile.rewrites.canonicalize: 20 -> <missing>" ]
           base removed);
+    Alcotest.test_case "compile section counts the parse, not the compiled module"
+      `Quick (fun () ->
+        (* KMeans's printed module parses to 82 ops; its compiled module
+           has 100. The report counts right after its own parse, and its
+           wall time is that parse plus the measurement's pipeline run
+           (no second compile). *)
+        let w = Option.get (W.Suite.find "KMeans") in
+        let r = BR.collect ~label:"test" [ w ] in
+        let e = List.hd r.BR.r_entries in
+        let parsed =
+          Mlir.Parser.parse_module (Mlir.Printer.to_string (w.W.Common.w_module ()))
+        in
+        let ops = ref 0 in
+        Mlir.Core.walk parsed ~f:(fun _ -> incr ops);
+        Alcotest.(check int) "KMeans parses to 82 ops" 82 !ops;
+        Alcotest.(check int) "compile.parse.ops" 82 e.BR.e_compile.BR.co_parse_ops;
+        Alcotest.(check bool) "wall time measured" true
+          (e.BR.e_compile.BR.co_wall_us > 0));
     Alcotest.test_case "measured snapshot round-trips and self-diffs empty"
       `Slow (fun () ->
         let r =

@@ -13,7 +13,7 @@ let run_pass pass m =
 
 (* A function whose body is a [depth]-deep chain of dead addi ops rooted
    at the argument: the tip is unused, so greedy DCE must cascade from
-   the tip back — one op per re-walk sweep under the legacy driver. *)
+   the tip back — one op per sweep under a bounded re-walk driver. *)
 let dead_chain_module depth =
   Helpers.with_func ~args:[ Types.i64 ] (fun b vals ->
       let x = List.hd vals in
@@ -205,37 +205,25 @@ let tests_list =
         check_bool "returns 64.0" true
           (Core.attr (Option.get (Core.defining_op (Core.operand ret 0))) "value"
           = Some (Attr.Float 64.0)));
-    (* --- Worklist driver: the silent max_iterations=10 cutoff bug. ----- *)
-    Alcotest.test_case "legacy driver silently stops before fixpoint on deep dead chains"
-      `Quick (fun () ->
-        (* A 40-deep dead addi chain: each sweep of the bounded re-walk
-           driver erases only the unused tip, so 10 iterations leave 30
-           dead ops behind — the seed bug. *)
-        let m, f = dead_chain_module 40 in
-        let st = Rewrite.apply_greedily_legacy m Sycl_core.Canonicalize.patterns in
-        check_bool "legacy stopped before fixpoint" false st.Rewrite.rw_converged;
-        check_int "one dead op erased per sweep" 10 st.Rewrite.rw_rewrites;
-        check_int "dead ops left behind" 30 (Helpers.count_ops f "arith.addi"));
+    (* --- Worklist driver: no silent max_iterations cutoff. ------------- *)
     Alcotest.test_case "worklist driver fully folds chains deeper than the old bound"
       `Quick (fun () ->
+        (* A 40-deep dead addi chain: each sweep of a bounded re-walk
+           driver erases only the unused tip, so 10 sweeps left 30 dead
+           ops behind. The worklist reaches the fixpoint in one run. *)
         let m, f = dead_chain_module 40 in
-        let legacy_visits =
-          let ml, _ = dead_chain_module 40 in
-          (Rewrite.apply_greedily_legacy ml Sycl_core.Canonicalize.patterns)
-            .Rewrite.rw_ops_visited
-        in
         let st = Rewrite.apply_worklist m Sycl_core.Canonicalize.patterns in
-        check_bool "true fixpoint" true st.Rewrite.rw_converged;
         check_int "whole chain erased" 40 st.Rewrite.rw_rewrites;
         check_int "no dead ops left" 0 (Helpers.count_ops f "arith.addi");
-        (* Cost proportional to rewrites, not iterations x module size:
-           on the chain that exposes the bug the worklist visits >= 3x
-           fewer ops than the legacy re-walk. *)
+        (* Cost proportional to the scope: each addi is visited from the
+           seed and again when its user goes, and the function again
+           after each erasure in it — at most three visits per op, where
+           ten bounded sweeps made ten. *)
         check_bool
-          (Printf.sprintf ">=3x fewer visits (legacy %d, worklist %d)"
-             legacy_visits st.Rewrite.rw_ops_visited)
+          (Printf.sprintf "at most three visits per op (%d)"
+             st.Rewrite.rw_ops_visited)
           true
-          (legacy_visits >= 3 * st.Rewrite.rw_ops_visited));
+          (st.Rewrite.rw_ops_visited <= 3 * (40 + 2)));
     Alcotest.test_case "canonicalize pass reaches fixpoint via the default driver"
       `Quick (fun () ->
         let m, f = dead_chain_module 40 in
@@ -254,35 +242,40 @@ let tests_list =
           check_bool "rewrite count past the cap" true (rewrites > cap);
           check_bool "scope names the rewritten region" true
             (scope = "builtin.module"));
-    Alcotest.test_case "GEMM module: worklist visits fewer ops, byte-identical result"
+    Alcotest.test_case "GEMM module: worklist seeded from stamps matches a full sweep"
       `Quick (fun () ->
-        (* Canonicalize the GEMM workload's module, raised and inlined
-           the way the pipeline does before its canonicalize passes,
-           under both drivers: same fixpoint byte-for-byte, strictly
-           fewer visits from the worklist (the gated bench counter). *)
+        (* The GEMM module raised, inlined and canonicalized, then
+           changed by CSE and LICM: a canonicalize seeded with the ops
+           stamped since the first one ended reaches the full sweep's
+           fixpoint byte for byte, with the same rewrites and strictly
+           fewer visits. *)
         let w = Sycl_workloads.Polybench.gemm ~n:8 in
-        let canonicalize apply =
+        let canonicalize ~seeded =
           let m = w.Sycl_workloads.Common.w_module () in
           ignore
             (Pass.run_pipeline
-               [ Sycl_core.Host_raising.pass; Sycl_core.Inline.pass ]
+               [ Sycl_core.Host_raising.pass; Sycl_core.Inline.pass;
+                 Sycl_core.Canonicalize.pass ]
                m);
-          let st = apply m Sycl_core.Canonicalize.patterns in
+          let since = Core.generation () in
+          ignore
+            (Pass.run_pipeline [ Sycl_core.Cse.pass; Sycl_core.Licm.pass ] m);
+          let since = if seeded then Some since else None in
+          let st =
+            Rewrite.apply_worklist ?since m Sycl_core.Canonicalize.patterns
+          in
           (st, Printer.to_string m)
         in
-        let l_st, l_ir =
-          canonicalize (fun m ps -> Rewrite.apply_greedily_legacy m ps)
-        in
-        let w_st, w_ir = canonicalize (fun m ps -> Rewrite.apply_worklist m ps) in
-        check_bool "legacy converged" true l_st.Rewrite.rw_converged;
-        check_int "same rewrites under both drivers" l_st.Rewrite.rw_rewrites
-          w_st.Rewrite.rw_rewrites;
+        let f_st, f_ir = canonicalize ~seeded:false in
+        let s_st, s_ir = canonicalize ~seeded:true in
+        check_int "same rewrites" f_st.Rewrite.rw_rewrites
+          s_st.Rewrite.rw_rewrites;
         check_bool
-          (Printf.sprintf "worklist visits fewer ops (legacy %d, worklist %d)"
-             l_st.Rewrite.rw_ops_visited w_st.Rewrite.rw_ops_visited)
+          (Printf.sprintf "seeded run visits fewer ops (full %d, seeded %d)"
+             f_st.Rewrite.rw_ops_visited s_st.Rewrite.rw_ops_visited)
           true
-          (w_st.Rewrite.rw_ops_visited < l_st.Rewrite.rw_ops_visited);
-        check_bool "byte-identical canonicalized module" true (l_ir = w_ir));
+          (s_st.Rewrite.rw_ops_visited < f_st.Rewrite.rw_ops_visited);
+        check_bool "byte-identical canonicalized module" true (f_ir = s_ir));
     (* --- CSE structural key: interned, printer-consistent attributes. --- *)
     Alcotest.test_case "CSE keeps 0.0 and -0.0 constants distinct" `Quick (fun () ->
         (* Polymorphic compare says 0.0 = -0.0, so the seed key merged
