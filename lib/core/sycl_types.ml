@@ -81,31 +81,52 @@ let accessor_info = function
 
 let is_item_like = function Item _ | Nd_item _ -> true | _ -> false
 
-let to_string ty =
+(* How every parameterized SYCL type starts: "!sycl.", its kind, '<'
+   and its rank. *)
+let write_head buf kind n =
+  Buffer.add_string buf "!sycl.";
+  Buffer.add_string buf kind;
+  Buffer.add_char buf '<';
+  Text.add_int buf n
+
+let write_element buf element =
+  Buffer.add_string buf ", ";
+  Types.write buf element
+
+(* The writer registered with [Types.register_printer]: [false], writing
+   nothing, for a type that is not a SYCL one. *)
+let write buf ty =
   match ty with
-  | Id n -> Printf.sprintf "!sycl.id<%d>" n
-  | Item n -> Printf.sprintf "!sycl.item<%d>" n
-  | Nd_item n -> Printf.sprintf "!sycl.nd_item<%d>" n
-  | Range n -> Printf.sprintf "!sycl.range<%d>" n
-  | Nd_range n -> Printf.sprintf "!sycl.nd_range<%d>" n
-  | Group n -> Printf.sprintf "!sycl.group<%d>" n
+  | Id n -> write_head buf "id" n; Buffer.add_char buf '>'; true
+  | Item n -> write_head buf "item" n; Buffer.add_char buf '>'; true
+  | Nd_item n -> write_head buf "nd_item" n; Buffer.add_char buf '>'; true
+  | Range n -> write_head buf "range" n; Buffer.add_char buf '>'; true
+  | Nd_range n -> write_head buf "nd_range" n; Buffer.add_char buf '>'; true
+  | Group n -> write_head buf "group" n; Buffer.add_char buf '>'; true
   | Accessor { acc_dims; acc_element; acc_mode } ->
-    Printf.sprintf "!sycl.accessor<%d, %s, %s>" acc_dims
-      (Types.to_string acc_element)
-      (access_mode_to_string acc_mode)
+    write_head buf "accessor" acc_dims;
+    write_element buf acc_element;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf (access_mode_to_string acc_mode);
+    Buffer.add_char buf '>';
+    true
   | Local_accessor { acc_dims; acc_element; _ } ->
-    Printf.sprintf "!sycl.local_accessor<%d, %s>" acc_dims
-      (Types.to_string acc_element)
+    write_head buf "local_accessor" acc_dims;
+    write_element buf acc_element;
+    Buffer.add_char buf '>';
+    true
   | Buffer { buf_dims; buf_element } ->
-    Printf.sprintf "!sycl.buffer<%d, %s>" buf_dims (Types.to_string buf_element)
-  | Queue -> "!sycl.queue"
-  | Handler -> "!sycl.handler"
-  | Event -> "!sycl.event"
-  | _ -> raise Not_found
+    write_head buf "buffer" buf_dims;
+    write_element buf buf_element;
+    Buffer.add_char buf '>';
+    true
+  | Queue -> Buffer.add_string buf "!sycl.queue"; true
+  | Handler -> Buffer.add_string buf "!sycl.handler"; true
+  | Event -> Buffer.add_string buf "!sycl.event"; true
+  | _ -> false
 
 let () =
-  Types.register_printer (fun ty ->
-      match to_string ty with s -> Some s | exception Not_found -> None);
+  Types.register_printer write;
   (* Textual parser for !sycl.* types. Registered under the "sycl.xxx"
      identifier that follows the '!'. *)
   let parse kind (p : Parser.t) =

@@ -96,6 +96,18 @@ let access_map op =
   | Some (Attr.Affine_map m) -> m
   | _ -> invalid_arg "affine access op: missing map"
 
+(* The [map] of an access op takes its [indices] index operands as its
+   dims and then its symbols. *)
+let verify_access_map ~indices op =
+  match Core.attr op "map" with
+  | Some (Attr.Affine_map m)
+    when m.Affine_expr.Map.num_dims + m.Affine_expr.Map.num_syms = indices ->
+    Ok ()
+  | _ ->
+    Error
+      (Printf.sprintf "%s needs a map with %d dims and symbols" op.Core.name
+         indices)
+
 let () =
   Op_registry.register "affine.for"
     {
@@ -121,16 +133,33 @@ let () =
       Op_registry.default_info with
       Op_registry.memory_effects =
         (fun _ -> Some [ (Op_registry.Read, Op_registry.On_operand 0) ]);
+      Op_registry.verify =
+        (fun op -> verify_access_map ~indices:(Core.num_operands op - 1) op);
     };
   Op_registry.register "affine.store"
     {
       Op_registry.default_info with
       Op_registry.memory_effects =
         (fun _ -> Some [ (Op_registry.Write, Op_registry.On_operand 1) ]);
+      Op_registry.verify =
+        (fun op -> verify_access_map ~indices:(Core.num_operands op - 2) op);
     };
+  (* The fold evaluates the map with no symbols into one value. *)
   Op_registry.register "affine.apply"
     {
       Op_registry.pure_info with
+      Op_registry.verify =
+        (fun op ->
+          match Core.attr op "map" with
+          | Some (Attr.Affine_map m)
+            when m.Affine_expr.Map.num_dims = Core.num_operands op
+                 && m.Affine_expr.Map.num_syms = 0
+                 && Core.num_results op = 1 ->
+            Ok ()
+          | _ ->
+            Error
+              "affine.apply needs a map with one dim per operand and no \
+               symbols, and one result");
       Op_registry.fold =
         (fun op consts ->
           if Array.for_all Option.is_some consts then

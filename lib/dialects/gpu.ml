@@ -70,9 +70,4 @@ let () =
               (Op_registry.Write, Op_registry.Anywhere);
             ]);
     };
-  Op_registry.register "gpu.alloc_local"
-    {
-      Op_registry.default_info with
-      Op_registry.memory_effects =
-        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-    }
+  Op_registry.register "gpu.alloc_local" Memref.alloc_info

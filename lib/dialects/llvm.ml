@@ -71,12 +71,7 @@ let lookup_global m name =
 
 let () =
   Op_registry.register "llvm.call" Op_registry.default_info;
-  Op_registry.register "llvm.alloca"
-    {
-      Op_registry.default_info with
-      Op_registry.memory_effects =
-        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-    };
+  Op_registry.register "llvm.alloca" Memref.alloc_info;
   Op_registry.register "llvm.return"
     {
       Op_registry.default_info with

@@ -40,19 +40,24 @@ let store_parts op =
   | v :: m :: idx -> (v, m, idx)
   | _ -> invalid_arg "store_parts"
 
+(** The info of every allocation op (memref.alloca, memref.alloc,
+    gpu.alloc_local, llvm.alloca): its effect is on result 0, so it must
+    have exactly that one result, a memref. *)
+let alloc_info =
+  {
+    Op_registry.default_info with
+    Op_registry.memory_effects =
+      (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
+    Op_registry.verify =
+      (fun op ->
+        match op.Core.results with
+        | [| { Core.vty = Types.Memref _; _ } |] -> Ok ()
+        | _ -> Error (op.Core.name ^ " must have exactly one result, of memref type"));
+  }
+
 let () =
-  Op_registry.register "memref.alloca"
-    {
-      Op_registry.default_info with
-      Op_registry.memory_effects =
-        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-    };
-  Op_registry.register "memref.alloc"
-    {
-      Op_registry.default_info with
-      Op_registry.memory_effects =
-        (fun _ -> Some [ (Op_registry.Alloc, Op_registry.On_result 0) ]);
-    };
+  Op_registry.register "memref.alloca" alloc_info;
+  Op_registry.register "memref.alloc" alloc_info;
   Op_registry.register "memref.load"
     {
       Op_registry.default_info with

@@ -124,26 +124,30 @@ let linear_coeffs ~num_dims ~num_syms e =
   | () -> Some (dims, syms, !cst)
   | exception Non_linear -> None
 
-let rec pp fmt e =
-  let open Format in
+let rec write buf e =
   match e with
-  | Dim i -> fprintf fmt "d%d" i
-  | Sym i -> fprintf fmt "s%d" i
-  | Const c -> fprintf fmt "%d" c
-  | Add (a, Const c) when c < 0 -> fprintf fmt "%a - %d" pp a (-c)
-  | Add (a, Mul (b, Const -1)) -> fprintf fmt "%a - %a" pp a pp_factor b
-  | Add (a, b) -> fprintf fmt "%a + %a" pp a pp b
-  | Mul (a, b) -> fprintf fmt "%a * %a" pp_factor a pp_factor b
-  | Mod (a, b) -> fprintf fmt "%a mod %a" pp_factor a pp_factor b
-  | Floordiv (a, b) -> fprintf fmt "%a floordiv %a" pp_factor a pp_factor b
-  | Ceildiv (a, b) -> fprintf fmt "%a ceildiv %a" pp_factor a pp_factor b
+  | Dim i -> Buffer.add_char buf 'd'; Text.add_int buf i
+  | Sym i -> Buffer.add_char buf 's'; Text.add_int buf i
+  | Const c -> Text.add_int buf c
+  | Add (a, Const c) when c < 0 ->
+    write buf a; Buffer.add_string buf " - "; Text.add_int buf (-c)
+  | Add (a, Mul (b, Const -1)) ->
+    write buf a; Buffer.add_string buf " - "; write_factor buf b
+  | Add (a, b) -> write buf a; Buffer.add_string buf " + "; write buf b
+  | Mul (a, b) -> write_binary buf a " * " b
+  | Mod (a, b) -> write_binary buf a " mod " b
+  | Floordiv (a, b) -> write_binary buf a " floordiv " b
+  | Ceildiv (a, b) -> write_binary buf a " ceildiv " b
 
-and pp_factor fmt e =
+and write_factor buf e =
   match e with
-  | Add _ -> Format.fprintf fmt "(%a)" pp e
-  | _ -> pp fmt e
+  | Add _ -> Buffer.add_char buf '('; write buf e; Buffer.add_char buf ')'
+  | _ -> write buf e
 
-let to_string e = Format.asprintf "%a" pp e
+and write_binary buf a op b =
+  write_factor buf a;
+  Buffer.add_string buf op;
+  write_factor buf b
 
 (** An affine map [(d0, ..., dn)[s0, ..., sm] -> (e0, ..., ek)]. *)
 module Map = struct
@@ -173,14 +177,22 @@ module Map = struct
     assert (Array.length syms = m.num_syms);
     List.map (eval dims syms) m.exprs
 
-  let pp fmt m =
-    let open Format in
-    let pd i = "d" ^ string_of_int i in
-    fprintf fmt "(%s)" (String.concat ", " (List.init m.num_dims pd));
-    if m.num_syms > 0 then
-      fprintf fmt "[%s]"
-        (String.concat ", " (List.init m.num_syms (fun i -> "s" ^ string_of_int i)));
-    fprintf fmt " -> (%s)" (String.concat ", " (List.map to_string m.exprs))
+  let write buf m =
+    let var prefix buf i = Buffer.add_char buf prefix; Text.add_int buf i in
+    Buffer.add_char buf '(';
+    Text.add_list buf (var 'd') (List.init m.num_dims Fun.id);
+    Buffer.add_char buf ')';
+    if m.num_syms > 0 then begin
+      Buffer.add_char buf '[';
+      Text.add_list buf (var 's') (List.init m.num_syms Fun.id);
+      Buffer.add_char buf ']'
+    end;
+    Buffer.add_string buf " -> (";
+    Text.add_list buf write m.exprs;
+    Buffer.add_char buf ')'
 
-  let to_string m = Format.asprintf "%a" pp m
+  let to_string m =
+    let buf = Buffer.create 32 in
+    write buf m;
+    Buffer.contents buf
 end

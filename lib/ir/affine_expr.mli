@@ -60,6 +60,9 @@ module Map : sig
   val num_results : t -> int
   val is_identity : t -> bool
   val eval : t -> dims:int array -> syms:int array -> int list
-  val pp : Format.formatter -> t -> unit
+
+  (** Append the text of the map, [(d0, d1)[s0] -> (d0 + s0, d1)]. *)
+  val write : Buffer.t -> t -> unit
+
   val to_string : t -> string
 end

@@ -39,8 +39,7 @@ let float_to_string f =
 (* String literal escaping matched to the lexer: only backslash-n,
    backslash-t, backslash-backslash, backslash-quote and [\xHH] (for
    every other byte outside printable ASCII). *)
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+let write_string buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -50,29 +49,50 @@ let escape_string s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | c when c >= ' ' && c < '\x7f' -> Buffer.add_char buf c
-      | c -> Buffer.add_string buf (Printf.sprintf "\\x%02X" (Char.code c)))
+      | c ->
+        Buffer.add_string buf "\\x";
+        Buffer.add_char buf "0123456789ABCDEF".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789ABCDEF".[Char.code c land 15])
     s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  write_string buf s;
   Buffer.contents buf
 
-let rec to_string = function
-  | Unit -> "unit"
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> float_to_string f
-  | String s -> escape_string s
-  | Type ty -> Types.to_string ty
-  | Symbol s -> "@" ^ s
-  | Array xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"
-  | Dense_int xs ->
-    "dense_i<"
-    ^ String.concat ", " (Array.to_list (Array.map string_of_int xs))
-    ^ ">"
+(* [opening], the elements separated by ", ", and '>'. *)
+let write_dense buf opening write_elt xs =
+  Buffer.add_string buf opening;
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      write_elt buf x)
+    xs;
+  Buffer.add_char buf '>'
+
+(** Append the text of an attribute to [buf]. *)
+let rec write buf = function
+  | Unit -> Buffer.add_string buf "unit"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Text.add_int buf i
+  | Float f -> Buffer.add_string buf (float_to_string f)
+  | String s -> write_string buf s
+  | Type ty -> Types.write buf ty
+  | Symbol s -> Buffer.add_char buf '@'; Buffer.add_string buf s
+  | Array xs -> Buffer.add_char buf '['; Text.add_list buf write xs; Buffer.add_char buf ']'
+  | Dense_int xs -> write_dense buf "dense_i<" Text.add_int xs
   | Dense_float xs ->
-    "dense_f<"
-    ^ String.concat ", " (Array.to_list (Array.map float_to_string xs))
-    ^ ">"
-  | Affine_map m -> "affine_map<" ^ Affine_expr.Map.to_string m ^ ">"
+    write_dense buf "dense_f<" (fun buf f -> Buffer.add_string buf (float_to_string f)) xs
+  | Affine_map m ->
+    Buffer.add_string buf "affine_map<";
+    Affine_expr.Map.write buf m;
+    Buffer.add_char buf '>'
+
+let to_string a =
+  let buf = Buffer.create 16 in
+  write buf a;
+  Buffer.contents buf
 
 (* Structural equality via [compare] rather than [=] so [Float nan]
    equals itself (polymorphic [=] uses IEEE comparison on floats, which

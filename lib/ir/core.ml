@@ -335,6 +335,23 @@ let append_op block op =
   block.body <- block.body @ [ op ];
   attached block op
 
+(** Make [ops], new and detached, the whole body of the new, empty
+    [block], in order: one attach per block, which is how the parser
+    builds its blocks. Each op gets its parent and the one fresh stamp
+    of the block; the ops nested in them keep the (older) stamps of their
+    own blocks. No listener hears of it, because building new IR is not
+    a rewrite. *)
+let attach_body block ops =
+  assert (block.body == []);
+  let g = fresh_generation () in
+  List.iter
+    (fun op ->
+      assert (op.parent_block == None);
+      op.parent_block <- Some block;
+      op.stamp <- g)
+    ops;
+  block.body <- ops
+
 let prepend_op block op =
   assert (op.parent_block = None);
   block.body <- op :: block.body;

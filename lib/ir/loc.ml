@@ -65,18 +65,33 @@ let fused locs =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec to_string = function
-  | Unknown -> "unknown"
+let rec write buf = function
+  | Unknown -> Buffer.add_string buf "unknown"
   | File { file; line; col } ->
-    (* escape_string wraps its argument in quotes *)
-    Printf.sprintf "%s:%d:%d" (Attr.escape_string file) line col
-  | Name (n, Unknown) -> Attr.escape_string n
+    (* write_string wraps its argument in quotes *)
+    Attr.write_string buf file;
+    Buffer.add_char buf ':';
+    Text.add_int buf line;
+    Buffer.add_char buf ':';
+    Text.add_int buf col
+  | Name (n, Unknown) -> Attr.write_string buf n
   | Name (n, child) ->
-    Printf.sprintf "%s(%s)" (Attr.escape_string n) (to_string child)
+    Attr.write_string buf n;
+    Buffer.add_char buf '(';
+    write buf child;
+    Buffer.add_char buf ')'
   | CallSite { callee; caller } ->
-    Printf.sprintf "callsite(%s at %s)" (to_string callee) (to_string caller)
-  | Fused ls ->
-    Printf.sprintf "fused[%s]" (String.concat ", " (List.map to_string ls))
+    Buffer.add_string buf "callsite(";
+    write buf callee;
+    Buffer.add_string buf " at ";
+    write buf caller;
+    Buffer.add_char buf ')'
+  | Fused ls -> Buffer.add_string buf "fused["; Text.add_list buf write ls; Buffer.add_char buf ']'
+
+let to_string l =
+  let buf = Buffer.create 32 in
+  write buf l;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics helpers                                                 *)

@@ -24,9 +24,12 @@ val fused : t list -> t
 val equal : t -> t -> bool
 val is_known : t -> bool
 
-(** MLIR textual syntax, inner form (no [loc(...)] wrapper): [unknown],
-    ["f.cpp":3:1], ["name"], ["name"("f.cpp":3:1)],
+(** Append the MLIR textual syntax, inner form (no [loc(...)] wrapper):
+    [unknown], ["f.cpp":3:1], ["name"], ["name"("f.cpp":3:1)],
     [callsite(l1 at l2)], [fused[l1, l2]]. *)
+val write : Buffer.t -> t -> unit
+
+(** {!write} into a fresh string. *)
 val to_string : t -> string
 
 (** First concrete [(file, line, col)] reachable from the location. *)

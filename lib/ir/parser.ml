@@ -50,100 +50,136 @@ type lexer = {
   mutable tok_col : int;
 }
 
+(* The lexer scans [src] by index and allocates nothing per character:
+   an identifier or a name is one [String.sub], and a decimal integer is
+   read in place. *)
+
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c =
-  is_ident_start c || (c >= '0' && c <= '9') || c = '.' || c = '$'
+(* One load per character in [lex_ident]'s loop. *)
+let ident_chars =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      if is_ident_start c || (c >= '0' && c <= '9') || c = '.' || c = '$' then '\001'
+      else '\000')
+
+let is_ident_char c = String.unsafe_get ident_chars (Char.code c) <> '\000'
 
 let is_digit c = c >= '0' && c <= '9'
+
+let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 let error lx msg =
   raise (Parse_error (Printf.sprintf "line %d: %s" lx.line msg))
 
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+(* The character at [i], or NUL past the end. No token continues with a
+   NUL, so the scanning loops stop there either way; [next_token] and
+   [lex_string] tell a NUL byte from the end of the input. *)
+let char_at lx i =
+  if i < String.length lx.src then String.unsafe_get lx.src i else '\000'
 
-let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r') ->
-    lx.pos <- lx.pos + 1;
-    skip_ws lx
-  | Some '\n' ->
-    lx.pos <- lx.pos + 1;
-    lx.line <- lx.line + 1;
-    lx.bol <- lx.pos;
-    skip_ws lx
-  | Some '/' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/' ->
-    while peek_char lx <> None && peek_char lx <> Some '\n' do
-      lx.pos <- lx.pos + 1
-    done;
-    skip_ws lx
-  | _ -> ()
-
-let lex_while lx p =
-  let start = lx.pos in
-  while (match peek_char lx with Some c -> p c | None -> false) do
-    lx.pos <- lx.pos + 1
+let skip_ws lx =
+  let src = lx.src in
+  let n = String.length src in
+  let pos = ref lx.pos and stop = ref false in
+  while (not !stop) && !pos < n do
+    match String.unsafe_get src !pos with
+    | ' ' | '\t' | '\r' -> incr pos
+    | '\n' ->
+      incr pos;
+      lx.line <- lx.line + 1;
+      lx.bol <- !pos
+    | '/' when !pos + 1 < n && String.unsafe_get src (!pos + 1) = '/' ->
+      while !pos < n && String.unsafe_get src !pos <> '\n' do
+        incr pos
+      done
+    | _ -> stop := true
   done;
-  String.sub lx.src start (lx.pos - start)
+  lx.pos <- !pos
+
+let skip_digits lx =
+  while is_digit (char_at lx lx.pos) do
+    lx.pos <- lx.pos + 1
+  done
+
+(* The identifier characters from [lx.pos] on. *)
+let lex_ident lx =
+  let src = lx.src in
+  let n = String.length src in
+  let start = lx.pos in
+  let pos = ref start in
+  while !pos < n && is_ident_char (String.unsafe_get src !pos) do
+    incr pos
+  done;
+  lx.pos <- !pos;
+  String.sub src start (!pos - start)
+
+(* The decimal number [s.[first] .. s.[last - 1]], all digits, of at most
+   18 of them, so it cannot overflow. *)
+let decimal s first last =
+  let v = ref 0 in
+  for i = first to last - 1 do
+    v := (!v * 10) + (Char.code (String.unsafe_get s i) - 48)
+  done;
+  !v
+
+(* The literal from [start] (its sign, if any) to [lx.pos]. *)
+let int_literal lx start =
+  let s = String.sub lx.src start (lx.pos - start) in
+  match int_of_string_opt s with
+  | Some i -> Int_lit i
+  | None -> error lx (Printf.sprintf "bad integer literal %S" s)
 
 let lex_number lx ~neg =
   (* Decimal integers (plus 0x hex integers) and decimal floats (1.5,
      2e3, 1.25e-7). Floats print in shortest-decimal form — C99 hex
      float literals (0x1.8p+3, as printed by %h) are rejected with an
      explicit error so a reintroduced hex printer cannot silently
-     corrupt round-trips. *)
-  let buf = Buffer.create 16 in
-  if neg then Buffer.add_char buf '-';
-  let add () =
-    Buffer.add_char buf lx.src.[lx.pos];
-    lx.pos <- lx.pos + 1
-  in
-  let digits p =
-    while (match peek_char lx with Some c -> p c | None -> false) do
-      add ()
-    done
-  in
-  let is_hex c =
-    is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-  in
+     corrupt round-trips. Only floats, hex and decimals too long to be
+     sure of fitting are converted from a substring. *)
   let first = lx.pos in
-  digits is_digit;
-  let is_float = ref false in
-  (if lx.src.[first] = '0' && (peek_char lx = Some 'x' || peek_char lx = Some 'X')
-   then begin
-     add ();
-     digits is_hex;
-     if
-       peek_char lx = Some '.' || peek_char lx = Some 'p'
-       || peek_char lx = Some 'P'
-     then
-       error lx
-         "hex float literals are not supported (floats print in decimal; \
-          use e.g. 3.0 instead of 0x1.8p+1)"
-   end
-   else begin
-     if peek_char lx = Some '.' then begin
-       is_float := true;
-       add ();
-       digits is_digit
-     end;
-     if peek_char lx = Some 'e' || peek_char lx = Some 'E' then begin
-       is_float := true;
-       add ();
-       if peek_char lx = Some '+' || peek_char lx = Some '-' then add ();
-       digits is_digit
-     end
-   end);
-  let s = Buffer.contents buf in
-  if !is_float then
-    match float_of_string_opt s with
-    | Some f -> Float_lit f
-    | None -> error lx (Printf.sprintf "bad float literal %S" s)
-  else
-    match int_of_string_opt s with
-    | Some i -> Int_lit i
-    | None -> error lx (Printf.sprintf "bad integer literal %S" s)
+  let start = if neg then first - 1 else first in
+  skip_digits lx;
+  let c = char_at lx lx.pos in
+  if lx.src.[first] = '0' && (c = 'x' || c = 'X') then begin
+    lx.pos <- lx.pos + 1;
+    while is_hex (char_at lx lx.pos) do
+      lx.pos <- lx.pos + 1
+    done;
+    (match char_at lx lx.pos with
+    | '.' | 'p' | 'P' ->
+      error lx
+        "hex float literals are not supported (floats print in decimal; \
+         use e.g. 3.0 instead of 0x1.8p+1)"
+    | _ -> ());
+    int_literal lx start
+  end
+  else begin
+    let is_float = c = '.' || c = 'e' || c = 'E' in
+    if c = '.' then begin
+      lx.pos <- lx.pos + 1;
+      skip_digits lx
+    end;
+    (match char_at lx lx.pos with
+    | 'e' | 'E' ->
+      lx.pos <- lx.pos + 1;
+      (match char_at lx lx.pos with
+      | '+' | '-' -> lx.pos <- lx.pos + 1
+      | _ -> ());
+      skip_digits lx
+    | _ -> ());
+    if is_float then begin
+      let s = String.sub lx.src start (lx.pos - start) in
+      match float_of_string_opt s with
+      | Some f -> Float_lit f
+      | None -> error lx (Printf.sprintf "bad float literal %S" s)
+    end
+    else if lx.pos - first <= 18 then
+      let v = decimal lx.src first lx.pos in
+      Int_lit (if neg then -v else v)
+    else int_literal lx start
+  end
 
 let lex_string lx =
   (* Opening quote consumed by caller. Escapes are exactly the ones the
@@ -151,6 +187,7 @@ let lex_string lx =
      backslash-quote, [\xHH]); anything else is an error rather than a
      silently dropped backslash. *)
   let buf = Buffer.create 16 in
+  let n = String.length lx.src in
   let hex_value c =
     match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
@@ -158,34 +195,32 @@ let lex_string lx =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> error lx (Printf.sprintf "bad hex digit %C in \\x escape" c)
   in
+  let hex_digit () =
+    if lx.pos >= n then error lx "unterminated \\x escape";
+    let c = lx.src.[lx.pos] in
+    lx.pos <- lx.pos + 1;
+    hex_value c
+  in
   let rec go () =
-    match peek_char lx with
-    | None -> error lx "unterminated string literal"
-    | Some '"' -> lx.pos <- lx.pos + 1
-    | Some '\\' ->
+    if lx.pos >= n then error lx "unterminated string literal";
+    match lx.src.[lx.pos] with
+    | '"' -> lx.pos <- lx.pos + 1
+    | '\\' ->
       lx.pos <- lx.pos + 1;
-      (match peek_char lx with
-      | Some 'n' -> Buffer.add_char buf '\n'; lx.pos <- lx.pos + 1
-      | Some 't' -> Buffer.add_char buf '\t'; lx.pos <- lx.pos + 1
-      | Some '\\' -> Buffer.add_char buf '\\'; lx.pos <- lx.pos + 1
-      | Some '"' -> Buffer.add_char buf '"'; lx.pos <- lx.pos + 1
-      | Some 'x' ->
+      if lx.pos >= n then error lx "unterminated escape";
+      (match lx.src.[lx.pos] with
+      | 'n' -> Buffer.add_char buf '\n'; lx.pos <- lx.pos + 1
+      | 't' -> Buffer.add_char buf '\t'; lx.pos <- lx.pos + 1
+      | '\\' -> Buffer.add_char buf '\\'; lx.pos <- lx.pos + 1
+      | '"' -> Buffer.add_char buf '"'; lx.pos <- lx.pos + 1
+      | 'x' ->
         lx.pos <- lx.pos + 1;
-        let hi =
-          match peek_char lx with
-          | Some c -> lx.pos <- lx.pos + 1; hex_value c
-          | None -> error lx "unterminated \\x escape"
-        in
-        let lo =
-          match peek_char lx with
-          | Some c -> lx.pos <- lx.pos + 1; hex_value c
-          | None -> error lx "unterminated \\x escape"
-        in
+        let hi = hex_digit () in
+        let lo = hex_digit () in
         Buffer.add_char buf (Char.chr ((hi * 16) + lo))
-      | Some c -> error lx (Printf.sprintf "unknown string escape \\%c" c)
-      | None -> error lx "unterminated escape");
+      | c -> error lx (Printf.sprintf "unknown string escape \\%c" c));
       go ()
-    | Some c ->
+    | c ->
       if c = '\n' then begin
         lx.line <- lx.line + 1;
         lx.bol <- lx.pos + 1
@@ -201,10 +236,9 @@ let next_token lx =
   skip_ws lx;
   lx.tok_line <- lx.line;
   lx.tok_col <- lx.pos - lx.bol + 1;
-  match peek_char lx with
-  | None -> Eof
-  | Some c -> (
-    match c with
+  if lx.pos >= String.length lx.src then Eof
+  else
+    match String.unsafe_get lx.src lx.pos with
     | '(' -> lx.pos <- lx.pos + 1; Lparen
     | ')' -> lx.pos <- lx.pos + 1; Rparen
     | '{' -> lx.pos <- lx.pos + 1; Lbrace
@@ -220,38 +254,42 @@ let next_token lx =
     | '*' -> lx.pos <- lx.pos + 1; Star
     | '+' -> lx.pos <- lx.pos + 1; Plus
     | '?' -> lx.pos <- lx.pos + 1; Question
-    | '"' -> lx.pos <- lx.pos + 1; lex_string lx
+    | '"' ->
+      lx.pos <- lx.pos + 1;
+      lex_string lx
     | '%' ->
       lx.pos <- lx.pos + 1;
-      Value_ref (lex_while lx (fun c -> is_ident_char c))
+      Value_ref (lex_ident lx)
     | '^' ->
       lx.pos <- lx.pos + 1;
-      Block_ref (lex_while lx is_ident_char)
+      Block_ref (lex_ident lx)
     | '@' ->
       lx.pos <- lx.pos + 1;
-      Symbol_ref (lex_while lx is_ident_char)
+      Symbol_ref (lex_ident lx)
     | '-' ->
       lx.pos <- lx.pos + 1;
-      if peek_char lx = Some '>' then begin
+      let c = char_at lx lx.pos in
+      if c = '>' then begin
         lx.pos <- lx.pos + 1;
         Arrow
       end
-      else if (match peek_char lx with Some c -> is_digit c | None -> false) then
-        lex_number lx ~neg:true
+      else if is_digit c then lex_number lx ~neg:true
       else Minus
     | c when is_digit c -> lex_number lx ~neg:false
-    | c when is_ident_start c -> Ident (lex_while lx is_ident_char)
-    | c -> error lx (Printf.sprintf "unexpected character %C" c))
+    | c when is_ident_start c -> Ident (lex_ident lx)
+    | c -> error lx (Printf.sprintf "unexpected character %C" c)
 
 (* ------------------------------------------------------------------ *)
 (* Parser state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+module Stbl = Hashtbl.Make (String)
+
 (* Per-region block-label scope. Successor lists may reference a block
    before its header is seen, so labels resolve to placeholder blocks
    that the header later fills in. *)
 type block_scope = {
-  sc_blocks : (string, Core.block) Hashtbl.t;
+  sc_blocks : Core.block Stbl.t;
   mutable sc_defined : string list;    (* labels with a header, reversed *)
   mutable sc_referenced : string list; (* labels used as successors *)
 }
@@ -263,7 +301,7 @@ type t = {
   (* Line/column of the start of the current token [tok]. *)
   mutable tok_line : int;
   mutable tok_col : int;
-  values : (string, Core.value) Hashtbl.t;
+  values : Core.value Stbl.t;
   mutable scopes : block_scope list; (* innermost region first *)
 }
 
@@ -272,8 +310,12 @@ let advance p =
   p.tok_line <- p.lx.tok_line;
   p.tok_col <- p.lx.tok_col
 
+(* [expect], [accept] and [at] take a token without a payload (a
+   constant constructor), so physical equality is token equality. *)
+let at p tok = p.tok == tok
+
 let expect p tok =
-  if p.tok = tok then advance p
+  if at p tok then advance p
   else
     error p.lx
       (Printf.sprintf "expected %s but found %s" (token_to_string tok)
@@ -284,7 +326,7 @@ let expect_ident p =
   | Ident s -> advance p; s
   | t -> error p.lx (Printf.sprintf "expected identifier, found %s" (token_to_string t))
 
-let accept p tok = if p.tok = tok then (advance p; true) else false
+let accept p tok = if at p tok then (advance p; true) else false
 
 (* Dialect type parsers: keyed by the identifier after '!'. They read
    tokens by spelling, through [expect_punct], [accept_int] and
@@ -304,6 +346,17 @@ let accept_ident p = match p.tok with Ident s -> advance p; Some s | _ -> None
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
+
+let rec all_digits s i = i >= String.length s || (is_digit s.[i] && all_digits s (i + 1))
+
+(* Is [s] the letter [c] and a non-empty run of digits ([i32], [d0])? *)
+let numbered c s = String.length s > 1 && s.[0] = c && all_digits s 1
+
+(* The number of a [numbered] identifier. One too long to be sure of
+   fitting goes through [int_of_string], which raises on overflow. *)
+let number s =
+  let n = String.length s in
+  if n <= 19 then decimal s 1 n else int_of_string (String.sub s 1 (n - 1))
 
 let rec parse_type p : Types.t =
   match p.tok with
@@ -332,10 +385,9 @@ let rec parse_type p : Types.t =
   | Ident "f32" -> advance p; Types.F32
   | Ident "f64" -> advance p; Types.F64
   | Ident "none" -> advance p; Types.None_type
-  | Ident s when String.length s > 1 && s.[0] = 'i'
-                 && String.for_all is_digit (String.sub s 1 (String.length s - 1)) ->
+  | Ident s when numbered 'i' s ->
     advance p;
-    Types.Integer (int_of_string (String.sub s 1 (String.length s - 1)))
+    Types.Integer (number s)
   | Ident "memref" ->
     advance p;
     expect p Langle;
@@ -382,7 +434,7 @@ and parse_memref_body p =
   Types.Memref { shape = List.rev !dims; element; space }
 
 and parse_type_list_until p stop =
-  if p.tok = stop then []
+  if at p stop then []
   else begin
     let t = parse_type p in
     if accept p Comma then t :: parse_type_list_until p stop else [ t ]
@@ -415,7 +467,7 @@ let rec parse_attr p : Attr.t =
   | Lbracket ->
     advance p;
     let rec elems () =
-      if p.tok = Rbracket then []
+      if at p Rbracket then []
       else
         let a = parse_attr p in
         if accept p Comma then a :: elems () else [ a ]
@@ -503,7 +555,7 @@ and parse_affine_map p =
   expect p Arrow;
   expect p Lparen;
   let rec read_exprs () =
-    if p.tok = Rparen then []
+    if at p Rparen then []
     else
       let e = parse_affine_expr p in
       if accept p Comma then e :: read_exprs () else [ e ]
@@ -549,14 +601,12 @@ and parse_affine_factor p =
   | Minus ->
     advance p;
     Affine_expr.neg (parse_affine_factor p)
-  | Ident s when String.length s > 1 && s.[0] = 'd'
-                 && String.for_all is_digit (String.sub s 1 (String.length s - 1)) ->
+  | Ident s when numbered 'd' s ->
     advance p;
-    Affine_expr.Dim (int_of_string (String.sub s 1 (String.length s - 1)))
-  | Ident s when String.length s > 1 && s.[0] = 's'
-                 && String.for_all is_digit (String.sub s 1 (String.length s - 1)) ->
+    Affine_expr.Dim (number s)
+  | Ident s when numbered 's' s ->
     advance p;
-    Affine_expr.Sym (int_of_string (String.sub s 1 (String.length s - 1)))
+    Affine_expr.Sym (number s)
   | Lparen ->
     advance p;
     let e = parse_affine_expr p in
@@ -591,7 +641,7 @@ let rec parse_loc_expr p : Loc.t =
     advance p;
     expect p Lbracket;
     let rec elems () =
-      if p.tok = Rbracket then []
+      if at p Rbracket then []
       else
         let l = parse_loc_expr p in
         if accept p Comma then l :: elems () else [ l ]
@@ -636,9 +686,15 @@ let rec parse_loc_expr p : Loc.t =
 (* ------------------------------------------------------------------ *)
 
 let lookup_value p name =
-  match Hashtbl.find_opt p.values name with
-  | Some v -> v
-  | None -> error p.lx (Printf.sprintf "use of undefined value %%%s" name)
+  match Stbl.find p.values name with
+  | v -> v
+  | exception Not_found -> error p.lx (Printf.sprintf "use of undefined value %%%s" name)
+
+let rec lookup_values p = function
+  | [] -> []
+  | n :: rest ->
+    let v = lookup_value p n in
+    v :: lookup_values p rest
 
 (* Resolve a ^label used as a successor in the innermost region, creating
    a placeholder block on forward references. *)
@@ -648,13 +704,60 @@ let successor_block p name =
     error p.lx
       (Printf.sprintf "successor ^%s used outside of any region" name)
   | scope :: _ -> (
-    match Hashtbl.find_opt scope.sc_blocks name with
-    | Some b -> b
-    | None ->
+    match Stbl.find scope.sc_blocks name with
+    | b -> b
+    | exception Not_found ->
       let b = Core.create_block () in
-      Hashtbl.replace scope.sc_blocks name b;
+      Stbl.replace scope.sc_blocks name b;
       scope.sc_referenced <- name :: scope.sc_referenced;
       b)
+
+(* The result names before '=': one or more. *)
+let rec result_names p =
+  match p.tok with
+  | Value_ref n ->
+    advance p;
+    if accept p Comma then n :: result_names p else [ n ]
+  | t -> error p.lx (Printf.sprintf "expected value ref, found %s" (token_to_string t))
+
+(* The operand names: zero or more. *)
+let rec operand_names p =
+  match p.tok with
+  | Value_ref n ->
+    advance p;
+    if accept p Comma then n :: operand_names p else [ n ]
+  | _ -> []
+
+let rec successor_labels p =
+  match p.tok with
+  | Block_ref n ->
+    advance p;
+    let b = successor_block p n in
+    if accept p Comma then b :: successor_labels p else [ b ]
+  | t ->
+    error p.lx
+      (Printf.sprintf "expected block label in successor list, found %s"
+         (token_to_string t))
+
+(* The entries of an attribute dictionary, after its '{'. *)
+let rec attr_entries p =
+  if at p Rbrace then []
+  else begin
+    let k = expect_ident p in
+    expect p Equal;
+    let v = parse_attr p in
+    if accept p Comma then (k, v) :: attr_entries p else [ (k, v) ]
+  end
+
+(* The arguments of a block header, after its '('. *)
+let rec block_args p =
+  match p.tok with
+  | Value_ref n ->
+    advance p;
+    expect p Colon;
+    let ty = parse_type p in
+    if accept p Comma then (n, ty) :: block_args p else [ (n, ty) ]
+  | _ -> []
 
 let rec parse_op p : Core.op =
   (* Textual position of the op (its first token) — the default location
@@ -664,45 +767,20 @@ let rec parse_op p : Core.op =
   let result_names =
     match p.tok with
     | Value_ref _ ->
-      let rec names () =
-        match p.tok with
-        | Value_ref n ->
-          advance p;
-          if accept p Comma then n :: names () else [ n ]
-        | t -> error p.lx (Printf.sprintf "expected value ref, found %s" (token_to_string t))
-      in
-      let ns = names () in
+      let ns = result_names p in
       expect p Equal;
       ns
     | _ -> []
   in
   let name = expect_ident p in
   expect p Lparen;
-  let rec operand_names () =
-    match p.tok with
-    | Value_ref n ->
-      advance p;
-      if accept p Comma then n :: operand_names () else [ n ]
-    | _ -> []
-  in
-  let op_names = operand_names () in
+  let op_names = operand_names p in
   expect p Rparen;
-  let operands = List.map (lookup_value p) op_names in
+  let operands = lookup_values p op_names in
   (* successors: [^bb1, ^bb2] *)
   let successors =
     if accept p Lbracket then begin
-      let rec labels () =
-        match p.tok with
-        | Block_ref n ->
-          advance p;
-          let b = successor_block p n in
-          if accept p Comma then b :: labels () else [ b ]
-        | t ->
-          error p.lx
-            (Printf.sprintf "expected block label in successor list, found %s"
-               (token_to_string t))
-      in
-      let bs = labels () in
+      let bs = successor_labels p in
       expect p Rbracket;
       bs
     end
@@ -710,13 +788,9 @@ let rec parse_op p : Core.op =
   in
   (* regions *)
   let regions =
-    if p.tok = Lparen then begin
+    if at p Lparen then begin
       advance p;
-      let rec rs () =
-        let r = parse_region p in
-        if accept p Comma then r :: rs () else [ r ]
-      in
-      let regions = rs () in
+      let regions = parse_regions p in
       expect p Rparen;
       regions
     end
@@ -725,16 +799,7 @@ let rec parse_op p : Core.op =
   (* attributes *)
   let attrs =
     if accept p Lbrace then begin
-      let rec kvs () =
-        if p.tok = Rbrace then []
-        else begin
-          let k = expect_ident p in
-          expect p Equal;
-          let v = parse_attr p in
-          if accept p Comma then (k, v) :: kvs () else [ (k, v) ]
-        end
-      in
-      let attrs = kvs () in
+      let attrs = attr_entries p in
       expect p Rbrace;
       attrs
     end
@@ -773,15 +838,25 @@ let rec parse_op p : Core.op =
   let op =
     Core.create_op name ~operands ~result_types ~attrs ~regions ~successors ~loc
   in
-  List.iteri
-    (fun i n -> Hashtbl.replace p.values n (Core.result op i))
-    result_names;
+  List.iteri (fun i n -> Stbl.replace p.values n op.Core.results.(i)) result_names;
   op
+
+and parse_regions p =
+  let r = parse_region p in
+  if accept p Comma then r :: parse_regions p else [ r ]
+
+(* The ops of a block, up to the next block header or the region's end. *)
+and parse_block_ops p =
+  match p.tok with
+  | Rbrace | Block_ref _ -> []
+  | _ ->
+    let op = parse_op p in
+    op :: parse_block_ops p
 
 and parse_region p : Core.region =
   expect p Lbrace;
   let scope =
-    { sc_blocks = Hashtbl.create 8; sc_defined = []; sc_referenced = [] }
+    { sc_blocks = Stbl.create 8; sc_defined = []; sc_referenced = [] }
   in
   p.scopes <- scope :: p.scopes;
   (* Optional block headers; a region with no header is a single block with
@@ -791,30 +866,11 @@ and parse_region p : Core.region =
     | Block_ref name ->
       advance p;
       expect p Lparen;
-      let rec args () =
-        match p.tok with
-        | Value_ref n ->
-          advance p;
-          expect p Colon;
-          let ty = parse_type p in
-          if accept p Comma then (n, ty) :: args () else [ (n, ty) ]
-        | _ -> []
-      in
-      let args = args () in
+      let args = block_args p in
       expect p Rparen;
       expect p Colon;
       Some (name, args)
     | _ -> None
-  in
-  let parse_block_body () =
-    let rec ops () =
-      match p.tok with
-      | Rbrace | Block_ref _ -> []
-      | _ ->
-        let op = parse_op p in
-        op :: ops ()
-    in
-    ops ()
   in
   let blocks = ref [] in
   let rec go first =
@@ -831,25 +887,24 @@ and parse_region p : Core.region =
           (* A forward successor reference may already have created a
              placeholder for this label; attach the arguments to it. *)
           let b =
-            match Hashtbl.find_opt scope.sc_blocks name with
-            | Some b -> b
-            | None ->
+            match Stbl.find scope.sc_blocks name with
+            | b -> b
+            | exception Not_found ->
               let b = Core.create_block () in
-              Hashtbl.replace scope.sc_blocks name b;
+              Stbl.replace scope.sc_blocks name b;
               b
           in
           List.iter
             (fun (n, ty) ->
               let v = Core.add_block_arg b ty in
-              Hashtbl.replace p.values n v)
+              Stbl.replace p.values n v)
             args;
           b
         | None ->
           if not first then error p.lx "expected block header";
           Core.create_block ()
       in
-      let body = parse_block_body () in
-      List.iter (Core.append_op block) body;
+      Core.attach_body block (parse_block_ops p);
       blocks := block :: !blocks;
       go false
   in
@@ -878,7 +933,7 @@ let make_parser ?(file = "-") src =
       tok = Eof;
       tok_line = 1;
       tok_col = 1;
-      values = Hashtbl.create 64;
+      values = Stbl.create 256;
       scopes = [];
     }
   in
@@ -888,7 +943,7 @@ let make_parser ?(file = "-") src =
 let parse_string ?file src =
   let p = make_parser ?file src in
   let op = parse_op p in
-  if p.tok <> Eof then
+  if not (at p Eof) then
     error p.lx (Printf.sprintf "trailing input: %s" (token_to_string p.tok));
   op
 

@@ -58,36 +58,47 @@ let memspace_of_string = function
   | "private" -> Some Private
   | _ -> None
 
-(* Dialects register printers (and the parser registers readers) for their
-   types here. A printer returns [None] when the type is not one of its. *)
-let printers : (t -> string option) list ref = ref []
+(* Dialects register writers (and the parser registers readers) for their
+   types here. A writer appends its type's text to the buffer and returns
+   [true], or returns [false], having written nothing, when the type is
+   not one of its. *)
+let printers : (Buffer.t -> t -> bool) list ref = ref []
 let register_printer f = printers := f :: !printers
 
-let rec to_string ty =
+(** Append the text of [ty] to [buf]. *)
+let rec write buf ty =
   match ty with
-  | Integer n -> "i" ^ string_of_int n
-  | Index -> "index"
-  | F32 -> "f32"
-  | F64 -> "f64"
-  | None_type -> "none"
-  | Function (args, results) ->
-    let tuple = function
-      | [ t ] -> to_string t
-      | ts -> "(" ^ String.concat ", " (List.map to_string ts) ^ ")"
-    in
-    Printf.sprintf "(%s) -> %s"
-      (String.concat ", " (List.map to_string args))
-      (tuple results)
+  | Integer n -> Buffer.add_char buf 'i'; Text.add_int buf n
+  | Index -> Buffer.add_string buf "index"
+  | F32 -> Buffer.add_string buf "f32"
+  | F64 -> Buffer.add_string buf "f64"
+  | None_type -> Buffer.add_string buf "none"
+  | Function (args, results) -> (
+    Buffer.add_char buf '(';
+    Text.add_list buf write args;
+    Buffer.add_string buf ") -> ";
+    match results with
+    | [ t ] -> write buf t
+    | ts -> Buffer.add_char buf '('; Text.add_list buf write ts; Buffer.add_char buf ')')
   | Memref { shape; element; space } ->
-    let dim = function None -> "?" | Some n -> string_of_int n in
-    let sp = match space with Global -> "" | s -> ", " ^ memspace_to_string s in
-    let dims = List.map (fun d -> dim d ^ " x ") shape in
-    Printf.sprintf "memref<%s%s%s>" (String.concat "" dims) (to_string element) sp
+    Buffer.add_string buf "memref<";
+    List.iter
+      (fun d ->
+        (match d with None -> Buffer.add_char buf '?' | Some n -> Text.add_int buf n);
+        Buffer.add_string buf " x ")
+      shape;
+    write buf element;
+    (match space with
+    | Global -> ()
+    | s -> Buffer.add_string buf ", "; Buffer.add_string buf (memspace_to_string s));
+    Buffer.add_char buf '>'
   | _ ->
-    let rec try_printers = function
-      | [] -> "<unknown-type>"
-      | f :: rest -> ( match f ty with Some s -> s | None -> try_printers rest)
-    in
-    try_printers !printers
+    if not (List.exists (fun f -> f buf ty) !printers) then
+      Buffer.add_string buf "<unknown-type>"
+
+let to_string ty =
+  let buf = Buffer.create 16 in
+  write buf ty;
+  Buffer.contents buf
 
 let equal (a : t) (b : t) = a = b

@@ -239,6 +239,86 @@ let tests_list =
                 "in.mlir:4:5: scf.for needs lb, ub, step"
                 (Loc.diag_prefix d.Verifier.d_loc ^ d.Verifier.message))
           [ []; [ Sycl_core.Canonicalize.pass ] ]);
+    Alcotest.test_case "allocations and affine access ops check their shape"
+      `Quick (fun () ->
+        (* DCE reads an allocation's effect on result 0, and the affine
+           folds and lowering evaluate the map on the index operands; each
+           rejected shape below used to verify and then crash a pass. *)
+        let verify line =
+          let m =
+            Parser.parse_module
+              (Printf.sprintf
+                 "builtin.module() ({\n\
+                 \  func.func() ({\n\
+                 \  ^bb0(%%0: index, %%1: memref<? x f32>, %%2: f32):\n\
+                 \    %s\n\
+                 \    func.return()\n\
+                 \  }) {function_type = (index, memref<? x f32>, f32) -> (), \
+                  sym_name = \"f\"}\n\
+                  })\n"
+                 line)
+          in
+          match Verifier.verify m with
+          | Ok () -> "ok"
+          | Error ds -> String.concat "; " (List.map (fun d -> d.Verifier.message) ds)
+        in
+        List.iter
+          (fun (expected, line) -> Alcotest.(check string) line expected (verify line))
+          [
+            ("ok", "%3 = memref.alloca() : () -> (memref<4 x f32, private>)");
+            ("ok", "%3 = gpu.alloc_local() {slot = 0} : () -> (memref<4 x f32, local>)");
+            ( "memref.alloc must have exactly one result, of memref type",
+              "memref.alloc() : () -> ()" );
+            ( "memref.alloca must have exactly one result, of memref type",
+              "%3, %4 = memref.alloca() : () -> (memref<4 x f32>, memref<4 x f32>)" );
+            ( "llvm.alloca must have exactly one result, of memref type",
+              "%3 = llvm.alloca() : () -> (i64)" );
+            ( "gpu.alloc_local must have exactly one result, of memref type",
+              "gpu.alloc_local() {slot = 0} : () -> ()" );
+            ( "ok",
+              "%3 = affine.apply(%0) {map = affine_map<(d0) -> (d0 + 1)>} : \
+               (index) -> (index)" );
+            ( "affine.apply needs a map with one dim per operand and no symbols, \
+               and one result",
+              "%3 = affine.apply(%0) : (index) -> (index)" );
+            ( "affine.apply needs a map with one dim per operand and no symbols, \
+               and one result",
+              "%3 = affine.apply(%0) {map = affine_map<(d0)[s0] -> (d0 + s0)>} : \
+               (index) -> (index)" );
+            ( "affine.apply needs a map with one dim per operand and no symbols, \
+               and one result",
+              "affine.apply(%0) {map = affine_map<(d0) -> (d0)>} : (index) -> ()" );
+            ( "ok",
+              "%3 = affine.load(%1, %0, %0) {map = affine_map<(d0)[s0] -> (d0 + \
+               s0)>} : (memref<? x f32>, index, index) -> (f32)" );
+            ( "affine.load needs a map with 1 dims and symbols",
+              "%3 = affine.load(%1, %0) {map = affine_map<(d0, d1) -> (d0 + d1)>} \
+               : (memref<? x f32>, index) -> (f32)" );
+            ( "affine.store needs a map with 1 dims and symbols",
+              "affine.store(%2, %1, %0) : (f32, memref<? x f32>, index) -> ()" );
+          ]);
+    Alcotest.test_case "verified irgen modules survive dce, canonicalize and cse"
+      `Quick (fun () ->
+        (* Each pass alone on a fresh parse of every irgen module (seeds
+           0-2999) that verifies: a pass may rely on what the verifier
+           checks, so none may raise. *)
+        let verified = ref 0 in
+        for seed = 0 to 2999 do
+          let text = Printer.to_string (Irgen.gen_module (Irgen.create seed)) in
+          match Verifier.verify (Parser.parse_module text) with
+          | Error _ -> ()
+          | Ok () ->
+            incr verified;
+            List.iter
+              (fun (pass : Pass.t) ->
+                match pass.Pass.run (Parser.parse_module text) (Pass.Stats.create ()) with
+                | () -> ()
+                | exception e ->
+                  Alcotest.failf "seed %d: %s raised %s" seed pass.Pass.pass_name
+                    (Printexc.to_string e))
+              [ Sycl_core.Dce.pass; Sycl_core.Canonicalize.pass; Sycl_core.Cse.pass ]
+        done;
+        Alcotest.(check int) "verifying modules" 641 !verified);
   ]
 
 let tests = ("verifier", tests_list)
