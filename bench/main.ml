@@ -26,7 +26,9 @@
                            worker domains (default: SYCL_SIM_DOMAINS when
                            set, else the recommended count)
      --sim-check-races   — detect work-groups writing overlapping global
-                           locations (exit 1 with a report)
+                           locations, and work-items of one work-group
+                           touching a cell one of them writes between two
+                           barriers (exit 1 with a report)
      --cache-model M     — simulate a per-core data cache (flat|dm|assoc;
                            default flat = no cache, byte-identical output)
 
@@ -544,7 +546,11 @@ let () =
     Printf.eprintf "unknown command %s (fig2|fig3|stencil|geomean|ablation|fusion|profile|fuzz|report|compare|all)\n"
       other;
     exit 2
-   with Sycl_sim.Interp.Race_detected races ->
+   with
+   | Sycl_sim.Interp.Intra_group_race races ->
+     prerr_string (Sycl_sim.Interp.intra_race_report races);
+     exit 1
+   | Sycl_sim.Interp.Race_detected races ->
      Printf.eprintf
        "RACE: %d pair(s) of work-groups wrote overlapping global locations\n"
        (List.length races);

@@ -194,6 +194,9 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
           ~timing:m.Common.m_compile m.Common.m_result m.Common.m_module;
         if not m.Common.m_valid then exit 1)
   with
+  | Sycl_sim.Interp.Intra_group_race races ->
+    prerr_string (Sycl_sim.Interp.intra_race_report races);
+    exit 1
   | Sycl_sim.Interp.Race_detected races ->
     Printf.eprintf
       "RACE: %d pair(s) of work-groups wrote overlapping global locations\n"
@@ -282,9 +285,12 @@ let check_races_arg =
   Arg.(value & flag
        & info [ "sim-check-races" ]
            ~doc:
-             "Record per-work-group write footprints and fail when two \
-              work-groups of one launch write overlapping global locations \
-              (a violation of SYCL's inter-group independence).")
+             "Record what each work-group reads and writes and fail when \
+              two work-groups of one launch write overlapping global \
+              locations (a violation of SYCL's inter-group independence), \
+              or when, between two barriers, a local or global cell \
+              written by one work-item of a group is read or written by \
+              another (a missing barrier).")
 
 let cache_model_conv =
   Arg.conv

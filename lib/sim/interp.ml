@@ -109,7 +109,7 @@ let add_dist (h : dist_hist) d n =
 type wg_ctx = {
   params : Cost.params;
   mutable footprint : Memory.footprint option;
-      (* per-group global-write footprint, recorded under --sim-check-races *)
+      (* the group's memory footprint, recorded under --sim-check-races *)
   locals : (int, Memory.allocation) Hashtbl.t;  (* gpu.alloc_local slot *)
   counters : int array;  (* per-op charges, see [n_fields] *)
   coalesce : int list array array;
@@ -137,6 +137,7 @@ type wi_ctx = {
   grp : int array;
   global_range : int array;
   local_range : int array;
+  li : int;  (* local linear id *)
   subgroup : int;
   (* The work-item's frame: one bank per kind of value ({!slot}) and the
      defined-map, one byte per slot, non-zero once the slot was
@@ -355,16 +356,25 @@ let record_access w k (a : Memory.allocation) lin =
       | _ -> ()
     end
 
-(* A store of slot [v]'s value (already checked defined) to cell [lin]
-   of [a]: its charge, its entry in the group's write footprint (tagged
-   with the storing op's source location, so a race report can name the
-   culprit store — only global-space writes are kept, see
-   {!Memory.footprint_write}) and the write itself. *)
-let store w k loc (a : Memory.allocation) lin v =
+(* Under race checking, the access of cell [lin] of [a] by op [name] at
+   [loc] goes into the group's footprint, so a race report can name the
+   ops at their source locations. *)
+let note w name loc ~write (a : Memory.allocation) lin =
+  match w.wg.footprint with
+  | Some fp ->
+    Memory.footprint_access fp ~item:w.li ~op:name ~loc ~write a lin
+  | None -> ()
+
+(* A load's charge and footprint entry. *)
+let load_access w k name loc a lin =
   record_access w k a lin;
-  (match w.wg.footprint with
-  | Some fp -> Memory.footprint_write ~loc fp a lin
-  | None -> ());
+  note w name loc ~write:false a lin
+
+(* A store of slot [v]'s value (already checked defined) to cell [lin]
+   of [a]: its charge, its footprint entry and the write itself. *)
+let store w k name loc (a : Memory.allocation) lin v =
+  record_access w k a lin;
+  note w name loc ~write:true a lin;
   let i = v lsr 2 in
   match v land 3 with
   | 0 -> store_int a lin (Array.unsafe_get w.ints i)
@@ -1004,21 +1014,22 @@ and op_code d k (op : Core.op) : code =
       set_value w r (Mem (Memory.full_view ~dims a))
   | "memref.load" -> (
     let m = operand 0 and idx = operands_from 1 in
+    let name = op.Core.name and loc = op.Core.loc in
     match result_kind op with
     | Kfloat ->
       let r = float_result () in
       access_code m idx (fun w a lin ->
-          record_access w k a lin;
+          load_access w k name loc a lin;
           set_float w r (load_float a lin))
     | _ ->
       let r = int_result () in
       access_code m idx (fun w a lin ->
-          record_access w k a lin;
+          load_access w k name loc a lin;
           set_int w r (load_int a lin)))
   | "memref.store" ->
     let v = operand 0 and m = operand 1 and idx = operands_from 2 in
-    let loc = op.Core.loc in
-    let access = access_code m idx (fun w a lin -> store w k loc a lin v) in
+    let name = op.Core.name and loc = op.Core.loc in
+    let access = access_code m idx (fun w a lin -> store w k name loc a lin v) in
     fun w ->
       check_defined w v;
       access w
@@ -1041,30 +1052,31 @@ and op_code d k (op : Core.op) : code =
     let m = amap (Dialects.Affine_ops.access_map op) in
     let mem = operand 0 and dims = operands_from 1 in
     let lin w view = Memory.linear_index view (eval_map m (ints w dims)) in
+    let name = op.Core.name and loc = op.Core.loc in
     match result_kind op with
     | Kfloat ->
       let r = float_result () in
       fun w ->
         let view = as_mem (get_value w mem) in
         let lin = lin w view in
-        record_access w k view.Memory.base lin;
+        load_access w k name loc view.Memory.base lin;
         set_float w r (load_float view.Memory.base lin)
     | _ ->
       let r = int_result () in
       fun w ->
         let view = as_mem (get_value w mem) in
         let lin = lin w view in
-        record_access w k view.Memory.base lin;
+        load_access w k name loc view.Memory.base lin;
         set_int w r (load_int view.Memory.base lin))
   | "affine.store" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let v = operand 0 and mem = operand 1 and dims = operands_from 2 in
-    let loc = op.Core.loc in
+    let name = op.Core.name and loc = op.Core.loc in
     fun w ->
       check_defined w v;
       let view = as_mem (get_value w mem) in
       let lin = Memory.linear_index view (eval_map m (ints w dims)) in
-      store w k loc view.Memory.base lin v
+      store w k name loc view.Memory.base lin v
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
     let body_block = Dialects.Scf.for_body op in
@@ -1260,6 +1272,8 @@ let fiber_handler : (unit, fiber_status) Effect.Deep.handler =
         | _ -> None);
   }
 
+let end_phase (wg : wg_ctx) = Option.iter Memory.footprint_end_phase wg.footprint
+
 let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
   let statuses =
     List.map (fun t -> Effect.Deep.match_with t () fiber_handler) thunks
@@ -1270,6 +1284,7 @@ let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
     else if done_count > 0 then raise Barrier_divergence
     else begin
       if wg.cur_barrier >= 0 then count wg wg.cur_barrier f_barriers 1;
+      end_phase wg;
       let next =
         List.map
           (fun s ->
@@ -1446,6 +1461,39 @@ type race = {
 
 exception Race_detected of race list
 
+type intra_race = { ir_group : int; ir_conflict : Memory.conflict }
+
+exception Intra_group_race of intra_race list
+
+let describe_intra_race (r : intra_race) =
+  let c = r.ir_conflict in
+  let touch (t : Memory.touch) =
+    Printf.sprintf "%s %s%s" t.Memory.t_op
+      (if t.Memory.t_write then "(write)" else "(read)")
+      (if Loc.is_known t.Memory.t_loc then " at " ^ Loc.describe t.Memory.t_loc
+       else "")
+  in
+  Printf.sprintf
+    "work-group %d: work-items %d and %d both access %s %s[%d] in one barrier \
+     phase: %s, %s"
+    r.ir_group c.Memory.c_first.Memory.t_item c.Memory.c_second.Memory.t_item
+    (match c.Memory.c_space with Types.Local -> "local" | _ -> "global")
+    (if c.Memory.c_label = "" then "?" else c.Memory.c_label)
+    c.Memory.c_cell (touch c.Memory.c_first) (touch c.Memory.c_second)
+
+let intra_race_report races =
+  let n = List.length races and shown = 10 in
+  let b = Buffer.create 256 in
+  Printf.bprintf b
+    "RACE: %d cell(s) accessed by two work-items of one work-group between \
+     barriers\n"
+    n;
+  List.iteri
+    (fun i r -> if i < shown then Printf.bprintf b "  %s\n" (describe_intra_race r))
+    races;
+  if n > shown then Printf.bprintf b "  ... and %d more\n" (n - shown);
+  Buffer.contents b
+
 let describe_race (r : race) =
   Printf.sprintf "work-groups %d and %d both write %s[%d] (allocation %d)%s"
     r.r_group_a r.r_group_b
@@ -1599,6 +1647,7 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
             wg;
             gid = Array.make nd 0;
             lid = lids.(li);
+            li;
             grp;
             global_range = global;
             local_range = wg_size;
@@ -1646,6 +1695,7 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         items;
       if prog.has_barrier then run_workgroup wg fibers
       else Array.iter (run_item prog args) items;
+      end_phase wg;
       flush_wg prog s tot ~rems ~counts ~sums ~give wg items_per_group
     in
     let failure = ref None in
@@ -1718,7 +1768,17 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
   | None -> ());
   (match footprints with
   | Some fps ->
+    let intra =
+      List.concat
+        (List.mapi
+           (fun g fp ->
+             List.map
+               (fun c -> { ir_group = g; ir_conflict = c })
+               (Memory.footprint_conflicts fp))
+           (Array.to_list fps))
+    in
     let races = detect_races fps in
-    if races <> [] then raise (Race_detected races)
+    if races <> [] then raise (Race_detected races);
+    if intra <> [] then raise (Intra_group_race intra)
   | None -> ());
   stats

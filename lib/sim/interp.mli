@@ -71,6 +71,32 @@ exception Race_detected of race list
 
 val describe_race : race -> string
 
+(** {1 Intra-group race detection}
+
+    Within a work-group, work-items are ordered only by barriers: a
+    local or global cell written by one work-item and read or written by
+    another between two barriers is a race. Under race checking the
+    simulator records every work-item's accesses per barrier phase. *)
+
+(** Conflict [ir_conflict] in work-group [ir_group] (canonical linear
+    group id). *)
+type intra_race = { ir_group : int; ir_conflict : Memory.conflict }
+
+(** Raised after a launch in which some work-group raced within itself
+    and no two work-groups raced ({!Race_detected} is raised first). The
+    list is sorted by group, then
+    allocation and cell; each conflict names its two work-items, lower
+    first, with their ops at their source locations, and depends only on
+    what each work-item did, not on the order in which the simulator ran
+    them. *)
+exception Intra_group_race of intra_race list
+
+val describe_intra_race : intra_race -> string
+
+(** The report of {!Intra_group_race}: a count line, then the first ten
+    races described, one per line, and how many more there are. *)
+val intra_race_report : intra_race list -> string
+
 (** {1 Decoding} *)
 
 (** A kernel lowered once to its execution form: every SSA value of the

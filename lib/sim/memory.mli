@@ -79,11 +79,14 @@ val check : allocation -> int -> int
 (** Copy [n] elements between allocations (host<->device transfers). *)
 val blit : src:view -> dst:view -> int -> unit
 
-(** {1 Write footprints}
+(** {1 Footprints}
 
-    Element-granular record of the global-memory cells one work-group
-    wrote, used by the simulator's cross-group race detector: SYCL
-    work-groups of a kernel must write disjoint global locations. *)
+    What one work-group did to memory, recorded by the simulator's race
+    detector. Across groups: the global cells each group wrote (SYCL
+    work-groups of a kernel must write disjoint global locations). Within
+    a group: per barrier phase, the local and global cells its
+    work-items read and wrote (between two barriers, a cell written by
+    one work-item must not be read or written by another). *)
 
 type footprint
 
@@ -94,8 +97,42 @@ val footprint : unit -> footprint
     are recorded. *)
 val footprint_write : ?loc:Loc.t -> footprint -> allocation -> int -> unit
 
-(** The footprinted (allocation id, cell) pairs, sorted — deterministic
-    regardless of insertion order. *)
+(** A work-item's first access of a cell in a phase: [t_op] at [t_loc]. *)
+type touch = { t_item : int; t_op : string; t_loc : Loc.t; t_write : bool }
+
+(** A cell of one allocation that two work-items of a group touched in
+    one barrier phase, at least one of them writing: [c_first] is the
+    lower work-item. *)
+type conflict = {
+  c_aid : int;
+  c_cell : int;
+  c_label : string;
+  c_space : Types.memspace;
+  c_first : touch;
+  c_second : touch;
+}
+
+(** [footprint_access fp ~item ~op ~loc ~write a lin]: work-item [item]
+    (local linear id) read or wrote cell [lin] of [a] with op [op] at
+    [loc]. A write also goes into the cross-group record
+    ({!footprint_write}); private memory is not recorded. What is kept
+    per cell depends only on the work-item numbers, not on the order in
+    which accesses arrive. *)
+val footprint_access :
+  footprint -> item:int -> op:string -> loc:Loc.t -> write:bool -> allocation -> int -> unit
+
+(** Close the current barrier phase, turning its cells written by one
+    work-item and accessed by another into conflicts (a cell keeps the
+    conflict of its earliest phase). Reported are the lowest writer's
+    first write and the first access of the lowest other work-item. *)
+val footprint_end_phase : footprint -> unit
+
+(** The conflicts of the closed phases, sorted by (allocation id,
+    cell). *)
+val footprint_conflicts : footprint -> conflict list
+
+(** The cross-group record's (allocation id, cell) pairs, sorted —
+    deterministic regardless of insertion order. *)
 val footprint_cells : footprint -> (int * int) list
 
 (** Label of a footprinted allocation (["?"] when unknown). *)

@@ -1,6 +1,6 @@
 (* Parallel multi-domain simulator backend: sequential-vs-parallel
-   equivalence (stats, memory, profile), the cross-group race detector,
-   and identical error reporting under both backends. *)
+   equivalence (stats, memory, profile), the cross-group and intra-group
+   race detectors, and identical error reporting under both backends. *)
 
 open Mlir
 module A = Dialects.Arith
@@ -183,6 +183,68 @@ let tests_list =
             [| Interp.Item; acc_desc ~range:[| 64 |] c |]
         in
         Alcotest.(check int) "4 work-groups" 4 stats.Cost.work_groups);
+    Alcotest.test_case "GEMM without its barriers races on the local tiles"
+      `Quick (fun () ->
+        let module Common = Sycl_workloads.Common in
+        let w = Sycl_workloads.Polybench.gemm ~n:32 in
+        let m = Common.located_module w in
+        ignore
+          (Sycl_core.Driver.compile
+             (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) m);
+        let barriers = Core.collect_named m "gpu.barrier" in
+        Alcotest.(check bool) "the kernel has barriers" true (barriers <> []);
+        List.iter Core.erase_op barriers;
+        let args, _ = w.Common.w_data () in
+        let sim = { Helpers.sim with Sycl_sim.Sim_config.check_races = true } in
+        match Common.run_host ~sim m args with
+        | _ -> Alcotest.fail "expected Intra_group_race"
+        | exception Interp.Intra_group_race (r :: _ as races) ->
+          let c = r.Interp.ir_conflict in
+          let located (t : Memory.touch) =
+            match Loc.resolve t.Memory.t_loc with
+            | Some (file, _, _) -> file = "GEMM.sycl.mlir"
+            | None -> false
+          in
+          Alcotest.(check int) "work-group 0 first" 0 r.Interp.ir_group;
+          Alcotest.(check bool) "in local memory" true
+            (c.Memory.c_space = Types.Local);
+          Alcotest.(check (pair int int)) "work-items 0 and 1" (0, 1)
+            (c.Memory.c_first.Memory.t_item, c.Memory.c_second.Memory.t_item);
+          Alcotest.(check (pair string string)) "the prefetch store, the tile load"
+            ("memref.store", "memref.load")
+            (c.Memory.c_first.Memory.t_op, c.Memory.c_second.Memory.t_op);
+          Alcotest.(check bool) "both located in the source" true
+            (located c.Memory.c_first && located c.Memory.c_second);
+          Alcotest.(check bool) "sorted by group, allocation and cell" true
+            (List.sort compare
+               (List.map
+                  (fun r ->
+                    let c = r.Interp.ir_conflict in
+                    (r.Interp.ir_group, c.Memory.c_aid, c.Memory.c_cell))
+                  races)
+            = List.map
+                (fun r ->
+                  let c = r.Interp.ir_conflict in
+                  (r.Interp.ir_group, c.Memory.c_aid, c.Memory.c_cell))
+                races));
+    Alcotest.test_case "the suite under SYCL-MLIR raises no race" `Slow
+      (fun () ->
+        let module Common = Sycl_workloads.Common in
+        let sim = { Helpers.sim with Sycl_sim.Sim_config.check_races = true } in
+        List.iter
+          (fun (w : Common.workload) ->
+            match
+              Common.measure ~sim
+                (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir) w
+            with
+            | m ->
+              Alcotest.(check bool) (w.Common.w_name ^ " valid") true
+                m.Common.m_valid
+            | exception Interp.Intra_group_race (r :: _) ->
+              Alcotest.failf "%s: %s" w.Common.w_name (Interp.describe_intra_race r)
+            | exception Interp.Race_detected (r :: _) ->
+              Alcotest.failf "%s: %s" w.Common.w_name (Interp.describe_race r))
+          (Sycl_workloads.Suite.all () @ Sycl_workloads.Suite.extensions ()));
     Alcotest.test_case "divergent barrier fails identically under both backends"
       `Quick (fun () ->
         let diverges domains =
