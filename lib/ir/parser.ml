@@ -353,10 +353,15 @@ let rec all_digits s i = i >= String.length s || (is_digit s.[i] && all_digits s
 let numbered c s = String.length s > 1 && s.[0] = c && all_digits s 1
 
 (* The number of a [numbered] identifier. One too long to be sure of
-   fitting goes through [int_of_string], which raises on overflow. *)
-let number s =
+   fitting goes through [int_of_string_opt]; past [max_int] it is a
+   parse error. *)
+let number p s =
   let n = String.length s in
-  if n <= 19 then decimal s 1 n else int_of_string (String.sub s 1 (n - 1))
+  if n <= 19 then decimal s 1 n
+  else
+    match int_of_string_opt (String.sub s 1 (n - 1)) with
+    | Some v -> v
+    | None -> error p.lx (Printf.sprintf "number too large in %s" s)
 
 let rec parse_type p : Types.t =
   match p.tok with
@@ -386,8 +391,9 @@ let rec parse_type p : Types.t =
   | Ident "f64" -> advance p; Types.F64
   | Ident "none" -> advance p; Types.None_type
   | Ident s when numbered 'i' s ->
+    let width = number p s in
     advance p;
-    Types.Integer (number s)
+    Types.Integer width
   | Ident "memref" ->
     advance p;
     expect p Langle;
@@ -602,11 +608,13 @@ and parse_affine_factor p =
     advance p;
     Affine_expr.neg (parse_affine_factor p)
   | Ident s when numbered 'd' s ->
+    let i = number p s in
     advance p;
-    Affine_expr.Dim (number s)
+    Affine_expr.Dim i
   | Ident s when numbered 's' s ->
+    let i = number p s in
     advance p;
-    Affine_expr.Sym (number s)
+    Affine_expr.Sym i
   | Lparen ->
     advance p;
     let e = parse_affine_expr p in

@@ -66,6 +66,22 @@ let lexer_cases =
         check_attr "d0 - 1"
           (attr_of "affine_map<(d0) -> (d0 + -1)>")
           "affine_map<(d0) -> (d0 - 1)>");
+    Alcotest.test_case "a numbered identifier past max_int is a parse error"
+      `Quick (fun () ->
+        Alcotest.(check string) "i19 digits"
+          "i4611686018427387903"
+          (Types.to_string (type_of "i4611686018427387903"));
+        Alcotest.(check string) "iN type"
+          "line 1: number too large in i99999999999999999999"
+          (parse_error (fun () -> type_of "i99999999999999999999"));
+        Alcotest.(check string) "dN dimension"
+          "line 1: number too large in d99999999999999999999"
+          (parse_error (fun () ->
+               attr_of "affine_map<(d0) -> (d99999999999999999999)>"));
+        Alcotest.(check string) "sN symbol"
+          "line 1: number too large in s99999999999999999999"
+          (parse_error (fun () ->
+               attr_of "affine_map<(d0)[s0] -> (s99999999999999999999)>")));
     Alcotest.test_case "a NUL byte is an unexpected character" `Quick (fun () ->
         Alcotest.(check string) "mid-input NUL"
           "line 2: unexpected character '\\000'"
