@@ -62,13 +62,6 @@ let as_int = function
   | F f -> int_of_float f
   | _ -> raise (Sim_error "expected integer value")
 
-let as_float = function
-  | F f -> f
-  | I i -> float_of_int i
-  | _ -> raise (Sim_error "expected float value")
-
-let as_mem = function Mem v -> v | _ -> raise (Sim_error "expected memref value")
-let as_acc = function Acc a -> a | _ -> raise (Sim_error "expected accessor value")
 
 (* ------------------------------------------------------------------ *)
 (* Execution contexts                                                  *)
@@ -103,6 +96,45 @@ let add_dist (h : dist_hist) d n =
     h.counts <- grown
   end;
   h.counts.(d) <- h.counts.(d) + n
+(* ------------------------------------------------------------------ *)
+(* Lanes and execution contexts                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The work-items of a sub-group run in lockstep, one lane each: lane
+   [l] of sub-group [s] is the work-item of local linear id
+   [s * width + l]. A set of lanes is a mask, bit [l] for lane [l]. *)
+let width = Cost.default.Cost.subgroup_size
+
+let () =
+  if width < 1 || width >= Sys.int_size then
+    invalid_arg "Interp: a sub-group's lanes must fit in an int mask"
+
+let byte_bits =
+  Bytes.init 256 (fun i ->
+      let rec bits i = if i = 0 then 0 else (i land 1) + bits (i lsr 1) in
+      Char.chr (bits i))
+
+(* The number of lanes in mask [m]. *)
+let popcount m =
+  let rec go m n =
+    if m = 0 then n
+    else go (m lsr 8) (n + Char.code (Bytes.unsafe_get byte_bits (m land 255)))
+  in
+  go m 0
+
+(* The lowest lane of a non-empty mask. *)
+let lowest_lane m =
+  let rec go l = if m land (1 lsl l) <> 0 then l else go (l + 1) in
+  go 0
+
+(* Coalescing state of one (op, sub-group) whose lanes stopped accessing
+   in step ({!coalesce}): each lane's occurrence count, and for each
+   (occurrence, transaction) seen its owner — the work-item whose access
+   counted it — with the phase and probe-buffer position of the owner's
+   cache probe (-1 when none is buffered). *)
+type owner = { mutable o_li : int; o_phase : int; mutable o_pos : int }
+
+type apart = { occ : int array; seen : (int * int, owner) Hashtbl.t }
 
 (* A work-group's context. A chunk of work-groups makes one and resets it
    before each of its groups ({!launch}). *)
@@ -112,42 +144,62 @@ type wg_ctx = {
       (* the group's memory footprint, recorded under --sim-check-races *)
   locals : (int, Memory.allocation) Hashtbl.t;  (* gpu.alloc_local slot *)
   counters : int array;  (* per-op charges, see [n_fields] *)
-  coalesce : int list array array;
-      (* [op index * n_sub + sub-group] -> for each occurrence of the op
-         in a work-item, the distinct transactions ({!transaction}) the
-         sub-group's accesses made *)
   n_sub : int;  (* sub-groups per work-group *)
+  in_step : int array;
+      (* [op index * n_sub + sub-group] -> the occurrence of the op all
+         lanes of the sub-group are at, or -1 once they are not:
+         [apart] then holds the cell's state *)
+  apart : (int, apart) Hashtbl.t;
+  line_shift : int;  (* log2 of the line size in elements, or -1 *)
   cache_model : Cost.cache_model;
   cache : (Cache.state * Cache.reuse) option;
       (* the cache and reuse-distance tracker, emptied for each group;
          None under Flat *)
   dists : dist_hist;  (* the chunk's reuse distances *)
+  probes : int array array;
+      (* under a cache model, per work-item: the (op, transaction) pairs
+         of the new global transactions it owns in this barrier phase, in
+         its program order; op -1 marks a probe that moved to a lower
+         work-item *)
+  n_probes : int array;  (* pairs in use, per work-item *)
+  mutable phase : int;  (* barrier phases the group completed *)
   mutable cur_barrier : int;
       (* index of the barrier op the group is suspended at, or -1 *)
 }
 
-(* A work-item's context. A chunk of work-groups makes one per local
-   linear id and reuses it for each of its groups: [gid], the frame and
-   [occ] are reset before each group runs, [grp] is the chunk's current
-   group id and [lid] a row of the launch's local-id table. *)
-type wi_ctx = {
+(* A sub-group's context: its lanes' frame and ids. A chunk makes one
+   per sub-group of a work-group and resets it for each group. *)
+type sg = {
   wg : wg_ctx;
-  gid : int array;
-  lid : int array;
+  index : int;  (* sub-group number within the group *)
+  first : int;  (* local linear id of lane 0 *)
+  full : int;  (* the lanes whose work-items exist *)
+  last : int;  (* the highest of them *)
+  n_full : int;  (* how many there are *)
+  gid : int array;  (* [d * width + l]: lane [l]'s global id in dimension [d] *)
+  lid : int array;  (* the same for local ids *)
   grp : int array;
   global_range : int array;
   local_range : int array;
-  li : int;  (* local linear id *)
-  subgroup : int;
-  (* The work-item's frame: one bank per kind of value ({!slot}) and the
-     defined-map, one byte per slot, non-zero once the slot was
-     written. *)
+  (* The lanes' frame: one bank per kind of value ({!slot}), lane-major,
+     and per slot the mask of the lanes that wrote it. *)
   ints : int array;
   floats : Float.Array.t;
   vals : rv array;
-  defined : Bytes.t;
-  occ : int array;  (* per op index: accesses the op made so far *)
+  defined : int array;
+  mutable mask : int;  (* the lanes executing *)
+  mutable alive : int;  (* the lanes that have not left the sub-group *)
+  mutable lane : int;  (* the lane whose work raised *)
+  mutable err : exn option;  (* the error of the lowest lane that left *)
+  mutable diverged : bool;  (* a barrier was reached under a partial mask *)
+  tx : int array;  (* per lane: the current access's transaction, -1 if private *)
+  cell : int array;  (* per lane: the current access's cell *)
+  distinct : int array;  (* work array of {!coalesce} *)
 }
+
+(* Ends a sub-group's barrier phase early: raised at a barrier after a
+   lane left with an error or the sub-group diverged. *)
+exception Stop
 
 (* ------------------------------------------------------------------ *)
 (* Frame slots                                                         *)
@@ -155,23 +207,24 @@ type wi_ctx = {
 
 (* A slot is [index * 4 + bank]: [index] is a position in the bank's
    array — [ints], [floats] or [vals] — and the slot itself a position
-   in the defined-map. Ints and floats thus stay unboxed in the frame,
-   and reading or writing them allocates nothing. Slots come from the
-   decoder that sized the frame, so the unchecked accesses below stay
-   in range; a bank-specific write is only decoded for a slot of that
-   bank ({!in_bank}).
+   in the defined-map. Lane [l]'s copy of the slot is at
+   [index * width + l] of its bank ({!at}). Ints and floats thus stay
+   unboxed in the frame, and reading or writing them allocates nothing.
+   Slots come from the decoder that sized the frame, so the unchecked
+   accesses below stay in range; a bank-specific write is only decoded
+   for a slot of that bank ({!in_bank}).
 
    An element reference — what [sycl.accessor.subscript] yields — takes
    position [index] of two banks: the accessor value in [vals] and the
    element's linear index in [ints]. Writing one is two stores; a reader
    that needs a runtime value gets the one-element view it stands for
-   ({!get_value}). *)
+   ({!lane_value}). *)
 let bank_int = 0
 let bank_float = 1
 let bank_boxed = 2
 let bank_elem = 3
 
-let unbound () = raise (Sim_error "use of unbound SSA value in simulator")
+let unbound_value = Sim_error "use of unbound SSA value in simulator"
 
 let wrong_bank () =
   raise (Sim_error "device simulator: value decoded into the wrong bank")
@@ -180,93 +233,161 @@ let wrong_bank () =
    are never mutated, so one array serves them all). *)
 let unit_extent = [| 1 |]
 
-let[@inline] check_defined w s =
-  if Bytes.unsafe_get w.defined s = '\000' then unbound ()
+let[@inline] at s l = ((s lsr 2) * width) + l
 
-(* Reads convert a value from another bank exactly as [as_int] and
-   [as_float] convert runtime values. *)
-let[@inline] get_int w s =
-  check_defined w s;
-  let i = s lsr 2 in
-  match s land 3 with
-  | 0 -> Array.unsafe_get w.ints i
-  | 1 -> int_of_float (Float.Array.unsafe_get w.floats i)
-  | _ -> as_int (Array.unsafe_get w.vals i)
+(* Lane [l] fails with [e]. *)
+let lane_fail g l e =
+  g.lane <- l;
+  raise e
 
-let[@inline] get_float w s =
-  check_defined w s;
-  let i = s lsr 2 in
+(* Lane reads of a slot the lane wrote. They convert a value from
+   another bank exactly as [as_int] and [as_float] convert runtime
+   values; a conversion that fails is lane [l]'s error. *)
+let lane_int g s l =
+  let i = at s l in
   match s land 3 with
-  | 0 -> float_of_int (Array.unsafe_get w.ints i)
-  | 1 -> Float.Array.unsafe_get w.floats i
-  | _ -> as_float (Array.unsafe_get w.vals i)
+  | 0 -> Array.unsafe_get g.ints i
+  | 1 -> int_of_float (Float.Array.unsafe_get g.floats i)
+  | _ -> (
+    match Array.unsafe_get g.vals i with
+    | I n -> n
+    | F f -> int_of_float f
+    | _ -> lane_fail g l (Sim_error "expected integer value"))
+
+let[@inline] lane_float g s l =
+  let i = at s l in
+  match s land 3 with
+  | 0 -> float_of_int (Array.unsafe_get g.ints i)
+  | 1 -> Float.Array.unsafe_get g.floats i
+  | _ -> (
+    match Array.unsafe_get g.vals i with
+    | F f -> f
+    | I n -> float_of_int n
+    | _ -> lane_fail g l (Sim_error "expected float value"))
+
+let[@inline] lane_acc g l v =
+  match v with Acc a -> a | _ -> lane_fail g l (Sim_error "expected accessor value")
 
 (* A slot as a runtime value: an int or a float gets boxed, an element
    reference becomes its one-element view. *)
-let get_value w s =
-  check_defined w s;
-  let i = s lsr 2 in
+let lane_value g s l =
+  let i = at s l in
   match s land 3 with
-  | 0 -> I (Array.unsafe_get w.ints i)
-  | 1 -> F (Float.Array.unsafe_get w.floats i)
-  | 2 -> Array.unsafe_get w.vals i
+  | 0 -> I (Array.unsafe_get g.ints i)
+  | 1 -> F (Float.Array.unsafe_get g.floats i)
+  | 2 -> Array.unsafe_get g.vals i
   | _ ->
     Mem
       {
-        Memory.base = (as_acc (Array.unsafe_get w.vals i)).a_alloc;
-        offset = Array.unsafe_get w.ints i;
+        Memory.base = (lane_acc g l (Array.unsafe_get g.vals i)).a_alloc;
+        offset = Array.unsafe_get g.ints i;
         dims = unit_extent;
         strides = unit_extent;
       }
 
-let[@inline] set_int w s v =
-  Array.unsafe_set w.ints (s lsr 2) v;
-  Bytes.unsafe_set w.defined s '\001'
+let lane_mem g s l =
+  match lane_value g s l with
+  | Mem v -> v
+  | _ -> lane_fail g l (Sim_error "expected memref value")
 
-let[@inline] set_float w s v =
-  Float.Array.unsafe_set w.floats (s lsr 2) v;
-  Bytes.unsafe_set w.defined s '\001'
+(* Lanes [m] have written slot [s]. A result is marked before its lanes
+   compute it: a lane that raises on the way leaves the sub-group, so
+   its bit is never read. *)
+let[@inline] mark g s m =
+  Array.unsafe_set g.defined s (Array.unsafe_get g.defined s lor m)
 
-let set_value w s v =
-  Array.unsafe_set w.vals (s lsr 2) v;
-  Bytes.unsafe_set w.defined s '\001'
+(* The lanes of [m] that wrote every slot of [ss]. *)
+let[@inline] defined_in g (ss : int array) m =
+  let d = ref m in
+  for i = 0 to Array.length ss - 1 do
+    d := !d land Array.unsafe_get g.defined (Array.unsafe_get ss i)
+  done;
+  !d
 
-(* An element reference to cell [lin] of accessor [acc]'s allocation. *)
-let[@inline] set_elem w s (acc : rv) lin =
-  let i = s lsr 2 in
-  Array.unsafe_set w.vals i acc;
-  Array.unsafe_set w.ints i lin;
-  Bytes.unsafe_set w.defined s '\001'
+(* Lane [l] must have written slot [s]. *)
+let[@inline] need g s l =
+  if Array.unsafe_get g.defined s land (1 lsl l) = 0 then lane_fail g l unbound_value
 
-(* Copy slot [src] into slot [dst]. Decoding puts [dst] in [src]'s bank
-   or in the boxed one (kinds only join upwards), so a value moves
-   as is or gets boxed.
+(* Lane [l] leaves the sub-group with error [e], and with it every lane
+   above it; the lanes below run on to the end of the phase. Only lanes
+   below every earlier failure still run, so [e] is the error of the
+   lowest lane that failed. *)
+let leave g l e =
+  g.err <- Some e;
+  let below = (1 lsl l) - 1 in
+  g.alive <- g.alive land below;
+  g.mask <- g.mask land below
+
+(* Op [run] is to execute for lanes [m], of which only [ok] wrote all
+   its operands: the lanes below the lowest other one execute it, then
+   that lane fails with an unbound value. *)
+let unbound_split g m ok (run : sg -> unit) =
+  let l = lowest_lane (m land lnot ok) in
+  let below = m land ((1 lsl l) - 1) in
+  if below <> 0 then begin
+    g.mask <- below;
+    run g;
+    g.mask <- m
+  end;
+  lane_fail g l unbound_value
+
+(* [f g m] for the executing lanes [m], where [f] only writes frame
+   slots of those lanes, so it may be redone: a lane that fails leaves
+   and [f] is redone for the lanes left. An error [f] raises for all
+   lanes at once is the lowest lane's. Returns [f]'s result, or 0 when
+   no lane is left. *)
+let rec guarded g (f : sg -> int -> int) =
+  let m = g.mask in
+  if m = 0 then 0
+  else begin
+    g.lane <- lowest_lane m;
+    match f g m with
+    | r -> r
+    | exception e ->
+      if e == Stop then raise e;
+      leave g g.lane e;
+      guarded g f
+  end
+
+(* Copy lane [l] of slot [src] into slot [dst]. Decoding puts [dst] in
+   [src]'s bank or in the boxed one (kinds only join upwards), so a
+   value moves as is or gets boxed.
 
    A float read is let-bound before it is passed on, here and below:
    passed straight to another inlined function, it would be boxed. *)
-let copy w src dst =
+let copy_lane g src dst l =
+  need g src l;
+  let d = at dst l in
   match dst land 3 with
-  | 0 -> set_int w dst (get_int w src)
+  | 0 -> Array.unsafe_set g.ints d (lane_int g src l)
   | 1 ->
-    let x = get_float w src in
-    set_float w dst x
-  | 2 -> set_value w dst (get_value w src)
+    let x = lane_float g src l in
+    Float.Array.unsafe_set g.floats d x
+  | 2 -> Array.unsafe_set g.vals d (lane_value g src l)
   | _ ->
-    check_defined w src;
-    if src land 3 <> bank_elem then wrong_bank ();
-    let i = src lsr 2 in
-    set_elem w dst (Array.unsafe_get w.vals i) (Array.unsafe_get w.ints i)
+    if src land 3 <> bank_elem then lane_fail g l (Sim_error "device simulator: value decoded into the wrong bank");
+    let s = at src l in
+    Array.unsafe_set g.vals d (Array.unsafe_get g.vals s);
+    Array.unsafe_set g.ints d (Array.unsafe_get g.ints s)
 
-let count (g : wg_ctx) k f by =
+let copy_lanes g src dst m =
+  mark g dst m;
+  for l = 0 to g.last do
+    if m land (1 lsl l) <> 0 then copy_lane g src dst l
+  done
+
+let[@inline] count (g : wg_ctx) k f by =
   let i = (k * n_fields) + f in
-  g.counters.(i) <- g.counters.(i) + by
+  Array.unsafe_set g.counters i (Array.unsafe_get g.counters i + by)
 
-(* Every charge is counted against the charging op only: the group's
-   totals, which the cost formula prices, are the sums of its per-op
-   counters ({!flush_wg}). *)
-let alu w k = count w.wg k f_alu 1
-let fdiv w k = count w.wg k f_fdiv 1
+(* The number of lanes in [m], a mask of [g]'s. *)
+let[@inline] lanes_in g m = if m = g.full then g.n_full else popcount m
 
+(* Every charge is counted against the charging op only, once per op
+   for all its lanes: the group's totals, which the cost formula prices,
+   are the sums of its per-op counters ({!flush_wg}). *)
+let[@inline] alu g k m = count g.wg k f_alu (lanes_in g m)
+let[@inline] fdiv g k m = count g.wg k f_fdiv (lanes_in g m)
 (* ------------------------------------------------------------------ *)
 (* Device memory                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -274,7 +395,7 @@ let fdiv w k = count w.wg k f_fdiv 1
 (* Cells in {!Memory.allocation}'s unboxed layout, accessed here rather
    than through [Memory.get_float] and friends: a float returned by a
    function that is not inlined is boxed, and the library is compiled
-   without cross-module inlining. Indices are {!Memory.check}ed. *)
+   without cross-module inlining. Indices are checked by {!access}. *)
 let[@inline] load_int (a : Memory.allocation) lin =
   if Bytes.unsafe_get a.Memory.tags lin = Memory.int_tag then
     Array.unsafe_get a.Memory.ints lin
@@ -293,97 +414,36 @@ let[@inline] store_float (a : Memory.allocation) lin v =
   Float.Array.unsafe_set a.Memory.floats lin v;
   Bytes.unsafe_set a.Memory.tags lin Memory.float_tag
 
-(* Latency class: 0 = global, 1 = local, 2 = constant-cached. *)
-let latency_class (a : Memory.allocation) =
-  match a.Memory.space with
-  | Types.Local -> 1
-  | Types.Private -> 3 (* never recorded *)
-  | Types.Global -> if a.Memory.constant_cached then 2 else 0
-
-(* One coalesced transaction (allocation, cache line, latency class)
-   packed into an int: lines stay below 2^32 and classes below 4, so the
-   packing is injective for any allocation id a process can mint. *)
+(* One coalesced transaction (allocation, cache line, latency class —
+   0 global, 1 local, 2 constant-cached) packed into an int: lines stay
+   below 2^32 and classes below 4, so the packing is injective for any
+   allocation id a process can mint. *)
 let transaction ~aid ~line ~cls = (aid lsl 34) lor (cls lsl 32) lor line
 
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: ys -> x = y || mem_int x ys
+(* The cache line of cell [lin] (non-negative). *)
+let[@inline] line_of wg lin =
+  if wg.line_shift >= 0 then lin lsr wg.line_shift
+  else lin / wg.params.Cost.cache_line_elems
 
-let record_access w k (a : Memory.allocation) lin =
+(* The transaction of an access to cell [lin] of [a], or -1 for private
+   memory, which is treated as registers. *)
+let[@inline] tx_of wg (a : Memory.allocation) lin =
   match a.Memory.space with
-  | Types.Private -> alu w k
-  | _ ->
-    let g = w.wg in
-    count g k f_accesses 1;
-    let line = lin / g.params.Cost.cache_line_elems in
-    let occ = w.occ.(k) in
-    w.occ.(k) <- occ + 1;
-    let cell = (k * g.n_sub) + w.subgroup in
-    let per_occ =
-      let arr = g.coalesce.(cell) in
-      if occ < Array.length arr then arr
-      else begin
-        let grown = Array.make (max 4 (2 * (occ + 1))) [] in
-        Array.blit arr 0 grown 0 (Array.length arr);
-        g.coalesce.(cell) <- grown;
-        grown
-      end
-    in
-    let cls = latency_class a in
-    let t = transaction ~aid:a.Memory.aid ~line ~cls in
-    let seen = per_occ.(occ) in
-    if not (mem_int t seen) then begin
-      per_occ.(occ) <- t :: seen;
-      count g k (match cls with 0 -> f_global | 1 -> f_local | _ -> f_const) 1;
-      (* Probe the cache exactly once per NEW coalesced global
-         transaction, so hits + misses = global_transactions holds by
-         construction. Work-items of a group run sequentially in
-         canonical order, so the probe sequence is deterministic and
-         domain-count independent. *)
-      match g.cache with
-      | Some (cache, reuse) when cls = 0 -> (
-        let { Cache.o_hit; o_evicted } =
-          Cache.access cache ~aid:a.Memory.aid ~line
-        in
-        count g k (if o_hit then f_hits else f_misses) 1;
-        if o_evicted then count g k f_evictions 1;
-        let d = Cache.reuse_access reuse ~aid:a.Memory.aid ~line in
-        if d >= 0 then begin
-          count g k f_dist_sum d;
-          count g k f_dist_count 1;
-          add_dist g.dists d 1
-        end)
-      | _ -> ()
-    end
+  | Types.Private -> -1
+  | Types.Local -> transaction ~aid:a.Memory.aid ~line:(line_of wg lin) ~cls:1
+  | Types.Global ->
+    transaction ~aid:a.Memory.aid ~line:(line_of wg lin)
+      ~cls:(if a.Memory.constant_cached then 2 else 0)
 
-(* Under race checking, the access of cell [lin] of [a] by op [name] at
-   [loc] goes into the group's footprint, so a race report can name the
-   ops at their source locations. *)
-let note w name loc ~write (a : Memory.allocation) lin =
-  match w.wg.footprint with
-  | Some fp ->
-    Memory.footprint_access fp ~item:w.li ~op:name ~loc ~write a lin
-  | None -> ()
-
-(* A load's charge and footprint entry. *)
-let load_access w k name loc a lin =
-  record_access w k a lin;
-  note w name loc ~write:false a lin
-
-(* A store of slot [v]'s value (already checked defined) to cell [lin]
-   of [a]: its charge, its footprint entry and the write itself. *)
-let store w k name loc (a : Memory.allocation) lin v =
-  record_access w k a lin;
-  note w name loc ~write:true a lin;
-  let i = v lsr 2 in
-  match v land 3 with
-  | 0 -> store_int a lin (Array.unsafe_get w.ints i)
-  | 1 -> store_float a lin (Float.Array.unsafe_get w.floats i)
-  | _ -> (
-    match Array.unsafe_get w.vals i with
-    | I n -> store_int a lin n
-    | F f -> store_float a lin f
-    | _ -> raise (Sim_error "cannot store non-scalar value"))
+(* Lane [l] accesses cell [lin] of [a]: the index is checked, and the
+   cell and its transaction are kept for {!coalesce}. *)
+let[@inline] access g l (a : Memory.allocation) lin =
+  if lin < 0 || lin >= Bytes.length a.Memory.tags then begin
+    g.lane <- l;
+    ignore (Memory.check a lin)
+  end;
+  Array.unsafe_set g.tx l (tx_of g.wg a lin);
+  Array.unsafe_set g.cell l lin
 
 (* [Memory.linear_index view [| i |]]. *)
 let linear1 (view : Memory.view) i =
@@ -391,6 +451,172 @@ let linear1 (view : Memory.view) i =
   if Array.length view.Memory.strides < 1 then Memory.rank_mismatch a;
   Memory.check a (view.Memory.offset + (i * view.Memory.strides.(0)))
 
+(* ------------------------------------------------------------------ *)
+(* Coalescing and the cache probe order                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Buffer work-item [li]'s probe for its new transaction [t] of op [k];
+   returns the probe's position. *)
+let buffer_probe wg li k t =
+  let n = wg.n_probes.(li) in
+  let buf = wg.probes.(li) in
+  let buf =
+    if (2 * n) + 2 <= Array.length buf then buf
+    else begin
+      let grown = Array.make (max 16 (4 * (n + 1))) 0 in
+      Array.blit buf 0 grown 0 (2 * n);
+      wg.probes.(li) <- grown;
+      grown
+    end
+  in
+  buf.(2 * n) <- k;
+  buf.((2 * n) + 1) <- t;
+  wg.n_probes.(li) <- n + 1;
+  n
+
+(* A new coalesced transaction [t] of op [k], owned by work-item [li]:
+   counted in its class and, a global one under a cache model, probed
+   when its phase ends. Returns the probe's position, or -1. *)
+let new_transaction wg k li t =
+  let cls = (t lsr 32) land 3 in
+  count wg k (f_global + cls) 1;
+  match wg.cache with
+  | Some _ when cls = 0 -> buffer_probe wg li k t
+  | _ -> -1
+
+(* The per-lane path of {!coalesce}, for lanes [m] of a sub-group whose
+   lanes are not all at occurrence [occ] of op [k] (-1: no longer
+   known). A transaction seen at an occurrence is new only for the first
+   work-item to make it in the order work-items running one after
+   another would — by phase, then work-item — so when a lower work-item
+   of the same phase makes it after a higher one, the probe moves to the
+   lower one. *)
+let coalesce_apart g k m cell occ =
+  let wg = g.wg in
+  let st =
+    if occ >= 0 then begin
+      let st = { occ = Array.make width occ; seen = Hashtbl.create 16 } in
+      Hashtbl.replace wg.apart cell st;
+      wg.in_step.(cell) <- -1;
+      st
+    end
+    else Hashtbl.find wg.apart cell
+  in
+  for l = 0 to g.last do
+    if m land (1 lsl l) <> 0 then begin
+      let n = st.occ.(l) in
+      st.occ.(l) <- n + 1;
+      let t = g.tx.(l) and li = g.first + l in
+      match Hashtbl.find_opt st.seen (n, t) with
+      | None ->
+        Hashtbl.replace st.seen (n, t)
+          { o_li = li; o_phase = wg.phase; o_pos = new_transaction wg k li t }
+      | Some o ->
+        if o.o_pos >= 0 && o.o_phase = wg.phase && li < o.o_li then begin
+          wg.probes.(o.o_li).(2 * o.o_pos) <- -1;
+          o.o_li <- li;
+          o.o_pos <- buffer_probe wg li k t
+        end
+    end
+  done
+
+(* Charge op [k]'s accesses by lanes [m], whose cells and transactions
+   are in [cell] and [tx]. A private access costs an ALU op. The others
+   coalesce per (op, occurrence, sub-group): the transactions counted
+   are the distinct ones the sub-group's accesses made at the same
+   occurrence of the op in each work-item. While every lane of the
+   sub-group accesses at each execution of the op, that is the distinct
+   transactions of one step, found without a table, each owned by its
+   lowest lane. Otherwise the lanes' occurrences are counted apart
+   ({!coalesce_apart}). *)
+let coalesce g k m =
+  let wg = g.wg and tx = g.tx in
+  let shared = ref 0 and priv = ref 0 in
+  for l = 0 to g.last do
+    if m land (1 lsl l) <> 0 then
+      if Array.unsafe_get tx l < 0 then incr priv
+      else shared := !shared lor (1 lsl l)
+  done;
+  if !priv > 0 then count wg k f_alu !priv;
+  let m = !shared in
+  if m <> 0 then begin
+    count wg k f_accesses (lanes_in g m);
+    let cell = (k * wg.n_sub) + g.index in
+    let occ = Array.unsafe_get wg.in_step cell in
+    if occ >= 0 && m = g.full then begin
+      Array.unsafe_set wg.in_step cell (occ + 1);
+      let dist = g.distinct and n = ref 0 in
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          let t = Array.unsafe_get tx l in
+          let j = ref (!n - 1) in
+          while !j >= 0 && Array.unsafe_get dist !j <> t do
+            decr j
+          done;
+          if !j < 0 then begin
+            Array.unsafe_set dist !n t;
+            incr n;
+            ignore (new_transaction wg k (g.first + l) t)
+          end
+        end
+      done
+    end
+    else coalesce_apart g k m cell occ
+  end
+
+(* Probe the cache with the phase's buffered transactions, work-item by
+   work-item, each in its program order: the order in which work-items
+   running one after another would probe it. The cache state and every
+   hit, miss, eviction and reuse distance then follow from that order
+   alone. *)
+let flush_probes wg =
+  match wg.cache with
+  | None -> ()
+  | Some (cache, reuse) ->
+    for li = 0 to Array.length wg.probes - 1 do
+      let buf = wg.probes.(li) in
+      for e = 0 to wg.n_probes.(li) - 1 do
+        let k = buf.(2 * e) in
+        if k >= 0 then begin
+          let t = buf.((2 * e) + 1) in
+          let aid = t lsr 34 and line = t land 0xFFFF_FFFF in
+          let { Cache.o_hit; o_evicted } = Cache.access cache ~aid ~line in
+          count wg k (if o_hit then f_hits else f_misses) 1;
+          if o_evicted then count wg k f_evictions 1;
+          let d = Cache.reuse_access reuse ~aid ~line in
+          if d >= 0 then begin
+            count wg k f_dist_sum d;
+            count wg k f_dist_count 1;
+            add_dist wg.dists d 1
+          end
+        end
+      done;
+      wg.n_probes.(li) <- 0
+    done
+
+(* A barrier phase of the group ended: close its race record, probe its
+   transactions. *)
+let end_phase wg =
+  Option.iter Memory.footprint_end_phase wg.footprint;
+  flush_probes wg;
+  wg.phase <- wg.phase + 1
+
+(* Under race checking: lanes [m] of op [name] at [loc] accessed the
+   cells in [cell] of the allocations slot [mem] refers to. *)
+let note g m mem ~name ~loc ~write =
+  match g.wg.footprint with
+  | None -> ()
+  | Some fp ->
+    for l = 0 to g.last do
+      if m land (1 lsl l) <> 0 then
+        let a =
+          if mem land 3 = bank_elem then
+            (lane_acc g l (Array.unsafe_get g.vals (at mem l))).a_alloc
+          else (lane_mem g mem l).Memory.base
+        in
+        Memory.footprint_access fp ~item:(g.first + l) ~op:name ~loc ~write a
+          g.cell.(l)
+    done
 (* ------------------------------------------------------------------ *)
 (* SYCL struct storage helpers                                         *)
 (* ------------------------------------------------------------------ *)
@@ -568,12 +794,13 @@ let infer_kinds funcs (kernel : Core.op) =
     fn kernel
   done;
   kinds
-
 (* ------------------------------------------------------------------ *)
 (* Decoded programs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type code = wi_ctx -> unit
+(* An op's code executes it for the sub-group's executing lanes
+   ([mask]). *)
+type code = sg -> unit
 
 (* A decoded block: its ops before the terminator, and the slots the
    terminator yields ([||] when the block has none). *)
@@ -590,6 +817,7 @@ type program = {
   bank_sizes : int array;  (* slots per bank, by bank number *)
   n_defined : int;  (* defined-map length: the largest slot + 1 *)
   has_barrier : bool;  (* whether a barrier op was decoded *)
+  races : bool;  (* whether memory ops record into the race footprint *)
 }
 
 type decoder = {
@@ -600,6 +828,7 @@ type decoder = {
   mutable decoded : Core.op list;  (* by op index, newest first *)
   mutable n_ops : int;
   mutable has_barrier : bool;
+  races : bool;
   funcs : (string, Core.op) Hashtbl.t;  (* device functions by symbol *)
   fns : (int, fn) Hashtbl.t;  (* decoded functions by body block id *)
 }
@@ -637,15 +866,15 @@ let slots d vs = Array.of_list (List.map (slot d) vs)
 (* [s], which a bank-specific write will use: it must be in [bank]. *)
 let in_bank bank s = if s land 3 = bank then s else wrong_bank ()
 
-(* Temporaries for values moving in lanes: lane [j] of every slot array
-   in [srcs] and [dsts] passes through temporary [j], so every value in
-   a lane can be read before any is written. The temporary is in the
-   join of the banks the lane touches — or an element reference when the
-   lane's destinations are: then every source that is ever written is
-   one, and the others, in the boxed bank, raise when read. *)
+(* Temporaries for values moving in parallel: position [j] of every slot
+   array in [srcs] and [dsts] passes through temporary [j], so every
+   value can be read before any is written. The temporary is in the join
+   of the banks position [j] touches — or an element reference when its
+   destinations are: then every source that is ever written is one, and
+   the others, in the boxed bank, raise when read. *)
 let temps d ~srcs ~dsts =
-  let lanes = srcs @ dsts in
-  let n = List.fold_left (fun n a -> max n (Array.length a)) 0 lanes in
+  let all = srcs @ dsts in
+  let n = List.fold_left (fun n a -> max n (Array.length a)) 0 all in
   Array.init n (fun j ->
       let bank_at a = if j < Array.length a then a.(j) land 3 else -1 in
       let bank =
@@ -655,93 +884,87 @@ let temps d ~srcs ~dsts =
             (fun b a ->
               let b' = bank_at a in
               if b' < 0 then b else if b < 0 || b = b' then b' else bank_boxed)
-            (-1) lanes
+            (-1) all
       in
       fresh_slot d (if bank < 0 then bank_boxed else bank))
 
-let run_block w (b : block_code) =
-  let ops = b.ops in
-  for i = 0 to Array.length ops - 1 do
-    (Array.unsafe_get ops i) w
-  done
+(* Run ops [i..] for the executing lanes. An op that raises for a lane
+   makes that lane and those above it leave ({!leave}); the lanes below
+   have completed the op and go on with the next one. *)
+let rec run_ops g (ops : code array) i =
+  let i = ref i in
+  match
+    while !i < Array.length ops && g.mask <> 0 do
+      (Array.unsafe_get ops !i) g;
+      incr i
+    done
+  with
+  | () -> ()
+  | exception e ->
+    if e == Stop then raise e;
+    leave g g.lane e;
+    run_ops g ops (!i + 1)
+
+let run_block g (b : block_code) = run_ops g b.ops 0
 
 (* Move what block [b] yielded into [res] through [temps]: every yielded
-   value is read before any result is written. *)
-let bind_yields w (b : block_code) temps (res : int array) =
+   value is read before any result is written. For {!guarded}. *)
+let bind_yields (b : block_code) temps (res : int array) g m =
   let ys = b.yields in
   for j = 0 to Array.length ys - 1 do
-    copy w ys.(j) temps.(j)
+    copy_lanes g ys.(j) temps.(j) m
   done;
   for j = 0 to Array.length ys - 1 do
-    copy w temps.(j) res.(j)
-  done
+    copy_lanes g temps.(j) res.(j) m
+  done;
+  0
 
-(* [Memory.linear_index] of the indices held in slots [idx] into a view
-   of [a] at [offset] with [strides], without building the view or the
-   index array. *)
-let linear w (a : Memory.allocation) offset (strides : int array)
+(* Each lane's [Memory.linear_index] of the indices held in slots [idx]
+   into a view of [a] at [offset] with [strides], without building the
+   view or the index array; the access is checked and kept
+   ({!access}). *)
+let lane_linear g l (a : Memory.allocation) offset (strides : int array)
     (idx : int array) =
-  if Array.length idx > Array.length strides then Memory.rank_mismatch a;
+  if Array.length idx > Array.length strides then begin
+    g.lane <- l;
+    Memory.rank_mismatch a
+  end;
   let lin = ref offset in
-  for k = 0 to Array.length idx - 1 do
-    lin := !lin + (get_int w idx.(k) * strides.(k))
+  for j = 0 to Array.length idx - 1 do
+    lin := !lin + (lane_int g (Array.unsafe_get idx j) l * Array.unsafe_get strides j)
   done;
-  Memory.check a !lin
+  access g l a !lin
 
-(* An access to the cell [m[idx]]: [f w a lin] accesses cell [lin] of
-   allocation [a]. An element reference [m] is read where it lies, any
-   other value as a view. *)
-let access_code m (idx : int array) (f : wi_ctx -> Memory.allocation -> int -> unit)
-    : code =
-  if m land 3 = bank_elem then fun w ->
-    check_defined w m;
-    let i = m lsr 2 in
-    let a = (as_acc (Array.unsafe_get w.vals i)).a_alloc in
-    f w a (linear w a (Array.unsafe_get w.ints i) unit_extent idx)
-  else fun w ->
-    let v = as_mem (get_value w m) in
-    let a = v.Memory.base in
-    f w a (linear w a v.Memory.offset v.Memory.strides idx)
-
-(* scf.for / affine.for after their bounds are known: one ALU charge
-   per iteration, the iteration arguments rebound from what the body
-   yielded. Carried values pass through [temps], so a yield is the
-   parallel move it is in the IR. *)
-let run_loop w k ~lb ~ub ~step ~iv ~(iter : int array) ~(inits : int array)
-    ~temps (body : block_code) (res : int array) =
-  for j = 0 to Array.length inits - 1 do
-    copy w inits.(j) temps.(j)
-  done;
-  let carried = ref (Array.length inits) and i = ref lb in
-  while !i < ub do
-    alu w k;
-    set_int w iv !i;
-    if !carried <> Array.length iter then
-      raise
-        (Sim_error
-           (Printf.sprintf "loop carries %d values into %d iteration arguments"
-              !carried (Array.length iter)));
-    for j = 0 to Array.length iter - 1 do
-      copy w temps.(j) iter.(j)
-    done;
-    run_block w body;
-    let ys = body.yields in
-    for j = 0 to Array.length ys - 1 do
-      copy w ys.(j) temps.(j)
-    done;
-    carried := Array.length ys;
-    i := !i + step
-  done;
-  for j = 0 to !carried - 1 do
-    copy w temps.(j) res.(j)
-  done
-
-let ints w (ss : int array) =
-  let a = Array.make (Array.length ss) 0 in
-  for i = 0 to Array.length ss - 1 do
-    a.(i) <- get_int w ss.(i)
-  done;
+(* Lane [l]'s access to cell [m[idx]], an element reference [m] read
+   where it lies ([elem_address]) or any other value as a view
+   ([view_address]); returns the allocation, the cell is in [cell]. *)
+let elem_address g m idx l =
+  let i = at m l in
+  let a = (lane_acc g l (Array.unsafe_get g.vals i)).a_alloc in
+  lane_linear g l a (Array.unsafe_get g.ints i) unit_extent idx;
   a
+
+let view_address g m idx l =
+  let v = lane_mem g m l in
+  let a = v.Memory.base in
+  lane_linear g l a v.Memory.offset v.Memory.strides idx;
+  a
+
+(* How a memory op finds each lane's cell: most go through an element
+   reference and one index in the int bank — both given as bank offsets
+   ({!at}) — and are addressed in place; any other form through a
+   function of the lane. *)
+type addressing =
+  | Elem1 of int * int
+  | Lanewise of (sg -> int -> Memory.allocation)
+
+let[@inline] address g (how : addressing) l =
+  match how with
+  | Elem1 (mb, ib) ->
+    let a = (lane_acc g l (Array.unsafe_get g.vals (mb + l))).a_alloc in
+    access g l a (Array.unsafe_get g.ints (mb + l) + Array.unsafe_get g.ints (ib + l));
+    a
+  | Lanewise f -> f g l
 
 (* An affine map ready to evaluate into an array. A map whose arity does
    not match its operands goes through [Map.eval], which rejects it. *)
@@ -755,7 +978,29 @@ let eval_map (a : amap) dims =
   then Array.map (fun e -> Affine_expr.eval dims [||] e) a.exprs
   else Array.of_list (Affine_expr.Map.eval a.map ~dims ~syms:[||])
 
-let getter_dim w ds = if ds < 0 then 0 else get_int w ds
+(* Lane [l]'s values of slots [ss]. *)
+let lane_ints g (ss : int array) l = Array.map (fun s -> lane_int g s l) ss
+
+(* Lane [l]'s map [m] over the values of slots [ss]; an error is the
+   lane's. *)
+let lane_map g m ss l =
+  g.lane <- l;
+  eval_map m (lane_ints g ss l)
+
+(* Lane [l]'s result of a one-result map, with [what]'s message for a
+   map of several. *)
+let lane_map1 g m ss l what =
+  match lane_map g m ss l with
+  | [| x |] -> x
+  | _ -> raise (Sim_error (what ^ " with multiple results"))
+
+(* The dimension operand of a getter: -1 reads dimension 0. *)
+let lane_dim g ds l = if ds < 0 then 0 else lane_int g ds l
+
+(* [d], a dimension of an [nd]-dimensional query. *)
+let[@inline] in_dims g l d nd =
+  if d < 0 || d >= nd then lane_fail g l (Invalid_argument "index out of bounds");
+  d
 
 (* As [Dialects.Arith.eval_fcmp], here so the compared floats stay
    unboxed. *)
@@ -779,35 +1024,111 @@ let[@inline] horner (acc : acc_desc) lin d i =
     (lin * acc.a_mem_range.(d)) + i + off
   else lin
 
-(* The linear index of element [acc[ids]]. Every index is read, in
-   operand order, before the rank is checked. *)
-let subscript_index w (acc : acc_desc) (ids : int array) =
+(* Lane [l]'s linear index of element [acc[ids]]. Every index is read,
+   in operand order, before the rank is checked. *)
+let subscript_index g (acc : acc_desc) (ids : int array) l =
   let lin = ref 0 and n_ids = ref (Array.length ids) in
   if Array.length ids = 1 && ids.(0) land 3 <> bank_int then begin
-    match get_value w ids.(0) with
+    match lane_value g ids.(0) l with
     | I i -> lin := horner acc 0 0 i
     | Mem v ->
       (* An id struct in private memory: one cell per dimension. *)
       n_ids := Array.length acc.a_range;
+      g.lane <- l;
       for d = 0 to !n_ids - 1 do
         lin := horner acc !lin d (load_int v.Memory.base (linear1 v d))
       done
-    | _ -> raise (Sim_error "bad subscript index")
+    | _ -> lane_fail g l (Sim_error "bad subscript index")
   end
   else
     (* Direct form: one index operand per dimension. *)
     for d = 0 to Array.length ids - 1 do
-      lin := horner acc !lin d (get_int w ids.(d))
+      lin := horner acc !lin d (lane_int g ids.(d) l)
     done;
   let range = acc.a_mem_range in
   if !n_ids > Array.length range then
-    raise (Sim_error "subscript with more indices than accessor dimensions");
+    lane_fail g l (Sim_error "subscript with more indices than accessor dimensions");
   for d = !n_ids to Array.length range - 1 do
     lin := !lin * range.(d)
   done;
   !lin
 
-let fail e : code = fun _ -> raise e
+(* An op that raises [e] when it executes: the error of its lowest
+   executing lane. *)
+let fail e : code = fun g -> lane_fail g (lowest_lane g.mask) e
+
+(* scf.for / affine.for once each executing lane's bounds are in slots
+   [cur] (its next induction value), [ub] and [step], and [active] holds
+   the lanes with an iteration to run: the lanes iterate together until
+   the last one leaves, every active lane charged one ALU op per
+   iteration; the iteration arguments are rebound from what the body
+   yielded. Carried values pass through [temps], so a yield is the
+   parallel move it is in the IR. *)
+let run_loop g k ~active ~cur ~ub ~step ~iv ~(iter : int array)
+    ~(inits : int array) ~temps ~enter ~carry (body : block_code)
+    (res : int array) =
+  let m = g.mask in
+  ignore (guarded g enter);
+  let ints = g.ints and cb = at cur 0 and ub = at ub 0 and sb = at step 0
+  and ib = at iv 0 in
+  let active = ref (active land g.mask) and iterated = ref 0 in
+  let carried = ref (Array.length inits) in
+  while !active <> 0 do
+    let a = !active in
+    alu g k a;
+    mark g iv a;
+    for l = 0 to g.last do
+      if a land (1 lsl l) <> 0 then
+        Array.unsafe_set ints (ib + l) (Array.unsafe_get ints (cb + l))
+    done;
+    g.mask <- a;
+    if !carried <> Array.length iter then
+      ignore
+        (guarded g (fun _ _ ->
+             raise
+               (Sim_error
+                  (Printf.sprintf "loop carries %d values into %d iteration arguments"
+                     !carried (Array.length iter)))));
+    let a = g.mask in
+    for j = 0 to Array.length iter - 1 do
+      copy_lanes g temps.(j) iter.(j) a
+    done;
+    iterated := !iterated lor a;
+    run_block g body;
+    ignore (guarded g carry);
+    carried := Array.length body.yields;
+    let a = g.mask in
+    let next = ref 0 in
+    for l = 0 to g.last do
+      if a land (1 lsl l) <> 0 then begin
+        let i = Array.unsafe_get ints (cb + l) + Array.unsafe_get ints (sb + l) in
+        Array.unsafe_set ints (cb + l) i;
+        if i < Array.unsafe_get ints (ub + l) then next := !next lor (1 lsl l)
+      end
+    done;
+    active := !next
+  done;
+  g.mask <- m land g.alive;
+  (* A lane that iterated carries what the body yielded, one that did
+     not its initial values. *)
+  ignore
+    (guarded g (fun g m ->
+         let moved = [| (m land !iterated, !carried); (m land lnot !iterated, Array.length inits) |] in
+         Array.iter
+           (fun (m, n) ->
+             if m <> 0 then
+               for j = 0 to n - 1 do
+                 copy_lanes g temps.(j) res.(j) m
+               done)
+           moved;
+         0))
+
+(* Copy slots [srcs] into [dsts] position by position, for {!guarded}. *)
+let copy_all (srcs : int array) (dsts : int array) g m =
+  for j = 0 to Array.length srcs - 1 do
+    copy_lanes g srcs.(j) dsts.(j) m
+  done;
+  0
 
 let rec decode_block d (b : Core.block) : block_code =
   let ops, yields = split_block b in
@@ -851,92 +1172,393 @@ and op_code d k (op : Core.op) : code =
   let boxed_result () = in_bank bank_boxed (result 0) in
   (* The optional dimension operand of a getter; -1 reads dimension 0. *)
   let dim_operand () = if Core.num_operands op >= 2 then operand 1 else -1 in
-  let int2 charge f =
+  let with_dim ds ss = if ds < 0 then ss else Array.append ss [| ds |] in
+  (* An op on two int operands into an int result. Operands in the int
+     bank are read in place; otherwise, or when [f] may raise, each lane
+     converts and computes on its own. *)
+  let int2 ?(may_raise = false) charge f =
     let a = operand 0 and b = operand 1 and r = int_result () in
-    fun w ->
-      charge w k;
-      let y = get_int w b in
-      set_int w r (f (get_int w a) y)
+    let ab = at a 0 and bb = at b 0 and rb = at r 0 in
+    let ops = [| a; b |] in
+    if (not may_raise) && a land 3 = bank_int && b land 3 = bank_int then
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            charge g k m;
+            mark g r m;
+            let ints = g.ints in
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then
+                Array.unsafe_set ints (rb + l)
+                  (f (Array.unsafe_get ints (ab + l)) (Array.unsafe_get ints (bb + l)))
+            done
+        end
+      in
+      run
+    else
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            charge g k m;
+            mark g r m;
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then begin
+                let y = lane_int g b l in
+                let x = lane_int g a l in
+                g.lane <- l;
+                Array.unsafe_set g.ints (rb + l) (f x y)
+              end
+            done
+        end
+      in
+      run
   in
-  (* Float ops each get their own closure: through a float-typed
-     function parameter the operands and the result would be boxed. *)
-  let float2 () = (operand 0, operand 1, float_result ()) in
-  let query f =
+  (* The arithmetic that most executed ops are: each op's own loop, so
+     no lane makes a call and floats stay unboxed. *)
+  let int_arith op =
+    let a = operand 0 and b = operand 1 and r = int_result () in
+    if a land 3 <> bank_int || b land 3 <> bank_int then
+      int2 alu (match op with `Add -> ( + ) | `Sub -> ( - ) | `Mul -> ( * ))
+    else
+      let ab = at a 0 and bb = at b 0 and rb = at r 0 and ops = [| a; b |] in
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            alu g k m;
+            mark g r m;
+            let ints = g.ints in
+            match op with
+            | `Add ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Array.unsafe_set ints (rb + l)
+                    (Array.unsafe_get ints (ab + l) + Array.unsafe_get ints (bb + l))
+              done
+            | `Sub ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Array.unsafe_set ints (rb + l)
+                    (Array.unsafe_get ints (ab + l) - Array.unsafe_get ints (bb + l))
+              done
+            | `Mul ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Array.unsafe_set ints (rb + l)
+                    (Array.unsafe_get ints (ab + l) * Array.unsafe_get ints (bb + l))
+              done
+        end
+      in
+      run
+  in
+  let float_arith op =
+    let a = operand 0 and b = operand 1 and r = float_result () in
+    let ab = at a 0 and bb = at b 0 and rb = at r 0 and ops = [| a; b |] in
+    let charge = match op with `Div -> fdiv | _ -> alu in
+    if a land 3 = bank_float && b land 3 = bank_float then
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            charge g k m;
+            mark g r m;
+            let fl = g.floats in
+            match op with
+            | `Add ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.Array.unsafe_get fl (ab + l) +. Float.Array.unsafe_get fl (bb + l))
+              done
+            | `Sub ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.Array.unsafe_get fl (ab + l) -. Float.Array.unsafe_get fl (bb + l))
+              done
+            | `Mul ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.Array.unsafe_get fl (ab + l) *. Float.Array.unsafe_get fl (bb + l))
+              done
+            | `Div ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.Array.unsafe_get fl (ab + l) /. Float.Array.unsafe_get fl (bb + l))
+              done
+            | `Min ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.min (Float.Array.unsafe_get fl (ab + l))
+                       (Float.Array.unsafe_get fl (bb + l)))
+              done
+            | `Max ->
+              for l = 0 to g.last do
+                if m land (1 lsl l) <> 0 then
+                  Float.Array.unsafe_set fl (rb + l)
+                    (Float.max (Float.Array.unsafe_get fl (ab + l))
+                       (Float.Array.unsafe_get fl (bb + l)))
+              done
+        end
+      in
+      run
+    else
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            charge g k m;
+            mark g r m;
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then begin
+                let y = lane_float g b l in
+                let x = lane_float g a l in
+                let z =
+                  match op with
+                  | `Add -> x +. y
+                  | `Sub -> x -. y
+                  | `Mul -> x *. y
+                  | `Div -> x /. y
+                  | `Min -> Float.min x y
+                  | `Max -> Float.max x y
+                in
+                Float.Array.unsafe_set g.floats (rb + l) z
+              end
+            done
+        end
+      in
+      run
+  in
+  (* A unary op from a float to a float. *)
+  let float1 charge op =
+    let a = operand 0 and r = float_result () in
+    let rb = at r 0 and ops = [| a |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          charge g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let x = lane_float g a l in
+              let y =
+                match op with
+                | `Neg -> -.x
+                | `Abs -> Float.abs x
+                | `Sqrt -> Float.sqrt x
+                | `Exp -> Float.exp x
+              in
+              Float.Array.unsafe_set g.floats (rb + l) y
+            end
+          done
+      end
+    in
+    run
+  in
+  (* A query of the work-item's ids: [per_lane] ones are at
+     [d * width + l] of [arr g], the others at [d]. *)
+  let query ~per_lane arr =
     let ds = dim_operand () and r = int_result () in
-    fun w ->
-      alu w k;
-      set_int w r (f w).(getter_dim w ds)
+    let rb = at r 0 and ops = with_dim ds [||] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          let a = arr g in
+          let nd = Array.length g.grp in
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let d = in_dims g l (lane_dim g ds l) nd in
+              Array.unsafe_set g.ints (rb + l)
+                (if per_lane then Array.unsafe_get a ((d * width) + l)
+                 else Array.unsafe_get a d)
+            end
+          done
+      end
+    in
+    run
   in
   let acc_query f =
     let a = operand 0 and ds = dim_operand () and r = int_result () in
-    fun w ->
-      alu w k;
-      set_int w r (f (as_acc (get_value w a))).(getter_dim w ds)
+    let rb = at r 0 and ops = with_dim ds [| a |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let arr = f (lane_acc g l (lane_value g a l)) in
+              let d = lane_dim g ds l in
+              if d < 0 || d >= Array.length arr then
+                lane_fail g l (Invalid_argument "index out of bounds");
+              Array.unsafe_set g.ints (rb + l) arr.(d)
+            end
+          done
+      end
+    in
+    run
+  in
+  (* Under race checking, a memory op records its lanes' accesses of
+     [mem]'s allocations after it ran. *)
+  let noted mem ~write (code : code) : code =
+    if not d.races then code
+    else
+      let name = op.Core.name and loc = op.Core.loc in
+      fun g ->
+        let m = g.mask in
+        code g;
+        note g m mem ~name ~loc ~write
+  in
+  (* A load addressed [how] into [r]: of a float or an int. *)
+  let load mem ops how r =
+    noted mem ~write:false
+      (if r land 3 = bank_float then
+         let rb = at r 0 in
+         let rec run g =
+           let m = g.mask in
+           let ok = defined_in g ops m in
+           if ok <> m then unbound_split g m ok run
+           else begin
+               mark g r m;
+               let fl = g.floats in
+               for l = 0 to g.last do
+                 if m land (1 lsl l) <> 0 then begin
+                   let a = address g how l in
+                   let x = load_float a (Array.unsafe_get g.cell l) in
+                   Float.Array.unsafe_set fl (rb + l) x
+                 end
+               done;
+               coalesce g k m
+           end
+         in
+         run
+       else
+         let rb = at r 0 in
+         let rec run g =
+           let m = g.mask in
+           let ok = defined_in g ops m in
+           if ok <> m then unbound_split g m ok run
+           else begin
+               mark g r m;
+               for l = 0 to g.last do
+                 if m land (1 lsl l) <> 0 then begin
+                   let a = address g how l in
+                   Array.unsafe_set g.ints (rb + l) (load_int a (Array.unsafe_get g.cell l))
+                 end
+               done;
+               coalesce g k m
+           end
+         in
+         run)
+  in
+  (* A store of slot [v] addressed [how]. *)
+  let store v mem ops how =
+    noted mem ~write:true
+      (let vb = at v 0 in
+       let rec run g =
+         let m = g.mask in
+         let ok = defined_in g ops m in
+         if ok <> m then unbound_split g m ok run
+         else begin
+             for l = 0 to g.last do
+               if m land (1 lsl l) <> 0 then begin
+                 let a = address g how l in
+                 let lin = Array.unsafe_get g.cell l in
+                 match v land 3 with
+                 | 0 -> store_int a lin (Array.unsafe_get g.ints (vb + l))
+                 | 1 -> store_float a lin (Float.Array.unsafe_get g.floats (vb + l))
+                 | _ -> (
+                   match Array.unsafe_get g.vals (vb + l) with
+                   | I n -> store_int a lin n
+                   | F f -> store_float a lin f
+                   | _ -> lane_fail g l (Sim_error "cannot store non-scalar value"))
+               end
+             done;
+             coalesce g k m
+         end
+       in
+       run)
+  in
+  let memref_address m idx =
+    if m land 3 = bank_elem then
+      if Array.length idx = 1 && idx.(0) land 3 = bank_int then Elem1 (at m 0, at idx.(0) 0)
+      else Lanewise (fun g l -> elem_address g m idx l)
+    else Lanewise (fun g l -> view_address g m idx l)
+  in
+  let affine_address m mem dims =
+    Lanewise
+      (fun g l ->
+        let view = lane_mem g mem l in
+        let lin = Memory.linear_index view (lane_map g m dims l) in
+        access g l view.Memory.base lin;
+        view.Memory.base)
   in
   match op.Core.name with
   | "arith.constant" -> (
     match Core.attr op "value" with
     | Some (Attr.Int i) ->
       let r = int_result () in
-      fun w -> set_int w r i
+      let rb = at r 0 in
+      fun g ->
+        let m = g.mask in
+        mark g r m;
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) i
+        done
     | Some (Attr.Float f) ->
       let r = float_result () in
-      fun w -> set_float w r f
+      let rb = at r 0 in
+      fun g ->
+        let m = g.mask in
+        mark g r m;
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then Float.Array.unsafe_set g.floats (rb + l) f
+        done
     | Some (Attr.Bool b) ->
       let r = int_result () and i = Bool.to_int b in
-      fun w -> set_int w r i
+      let rb = at r 0 in
+      fun g ->
+        let m = g.mask in
+        mark g r m;
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) i
+        done
     | _ -> fail (Sim_error "arith.constant without numeric value"))
-  | "arith.addi" -> int2 alu ( + )
-  | "arith.subi" -> int2 alu ( - )
-  | "arith.muli" -> int2 alu ( * )
-  | "arith.divsi" -> int2 fdiv ( / )
-  | "arith.remsi" -> int2 fdiv ( mod )
+  | "arith.addi" -> int_arith `Add
+  | "arith.subi" -> int_arith `Sub
+  | "arith.muli" -> int_arith `Mul
+  | "arith.divsi" -> int2 ~may_raise:true fdiv ( / )
+  | "arith.remsi" -> int2 ~may_raise:true fdiv ( mod )
   | "arith.andi" -> int2 alu ( land )
   | "arith.ori" -> int2 alu ( lor )
   | "arith.xori" -> int2 alu ( lxor )
   | "arith.minsi" -> int2 alu Int.min
   | "arith.maxsi" -> int2 alu Int.max
-  | "arith.addf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      alu w k;
-      let y = get_float w b in
-      set_float w r (get_float w a +. y)
-  | "arith.subf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      alu w k;
-      let y = get_float w b in
-      set_float w r (get_float w a -. y)
-  | "arith.mulf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      alu w k;
-      let y = get_float w b in
-      set_float w r (get_float w a *. y)
-  | "arith.divf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      fdiv w k;
-      let y = get_float w b in
-      set_float w r (get_float w a /. y)
-  | "arith.minimumf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      alu w k;
-      let y = get_float w b in
-      set_float w r (Float.min (get_float w a) y)
-  | "arith.maximumf" ->
-    let a, b, r = float2 () in
-    fun w ->
-      alu w k;
-      let y = get_float w b in
-      set_float w r (Float.max (get_float w a) y)
-  | "arith.negf" ->
-    let a = operand 0 and r = float_result () in
-    fun w ->
-      alu w k;
-      set_float w r (-.get_float w a)
+  | "arith.addf" -> float_arith `Add
+  | "arith.subf" -> float_arith `Sub
+  | "arith.mulf" -> float_arith `Mul
+  | "arith.divf" -> float_arith `Div
+  | "arith.minimumf" -> float_arith `Min
+  | "arith.maximumf" -> float_arith `Max
+  | "arith.negf" -> float1 alu `Neg
   | "arith.cmpi" -> (
     match Dialects.Arith.icmp_predicate op with
     | Some p ->
@@ -949,45 +1571,97 @@ and op_code d k (op : Core.op) : code =
     with
     | Some p ->
       let a = operand 0 and b = operand 1 and r = int_result () in
-      fun w ->
-        alu w k;
-        let y = get_float w b in
-        let x = get_float w a in
-        set_int w r (Bool.to_int (fcmp p x y))
+      let rb = at r 0 and ops = [| a; b |] in
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            alu g k m;
+            mark g r m;
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then begin
+                let y = lane_float g b l in
+                let x = lane_float g a l in
+                Array.unsafe_set g.ints (rb + l) (Bool.to_int (fcmp p x y))
+              end
+            done
+        end
+      in
+      run
     | None -> fail (Sim_error "cmpf without predicate"))
   | "arith.select" ->
+    (* Only the chosen operand must have been written. *)
     let c = operand 0 and t = operand 1 and e = operand 2 and r = result 0 in
-    fun w ->
-      alu w k;
-      copy w (if get_int w c <> 0 then t else e) r
+    let ops = [| c |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then
+              copy_lane g (if lane_int g c l <> 0 then t else e) r l
+          done
+      end
+    in
+    run
   | "arith.index_cast" ->
     let a = operand 0 and r = int_result () in
-    fun w -> set_int w r (get_int w a)
+    let rb = at r 0 and ops = [| a |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) (lane_int g a l)
+          done
+      end
+    in
+    run
   | "arith.sitofp" ->
     let a = operand 0 and r = float_result () in
-    fun w ->
-      alu w k;
-      set_float w r (float_of_int (get_int w a))
+    let rb = at r 0 and ops = [| a |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then
+              Float.Array.unsafe_set g.floats (rb + l) (float_of_int (lane_int g a l))
+          done
+      end
+    in
+    run
   | "arith.fptosi" ->
     let a = operand 0 and r = int_result () in
-    fun w ->
-      alu w k;
-      set_int w r (int_of_float (get_float w a))
-  | "math.sqrt" ->
-    let a = operand 0 and r = float_result () in
-    fun w ->
-      fdiv w k;
-      set_float w r (Float.sqrt (get_float w a))
-  | "math.exp" ->
-    let a = operand 0 and r = float_result () in
-    fun w ->
-      fdiv w k;
-      set_float w r (Float.exp (get_float w a))
-  | "math.absf" ->
-    let a = operand 0 and r = float_result () in
-    fun w ->
-      alu w k;
-      set_float w r (Float.abs (get_float w a))
+    let rb = at r 0 and ops = [| a |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let x = lane_float g a l in
+              Array.unsafe_set g.ints (rb + l) (int_of_float x)
+            end
+          done
+      end
+    in
+    run
+  | "math.sqrt" -> float1 fdiv `Sqrt
+  | "math.exp" -> float1 fdiv `Exp
+  | "math.absf" -> float1 alu `Abs
   | "memref.alloca" | "memref.alloc" ->
     let ty = (Core.result op 0).Core.vty in
     let size, dims = alloc_size_of_type ty in
@@ -995,88 +1669,93 @@ and op_code d k (op : Core.op) : code =
       match ty with Types.Memref { space; _ } -> space | _ -> Types.Private
     in
     let r = boxed_result () in
-    fun w ->
-      let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
-      set_value w r (Mem (Memory.full_view ~dims a))
+    let rb = at r 0 in
+    fun g ->
+      let m = g.mask in
+      mark g r m;
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
+          Array.unsafe_set g.vals (rb + l) (Mem (Memory.full_view ~dims a))
+        end
+      done
   | "gpu.alloc_local" ->
     let local_slot = Option.value ~default:0 (Core.attr_int op "slot") in
     let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
     let r = boxed_result () in
-    fun w ->
+    let rb = at r 0 in
+    fun g ->
+      let m = g.mask in
+      let locals = g.wg.locals in
       let a =
-        match Hashtbl.find w.wg.locals local_slot with
+        match Hashtbl.find locals local_slot with
         | a -> a
         | exception Not_found ->
           let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
-          Hashtbl.replace w.wg.locals local_slot a;
+          Hashtbl.replace locals local_slot a;
           a
       in
-      set_value w r (Mem (Memory.full_view ~dims a))
-  | "memref.load" -> (
+      let v = Mem (Memory.full_view ~dims a) in
+      mark g r m;
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then Array.unsafe_set g.vals (rb + l) v
+      done
+  | "memref.load" ->
     let m = operand 0 and idx = operands_from 1 in
-    let name = op.Core.name and loc = op.Core.loc in
-    match result_kind op with
-    | Kfloat ->
-      let r = float_result () in
-      access_code m idx (fun w a lin ->
-          load_access w k name loc a lin;
-          set_float w r (load_float a lin))
-    | _ ->
-      let r = int_result () in
-      access_code m idx (fun w a lin ->
-          load_access w k name loc a lin;
-          set_int w r (load_int a lin)))
+    let r = match result_kind op with Kfloat -> float_result () | _ -> int_result () in
+    load m (Array.append [| m |] idx) (memref_address m idx) r
   | "memref.store" ->
     let v = operand 0 and m = operand 1 and idx = operands_from 2 in
-    let name = op.Core.name and loc = op.Core.loc in
-    let access = access_code m idx (fun w a lin -> store w k name loc a lin v) in
-    fun w ->
-      check_defined w v;
-      access w
+    store v m (Array.append [| v; m |] idx) (memref_address m idx)
   | "memref.dim" ->
     let m = operand 0 and i = operand 1 and r = int_result () in
-    fun w ->
-      let view = as_mem (get_value w m) in
-      let d = get_int w i in
-      set_int w r view.Memory.dims.(d)
+    let rb = at r 0 and ops = [| m; i |] in
+    let rec run g =
+      let mask = g.mask in
+      let ok = defined_in g ops mask in
+      if ok <> mask then unbound_split g mask ok run
+      else begin
+          mark g r mask;
+          for l = 0 to g.last do
+            if mask land (1 lsl l) <> 0 then begin
+              let view = lane_mem g m l in
+              let d = lane_int g i l in
+              if d < 0 || d >= Array.length view.Memory.dims then
+                lane_fail g l (Invalid_argument "index out of bounds");
+              Array.unsafe_set g.ints (rb + l) view.Memory.dims.(d)
+            end
+          done
+      end
+    in
+    run
   | "memref.dealloc" -> fun _ -> ()
   | "affine.apply" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let dims = operands_from 0 and r = int_result () in
-    fun w ->
-      alu w k;
-      (match eval_map m (ints w dims) with
-      | [| x |] -> set_int w r x
-      | _ -> raise (Sim_error "affine.apply with multiple results"))
-  | "affine.load" -> (
+    let rb = at r 0 in
+    let rec run g =
+      let mask = g.mask in
+      let ok = defined_in g dims mask in
+      if ok <> mask then unbound_split g mask ok run
+      else begin
+          alu g k mask;
+          mark g r mask;
+          for l = 0 to g.last do
+            if mask land (1 lsl l) <> 0 then
+              Array.unsafe_set g.ints (rb + l) (lane_map1 g m dims l "affine.apply")
+          done
+      end
+    in
+    run
+  | "affine.load" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let mem = operand 0 and dims = operands_from 1 in
-    let lin w view = Memory.linear_index view (eval_map m (ints w dims)) in
-    let name = op.Core.name and loc = op.Core.loc in
-    match result_kind op with
-    | Kfloat ->
-      let r = float_result () in
-      fun w ->
-        let view = as_mem (get_value w mem) in
-        let lin = lin w view in
-        load_access w k name loc view.Memory.base lin;
-        set_float w r (load_float view.Memory.base lin)
-    | _ ->
-      let r = int_result () in
-      fun w ->
-        let view = as_mem (get_value w mem) in
-        let lin = lin w view in
-        load_access w k name loc view.Memory.base lin;
-        set_int w r (load_int view.Memory.base lin))
+    let r = match result_kind op with Kfloat -> float_result () | _ -> int_result () in
+    load mem (Array.append [| mem |] dims) (affine_address m mem dims) r
   | "affine.store" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let v = operand 0 and mem = operand 1 and dims = operands_from 2 in
-    let name = op.Core.name and loc = op.Core.loc in
-    fun w ->
-      check_defined w v;
-      let view = as_mem (get_value w mem) in
-      let lin = Memory.linear_index view (eval_map m (ints w dims)) in
-      store w k name loc view.Memory.base lin v
+    store v mem (Array.append [| v; mem |] dims) (affine_address m mem dims)
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
     let body_block = Dialects.Scf.for_body op in
@@ -1085,22 +1764,36 @@ and op_code d k (op : Core.op) : code =
     let inits = slots d (Dialects.Scf.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
     let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
-    fun w ->
-      let lb = get_int w lb and ub = get_int w ub
-      and step = get_int w step in
-      if step <= 0 then raise (Sim_error "scf.for with non-positive step");
-      run_loop w k ~lb ~ub ~step ~iv ~iter ~inits ~temps body res
+    let cur = fresh_slot d bank_int and ubs = fresh_slot d bank_int
+    and steps = fresh_slot d bank_int in
+    let bounds g m =
+      let active = ref 0 in
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          need g lb l;
+          let lbv = lane_int g lb l in
+          need g ub l;
+          let ubv = lane_int g ub l in
+          need g step l;
+          let stepv = lane_int g step l in
+          if stepv <= 0 then lane_fail g l (Sim_error "scf.for with non-positive step");
+          Array.unsafe_set g.ints (at cur l) lbv;
+          Array.unsafe_set g.ints (at ubs l) ubv;
+          Array.unsafe_set g.ints (at steps l) stepv;
+          if lbv < ubv then active := !active lor (1 lsl l)
+        end
+      done;
+      !active
+    in
+    let enter = copy_all inits temps and carry = copy_all body.yields temps in
+    fun g ->
+      let active = guarded g bounds in
+      run_loop g k ~active ~cur ~ub:ubs ~step:steps ~iv ~iter ~inits ~temps ~enter
+        ~carry body res
   | "affine.for" ->
     let module A = Dialects.Affine_ops in
-    let bound map operands =
-      let m = amap map and ds = slots d operands in
-      fun w ->
-        match eval_map m (ints w ds) with
-        | [| r |] -> r
-        | _ -> raise (Sim_error "affine.for bound with multiple results")
-    in
-    let lb = bound (A.for_lb_map op) (A.for_lb_operands op) in
-    let ub = bound (A.for_ub_map op) (A.for_ub_operands op) in
+    let lbm = amap (A.for_lb_map op) and lbs = slots d (A.for_lb_operands op) in
+    let ubm = amap (A.for_ub_map op) and ubs_in = slots d (A.for_ub_operands op) in
     let step = A.for_step op in
     let body_block = A.for_body op in
     let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
@@ -1108,10 +1801,29 @@ and op_code d k (op : Core.op) : code =
     let inits = slots d (A.for_iter_inits op) in
     let body = decode_block d body_block and res = results () in
     let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
-    fun w ->
-      let lb = lb w in
-      let ub = ub w in
-      run_loop w k ~lb ~ub ~step ~iv ~iter ~inits ~temps body res
+    let cur = fresh_slot d bank_int and ubs = fresh_slot d bank_int
+    and steps = fresh_slot d bank_int in
+    let bounds g m =
+      let active = ref 0 in
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          Array.iter (fun s -> need g s l) lbs;
+          let lbv = lane_map1 g lbm lbs l "affine.for bound" in
+          Array.iter (fun s -> need g s l) ubs_in;
+          let ubv = lane_map1 g ubm ubs_in l "affine.for bound" in
+          Array.unsafe_set g.ints (at cur l) lbv;
+          Array.unsafe_set g.ints (at ubs l) ubv;
+          Array.unsafe_set g.ints (at steps l) step;
+          if lbv < ubv then active := !active lor (1 lsl l)
+        end
+      done;
+      !active
+    in
+    let enter = copy_all inits temps and carry = copy_all body.yields temps in
+    fun g ->
+      let active = guarded g bounds in
+      run_loop g k ~active ~cur ~ub:ubs ~step:steps ~iv ~iter ~inits ~temps ~enter
+        ~carry body res
   | "scf.if" ->
     let c = operand 0 in
     let then_ = decode_block d (Core.entry_block op.Core.regions.(0)) in
@@ -1127,19 +1839,37 @@ and op_code d k (op : Core.op) : code =
           [ then_.yields; (match else_ with Some b -> b.yields | None -> [||]) ]
         ~dsts:[ res ]
     in
-    fun w ->
-      alu w k;
-      if get_int w c <> 0 then begin
-        run_block w then_;
-        bind_yields w then_ temps res
-      end
-      else begin
-        match else_ with
-        | Some b ->
-          run_block w b;
-          bind_yields w b temps res
-        | None -> ()
-      end
+    let taken g m =
+      let t = ref 0 in
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          need g c l;
+          if lane_int g c l <> 0 then t := !t lor (1 lsl l)
+        end
+      done;
+      !t
+    in
+    let bind_then = bind_yields then_ temps res in
+    let bind_else =
+      match else_ with Some b -> bind_yields b temps res | None -> fun _ _ -> 0
+    in
+    fun g ->
+      let t = guarded g taken in
+      let m = g.mask in
+      alu g k m;
+      if t <> 0 then begin
+        g.mask <- t;
+        run_block g then_;
+        ignore (guarded g bind_then)
+      end;
+      let e = m land lnot t land g.alive in
+      (match else_ with
+      | Some b when e <> 0 ->
+        g.mask <- e;
+        run_block g b;
+        ignore (guarded g bind_else)
+      | _ -> ());
+      g.mask <- m land g.alive
   | "func.call" -> (
     match Core.attr_symbol op "callee" with
     | None -> fail (Sim_error "call without callee")
@@ -1151,80 +1881,224 @@ and op_code d k (op : Core.op) : code =
         let res = Array.map (in_bank bank_boxed) (results ()) in
         (* Arguments bind one by one; results are read in full, then
            bound. The callee's frame slots are shared by every call, so
-           a call boxes its arguments and results. *)
-        fun w ->
+           a call boxes its arguments and results. The callee runs under
+           the caller's mask. *)
+        let bind_args g m =
           let params = fn.args in
-          for i = 0 to Array.length params - 1 do
-            set_value w params.(i) (get_value w args.(i))
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then
+              for i = 0 to Array.length params - 1 do
+                need g args.(i) l;
+                Array.unsafe_set g.vals (at params.(i) l) (lane_value g args.(i) l)
+              done
           done;
-          let body = fn.body in
-          run_block w body;
-          let vs = Array.map (get_value w) body.yields in
-          for j = 0 to Array.length vs - 1 do
-            set_value w res.(j) vs.(j)
-          done))
+          Array.iter (fun p -> mark g p m) params;
+          0
+        in
+        let bind_results g m =
+          let ys = fn.body.yields in
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let vs =
+                Array.map
+                  (fun y ->
+                    need g y l;
+                    lane_value g y l)
+                  ys
+              in
+              for j = 0 to Array.length vs - 1 do
+                Array.unsafe_set g.vals (at res.(j) l) vs.(j)
+              done
+            end
+          done;
+          Array.iter (fun r -> mark g r m) res;
+          0
+        in
+        fun g ->
+          let m = g.mask in
+          ignore (guarded g bind_args);
+          run_block g fn.body;
+          ignore (guarded g bind_results);
+          g.mask <- m land g.alive))
   | "gpu.barrier" | "sycl.group_barrier" ->
-    (* Remember which barrier op the group converges at, so the round
-       charged by the scheduler can be attributed to it. Fibers of a
-       group run sequentially, so this is deterministic. *)
+    (* A barrier suspends the sub-group when all its lanes reach it. One
+       reached by part of them is a divergent barrier: those lanes stop
+       here, the others run on to the end of the phase. After a lane
+       left with an error, or once the sub-group diverged, a barrier
+       ends the phase. Remember which barrier op the group converges
+       at, so the round charged by the scheduler can be attributed to
+       it. Sub-groups of a group run one at a time, so this is
+       deterministic. *)
     d.has_barrier <- true;
-    fun w ->
-      w.wg.cur_barrier <- k;
-      Effect.perform Barrier
+    fun g ->
+      let m = g.mask in
+      if g.err <> None || g.diverged then raise Stop
+      else if m <> g.full then begin
+        g.diverged <- true;
+        g.alive <- g.alive land lnot m;
+        g.mask <- 0
+      end
+      else begin
+        g.wg.cur_barrier <- k;
+        Effect.perform Barrier
+      end
   (* --- SYCL getters --- *)
-  | "sycl.item.get_id" | "sycl.nd_item.get_global_id" -> query (fun w -> w.gid)
-  | "sycl.nd_item.get_local_id" -> query (fun w -> w.lid)
-  | "sycl.nd_item.get_group_id" -> query (fun w -> w.grp)
+  | "sycl.item.get_id" | "sycl.nd_item.get_global_id" ->
+    query ~per_lane:true (fun g -> g.gid)
+  | "sycl.nd_item.get_local_id" -> query ~per_lane:true (fun g -> g.lid)
+  | "sycl.nd_item.get_group_id" -> query ~per_lane:false (fun g -> g.grp)
   | "sycl.item.get_range" | "sycl.nd_item.get_global_range" ->
-    query (fun w -> w.global_range)
-  | "sycl.nd_item.get_local_range" -> query (fun w -> w.local_range)
+    query ~per_lane:false (fun g -> g.global_range)
+  | "sycl.nd_item.get_local_range" -> query ~per_lane:false (fun g -> g.local_range)
   | "sycl.item.get_linear_id" ->
     let r = int_result () in
-    fun w ->
-      alu w k;
-      let lin = ref 0 in
-      for d = 0 to Array.length w.gid - 1 do
-        lin := (!lin * w.global_range.(d)) + w.gid.(d)
-      done;
-      set_int w r !lin
+    let rb = at r 0 in
+    fun g ->
+      let m = g.mask in
+      alu g k m;
+      mark g r m;
+      for l = 0 to g.last do
+        if m land (1 lsl l) <> 0 then begin
+          let lin = ref 0 in
+          for d = 0 to Array.length g.grp - 1 do
+            lin := (!lin * g.global_range.(d)) + g.gid.((d * width) + l)
+          done;
+          Array.unsafe_set g.ints (rb + l) !lin
+        end
+      done
   | "sycl.id.get" | "sycl.range.get" ->
     let m = operand 0 and ds = dim_operand () and r = int_result () in
-    fun w ->
-      alu w k;
-      let v = as_mem (get_value w m) in
-      set_int w r (load_int v.Memory.base (linear1 v (getter_dim w ds)))
+    let rb = at r 0 and ops = with_dim ds [| m |] in
+    let rec run g =
+      let mask = g.mask in
+      let ok = defined_in g ops mask in
+      if ok <> mask then unbound_split g mask ok run
+      else begin
+          alu g k mask;
+          mark g r mask;
+          for l = 0 to g.last do
+            if mask land (1 lsl l) <> 0 then begin
+              let v = lane_mem g m l in
+              let d = lane_dim g ds l in
+              g.lane <- l;
+              Array.unsafe_set g.ints (rb + l) (load_int v.Memory.base (linear1 v d))
+            end
+          done
+      end
+    in
+    run
   | "sycl.constructor" ->
     let out = operand 0 and vals = slots d (Sycl_ops.constructor_args op) in
-    fun w ->
-      let out = as_mem (get_value w out) in
-      for i = 0 to Array.length vals - 1 do
-        alu w k;
-        let v = get_int w vals.(i) in
-        store_int out.Memory.base (linear1 out i) v
-      done
+    let ops = Array.append [| out |] vals in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          count g.wg k f_alu (popcount m * Array.length vals);
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let out = lane_mem g out l in
+              for i = 0 to Array.length vals - 1 do
+                let v = lane_int g vals.(i) l in
+                g.lane <- l;
+                store_int out.Memory.base (linear1 out i) v
+              done
+            end
+          done
+      end
+    in
+    run
   | "sycl.accessor.subscript" ->
     let acc = operand 0 and ids = operands_from 1 in
     let r = in_bank bank_elem (result 0) in
+    let rb = at r 0 and ab = at acc 0 and ops = Array.append [| acc |] ids in
     (* The accessor value is copied into the reference now: a callee's
        frame slots are shared by its calls, so the accessor's own slot
-       may hold another value by the time the reference is read. *)
-    fun w ->
-      alu w k;
-      let accv = get_value w acc in
-      let lin = subscript_index w (as_acc accv) ids in
-      set_elem w r accv lin
+       may hold another value by the time the reference is read. It is
+       written only when it changed: the lanes hold the same accessor
+       from one execution to the next. *)
+    if acc land 3 = bank_boxed && Array.for_all (fun s -> s land 3 = bank_int) ids
+    then
+      let idb = Array.map (fun s -> at s 0) ids in
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            alu g k m;
+            mark g r m;
+            let ints = g.ints and vals = g.vals in
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then begin
+                let accv = Array.unsafe_get vals (ab + l) in
+                let a = lane_acc g l accv in
+                let lin = ref 0 in
+                for d = 0 to Array.length idb - 1 do
+                  lin := horner a !lin d (Array.unsafe_get ints (Array.unsafe_get idb d + l))
+                done;
+                let range = a.a_mem_range in
+                if Array.length idb > Array.length range then
+                  lane_fail g l
+                    (Sim_error "subscript with more indices than accessor dimensions");
+                for d = Array.length idb to Array.length range - 1 do
+                  lin := !lin * range.(d)
+                done;
+                if Array.unsafe_get vals (rb + l) != accv then
+                  Array.unsafe_set vals (rb + l) accv;
+                Array.unsafe_set ints (rb + l) !lin
+              end
+            done
+        end
+      in
+      run
+    else
+      let rec run g =
+        let m = g.mask in
+        let ok = defined_in g ops m in
+        if ok <> m then unbound_split g m ok run
+        else begin
+            alu g k m;
+            mark g r m;
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then begin
+                let accv = lane_value g acc l in
+                let lin = subscript_index g (lane_acc g l accv) ids l in
+                Array.unsafe_set g.vals (rb + l) accv;
+                Array.unsafe_set g.ints (rb + l) lin
+              end
+            done
+        end
+      in
+      run
   | "sycl.accessor.get_range" -> acc_query (fun a -> a.a_range)
   | "sycl.accessor.get_mem_range" -> acc_query (fun a -> a.a_mem_range)
   | "sycl.accessor.get_offset" -> acc_query (fun a -> a.a_offset)
   | "sycl.accessor.distinct" ->
     let a = operand 0 and b = operand 1 and r = int_result () in
-    fun w ->
-      alu w k;
-      let a = as_acc (get_value w a) and b = as_acc (get_value w b) in
-      set_int w r (Bool.to_int (a.a_alloc.Memory.aid <> b.a_alloc.Memory.aid))
+    let rb = at r 0 and ops = [| a; b |] in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g ops m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+          alu g k m;
+          mark g r m;
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let x = lane_acc g l (lane_value g a l) in
+              let y = lane_acc g l (lane_value g b l) in
+              Array.unsafe_set g.ints (rb + l)
+                (Bool.to_int (x.a_alloc.Memory.aid <> y.a_alloc.Memory.aid))
+            end
+          done
+      end
+    in
+    run
   | name -> fail (Sim_error ("device simulator: unsupported op " ^ name))
 
-let decode ~(module_op : Core.op) ~(kernel : Core.op) : program =
+let decode_with ~check_races ~(module_op : Core.op) ~(kernel : Core.op) :
+    program =
   let funcs = Hashtbl.create 8 in
   List.iter
     (fun f -> Hashtbl.replace funcs (Core.func_sym f) f)
@@ -1232,27 +2106,38 @@ let decode ~(module_op : Core.op) ~(kernel : Core.op) : program =
   let d =
     { kinds = infer_kinds funcs kernel; value_slots = Hashtbl.create 256;
       next = Array.make 3 0; n_defined = 0; decoded = []; n_ops = 0;
-      has_barrier = false; funcs; fns = Hashtbl.create 8 }
+      has_barrier = false; races = check_races; funcs; fns = Hashtbl.create 8 }
   in
   let entry = decode_fn d kernel in
   let ops = Array.of_list (List.rev d.decoded) in
   let canonical = Array.init (Array.length ops) Fun.id in
   Array.sort (fun a b -> Int.compare ops.(a).Core.oid ops.(b).Core.oid) canonical;
   { entry; ops; canonical; bank_sizes = Array.copy d.next;
-    n_defined = d.n_defined; has_barrier = d.has_barrier }
+    n_defined = d.n_defined; has_barrier = d.has_barrier; races = check_races }
 
+let decode ~module_op ~kernel = decode_with ~check_races:false ~module_op ~kernel
 (* ------------------------------------------------------------------ *)
 (* Work-group and launch scheduling                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one work-item: bind the kernel arguments, then run the body. *)
-let run_item (prog : program) (args : rv array) w =
+(* Run a sub-group to the end of the kernel: bind the kernel arguments
+   in every lane, then run the body. A barrier that ends a phase early
+   ({!Stop}) ends the run; an error is left in [err]. *)
+let run_subgroup (prog : program) (args : rv array) g =
   let ps = prog.entry.args in
-  for i = 0 to Array.length ps - 1 do
-    if i < Array.length args then set_value w ps.(i) args.(i)
-    else raise (Sim_error "missing kernel argument")
-  done;
-  run_block w prog.entry.body
+  match
+    for i = 0 to Array.length ps - 1 do
+      if i >= Array.length args then raise (Sim_error "missing kernel argument");
+      let v = args.(i) and pb = at ps.(i) 0 in
+      for l = 0 to g.last do
+        if g.full land (1 lsl l) <> 0 && Array.unsafe_get g.vals (pb + l) != v then
+          Array.unsafe_set g.vals (pb + l) v
+      done;
+      mark g ps.(i) g.full
+    done
+  with
+  | exception e -> leave g 0 e
+  | () -> ( try run_block g prog.entry.body with Stop -> ())
 
 type fiber_status =
   | Fiber_done
@@ -1272,31 +2157,54 @@ let fiber_handler : (unit, fiber_status) Effect.Deep.handler =
         | _ -> None);
   }
 
-let end_phase (wg : wg_ctx) = Option.iter Memory.footprint_end_phase wg.footprint
+(* A sub-group's phase is over: a lane's error ends the group's run
+   here, as sub-groups run in order. *)
+let check_failed g = match g.err with Some e -> raise e | None -> ()
 
-let run_workgroup (wg : wg_ctx) (thunks : (unit -> unit) list) =
-  let statuses =
-    List.map (fun t -> Effect.Deep.match_with t () fiber_handler) thunks
-  in
-  let rec rounds statuses =
-    let done_count = List.length (List.filter (fun s -> s = Fiber_done) statuses) in
-    if done_count = List.length statuses then ()
-    else if done_count > 0 then raise Barrier_divergence
-    else begin
-      if wg.cur_barrier >= 0 then count wg wg.cur_barrier f_barriers 1;
-      end_phase wg;
-      let next =
-        List.map
-          (fun s ->
-            match s with
-            | Fiber_at_barrier k -> Effect.Deep.continue k ()
-            | Fiber_done -> Fiber_done)
-          statuses
+(* Run a work-group's sub-groups in order. In a kernel with a barrier,
+   each is a fiber that a barrier reached by all its lanes suspends; the
+   group's barrier phase ends when every sub-group is at a barrier, and
+   a phase that ends with part of the group done, or with a barrier
+   reached under a partial mask, is a divergent barrier. *)
+let run_workgroup (prog : program) args (wg : wg_ctx) (sgs : sg array)
+    (status : fiber_status array) =
+  if not prog.has_barrier then
+    Array.iter
+      (fun g ->
+        run_subgroup prog args g;
+        check_failed g)
+      sgs
+  else begin
+    Array.iteri
+      (fun s g ->
+        status.(s) <-
+          Effect.Deep.match_with (fun () -> run_subgroup prog args g) () fiber_handler;
+        check_failed g)
+      sgs;
+    let rec rounds () =
+      let n_done =
+        Array.fold_left
+          (fun n st -> match st with Fiber_done -> n + 1 | Fiber_at_barrier _ -> n)
+          0 status
       in
-      rounds next
-    end
-  in
-  rounds statuses
+      if Array.exists (fun g -> g.diverged) sgs then raise Barrier_divergence;
+      if n_done < Array.length status then begin
+        if n_done > 0 then raise Barrier_divergence;
+        if wg.cur_barrier >= 0 then count wg wg.cur_barrier f_barriers 1;
+        end_phase wg;
+        Array.iteri
+          (fun s g ->
+            (match status.(s) with
+            | Fiber_at_barrier k -> status.(s) <- Effect.Deep.continue k ()
+            | Fiber_done -> ());
+            check_failed g)
+          sgs;
+        rounds ()
+      end
+    in
+    rounds ()
+  end;
+  end_phase wg
 
 (* The chunk keeps per-op totals over its groups: the [n_fields]
    counters, then the cycles and memory cycles attributed to the op. *)
@@ -1569,7 +2477,9 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
     global;
   let group_range = Array.init nd (fun d -> global.(d) / wg_size.(d)) in
   let prog =
-    match program with Some p -> p | None -> decode ~module_op ~kernel
+    match program with
+    | Some (p : program) when p.races = check_races -> p
+    | _ -> decode_with ~check_races ~module_op ~kernel
   in
   let n_ops = Array.length prog.ops in
   (* Iterate over all work-groups. *)
@@ -1611,7 +2521,14 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
     let start = (i * q) + min i r in
     (start, start + q + if i < r then 1 else 0)
   in
-  (* A chunk's work-group and work-item contexts, counters and work
+  (* Cache lines are found by a shift when their size is a power of
+     two. *)
+  let line_shift =
+    let e = params.Cost.cache_line_elems in
+    let rec log2 n i = if n = 1 then i else log2 (n lsr 1) (i + 1) in
+    if e > 0 && e land (e - 1) = 0 then log2 e 0 else -1
+  in
+  (* A chunk's work-group and sub-group contexts, counters and work
      arrays are made once and reset for each of its groups (group
      results are independent, so where they accumulate only affects
      scheduling, never the merged totals). *)
@@ -1622,60 +2539,75 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
       let c = (k * n_totals) + f_cycles in
       tot.(c) <- tot.(c) + 1
     in
-    let dists = { counts = [||] } in
+    let cache =
+      Option.map
+        (fun c -> (c, Cache.reuse_create ()))
+        (Cache.create params cache_model)
+    in
+    let per_item n v = if Option.is_some cache then Array.make n v else [||] in
     let wg =
       {
         params;
         footprint = None;
         locals = Hashtbl.create 4;
         counters = Array.make (n_ops * n_fields) 0;
-        coalesce = Array.make (n_ops * n_sub) [||];
         n_sub;
+        in_step = Array.make (n_ops * n_sub) 0;
+        apart = Hashtbl.create 8;
+        line_shift;
         cache_model;
-        cache =
-          Option.map
-            (fun c -> (c, Cache.reuse_create ()))
-            (Cache.create params cache_model);
-        dists;
+        cache;
+        dists = { counts = [||] };
+        probes = per_item items_per_group [||];
+        n_probes = per_item items_per_group 0;
+        phase = 0;
         cur_barrier = -1;
       }
     in
     let grp = Array.make nd 0 in
-    let items =
-      Array.init items_per_group (fun li ->
+    let subgroups =
+      Array.init n_sub (fun index ->
+          let first = index * width in
+          let lanes = min width (items_per_group - first) in
           {
             wg;
-            gid = Array.make nd 0;
-            lid = lids.(li);
-            li;
+            index;
+            first;
+            full = (1 lsl lanes) - 1;
+            last = lanes - 1;
+            n_full = lanes;
+            gid = Array.make (nd * width) 0;
+            lid =
+              Array.init (nd * width) (fun j ->
+                  let l = j mod width in
+                  if l < lanes then lids.(first + l).(j / width) else 0);
             grp;
             global_range = global;
             local_range = wg_size;
-            (* [li] is the row-major linearization of [lid]. *)
-            subgroup = li / params.Cost.subgroup_size;
-            ints = Array.make prog.bank_sizes.(bank_int) 0;
-            floats = Float.Array.make prog.bank_sizes.(bank_float) 0.0;
-            vals = Array.make prog.bank_sizes.(bank_boxed) Unit;
-            defined = Bytes.make prog.n_defined '\000';
-            occ = Array.make n_ops 0;
+            ints = Array.make (prog.bank_sizes.(bank_int) * width) 0;
+            floats = Float.Array.make (prog.bank_sizes.(bank_float) * width) 0.0;
+            vals = Array.make (prog.bank_sizes.(bank_boxed) * width) Unit;
+            defined = Array.make prog.n_defined 0;
+            mask = 0;
+            alive = 0;
+            lane = 0;
+            err = None;
+            diverged = false;
+            tx = Array.make width 0;
+            cell = Array.make width 0;
+            distinct = Array.make width 0;
           })
     in
-    (* Only a barrier suspends a work-item. Without one, the work-items
-       run to completion one after another — the order the fiber
-       scheduler runs them in — as plain calls. *)
-    let fibers =
-      if prog.has_barrier then
-        List.init items_per_group (fun li () -> run_item prog args items.(li))
-      else []
-    in
+    let status = Array.make n_sub Fiber_done in
     let rems = Array.make n_ops 0 and counts = Array.make sgs 0
     and sums = Array.make n_fields 0 in
-    (* Execute group [g]: reset the contexts to it, run its work-items,
+    (* Execute group [g]: reset the contexts to it, run its sub-groups,
        and flush its charges. Every group starts from an empty cache. *)
     let run_group g =
       unflatten_into grp group_range g;
       Array.fill wg.counters 0 (Array.length wg.counters) 0;
-      Array.fill wg.coalesce 0 (Array.length wg.coalesce) [||];
+      Array.fill wg.in_step 0 (Array.length wg.in_step) 0;
+      if Hashtbl.length wg.apart > 0 then Hashtbl.reset wg.apart;
       wg.footprint <-
         (match footprints with Some a -> Some a.(g) | None -> None);
       Hashtbl.reset wg.locals;
@@ -1685,17 +2617,23 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         Cache.reuse_reset reuse
       | None -> ());
       wg.cur_barrier <- -1;
+      wg.phase <- 0;
       Array.iter
-        (fun w ->
+        (fun sg ->
           for d = 0 to nd - 1 do
-            w.gid.(d) <- (grp.(d) * wg_size.(d)) + w.lid.(d)
+            let base = grp.(d) * wg_size.(d) in
+            for l = 0 to sg.last do
+              let j = (d * width) + l in
+              sg.gid.(j) <- base + sg.lid.(j)
+            done
           done;
-          Bytes.fill w.defined 0 (Bytes.length w.defined) '\000';
-          Array.fill w.occ 0 (Array.length w.occ) 0)
-        items;
-      if prog.has_barrier then run_workgroup wg fibers
-      else Array.iter (run_item prog args) items;
-      end_phase wg;
+          Array.fill sg.defined 0 (Array.length sg.defined) 0;
+          sg.mask <- sg.full;
+          sg.alive <- sg.full;
+          sg.err <- None;
+          sg.diverged <- false)
+        subgroups;
+      run_workgroup prog args wg subgroups status;
       flush_wg prog s tot ~rems ~counts ~sums ~give wg items_per_group
     in
     let failure = ref None in
@@ -1707,7 +2645,7 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
          incr g
        done
      with e -> failure := Some (!g, e));
-    (s, tot, dists, !failure)
+    (s, tot, wg.dists, !failure)
   in
   let results = Sycl_obs.Pool.run d run_chunk in
   (* Sum the chunks in chunk order into the first one's records. *)
