@@ -1,31 +1,43 @@
 (* The GPU device simulator: executes kernel IR over an ND-range with
-   correct work-group semantics. In a kernel with a barrier, work-items of
-   a work-group run as OCaml 5 effect-handler fibers; a group barrier
-   suspends the fiber, and the scheduler resumes all fibers of the group
-   phase by phase — so the cooperative local-memory prefetch produced by
-   loop internalization (Section VI-C) executes correctly, and a barrier
-   in a divergent region is detected as the deadlock it would be on
-   hardware. Work-items of a kernel without one run as plain calls.
+   correct work-group semantics. The work-items of a sub-group (the cost
+   model's [subgroup_size], 16) run in lockstep, one lane each, as SIMT
+   hardware runs them: every op executes for the sub-group's active
+   lanes, a mask. [scf.if] splits the mask between its branches, a loop
+   runs until its last lane leaves, a call runs the callee under the
+   caller's mask, and the lanes reconverge where a region ends — the
+   simulator runs only structured control flow. In a kernel with a
+   barrier, each sub-group of a work-group runs as an OCaml 5
+   effect-handler fiber; a barrier reached by all its lanes suspends the
+   fiber, and the scheduler resumes the group's sub-groups phase by phase
+   — so the cooperative local-memory prefetch produced by loop
+   internalization (Section VI-C) executes correctly — while a barrier
+   reached by part of a sub-group, or by part of a group, is detected as
+   the deadlock it would be on hardware. Sub-groups of a kernel without
+   one run as plain calls.
 
    A kernel is decoded once before it runs ({!decode}): every SSA value
    of the kernel and of the device functions it calls gets a slot in one
    of three frame banks — ints, unboxed floats, boxed runtime values —
    chosen by what the value's producer writes (an accessor subscript's
    element reference takes one place in two of them), and every op a
-   dense index and a closure that does its work. An executed op is then
-   one closure call that reads and writes the work-item's frame — no
-   op-name dispatch, no hashing and, for int and float values and
-   element references, no allocation. This is progressive lowering
-   applied to the simulator: the IR is lowered once to a typed
-   execution form.
+   dense index and a closure that does its work. Frames are lane-major:
+   a slot holds one value per lane side by side. An executed op is then
+   one closure call that loops over the active lanes of the sub-group's
+   frame — no op-name dispatch, no hashing and, for int and float values
+   and element references, no allocation. This is progressive lowering
+   applied to the simulator: the IR is lowered once to a typed,
+   lane-major execution form.
 
    Charges are counted per op, in arrays indexed by the op's dense
-   index: ALU cycles per executed op, memory transactions per
+   index: ALU cycles per executed op and lane, memory transactions per
    (instruction, occurrence, sub-group) with cache-line coalescing, and
    barrier rounds. A work-group's totals, which the cost formula prices,
    are the sums of its per-op counters, and the same counters are the
    launch's source attribution. Private memory is treated as registers
-   (no memory cost), matching mem2reg-ed GPU code. *)
+   (no memory cost), matching mem2reg-ed GPU code. Every count, cache
+   probe and error is the one work-items running one after another, in
+   local-id order, would give ({!coalesce}, {!flush_probes}, {!leave}):
+   lockstep changes how the simulator runs, not what it models. *)
 
 open Mlir
 module Sycl_types = Sycl_core.Sycl_types
@@ -62,9 +74,8 @@ let as_int = function
   | F f -> int_of_float f
   | _ -> raise (Sim_error "expected integer value")
 
-
 (* ------------------------------------------------------------------ *)
-(* Execution contexts                                                  *)
+(* Per-op counters                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-op charges of a work-group live in one flat array: [n_fields]
@@ -96,6 +107,7 @@ let add_dist (h : dist_hist) d n =
     h.counts <- grown
   end;
   h.counts.(d) <- h.counts.(d) + n
+
 (* ------------------------------------------------------------------ *)
 (* Lanes and execution contexts                                        *)
 (* ------------------------------------------------------------------ *)
@@ -365,7 +377,10 @@ let copy_lane g src dst l =
     Float.Array.unsafe_set g.floats d x
   | 2 -> Array.unsafe_set g.vals d (lane_value g src l)
   | _ ->
-    if src land 3 <> bank_elem then lane_fail g l (Sim_error "device simulator: value decoded into the wrong bank");
+    if src land 3 <> bank_elem then begin
+      g.lane <- l;
+      wrong_bank ()
+    end;
     let s = at src l in
     Array.unsafe_set g.vals d (Array.unsafe_get g.vals s);
     Array.unsafe_set g.ints d (Array.unsafe_get g.ints s)
@@ -387,7 +402,7 @@ let[@inline] lanes_in g m = if m = g.full then g.n_full else popcount m
    for all its lanes: the group's totals, which the cost formula prices,
    are the sums of its per-op counters ({!flush_wg}). *)
 let[@inline] alu g k m = count g.wg k f_alu (lanes_in g m)
-let[@inline] fdiv g k m = count g.wg k f_fdiv (lanes_in g m)
+
 (* ------------------------------------------------------------------ *)
 (* Device memory                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -794,6 +809,7 @@ let infer_kinds funcs (kernel : Core.op) =
     fn kernel
   done;
   kinds
+
 (* ------------------------------------------------------------------ *)
 (* Decoded programs                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -997,11 +1013,6 @@ let lane_map1 g m ss l what =
 (* The dimension operand of a getter: -1 reads dimension 0. *)
 let lane_dim g ds l = if ds < 0 then 0 else lane_int g ds l
 
-(* [d], a dimension of an [nd]-dimensional query. *)
-let[@inline] in_dims g l d nd =
-  if d < 0 || d >= nd then lane_fail g l (Invalid_argument "index out of bounds");
-  d
-
 (* As [Dialects.Arith.eval_fcmp], here so the compared floats stay
    unboxed. *)
 let[@inline] fcmp (p : Dialects.Arith.fcmp_pred) (x : float) y =
@@ -1065,7 +1076,7 @@ let fail e : code = fun g -> lane_fail g (lowest_lane g.mask) e
    yielded. Carried values pass through [temps], so a yield is the
    parallel move it is in the IR. *)
 let run_loop g k ~active ~cur ~ub ~step ~iv ~(iter : int array)
-    ~(inits : int array) ~temps ~enter ~carry (body : block_code)
+    ~(inits : int array) ~temps ~enter ~rebind ~carry (body : block_code)
     (res : int array) =
   let m = g.mask in
   ignore (guarded g enter);
@@ -1089,10 +1100,8 @@ let run_loop g k ~active ~cur ~ub ~step ~iv ~(iter : int array)
                (Sim_error
                   (Printf.sprintf "loop carries %d values into %d iteration arguments"
                      !carried (Array.length iter)))));
+    ignore (guarded g rebind);
     let a = g.mask in
-    for j = 0 to Array.length iter - 1 do
-      copy_lanes g temps.(j) iter.(j) a
-    done;
     iterated := !iterated lor a;
     run_block g body;
     ignore (guarded g carry);
@@ -1111,16 +1120,15 @@ let run_loop g k ~active ~cur ~ub ~step ~iv ~(iter : int array)
   g.mask <- m land g.alive;
   (* A lane that iterated carries what the body yielded, one that did
      not its initial values. *)
+  let results n g m =
+    for j = 0 to n - 1 do
+      copy_lanes g temps.(j) res.(j) m
+    done
+  in
   ignore
     (guarded g (fun g m ->
-         let moved = [| (m land !iterated, !carried); (m land lnot !iterated, Array.length inits) |] in
-         Array.iter
-           (fun (m, n) ->
-             if m <> 0 then
-               for j = 0 to n - 1 do
-                 copy_lanes g temps.(j) res.(j) m
-               done)
-           moved;
+         results !carried g (m land !iterated);
+         results (Array.length inits) g (m land lnot !iterated);
          0))
 
 (* Copy slots [srcs] into [dsts] position by position, for {!guarded}. *)
@@ -1173,251 +1181,162 @@ and op_code d k (op : Core.op) : code =
   (* The optional dimension operand of a getter; -1 reads dimension 0. *)
   let dim_operand () = if Core.num_operands op >= 2 then operand 1 else -1 in
   let with_dim ds ss = if ds < 0 then ss else Array.append ss [| ds |] in
-  (* An op on two int operands into an int result. Operands in the int
-     bank are read in place; otherwise, or when [f] may raise, each lane
-     converts and computes on its own. *)
-  let int2 ?(may_raise = false) charge f =
+  (* The op for every executing lane: once every lane wrote [reads]
+     ({!unbound_split} otherwise), [r] is marked, each lane charged
+     counter [charge] (-1: none), and [lane g l] does lane [l]'s work. *)
+  let lanewise ?(charge = -1) reads r (lane : sg -> int -> unit) : code =
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g reads m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+        if charge >= 0 then count g.wg k charge (lanes_in g m);
+        if r >= 0 then mark g r m;
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then lane g l
+        done
+      end
+    in
+    run
+  in
+  (* The arithmetic most executed ops are: on operands in the result's
+     bank, each op has its own loop over the lanes, so no lane makes a
+     call and floats stay unboxed. [f] is the op on other operands. *)
+  let int2 ?(charge = f_alu) ?fast f =
     let a = operand 0 and b = operand 1 and r = int_result () in
     let ab = at a 0 and bb = at b 0 and rb = at r 0 in
-    let ops = [| a; b |] in
-    if (not may_raise) && a land 3 = bank_int && b land 3 = bank_int then
+    match fast with
+    | Some op when a land 3 = bank_int && b land 3 = bank_int ->
       let rec run g =
         let m = g.mask in
-        let ok = defined_in g ops m in
+        let ok = defined_in g [| a; b |] m in
         if ok <> m then unbound_split g m ok run
         else begin
-            charge g k m;
-            mark g r m;
-            let ints = g.ints in
+          alu g k m;
+          mark g r m;
+          let ints = g.ints in
+          match op with
+          | `Add ->
             for l = 0 to g.last do
               if m land (1 lsl l) <> 0 then
                 Array.unsafe_set ints (rb + l)
-                  (f (Array.unsafe_get ints (ab + l)) (Array.unsafe_get ints (bb + l)))
+                  (Array.unsafe_get ints (ab + l) + Array.unsafe_get ints (bb + l))
             done
-        end
-      in
-      run
-    else
-      let rec run g =
-        let m = g.mask in
-        let ok = defined_in g ops m in
-        if ok <> m then unbound_split g m ok run
-        else begin
-            charge g k m;
-            mark g r m;
+          | `Sub ->
             for l = 0 to g.last do
-              if m land (1 lsl l) <> 0 then begin
-                let y = lane_int g b l in
-                let x = lane_int g a l in
-                g.lane <- l;
-                Array.unsafe_set g.ints (rb + l) (f x y)
-              end
+              if m land (1 lsl l) <> 0 then
+                Array.unsafe_set ints (rb + l)
+                  (Array.unsafe_get ints (ab + l) - Array.unsafe_get ints (bb + l))
+            done
+          | `Mul ->
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then
+                Array.unsafe_set ints (rb + l)
+                  (Array.unsafe_get ints (ab + l) * Array.unsafe_get ints (bb + l))
             done
         end
       in
       run
+    | _ ->
+      lanewise ~charge [| a; b |] r (fun g l ->
+          let y = lane_int g b l in
+          let x = lane_int g a l in
+          g.lane <- l;
+          Array.unsafe_set g.ints (rb + l) (f x y))
   in
-  (* The arithmetic that most executed ops are: each op's own loop, so
-     no lane makes a call and floats stay unboxed. *)
-  let int_arith op =
-    let a = operand 0 and b = operand 1 and r = int_result () in
-    if a land 3 <> bank_int || b land 3 <> bank_int then
-      int2 alu (match op with `Add -> ( + ) | `Sub -> ( - ) | `Mul -> ( * ))
-    else
-      let ab = at a 0 and bb = at b 0 and rb = at r 0 and ops = [| a; b |] in
-      let rec run g =
-        let m = g.mask in
-        let ok = defined_in g ops m in
-        if ok <> m then unbound_split g m ok run
-        else begin
-            alu g k m;
-            mark g r m;
-            let ints = g.ints in
-            match op with
-            | `Add ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Array.unsafe_set ints (rb + l)
-                    (Array.unsafe_get ints (ab + l) + Array.unsafe_get ints (bb + l))
-              done
-            | `Sub ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Array.unsafe_set ints (rb + l)
-                    (Array.unsafe_get ints (ab + l) - Array.unsafe_get ints (bb + l))
-              done
-            | `Mul ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Array.unsafe_set ints (rb + l)
-                    (Array.unsafe_get ints (ab + l) * Array.unsafe_get ints (bb + l))
-              done
-        end
-      in
-      run
-  in
-  let float_arith op =
+  let float2 ?(charge = f_alu) op =
     let a = operand 0 and b = operand 1 and r = float_result () in
-    let ab = at a 0 and bb = at b 0 and rb = at r 0 and ops = [| a; b |] in
-    let charge = match op with `Div -> fdiv | _ -> alu in
-    if a land 3 = bank_float && b land 3 = bank_float then
+    let ab = at a 0 and bb = at b 0 and rb = at r 0 in
+    match op with
+    | (`Add | `Sub | `Mul | `Div) as op
+      when a land 3 = bank_float && b land 3 = bank_float ->
       let rec run g =
         let m = g.mask in
-        let ok = defined_in g ops m in
+        let ok = defined_in g [| a; b |] m in
         if ok <> m then unbound_split g m ok run
         else begin
-            charge g k m;
-            mark g r m;
-            let fl = g.floats in
-            match op with
-            | `Add ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.Array.unsafe_get fl (ab + l) +. Float.Array.unsafe_get fl (bb + l))
-              done
-            | `Sub ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.Array.unsafe_get fl (ab + l) -. Float.Array.unsafe_get fl (bb + l))
-              done
-            | `Mul ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.Array.unsafe_get fl (ab + l) *. Float.Array.unsafe_get fl (bb + l))
-              done
-            | `Div ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.Array.unsafe_get fl (ab + l) /. Float.Array.unsafe_get fl (bb + l))
-              done
-            | `Min ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.min (Float.Array.unsafe_get fl (ab + l))
-                       (Float.Array.unsafe_get fl (bb + l)))
-              done
-            | `Max ->
-              for l = 0 to g.last do
-                if m land (1 lsl l) <> 0 then
-                  Float.Array.unsafe_set fl (rb + l)
-                    (Float.max (Float.Array.unsafe_get fl (ab + l))
-                       (Float.Array.unsafe_get fl (bb + l)))
-              done
-        end
-      in
-      run
-    else
-      let rec run g =
-        let m = g.mask in
-        let ok = defined_in g ops m in
-        if ok <> m then unbound_split g m ok run
-        else begin
-            charge g k m;
-            mark g r m;
+          count g.wg k charge (lanes_in g m);
+          mark g r m;
+          let fl = g.floats in
+          match op with
+          | `Add ->
             for l = 0 to g.last do
-              if m land (1 lsl l) <> 0 then begin
-                let y = lane_float g b l in
-                let x = lane_float g a l in
-                let z =
-                  match op with
-                  | `Add -> x +. y
-                  | `Sub -> x -. y
-                  | `Mul -> x *. y
-                  | `Div -> x /. y
-                  | `Min -> Float.min x y
-                  | `Max -> Float.max x y
-                in
-                Float.Array.unsafe_set g.floats (rb + l) z
-              end
+              if m land (1 lsl l) <> 0 then
+                Float.Array.unsafe_set fl (rb + l)
+                  (Float.Array.unsafe_get fl (ab + l) +. Float.Array.unsafe_get fl (bb + l))
+            done
+          | `Sub ->
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then
+                Float.Array.unsafe_set fl (rb + l)
+                  (Float.Array.unsafe_get fl (ab + l) -. Float.Array.unsafe_get fl (bb + l))
+            done
+          | `Mul ->
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then
+                Float.Array.unsafe_set fl (rb + l)
+                  (Float.Array.unsafe_get fl (ab + l) *. Float.Array.unsafe_get fl (bb + l))
+            done
+          | `Div ->
+            for l = 0 to g.last do
+              if m land (1 lsl l) <> 0 then
+                Float.Array.unsafe_set fl (rb + l)
+                  (Float.Array.unsafe_get fl (ab + l) /. Float.Array.unsafe_get fl (bb + l))
             done
         end
       in
       run
+    | op ->
+      lanewise ~charge [| a; b |] r (fun g l ->
+          let y = lane_float g b l in
+          let x = lane_float g a l in
+          let z =
+            match op with
+            | `Add -> x +. y
+            | `Sub -> x -. y
+            | `Mul -> x *. y
+            | `Div -> x /. y
+            | `Min -> Float.min x y
+            | `Max -> Float.max x y
+          in
+          Float.Array.unsafe_set g.floats (rb + l) z)
   in
   (* A unary op from a float to a float. *)
-  let float1 charge op =
+  let float1 ?(charge = f_alu) op =
     let a = operand 0 and r = float_result () in
-    let rb = at r 0 and ops = [| a |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          charge g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let x = lane_float g a l in
-              let y =
-                match op with
-                | `Neg -> -.x
-                | `Abs -> Float.abs x
-                | `Sqrt -> Float.sqrt x
-                | `Exp -> Float.exp x
-              in
-              Float.Array.unsafe_set g.floats (rb + l) y
-            end
-          done
-      end
-    in
-    run
+    lanewise ~charge [| a |] r (fun g l ->
+        let x = lane_float g a l in
+        let y =
+          match op with
+          | `Neg -> -.x
+          | `Abs -> Float.abs x
+          | `Sqrt -> Float.sqrt x
+          | `Exp -> Float.exp x
+        in
+        Float.Array.unsafe_set g.floats (at r l) y)
   in
-  (* A query of the work-item's ids: [per_lane] ones are at
-     [d * width + l] of [arr g], the others at [d]. *)
-  let query ~per_lane arr =
+  (* A query of a dimension of [ids g]: lane [l]'s value of dimension
+     [d] is at [d * width + l] ([per_lane]) or at [d]. *)
+  let query ~per_lane ids =
     let ds = dim_operand () and r = int_result () in
-    let rb = at r 0 and ops = with_dim ds [||] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          let a = arr g in
-          let nd = Array.length g.grp in
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let d = in_dims g l (lane_dim g ds l) nd in
-              Array.unsafe_set g.ints (rb + l)
-                (if per_lane then Array.unsafe_get a ((d * width) + l)
-                 else Array.unsafe_get a d)
-            end
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu (with_dim ds [||]) r (fun g l ->
+        let d = lane_dim g ds l in
+        if d < 0 || d >= Array.length g.grp then
+          lane_fail g l (Invalid_argument "index out of bounds");
+        let ids = ids g in
+        Array.unsafe_set g.ints (at r l)
+          (if per_lane then ids.((d * width) + l) else ids.(d)))
   in
   let acc_query f =
     let a = operand 0 and ds = dim_operand () and r = int_result () in
-    let rb = at r 0 and ops = with_dim ds [| a |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let arr = f (lane_acc g l (lane_value g a l)) in
-              let d = lane_dim g ds l in
-              if d < 0 || d >= Array.length arr then
-                lane_fail g l (Invalid_argument "index out of bounds");
-              Array.unsafe_set g.ints (rb + l) arr.(d)
-            end
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu (with_dim ds [| a |]) r (fun g l ->
+        let arr = f (lane_acc g l (lane_value g a l)) in
+        let d = lane_dim g ds l in
+        g.lane <- l;
+        Array.unsafe_set g.ints (at r l) arr.(d))
   in
-  (* Under race checking, a memory op records its lanes' accesses of
-     [mem]'s allocations after it ran. *)
+  (* A memory op through slot [mem]: under race checking it records its
+     lanes' accesses after it ran. *)
   let noted mem ~write (code : code) : code =
     if not d.races then code
     else
@@ -1427,79 +1346,67 @@ and op_code d k (op : Core.op) : code =
         code g;
         note g m mem ~name ~loc ~write
   in
-  (* A load addressed [how] into [r]: of a float or an int. *)
-  let load mem ops how r =
-    noted mem ~write:false
-      (if r land 3 = bank_float then
-         let rb = at r 0 in
-         let rec run g =
-           let m = g.mask in
-           let ok = defined_in g ops m in
-           if ok <> m then unbound_split g m ok run
-           else begin
-               mark g r m;
-               let fl = g.floats in
-               for l = 0 to g.last do
-                 if m land (1 lsl l) <> 0 then begin
-                   let a = address g how l in
-                   let x = load_float a (Array.unsafe_get g.cell l) in
-                   Float.Array.unsafe_set fl (rb + l) x
-                 end
-               done;
-               coalesce g k m
-           end
-         in
-         run
-       else
-         let rb = at r 0 in
-         let rec run g =
-           let m = g.mask in
-           let ok = defined_in g ops m in
-           if ok <> m then unbound_split g m ok run
-           else begin
-               mark g r m;
-               for l = 0 to g.last do
-                 if m land (1 lsl l) <> 0 then begin
-                   let a = address g how l in
-                   Array.unsafe_set g.ints (rb + l) (load_int a (Array.unsafe_get g.cell l))
-                 end
-               done;
-               coalesce g k m
-           end
-         in
-         run)
+  (* A load addressed [how] into [r], which reads [reads]. *)
+  let load reads how r =
+    let rb = at r 0 in
+    let float = r land 3 = bank_float in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g reads m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+        mark g r m;
+        if float then
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let a = address g how l in
+              let x = load_float a (Array.unsafe_get g.cell l) in
+              Float.Array.unsafe_set g.floats (rb + l) x
+            end
+          done
+        else
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let a = address g how l in
+              Array.unsafe_set g.ints (rb + l) (load_int a (Array.unsafe_get g.cell l))
+            end
+          done;
+        coalesce g k m
+      end
+    in
+    run
   in
-  (* A store of slot [v] addressed [how]. *)
-  let store v mem ops how =
-    noted mem ~write:true
-      (let vb = at v 0 in
-       let rec run g =
-         let m = g.mask in
-         let ok = defined_in g ops m in
-         if ok <> m then unbound_split g m ok run
-         else begin
-             for l = 0 to g.last do
-               if m land (1 lsl l) <> 0 then begin
-                 let a = address g how l in
-                 let lin = Array.unsafe_get g.cell l in
-                 match v land 3 with
-                 | 0 -> store_int a lin (Array.unsafe_get g.ints (vb + l))
-                 | 1 -> store_float a lin (Float.Array.unsafe_get g.floats (vb + l))
-                 | _ -> (
-                   match Array.unsafe_get g.vals (vb + l) with
-                   | I n -> store_int a lin n
-                   | F f -> store_float a lin f
-                   | _ -> lane_fail g l (Sim_error "cannot store non-scalar value"))
-               end
-             done;
-             coalesce g k m
-         end
-       in
-       run)
+  (* A store of slot [v] addressed [how], which reads [reads]. *)
+  let store v reads how =
+    let vb = at v 0 in
+    let rec run g =
+      let m = g.mask in
+      let ok = defined_in g reads m in
+      if ok <> m then unbound_split g m ok run
+      else begin
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then begin
+            let a = address g how l in
+            let lin = Array.unsafe_get g.cell l in
+            match v land 3 with
+            | 0 -> store_int a lin (Array.unsafe_get g.ints (vb + l))
+            | 1 -> store_float a lin (Float.Array.unsafe_get g.floats (vb + l))
+            | _ -> (
+              match Array.unsafe_get g.vals (vb + l) with
+              | I n -> store_int a lin n
+              | F f -> store_float a lin f
+              | _ -> lane_fail g l (Sim_error "cannot store non-scalar value"))
+          end
+        done;
+        coalesce g k m
+      end
+    in
+    run
   in
   let memref_address m idx =
     if m land 3 = bank_elem then
-      if Array.length idx = 1 && idx.(0) land 3 = bank_int then Elem1 (at m 0, at idx.(0) 0)
+      if Array.length idx = 1 && idx.(0) land 3 = bank_int then
+        Elem1 (at m 0, at idx.(0) 0)
       else Lanewise (fun g l -> elem_address g m idx l)
     else Lanewise (fun g l -> view_address g m idx l)
   in
@@ -1511,10 +1418,25 @@ and op_code d k (op : Core.op) : code =
         access g l view.Memory.base lin;
         view.Memory.base)
   in
+  (* The part of scf.for and affine.for after their lanes' bounds: the
+     loop of {!run_loop}, its carried values moved through temporaries. *)
+  let loop ~body_block ~iter ~inits bounds =
+    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
+    let body = decode_block d body_block and res = results () in
+    let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
+    let cur = fresh_slot d bank_int and ub = fresh_slot d bank_int
+    and step = fresh_slot d bank_int in
+    let bounds = bounds ~cur ~ub ~step in
+    let enter = copy_all inits temps and carry = copy_all body.yields temps
+    and rebind = copy_all (Array.sub temps 0 (Array.length iter)) iter in
+    fun g ->
+      let active = guarded g bounds in
+      run_loop g k ~active ~cur ~ub ~step ~iv ~iter ~inits ~temps ~enter ~rebind
+        ~carry body res
+  in
   match op.Core.name with
   | "arith.constant" -> (
-    match Core.attr op "value" with
-    | Some (Attr.Int i) ->
+    let int_constant i =
       let r = int_result () in
       let rb = at r 0 in
       fun g ->
@@ -1523,6 +1445,9 @@ and op_code d k (op : Core.op) : code =
         for l = 0 to g.last do
           if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) i
         done
+    in
+    match Core.attr op "value" with
+    | Some (Attr.Int i) -> int_constant i
     | Some (Attr.Float f) ->
       let r = float_result () in
       let rb = at r 0 in
@@ -1532,37 +1457,28 @@ and op_code d k (op : Core.op) : code =
         for l = 0 to g.last do
           if m land (1 lsl l) <> 0 then Float.Array.unsafe_set g.floats (rb + l) f
         done
-    | Some (Attr.Bool b) ->
-      let r = int_result () and i = Bool.to_int b in
-      let rb = at r 0 in
-      fun g ->
-        let m = g.mask in
-        mark g r m;
-        for l = 0 to g.last do
-          if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) i
-        done
+    | Some (Attr.Bool b) -> int_constant (Bool.to_int b)
     | _ -> fail (Sim_error "arith.constant without numeric value"))
-  | "arith.addi" -> int_arith `Add
-  | "arith.subi" -> int_arith `Sub
-  | "arith.muli" -> int_arith `Mul
-  | "arith.divsi" -> int2 ~may_raise:true fdiv ( / )
-  | "arith.remsi" -> int2 ~may_raise:true fdiv ( mod )
-  | "arith.andi" -> int2 alu ( land )
-  | "arith.ori" -> int2 alu ( lor )
-  | "arith.xori" -> int2 alu ( lxor )
-  | "arith.minsi" -> int2 alu Int.min
-  | "arith.maxsi" -> int2 alu Int.max
-  | "arith.addf" -> float_arith `Add
-  | "arith.subf" -> float_arith `Sub
-  | "arith.mulf" -> float_arith `Mul
-  | "arith.divf" -> float_arith `Div
-  | "arith.minimumf" -> float_arith `Min
-  | "arith.maximumf" -> float_arith `Max
-  | "arith.negf" -> float1 alu `Neg
+  | "arith.addi" -> int2 ~fast:`Add ( + )
+  | "arith.subi" -> int2 ~fast:`Sub ( - )
+  | "arith.muli" -> int2 ~fast:`Mul ( * )
+  | "arith.divsi" -> int2 ~charge:f_fdiv ( / )
+  | "arith.remsi" -> int2 ~charge:f_fdiv ( mod )
+  | "arith.andi" -> int2 ( land )
+  | "arith.ori" -> int2 ( lor )
+  | "arith.xori" -> int2 ( lxor )
+  | "arith.minsi" -> int2 Int.min
+  | "arith.maxsi" -> int2 Int.max
+  | "arith.addf" -> float2 `Add
+  | "arith.subf" -> float2 `Sub
+  | "arith.mulf" -> float2 `Mul
+  | "arith.divf" -> float2 ~charge:f_fdiv `Div
+  | "arith.minimumf" -> float2 `Min
+  | "arith.maximumf" -> float2 `Max
+  | "arith.negf" -> float1 `Neg
   | "arith.cmpi" -> (
     match Dialects.Arith.icmp_predicate op with
-    | Some p ->
-      int2 alu (fun x y -> Bool.to_int (Dialects.Arith.eval_icmp p x y))
+    | Some p -> int2 (fun x y -> Bool.to_int (Dialects.Arith.eval_icmp p x y))
     | None -> fail (Sim_error "cmpi without predicate"))
   | "arith.cmpf" -> (
     match
@@ -1571,97 +1487,31 @@ and op_code d k (op : Core.op) : code =
     with
     | Some p ->
       let a = operand 0 and b = operand 1 and r = int_result () in
-      let rb = at r 0 and ops = [| a; b |] in
-      let rec run g =
-        let m = g.mask in
-        let ok = defined_in g ops m in
-        if ok <> m then unbound_split g m ok run
-        else begin
-            alu g k m;
-            mark g r m;
-            for l = 0 to g.last do
-              if m land (1 lsl l) <> 0 then begin
-                let y = lane_float g b l in
-                let x = lane_float g a l in
-                Array.unsafe_set g.ints (rb + l) (Bool.to_int (fcmp p x y))
-              end
-            done
-        end
-      in
-      run
+      lanewise ~charge:f_alu [| a; b |] r (fun g l ->
+          let y = lane_float g b l in
+          let x = lane_float g a l in
+          Array.unsafe_set g.ints (at r l) (Bool.to_int (fcmp p x y)))
     | None -> fail (Sim_error "cmpf without predicate"))
   | "arith.select" ->
     (* Only the chosen operand must have been written. *)
     let c = operand 0 and t = operand 1 and e = operand 2 and r = result 0 in
-    let ops = [| c |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then
-              copy_lane g (if lane_int g c l <> 0 then t else e) r l
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu [| c |] r (fun g l ->
+        copy_lane g (if lane_int g c l <> 0 then t else e) r l)
   | "arith.index_cast" ->
     let a = operand 0 and r = int_result () in
-    let rb = at r 0 and ops = [| a |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then Array.unsafe_set g.ints (rb + l) (lane_int g a l)
-          done
-      end
-    in
-    run
+    lanewise [| a |] r (fun g l -> Array.unsafe_set g.ints (at r l) (lane_int g a l))
   | "arith.sitofp" ->
     let a = operand 0 and r = float_result () in
-    let rb = at r 0 and ops = [| a |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then
-              Float.Array.unsafe_set g.floats (rb + l) (float_of_int (lane_int g a l))
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu [| a |] r (fun g l ->
+        Float.Array.unsafe_set g.floats (at r l) (float_of_int (lane_int g a l)))
   | "arith.fptosi" ->
     let a = operand 0 and r = int_result () in
-    let rb = at r 0 and ops = [| a |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let x = lane_float g a l in
-              Array.unsafe_set g.ints (rb + l) (int_of_float x)
-            end
-          done
-      end
-    in
-    run
-  | "math.sqrt" -> float1 fdiv `Sqrt
-  | "math.exp" -> float1 fdiv `Exp
-  | "math.absf" -> float1 alu `Abs
+    lanewise ~charge:f_alu [| a |] r (fun g l ->
+        let x = lane_float g a l in
+        Array.unsafe_set g.ints (at r l) (int_of_float x))
+  | "math.sqrt" -> float1 ~charge:f_fdiv `Sqrt
+  | "math.exp" -> float1 ~charge:f_fdiv `Exp
+  | "math.absf" -> float1 `Abs
   | "memref.alloca" | "memref.alloc" ->
     let ty = (Core.result op 0).Core.vty in
     let size, dims = alloc_size_of_type ty in
@@ -1669,161 +1519,103 @@ and op_code d k (op : Core.op) : code =
       match ty with Types.Memref { space; _ } -> space | _ -> Types.Private
     in
     let r = boxed_result () in
-    let rb = at r 0 in
-    fun g ->
-      let m = g.mask in
-      mark g r m;
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then begin
-          let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
-          Array.unsafe_set g.vals (rb + l) (Mem (Memory.full_view ~dims a))
-        end
-      done
+    lanewise [||] r (fun g l ->
+        let a = Memory.alloc ~label:"device-alloc" ~space ~size () in
+        Array.unsafe_set g.vals (at r l) (Mem (Memory.full_view ~dims a)))
   | "gpu.alloc_local" ->
     let local_slot = Option.value ~default:0 (Core.attr_int op "slot") in
     let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
     let r = boxed_result () in
-    let rb = at r 0 in
-    fun g ->
-      let m = g.mask in
-      let locals = g.wg.locals in
-      let a =
-        match Hashtbl.find locals local_slot with
-        | a -> a
-        | exception Not_found ->
-          let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
-          Hashtbl.replace locals local_slot a;
-          a
-      in
-      let v = Mem (Memory.full_view ~dims a) in
-      mark g r m;
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then Array.unsafe_set g.vals (rb + l) v
-      done
+    lanewise [||] r (fun g l ->
+        let a =
+          match Hashtbl.find g.wg.locals local_slot with
+          | a -> a
+          | exception Not_found ->
+            let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
+            Hashtbl.replace g.wg.locals local_slot a;
+            a
+        in
+        Array.unsafe_set g.vals (at r l) (Mem (Memory.full_view ~dims a)))
   | "memref.load" ->
     let m = operand 0 and idx = operands_from 1 in
     let r = match result_kind op with Kfloat -> float_result () | _ -> int_result () in
-    load m (Array.append [| m |] idx) (memref_address m idx) r
+    noted m ~write:false
+      (load (Array.append [| m |] idx) (memref_address m idx) r)
   | "memref.store" ->
     let v = operand 0 and m = operand 1 and idx = operands_from 2 in
-    store v m (Array.append [| v; m |] idx) (memref_address m idx)
+    noted m ~write:true
+      (store v (Array.append [| v; m |] idx) (memref_address m idx))
   | "memref.dim" ->
     let m = operand 0 and i = operand 1 and r = int_result () in
-    let rb = at r 0 and ops = [| m; i |] in
-    let rec run g =
-      let mask = g.mask in
-      let ok = defined_in g ops mask in
-      if ok <> mask then unbound_split g mask ok run
-      else begin
-          mark g r mask;
-          for l = 0 to g.last do
-            if mask land (1 lsl l) <> 0 then begin
-              let view = lane_mem g m l in
-              let d = lane_int g i l in
-              if d < 0 || d >= Array.length view.Memory.dims then
-                lane_fail g l (Invalid_argument "index out of bounds");
-              Array.unsafe_set g.ints (rb + l) view.Memory.dims.(d)
-            end
-          done
-      end
-    in
-    run
+    lanewise [| m; i |] r (fun g l ->
+        let view = lane_mem g m l in
+        let d = lane_int g i l in
+        g.lane <- l;
+        Array.unsafe_set g.ints (at r l) view.Memory.dims.(d))
   | "memref.dealloc" -> fun _ -> ()
   | "affine.apply" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let dims = operands_from 0 and r = int_result () in
-    let rb = at r 0 in
-    let rec run g =
-      let mask = g.mask in
-      let ok = defined_in g dims mask in
-      if ok <> mask then unbound_split g mask ok run
-      else begin
-          alu g k mask;
-          mark g r mask;
-          for l = 0 to g.last do
-            if mask land (1 lsl l) <> 0 then
-              Array.unsafe_set g.ints (rb + l) (lane_map1 g m dims l "affine.apply")
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu dims r (fun g l ->
+        Array.unsafe_set g.ints (at r l) (lane_map1 g m dims l "affine.apply"))
   | "affine.load" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let mem = operand 0 and dims = operands_from 1 in
     let r = match result_kind op with Kfloat -> float_result () | _ -> int_result () in
-    load mem (Array.append [| mem |] dims) (affine_address m mem dims) r
+    noted mem ~write:false
+      (load (Array.append [| mem |] dims) (affine_address m mem dims) r)
   | "affine.store" ->
     let m = amap (Dialects.Affine_ops.access_map op) in
     let v = operand 0 and mem = operand 1 and dims = operands_from 2 in
-    store v mem (Array.append [| v; mem |] dims) (affine_address m mem dims)
+    noted mem ~write:true
+      (store v (Array.append [| v; mem |] dims) (affine_address m mem dims))
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
-    let body_block = Dialects.Scf.for_body op in
-    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
-    let iter = slots d (Dialects.Scf.for_iter_args op) in
-    let inits = slots d (Dialects.Scf.for_iter_inits op) in
-    let body = decode_block d body_block and res = results () in
-    let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
-    let cur = fresh_slot d bank_int and ubs = fresh_slot d bank_int
-    and steps = fresh_slot d bank_int in
-    let bounds g m =
-      let active = ref 0 in
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then begin
-          need g lb l;
-          let lbv = lane_int g lb l in
-          need g ub l;
-          let ubv = lane_int g ub l in
-          need g step l;
-          let stepv = lane_int g step l in
-          if stepv <= 0 then lane_fail g l (Sim_error "scf.for with non-positive step");
-          Array.unsafe_set g.ints (at cur l) lbv;
-          Array.unsafe_set g.ints (at ubs l) ubv;
-          Array.unsafe_set g.ints (at steps l) stepv;
-          if lbv < ubv then active := !active lor (1 lsl l)
-        end
-      done;
-      !active
-    in
-    let enter = copy_all inits temps and carry = copy_all body.yields temps in
-    fun g ->
-      let active = guarded g bounds in
-      run_loop g k ~active ~cur ~ub:ubs ~step:steps ~iv ~iter ~inits ~temps ~enter
-        ~carry body res
+    loop ~body_block:(Dialects.Scf.for_body op)
+      ~iter:(slots d (Dialects.Scf.for_iter_args op))
+      ~inits:(slots d (Dialects.Scf.for_iter_inits op))
+      (fun ~cur ~ub:ubs ~step:steps g m ->
+        let active = ref 0 in
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then begin
+            need g lb l;
+            let lbv = lane_int g lb l in
+            need g ub l;
+            let ubv = lane_int g ub l in
+            need g step l;
+            let stepv = lane_int g step l in
+            if stepv <= 0 then lane_fail g l (Sim_error "scf.for with non-positive step");
+            Array.unsafe_set g.ints (at cur l) lbv;
+            Array.unsafe_set g.ints (at ubs l) ubv;
+            Array.unsafe_set g.ints (at steps l) stepv;
+            if lbv < ubv then active := !active lor (1 lsl l)
+          end
+        done;
+        !active)
   | "affine.for" ->
     let module A = Dialects.Affine_ops in
     let lbm = amap (A.for_lb_map op) and lbs = slots d (A.for_lb_operands op) in
-    let ubm = amap (A.for_ub_map op) and ubs_in = slots d (A.for_ub_operands op) in
+    let ubm = amap (A.for_ub_map op) and ubs = slots d (A.for_ub_operands op) in
     let step = A.for_step op in
-    let body_block = A.for_body op in
-    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
-    let iter = slots d (A.for_iter_args op) in
-    let inits = slots d (A.for_iter_inits op) in
-    let body = decode_block d body_block and res = results () in
-    let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
-    let cur = fresh_slot d bank_int and ubs = fresh_slot d bank_int
-    and steps = fresh_slot d bank_int in
-    let bounds g m =
-      let active = ref 0 in
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then begin
-          Array.iter (fun s -> need g s l) lbs;
-          let lbv = lane_map1 g lbm lbs l "affine.for bound" in
-          Array.iter (fun s -> need g s l) ubs_in;
-          let ubv = lane_map1 g ubm ubs_in l "affine.for bound" in
-          Array.unsafe_set g.ints (at cur l) lbv;
-          Array.unsafe_set g.ints (at ubs l) ubv;
-          Array.unsafe_set g.ints (at steps l) step;
-          if lbv < ubv then active := !active lor (1 lsl l)
-        end
-      done;
-      !active
-    in
-    let enter = copy_all inits temps and carry = copy_all body.yields temps in
-    fun g ->
-      let active = guarded g bounds in
-      run_loop g k ~active ~cur ~ub:ubs ~step:steps ~iv ~iter ~inits ~temps ~enter
-        ~carry body res
+    loop ~body_block:(A.for_body op) ~iter:(slots d (A.for_iter_args op))
+      ~inits:(slots d (A.for_iter_inits op))
+      (fun ~cur ~ub ~step:steps g m ->
+        let active = ref 0 in
+        let bound map ss l =
+          Array.iter (fun s -> need g s l) ss;
+          lane_map1 g map ss l "affine.for bound"
+        in
+        for l = 0 to g.last do
+          if m land (1 lsl l) <> 0 then begin
+            let lbv = bound lbm lbs l in
+            let ubv = bound ubm ubs l in
+            Array.unsafe_set g.ints (at cur l) lbv;
+            Array.unsafe_set g.ints (at ub l) ubv;
+            Array.unsafe_set g.ints (at steps l) step;
+            if lbv < ubv then active := !active lor (1 lsl l)
+          end
+        done;
+        !active)
   | "scf.if" ->
     let c = operand 0 in
     let then_ = decode_block d (Core.entry_block op.Core.regions.(0)) in
@@ -1849,26 +1641,23 @@ and op_code d k (op : Core.op) : code =
       done;
       !t
     in
-    let bind_then = bind_yields then_ temps res in
-    let bind_else =
-      match else_ with Some b -> bind_yields b temps res | None -> fun _ _ -> 0
+    (* Run branch [b] for lanes [m], then bind what it yielded. *)
+    let branch b =
+      let bind = bind_yields b temps res in
+      fun g m ->
+        if m <> 0 then begin
+          g.mask <- m;
+          run_block g b;
+          ignore (guarded g bind)
+        end
     in
+    let then_ = branch then_ and else_ = Option.map branch else_ in
     fun g ->
       let t = guarded g taken in
       let m = g.mask in
       alu g k m;
-      if t <> 0 then begin
-        g.mask <- t;
-        run_block g then_;
-        ignore (guarded g bind_then)
-      end;
-      let e = m land lnot t land g.alive in
-      (match else_ with
-      | Some b when e <> 0 ->
-        g.mask <- e;
-        run_block g b;
-        ignore (guarded g bind_else)
-      | _ -> ());
+      then_ g t;
+      (match else_ with Some run -> run g (m land lnot t land g.alive) | None -> ());
       g.mask <- m land g.alive
   | "func.call" -> (
     match Core.attr_symbol op "callee" with
@@ -1896,7 +1685,6 @@ and op_code d k (op : Core.op) : code =
           0
         in
         let bind_results g m =
-          let ys = fn.body.yields in
           for l = 0 to g.last do
             if m land (1 lsl l) <> 0 then begin
               let vs =
@@ -1904,11 +1692,9 @@ and op_code d k (op : Core.op) : code =
                   (fun y ->
                     need g y l;
                     lane_value g y l)
-                  ys
+                  fn.body.yields
               in
-              for j = 0 to Array.length vs - 1 do
-                Array.unsafe_set g.vals (at res.(j) l) vs.(j)
-              done
+              Array.iteri (fun j v -> Array.unsafe_set g.vals (at res.(j) l) v) vs
             end
           done;
           Array.iter (fun r -> mark g r m) res;
@@ -1932,7 +1718,7 @@ and op_code d k (op : Core.op) : code =
     d.has_barrier <- true;
     fun g ->
       let m = g.mask in
-      if g.err <> None || g.diverged then raise Stop
+      if Option.is_some g.err || g.diverged then raise Stop
       else if m <> g.full then begin
         g.diverged <- true;
         g.alive <- g.alive land lnot m;
@@ -1952,149 +1738,91 @@ and op_code d k (op : Core.op) : code =
   | "sycl.nd_item.get_local_range" -> query ~per_lane:false (fun g -> g.local_range)
   | "sycl.item.get_linear_id" ->
     let r = int_result () in
-    let rb = at r 0 in
-    fun g ->
-      let m = g.mask in
-      alu g k m;
-      mark g r m;
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then begin
-          let lin = ref 0 in
-          for d = 0 to Array.length g.grp - 1 do
-            lin := (!lin * g.global_range.(d)) + g.gid.((d * width) + l)
-          done;
-          Array.unsafe_set g.ints (rb + l) !lin
-        end
-      done
+    lanewise ~charge:f_alu [||] r (fun g l ->
+        let lin = ref 0 in
+        for d = 0 to Array.length g.grp - 1 do
+          lin := (!lin * g.global_range.(d)) + g.gid.((d * width) + l)
+        done;
+        Array.unsafe_set g.ints (at r l) !lin)
   | "sycl.id.get" | "sycl.range.get" ->
     let m = operand 0 and ds = dim_operand () and r = int_result () in
-    let rb = at r 0 and ops = with_dim ds [| m |] in
-    let rec run g =
-      let mask = g.mask in
-      let ok = defined_in g ops mask in
-      if ok <> mask then unbound_split g mask ok run
-      else begin
-          alu g k mask;
-          mark g r mask;
-          for l = 0 to g.last do
-            if mask land (1 lsl l) <> 0 then begin
-              let v = lane_mem g m l in
-              let d = lane_dim g ds l in
-              g.lane <- l;
-              Array.unsafe_set g.ints (rb + l) (load_int v.Memory.base (linear1 v d))
-            end
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu (with_dim ds [| m |]) r (fun g l ->
+        let v = lane_mem g m l in
+        let d = lane_dim g ds l in
+        g.lane <- l;
+        Array.unsafe_set g.ints (at r l) (load_int v.Memory.base (linear1 v d)))
   | "sycl.constructor" ->
     let out = operand 0 and vals = slots d (Sycl_ops.constructor_args op) in
-    let ops = Array.append [| out |] vals in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          count g.wg k f_alu (popcount m * Array.length vals);
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let out = lane_mem g out l in
-              for i = 0 to Array.length vals - 1 do
-                let v = lane_int g vals.(i) l in
-                g.lane <- l;
-                store_int out.Memory.base (linear1 out i) v
-              done
-            end
-          done
-      end
-    in
-    run
+    lanewise (Array.append [| out |] vals) (-1) (fun g l ->
+        let out = lane_mem g out l in
+        Array.iteri
+          (fun i v ->
+            count g.wg k f_alu 1;
+            let v = lane_int g v l in
+            g.lane <- l;
+            store_int out.Memory.base (linear1 out i) v)
+          vals)
   | "sycl.accessor.subscript" ->
     let acc = operand 0 and ids = operands_from 1 in
     let r = in_bank bank_elem (result 0) in
-    let rb = at r 0 and ab = at acc 0 and ops = Array.append [| acc |] ids in
+    let rb = at r 0 and ab = at acc 0 in
     (* The accessor value is copied into the reference now: a callee's
        frame slots are shared by its calls, so the accessor's own slot
-       may hold another value by the time the reference is read. It is
-       written only when it changed: the lanes hold the same accessor
-       from one execution to the next. *)
+       may hold another value by the time the reference is read. The
+       common subscript — of a boxed accessor by indices in the int bank
+       — reads them in place, and writes the accessor only when it
+       changed: the lanes hold the same accessor from one execution to
+       the next. *)
     if acc land 3 = bank_boxed && Array.for_all (fun s -> s land 3 = bank_int) ids
     then
-      let idb = Array.map (fun s -> at s 0) ids in
+      let idb = Array.map (fun s -> at s 0) ids and reads = Array.append [| acc |] ids in
       let rec run g =
         let m = g.mask in
-        let ok = defined_in g ops m in
+        let ok = defined_in g reads m in
         if ok <> m then unbound_split g m ok run
         else begin
-            alu g k m;
-            mark g r m;
-            let ints = g.ints and vals = g.vals in
-            for l = 0 to g.last do
-              if m land (1 lsl l) <> 0 then begin
-                let accv = Array.unsafe_get vals (ab + l) in
-                let a = lane_acc g l accv in
-                let lin = ref 0 in
-                for d = 0 to Array.length idb - 1 do
-                  lin := horner a !lin d (Array.unsafe_get ints (Array.unsafe_get idb d + l))
-                done;
-                let range = a.a_mem_range in
-                if Array.length idb > Array.length range then
-                  lane_fail g l
-                    (Sim_error "subscript with more indices than accessor dimensions");
-                for d = Array.length idb to Array.length range - 1 do
-                  lin := !lin * range.(d)
-                done;
-                if Array.unsafe_get vals (rb + l) != accv then
-                  Array.unsafe_set vals (rb + l) accv;
-                Array.unsafe_set ints (rb + l) !lin
-              end
-            done
+          alu g k m;
+          mark g r m;
+          let ints = g.ints and vals = g.vals in
+          for l = 0 to g.last do
+            if m land (1 lsl l) <> 0 then begin
+              let accv = Array.unsafe_get vals (ab + l) in
+              let a = lane_acc g l accv in
+              let lin = ref 0 in
+              for d = 0 to Array.length idb - 1 do
+                lin := horner a !lin d (Array.unsafe_get ints (Array.unsafe_get idb d + l))
+              done;
+              let range = a.a_mem_range in
+              if Array.length idb > Array.length range then
+                lane_fail g l
+                  (Sim_error "subscript with more indices than accessor dimensions");
+              for d = Array.length idb to Array.length range - 1 do
+                lin := !lin * range.(d)
+              done;
+              if Array.unsafe_get vals (rb + l) != accv then
+                Array.unsafe_set vals (rb + l) accv;
+              Array.unsafe_set ints (rb + l) !lin
+            end
+          done
         end
       in
       run
     else
-      let rec run g =
-        let m = g.mask in
-        let ok = defined_in g ops m in
-        if ok <> m then unbound_split g m ok run
-        else begin
-            alu g k m;
-            mark g r m;
-            for l = 0 to g.last do
-              if m land (1 lsl l) <> 0 then begin
-                let accv = lane_value g acc l in
-                let lin = subscript_index g (lane_acc g l accv) ids l in
-                Array.unsafe_set g.vals (rb + l) accv;
-                Array.unsafe_set g.ints (rb + l) lin
-              end
-            done
-        end
-      in
-      run
+      lanewise ~charge:f_alu (Array.append [| acc |] ids) r (fun g l ->
+          let accv = lane_value g acc l in
+          let lin = subscript_index g (lane_acc g l accv) ids l in
+          Array.unsafe_set g.vals (rb + l) accv;
+          Array.unsafe_set g.ints (rb + l) lin)
   | "sycl.accessor.get_range" -> acc_query (fun a -> a.a_range)
   | "sycl.accessor.get_mem_range" -> acc_query (fun a -> a.a_mem_range)
   | "sycl.accessor.get_offset" -> acc_query (fun a -> a.a_offset)
   | "sycl.accessor.distinct" ->
     let a = operand 0 and b = operand 1 and r = int_result () in
-    let rb = at r 0 and ops = [| a; b |] in
-    let rec run g =
-      let m = g.mask in
-      let ok = defined_in g ops m in
-      if ok <> m then unbound_split g m ok run
-      else begin
-          alu g k m;
-          mark g r m;
-          for l = 0 to g.last do
-            if m land (1 lsl l) <> 0 then begin
-              let x = lane_acc g l (lane_value g a l) in
-              let y = lane_acc g l (lane_value g b l) in
-              Array.unsafe_set g.ints (rb + l)
-                (Bool.to_int (x.a_alloc.Memory.aid <> y.a_alloc.Memory.aid))
-            end
-          done
-      end
-    in
-    run
+    lanewise ~charge:f_alu [| a; b |] r (fun g l ->
+        let x = lane_acc g l (lane_value g a l) in
+        let y = lane_acc g l (lane_value g b l) in
+        Array.unsafe_set g.ints (at r l)
+          (Bool.to_int (x.a_alloc.Memory.aid <> y.a_alloc.Memory.aid)))
   | name -> fail (Sim_error ("device simulator: unsupported op " ^ name))
 
 let decode_with ~check_races ~(module_op : Core.op) ~(kernel : Core.op) :
