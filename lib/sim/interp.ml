@@ -66,7 +66,7 @@ type rv =
   | F of float
   | Mem of Memory.view
   | Acc of acc_desc
-  | Item  (** the item-like argument; queries read the work-item context *)
+  | Item  (** the item-like argument; queries read the lanes' ids *)
   | Unit
 
 let as_int = function
@@ -1844,6 +1844,7 @@ let decode_with ~check_races ~(module_op : Core.op) ~(kernel : Core.op) :
     n_defined = d.n_defined; has_barrier = d.has_barrier; races = check_races }
 
 let decode ~module_op ~kernel = decode_with ~check_races:false ~module_op ~kernel
+
 (* ------------------------------------------------------------------ *)
 (* Work-group and launch scheduling                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1858,8 +1859,7 @@ let run_subgroup (prog : program) (args : rv array) g =
       if i >= Array.length args then raise (Sim_error "missing kernel argument");
       let v = args.(i) and pb = at ps.(i) 0 in
       for l = 0 to g.last do
-        if g.full land (1 lsl l) <> 0 && Array.unsafe_get g.vals (pb + l) != v then
-          Array.unsafe_set g.vals (pb + l) v
+        if Array.unsafe_get g.vals (pb + l) != v then Array.unsafe_set g.vals (pb + l) v
       done;
       mark g ps.(i) g.full
     done

@@ -1,26 +1,33 @@
 (** The GPU device simulator.
 
     Executes kernel IR over an ND-range with correct work-group
-    semantics: in a kernel with a barrier, work-items of a work-group run
-    as OCaml 5 effect-handler fibers; a group barrier suspends the fiber,
-    and the scheduler resumes all fibers of the group phase by phase — so
-    the cooperative local-memory prefetch generated by loop
-    internalization executes correctly, and a barrier in a divergent
-    region is detected as the deadlock it would be on hardware
-    ({!Barrier_divergence}). Work-items of a kernel without a barrier run
-    as plain calls, in the same order.
+    semantics. The work-items of a sub-group ([Cost.default]'s
+    [subgroup_size]) run in lockstep under an active-lane mask that
+    structured control flow splits and rejoins. In a kernel with a
+    barrier, each sub-group of a work-group runs as an OCaml 5
+    effect-handler fiber; a barrier reached by all its lanes suspends the
+    fiber, and the scheduler resumes the group's sub-groups phase by
+    phase — so the cooperative local-memory prefetch generated by loop
+    internalization executes correctly, and a barrier reached by part of
+    a sub-group or of a group is detected as the deadlock it would be on
+    hardware ({!Barrier_divergence}). Sub-groups of a kernel without a
+    barrier run as plain calls, in order.
 
-    Costs are accumulated per work-group: ALU cycles per executed op,
-    memory transactions per (instruction, occurrence, sub-group) with
-    cache-line coalescing, and barrier costs. Private memory is treated
-    as registers (no transaction cost). *)
+    Costs are accumulated per work-group: ALU cycles per executed op and
+    lane, memory transactions per (instruction, occurrence, sub-group)
+    with cache-line coalescing, and barrier costs. Private memory is
+    treated as registers (no transaction cost). Every count, cache probe
+    and error is the one the work-items of a group running one after
+    another, in local-id order, would give. *)
 
 open Mlir
 
 exception Sim_error of string
 
 (** Raised when part of a work-group reaches a barrier while other
-    work-items have already finished — a divergent barrier. *)
+    work-items have already finished, or part of a sub-group reaches a
+    barrier the rest of it does not reach with it — a divergent
+    barrier. *)
 exception Barrier_divergence
 
 type _ Effect.t += Barrier : unit Effect.t
@@ -41,7 +48,7 @@ type rv =
   | F of float
   | Mem of Memory.view
   | Acc of acc_desc
-  | Item  (** the item-like argument: queries read the work-item context *)
+  | Item  (** the item-like argument: queries read the lanes' ids *)
   | Unit
 
 val as_int : rv -> int
@@ -102,10 +109,10 @@ val intra_race_report : intra_race list -> string
 (** A kernel lowered once to its execution form: every SSA value of the
     kernel and of the device functions it calls has a frame slot in the
     int, float or boxed bank its producer writes, every op a dense index
-    and a closure that executes it. Executing an op is then a closure
-    call on array-backed frames, with no op-name dispatch and no
-    hashing, and ints and floats stay unboxed; per-op charges are arrays
-    indexed by the op index. *)
+    and a closure that executes it for a sub-group's active lanes.
+    Executing an op is then one closure call on lane-major array-backed
+    frames, with no op-name dispatch and no hashing, and ints and floats
+    stay unboxed; per-op charges are arrays indexed by the op index. *)
 type program
 
 (** [decode ~module_op ~kernel] decodes [kernel], a function of
@@ -141,7 +148,9 @@ val apportion :
 
     [program] is [kernel] already decoded by {!decode} (decoded here
     when absent), so a caller launching one kernel many times decodes it
-    once.
+    once. Under race checking the launch decodes its own program, whose
+    memory ops also record into the race footprint; without it, no op
+    does.
     [config] (default {!Sim_config.default}) holds the run's settings.
     Its [domains] selects the backend: [1] executes work-groups
     sequentially in canonical order; [> 1] partitions the canonical
@@ -150,8 +159,10 @@ val apportion :
     merged in chunk order — the returned stats are bit-identical to the
     sequential backend's, and a failing group raises the same exception
     the sequential backend would (the canonically first failure). Its
-    [check_races] records per-group write footprints and raises
-    {!Race_detected} on overlap. The launch is priced with
+    [check_races] records per-group footprints and raises
+    {!Race_detected} when two groups write overlapping global cells,
+    else {!Intra_group_race} when work-items of one group touch a cell
+    one of them writes between two barriers. The launch is priced with
     {!Cost.default}.
     [metrics] receives device execution counters ([sim.work_groups],
     [sim.work_items], [sim.barriers], and under a non-flat cache model

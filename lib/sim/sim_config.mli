@@ -12,8 +12,11 @@ type t = {
           sequential backend. Results are bit-identical for every
           count. *)
   check_races : bool;
-      (** record per-group write footprints and raise
-          {!Interp.Race_detected} when two groups of a launch overlap *)
+      (** record what each group reads and writes, and raise
+          {!Interp.Race_detected} when two groups of a launch write one
+          global cell, or {!Interp.Intra_group_race} when, between two
+          barriers, work-items of one group touch a cell one of them
+          writes *)
   cache_model : Cost.cache_model;
       (** the per-core data cache simulated over the coalesced global
           transactions *)
