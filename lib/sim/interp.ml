@@ -323,8 +323,11 @@ let[@inline] need g s l =
 (* Lane [l] leaves the sub-group with error [e], and with it every lane
    above it; the lanes below run on to the end of the phase. Only lanes
    below every earlier failure still run, so [e] is the error of the
-   lowest lane that failed. *)
+   lowest lane that failed. An error no executing lane claimed is the
+   lowest executing lane's. *)
 let leave g l e =
+  let m = g.mask in
+  let l = if m = 0 || m land (1 lsl l) <> 0 then l else lowest_lane m in
   g.err <- Some e;
   let below = (1 lsl l) - 1 in
   g.alive <- g.alive land below;
@@ -632,6 +635,7 @@ let note g m mem ~name ~loc ~write =
         Memory.footprint_access fp ~item:(g.first + l) ~op:name ~loc ~write a
           g.cell.(l)
     done
+
 (* ------------------------------------------------------------------ *)
 (* SYCL struct storage helpers                                         *)
 (* ------------------------------------------------------------------ *)
@@ -923,18 +927,6 @@ let rec run_ops g (ops : code array) i =
 
 let run_block g (b : block_code) = run_ops g b.ops 0
 
-(* Move what block [b] yielded into [res] through [temps]: every yielded
-   value is read before any result is written. For {!guarded}. *)
-let bind_yields (b : block_code) temps (res : int array) g m =
-  let ys = b.yields in
-  for j = 0 to Array.length ys - 1 do
-    copy_lanes g ys.(j) temps.(j) m
-  done;
-  for j = 0 to Array.length ys - 1 do
-    copy_lanes g temps.(j) res.(j) m
-  done;
-  0
-
 (* Each lane's [Memory.linear_index] of the indices held in slots [idx]
    into a view of [a] at [offset] with [strides], without building the
    view or the index array; the access is checked and kept
@@ -1137,6 +1129,14 @@ let copy_all (srcs : int array) (dsts : int array) g m =
     copy_lanes g srcs.(j) dsts.(j) m
   done;
   0
+
+(* Move what block [b] yielded into [res] through [temps]: every yielded
+   value is read before any result is written. For {!guarded}. *)
+let bind_yields (b : block_code) temps res =
+  let held = Array.sub temps 0 (Array.length b.yields) in
+  fun g m ->
+    ignore (copy_all b.yields temps g m);
+    copy_all held res g m
 
 let rec decode_block d (b : Core.block) : block_code =
   let ops, yields = split_block b in
@@ -2083,7 +2083,7 @@ let flush_totals (prog : program) (tot : int array) (tab : Attribution.table) =
     prog.canonical
 
 (* ------------------------------------------------------------------ *)
-(* Cross-group race detection                                          *)
+(* Race detection                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type race = {

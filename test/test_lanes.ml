@@ -73,8 +73,9 @@ let check_observed name ~flat ~assoc ~global ~wg build =
   check Cost.Flat flat;
   check Cost.Set_associative assoc
 
-(* c[gid] += a[idx] for the lanes where [f] builds it. *)
-let accumulate b c a ~gid idx = K.acc_update b c [ gid ] (fun x -> K.addf b x (K.acc_get b a [ idx ]))
+(* c[gid] += a[idx]. *)
+let accumulate b c a ~gid idx =
+  K.acc_update b c [ gid ] (fun x -> K.addf b x (K.acc_get b a [ idx ]))
 
 let lane_cases =
   [
@@ -82,10 +83,13 @@ let lane_cases =
       (fun () ->
         check_observed "wg24" ~global:48 ~wg:24
           ~flat:
-            ( "alu=720 fdiv=48 mem(g=52 l=0 c=0) barriers=2 wgs=2 items=48 cycles(total=2612 max=1450)",
+            ( "alu=720 fdiv=48 mem(g=52 l=0 c=0) barriers=2 wgs=2 items=48 "
+              ^ "cycles(total=2612 max=1450)",
               "dade0a0dca9d5fba280d949c9812bb58" )
           ~assoc:
-            ( "alu=720 fdiv=48 mem(g=52 l=0 c=0) barriers=2 wgs=2 items=48 cycles(total=764 max=394) cache(hits=42 misses=10 evict=0 wait=480)",
+            ( "alu=720 fdiv=48 mem(g=52 l=0 c=0) barriers=2 wgs=2 items=48 "
+              ^ "cycles(total=764 max=394) "
+              ^ "cache(hits=42 misses=10 evict=0 wait=480)",
               "eaf2be9b5086c6e87a1f5ffc60362d61" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
@@ -102,10 +106,13 @@ let lane_cases =
       (fun () ->
         check_observed "alternating" ~global:64 ~wg:32
           ~flat:
-            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 cycles(total=3716 max=1858)",
+            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=3716 max=1858)",
               "f30aba73d00c910ece1a262482c0f5a1" )
           ~assoc:
-            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 cycles(total=1252 max=626) cache(hits=56 misses=12 evict=0 wait=576)",
+            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=1252 max=626) "
+              ^ "cache(hits=56 misses=12 evict=0 wait=576)",
               "86ab2ef2bc02d6d4900619558fbc0ed5" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
@@ -129,10 +136,13 @@ let lane_cases =
       (fun () ->
         check_observed "lid trips" ~global:64 ~wg:32
           ~flat:
-            ( "alu=4096 fdiv=0 mem(g=276 l=0 c=0) barriers=0 wgs=2 items=64 cycles(total=13504 max=6752)",
+            ( "alu=4096 fdiv=0 mem(g=276 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=13504 max=6752)",
               "5c3b5301024dee3b8c5c638026b90449" )
           ~assoc:
-            ( "alu=4096 fdiv=0 mem(g=276 l=0 c=0) barriers=0 wgs=2 items=64 cycles(total=1712 max=856) cache(hits=268 misses=8 evict=0 wait=384)",
+            ( "alu=4096 fdiv=0 mem(g=276 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=1712 max=856) "
+              ^ "cache(hits=268 misses=8 evict=0 wait=384)",
               "7ba6bca0270dbdce10557744fe42b84c" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
@@ -141,10 +151,13 @@ let lane_cases =
       (fun () ->
         check_observed "call" ~global:32 ~wg:16
           ~flat:
-            ( "alu=158 fdiv=0 mem(g=4 l=0 c=0) barriers=0 wgs=2 items=32 cycles(total=200 max=100)",
+            ( "alu=158 fdiv=0 mem(g=4 l=0 c=0) barriers=0 wgs=2 items=32 "
+              ^ "cycles(total=200 max=100)",
               "f625608742989e104e9a137c1e119291" )
           ~assoc:
-            ( "alu=158 fdiv=0 mem(g=4 l=0 c=0) barriers=0 wgs=2 items=32 cycles(total=200 max=100) cache(hits=0 misses=4 evict=0 wait=192)",
+            ( "alu=158 fdiv=0 mem(g=4 l=0 c=0) barriers=0 wgs=2 items=32 "
+              ^ "cycles(total=200 max=100) "
+              ^ "cache(hits=0 misses=4 evict=0 wait=192)",
               "9e5cc6b2eb4abf1a52f542fa3f25bc4a" )
           (fun () ->
             kernel (fun m b ~item:_ ~lid ~gid c a ->
