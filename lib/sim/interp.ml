@@ -36,8 +36,9 @@
    launch's source attribution. Private memory is treated as registers
    (no memory cost), matching mem2reg-ed GPU code. Every count, cache
    probe and error is the one work-items running one after another, in
-   local-id order, would give ({!coalesce}, {!flush_probes}, {!leave}):
-   lockstep changes how the simulator runs, not what it models. *)
+   local-id order, would give ({!charge_accesses}, {!flush_probes},
+   {!leave}): lockstep changes how the simulator runs, not what it
+   models. *)
 
 open Mlir
 module Sycl_types = Sycl_core.Sycl_types
@@ -140,13 +141,13 @@ let lowest_lane m =
   go 0
 
 (* Coalescing state of one (op, sub-group) whose lanes stopped accessing
-   in step ({!coalesce}): each lane's occurrence count, and for each
+   in step ({!charge_accesses}): each lane's occurrence count, and for each
    (occurrence, transaction) seen its owner — the work-item whose access
    counted it — with the phase and probe-buffer position of the owner's
    cache probe (-1 when none is buffered). *)
 type owner = { mutable o_li : int; o_phase : int; mutable o_pos : int }
 
-type apart = { occ : int array; seen : (int * int, owner) Hashtbl.t }
+type apart = { reached : int array; seen : (int * int, owner) Hashtbl.t }
 
 (* A work-group's context. A chunk of work-groups makes one and resets it
    before each of its groups ({!launch}). *)
@@ -206,7 +207,7 @@ type sg = {
   mutable diverged : bool;  (* a barrier was reached under a partial mask *)
   tx : int array;  (* per lane: the current access's transaction, -1 if private *)
   cell : int array;  (* per lane: the current access's cell *)
-  distinct : int array;  (* work array of {!coalesce} *)
+  distinct : int array;  (* work array of {!charge_accesses} *)
 }
 
 (* Ends a sub-group's barrier phase early: raised at a barrier after a
@@ -454,7 +455,7 @@ let[@inline] tx_of wg (a : Memory.allocation) lin =
       ~cls:(if a.Memory.constant_cached then 2 else 0)
 
 (* Lane [l] accesses cell [lin] of [a]: the index is checked, and the
-   cell and its transaction are kept for {!coalesce}. *)
+   cell and its transaction are kept for {!charge_accesses}. *)
 let[@inline] access g l (a : Memory.allocation) lin =
   if lin < 0 || lin >= Bytes.length a.Memory.tags then begin
     g.lane <- l;
@@ -502,18 +503,18 @@ let new_transaction wg k li t =
   | Some _ when cls = 0 -> buffer_probe wg li k t
   | _ -> -1
 
-(* The per-lane path of {!coalesce}, for lanes [m] of a sub-group whose
-   lanes are not all at occurrence [occ] of op [k] (-1: no longer
-   known). A transaction seen at an occurrence is new only for the first
+(* The per-lane path of {!charge_accesses}, for lanes [m] of a
+   sub-group whose lanes are not all at occurrence [in_step] of op [k]
+   (-1: no longer known). A transaction seen at an occurrence is new only for the first
    work-item to make it in the order work-items running one after
    another would — by phase, then work-item — so when a lower work-item
    of the same phase makes it after a higher one, the probe moves to the
    lower one. *)
-let coalesce_apart g k m cell occ =
+let charge_apart g k m cell in_step =
   let wg = g.wg in
   let st =
-    if occ >= 0 then begin
-      let st = { occ = Array.make width occ; seen = Hashtbl.create 16 } in
+    if in_step >= 0 then begin
+      let st = { reached = Array.make width in_step; seen = Hashtbl.create 16 } in
       Hashtbl.replace wg.apart cell st;
       wg.in_step.(cell) <- -1;
       st
@@ -522,8 +523,8 @@ let coalesce_apart g k m cell occ =
   in
   for l = 0 to g.last do
     if m land (1 lsl l) <> 0 then begin
-      let n = st.occ.(l) in
-      st.occ.(l) <- n + 1;
+      let n = st.reached.(l) in
+      st.reached.(l) <- n + 1;
       let t = g.tx.(l) and li = g.first + l in
       match Hashtbl.find_opt st.seen (n, t) with
       | None ->
@@ -546,8 +547,8 @@ let coalesce_apart g k m cell occ =
    sub-group accesses at each execution of the op, that is the distinct
    transactions of one step, found without a table, each owned by its
    lowest lane. Otherwise the lanes' occurrences are counted apart
-   ({!coalesce_apart}). *)
-let coalesce g k m =
+   ({!charge_apart}). *)
+let charge_accesses g k m =
   let wg = g.wg and tx = g.tx in
   let shared = ref 0 and priv = ref 0 in
   for l = 0 to g.last do
@@ -560,9 +561,9 @@ let coalesce g k m =
   if m <> 0 then begin
     count wg k f_accesses (lanes_in g m);
     let cell = (k * wg.n_sub) + g.index in
-    let occ = Array.unsafe_get wg.in_step cell in
-    if occ >= 0 && m = g.full then begin
-      Array.unsafe_set wg.in_step cell (occ + 1);
+    let in_step = Array.unsafe_get wg.in_step cell in
+    if in_step >= 0 && m = g.full then begin
+      Array.unsafe_set wg.in_step cell (in_step + 1);
       let dist = g.distinct and n = ref 0 in
       for l = 0 to g.last do
         if m land (1 lsl l) <> 0 then begin
@@ -579,7 +580,7 @@ let coalesce g k m =
         end
       done
     end
-    else coalesce_apart g k m cell occ
+    else charge_apart g k m cell in_step
   end
 
 (* Probe the cache with the phase's buffered transactions, work-item by
@@ -1371,7 +1372,7 @@ and op_code d k (op : Core.op) : code =
               Array.unsafe_set g.ints (rb + l) (load_int a (Array.unsafe_get g.cell l))
             end
           done;
-        coalesce g k m
+        charge_accesses g k m
       end
     in
     run
@@ -1398,7 +1399,7 @@ and op_code d k (op : Core.op) : code =
               | _ -> lane_fail g l (Sim_error "cannot store non-scalar value"))
           end
         done;
-        coalesce g k m
+        charge_accesses g k m
       end
     in
     run
