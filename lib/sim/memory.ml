@@ -150,11 +150,11 @@ let footprint () =
     fp_locs = Hashtbl.create 64; fp_phase = Hashtbl.create 64;
     fp_conflicts = Hashtbl.create 4 }
 
-(** Record a write of cell [lin] of [a], remembering the writing op's
-    location [loc] (first writer wins). Only global-space writes are
-    footprinted: local and private memory are per-group / per-item by
-    construction. *)
-let footprint_write ?(loc = Loc.Unknown) (fp : footprint) (a : allocation) (lin : int) =
+(* Record a write of cell [lin] of [a], remembering the writing op's
+   location [loc] (first writer wins). Only global-space writes are kept
+   for the cross-group check: local and private memory are per-group /
+   per-item by construction. *)
+let footprint_write ~loc (fp : footprint) (a : allocation) (lin : int) =
   match a.space with
   | Types.Global ->
     let aid = a.aid in

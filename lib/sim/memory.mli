@@ -92,11 +92,6 @@ type footprint
 
 val footprint : unit -> footprint
 
-(** Record a write of cell [lin] of the allocation, remembering the
-    writing op's location (first writer wins). Only global-space writes
-    are recorded. *)
-val footprint_write : ?loc:Loc.t -> footprint -> allocation -> int -> unit
-
 (** A work-item's first access of a cell in a phase: [t_op] at [t_loc]. *)
 type touch = { t_item : int; t_op : string; t_loc : Loc.t; t_write : bool }
 
@@ -114,12 +109,19 @@ type conflict = {
 
 (** [footprint_access fp ~item ~op ~loc ~write a lin]: work-item [item]
     (local linear id) read or wrote cell [lin] of [a] with op [op] at
-    [loc]. A write also goes into the cross-group record
-    ({!footprint_write}); private memory is not recorded. What is kept
-    per cell depends only on the work-item numbers, not on the order in
-    which accesses arrive. *)
+    [loc]. A global write also goes into the cross-group record, with
+    the location of the cell's first writing op; private memory is not
+    recorded. What is kept per cell depends only on the work-item
+    numbers, not on the order in which accesses arrive. *)
 val footprint_access :
-  footprint -> item:int -> op:string -> loc:Loc.t -> write:bool -> allocation -> int -> unit
+  footprint ->
+  item:int ->
+  op:string ->
+  loc:Loc.t ->
+  write:bool ->
+  allocation ->
+  int ->
+  unit
 
 (** Close the current barrier phase, turning its cells written by one
     work-item and accessed by another into conflicts (a cell keeps the

@@ -4,10 +4,10 @@
    last sub-group, a load under a branch that alternates inside a loop,
    a loop whose trip count is the local id, a device-function call under
    a branch, two work-items failing at different points, and a barrier
-   in each branch of a divergent if. The values were computed by the
-   simulator when it still ran work-items one after another; every one
-   stayed when sub-groups began to run in lockstep, except that the
-   divergent if's barriers are now reported as divergent. *)
+   in each branch of a divergent if. The values are those of the
+   group's work-items run one after another in local-id order, which
+   lockstep execution must reproduce; the divergent if's barriers are
+   the one case it reports differently, as the divergence it is. *)
 
 open Mlir
 module A = Dialects.Arith
@@ -227,9 +227,9 @@ let lane_cases =
         Alcotest.(check int) "barrier-safety flags both barriers" 2
           (List.length (Sycl_core.Barrier_safety.check m));
         (* Each branch reaches its barrier under a partial mask. Run one
-           work-item after another, every work-item reached some barrier
-           and the kernel ran on; in lockstep it is the divergent barrier
-           the static check reports. *)
+           work-item after another, every work-item would wait at some
+           barrier and the kernel would run on; in lockstep it is the
+           divergent barrier the static check reports. *)
         Alcotest.(check string) "the simulator reports the divergence"
           "Barrier_divergence"
           (match observe ~global:32 ~wg:16 (m, k) with
