@@ -140,15 +140,6 @@ let lowest_lane m =
   let rec go l = if m land (1 lsl l) <> 0 then l else go (l + 1) in
   go 0
 
-(* Coalescing state of one (op, sub-group) whose lanes stopped accessing
-   in step ({!charge_accesses}): each lane's occurrence count, and for each
-   (occurrence, transaction) seen its owner — the work-item whose access
-   counted it — with the phase and probe-buffer position of the owner's
-   cache probe (-1 when none is buffered). *)
-type owner = { mutable o_li : int; o_phase : int; mutable o_pos : int }
-
-type apart = { reached : int array; seen : (int * int, owner) Hashtbl.t }
-
 (* A work-group's context. A chunk of work-groups makes one and resets it
    before each of its groups ({!launch}). *)
 type wg_ctx = {
@@ -157,12 +148,6 @@ type wg_ctx = {
       (* the group's memory footprint, recorded under --sim-check-races *)
   locals : (int, Memory.allocation) Hashtbl.t;  (* gpu.alloc_local slot *)
   counters : int array;  (* per-op charges, see [n_fields] *)
-  n_sub : int;  (* sub-groups per work-group *)
-  in_step : int array;
-      (* [op index * n_sub + sub-group] -> the occurrence of the op all
-         lanes of the sub-group are at, or -1 once they are not:
-         [apart] then holds the cell's state *)
-  apart : (int, apart) Hashtbl.t;
   line_shift : int;  (* log2 of the line size in elements, or -1 *)
   cache_model : Cost.cache_model;
   cache : (Cache.state * Cache.reuse) option;
@@ -184,7 +169,6 @@ type wg_ctx = {
    per sub-group of a work-group and resets it for each group. *)
 type sg = {
   wg : wg_ctx;
-  index : int;  (* sub-group number within the group *)
   first : int;  (* local linear id of lane 0 *)
   full : int;  (* the lanes whose work-items exist *)
   last : int;  (* the highest of them *)
@@ -474,8 +458,7 @@ let linear1 (view : Memory.view) i =
 (* Coalescing and the cache probe order                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Buffer work-item [li]'s probe for its new transaction [t] of op [k];
-   returns the probe's position. *)
+(* Buffer work-item [li]'s probe for its new transaction [t] of op [k]. *)
 let buffer_probe wg li k t =
   let n = wg.n_probes.(li) in
   let buf = wg.probes.(li) in
@@ -490,98 +473,44 @@ let buffer_probe wg li k t =
   in
   buf.(2 * n) <- k;
   buf.((2 * n) + 1) <- t;
-  wg.n_probes.(li) <- n + 1;
-  n
+  wg.n_probes.(li) <- n + 1
 
-(* A new coalesced transaction [t] of op [k], owned by work-item [li]:
-   counted in its class and, a global one under a cache model, probed
-   when its phase ends. Returns the probe's position, or -1. *)
-let new_transaction wg k li t =
+(* A new coalesced transaction [t] of op [k], counted in its class.
+   Whether it is a global one under a cache model, to be probed when its
+   phase ends. *)
+let new_transaction wg k t =
   let cls = (t lsr 32) land 3 in
   count wg k (f_global + cls) 1;
-  match wg.cache with
-  | Some _ when cls = 0 -> buffer_probe wg li k t
-  | _ -> -1
-
-(* The per-lane path of {!charge_accesses}, for lanes [m] of a
-   sub-group whose lanes are not all at occurrence [in_step] of op [k]
-   (-1: no longer known). A transaction seen at an occurrence is new only for the first
-   work-item to make it in the order work-items running one after
-   another would — by phase, then work-item — so when a lower work-item
-   of the same phase makes it after a higher one, the probe moves to the
-   lower one. *)
-let charge_apart g k m cell in_step =
-  let wg = g.wg in
-  let st =
-    if in_step >= 0 then begin
-      let st = { reached = Array.make width in_step; seen = Hashtbl.create 16 } in
-      Hashtbl.replace wg.apart cell st;
-      wg.in_step.(cell) <- -1;
-      st
-    end
-    else Hashtbl.find wg.apart cell
-  in
-  for l = 0 to g.last do
-    if m land (1 lsl l) <> 0 then begin
-      let n = st.reached.(l) in
-      st.reached.(l) <- n + 1;
-      let t = g.tx.(l) and li = g.first + l in
-      match Hashtbl.find_opt st.seen (n, t) with
-      | None ->
-        Hashtbl.replace st.seen (n, t)
-          { o_li = li; o_phase = wg.phase; o_pos = new_transaction wg k li t }
-      | Some o ->
-        if o.o_pos >= 0 && o.o_phase = wg.phase && li < o.o_li then begin
-          wg.probes.(o.o_li).(2 * o.o_pos) <- -1;
-          o.o_li <- li;
-          o.o_pos <- buffer_probe wg li k t
-        end
-    end
-  done
+  cls = 0 && Option.is_some wg.cache
 
 (* Charge op [k]'s accesses by lanes [m], whose cells and transactions
    are in [cell] and [tx]. A private access costs an ALU op. The others
-   coalesce per (op, occurrence, sub-group): the transactions counted
-   are the distinct ones the sub-group's accesses made at the same
-   occurrence of the op in each work-item. While every lane of the
-   sub-group accesses at each execution of the op, that is the distinct
-   transactions of one step, found without a table, each owned by its
-   lowest lane. Otherwise the lanes' occurrences are counted apart
-   ({!charge_apart}). *)
+   coalesce per executed instruction: the transactions counted are the
+   distinct ones among the lanes that execute the op, each owned by its
+   lowest lane. *)
 let charge_accesses g k m =
   let wg = g.wg and tx = g.tx in
-  let shared = ref 0 and priv = ref 0 in
+  let dist = g.distinct and n = ref 0 and priv = ref 0 in
   for l = 0 to g.last do
-    if m land (1 lsl l) <> 0 then
-      if Array.unsafe_get tx l < 0 then incr priv
-      else shared := !shared lor (1 lsl l)
+    if m land (1 lsl l) <> 0 then begin
+      let t = Array.unsafe_get tx l in
+      if t < 0 then incr priv
+      else begin
+        let j = ref (!n - 1) in
+        while !j >= 0 && Array.unsafe_get dist !j <> t do
+          decr j
+        done;
+        if !j < 0 then begin
+          Array.unsafe_set dist !n t;
+          incr n;
+          if new_transaction wg k t then buffer_probe wg (g.first + l) k t
+        end
+      end
+    end
   done;
   if !priv > 0 then count wg k f_alu !priv;
-  let m = !shared in
-  if m <> 0 then begin
-    count wg k f_accesses (lanes_in g m);
-    let cell = (k * wg.n_sub) + g.index in
-    let in_step = Array.unsafe_get wg.in_step cell in
-    if in_step >= 0 && m = g.full then begin
-      Array.unsafe_set wg.in_step cell (in_step + 1);
-      let dist = g.distinct and n = ref 0 in
-      for l = 0 to g.last do
-        if m land (1 lsl l) <> 0 then begin
-          let t = Array.unsafe_get tx l in
-          let j = ref (!n - 1) in
-          while !j >= 0 && Array.unsafe_get dist !j <> t do
-            decr j
-          done;
-          if !j < 0 then begin
-            Array.unsafe_set dist !n t;
-            incr n;
-            ignore (new_transaction wg k (g.first + l) t)
-          end
-        end
-      done
-    end
-    else charge_apart g k m cell in_step
-  end
+  let shared = lanes_in g m - !priv in
+  if shared > 0 then count wg k f_accesses shared
 
 (* Probe the cache with the phase's buffered transactions, work-item by
    work-item, each in its program order: the order in which work-items
@@ -2280,9 +2209,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         footprint = None;
         locals = Hashtbl.create 4;
         counters = Array.make (n_ops * n_fields) 0;
-        n_sub;
-        in_step = Array.make (n_ops * n_sub) 0;
-        apart = Hashtbl.create 8;
         line_shift;
         cache_model;
         cache;
@@ -2300,7 +2226,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
           let lanes = min width (items_per_group - first) in
           {
             wg;
-            index;
             first;
             full = (1 lsl lanes) - 1;
             last = lanes - 1;
@@ -2335,8 +2260,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
     let run_group g =
       unflatten_into grp group_range g;
       Array.fill wg.counters 0 (Array.length wg.counters) 0;
-      Array.fill wg.in_step 0 (Array.length wg.in_step) 0;
-      if Hashtbl.length wg.apart > 0 then Hashtbl.reset wg.apart;
       wg.footprint <-
         (match footprints with Some a -> Some a.(g) | None -> None);
       Hashtbl.reset wg.locals;

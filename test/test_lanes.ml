@@ -106,14 +106,14 @@ let lane_cases =
       (fun () ->
         check_observed "alternating" ~global:64 ~wg:32
           ~flat:
-            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 "
-              ^ "cycles(total=3716 max=1858)",
-              "f30aba73d00c910ece1a262482c0f5a1" )
+            ( "alu=2624 fdiv=576 mem(g=128 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=6596 max=3298)",
+              "6d53ba1eb192506db25dddc1abb60508" )
           ~assoc:
-            ( "alu=2624 fdiv=576 mem(g=68 l=0 c=0) barriers=0 wgs=2 items=64 "
-              ^ "cycles(total=1252 max=626) "
-              ^ "cache(hits=56 misses=12 evict=0 wait=576)",
-              "86ab2ef2bc02d6d4900619558fbc0ed5" )
+            ( "alu=2624 fdiv=576 mem(g=128 l=0 c=0) barriers=0 wgs=2 items=64 "
+              ^ "cycles(total=1492 max=746) "
+              ^ "cache(hits=116 misses=12 evict=0 wait=576)",
+              "dc23d192b52d5bd1659802d2d2f8c617" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
                 K.for_up b (K.idx b 6) (fun b i ->
