@@ -1,7 +1,7 @@
 (* Per-core (per-work-group) data cache model (ROADMAP item 3).
 
    The interpreter already coalesces every memory access into cache-line
-   transactions per (instruction, occurrence, sub-group); this module
+   transactions per executed instruction; this module
    simulates what those *global* transactions do to a per-core data
    cache. Every work-group starts from an empty [state] (work-groups own
    their core for the duration of a launch in the model, matching
@@ -24,8 +24,9 @@
    arrays with equal line offsets do conflict, as they would when the
    runtime base-aligns buffers).
 
-   Determinism: work-items of a group run on one domain in canonical
-   order, so the probe sequence — and therefore every counter — is
+   Determinism: a group runs on one domain, its sub-groups in order and
+   their lanes in lockstep, and probes its own cache as each instruction
+   executes, so the probe sequence — and therefore every counter — is
    independent of the domain count. The interpreter counts each probe's
    outcome per op, beside the op's other charges, so the per-op cache
    columns live in the one {!Attribution} table.

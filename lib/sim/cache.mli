@@ -9,8 +9,9 @@
     is [line mod num_sets] (base-aligned allocation model) and the tag
     is the full [(allocation id, line)] pair.
 
-    Work-items of a group run in canonical order on one domain, so the
-    probe sequence is independent of the domain count. The per-op
+    A group runs on one domain, its sub-groups in order and their lanes
+    in lockstep, so the probe sequence is independent of the domain
+    count. The per-op
     counters of the probes live in the one {!Attribution} table.
 
     Warm re-accesses additionally measure their exact LRU stack distance

@@ -30,15 +30,15 @@
 
    Charges are counted per op, in arrays indexed by the op's dense
    index: ALU cycles per executed op and lane, memory transactions per
-   (instruction, occurrence, sub-group) with cache-line coalescing, and
-   barrier rounds. A work-group's totals, which the cost formula prices,
-   are the sums of its per-op counters, and the same counters are the
-   launch's source attribution. Private memory is treated as registers
-   (no memory cost), matching mem2reg-ed GPU code. Every count, cache
-   probe and error is the one work-items running one after another, in
-   local-id order, would give ({!charge_accesses}, {!flush_probes},
-   {!leave}): lockstep changes how the simulator runs, not what it
-   models. *)
+   executed instruction, coalesced into cache lines over the lanes that
+   execute it, and barrier rounds. Under a cache model each new global
+   transaction probes the group's cache at once, in execution order
+   ({!charge_accesses}). A work-group's totals, which the cost formula
+   prices, are the sums of its per-op counters, and the same counters
+   are the launch's source attribution. Private memory is treated as
+   registers (no memory cost), matching mem2reg-ed GPU code. A launch's
+   error is the one work-items running one after another, in local-id
+   order, would give ({!leave}). *)
 
 open Mlir
 module Sycl_types = Sycl_core.Sycl_types
@@ -154,13 +154,6 @@ type wg_ctx = {
       (* the cache and reuse-distance tracker, emptied for each group;
          None under Flat *)
   dists : dist_hist;  (* the chunk's reuse distances *)
-  probes : int array array;
-      (* under a cache model, per work-item: the (op, transaction) pairs
-         of the new global transactions it owns in this barrier phase, in
-         its program order; op -1 marks a probe that moved to a lower
-         work-item *)
-  n_probes : int array;  (* pairs in use, per work-item *)
-  mutable phase : int;  (* barrier phases the group completed *)
   mutable cur_barrier : int;
       (* index of the barrier op the group is suspended at, or -1 *)
 }
@@ -455,39 +448,33 @@ let linear1 (view : Memory.view) i =
   Memory.check a (view.Memory.offset + (i * view.Memory.strides.(0)))
 
 (* ------------------------------------------------------------------ *)
-(* Coalescing and the cache probe order                                *)
+(* Coalescing and cache probes                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Buffer work-item [li]'s probe for its new transaction [t] of op [k]. *)
-let buffer_probe wg li k t =
-  let n = wg.n_probes.(li) in
-  let buf = wg.probes.(li) in
-  let buf =
-    if (2 * n) + 2 <= Array.length buf then buf
-    else begin
-      let grown = Array.make (max 16 (4 * (n + 1))) 0 in
-      Array.blit buf 0 grown 0 (2 * n);
-      wg.probes.(li) <- grown;
-      grown
-    end
-  in
-  buf.(2 * n) <- k;
-  buf.((2 * n) + 1) <- t;
-  wg.n_probes.(li) <- n + 1
-
-(* A new coalesced transaction [t] of op [k], counted in its class.
-   Whether it is a global one under a cache model, to be probed when its
-   phase ends. *)
+(* A new coalesced transaction [t] of op [k]: counted in its class and,
+   a global one under a cache model, probed at once. *)
 let new_transaction wg k t =
   let cls = (t lsr 32) land 3 in
   count wg k (f_global + cls) 1;
-  cls = 0 && Option.is_some wg.cache
+  match wg.cache with
+  | Some (cache, reuse) when cls = 0 ->
+    let aid = t lsr 34 and line = t land 0xFFFF_FFFF in
+    let { Cache.o_hit; o_evicted } = Cache.access cache ~aid ~line in
+    count wg k (if o_hit then f_hits else f_misses) 1;
+    if o_evicted then count wg k f_evictions 1;
+    let d = Cache.reuse_access reuse ~aid ~line in
+    if d >= 0 then begin
+      count wg k f_dist_sum d;
+      count wg k f_dist_count 1;
+      add_dist wg.dists d 1
+    end
+  | _ -> ()
 
 (* Charge op [k]'s accesses by lanes [m], whose cells and transactions
    are in [cell] and [tx]. A private access costs an ALU op. The others
    coalesce per executed instruction: the transactions counted are the
-   distinct ones among the lanes that execute the op, each owned by its
-   lowest lane. *)
+   distinct ones among the lanes that execute the op, new in ascending
+   lane order. *)
 let charge_accesses g k m =
   let wg = g.wg and tx = g.tx in
   let dist = g.distinct and n = ref 0 and priv = ref 0 in
@@ -503,7 +490,7 @@ let charge_accesses g k m =
         if !j < 0 then begin
           Array.unsafe_set dist !n t;
           incr n;
-          if new_transaction wg k t then buffer_probe wg (g.first + l) k t
+          new_transaction wg k t
         end
       end
     end
@@ -512,42 +499,8 @@ let charge_accesses g k m =
   let shared = lanes_in g m - !priv in
   if shared > 0 then count wg k f_accesses shared
 
-(* Probe the cache with the phase's buffered transactions, work-item by
-   work-item, each in its program order: the order in which work-items
-   running one after another would probe it. The cache state and every
-   hit, miss, eviction and reuse distance then follow from that order
-   alone. *)
-let flush_probes wg =
-  match wg.cache with
-  | None -> ()
-  | Some (cache, reuse) ->
-    for li = 0 to Array.length wg.probes - 1 do
-      let buf = wg.probes.(li) in
-      for e = 0 to wg.n_probes.(li) - 1 do
-        let k = buf.(2 * e) in
-        if k >= 0 then begin
-          let t = buf.((2 * e) + 1) in
-          let aid = t lsr 34 and line = t land 0xFFFF_FFFF in
-          let { Cache.o_hit; o_evicted } = Cache.access cache ~aid ~line in
-          count wg k (if o_hit then f_hits else f_misses) 1;
-          if o_evicted then count wg k f_evictions 1;
-          let d = Cache.reuse_access reuse ~aid ~line in
-          if d >= 0 then begin
-            count wg k f_dist_sum d;
-            count wg k f_dist_count 1;
-            add_dist wg.dists d 1
-          end
-        end
-      done;
-      wg.n_probes.(li) <- 0
-    done
-
-(* A barrier phase of the group ended: close its race record, probe its
-   transactions. *)
-let end_phase wg =
-  Option.iter Memory.footprint_end_phase wg.footprint;
-  flush_probes wg;
-  wg.phase <- wg.phase + 1
+(* A barrier phase of the group ended: close its race record. *)
+let end_phase wg = Option.iter Memory.footprint_end_phase wg.footprint
 
 (* Under race checking: lanes [m] of op [name] at [loc] accessed the
    cells in [cell] of the allocations slot [mem] refers to. *)
@@ -2202,7 +2155,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         (fun c -> (c, Cache.reuse_create ()))
         (Cache.create params cache_model)
     in
-    let per_item n v = if Option.is_some cache then Array.make n v else [||] in
     let wg =
       {
         params;
@@ -2213,9 +2165,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         cache_model;
         cache;
         dists = { counts = [||] };
-        probes = per_item items_per_group [||];
-        n_probes = per_item items_per_group 0;
-        phase = 0;
         cur_barrier = -1;
       }
     in
@@ -2269,7 +2218,6 @@ let launch ?(config = Sim_config.default) ?metrics ?attribution ?program
         Cache.reuse_reset reuse
       | None -> ());
       wg.cur_barrier <- -1;
-      wg.phase <- 0;
       Array.iter
         (fun sg ->
           for d = 0 to nd - 1 do

@@ -14,11 +14,13 @@
     barrier run as plain calls, in order.
 
     Costs are accumulated per work-group: ALU cycles per executed op and
-    lane, memory transactions per (instruction, occurrence, sub-group)
-    with cache-line coalescing, and barrier costs. Private memory is
-    treated as registers (no transaction cost). Every count, cache probe
-    and error is the one the work-items of a group running one after
-    another, in local-id order, would give. *)
+    lane, memory transactions per executed instruction, coalesced into
+    cache lines over the lanes that execute it, and barrier costs. Under
+    a cache model each new global transaction probes the group's cache
+    at once, in execution order: sub-groups in order, lanes in lockstep.
+    Private memory is treated as registers (no transaction cost). A
+    launch's error is the one the work-items of a group running one
+    after another, in local-id order, would give. *)
 
 open Mlir
 

@@ -32,9 +32,9 @@ module Service = Sycl_service.Service
    v6: every workload carries a "cache" section from an extra SYCL-MLIR
    run under the direct-mapped cache model (--cache-model dm):
    hit/miss/eviction counters, the hit rate and the exact
-   reuse-distance percentiles. All deterministic (the cache is probed
-   in canonical order), so a transform that quietly destroys locality
-   changes the report. *)
+   reuse-distance percentiles. All deterministic (each group probes its
+   own cache in execution order), so a transform that quietly destroys
+   locality changes the report. *)
 let schema_version = 6
 
 (** One hotspot line of a workload's located SYCL-MLIR run. *)
@@ -74,7 +74,8 @@ type compile_metrics = {
 
 (** The v6 "cache" section: hit/miss counters and reuse-distance
     percentiles of an extra SYCL-MLIR run under the direct-mapped cache
-    model. Deterministic — the probe order is canonical. *)
+    model. Deterministic — each group probes its own cache in execution
+    order, sub-groups in order and lanes in lockstep. *)
 type cache_metrics = {
   ca_hits : int;
   ca_misses : int;

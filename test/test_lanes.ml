@@ -1,13 +1,16 @@
 (* The simulator's outputs pinned exactly: one digest over every run of
-   the evaluation corpus under the three cache models, and small kernels
+   the evaluation corpus under the three cache models, small kernels
    whose work-items of one sub-group take different paths — a partial
    last sub-group, a load under a branch that alternates inside a loop,
    a loop whose trip count is the local id, a device-function call under
    a branch, two work-items failing at different points, and a barrier
-   in each branch of a divergent if. The values are those of the
-   group's work-items run one after another in local-id order, which
-   lockstep execution must reproduce; the divergent if's barriers are
-   the one case it reports differently, as the divergence it is. *)
+   in each branch of a divergent if — and rows whose lockstep loads
+   conflict in the cache's sets. A memory op coalesces the lanes that
+   execute it, each time it executes, and probes the cache in execution
+   order: sub-groups in order, lanes in lockstep. The error is the one
+   the group's work-items run one after another in local-id order would
+   give; a barrier in each branch of a divergent if is the divergence it
+   is. *)
 
 open Mlir
 module A = Dialects.Arith
@@ -39,12 +42,14 @@ let kernel ?(name = "k") f =
   (m, k)
 
 (* Launch [kernel] over [global] items in groups of [wg] under
-   [cache_model], with [a] holding 0., 1., ... and [c] zeros; what it
-   leaves is its launch statistics, then one MD5 over its attribution
-   table, cache view and the final contents of [c]. *)
-let observe ?(cache_model = Cost.Flat) ~global ~wg (m, k) =
-  let a = Memory.alloc ~label:"a" ~size:global () in
-  for i = 0 to global - 1 do
+   [cache_model], with [a] ([a_size] cells, default [global]) holding
+   0., 1., ... and [c] zeros; what it leaves is its launch statistics,
+   then one MD5 over its attribution table, cache view and the final
+   contents of [c]. *)
+let observe ?(cache_model = Cost.Flat) ?(a_size = 0) ~global ~wg (m, k) =
+  let a_size = max a_size global in
+  let a = Memory.alloc ~label:"a" ~size:a_size () in
+  for i = 0 to a_size - 1 do
     Memory.set_float a i (float_of_int i)
   done;
   let c = Memory.alloc ~label:"c" ~size:global () in
@@ -90,7 +95,7 @@ let lane_cases =
             ( "alu=720 fdiv=48 mem(g=52 l=0 c=0) barriers=2 wgs=2 items=48 "
               ^ "cycles(total=764 max=394) "
               ^ "cache(hits=42 misses=10 evict=0 wait=480)",
-              "eaf2be9b5086c6e87a1f5ffc60362d61" )
+              "0846498580a131b48dc23df4037b8aa6" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
                 let x = K.acc_get b a [ gid ] in
@@ -113,7 +118,7 @@ let lane_cases =
             ( "alu=2624 fdiv=576 mem(g=128 l=0 c=0) barriers=0 wgs=2 items=64 "
               ^ "cycles(total=1492 max=746) "
               ^ "cache(hits=116 misses=12 evict=0 wait=576)",
-              "dc23d192b52d5bd1659802d2d2f8c617" )
+              "22ce1bbf5179d31e8cca8bfe06c73778" )
           (fun () ->
             kernel (fun _ b ~item:_ ~lid ~gid c a ->
                 K.for_up b (K.idx b 6) (fun b i ->
@@ -257,7 +262,47 @@ let corpus_digest =
               workloads)
           [ Cost.Flat; Cost.Direct_mapped; Cost.Set_associative ]
       in
-      Alcotest.(check string) "digest" "0627534b48e720edac731228cf2a2a20"
+      Alcotest.(check string) "digest" "7da01b7c5d3aaa4910a9234c683c8fb9"
         (Digest.to_hex (Digest.string (String.concat "" digests))))
 
-let tests = ("lanes", lane_cases @ [ corpus_digest ])
+(* One work-group of 16 work-items, each adding its own row of [a] into
+   c[gid] over 256 iterations. In lockstep one load reads 16 rows at
+   once. Rows 256 floats apart lie 16 lines apart, and [line mod
+   num_sets] puts them in 4 of the 64 direct-mapped sets, or in 1 of the
+   16 four-way sets: every one of the 4096 loads of [a] misses, and the
+   495 hits are [c]'s. Rows padded to 272 floats spread over the sets. *)
+let set_conflicts =
+  Alcotest.test_case "rows 256 floats apart conflict in the cache's sets"
+    `Quick (fun () ->
+      let rows stride =
+        kernel (fun _ b ~item:_ ~lid:_ ~gid c a ->
+            K.for_up b (K.idx b 256) (fun b i ->
+                accumulate b c a ~gid
+                  (K.addi b (K.muli b gid (K.idx b stride)) i)))
+      in
+      let stats = "alu=24608 fdiv=0 mem(g=4608 l=0 c=0) barriers=0 wgs=1 items=16 " in
+      List.iter
+        (fun (stride, model, want) ->
+          let got, _ =
+            observe ~cache_model:model ~a_size:(16 * stride) ~global:16 ~wg:16
+              (rows stride)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "stride %d, %s" stride (Cost.model_to_string model))
+            (stats ^ want) got)
+        [
+          ( 256, Cost.Direct_mapped,
+            "cycles(total=200942 max=200942) "
+            ^ "cache(hits=495 misses=4113 evict=4049 wait=197424)" );
+          ( 256, Cost.Set_associative,
+            "cycles(total=200942 max=200942) "
+            ^ "cache(hits=495 misses=4113 evict=4049 wait=197424)" );
+          ( 272, Cost.Direct_mapped,
+            "cycles(total=38098 max=38098) "
+            ^ "cache(hits=4196 misses=412 evict=348 wait=19776)" );
+          ( 272, Cost.Set_associative,
+            "cycles(total=31278 max=31278) "
+            ^ "cache(hits=4351 misses=257 evict=193 wait=12336)" );
+        ])
+
+let tests = ("lanes", lane_cases @ [ corpus_digest; set_conflicts ])
