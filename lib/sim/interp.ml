@@ -1407,6 +1407,7 @@ and op_code d k (op : Core.op) : code =
         Array.unsafe_set g.vals (at r l) (Mem (Memory.full_view ~dims a)))
   | "gpu.alloc_local" ->
     let local_slot = Option.value ~default:0 (Core.attr_int op "slot") in
+    let label = Printf.sprintf "wg-local#%d" local_slot in
     let size, dims = alloc_size_of_type (Core.result op 0).Core.vty in
     let r = boxed_result () in
     lanewise [||] r (fun g l ->
@@ -1414,7 +1415,7 @@ and op_code d k (op : Core.op) : code =
           match Hashtbl.find g.wg.locals local_slot with
           | a -> a
           | exception Not_found ->
-            let a = Memory.alloc ~label:"wg-local" ~space:Types.Local ~size () in
+            let a = Memory.alloc ~label ~space:Types.Local ~size () in
             Hashtbl.replace g.wg.locals local_slot a;
             a
         in

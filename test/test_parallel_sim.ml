@@ -215,6 +215,11 @@ let tests_list =
             (c.Memory.c_first.Memory.t_op, c.Memory.c_second.Memory.t_op);
           Alcotest.(check bool) "both located in the source" true
             (located c.Memory.c_first && located c.Memory.c_second);
+          Alcotest.(check bool) "both tiles named apart" true
+            (List.length
+               (List.sort_uniq compare
+                  (List.map (fun r -> r.Interp.ir_conflict.Memory.c_label) races))
+            >= 2);
           Alcotest.(check bool) "sorted by group, allocation and cell" true
             (List.sort compare
                (List.map
