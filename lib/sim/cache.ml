@@ -1,13 +1,13 @@
 (* Per-core (per-work-group) data cache model (ROADMAP item 3).
 
    The interpreter already coalesces every memory access into cache-line
-   transactions per executed instruction; this module
-   simulates what those *global* transactions do to a per-core data
-   cache. Every work-group starts from an empty [state] (work-groups own
-   their core for the duration of a launch in the model, matching
-   inter-group independence): the simulator makes one per chunk of
-   groups and {!reset}s it before each group. The coalescing code probes
-   it exactly once per new global transaction — so
+   transactions per executed instruction; this module simulates what
+   those *global* transactions do to a per-core data cache. Every
+   work-group starts from an empty [state] (work-groups own their core
+   for the duration of a launch in the model, matching inter-group
+   independence): the simulator makes one per chunk of groups and
+   {!reset}s it before each group. The coalescing code probes it
+   exactly once per new global transaction — so
 
        hits + misses = global_transactions
 

@@ -11,8 +11,8 @@
 
     A group runs on one domain, its sub-groups in order and their lanes
     in lockstep, so the probe sequence is independent of the domain
-    count. The per-op
-    counters of the probes live in the one {!Attribution} table.
+    count. The per-op counters of the probes live in the one
+    {!Attribution} table.
 
     Warm re-accesses additionally measure their exact LRU stack distance
     (distinct lines touched since the previous access of the same line)

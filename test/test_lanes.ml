@@ -46,8 +46,8 @@ let kernel ?(name = "k") f =
    0., 1., ... and [c] zeros; what it leaves is its launch statistics,
    then one MD5 over its attribution table, cache view and the final
    contents of [c]. *)
-let observe ?(cache_model = Cost.Flat) ?(a_size = 0) ~global ~wg (m, k) =
-  let a_size = max a_size global in
+let observe ?(cache_model = Cost.Flat) ?a_size ~global ~wg (m, k) =
+  let a_size = Option.value a_size ~default:global in
   let a = Memory.alloc ~label:"a" ~size:a_size () in
   for i = 0 to a_size - 1 do
     Memory.set_float a i (float_of_int i)
