@@ -14,8 +14,8 @@ let inline_taken_region (op : Core.op) (taken : Core.region option) =
     | Some r -> (
       let b = Core.entry_block r in
       let ops = b.Core.body in
-      match List.rev ops with
-      | term :: _ when Dialects.Scf.is_yield term ->
+      match Core.last_op b with
+      | Some term when Dialects.Scf.is_yield term ->
         let to_move = List.filter (fun o -> not (o == term)) ops in
         List.iter (fun o -> Core.move_before ~anchor:op o) to_move;
         Core.operands term

@@ -13,8 +13,8 @@ let inlinable (f : Core.op) =
   &&
   match f.Core.regions.(0).Core.blocks with
   | [ body ] -> (
-    match List.rev body.Core.body with
-    | term :: _ when term.Core.name = "func.return" ->
+    match Core.last_op body with
+    | Some term when term.Core.name = "func.return" ->
       not
         (List.exists
            (fun o ->

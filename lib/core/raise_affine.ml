@@ -24,8 +24,8 @@ let raise_loop (loop : Core.op) : bool =
       let inits = Dialects.Scf.for_iter_inits loop in
       (* Move the body block into the new op; rewrite the terminator. *)
       let body = Dialects.Scf.for_body loop in
-      (match List.rev body.Core.body with
-      | term :: _ when Dialects.Scf.is_yield term ->
+      (match Core.last_op body with
+      | Some term when Dialects.Scf.is_yield term ->
         let operands = Core.operands term in
         let b = Builder.before term in
         Builder.op0 b "affine.yield" ~operands;

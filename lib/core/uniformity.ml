@@ -185,8 +185,8 @@ let analyze (m : Core.op) : t =
           ignore i;
           match r.Core.blocks with
           | [ b ] -> (
-            match List.rev b.Core.body with
-            | term :: _ when Dialects.Scf.is_yield term ->
+            match Core.last_op b with
+            | Some term when Dialects.Scf.is_yield term ->
               List.iteri
                 (fun j y ->
                   if j < Core.num_results op then
@@ -279,8 +279,8 @@ let analyze (m : Core.op) : t =
       List.iter (eval_op f) (Core.func_body f).Core.body;
       (* Return summary. *)
       let rets =
-        match List.rev (Core.func_body f).Core.body with
-        | term :: _ when term.Core.name = "func.return" ->
+        match Core.last_op (Core.func_body f) with
+        | Some term when term.Core.name = "func.return" ->
           List.map (value t) (Core.operands term)
         | _ -> []
       in

@@ -206,6 +206,11 @@ let entry_block r =
 let block_args b = Array.to_list b.bargs
 let block_arg b i = b.bargs.(i)
 
+(** The last op of [b]: its terminator, in a block that has one. *)
+let last_op b =
+  let rec last = function [] -> None | [ o ] -> Some o | _ :: rest -> last rest in
+  last b.body
+
 let parent_op_of_block b =
   Option.bind b.parent_region (fun r -> r.parent_op)
 

@@ -81,9 +81,9 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
         (fun r ->
           List.iter
             (fun b ->
-              match List.rev b.Core.body with
-              | [] -> ()
-              | last :: _ ->
+              match Core.last_op b with
+              | None -> ()
+              | Some last ->
                 if
                   (not (Op_registry.is_terminator last))
                   && not (Core.is_module op)
@@ -113,8 +113,8 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
         op.Core.successors;
       (match op.Core.parent_block with
       | Some b -> (
-        match List.rev b.Core.body with
-        | last :: _ when last == op -> ()
+        match Core.last_op b with
+        | Some last when last == op -> ()
         | _ -> fail ~op "terminator with successors must end its block")
       | None -> ())
     end;
