@@ -272,10 +272,7 @@ let print_memory_access_on_func (f : Core.op) stats =
   if Uniformity.is_kernel f && not (Dialects.Func.is_declaration f) then begin
     let rd = Reaching_defs.analyze_with_args f in
     reportf "=== memory-access: @%s ===\n" (Core.func_sym f);
-    let loops =
-      Core.collect f ~p:(fun o ->
-          Dialects.Scf.is_for o || Dialects.Affine_ops.is_for o)
-    in
+    let loops = Core.collect f ~p:Dialects.Loop.is_loop in
     List.iter
       (fun loop ->
         let accesses = Memory_access.analyze_loop ~kernel:f rd loop in
@@ -388,10 +385,7 @@ let print_reuse_on_func (f : Core.op) stats =
   if Uniformity.is_kernel f && not (Dialects.Func.is_declaration f) then begin
     let rd = Reaching_defs.analyze_with_args f in
     reportf "=== reuse: @%s ===\n" (Core.func_sym f);
-    let loops =
-      Core.collect f ~p:(fun o ->
-          Dialects.Scf.is_for o || Dialects.Affine_ops.is_for o)
-    in
+    let loops = Core.collect f ~p:Dialects.Loop.is_loop in
     List.iter
       (fun loop ->
         let accesses = Memory_access.analyze_loop ~kernel:f rd loop in

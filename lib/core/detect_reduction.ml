@@ -11,8 +11,6 @@
 
 open Mlir
 
-let is_loop op = Dialects.Scf.is_for op || Dialects.Affine_ops.is_for op
-
 (* Same-location check: both ops access the same memref value with
    syntactically identical index operands. *)
 let same_location (mem1 : Core.value) idx1 (mem2 : Core.value) idx2 =
@@ -116,17 +114,6 @@ let find_candidate ?(report = fun _ _ -> ()) (loop : Core.op) :
     (fun ld -> List.find_map (fun st -> check ld st) stores)
     loads
 
-(** Constant (lb, ub) of either loop kind, if both are constants. *)
-let const_bounds (loop : Core.op) =
-  if Dialects.Affine_ops.is_for loop then Dialects.Affine_ops.for_const_bounds loop
-  else
-    match
-      ( Rewrite.constant_of_value (Dialects.Scf.for_lb loop),
-        Rewrite.constant_of_value (Dialects.Scf.for_ub loop) )
-    with
-    | Some (Attr.Int lb), Some (Attr.Int ub) -> Some (lb, ub)
-    | _ -> None
-
 (** Rewrite [loop] for candidate [c]: the reduced element becomes an
     iter_arg, loaded once before the loop and stored once after it. When
     the trip count is not provably positive, the whole rewritten
@@ -136,12 +123,11 @@ let const_bounds (loop : Core.op) =
 let apply (loop : Core.op) (c : candidate) : unit =
   let orig_results = Core.results loop in
   let orig_result_tys = List.map (fun r -> r.Core.vty) orig_results in
-  let orig_inits =
-    if Dialects.Scf.is_for loop then Dialects.Scf.for_iter_inits loop
-    else Dialects.Affine_ops.for_iter_inits loop
-  in
+  let orig_inits = Dialects.Loop.iter_inits loop in
   let need_guard =
-    match const_bounds loop with Some (lb, ub) -> not (lb < ub) | None -> true
+    match Dialects.Loop.const_bounds loop with
+    | Some (lb, ub) -> not (lb < ub)
+    | None -> true
   in
   (* [emit b] builds init-load + rewritten loop + final store at [b] and
      returns the rewritten loop's results corresponding to the original
@@ -156,21 +142,19 @@ let apply (loop : Core.op) (c : candidate) : unit =
   let emit (b : Builder.t) : Core.value list =
     Builder.set_default_loc b fused_loc;
     let init = Dialects.Memref.load b c.red_mem c.red_idx in
-    let old_region = loop.Core.regions.(0) in
-    let old_body = Core.entry_block old_region in
-    let new_arg = Core.add_block_arg old_body init.Core.vty in
+    let new_arg = Core.add_block_arg (Dialects.Loop.body loop) init.Core.vty in
     Core.replace_all_uses_with (Core.result c.red_load 0) new_arg;
     Core.erase_op c.red_load;
     let yielded, _, _ = Dialects.Memref.store_parts c.red_store in
     let term =
-      match List.rev old_body.Core.body with
-      | t :: _ when Op_registry.is_terminator t -> t
-      | _ -> invalid_arg "detect_reduction: loop body lacks terminator"
+      match Dialects.Loop.yield loop with
+      | Some t -> t
+      | None -> invalid_arg "detect_reduction: loop body lacks terminator"
     in
     Core.set_operands term (Core.operands term @ [ yielded ]);
     Core.erase_op c.red_store;
     (* Move the body into a fresh region for the rebuilt loop op. *)
-    let region = Core.create_region ~blocks:(Core.take_blocks old_region) () in
+    let region = Core.create_region ~blocks:(Core.take_blocks loop.Core.regions.(0)) () in
     let new_loop =
       Builder.insert b
         (Core.create_op loop.Core.name
@@ -191,19 +175,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
   else begin
     let b = Builder.before loop in
     Builder.set_default_loc b fused_loc;
-    let lb, ub =
-      if Dialects.Scf.is_for loop then
-        (Dialects.Scf.for_lb loop, Dialects.Scf.for_ub loop)
-      else
-        let of_map map operands =
-          match (map.Affine_expr.Map.exprs, operands) with
-          | [ Affine_expr.Const cst ], [] -> Dialects.Arith.const_index b cst
-          | [ Affine_expr.Dim 0 ], [ v ] -> v
-          | _ -> Dialects.Affine_ops.apply b map operands
-        in
-        ( of_map (Dialects.Affine_ops.for_lb_map loop) (Dialects.Affine_ops.for_lb_operands loop),
-          of_map (Dialects.Affine_ops.for_ub_map loop) (Dialects.Affine_ops.for_ub_operands loop) )
-    in
+    let lb, ub = Dialects.Loop.bound_values b loop in
     let cond = Dialects.Arith.cmpi b Dialects.Arith.Slt lb ub in
     let if_op =
       Dialects.Scf.if_ b cond ~result_types:orig_result_tys
@@ -238,8 +210,6 @@ let run_on_func (f : Core.op) stats =
     end
   in
   let rec optimize () =
-    let loops = ref [] in
-    Core.walk f ~f:(fun o -> if is_loop o then loops := o :: !loops);
     let applied =
       List.exists
         (fun loop ->
@@ -253,7 +223,7 @@ let run_on_func (f : Core.op) stats =
             Pass.Stats.bump stats "reduction.rewritten";
             true
           | None -> false)
-        !loops
+        (Dialects.Loop.innermost_first f)
     in
     if applied then optimize ()
   in

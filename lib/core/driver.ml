@@ -103,10 +103,6 @@ let config_key (cfg : config) : string =
    without SYCL aliasing facts. *)
 let licm_pure_pass =
   Pass.on_functions "licm-pure" (fun f stats ->
-      let loops = ref [] in
-      Core.walk f ~f:(fun o ->
-          if Dialects.Scf.is_for o || Dialects.Affine_ops.is_for o then
-            loops := o :: !loops);
       List.iter
         (fun loop ->
           let region = loop.Core.regions.(0) in
@@ -167,7 +163,7 @@ let licm_pure_pass =
                 Pass.Stats.bump stats "licm-pure.hoisted"
               end)
             body.Core.body)
-        !loops)
+        (Dialects.Loop.innermost_first f))
 
 (** The device pipeline for a configuration. Inlining and constant-trip
     unrolling are generic (every LLVM-based SYCL compiler has them); the

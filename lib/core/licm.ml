@@ -13,24 +13,6 @@
 
 open Mlir
 
-let is_loop op = Dialects.Scf.is_for op || Dialects.Affine_ops.is_for op
-
-(* Bounds of either loop kind as values (constructing constants for affine
-   map bounds when needed). *)
-let loop_bounds b (loop : Core.op) =
-  if Dialects.Scf.is_for loop then
-    (Dialects.Scf.for_lb loop, Dialects.Scf.for_ub loop)
-  else
-    let of_map map operands =
-      match (map.Affine_expr.Map.exprs, operands) with
-      | [ Affine_expr.Const c ], [] -> Dialects.Arith.const_index b c
-      | [ Affine_expr.Dim 0 ], [ v ] -> v
-      | _ ->
-        Dialects.Affine_ops.apply b map operands
-    in
-    ( of_map (Dialects.Affine_ops.for_lb_map loop) (Dialects.Affine_ops.for_lb_operands loop),
-      of_map (Dialects.Affine_ops.for_ub_map loop) (Dialects.Affine_ops.for_ub_operands loop) )
-
 (** All ops (transitively) inside [loop] except [loop] itself. *)
 let loop_ops (loop : Core.op) =
   let acc = ref [] in
@@ -255,7 +237,7 @@ let optimize_loop stats (loop : Core.op) =
          adds (bound reads, compare, distinct checks, scf.if) inherits
          the loop's source location. *)
       Builder.set_default_loc b loop.Core.loc;
-      let lb, ub = loop_bounds b loop in
+      let lb, ub = Dialects.Loop.bound_values b loop in
       let trip_ok = Dialects.Arith.cmpi b Dialects.Arith.Slt lb ub in
       let guard =
         List.fold_left
@@ -303,9 +285,6 @@ let optimize_loop stats (loop : Core.op) =
   end
 
 let run_on_func (f : Core.op) stats =
-  (* Innermost first. *)
-  let loops = ref [] in
-  Core.walk f ~f:(fun o -> if is_loop o then loops := o :: !loops);
-  List.iter (fun l -> ignore (optimize_loop stats l)) !loops
+  List.iter (fun l -> ignore (optimize_loop stats l)) (Dialects.Loop.innermost_first f)
 
 let pass = Pass.on_functions "licm" run_on_func

@@ -27,8 +27,6 @@ type candidate = {
   cand_accessor : Core.value;
 }
 
-let is_loop op = Dialects.Scf.is_for op || Dialects.Affine_ops.is_for op
-
 let remark = Remarks.emit ~pass:"loop-internalization"
 
 (** Decompose the access-matrix rows of [a] against the candidate loop
@@ -140,32 +138,6 @@ type tile = {
 (* The transformation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let loop_step (loop : Core.op) =
-  if Dialects.Scf.is_for loop then
-    match Rewrite.constant_of_value (Dialects.Scf.for_step loop) with
-    | Some (Attr.Int s) -> Some s
-    | _ -> None
-  else Some (Dialects.Affine_ops.for_step loop)
-
-let loop_bound_values b (loop : Core.op) =
-  if Dialects.Scf.is_for loop then
-    (Dialects.Scf.for_lb loop, Dialects.Scf.for_ub loop)
-  else
-    let of_map map operands =
-      match (map.Affine_expr.Map.exprs, operands) with
-      | [ Affine_expr.Const c ], [] -> Dialects.Arith.const_index b c
-      | [ Affine_expr.Dim 0 ], [ v ] -> v
-      | _ -> Dialects.Affine_ops.apply b map operands
-    in
-    ( of_map (Dialects.Affine_ops.for_lb_map loop) (Dialects.Affine_ops.for_lb_operands loop),
-      of_map (Dialects.Affine_ops.for_ub_map loop) (Dialects.Affine_ops.for_ub_operands loop) )
-
-let loop_iter_inits (loop : Core.op) =
-  if Dialects.Scf.is_for loop then Dialects.Scf.for_iter_inits loop
-  else Dialects.Affine_ops.for_iter_inits loop
-
-let loop_body_block (loop : Core.op) = Core.entry_block loop.Core.regions.(0)
-
 (** Apply the transformation to [loop] in [kernel] for [cands]. [m] is the
     square work-group tile size. *)
 let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : int)
@@ -232,7 +204,7 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
   in
   let b = Builder.before loop in
   Builder.set_default_loc b fused_loc;
-  let lb, ub = loop_bound_values b loop in
+  let lb, ub = Dialects.Loop.bound_values b loop in
   let m_c = Dialects.Arith.const_index b m in
   let zero = Dialects.Arith.const_index b 0 in
   (* Versioning: range > 0 && range mod M == 0. *)
@@ -256,15 +228,15 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
       List.fold_left check_dim ok (List.init kd Fun.id)
   in
   let orig_result_tys = List.map (fun r -> r.Core.vty) (Core.results loop) in
-  let orig_inits = loop_iter_inits loop in
+  let orig_inits = Dialects.Loop.iter_inits loop in
   let orig_clone = Core.clone_op loop in
-  let body = loop_body_block loop in
-  let orig_iv = Core.block_arg body 0 in
-  let orig_iter_args = List.tl (Core.block_args body) in
+  let body = Dialects.Loop.body loop in
+  let orig_iv = Dialects.Loop.iv loop in
+  let orig_iter_args = Dialects.Loop.iter_args loop in
   let orig_term =
-    match List.rev body.Core.body with
-    | t :: _ when Op_registry.is_terminator t -> t
-    | _ -> invalid_arg "loop_internalization: no terminator"
+    match Dialects.Loop.yield loop with
+    | Some t -> t
+    | None -> invalid_arg "loop_internalization: no terminator"
   in
   let orig_yields = Core.operands orig_term in
   let if_op =
@@ -431,10 +403,8 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
 let innermost_loops (f : Core.op) =
   let loops = ref [] in
   Core.walk f ~f:(fun o ->
-      if is_loop o then begin
-        let has_nested_loop =
-          Core.find_first o ~p:(fun n -> (not (n == o)) && is_loop n) <> None
-        in
+      if Dialects.Loop.is_loop o then begin
+        let has_nested_loop = Core.find_first o ~p:Dialects.Loop.is_loop <> None in
         if not has_nested_loop then loops := o :: !loops
       end);
   List.rev !loops
@@ -455,20 +425,12 @@ let run_on_kernel (uniformity : Uniformity.t Lazy.t) (kernel : Core.op) stats =
     let rd = lazy (Reaching_defs.analyze_with_args kernel) in
     List.iter
       (fun loop ->
-        let bound_operands =
-          if Dialects.Scf.is_for loop then
-            [ Dialects.Scf.for_lb loop; Dialects.Scf.for_ub loop;
-              Dialects.Scf.for_step loop ]
-          else
-            Dialects.Affine_ops.for_lb_operands loop
-            @ Dialects.Affine_ops.for_ub_operands loop
-        in
         let uniformity = Lazy.force uniformity in
         if
           Uniformity.in_divergent_region uniformity loop
           || List.exists
                (fun v -> Uniformity.value uniformity v <> Uniformity.Uniform)
-               bound_operands
+               (Dialects.Loop.bound_operands loop)
         then begin
           remark ~name:"rejected-divergent" Remarks.Missed ~op:loop
             "loop not internalized: it sits in a divergent region or has \
@@ -476,7 +438,7 @@ let run_on_kernel (uniformity : Uniformity.t Lazy.t) (kernel : Core.op) stats =
              deadlock";
           Pass.Stats.bump stats "internalization.rejected-divergent"
         end
-        else if loop_step loop <> Some 1 then
+        else if Dialects.Loop.const_step loop <> Some 1 then
           remark ~name:"rejected-step" Remarks.Missed ~op:loop
             "loop not internalized: only unit-step loops are tiled"
         else begin

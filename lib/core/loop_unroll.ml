@@ -10,19 +10,9 @@ open Mlir
 let threshold = 16
 
 let const_trip (loop : Core.op) =
-  if Dialects.Scf.is_for loop then
-    match
-      ( Rewrite.constant_of_value (Dialects.Scf.for_lb loop),
-        Rewrite.constant_of_value (Dialects.Scf.for_ub loop),
-        Rewrite.constant_of_value (Dialects.Scf.for_step loop) )
-    with
-    | Some (Attr.Int lb), Some (Attr.Int ub), Some (Attr.Int step) when step > 0 ->
-      Some (lb, ub, step)
-    | _ -> None
-  else
-    match Dialects.Affine_ops.for_const_bounds loop with
-    | Some (lb, ub) -> Some (lb, ub, Dialects.Affine_ops.for_step loop)
-    | None -> None
+  match (Dialects.Loop.const_bounds loop, Dialects.Loop.const_step loop) with
+  | Some (lb, ub), Some step -> Some (lb, ub, step)
+  | _ -> None
 
 let body_size (loop : Core.op) =
   let n = ref 0 in
@@ -31,19 +21,15 @@ let body_size (loop : Core.op) =
 
 let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
   let b = Builder.before loop in
-  let body = Core.entry_block loop.Core.regions.(0) in
-  let iv = Core.block_arg body 0 in
-  let iter_args = List.tl (Core.block_args body) in
-  let inits =
-    if Dialects.Scf.is_for loop then Dialects.Scf.for_iter_inits loop
-    else Dialects.Affine_ops.for_iter_inits loop
-  in
+  let body = Dialects.Loop.body loop in
+  let iv = Dialects.Loop.iv loop in
+  let iter_args = Dialects.Loop.iter_args loop in
   let term =
-    match List.rev body.Core.body with
-    | t :: _ when Op_registry.is_terminator t -> t
-    | _ -> invalid_arg "loop_unroll: no terminator"
+    match Dialects.Loop.yield loop with
+    | Some t -> t
+    | None -> invalid_arg "loop_unroll: no terminator"
   in
-  let carried = ref inits in
+  let carried = ref (Dialects.Loop.iter_inits loop) in
   let i = ref lb in
   while !i < ub do
     let value_map = Hashtbl.create 32 in
@@ -91,22 +77,13 @@ let run_on_func (f : Core.op) stats =
   let changed = ref true in
   while !changed do
     changed := false;
-    let loops =
-      Core.collect f ~p:(fun o ->
-          Dialects.Scf.is_for o || Dialects.Affine_ops.is_for o)
-    in
-    (* Innermost first (post-order). *)
     List.iter
       (fun loop ->
         if loop.Core.parent_block <> None then
           match const_trip loop with
           | Some (lb, ub, step) ->
             let trips = if ub <= lb then 0 else ((ub - lb) + step - 1) / step in
-            let innermost =
-              Core.find_first loop ~p:(fun o ->
-                  Dialects.Scf.is_for o || Dialects.Affine_ops.is_for o)
-              = None
-            in
+            let innermost = Core.find_first loop ~p:Dialects.Loop.is_loop = None in
             if
               trips * body_size loop <= threshold * threshold
               && trips <= threshold
@@ -130,7 +107,7 @@ let run_on_func (f : Core.op) stats =
             reject loop "non-constant"
               "loop not unrolled: bounds or step are not compile-time \
                constants")
-      (List.rev loops)
+      (Dialects.Loop.innermost_first f)
   done
 
 let pass = Pass.on_functions "loop-unroll" run_on_func

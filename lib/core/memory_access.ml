@@ -78,7 +78,7 @@ let rec expr_of (env : env) (v : Core.value) : Affine_expr.t option =
   | Core.Block_arg (blk, 0) -> (
     (* Possibly a loop induction variable. *)
     match Core.parent_op_of_block blk with
-    | Some owner when Dialects.Scf.is_for owner || Dialects.Affine_ops.is_for owner ->
+    | Some owner when Dialects.Loop.is_loop owner ->
       Some (Affine_expr.Dim (column env (Loop_iv owner.Core.oid)))
     | _ -> None)
   | Core.Block_arg _ -> None

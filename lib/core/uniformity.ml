@@ -77,10 +77,7 @@ let rec guarding_values (op : Core.op) : Core.value list =
   | Some p ->
     let here =
       if Dialects.Scf.is_if p then [ Core.operand p 0 ]
-      else if Dialects.Scf.is_for p then
-        [ Dialects.Scf.for_lb p; Dialects.Scf.for_ub p; Dialects.Scf.for_step p ]
-      else if Dialects.Affine_ops.is_for p then
-        Dialects.Affine_ops.for_lb_operands p @ Dialects.Affine_ops.for_ub_operands p
+      else if Dialects.Loop.is_loop p then Dialects.Loop.bound_operands p
       else []
     in
     if Core.is_func p then [] else here @ guarding_values p
@@ -139,31 +136,14 @@ let analyze (m : Core.op) : t =
     let operand_lat = joins (List.map (value t) (Core.operands op)) in
     if info.Op_registry.non_uniform_source then
       List.iter (fun r -> set_value t r Non_uniform changed) (Core.results op)
-    else if Dialects.Scf.is_for op || Dialects.Affine_ops.is_for op then begin
+    else if Dialects.Loop.is_loop op then begin
       (* iv: uniform iff the bounds are; iter args: join of inits and
          yields; results likewise. *)
-      let body = Core.entry_block op.Core.regions.(0) in
-      let iv = Core.block_arg body 0 in
-      let bound_lat =
-        if Dialects.Scf.is_for op then
-          joins (List.map (value t)
-                   [ Dialects.Scf.for_lb op; Dialects.Scf.for_ub op; Dialects.Scf.for_step op ])
-        else
-          joins (List.map (value t)
-                   (Dialects.Affine_ops.for_lb_operands op
-                   @ Dialects.Affine_ops.for_ub_operands op))
-      in
-      set_value t iv bound_lat changed;
-      let iter_args = List.tl (Core.block_args body) in
-      let inits =
-        if Dialects.Scf.is_for op then Dialects.Scf.for_iter_inits op
-        else Dialects.Affine_ops.for_iter_inits op
-      in
+      let bound_lat = joins (List.map (value t) (Dialects.Loop.bound_operands op)) in
+      set_value t (Dialects.Loop.iv op) bound_lat changed;
+      let inits = Dialects.Loop.iter_inits op in
       let yields =
-        match List.rev body.Core.body with
-        | term :: _ when Dialects.Scf.is_yield term || Dialects.Affine_ops.is_yield term ->
-          Core.operands term
-        | _ -> []
+        match Dialects.Loop.yield op with Some term -> Core.operands term | None -> []
       in
       List.iteri
         (fun i arg ->
@@ -176,7 +156,7 @@ let analyze (m : Core.op) : t =
           in
           set_value t arg l changed;
           set_value t (Core.result op i) l changed)
-        iter_args
+        (Dialects.Loop.iter_args op)
     end
     else if Dialects.Scf.is_if op then begin
       let cond_l = value t (Core.operand op 0) in

@@ -40,8 +40,9 @@ let for_ b ~lb ~ub ?(step = 1) ?(iter_args = []) body =
 let is_for op = op.Core.name = "affine.for"
 let is_yield op = op.Core.name = "affine.yield"
 
-let for_body op = Core.entry_block op.Core.regions.(0)
-let for_iter_args op = List.tl (Core.block_args (for_body op))
+let for_iter_args op = List.tl (Core.block_args (Core.entry_block op.Core.regions.(0)))
+
+(** The step attribute; 1 when absent. *)
 let for_step op = Option.value ~default:1 (Core.attr_int op "step")
 
 let for_lb_map op =
@@ -68,12 +69,6 @@ let for_iter_inits op =
   let n_iter = List.length (for_iter_args op) in
   let total = Core.num_operands op in
   List.filteri (fun i _ -> i >= total - n_iter) (Core.operands op)
-
-(** Constant trip bounds, when both maps are constant single-result. *)
-let for_const_bounds op =
-  match ((for_lb_map op).Affine_expr.Map.exprs, (for_ub_map op).Affine_expr.Map.exprs) with
-  | [ Affine_expr.Const lb ], [ Affine_expr.Const ub ] -> Some (lb, ub)
-  | _ -> None
 
 (** affine.load %mem[map(operands)] *)
 let load b mem map operands =

@@ -54,7 +54,6 @@ let for_step op = Core.operand op 2
 let for_iter_inits op = List.filteri (fun i _ -> i >= 3) (Core.operands op)
 
 let for_body op = Core.entry_block op.Core.regions.(0)
-let for_iter_args op = List.tl (Core.block_args (for_body op))
 
 let () =
   Op_registry.register "scf.for"

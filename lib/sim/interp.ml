@@ -612,10 +612,6 @@ let split_block (b : Core.block) =
   in
   go [] b.Core.body
 
-let loop_iter_inits (op : Core.op) =
-  if op.Core.name = "scf.for" then Dialects.Scf.for_iter_inits op
-  else Dialects.Affine_ops.for_iter_inits op
-
 (* The kind of every value of [kernel] and the device functions it
    calls, by value id. arith.select results, loop-carried values and
    scf.if results take the join of the values flowing into them, so
@@ -665,11 +661,10 @@ let infer_kinds funcs (kernel : Core.op) =
         raise_to (Core.result o 0)
           (join (kind (Core.operand o 1)) (kind (Core.operand o 2)))
       | "scf.for" | "affine.for" ->
-        let body = Core.entry_block o.Core.regions.(0) in
-        raise_to (Core.block_arg body 0) Kint;
-        let inits = Array.of_list (loop_iter_inits o) in
-        let yields = block body in
-        let iter = Array.sub body.Core.bargs 1 (Array.length body.Core.bargs - 1) in
+        raise_to (Dialects.Loop.iv o) Kint;
+        let inits = Array.of_list (Dialects.Loop.iter_inits o) in
+        let yields = block (Dialects.Loop.body o) in
+        let iter = Array.of_list (Dialects.Loop.iter_args o) in
         flow [ inits; yields ] iter;
         flow [ inits; yields ] o.Core.results
       | "scf.if" ->
@@ -1303,9 +1298,11 @@ and op_code d k (op : Core.op) : code =
   in
   (* The part of scf.for and affine.for after their lanes' bounds: the
      loop of {!run_loop}, its carried values moved through temporaries. *)
-  let loop ~body_block ~iter ~inits bounds =
-    let iv = in_bank bank_int (slot d (Core.block_arg body_block 0)) in
-    let body = decode_block d body_block and res = results () in
+  let loop bounds =
+    let inits = slots d (Dialects.Loop.iter_inits op) in
+    let iter = slots d (Dialects.Loop.iter_args op) in
+    let iv = in_bank bank_int (slot d (Dialects.Loop.iv op)) in
+    let body = decode_block d (Dialects.Loop.body op) and res = results () in
     let temps = temps d ~srcs:[ inits; body.yields ] ~dsts:[ iter; res ] in
     let cur = fresh_slot d bank_int and ub = fresh_slot d bank_int
     and step = fresh_slot d bank_int in
@@ -1455,10 +1452,7 @@ and op_code d k (op : Core.op) : code =
       (store v (Array.append [| v; mem |] dims) (affine_address m mem dims))
   | "scf.for" ->
     let lb = operand 0 and ub = operand 1 and step = operand 2 in
-    loop ~body_block:(Dialects.Scf.for_body op)
-      ~iter:(slots d (Dialects.Scf.for_iter_args op))
-      ~inits:(slots d (Dialects.Scf.for_iter_inits op))
-      (fun ~cur ~ub:ubs ~step:steps g m ->
+    loop (fun ~cur ~ub:ubs ~step:steps g m ->
         let active = ref 0 in
         for l = 0 to g.last do
           if m land (1 lsl l) <> 0 then begin
@@ -1481,9 +1475,7 @@ and op_code d k (op : Core.op) : code =
     let lbm = amap (A.for_lb_map op) and lbs = slots d (A.for_lb_operands op) in
     let ubm = amap (A.for_ub_map op) and ubs = slots d (A.for_ub_operands op) in
     let step = A.for_step op in
-    loop ~body_block:(A.for_body op) ~iter:(slots d (A.for_iter_args op))
-      ~inits:(slots d (A.for_iter_inits op))
-      (fun ~cur ~ub ~step:steps g m ->
+    loop (fun ~cur ~ub ~step:steps g m ->
         let active = ref 0 in
         let bound map ss l =
           Array.iter (fun s -> need g s l) ss;

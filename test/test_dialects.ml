@@ -156,7 +156,7 @@ let tests_list =
         let loop = List.hd (Core.collect_named f "affine.for") in
         check_int "step" 3 (Dialects.Affine_ops.for_step loop);
         check_bool "no const bounds (ub dynamic)" true
-          (Dialects.Affine_ops.for_const_bounds loop = None);
+          (Dialects.Loop.const_bounds loop = None);
         check_int "one ub operand" 1
           (List.length (Dialects.Affine_ops.for_ub_operands loop));
         check_int "no lb operands" 0

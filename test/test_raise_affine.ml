@@ -32,7 +32,7 @@ let tests_list =
         Alcotest.(check int) "no scf.for left" 0 (Helpers.count_ops f "scf.for");
         let loop = List.hd (Core.collect_named f "affine.for") in
         Alcotest.(check bool) "constant bounds recovered" true
-          (Dialects.Affine_ops.for_const_bounds loop = Some (0, 10)));
+          (Dialects.Loop.const_bounds loop = Some (0, 10)));
     Alcotest.test_case "dynamic ub raises with an identity map operand" `Quick
       (fun () ->
         let m, f =
