@@ -115,6 +115,8 @@ let () =
           let* () = Verifier.check_num_regions op 1 in
           if Core.num_results op <> List.length (for_iter_args op) then
             Error "affine.for results must match iter_args"
+          else if for_step op <= 0 then
+            Error (Printf.sprintf "affine.for step must be positive, got %d" (for_step op))
           else Ok ());
     };
   Op_registry.register "affine.yield"

@@ -74,6 +74,38 @@ let tests_list =
                    ~result_types:[ Types.f32 ] ~regions:[ region ]))
         in
         expect_invalid ~msg:"bad scf.for accepted" m);
+    Alcotest.test_case "affine.for with a step of 0 or -1 rejected at its location"
+      `Quick (fun () ->
+        let verify step_attr =
+          Verifier.verify
+            (Parser.parse_module ~file:"step.mlir"
+               (Printf.sprintf
+                  "builtin.module() ({\n\
+                  \  func.func() ({\n\
+                  \    affine.for() ({\n\
+                  \    ^bb0(%%0: index):\n\
+                  \      affine.yield()\n\
+                  \    }) {lb_count = 0, lb_map = affine_map<() -> (0)>, %sub_map = \
+                   affine_map<() -> (8)>} : () -> ()\n\
+                  \    func.return()\n\
+                  \  }) {function_type = () -> (), sym_name = \"f\"}\n\
+                   })"
+                  step_attr))
+        in
+        List.iter
+          (fun step ->
+            match verify (Printf.sprintf "step = %d, " step) with
+            | Error [ d ] ->
+              let prefix =
+                Printf.sprintf "step.mlir:3:5: affine.for step must be positive, got %d"
+                  step
+              in
+              let msg = Verifier.diag_to_string d in
+              if not (String.starts_with ~prefix msg) then
+                Alcotest.failf "step %d: %s" step msg
+            | _ -> Alcotest.failf "step %d: expected one diagnostic" step)
+          [ 0; -1 ];
+        Alcotest.(check bool) "an absent step reads as 1" true (verify "" = Ok ()));
     Alcotest.test_case "scf.if with results requires else" `Quick (fun () ->
         let m, _f =
           Helpers.with_func (fun b _ ->
