@@ -69,6 +69,47 @@ let tests_list =
         Alcotest.(check int) "one iter arg" 1
           (List.length (Dialects.Affine_ops.for_iter_args loop));
         Alcotest.(check int) "one result" 1 (Core.num_results loop));
+    Alcotest.test_case "an scf.for and its raised twin answer the loop questions alike"
+      `Quick (fun () ->
+        let m, f =
+          Helpers.with_func ~results:[ Types.f32 ] (fun b _ ->
+              let zero = A.const_index b 0 in
+              let eight = A.const_index b 8 in
+              let two = A.const_index b 2 in
+              let init = A.const_float b 1.0 in
+              let loop =
+                Dialects.Scf.for_ b ~lb:zero ~ub:eight ~step:two ~iter_args:[ init ]
+                  (fun bb _ args -> [ A.addf bb (List.hd args) (List.hd args) ])
+              in
+              Dialects.Func.return b [ Core.result loop 0 ])
+        in
+        let module L = Dialects.Loop in
+        let answers loop =
+          let yielded =
+            match L.yield loop with
+            | Some t -> List.map (fun v -> v.Core.vid) (Core.operands t)
+            | None -> []
+          in
+          ( (L.body loop).Core.bid,
+            (L.iv loop).Core.vid,
+            List.map (fun v -> v.Core.vid) (L.iter_args loop),
+            List.map (fun v -> v.Core.vid) (L.iter_inits loop),
+            yielded,
+            L.const_bounds loop,
+            L.const_step loop )
+        in
+        let scf = List.hd (Core.collect_named f "scf.for") in
+        Alcotest.(check bool) "scf.for is a loop" true (L.is_loop scf);
+        let before = answers scf in
+        ignore (raise_m m);
+        Helpers.check_verifies m;
+        let raised = List.hd (Core.collect_named f "affine.for") in
+        Alcotest.(check bool) "affine.for is a loop" true (L.is_loop raised);
+        let _, _, _, _, yielded, bounds, step = answers raised in
+        Alcotest.(check bool) "one value yielded" true (List.length yielded = 1);
+        Alcotest.(check bool) "bounds" true (bounds = Some (0, 8));
+        Alcotest.(check bool) "step" true (step = Some 2);
+        Alcotest.(check bool) "same answers" true (answers raised = before));
     Alcotest.test_case "raised gemm kernel still optimizes and validates" `Quick
       (fun () ->
         let w = Sycl_workloads.Polybench.gemm ~n:16 in

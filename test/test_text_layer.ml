@@ -175,6 +175,31 @@ let corpus_digest =
       Alcotest.(check string) "md5" "cb9b7cb0f717cf6a505711d61a74c7c1"
         (Digest.to_hex (Digest.string (Buffer.contents buf))))
 
+(* No default pipeline raises scf.for to affine.for, so the digest above
+   never reaches a pass's affine.for branch. This one raises each module
+   first and pins the print after compiling it under each default
+   configuration, and how many loops were raised. *)
+let raised_corpus_digest =
+  Alcotest.test_case "printed raised-corpus digest" `Quick (fun () ->
+      let buf = Buffer.create (1 lsl 20) in
+      let raised = ref 0 in
+      List.iter
+        (fun (w : Common.workload) ->
+          let text = Printer.to_string (w.Common.w_module ()) in
+          List.iter
+            (fun cfg ->
+              let m = Parser.parse_module ~file:(w.Common.w_name ^ ".mlir") text in
+              let stats = Pass.Stats.create () in
+              Sycl_core.Raise_affine.pass.Pass.run m stats;
+              raised := !raised + Pass.Stats.get stats "raise-affine.raised";
+              ignore (Driver.compile cfg m);
+              Buffer.add_string buf (Printer.to_string m))
+            Common.default_configs)
+        (Suite.all () @ Suite.extensions ());
+      Alcotest.(check int) "affine.for loops raised" 114 !raised;
+      Alcotest.(check string) "md5" "0a1c58a0d4b912fab2503913e3b16c95"
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+
 (* ------------------------------------------------------------------ *)
 (* Deep nesting                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -209,4 +234,5 @@ let deep_cases =
             ~attrs:[ ("a", attr depth) ]));
   ]
 
-let tests = ("text-layer", lexer_cases @ (corpus_digest :: deep_cases))
+let tests =
+  ("text-layer", lexer_cases @ (corpus_digest :: raised_corpus_digest :: deep_cases))
