@@ -195,7 +195,7 @@ let pass =
          stamped since the previous one ended can have become
          rewritable: the previous one left a fixpoint. *)
       let since = Pass.previous_end "canonicalize" in
-      let st = Rewrite.apply_greedily ?since ~on_rewrite m patterns in
+      let st = Rewrite.apply_worklist ?since ~on_rewrite m patterns in
       Pass.Stats.bump ~by:st.Rewrite.rw_rewrites stats "rewrites";
       (* Compiler-speed counter: deterministic, gated by bench compare. *)
       Pass.Stats.bump ~by:st.Rewrite.rw_ops_visited stats

@@ -222,12 +222,3 @@ let apply_worklist ?cap ?since ?(on_rewrite = no_rewrite) (top : Core.op)
         end
       done);
   { rw_rewrites = !total; rw_ops_visited = !visited }
-
-(** Apply [patterns] plus folding and dead-op erasure to fixpoint over
-    [top] and everything nested in it, with the worklist driver.
-    [on_rewrite] fires once per rewrite with the enclosing function's
-    symbol (captured before the rewrite, since the op may be erased by
-    it), the kind ("fold", "dce", or the pattern name) and the rewritten
-    op — callers use it for per-pattern statistics and remarks. *)
-let apply_greedily ?since ?on_rewrite (top : Core.op) patterns =
-  apply_worklist ?since ?on_rewrite top patterns

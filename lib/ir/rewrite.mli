@@ -41,21 +41,12 @@ exception Cap_exceeded of { scope : string; rewrites : int; cap : int }
     newly inserted ops. Runs to a true fixpoint with
     cost proportional to rewrites performed. [cap] bounds the number of
     rewrites (default: generous, proportional to the size of the scope,
-    not of the seed); exceeding it raises {!Cap_exceeded}. *)
+    not of the seed); exceeding it raises {!Cap_exceeded}. [on_rewrite]
+    fires once per rewrite with the enclosing function's symbol
+    (captured before the rewrite), the kind ("fold", "dce", or the
+    pattern name) and the rewritten op. *)
 val apply_worklist :
   ?cap:int ->
-  ?since:int ->
-  ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
-  Core.op ->
-  pattern list ->
-  stats
-
-(** Apply patterns plus folding and dead-op erasure to fixpoint with the
-    worklist driver ([since] as in {!apply_worklist}). [on_rewrite] fires
-    once per rewrite with the enclosing function's symbol (captured
-    before the rewrite), the kind ("fold", "dce", or the pattern name)
-    and the rewritten op. *)
-val apply_greedily :
   ?since:int ->
   ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
   Core.op ->
