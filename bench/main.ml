@@ -30,7 +30,12 @@
                            touching a cell one of them writes between two
                            barriers (exit 1 with a report)
      --cache-model M     — simulate a per-core data cache (flat|dm|assoc;
-                           default flat = no cache, byte-identical output)
+                           default flat = no cache, byte-identical output).
+                           fuzz simulates only in its verify+differential
+                           rounds, one every --diff-every iterations
+                           (default 100): --iters 100 --cache-model dm
+                           runs the cache model in one round, and
+                           --diff-every 5 makes that 20
 
    Absolute paper numbers came from an Intel Data Center GPU Max 1100;
    ours come from the transaction-level simulator — only the shape of the
@@ -270,7 +275,10 @@ let run_fusion () =
         run).
     Oracles (b)–(i) run on workload modules every [--diff-every]
     iterations; oracle (a) runs on a fresh random module every
-    iteration. *)
+    iteration. The global [--cache-model] applies only to the rounds of
+    (b)–(i), since (a) never simulates: [--iters 100] reaches the cache
+    model in one round at the default [--diff-every 100], and in 20 at
+    [--diff-every 5]. *)
 let run_fuzz () =
   let seed = ref 42 and iters = ref 500 and diff_every = ref 100 in
   let json_path = ref None in
