@@ -42,7 +42,8 @@ let is_yield op = op.Core.name = "affine.yield"
 
 let for_iter_args op = List.tl (Core.block_args (Core.entry_block op.Core.regions.(0)))
 
-(** The step attribute; 1 when absent. *)
+(** The step attribute; 1 when absent. The verifier admits only a
+    positive integer. *)
 let for_step op = Option.value ~default:1 (Core.attr_int op "step")
 
 let for_lb_map op =
@@ -115,9 +116,12 @@ let () =
           let* () = Verifier.check_num_regions op 1 in
           if Core.num_results op <> List.length (for_iter_args op) then
             Error "affine.for results must match iter_args"
-          else if for_step op <= 0 then
-            Error (Printf.sprintf "affine.for step must be positive, got %d" (for_step op))
-          else Ok ());
+          else
+            match Core.attr op "step" with
+            | None -> Ok ()
+            | Some (Attr.Int s) when s > 0 -> Ok ()
+            | Some a ->
+              Error ("affine.for step must be a positive integer, got " ^ Attr.to_string a));
     };
   Op_registry.register "affine.yield"
     {

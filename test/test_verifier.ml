@@ -74,7 +74,7 @@ let tests_list =
                    ~result_types:[ Types.f32 ] ~regions:[ region ]))
         in
         expect_invalid ~msg:"bad scf.for accepted" m);
-    Alcotest.test_case "affine.for with a step of 0 or -1 rejected at its location"
+    Alcotest.test_case "affine.for with a step of 0, -1 or 2.5 rejected at its location"
       `Quick (fun () ->
         let verify step_attr =
           Verifier.verify
@@ -94,17 +94,16 @@ let tests_list =
         in
         List.iter
           (fun step ->
-            match verify (Printf.sprintf "step = %d, " step) with
+            match verify (Printf.sprintf "step = %s, " step) with
             | Error [ d ] ->
               let prefix =
-                Printf.sprintf "step.mlir:3:5: affine.for step must be positive, got %d"
-                  step
+                "step.mlir:3:5: affine.for step must be a positive integer, got " ^ step
               in
               let msg = Verifier.diag_to_string d in
               if not (String.starts_with ~prefix msg) then
-                Alcotest.failf "step %d: %s" step msg
-            | _ -> Alcotest.failf "step %d: expected one diagnostic" step)
-          [ 0; -1 ];
+                Alcotest.failf "step %s: %s" step msg
+            | _ -> Alcotest.failf "step %s: expected one diagnostic" step)
+          [ "0"; "-1"; "2.5" ];
         Alcotest.(check bool) "an absent step reads as 1" true (verify "" = Ok ()));
     Alcotest.test_case "scf.if with results requires else" `Quick (fun () ->
         let m, _f =
