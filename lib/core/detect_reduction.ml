@@ -154,7 +154,9 @@ let apply (loop : Core.op) (c : candidate) : unit =
     Core.set_operands term (Core.operands term @ [ yielded ]);
     Core.erase_op c.red_store;
     (* Move the body into a fresh region for the rebuilt loop op. *)
-    let region = Core.create_region ~blocks:(Core.take_blocks loop.Core.regions.(0)) () in
+    let region =
+      Core.create_region ~blocks:(Core.take_blocks loop.Core.regions.(0)) ()
+    in
     let new_loop =
       Builder.insert b
         (Core.create_op loop.Core.name

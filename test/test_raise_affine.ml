@@ -105,11 +105,12 @@ let tests_list =
         Helpers.check_verifies m;
         let raised = List.hd (Core.collect_named f "affine.for") in
         Alcotest.(check bool) "affine.for is a loop" true (L.is_loop raised);
-        let _, _, _, _, yielded, bounds, step = answers raised in
+        let after = answers raised in
+        let _, _, _, _, yielded, bounds, step = after in
         Alcotest.(check bool) "one value yielded" true (List.length yielded = 1);
         Alcotest.(check bool) "bounds" true (bounds = Some (0, 8));
         Alcotest.(check bool) "step" true (step = Some 2);
-        Alcotest.(check bool) "same answers" true (answers raised = before));
+        Alcotest.(check bool) "same answers" true (after = before));
     Alcotest.test_case "raised gemm kernel still optimizes and validates" `Quick
       (fun () ->
         let w = Sycl_workloads.Polybench.gemm ~n:16 in
