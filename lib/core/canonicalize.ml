@@ -13,7 +13,7 @@ let inline_taken_region (op : Core.op) (taken : Core.region option) =
     | None -> []
     | Some r -> (
       let b = Core.entry_block r in
-      let ops = b.Core.body in
+      let ops = Core.ops b in
       match Core.last_op b with
       | Some term when Dialects.Scf.is_yield term ->
         let to_move = List.filter (fun o -> not (o == term)) ops in

@@ -59,7 +59,7 @@ let key (it : interner) (op : Core.op) =
 let run_on_func (f : Core.op) stats =
   let it = { type_atoms = Hashtbl.create 32 } in
   let rec go (scope : (key, Core.op) Hashtbl.t) (block : Core.block) =
-    let snapshot = block.Core.body in
+    let snapshot = Core.ops block in
     List.iter
       (fun op ->
         if op.Core.parent_block <> None then begin

@@ -52,7 +52,7 @@ let find_candidate ?(report = fun _ _ -> ()) (loop : Core.op) :
   let region = loop.Core.regions.(0) in
   let body = Core.entry_block region in
   let inv v = Dominance.defined_outside_region region v in
-  let ops = body.Core.body in
+  let ops = Core.ops body in
   let loads =
     List.filter Dialects.Memref.is_load ops
   and stores = List.filter Dialects.Memref.is_store ops in
@@ -189,7 +189,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
         ()
     in
     let then_block = Core.entry_block if_op.Core.regions.(0) in
-    let then_term = List.hd then_block.Core.body in
+    let then_term = Option.get (Core.last_op then_block) in
     let bb = Builder.before then_term in
     Core.detach_op loop;
     let new_results = emit bb in

@@ -130,7 +130,7 @@ let licm_pure_pass =
                   Hashtbl.replace hoisted op.Core.oid ();
                   changed := true
                 end)
-              body.Core.body
+              (Core.ops body)
           done;
           (* Loads with invariant addresses are exactly what the SYCL-aware
              LICM (Section V-A) hoists and this generic pipeline cannot:
@@ -149,7 +149,7 @@ let licm_pure_pass =
                     "loop-invariant load not hoisted: generic LICM has no \
                      SYCL accessor aliasing facts, so stores in the loop \
                      cannot be proven non-clobbering")
-              body.Core.body;
+              (Core.ops body);
           List.iter
             (fun op ->
               if Hashtbl.mem hoisted op.Core.oid then begin
@@ -162,7 +162,7 @@ let licm_pure_pass =
                        op.Core.name);
                 Pass.Stats.bump stats "licm-pure.hoisted"
               end)
-            body.Core.body)
+            (Core.ops body))
         (Dialects.Loop.innermost_first f))
 
 (** The device pipeline for a configuration. Inlining and constant-trip

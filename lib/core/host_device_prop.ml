@@ -209,11 +209,7 @@ let propagate_site stats (m : Core.op) (site : launch_site) =
           match Dialects.Arith.constant_attr def with
           | Some a when Core.has_uses arg ->
             let entry = Core.func_body kernel in
-            let b =
-              match entry.Core.body with
-              | first :: _ -> Builder.before first
-              | [] -> Builder.at_end entry
-            in
+            let b = Builder.at_start entry in
             (* The materialized constant carries the host-side
                definition's location across the host/device boundary;
                when the host IR is unlocated, fall back to the location

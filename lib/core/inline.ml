@@ -54,7 +54,7 @@ let inline_call (callee : Core.op) (call : Core.op) =
             o.Core.loc <-
               Loc.callsite ~callee:o.Core.loc ~caller:call.Core.loc)
       end)
-    body.Core.body;
+    (Core.ops body);
   List.iteri
     (fun i r ->
       match List.nth_opt !returned i with

@@ -152,7 +152,7 @@ let construction_only_between (block : Core.block) (a : Core.op) (b : Core.op) =
     | op :: rest when op == a -> Some rest
     | _ :: rest -> skip_to rest
   in
-  match skip_to block.Core.body with
+  match skip_to (Core.ops block) with
   | None -> false
   | Some rest ->
     let rec check = function
@@ -185,7 +185,7 @@ let fused_name (m : Core.op) ~fusions (a : site) (b : site) =
   let defined name =
     List.exists
       (fun o -> Core.attr_string o "sym_name" = Some name)
-      (Core.module_block m).Core.body
+      (Core.ops (Core.module_block m))
   in
   let rec next () =
     incr fusions;
@@ -223,7 +223,7 @@ let build_fused (m : Core.op) ~fusions (a : site) (b : site) : Core.op =
               (fun op ->
                 if not (Op_registry.is_terminator op) then
                   ignore (Builder.insert bld (Core.clone_op ~value_map op)))
-              (Core.func_body kernel).Core.body
+              (Core.ops (Core.func_body kernel))
           in
           inline a.s_kernel fa;
           inline b.s_kernel fb;
@@ -327,7 +327,7 @@ let missed_fusion_reason (block : Core.block) (a : site) (b : site) :
   else None
 
 let try_fuse_in_block (m : Core.op) ~fusions (block : Core.block) stats : bool =
-  let pfs = List.filter Sycl_host_ops.is_parallel_for block.Core.body in
+  let pfs = List.filter Sycl_host_ops.is_parallel_for (Core.ops block) in
   let rec pairs = function
     | pf_a :: (pf_b :: _ as rest) -> (
       match (site_of m pf_a, site_of m pf_b) with

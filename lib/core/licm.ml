@@ -169,7 +169,7 @@ let optimize_loop stats (loop : Core.op) =
             hoistable := (op, cls) :: !hoistable;
             changed := true
           | None -> ())
-      body.Core.body
+      (Core.ops body)
   done;
   let hoistable = List.rev !hoistable in
   (* Blocked memory reads: remark why each one stayed (the paper's "why
@@ -182,7 +182,7 @@ let optimize_loop stats (loop : Core.op) =
           | Some reason ->
             remark ~name:"blocked-by-alias" Remarks.Missed ~op reason
           | None -> ())
-      body.Core.body;
+      (Core.ops body);
   if hoistable = [] then 0
   else begin
     let pure, loads =
@@ -259,7 +259,7 @@ let optimize_loop stats (loop : Core.op) =
       let then_block = Core.entry_block if_op.Core.regions.(0) in
       let else_block = Core.entry_block if_op.Core.regions.(1) in
       (* Move hoisted loads + the optimized loop into the then branch. *)
-      let then_anchor = List.hd then_block.Core.body (* the yield *) in
+      let then_anchor = Option.get (Core.last_op then_block) (* the yield *) in
       List.iter
         (fun (op, cls) ->
           Core.move_before ~anchor:then_anchor op;
@@ -275,7 +275,7 @@ let optimize_loop stats (loop : Core.op) =
         loads;
       Core.detach_op loop;
       Core.insert_before ~anchor:then_anchor loop;
-      let else_anchor = List.hd else_block.Core.body in
+      let else_anchor = Option.get (Core.last_op else_block) in
       Core.insert_before ~anchor:else_anchor orig_clone;
       Pass.Stats.bump ~by:(List.length loads) stats "licm.hoisted-mem";
       if distinct_checks <> [] then

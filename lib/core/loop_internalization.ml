@@ -157,11 +157,7 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
       :: List.map (fun c -> c.cand_access.Memory_access.acc_op.Core.loc) cands)
   in
   let entry = Core.func_body kernel in
-  let top_builder =
-    match entry.Core.body with
-    | first :: _ -> Builder.before first
-    | [] -> Builder.at_end entry
-  in
+  let top_builder = Builder.at_start entry in
   Builder.set_default_loc top_builder fused_loc;
   (* Local ids and gids, materialized at kernel entry (CSE cleans dups). *)
   let lids = Array.init kd (fun d -> build_lid top_builder item d) in
@@ -335,7 +331,7 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
                           | None ->
                             ignore
                               (Builder.insert ib (Core.clone_op ~value_map op)))
-                      body.Core.body;
+                      (Core.ops body);
                     List.map
                       (fun y ->
                         match Hashtbl.find_opt value_map y.Core.vid with

@@ -42,7 +42,7 @@ let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
       (fun op ->
         if not (op == term) then
           ignore (Builder.insert b (Core.clone_op ~value_map op)))
-      body.Core.body;
+      (Core.ops body);
     carried :=
       List.map
         (fun y ->

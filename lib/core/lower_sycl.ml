@@ -180,7 +180,7 @@ let rec rewrite_ops rw (bld : Builder.t) (ops : Core.op list) =
                  in
                  List.iter
                    (fun ((blk : Core.block), nb) ->
-                     rewrite_ops rw (Builder.at_end nb) blk.Core.body)
+                     rewrite_ops rw (Builder.at_end nb) (Core.ops blk))
                    blocks;
                  Core.create_region ~blocks:(List.map snd blocks) ())
         in
@@ -255,7 +255,7 @@ let lower_kernel (m : Core.op) (kernel : Core.op) stats =
                 { fa_data; fa_range; fa_mem_range; fa_offset }
             | None -> Hashtbl.replace rw.vmap arg.Core.vid (take ()))
           (List.tl old_args);
-        rewrite_ops rw b old_body.Core.body;
+        rewrite_ops rw b (Core.ops old_body);
         Dialects.Func.return b [])
   in
   Core.set_attr lowered "sycl.kernel" Attr.Unit;

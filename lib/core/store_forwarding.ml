@@ -50,7 +50,7 @@ let run_on_block stats (block : Core.block) =
             if clobbers || region_clobbers then None else scan_before before
           | None -> None)
     in
-    scan (List.rev block.Core.body)
+    scan (List.rev (Core.ops block))
   in
   List.iter
     (fun op ->
@@ -75,7 +75,7 @@ let run_on_block stats (block : Core.block) =
                from the loaded type"
         | None -> ()
       end)
-    block.Core.body
+    (Core.ops block)
 
 let run_on_func (f : Core.op) stats =
   Core.walk f ~f:(fun op ->

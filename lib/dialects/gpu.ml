@@ -24,7 +24,7 @@ let fresh_slot b =
       | _ -> ()
   in
   let scan_op op = Core.walk op ~f:note in
-  let scan_block (blk : Core.block) = List.iter scan_op blk.Core.body in
+  let scan_block (blk : Core.block) = List.iter scan_op (Core.ops blk) in
   let scan_region (r : Core.region) = List.iter scan_block r.Core.blocks in
   (* Climb to the outermost attached op/block/region; detached kernels
      under construction restart at 1, which is fine — slots never need

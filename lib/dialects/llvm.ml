@@ -46,28 +46,22 @@ let global m name data =
         ("constant", Attr.Bool true);
       ]
 
+let lookup_global m name =
+  List.find_opt
+    (fun o ->
+      o.Core.name = "llvm.global" && Core.attr_string o "sym_name" = Some name)
+    (Core.ops (Core.module_block m))
+
 let addressof b m name =
   (* Type from the global's data. *)
-  let g =
-    List.find_opt
-      (fun o ->
-        o.Core.name = "llvm.global" && Core.attr_string o "sym_name" = Some name)
-      (Core.module_block m).Core.body
-  in
   let ty =
-    match Option.bind g (fun g -> Core.attr g "value") with
+    match Option.bind (lookup_global m name) (fun g -> Core.attr g "value") with
     | Some (Attr.Dense_float xs) -> Types.memref [ Some (Array.length xs) ] Types.f32
     | Some (Attr.Dense_int xs) -> Types.memref [ Some (Array.length xs) ] Types.i64
     | _ -> Types.memref_dyn Types.f32
   in
   Builder.op1 b "llvm.addressof" ~operands:[] ~result_type:ty
     ~attrs:[ ("global_name", Attr.Symbol name) ]
-
-let lookup_global m name =
-  List.find_opt
-    (fun o ->
-      o.Core.name = "llvm.global" && Core.attr_string o "sym_name" = Some name)
-    (Core.module_block m).Core.body
 
 let () =
   Op_registry.register "llvm.call" Op_registry.default_info;

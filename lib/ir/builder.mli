@@ -7,6 +7,11 @@ val at_end : Core.block -> t
 
 val before : Core.op -> t
 
+(** A builder that inserts at the start of a block, ahead of the ops it
+    holds now, keeping the inserted ops in order (MLIR's
+    [setInsertionPointToStart]). *)
+val at_start : Core.block -> t
+
 val insertion_block : t -> Core.block option
 
 (** Default source location stamped by {!insert} onto inserted ops that

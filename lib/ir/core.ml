@@ -206,10 +206,32 @@ let entry_block r =
 let block_args b = Array.to_list b.bargs
 let block_arg b i = b.bargs.(i)
 
+(* A block's ops are read only through the functions below and written
+   only by the mutators further down: no other module sees the list. *)
+
+(** The ops of [b], in order. The list is a snapshot: the caller may keep
+    walking it while it inserts, moves or erases ops of [b]. *)
+let ops b = b.body
+
+let first_op b = match b.body with o :: _ -> Some o | [] -> None
+
 (** The last op of [b]: its terminator, in a block that has one. *)
 let last_op b =
   let rec last = function [] -> None | [ o ] -> Some o | _ :: rest -> last rest in
   last b.body
+
+(** Does [a] come strictly before [b] in the block that holds them both?
+    False for the same op, and for ops of different blocks. One walk,
+    which stops at whichever of the two it meets first. *)
+let is_before_in_block a b =
+  match (a.parent_block, b.parent_block) with
+  | Some ba, Some bb when ba == bb ->
+    let rec go = function
+      | [] -> false
+      | o :: rest -> if o == b then false else o == a || go rest
+    in
+    go ba.body
+  | _ -> false
 
 let parent_op_of_block b =
   Option.bind b.parent_region (fun r -> r.parent_op)
@@ -509,26 +531,17 @@ let rec enclosing_func op =
   if is_func op then Some op
   else match parent_op op with None -> None | Some p -> enclosing_func p
 
-(** Position of [op] among the ops of its block (0-based), if attached. *)
-let op_index_in_block op =
-  match op.parent_block with
-  | None -> None
-  | Some b ->
-    let rec go i = function
-      | [] -> None
-      | o :: _ when o == op -> Some i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 b.body
-
 (** Structural path of [op] below its enclosing function (or module when
     there is none): op names with block positions, outermost first, e.g.
     ["scf.for#2 > arith.addi#0"]. The enclosing func itself is excluded. *)
 let op_path op =
   let component o =
-    match op_index_in_block o with
-    | Some i -> Printf.sprintf "%s#%d" o.name i
-    | None -> o.name
+    let rec index i = function
+      | [] -> o.name
+      | o' :: _ when o' == o -> Printf.sprintf "%s#%d" o.name i
+      | _ :: rest -> index (i + 1) rest
+    in
+    match o.parent_block with Some b -> index 0 b.body | None -> o.name
   in
   let rec above o acc =
     match parent_op o with

@@ -43,7 +43,7 @@ module Forward (D : DOMAIN) = struct
           (fun state op ->
             Hashtbl.replace res.before op.Core.oid state;
             exec_op op state)
-          state b.Core.body
+          state (Core.ops b)
       in
       Hashtbl.replace res.at_end b.Core.bid final;
       final
@@ -108,7 +108,7 @@ module Backward (D : DOMAIN) = struct
             Hashtbl.replace res.after op.Core.oid state;
             exec_op op state)
           state
-          (List.rev b.Core.body)
+          (List.rev (Core.ops b))
       in
       Hashtbl.replace res.at_start b.Core.bid start;
       start

@@ -4,18 +4,6 @@
    [a] properly dominates [b] iff, after lifting [b] to the op in [a]'s
    block that (transitively) contains it, [a] appears earlier. *)
 
-(** Index of [op] in its block body, or None if detached. *)
-let index_in_block (op : Core.op) =
-  match op.parent_block with
-  | None -> None
-  | Some b ->
-    let rec go i = function
-      | [] -> None
-      | o :: _ when o == op -> Some i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 b.Core.body
-
 (** Lift [op] to its ancestor (or itself) whose parent block is [block]. *)
 let rec ancestor_in_block ~block (op : Core.op) =
   match op.parent_block with
@@ -34,16 +22,10 @@ let properly_dominates (a : Core.op) (b : Core.op) =
       match ancestor_in_block ~block:ablock b with
       | None -> false
       | Some b' ->
-        if a == b' then
-          (* b is nested inside a: a "dominates" its own nested ops only in
-             the sense that a executes first; for SSA visibility a's
-             *results* are not visible inside a's regions, so say no. *)
-          false
-        else
-          let ia = index_in_block a and ib = index_in_block b' in
-          (match (ia, ib) with
-          | Some ia, Some ib -> ia < ib
-          | _ -> false))
+        (* When b is nested inside a (b' == a), a executes first, but a's
+           results are not visible inside a's regions, so say no: an op is
+           not before itself. *)
+        Core.is_before_in_block a b')
 
 (** Is the *value* [v] visible (usable) at operation [user]? True when the
     defining op properly dominates [user], when [v]'s defining op is an

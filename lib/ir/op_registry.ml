@@ -103,7 +103,7 @@ let rec is_pure op =
   && Array.for_all
        (fun r ->
          List.for_all
-           (fun b -> List.for_all is_pure b.Core.body)
+           (fun b -> List.for_all is_pure (Core.ops b))
            r.Core.blocks)
        op.Core.regions
 

@@ -167,7 +167,7 @@ and print_region env level (r : Core.region) =
         (fun o ->
           print_op env (level + 1) o;
           Buffer.add_char buf '\n')
-        b.Core.body)
+        (Core.ops b))
     r.Core.blocks;
   indent buf (2 * level);
   Buffer.add_char buf '}'

@@ -121,7 +121,7 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
     (* Use-list sanity: every operand's use list mentions this op. *)
     Array.iteri
       (fun i v ->
-        if not (List.exists (fun (o, j) -> o == op && i = j) v.Core.uses) then
+        if not (List.exists (fun (o, j) -> o == op && i = j) (Core.uses v)) then
           fail ~op "use-list corruption for operand %d" i)
       op.Core.operands
   in

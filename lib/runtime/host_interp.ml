@@ -367,7 +367,7 @@ let rec exec_block st (b : Core.block) : hv list =
       | `Next -> go rest
       | `Yield vs -> vs)
   in
-  go b.Core.body
+  go (Core.ops b)
 
 and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
   let operand i = lookup st (Core.operand op i) in

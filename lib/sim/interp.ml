@@ -610,7 +610,7 @@ let split_block (b : Core.block) =
         (List.rev acc, op.Core.operands)
       | _ -> go (op :: acc) rest)
   in
-  go [] b.Core.body
+  go [] (Core.ops b)
 
 (* The kind of every value of [kernel] and the device functions it
    calls, by value id. arith.select results, loop-carried values and

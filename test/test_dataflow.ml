@@ -165,7 +165,7 @@ let tests_list =
               Dialects.Func.return b [ z ])
         in
         let live = Dataflow.Liveness.analyze f in
-        match (Core.func_body f).Core.body with
+        match Core.ops (Core.func_body f) with
         | [ x_op; y_op; z_op; _ret ] ->
           let x = Core.result x_op 0 and y = Core.result y_op 0 in
           Alcotest.(check bool) "x live after its def" true
@@ -191,7 +191,7 @@ let tests_list =
                      [])))
         in
         let live = Dataflow.Liveness.analyze f in
-        let x_op = List.hd (Core.func_body f).Core.body in
+        let x_op = Option.get (Core.first_op (Core.func_body f)) in
         let x = Core.result x_op 0 in
         (* x is used inside the loop: live after its definition, and live
            after each use in the body (next iteration needs it). *)
@@ -218,7 +218,7 @@ let tests_list =
         let x_op =
           List.find
             (fun (o : Core.op) -> o.Core.name = "arith.constant")
-            (Core.func_body f).Core.body
+            (Core.ops (Core.func_body f))
         in
         Alcotest.(check bool) "x live after def (used in then)" true
           (Dataflow.Liveness.live_after live x_op (Core.result x_op 0)));

@@ -12,7 +12,10 @@ let tests_list =
     Alcotest.test_case "module creation and block" `Quick (fun () ->
         let m = Helpers.fresh_module () in
         check_bool "is module" true (Core.is_module m);
-        check_int "empty body" 0 (List.length (Core.module_block m).Core.body));
+        let blk = Core.module_block m in
+        check_int "empty body" 0 (List.length (Core.ops blk));
+        check_bool "no first op" true (Core.first_op blk = None);
+        check_bool "no last op" true (Core.last_op blk = None));
     Alcotest.test_case "op creation populates use lists" `Quick (fun () ->
         let m, _f =
           Helpers.with_func (fun b _ ->
@@ -57,10 +60,13 @@ let tests_list =
               ())
         in
         let body = Core.func_body f in
-        (match body.Core.body with
-        | [ x_op; y_op; _ret ] ->
+        (match Core.ops body with
+        | [ x_op; y_op; ret ] ->
+          check_bool "first op" true (Option.get (Core.first_op body) == x_op);
+          check_bool "last op" true (Option.get (Core.last_op body) == ret);
           Core.move_before ~anchor:x_op y_op;
-          (match body.Core.body with
+          check_bool "first op after the move" true (Option.get (Core.first_op body) == y_op);
+          (match Core.ops body with
           | [ a; b; _ ] ->
             check_int "y first" 2 (Option.get (Core.attr_int a "value"));
             check_int "x second" 1 (Option.get (Core.attr_int b "value"))
@@ -107,11 +113,58 @@ let tests_list =
               let _y = A.const_int b 2 in
               ())
         in
-        match (Core.func_body f).Core.body with
-        | [ x; y; _ ] ->
+        match Core.ops (Core.func_body f) with
+        | [ x; y; ret ] ->
+          check_bool "x before y" true (Core.is_before_in_block x y);
+          check_bool "x before the return" true (Core.is_before_in_block x ret);
+          check_bool "y not before x" false (Core.is_before_in_block y x);
+          check_bool "x not before itself" false (Core.is_before_in_block x x);
           check_bool "x dominates y" true (Dominance.properly_dominates x y);
           check_bool "y does not dominate x" false (Dominance.properly_dominates y x)
         | _ -> Alcotest.fail "bad body");
+    Alcotest.test_case "ops is a snapshot the caller may edit the block under"
+      `Quick (fun () ->
+        let _m, f =
+          Helpers.with_func (fun b _ ->
+              for i = 1 to 4 do
+                ignore (A.const_int b i)
+              done)
+        in
+        let body = Core.func_body f in
+        (* Detach every constant while walking the list taken before. *)
+        let seen =
+          List.map
+            (fun (o : Core.op) ->
+              if o.Core.name = "arith.constant" then Core.detach_op o;
+              o.Core.name)
+            (Core.ops body)
+        in
+        check_int "every op of the snapshot visited" 5 (List.length seen);
+        match Core.ops body with
+        | [ ret ] -> Alcotest.(check string) "only the return left" "func.return" ret.Core.name
+        | ops -> Alcotest.failf "expected one op, got %d" (List.length ops));
+    Alcotest.test_case "Builder.at_start inserts ahead of the first op, in order"
+      `Quick (fun () ->
+        let value (o : Core.op) = Option.get (Core.attr_int o "value") in
+        (* An empty block: the ops land in the order inserted. *)
+        let empty = Core.create_block () in
+        let b = Builder.at_start empty in
+        ignore (A.const_int b 1);
+        ignore (A.const_int b 2);
+        Alcotest.(check (list int)) "empty block" [ 1; 2 ]
+          (List.map value (Core.ops empty));
+        (* A block holding ops: both go before the old first op. *)
+        let _m, f = Helpers.with_func (fun b _ -> ignore (A.const_int b 3)) in
+        let body = Core.func_body f in
+        let b = Builder.at_start body in
+        ignore (A.const_int b 1);
+        ignore (A.const_int b 2);
+        match Core.ops body with
+        | [ one; two; three; ret ] ->
+          Alcotest.(check (list int)) "ahead of the old first op" [ 1; 2; 3 ]
+            (List.map value [ one; two; three ]);
+          Alcotest.(check string) "return still last" "func.return" ret.Core.name
+        | ops -> Alcotest.failf "expected four ops, got %d" (List.length ops));
     Alcotest.test_case "dominance across nesting" `Quick (fun () ->
         let _m, f =
           Helpers.with_func (fun b _ ->

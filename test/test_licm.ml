@@ -82,11 +82,11 @@ let tests_list =
         Alcotest.(check int) "versioning if present" 1 (Helpers.count_ops f "scf.if");
         (* The hoisted load lives in the then-branch, before the loop. *)
         let if_op = List.hd (Core.collect_named f "scf.if") in
-        let then_body = (Core.entry_block if_op.Core.regions.(0)).Core.body in
+        let then_block = Core.entry_block if_op.Core.regions.(0) in
         Alcotest.(check bool) "load before loop in then-branch" true
-          (match then_body with
-          | first :: _ -> first.Core.name = "memref.load"
-          | [] -> false));
+          (match Core.first_op then_block with
+          | Some first -> first.Core.name = "memref.load"
+          | None -> false));
     Alcotest.test_case "load blocked by a must-aliasing store" `Quick (fun () ->
         let _m, f =
           Helpers.with_kernel ~dims:1

@@ -56,7 +56,7 @@ let constructor_cases =
 
 let parse_one_op src =
   let m = Parser.parse_module ~file:"in.mlir" src in
-  let fn = List.hd (Core.module_block m).Core.body in
+  let fn = Option.get (Core.first_op (Core.module_block m)) in
   (m, fn)
 
 let parser_cases =
@@ -85,7 +85,7 @@ let parser_cases =
             \  test.global() {sym_name = @g} : () -> () loc(\"krn\"(\"k.cpp\":9:2))\n\
              }) : () -> ()"
         in
-        let g = List.hd (Core.module_block m).Core.body in
+        let g = Option.get (Core.first_op (Core.module_block m)) in
         Alcotest.(check loc_t) "named loc parsed"
           (Loc.name ~child:(Loc.file ~file:"k.cpp" ~line:9 ~col:2) "krn")
           g.Core.loc);
@@ -101,7 +101,7 @@ let parser_cases =
                 (Loc.to_string l)
             in
             let m = Parser.parse_module src in
-            let g = List.hd (Core.module_block m).Core.body in
+            let g = Option.get (Core.first_op (Core.module_block m)) in
             Alcotest.(check loc_t) (Loc.to_string l) l g.Core.loc;
             (* And the debuginfo print -> parse -> print fixpoint holds. *)
             match Difftest.check_roundtrip ~debuginfo:true m with
@@ -259,7 +259,7 @@ let transform_cases =
               op.Core.name = "func.func"
               && Core.has_attr op "sycl.kernel"
               && Core.func_sym op <> "prod" && Core.func_sym op <> "cons")
-            (Core.module_block m).Core.body
+            (Core.ops (Core.module_block m))
         in
         Alcotest.(check loc_t) "fused location of both kernels"
           (Loc.fused [ Loc.name "prod-src"; Loc.name "cons-src" ])
@@ -418,7 +418,7 @@ let coverage_cases =
         Core.walk m ~f:(fun op -> op.Core.loc <- Loc.name "seed");
         let loser =
           Pass.make "loser" (fun m' _ ->
-              let f = List.hd (Core.module_block m').Core.body in
+              let f = Option.get (Core.first_op (Core.module_block m')) in
               Core.prepend_op (Core.func_body f)
                 (Core.create_op "arith.constant" ~operands:[]
                    ~result_types:[ Types.i64 ] ~attrs:[ ("value", Attr.Int 0) ]))

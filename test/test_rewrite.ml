@@ -44,7 +44,7 @@ let tests_list =
               ignore (A.addi b x x))
         in
         ignore (run_pass Sycl_core.Dce.pass m);
-        check_int "body only has return" 1 (List.length (Core.func_body f).Core.body));
+        check_int "body only has return" 1 (List.length (Core.ops (Core.func_body f))));
     Alcotest.test_case "scf.if with constant condition inlines taken branch" `Quick
       (fun () ->
         let m, f =

@@ -257,9 +257,9 @@ let irgen_cases =
 let breaker_pass =
   Pass.make "breaker" (fun m _ ->
       let body = Core.module_block m in
-      match body.Core.body with
-      | op :: _ -> Core.set_successors op [ body ]
-      | [] -> ())
+      match Core.first_op body with
+      | Some op -> Core.set_successors op [ body ]
+      | None -> ())
 
 let nop_pass name = Pass.make name (fun _ _ -> ())
 

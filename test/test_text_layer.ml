@@ -93,7 +93,7 @@ let lexer_cases =
             "// header\r\nbuiltin.module() ({\r\n  %0 = arith.constant() {value \
              = 1} : () -> (i32)\r\n})\r\n// trailing comment at EOF"
         in
-        let op = List.hd (Core.module_block m).Core.body in
+        let op = Option.get (Core.first_op (Core.module_block m)) in
         Alcotest.(check string) "location" "\"crlf.mlir\":3:3" (Loc.to_string op.Core.loc);
         Alcotest.(check string) "comment-only tail" "no error"
           (parse_error (fun () -> Parser.parse_module "builtin.module() ({\n})//"));
@@ -110,7 +110,7 @@ let lexer_cases =
           Parser.parse_module ~file:"s.mlir"
             (module_text "  test.op() {s = \"a\nb\"}\n  %0 = test.op() : () -> (i32)")
         in
-        match (Core.module_block m).Core.body with
+        match Core.ops (Core.module_block m) with
         | [ first; second ] ->
           Alcotest.(check string) "string" "\"a\\nb\""
             (Attr.to_string (Option.get (Core.attr first "s")));
