@@ -81,99 +81,3 @@ module Forward (D : DOMAIN) = struct
 
   let before (res : result) (op : Core.op) = Hashtbl.find_opt res.before op.Core.oid
 end
-
-(** The backward counterpart: state flows from the end of a block to its
-    start (liveness-style). [transfer op s] maps the state {e after} an op
-    to the state {e before} it; region-bearing ops recurse per their
-    control kind (a Loop's body iterates to a fixpoint; a Branch joins its
-    regions with the fall-through state). *)
-module Backward (D : DOMAIN) = struct
-  type transfer = Core.op -> D.t -> D.t
-
-  type result = {
-    (* State observed immediately AFTER each op (keyed by op id). *)
-    after : (int, D.t) Hashtbl.t;
-    (* State at the start of each block (keyed by block id). *)
-    at_start : (int, D.t) Hashtbl.t;
-  }
-
-  let max_loop_iterations = 64
-
-  let analyze (top : Core.op) ~(init : D.t) ~(transfer : transfer) : result =
-    let res = { after = Hashtbl.create 256; at_start = Hashtbl.create 32 } in
-    let rec exec_block (b : Core.block) (state : D.t) : D.t =
-      let start =
-        List.fold_left
-          (fun state op ->
-            Hashtbl.replace res.after op.Core.oid state;
-            exec_op op state)
-          state
-          (List.rev (Core.ops b))
-      in
-      Hashtbl.replace res.at_start b.Core.bid start;
-      start
-    and exec_region (r : Core.region) (state : D.t) : D.t =
-      List.fold_left (fun s b -> exec_block b s) state (List.rev r.Core.blocks)
-    and exec_op (op : Core.op) (state : D.t) : D.t =
-      let info = Op_registry.info op in
-      let state_after_regions =
-        match info.Op_registry.control with
-        | Op_registry.Leaf -> state
-        | Op_registry.Seq ->
-          Array.fold_left
-            (fun s r -> exec_region r s)
-            state
-            (Array.of_list (List.rev (Array.to_list op.Core.regions)))
-        | Op_registry.Branch ->
-          Array.fold_left
-            (fun acc r -> D.join acc (exec_region r state))
-            state op.Core.regions
-        | Op_registry.Loop ->
-          let body_of s =
-            Array.fold_left (fun s r -> exec_region r s) s op.Core.regions
-          in
-          let rec fix s n =
-            let s' = D.join s (body_of s) in
-            if D.equal s s' || n >= max_loop_iterations then s' else fix s' (n + 1)
-          in
-          fix state 0
-      in
-      transfer op state_after_regions
-    in
-    let (_ : D.t) = exec_op top init in
-    res
-
-  let after (res : result) (op : Core.op) = Hashtbl.find_opt res.after op.Core.oid
-end
-
-(** Classic liveness of SSA values, as a Backward client: a value is live
-    at a point when some later-executed op (including loop back-edges)
-    uses it. *)
-module Liveness = struct
-  module Ids = Set.Make (Int)
-
-  module B = Backward (struct
-    type t = Ids.t
-
-    let join = Ids.union
-    let equal = Ids.equal
-  end)
-
-  type t = B.result
-
-  let transfer (op : Core.op) (live : Ids.t) =
-    let live =
-      Array.fold_left (fun l (r : Core.value) -> Ids.remove r.Core.vid l) live
-        op.Core.results
-    in
-    Array.fold_left (fun l (v : Core.value) -> Ids.add v.Core.vid l) live
-      op.Core.operands
-
-  let analyze (top : Core.op) : t = B.analyze top ~init:Ids.empty ~transfer
-
-  (** Is [v] live just after [op] executed? *)
-  let live_after (t : t) (op : Core.op) (v : Core.value) =
-    match B.after t op with
-    | Some s -> Ids.mem v.Core.vid s
-    | None -> false
-end

@@ -42,32 +42,3 @@ module Forward (D : DOMAIN) : sig
   (** State observed immediately before an op, if recorded. *)
   val before : result -> Core.op -> D.t option
 end
-
-(** The backward counterpart (liveness-style): state flows from block ends
-    to block starts; [transfer op s] maps the state after an op to the
-    state before it. *)
-module Backward (D : DOMAIN) : sig
-  type transfer = Core.op -> D.t -> D.t
-
-  type result = {
-    after : (int, D.t) Hashtbl.t;  (** state after each op, by op id *)
-    at_start : (int, D.t) Hashtbl.t;  (** state at block starts *)
-  }
-
-  val max_loop_iterations : int
-  val analyze : Core.op -> init:D.t -> transfer:transfer -> result
-  val after : result -> Core.op -> D.t option
-end
-
-(** Classic liveness of SSA values, as a Backward client. *)
-module Liveness : sig
-  module Ids : Set.S with type elt = int
-
-  type t
-
-  val analyze : Core.op -> t
-
-  (** Is the value live just after the op executed (some later-executed
-      op, including loop back-edges, uses it)? *)
-  val live_after : t -> Core.op -> Core.value -> bool
-end

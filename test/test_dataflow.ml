@@ -155,73 +155,6 @@ let tests_list =
         Alcotest.check dom "end of entry block" (D.Known 9)
           (Option.value ~default:D.Bottom
              (Hashtbl.find_opt res.DF.at_end body.Core.bid)));
-    (* --- backward framework: liveness --- *)
-    Alcotest.test_case "liveness: value dead after its last use" `Quick (fun () ->
-        let _m, f =
-          Helpers.with_func ~results:[ Types.i64 ] (fun b _ ->
-              let x = A.const_int b 1 in
-              let y = A.addi b x x in
-              let z = A.addi b y y in
-              Dialects.Func.return b [ z ])
-        in
-        let live = Dataflow.Liveness.analyze f in
-        match Core.ops (Core.func_body f) with
-        | [ x_op; y_op; z_op; _ret ] ->
-          let x = Core.result x_op 0 and y = Core.result y_op 0 in
-          Alcotest.(check bool) "x live after its def" true
-            (Dataflow.Liveness.live_after live x_op x);
-          Alcotest.(check bool) "x dead after y" false
-            (Dataflow.Liveness.live_after live y_op x);
-          Alcotest.(check bool) "y live after y" true
-            (Dataflow.Liveness.live_after live y_op y);
-          Alcotest.(check bool) "y dead after z" false
-            (Dataflow.Liveness.live_after live z_op y)
-        | _ -> Alcotest.fail "unexpected body shape");
-    Alcotest.test_case "liveness: loop back-edge keeps values alive" `Quick
-      (fun () ->
-        let _m, f =
-          Helpers.with_func (fun b _ ->
-              let x = A.const_int b 7 in
-              let zero = A.const_index b 0 in
-              let four = A.const_index b 4 in
-              let one = A.const_index b 1 in
-              ignore
-                (Dialects.Scf.for_ b ~lb:zero ~ub:four ~step:one (fun bb _ _ ->
-                     ignore (A.addi bb x x);
-                     [])))
-        in
-        let live = Dataflow.Liveness.analyze f in
-        let x_op = Option.get (Core.first_op (Core.func_body f)) in
-        let x = Core.result x_op 0 in
-        (* x is used inside the loop: live after its definition, and live
-           after each use in the body (next iteration needs it). *)
-        Alcotest.(check bool) "x live after def" true
-          (Dataflow.Liveness.live_after live x_op x);
-        let add = List.hd (Core.collect_named f "arith.addi") in
-        Alcotest.(check bool) "x live across the back edge" true
-          (Dataflow.Liveness.live_after live add x));
-    Alcotest.test_case "liveness: branch keeps either-branch uses alive" `Quick
-      (fun () ->
-        let _m, f =
-          Helpers.with_func ~args:[ Types.i1 ] (fun b vals ->
-              let c = List.hd vals in
-              let x = A.const_int b 5 in
-              ignore
-                (Dialects.Scf.if_ b c
-                   ~then_:(fun bb ->
-                     ignore (A.addi bb x x);
-                     [])
-                   ~else_:(fun _ -> [])
-                   ()))
-        in
-        let live = Dataflow.Liveness.analyze f in
-        let x_op =
-          List.find
-            (fun (o : Core.op) -> o.Core.name = "arith.constant")
-            (Core.ops (Core.func_body f))
-        in
-        Alcotest.(check bool) "x live after def (used in then)" true
-          (Dataflow.Liveness.live_after live x_op (Core.result x_op 0)));
   ]
 
 let tests = ("dataflow", tests_list)
