@@ -114,14 +114,17 @@ let () =
         (fun op ->
           let ( let* ) = Verifier.( let* ) in
           let* () = Verifier.check_num_regions op 1 in
-          if Core.num_results op <> List.length (for_iter_args op) then
+          match Core.block_args (Core.entry_block (Core.region op 0)) with
+          | [] -> Error "affine.for body must take iv plus iter_args"
+          | _ :: iter_args when Core.num_results op <> List.length iter_args ->
             Error "affine.for results must match iter_args"
-          else
+          | _ -> (
+            let* () = Verifier.check_body_ends_with op ~yield:"affine.yield" in
             match Core.attr op "step" with
             | None -> Ok ()
             | Some (Attr.Int s) when s > 0 -> Ok ()
             | Some a ->
-              Error ("affine.for step must be a positive integer, got " ^ Attr.to_string a));
+              Error ("affine.for step must be a positive integer, got " ^ Attr.to_string a)));
     };
   Op_registry.register "affine.yield"
     {

@@ -74,7 +74,7 @@ let () =
           else if
             List.length (Core.block_args (for_body op)) <> n_iter + 1
           then Error "scf.for body must take iv plus iter_args"
-          else Ok ());
+          else Verifier.check_body_ends_with op ~yield:"scf.yield");
     };
   Op_registry.register "scf.if"
     {

@@ -144,4 +144,11 @@ let check_operand_type op i pred ~expected =
       (Printf.sprintf "operand %d must be %s, got %s" i expected
          (Types.to_string (Core.operand op i).Core.vty))
 
+(* A loop's body block must end in its dialect's yield, as MLIR
+   requires: passes take the next iteration's values from it. *)
+let check_body_ends_with op ~yield =
+  match Core.last_op (Core.entry_block (Core.region op 0)) with
+  | Some t when t.Core.name = yield -> Ok ()
+  | _ -> Error (Printf.sprintf "%s body must end with %s" op.Core.name yield)
+
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e

@@ -105,6 +105,45 @@ let tests_list =
             | _ -> Alcotest.failf "step %s: expected one diagnostic" step)
           [ "0"; "-1"; "2.5" ];
         Alcotest.(check bool) "an absent step reads as 1" true (verify "" = Ok ()));
+    Alcotest.test_case "a loop body that does not end in its yield rejected at its location"
+      `Quick (fun () ->
+        let verify loop =
+          Verifier.verify
+            (Parser.parse_module ~file:"body.mlir"
+               ("builtin.module() ({\n\
+                \  func.func() ({\n\
+                \    %0 = arith.constant() {value = 0} : () -> (index)\n" ^ loop
+              ^ "    func.return()\n\
+                 \  }) {function_type = () -> (), sym_name = \"f\"}\n\
+                  })"))
+        in
+        let scf_for body =
+          "    scf.for(%0, %0, %0) ({\n    ^bb0(%1: index):\n" ^ body
+          ^ "    }) : (index, index, index) -> ()\n"
+        and affine_for body =
+          "    affine.for() ({\n" ^ body
+          ^ "    }) {lb_count = 0, lb_map = affine_map<() -> (0)>, ub_map = \
+             affine_map<() -> (8)>} : () -> ()\n"
+        in
+        let rejected what loop expected =
+          match verify loop with
+          | Error [ d ] ->
+            let msg = Verifier.diag_to_string d in
+            if not (String.starts_with ~prefix:("body.mlir:4:5: " ^ expected) msg) then
+              Alcotest.failf "%s: %s" what msg
+          | _ -> Alcotest.failf "%s: expected one diagnostic" what
+        in
+        rejected "empty scf.for" (scf_for "") "scf.for body must end with scf.yield";
+        rejected "scf.for ending in affine.yield" (scf_for "      affine.yield()\n")
+          "scf.for body must end with scf.yield";
+        rejected "empty affine.for" (affine_for "    ^bb0(%1: index):\n")
+          "affine.for body must end with affine.yield";
+        rejected "affine.for without an iv" (affine_for "")
+          "affine.for body must take iv plus iter_args";
+        Alcotest.(check bool) "scf.for ending in scf.yield" true
+          (verify (scf_for "      scf.yield()\n") = Ok ());
+        Alcotest.(check bool) "affine.for ending in affine.yield" true
+          (verify (affine_for "    ^bb0(%1: index):\n      affine.yield()\n") = Ok ()));
     Alcotest.test_case "scf.if with results requires else" `Quick (fun () ->
         let m, _f =
           Helpers.with_func (fun b _ ->
