@@ -14,12 +14,20 @@ let const_trip (loop : Core.op) =
   | Some (lb, ub), Some step -> Some (lb, ub, step)
   | _ -> None
 
+(* The trip count of a loop with constant bounds and a positive step, or
+   None when it exceeds max_int: then [ub - lb] wraps. *)
+let trip_count ~lb ~ub ~step =
+  if ub <= lb then Some 0
+  else
+    let span = ub - lb in
+    if span < 0 then None else Some (((span - 1) / step) + 1)
+
 let body_size (loop : Core.op) =
   let n = ref 0 in
   Core.walk loop ~f:(fun _ -> incr n);
   !n - 1
 
-let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
+let unroll (loop : Core.op) ~(lb : int) ~(trips : int) ~(step : int) stats =
   let b = Builder.before loop in
   let body = Dialects.Loop.body loop in
   let iv = Dialects.Loop.iv loop in
@@ -30,10 +38,9 @@ let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
     | None -> invalid_arg "loop_unroll: no terminator"
   in
   let carried = ref (Dialects.Loop.iter_inits loop) in
-  let i = ref lb in
-  while !i < ub do
+  for k = 0 to trips - 1 do
     let value_map = Hashtbl.create 32 in
-    let iv_c = Dialects.Arith.const_index b !i in
+    let iv_c = Dialects.Arith.const_index b (lb + (k * step)) in
     Hashtbl.replace value_map iv.Core.vid iv_c;
     List.iter2
       (fun formal actual -> Hashtbl.replace value_map formal.Core.vid actual)
@@ -49,8 +56,7 @@ let unroll (loop : Core.op) ~(lb : int) ~(ub : int) ~(step : int) stats =
           match Hashtbl.find_opt value_map y.Core.vid with
           | Some v -> v
           | None -> y)
-        (Core.operands term);
-    i := !i + step
+        (Core.operands term)
   done;
   List.iteri
     (fun idx r ->
@@ -81,28 +87,30 @@ let run_on_func (f : Core.op) stats =
       (fun loop ->
         if loop.Core.parent_block <> None then
           match const_trip loop with
-          | Some (lb, ub, step) ->
-            let trips = if ub <= lb then 0 else ((ub - lb) + step - 1) / step in
+          | Some (lb, ub, step) -> (
             let innermost = Core.find_first loop ~p:Dialects.Loop.is_loop = None in
-            if
-              trips * body_size loop <= threshold * threshold
-              && trips <= threshold
-              && innermost
-            then begin
+            match trip_count ~lb ~ub ~step with
+            | Some trips
+              when trips <= threshold
+                   && trips * body_size loop <= threshold * threshold
+                   && innermost ->
               if Remarks.enabled () then
                 Remarks.emit ~pass:"loop-unroll" ~name:"unrolled" Remarks.Passed
                   ~op:loop
                   (Printf.sprintf
                      "constant-trip loop fully unrolled (%d iterations)" trips);
-              unroll loop ~lb ~ub ~step stats;
+              unroll loop ~lb ~trips ~step stats;
               changed := true
-            end
-            else if innermost then
-              reject loop "size"
-                (Printf.sprintf
-                   "constant-trip loop not unrolled: %d iterations x %d body \
-                    ops exceeds the unroll threshold"
-                   trips (body_size loop))
+            | trips ->
+              if innermost then
+                reject loop "size"
+                  (Printf.sprintf
+                     "constant-trip loop not unrolled: %s iterations x %d body \
+                      ops exceeds the unroll threshold"
+                     (match trips with
+                     | Some n -> string_of_int n
+                     | None -> Printf.sprintf "more than %d" max_int)
+                     (body_size loop)))
           | None ->
             reject loop "non-constant"
               "loop not unrolled: bounds or step are not compile-time \
