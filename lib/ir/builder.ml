@@ -15,7 +15,6 @@ type t = {
 let at_end block = { ip = At_end block; default_loc = Loc.Unknown }
 let before op = { ip = Before op; default_loc = Loc.Unknown }
 
-(* Before the first op, so every op inserted lands ahead of it, in order. *)
 let at_start block =
   match Core.first_op block with Some first -> before first | None -> at_end block
 

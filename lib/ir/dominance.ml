@@ -14,18 +14,16 @@ let rec ancestor_in_block ~block (op : Core.op) =
     | Some p -> ancestor_in_block ~block p)
 
 let properly_dominates (a : Core.op) (b : Core.op) =
-  if a == b then false
-  else
-    match a.parent_block with
+  match a.parent_block with
+  | None -> false
+  | Some ablock -> (
+    match ancestor_in_block ~block:ablock b with
     | None -> false
-    | Some ablock -> (
-      match ancestor_in_block ~block:ablock b with
-      | None -> false
-      | Some b' ->
-        (* When b is nested inside a (b' == a), a executes first, but a's
-           results are not visible inside a's regions, so say no: an op is
-           not before itself. *)
-        Core.is_before_in_block a b')
+    | Some b' ->
+      (* When b is a or nested inside it (b' == a), say no: a's results
+         are not visible inside a's regions, and an op is not before
+         itself. *)
+      Core.is_before_in_block a b')
 
 (** Is the *value* [v] visible (usable) at operation [user]? True when the
     defining op properly dominates [user], when [v]'s defining op is an
