@@ -23,15 +23,8 @@ let inline_taken_region (op : Core.op) (taken : Core.region option) =
         List.iter (fun o -> Core.move_before ~anchor:op o) ops;
         [])
   in
-  List.iteri
-    (fun i r ->
-      match List.nth_opt yields i with
-      | Some y -> Core.replace_all_uses_with r y
-      | None -> ())
-    (Core.results op);
   (* Remaining region contents (untaken branch, terminators) die with op. *)
-  Core.walk op ~f:(fun o -> if not (o == op) then Core.erase_op_unsafe o);
-  Core.erase_op op
+  Core.replace_op op yields
 
 let scf_if_const =
   Rewrite.pattern "scf.if-const" (fun op ->
@@ -61,11 +54,7 @@ let scf_for_zero_trip =
         with
         | Some (Attr.Int lb), Some (Attr.Int ub) when lb >= ub ->
           (* Results are the untouched init values. *)
-          List.iteri
-            (fun i init -> Core.replace_all_uses_with (Core.result op i) init)
-            (Dialects.Scf.for_iter_inits op);
-          Core.walk op ~f:(fun o -> if not (o == op) then Core.erase_op_unsafe o);
-          Core.erase_op op;
+          Core.replace_op op (Dialects.Scf.for_iter_inits op);
           true
         | _ -> false)
 
@@ -81,8 +70,7 @@ let self_cancel =
         let zero =
           Dialects.Arith.constant b (Attr.Int 0) (Core.result op 0).Core.vty
         in
-        Core.replace_all_uses_with (Core.result op 0) zero;
-        Core.erase_op op;
+        Core.replace_op op [ zero ];
         true
       end
       else false)
@@ -96,8 +84,7 @@ let self_identity =
             "arith.minimumf"; "arith.maximumf" ]
         && Core.value_equal (Core.operand op 0) (Core.operand op 1)
       then begin
-        Core.replace_all_uses_with (Core.result op 0) (Core.operand op 0);
-        Core.erase_op op;
+        Core.replace_op op [ Core.operand op 0 ];
         true
       end
       else false)
@@ -119,8 +106,7 @@ let cmp_same =
           let b = Builder.before op in
           Builder.set_default_loc b op.Core.loc;
           let c = Dialects.Arith.const_bool b v in
-          Core.replace_all_uses_with (Core.result op 0) c;
-          Core.erase_op op;
+          Core.replace_op op [ c ];
           true
         | None -> false
       else false)
@@ -132,8 +118,7 @@ let select_same =
         op.Core.name = "arith.select"
         && Core.value_equal (Core.operand op 1) (Core.operand op 2)
       then begin
-        Core.replace_all_uses_with (Core.result op 0) (Core.operand op 1);
-        Core.erase_op op;
+        Core.replace_op op [ Core.operand op 1 ];
         true
       end
       else false)

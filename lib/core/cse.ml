@@ -81,10 +81,7 @@ let run_on_func (f : Core.op) stats =
                      op.Core.name);
               (* The surviving op keeps its own location: the eliminated
                  duplicate's position is recorded in the remark above. *)
-              List.iteri
-                (fun i r -> Core.replace_all_uses_with r (Core.result existing i))
-                (Core.results op);
-              Core.erase_op op;
+              Core.replace_op op (Core.results existing);
               Pass.Stats.bump stats "cse.eliminated"
             | None ->
               Hashtbl.replace scope k op;

@@ -45,7 +45,7 @@ let run_on_func (f : Core.op) stats =
                 (fun (user, _) ->
                   if user.Core.parent_block <> None then begin
                     List.iter erase_users (Core.results user);
-                    Core.erase_op_unsafe user
+                    Core.erase_op user
                   end)
                 (Core.uses v)
             in

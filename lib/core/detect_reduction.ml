@@ -121,8 +121,7 @@ let find_candidate ?(report = fun _ _ -> ()) (loop : Core.op) :
     original iteration values flowing through the else branch — a zero-
     trip loop must not perform the load/store at all. *)
 let apply (loop : Core.op) (c : candidate) : unit =
-  let orig_results = Core.results loop in
-  let orig_result_tys = List.map (fun r -> r.Core.vty) orig_results in
+  let orig_result_tys = List.map (fun r -> r.Core.vty) (Core.results loop) in
   let orig_inits = Dialects.Loop.iter_inits loop in
   let need_guard =
     match Dialects.Loop.const_bounds loop with
@@ -143,8 +142,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
     Builder.set_default_loc b fused_loc;
     let init = Dialects.Memref.load b c.red_mem c.red_idx in
     let new_arg = Core.add_block_arg (Dialects.Loop.body loop) init.Core.vty in
-    Core.replace_all_uses_with (Core.result c.red_load 0) new_arg;
-    Core.erase_op c.red_load;
+    Core.replace_op c.red_load [ new_arg ];
     let yielded, _, _ = Dialects.Memref.store_parts c.red_store in
     let term =
       match Dialects.Loop.yield loop with
@@ -170,9 +168,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
   in
   if not need_guard then begin
     let b = Builder.before loop in
-    let new_results = emit b in
-    List.iter2 Core.replace_all_uses_with orig_results new_results;
-    Core.erase_op_unsafe loop
+    Core.replace_op loop (emit b)
   end
   else begin
     let b = Builder.before loop in
@@ -194,10 +190,7 @@ let apply (loop : Core.op) (c : candidate) : unit =
     Core.detach_op loop;
     let new_results = emit bb in
     Core.set_operands then_term new_results;
-    List.iteri
-      (fun i r -> Core.replace_all_uses_with r (Core.result if_op i))
-      orig_results;
-    Core.erase_op_unsafe loop
+    Core.replace_op loop (Core.results if_op)
   end
 
 let run_on_func (f : Core.op) stats =

@@ -89,8 +89,7 @@ let replace_dim_getters stats kernel names (values : int list) =
         (* The constant replaces the getter: keep its location. *)
         Builder.set_default_loc b g.Core.loc;
         let c = Dialects.Arith.const_index b (List.nth values d) in
-        Core.replace_all_uses_with (Core.result g 0) c;
-        Core.erase_op g;
+        Core.replace_op g [ c ];
         Pass.Stats.bump stats "hostdev.ndrange-const"
       | _ -> ())
     getters
@@ -183,13 +182,11 @@ let propagate_site stats (m : Core.op) (site : launch_site) =
                 match (g.Core.name, Sycl_ops.getter_dim g, buf_dims_const) with
                 | "sycl.accessor.get_offset", _, _ ->
                   let c = Dialects.Arith.const_index b 0 in
-                  Core.replace_all_uses_with (Core.result g 0) c;
-                  Core.erase_op g;
+                  Core.replace_op g [ c ];
                   Pass.Stats.bump stats "hostdev.accessor-member-const"
                 | _, Some d, Some dims when d < List.length dims ->
                   let c = Dialects.Arith.const_index b (List.nth dims d) in
-                  Core.replace_all_uses_with (Core.result g 0) c;
-                  Core.erase_op g;
+                  Core.replace_op g [ c ];
                   Pass.Stats.bump stats "hostdev.accessor-member-const"
                 | "sycl.accessor.get_mem_range", Some _, None ->
                   (* Not constant, but equal to the access range: replace
@@ -198,8 +195,7 @@ let propagate_site stats (m : Core.op) (site : launch_site) =
                     Sycl_ops.accessor_get_range b (Core.operand g 0)
                       (Core.operand g 1)
                   in
-                  Core.replace_all_uses_with (Core.result g 0) r;
-                  Core.erase_op g;
+                  Core.replace_op g [ r ];
                   Pass.Stats.bump stats "hostdev.accessor-member-unified"
                 | _ -> ())
               getters

@@ -22,10 +22,7 @@ let raise_call (op : Core.op) stats : bool =
      location. *)
   Builder.set_default_loc b op.Core.loc;
   let ok repl =
-    List.iteri
-      (fun i r -> Core.replace_all_uses_with r (Core.result repl i))
-      (Core.results op);
-    Core.erase_op op;
+    Core.replace_op op (Core.results repl);
     Pass.Stats.bump stats "raising.raised";
     true
   in

@@ -55,13 +55,7 @@ let inline_call (callee : Core.op) (call : Core.op) =
               Loc.callsite ~callee:o.Core.loc ~caller:call.Core.loc)
       end)
     (Core.ops body);
-  List.iteri
-    (fun i r ->
-      match List.nth_opt !returned i with
-      | Some v -> Core.replace_all_uses_with r v
-      | None -> ())
-    (Core.results call);
-  Core.erase_op call
+  Core.replace_op call !returned
 
 let max_rounds = 8
 
@@ -131,7 +125,6 @@ let run (m : Core.op) stats =
           Remarks.emit ~pass:"inline" ~name:"dead-function-removed"
             Remarks.Passed ~func:name
             "uncalled private helper removed after inlining";
-        Core.walk f ~f:(fun o -> if not (o == f) then Core.erase_op_unsafe o);
         Core.erase_op f;
         Pass.Stats.bump stats "inline.dead-functions-removed"
       end)

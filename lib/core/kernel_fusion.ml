@@ -378,7 +378,6 @@ let run (m : Core.op) stats =
     (fun f ->
       if Uniformity.is_kernel f && not (Hashtbl.mem referenced (Core.func_sym f))
       then begin
-        Core.walk f ~f:(fun o -> if not (o == f) then Core.erase_op_unsafe o);
         Core.erase_op f;
         Pass.Stats.bump stats "fusion.dead-kernels-removed"
       end)

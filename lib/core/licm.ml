@@ -273,8 +273,7 @@ let optimize_loop stats (loop : Core.op) =
               "hoisted loop-invariant load under a trip-count guard (alias \
                analysis proved no interfering store in the loop)"))
         loads;
-      Core.detach_op loop;
-      Core.insert_before ~anchor:then_anchor loop;
+      Core.move_before ~anchor:then_anchor loop;
       let else_anchor = Option.get (Core.last_op else_block) in
       Core.insert_before ~anchor:else_anchor orig_clone;
       Pass.Stats.bump ~by:(List.length loads) stats "licm.hoisted-mem";

@@ -347,11 +347,7 @@ let apply ~(kernel : Core.op) (loop : Core.op) (cands : candidate list) ~(m : in
         Builder.insert eb orig_clone |> Core.results)
       ()
   in
-  List.iteri
-    (fun i r -> Core.replace_all_uses_with r (Core.result if_op i))
-    (Core.results loop);
-  Core.walk loop ~f:(fun o -> if not (o == loop) then Core.erase_op_unsafe o);
-  Core.erase_op_unsafe loop;
+  Core.replace_op loop (Core.results if_op);
   List.iter
     (fun c ->
       remark ~name:"prefetched" Remarks.Passed

@@ -58,14 +58,7 @@ let unroll (loop : Core.op) ~(lb : int) ~(trips : int) ~(step : int) stats =
           | None -> y)
         (Core.operands term)
   done;
-  List.iteri
-    (fun idx r ->
-      match List.nth_opt !carried idx with
-      | Some v -> Core.replace_all_uses_with r v
-      | None -> ())
-    (Core.results loop);
-  Core.walk loop ~f:(fun o -> if not (o == loop) then Core.erase_op_unsafe o);
-  Core.erase_op_unsafe loop;
+  Core.replace_op loop !carried;
   Pass.Stats.bump stats "unroll.unrolled"
 
 let run_on_func (f : Core.op) stats =

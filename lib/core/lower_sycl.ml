@@ -262,7 +262,6 @@ let lower_kernel (m : Core.op) (kernel : Core.op) stats =
   Core.set_attr lowered abi_attr
     (Attr.Array (List.map (fun d -> Attr.Int d) expansion));
   (* The pre-lowering function is dropped. *)
-  Core.walk kernel ~f:(fun o -> if not (o == kernel) then Core.erase_op_unsafe o);
   Core.erase_op kernel;
   Pass.Stats.bump stats "lower-sycl.kernels"
 

@@ -48,10 +48,7 @@ let raise_loop (loop : Core.op) : bool =
           ~regions:[ region ]
       in
       Core.insert_before ~anchor:loop new_loop;
-      List.iteri
-        (fun i r -> Core.replace_all_uses_with r (Core.result new_loop i))
-        (Core.results loop);
-      Core.erase_op_unsafe loop;
+      Core.replace_op loop (Core.results new_loop);
       true
     | _ -> false)
   | _ -> false

@@ -64,8 +64,7 @@ let run_on_block stats (block : Core.block) =
               Remarks.Passed ~op
               "load replaced by the value of a must-aliasing store in the \
                same block (no intervening may-aliasing write)";
-          Core.replace_all_uses_with (Core.result op 0) v;
-          Core.erase_op op;
+          Core.replace_op op [ v ];
           Pass.Stats.bump stats "store-forwarding.forwarded"
         | Some _ ->
           if Remarks.enabled () then

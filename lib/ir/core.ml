@@ -304,6 +304,17 @@ let is_successor_target (block : block) =
           b.body)
       r.blocks
 
+(** Pre-order walk over [op] and every op nested in its regions. [f] may
+    detach the op it is given: the walk reads each block's ops once, as a
+    snapshot, and still enters the regions of a detached op. [erase_op]
+    relies on both. *)
+let rec walk op ~f =
+  f op;
+  Array.iter
+    (fun r ->
+      List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) r.blocks)
+    op.regions
+
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -346,11 +357,7 @@ let replace_all_uses_with old_v new_v =
 
 (* An inserted op stands for its whole subtree: every op in it is new
    to the enclosing IR, so every op in it gets the one fresh stamp. *)
-let rec stamp_subtree g op =
-  op.stamp <- g;
-  Array.iter
-    (fun r -> List.iter (fun b -> List.iter (stamp_subtree g) b.body) r.blocks)
-    op.regions
+let stamp_subtree g op = walk op ~f:(fun o -> o.stamp <- g)
 
 let attached block op =
   op.parent_block <- Some block;
@@ -428,19 +435,33 @@ let drop_operands op =
       stamp_def v)
     op.operands
 
-(** Remove [op] entirely: drops operand uses; fails if results are used. *)
+(** Remove [op] with every op nested in it (MLIR's [Operation::erase]).
+    Raises [Has_uses], before any change, when a result of [op] is still
+    used. The nested ops go first, in pre-order, then [op]; each is
+    announced to the listeners while its parent block and operand uses
+    are still in place, then detached and its operand uses dropped. *)
 let erase_op op =
   Array.iter (fun r -> if has_uses r then raise (Has_uses op)) op.results;
-  (* Notify while the parent block and operand uses are still in place. *)
-  notify_listeners (fun l -> l.on_op_erased op);
-  detach_op op;
-  drop_operands op
+  let erase_one o =
+    notify_listeners (fun l -> l.on_op_erased o);
+    detach_op o;
+    drop_operands o
+  in
+  walk op ~f:(fun o -> if not (o == op) then erase_one o);
+  erase_one op
 
-(** Erase without checking uses (for bulk deletion of whole regions). *)
-let erase_op_unsafe op =
-  notify_listeners (fun l -> l.on_op_erased op);
-  detach_op op;
-  drop_operands op
+(** Replace result [i] of [op] by the [i]-th of [values], then erase [op]
+    (MLIR's [replaceOp]). A result past the end of [values] must be
+    unused, and values past the last result are ignored: a call may name
+    more or fewer results than its callee returns. Raises [Has_uses],
+    before any change, when a result without a value is used. *)
+let replace_op op values =
+  let n = List.length values in
+  Array.iteri (fun i r -> if i >= n && has_uses r then raise (Has_uses op)) op.results;
+  List.iteri
+    (fun i v -> if i < num_results op then replace_all_uses_with op.results.(i) v)
+    values;
+  erase_op op
 
 (** Move [op] (possibly attached elsewhere) to just before [anchor]. *)
 let move_before ~anchor op =
@@ -463,14 +484,6 @@ let rec is_in_region region op =
     | Some r ->
       r == region
       || (match r.parent_op with None -> false | Some p -> is_in_region region p))
-
-(** Pre-order walk over [op] and every op nested in its regions. *)
-let rec walk op ~f =
-  f op;
-  Array.iter
-    (fun r ->
-      List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) r.blocks)
-    op.regions
 
 (** Was [op], or an op nested in it, stamped after generation [g]? *)
 let changed_since g op =

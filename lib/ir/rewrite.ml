@@ -48,8 +48,7 @@ let try_fold (op : Core.op) : bool =
     match (Op_registry.info op).Op_registry.fold op const_operands with
     | None -> false
     | Some (Op_registry.Fold_values vs) ->
-      List.iteri (fun i v -> Core.replace_all_uses_with (Core.result op i) v) vs;
-      Core.erase_op op;
+      Core.replace_op op vs;
       true
     | Some (Op_registry.Fold_attrs attrs) ->
       if constant_value op <> None then
@@ -59,14 +58,10 @@ let try_fold (op : Core.op) : bool =
         let builder = Builder.before op in
         (* Constants materialized for a folded op keep the op's location. *)
         Builder.set_default_loc builder op.Core.loc;
-        List.iteri
-          (fun i a ->
-            let v =
-              materialize_constant builder a (Core.result op i).Core.vty
-            in
-            Core.replace_all_uses_with (Core.result op i) v)
-          attrs;
-        Core.erase_op op;
+        Core.replace_op op
+          (List.mapi
+             (fun i a -> materialize_constant builder a (Core.result op i).Core.vty)
+             attrs);
         true
       end
 
@@ -79,7 +74,6 @@ let erase_if_dead (op : Core.op) : bool =
     && Op_registry.is_pure op
   then begin
     (* Pure ops have no nested code with effects; safe to drop wholesale. *)
-    Core.walk op ~f:(fun o -> if not (o == op) then Core.erase_op_unsafe o);
     Core.erase_op op;
     true
   end

@@ -179,14 +179,14 @@ let mutator_cases =
         (m, fun () -> fun () -> Core.erase_op (find f "memref.store")));
     (* The producers of the operands an erased op dropped: the stored
        addi loses its only use. *)
-    seeded_matches_full "erase_op_unsafe" (fun () ->
+    seeded_matches_full "erase_op (dropped operands)" (fun () ->
         let m, f =
           Helpers.with_func ~args:[ Types.memref_dyn Types.i64; Types.i64 ]
             (fun b vals ->
               let mem = List.nth vals 0 and a = List.nth vals 1 in
               Dialects.Memref.store b (A.addi b a a) mem [ A.const_index b 0 ])
         in
-        (m, fun () -> fun () -> Core.erase_op_unsafe (find f "memref.store")));
+        (m, fun () -> fun () -> Core.erase_op (find f "memref.store")));
     (* The detach step of a move stamps the old parent. *)
     seeded_matches_full "move_before" (fun () ->
         let m, f = if_with_store () in
