@@ -28,7 +28,7 @@ open Mlir
 
 (** Is every use of kernel argument [arg] (an accessor) a direct subscript
     at exactly (gid_0, ..., gid_{d-1})? *)
-let identity_indexed_only (kernel : Core.op) (arg : Core.value) =
+let identity_indexed_only (arg : Core.value) =
   let gid_dim (v : Core.value) =
     match v.Core.vdef with
     | Core.Op_result (op, _) when Sycl_ops.is_global_id_getter op ->
@@ -36,8 +36,7 @@ let identity_indexed_only (kernel : Core.op) (arg : Core.value) =
     | _ -> None
   in
   List.for_all
-    (fun (user, idx) ->
-      ignore idx;
+    (fun (user, _) ->
       Sycl_ops.is_subscript user
       && Core.value_equal (Sycl_ops.subscript_accessor user) arg
       && Sycl_ops.subscript_is_direct user
@@ -132,8 +131,7 @@ let dependence_safe (a : site) (b : site) =
       (not involved_in_write)
       || (match (arg_of_capture a.s_kernel cap_a, arg_of_capture b.s_kernel cap_b) with
          | Some arg_a, Some arg_b ->
-           identity_indexed_only a.s_kernel arg_a
-           && identity_indexed_only b.s_kernel arg_b
+           identity_indexed_only arg_a && identity_indexed_only arg_b
          | _ -> false))
     shared
 

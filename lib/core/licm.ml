@@ -24,11 +24,10 @@ type write_summary = {
   write_targets : Core.value list;
   (* Some op in the loop has unknown or anywhere effects. *)
   has_unknown : bool;
-  read_targets : Core.value list;
 }
 
 let summarize_writes (loop : Core.op) =
-  let writes = ref [] and reads = ref [] and unknown = ref false in
+  let writes = ref [] and unknown = ref false in
   List.iter
     (fun op ->
       match Op_registry.memory_effects op with
@@ -46,14 +45,12 @@ let summarize_writes (loop : Core.op) =
               match value_of target with
               | Some v -> writes := v :: !writes
               | None -> unknown := true)
-            | Op_registry.Read -> (
-              match value_of target with
-              | Some v -> reads := v :: !reads
-              | None -> unknown := true)
+            | Op_registry.Read ->
+              if Option.is_none (value_of target) then unknown := true
             | Op_registry.Alloc -> ())
           effects)
     (loop_ops loop);
-  { write_targets = !writes; has_unknown = !unknown; read_targets = !reads }
+  { write_targets = !writes; has_unknown = !unknown }
 
 type hoist_class =
   | Hoist_pure
@@ -65,7 +62,7 @@ let remark = Remarks.emit ~pass:"licm"
 
 (** Decide whether [op] in [loop] can be hoisted, given invariant value
     predicate [inv]. *)
-let classify (summary : write_summary) (loop : Core.op) inv (op : Core.op) :
+let classify (summary : write_summary) inv (op : Core.op) :
     hoist_class option =
   let operands_ok = List.for_all inv (Core.operands op) in
   if not operands_ok then None
@@ -163,7 +160,7 @@ let optimize_loop stats (loop : Core.op) =
           (not (Hashtbl.mem hoisted_values op.Core.oid))
           && not (Op_registry.is_terminator op)
         then
-          match classify summary loop inv' op with
+          match classify summary inv' op with
           | Some cls ->
             Hashtbl.replace hoisted_values op.Core.oid ();
             hoistable := (op, cls) :: !hoistable;

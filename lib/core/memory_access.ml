@@ -48,7 +48,6 @@ type access = {
 type env = {
   columns : (var, int) Hashtbl.t;
   order : var list ref;  (* reversed *)
-  kernel_dims : int;
 }
 
 let column env var =
@@ -253,9 +252,7 @@ let analyze_loop ~(kernel : Core.op) (rd : Reaching_defs.t) (loop : Core.op) :
   let accesses = ref [] in
   Core.walk loop ~f:(fun op ->
       if Dialects.Memref.is_load op || Dialects.Memref.is_store op then begin
-        let env =
-          { columns = Hashtbl.create 8; order = ref []; kernel_dims = kd }
-        in
+        let env = { columns = Hashtbl.create 8; order = ref [] } in
         (* Pre-assign global id columns in dimension order so matrices are
            stable and comparable. *)
         for d = 0 to kd - 1 do

@@ -41,7 +41,7 @@ let rec simplify e =
     | Const x, Const y when y > 0 ->
       let r = x mod y in
       Const (if r < 0 then r + y else r)
-    | a, Const 1 -> Const 0
+    | _, Const 1 -> Const 0
     | a, b -> Mod (a, b))
   | Floordiv (a, b) -> (
     match (simplify a, simplify b) with

@@ -238,7 +238,7 @@ and gen_body g ~depth (env : env) =
   go [] env 0
 
 and gen_region g ~depth (env : env) : Core.region =
-  if depth > 0 && int g 3 = 0 then gen_cfg_region g ~depth env
+  if depth > 0 && int g 3 = 0 then gen_cfg_region g env
   else begin
     let args = List.init (int g 3) (fun _ -> gen_type g) in
     let block = Core.create_block ~args () in
@@ -252,7 +252,7 @@ and gen_region g ~depth (env : env) : Core.region =
    except the last block which ends in a plain leaf. Bodies only use
    block-local values plus the enclosing env, so print order equals
    def order. *)
-and gen_cfg_region g ~depth (env : env) : Core.region =
+and gen_cfg_region g (env : env) : Core.region =
   let n = 2 + int g (max_blocks_per_cfg - 1) in
   let blocks =
     List.init n (fun _ ->

@@ -197,7 +197,6 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
     List.fold_left (fun acc (i, _) -> max acc i) 0 h.Objects.h_captures
   in
   let args = Array.make (max_idx + 1) Interp.Item in
-  let noalias = ref [] in
   let const_args = ref [] in
   let accessor_allocs = ref [] in
   List.iter

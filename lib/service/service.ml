@@ -37,7 +37,6 @@ type response = {
 type cached = {
   c_outcome : outcome;
   c_remarks : Remarks.t list;
-  c_cost : int;
   mutable c_last_use : int;  (** LRU clock value of the latest touch *)
 }
 
@@ -253,8 +252,7 @@ let process t (rq : request) : response =
       | Ok outcome ->
         let remarks = List.rev !collected in
         let entry =
-          { c_outcome = outcome; c_remarks = remarks; c_cost = !cost;
-            c_last_use = 0 }
+          { c_outcome = outcome; c_remarks = remarks; c_last_use = 0 }
         in
         let evicted = release t key entry in
         Metrics.incr t.reg "service.cache_misses";
