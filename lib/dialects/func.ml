@@ -74,6 +74,18 @@ let () =
       Op_registry.default_info with
       Op_registry.terminator = true;
       Op_registry.memory_effects = (fun _ -> Some []);
+      Op_registry.verify =
+        (fun op ->
+          match Core.parent_op op with
+          | Some f when Core.is_func f -> (
+            match Core.attr_type f "function_type" with
+            | Some (Types.Function (_, results))
+              when List.length results <> Core.num_operands op ->
+              Error
+                (Printf.sprintf "func.return returns %d value(s), @%s has %d result(s)"
+                   (Core.num_operands op) (Core.func_sym f) (List.length results))
+            | _ -> Ok ())
+          | _ -> Ok ());
     };
   (* Calls have unknown effects by default; analyses use the call graph
      to refine. *)

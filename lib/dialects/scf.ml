@@ -87,7 +87,11 @@ let () =
             Error "scf.if takes one or two regions"
           else if Core.num_results op > 0 && Core.num_regions op <> 2 then
             Error "scf.if with results requires an else region"
-          else Ok ());
+          else
+            let ( let* ) = Verifier.( let* ) in
+            let* () = Verifier.check_body_ends_with op ~region:0 ~yield:"scf.yield" in
+            if Core.num_regions op = 1 then Ok ()
+            else Verifier.check_body_ends_with op ~region:1 ~yield:"scf.yield");
     };
   Op_registry.register "scf.yield"
     {

@@ -144,11 +144,24 @@ let check_operand_type op i pred ~expected =
       (Printf.sprintf "operand %d must be %s, got %s" i expected
          (Types.to_string (Core.operand op i).Core.vty))
 
-(* A loop's body block must end in its dialect's yield, as MLIR
-   requires: passes take the next iteration's values from it. *)
-let check_body_ends_with op ~yield =
-  match Core.last_op (Core.entry_block (Core.region op 0)) with
-  | Some t when t.Core.name = yield -> Ok ()
-  | _ -> Error (Printf.sprintf "%s body must end with %s" op.Core.name yield)
+(* A loop's body block, or each region of an scf.if, must end in its
+   dialect's yield with one value per result of the op, as MLIR
+   requires: passes take the next iteration's values, and the op's
+   results, from it. *)
+let check_body_ends_with ?region op ~yield =
+  let body =
+    match region with
+    | None -> op.Core.name ^ " body"
+    | Some i -> Printf.sprintf "%s region %d" op.Core.name i
+  in
+  let r = Core.region op (Option.value region ~default:0) in
+  match Core.last_op (Core.entry_block r) with
+  | Some t when t.Core.name = yield ->
+    if Core.num_operands t = Core.num_results op then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s yields %d value(s), %s has %d result(s)" body
+           (Core.num_operands t) op.Core.name (Core.num_results op))
+  | _ -> Error (Printf.sprintf "%s must end with %s" body yield)
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e

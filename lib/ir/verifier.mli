@@ -30,8 +30,10 @@ val check_num_regions : Core.op -> int -> (unit, string) result
 val check_operand_type :
   Core.op -> int -> (Types.t -> bool) -> expected:string -> (unit, string) result
 
-(** The last op of the op's first body block is named [yield]. *)
-val check_body_ends_with : Core.op -> yield:string -> (unit, string) result
+(** The last op of the entry block of the op's region [region] (default
+    0) is named [yield] and has one operand per result of the op. *)
+val check_body_ends_with :
+  ?region:int -> Core.op -> yield:string -> (unit, string) result
 
 (** Result-monad bind over [(unit, string) result]. *)
 val ( let* ) : (unit, 'e) result -> (unit -> (unit, 'e) result) -> (unit, 'e) result

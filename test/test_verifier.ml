@@ -144,6 +144,51 @@ let tests_list =
           (verify (scf_for "      scf.yield()\n") = Ok ());
         Alcotest.(check bool) "affine.for ending in affine.yield" true
           (verify (affine_for "    ^bb0(%1: index):\n      affine.yield()\n") = Ok ()));
+    Alcotest.test_case
+      "a yield or return short of its parent's results rejected at its location"
+      `Quick (fun () ->
+        let verify body =
+          Verifier.verify
+            (Parser.parse_module ~file:"yield.mlir"
+               ("builtin.module() ({\n\
+                \  func.func() ({\n\
+                \    %0 = arith.constant() {value = true} : () -> (i1)\n\
+                \    %1 = arith.constant() {value = 7} : () -> (i64)\n\
+                \    %2 = arith.constant() {value = 0} : () -> (index)\n" ^ body
+              ^ "  }) {function_type = () -> (i64), sym_name = \"f\"}\n\
+                  })"))
+        in
+        let scf_if taken =
+          "    %3 = scf.if(%0) ({\n" ^ taken
+          ^ "    }, {\n      scf.yield(%1)\n    }) : (i1) -> (i64)\n\
+            \    func.return(%3)\n"
+        and scf_for yield =
+          "    %3 = scf.for(%2, %2, %2, %1) ({\n    ^bb0(%4: index, %5: i64):\n"
+          ^ yield
+          ^ "    }) : (index, index, index, i64) -> (i64)\n    func.return(%3)\n"
+        in
+        let rejected what body expected =
+          match verify body with
+          | Error [ d ] ->
+            let msg = Verifier.diag_to_string d in
+            if not (String.starts_with ~prefix:("yield.mlir:6:5: " ^ expected) msg) then
+              Alcotest.failf "%s: %s" what msg
+          | _ -> Alcotest.failf "%s: expected one diagnostic" what
+        in
+        rejected "scf.if with an empty region" (scf_if "")
+          "scf.if region 0 must end with scf.yield";
+        rejected "scf.if yielding nothing" (scf_if "      scf.yield()\n")
+          "scf.if region 0 yields 0 value(s), scf.if has 1 result(s)";
+        rejected "scf.for yielding nothing" (scf_for "      scf.yield()\n")
+          "scf.for body yields 0 value(s), scf.for has 1 result(s)";
+        rejected "func.return of nothing" "    func.return()\n"
+          "func.return returns 0 value(s), @f has 1 result(s)";
+        List.iter
+          (fun (what, body) ->
+            Alcotest.(check bool) what true (verify body = Ok ()))
+          [ ("scf.if yielding its result", scf_if "      scf.yield(%1)\n");
+            ("scf.for yielding its iter_arg", scf_for "      scf.yield(%5)\n");
+            ("func.return of its result", "    func.return(%1)\n") ]);
     Alcotest.test_case "scf.if with results requires else" `Quick (fun () ->
         let m, _f =
           Helpers.with_func (fun b _ ->
