@@ -191,3 +191,15 @@ let summary (op : Core.op) =
   comma_separated env value_name op.operands;
   Buffer.add_char env.buf ')';
   Buffer.contents env.buf
+
+(* A replace that leaves a result used names the op it could not erase. *)
+let () =
+  Printexc.register_printer (function
+    | Core.Has_uses op ->
+      let uses = Array.fold_left (fun n r -> n + Core.num_uses r) 0 op.Core.results in
+      Some
+        (Printf.sprintf
+           "Core.Has_uses: cannot erase %s at loc(%s): its results still \
+            have %d use(s)"
+           (summary op) (Loc.to_string op.Core.loc) uses)
+    | _ -> None)

@@ -49,9 +49,106 @@ let tests_list =
               check_bool "raises Has_uses" true
                 (match Core.erase_op def with
                 | () -> false
-                | exception Core.Has_uses _ -> true))
+                | exception Core.Has_uses _ -> true);
+              Alcotest.(check string) "the exception names the op, its location and its uses"
+                "Core.Has_uses: cannot erase arith.constant() at loc(unknown): its \
+                 results still have 2 use(s)"
+                (Printexc.to_string (Core.Has_uses def)))
         in
         ());
+    Alcotest.test_case "erase_op erases every nested op, in pre-order, then the op"
+      `Quick (fun () ->
+        let outside = ref [] in
+        let _m, f =
+          Helpers.with_func (fun b _ ->
+              let c = A.const_bool b true in
+              let x = A.const_int b 7 in
+              let zero = A.const_index b 0 in
+              let one = A.const_index b 1 in
+              outside := [ c; x; zero; one ];
+              ignore
+                (Dialects.Scf.for_ b ~lb:zero ~ub:one ~step:one (fun bb _ _ ->
+                     ignore
+                       (Dialects.Scf.if_ bb c
+                          ~then_:(fun tb ->
+                            ignore (A.addi tb x x);
+                            [])
+                          ());
+                     [])))
+        in
+        let loop = List.hd (Core.collect_named f "scf.for") in
+        let nested = Core.collect loop ~p:(fun o -> not (o == loop)) in
+        let erased = ref [] in
+        Core.with_listener
+          {
+            Core.on_op_inserted = ignore;
+            on_operand_replaced = (fun _ _ -> ());
+            on_op_erased = (fun o -> erased := o :: !erased);
+          }
+          (fun () -> Core.erase_op loop);
+        List.iter
+          (fun v -> check_int "a value defined outside has no uses left" 0 (Core.num_uses v))
+          !outside;
+        check_bool "every nested op is detached" true
+          (List.for_all (fun o -> Option.is_none o.Core.parent_block) nested);
+        Alcotest.(check (list string)) "erased in pre-order, the op last"
+          [ "scf.if"; "arith.addi"; "scf.yield"; "scf.yield"; "scf.for" ]
+          (List.rev_map (fun o -> o.Core.name) !erased);
+        check_bool "the listener heard each op once" true
+          (List.for_all2 ( == ) (List.rev !erased) (nested @ [ loop ]));
+        Helpers.check_verifies f);
+    Alcotest.test_case
+      "replace_op replaces each result in order; a result without a value must be unused"
+      `Quick (fun () ->
+        (* f(a, c): a loop carrying (a, c) that adds a to the first; the
+           addi after it reads the first result and, when [second], the
+           second. *)
+        let build ~second =
+          let _m, f =
+            Helpers.with_func ~args:[ Types.i64; Types.i64 ] (fun b args ->
+                let a = List.hd args in
+                let zero = A.const_index b 0 in
+                let one = A.const_index b 1 in
+                let loop =
+                  Dialects.Scf.for_ b ~lb:zero ~ub:one ~step:one ~iter_args:args
+                    (fun bb _ iters -> [ A.addi bb (List.hd iters) a; List.nth iters 1 ])
+                in
+                let r i = Core.result loop i in
+                ignore (A.addi b (r 0) (r (if second then 1 else 0))))
+          in
+          let loop = List.hd (Core.collect_named f "scf.for") in
+          let user = List.nth (Core.collect_named f "arith.addi") 1 in
+          match Core.block_args (Core.func_body f) with
+          | [ a; c ] -> (f, loop, user, a, c)
+          | _ -> Alcotest.fail "expected two arguments"
+        in
+        let reads what user vs =
+          check_bool what true (List.for_all2 Core.value_equal (Core.operands user) vs)
+        in
+        let attached (o : Core.op) = Option.is_some o.Core.parent_block in
+        let f, loop, user, a, c = build ~second:true in
+        let nested = Core.collect loop ~p:(fun o -> not (o == loop)) in
+        Core.replace_op loop [ a; c ];
+        reads "each result replaced by its value, in order" user [ a; c ];
+        check_bool "the loop and its nested ops are erased" false
+          (List.exists attached (loop :: nested));
+        check_int "a is left with the addi's use" 1 (Core.num_uses a);
+        Helpers.check_verifies f;
+        let _, loop, user, _, c = build ~second:false in
+        Core.replace_op loop [ c ];
+        reads "an unused result needs no value" user [ c; c ];
+        check_bool "the loop is erased" false (attached loop);
+        let _, loop, user, a, _ = build ~second:true in
+        let nested = Core.collect loop ~p:(fun o -> not (o == loop)) in
+        let results = Core.results loop in
+        check_bool "a used result without a value raises Has_uses" true
+          (match Core.replace_op loop [ a ] with
+          | () -> false
+          | exception Core.Has_uses o -> o == loop);
+        reads "the addi still reads the loop" user results;
+        check_bool "the loop and its nested ops stay" true
+          (List.for_all attached (loop :: nested));
+        check_int "a keeps its uses in the loop" 2 (Core.num_uses a));
     Alcotest.test_case "insert_before and move" `Quick (fun () ->
         let _m, f =
           Helpers.with_func (fun b _ ->
