@@ -136,6 +136,16 @@ let mutator_cases =
           fun () ->
             let a = Core.operand (find f "arith.addi") 1 in
             fun () -> Core.replace_all_uses_with a (zero_of f) ));
+    (* The users of a replaced op: x + a * a becomes x + 0. *)
+    seeded_matches_full "replace_op" (fun () ->
+        let m, f =
+          Helpers.with_func ~args:[ Types.i64; Types.i64 ]
+            ~results:[ Types.i64; Types.i64 ] (fun b vals ->
+              let x = List.nth vals 0 and a = List.nth vals 1 in
+              let zero = A.const_int b 0 in
+              Dialects.Func.return b [ A.addi b x (A.muli b a a); zero ])
+        in
+        (m, fun () -> fun () -> Core.replace_op (find f "arith.muli") [ zero_of f ]));
     (* An inserted op stands for its whole subtree: the dead constant
        nested in the appended scf.if must be seeded. *)
     seeded_matches_full "append_op" (fun () ->
