@@ -138,6 +138,9 @@ let tests_list =
         Core.replace_op loop [ c ];
         reads "an unused result needs no value" user [ c; c ];
         check_bool "the loop is erased" false (attached loop);
+        let _, loop, user, a, c = build ~second:true in
+        Core.replace_op loop [ a; c; a ];
+        reads "a value past the last result is ignored" user [ a; c ];
         let _, loop, user, a, _ = build ~second:true in
         let nested = Core.collect loop ~p:(fun o -> not (o == loop)) in
         let results = Core.results loop in
