@@ -131,7 +131,7 @@ let analyze (m : Core.op) : t =
     (* Recurse into regions first. *)
     Array.iter
       (fun r ->
-        List.iter (fun b -> List.iter (eval_op f) (Core.ops b)) r.Core.blocks)
+        List.iter (Core.iter_ops (eval_op f)) r.Core.blocks)
       op.Core.regions;
     let operand_lat = joins (List.map (value t) (Core.operands op)) in
     if info.Op_registry.non_uniform_source then
@@ -256,7 +256,7 @@ let analyze (m : Core.op) : t =
   in
   let eval_func f =
     if not (Dialects.Func.is_declaration f) then begin
-      List.iter (eval_op f) (Core.ops (Core.func_body f));
+      Core.iter_ops (eval_op f) (Core.func_body f);
       (* Return summary. *)
       let rets =
         match Core.last_op (Core.func_body f) with

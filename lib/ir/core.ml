@@ -8,14 +8,28 @@ type value = {
   vid : int;
   mutable vty : Types.t;
   mutable vdef : vdef;
-  (* Use list: (op, operand index) pairs, maintained by the mutators below.
-     All operand mutation must go through [set_operand]/[erase_op]. *)
-  mutable uses : (op * int) list;
+  (* Use list: the use records of the operands that read this value,
+     newest first, doubly linked through [prev_use]/[next_use] and ended
+     by [nil_use]; [use_count] is its length. Maintained by the mutators
+     below: all operand mutation must go through [set_operand(s)] and
+     [erase_op]. *)
+  mutable first_use : use;
+  mutable use_count : int;
 }
 
 and vdef =
   | Op_result of op * int
   | Block_arg of block * int
+
+(* One operand of an op, owned by it and linked into the use list of the
+   value it reads (MLIR's [OpOperand]), so a use is unlinked in O(1). *)
+and use = {
+  owner : op;
+  index : int;
+  mutable used : value;
+  mutable prev_use : use;
+  mutable next_use : use;
+}
 
 and op = {
   oid : int;
@@ -24,6 +38,8 @@ and op = {
      for that atom, so string equality on names is a pointer check. *)
   name_id : Atom.t;
   mutable operands : value array;
+  (* [operand_uses.(i)] is the use record of [operands.(i)]. *)
+  mutable operand_uses : use array;
   mutable results : value array;
   mutable attrs : (string * Attr.t) list;
   regions : region array;
@@ -31,6 +47,12 @@ and op = {
      Successors always belong to the region holding the op's block. *)
   mutable successors : block array;
   mutable parent_block : block option;
+  (* The neighbours of the op in its block, [nil_op] past either end and
+     for a detached op; [order] ranks it in its block while the block's
+     [order_valid] holds (see [is_before_in_block]). *)
+  mutable prev : op;
+  mutable next : op;
+  mutable order : int;
   (* Source location (MLIR-style). The parser records textual positions,
      builders stamp defaults, transforms propagate deliberately. *)
   mutable loc : Loc.t;
@@ -39,10 +61,17 @@ and op = {
   mutable stamp : int;
 }
 
+(* A block's ops form an intrusive doubly linked list from [first] to
+   [last], both [nil_op] when the block is empty. *)
 and block = {
   bid : int;
   mutable bargs : value array;
-  mutable body : op list;
+  mutable first : op;
+  mutable last : op;
+  (* Whether the [order] of the block's ops increases along the list. An
+     append keeps it; any other insertion clears it, and the next order
+     query renumbers the block. *)
+  mutable order_valid : bool;
   mutable parent_region : region option;
 }
 
@@ -51,6 +80,34 @@ and region = {
   mutable blocks : block list;
   mutable parent_op : op option;
 }
+
+(* The sentinels that end the op and use lists. They are shared by every
+   block and value, on every domain, so nothing ever writes to them. *)
+let rec nil_op =
+  {
+    oid = -1;
+    name = "";
+    name_id = -1;
+    operands = [||];
+    operand_uses = [||];
+    results = [||];
+    attrs = [];
+    regions = [||];
+    successors = [||];
+    parent_block = None;
+    prev = nil_op;
+    next = nil_op;
+    order = 0;
+    loc = Loc.Unknown;
+    stamp = 0;
+  }
+
+and nil_value =
+  { vid = -1; vty = Types.None_type; vdef = Op_result (nil_op, -1); first_use = nil_use;
+    use_count = 0 }
+
+and nil_use =
+  { owner = nil_op; index = -1; used = nil_value; prev_use = nil_use; next_use = nil_use }
 
 (* Ids are minted from one process-wide atomic counter. A plain [ref] +
    [incr] here let two domains compiling concurrently read the same
@@ -129,24 +186,73 @@ let value_equal a b = a.vid = b.vid
 
 let stamp_def v = match v.vdef with Op_result (op, _) -> stamp op | Block_arg _ -> ()
 
+(* Visit [v]'s use records, newest first. [f] may unlink the record it
+   is given: the next one is read first. *)
+let iter_uses f v =
+  let rec go u =
+    if u != nil_use then begin
+      let next = u.next_use in
+      f u;
+      go next
+    end
+  in
+  go v.first_use
+
 (* A changed op and its users: a user may fold or match differently
    through it (a constant's value, the operands reassociation reads). *)
 let stamp_with_users op =
   stamp op;
-  Array.iter (fun r -> List.iter (fun (user, _) -> stamp user) r.uses) op.results
+  Array.iter (iter_uses (fun u -> stamp u.owner)) op.results
 
-let uses v = v.uses
-let has_uses v = v.uses <> []
-let num_uses v = List.length v.uses
+(** The uses of [v] as (user, operand index) pairs, newest first. *)
+let uses v =
+  let rec go u = if u == nil_use then [] else (u.owner, u.index) :: go u.next_use in
+  go v.first_use
+
+let has_uses v = v.first_use != nil_use
+let num_uses v = v.use_count
+
+(** Is operand [i] of [op] linked into the use list of the value it
+    reads? The verifier's use-list check, in O(1). *)
+let operand_linked op i =
+  let u = op.operand_uses.(i) and v = op.operands.(i) in
+  u.used == v
+  && if u.prev_use == nil_use then v.first_use == u else u.prev_use.next_use == u
 
 (* ------------------------------------------------------------------ *)
 (* Op construction                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let add_use v op idx = v.uses <- (op, idx) :: v.uses
+(* Link [u] at the head of [v]'s use list: the newest use comes first. *)
+let link_use v u =
+  u.used <- v;
+  u.prev_use <- nil_use;
+  u.next_use <- v.first_use;
+  if v.first_use != nil_use then v.first_use.prev_use <- u;
+  v.first_use <- u;
+  v.use_count <- v.use_count + 1
 
-let remove_use v op idx =
-  v.uses <- List.filter (fun (o, i) -> not (o == op && i = idx)) v.uses
+let unlink_use u =
+  let v = u.used in
+  if u.prev_use == nil_use then v.first_use <- u.next_use
+  else u.prev_use.next_use <- u.next_use;
+  if u.next_use != nil_use then u.next_use.prev_use <- u.prev_use;
+  u.prev_use <- nil_use;
+  u.next_use <- nil_use;
+  v.use_count <- v.use_count - 1
+
+(* One use record per operand, each linked into its value's list in
+   operand order. *)
+let link_operands op =
+  op.operand_uses <-
+    Array.mapi
+      (fun index v ->
+        let u = { owner = op; index; used = v; prev_use = nil_use; next_use = nil_use } in
+        link_use v u;
+        u)
+      op.operands
+
+let new_value vty vdef = { vid = next_id (); vty; vdef; first_use = nil_use; use_count = 0 }
 
 (** Create a detached operation. Results are fresh values; regions are given
     already-built (detached) regions whose parent is patched here. *)
@@ -159,33 +265,32 @@ let create_op ?(attrs = []) ?(regions = []) ?(successors = [])
       name = Atom.to_string name_id;
       name_id;
       operands = Array.of_list operands;
+      operand_uses = [||];
       results = [||];
       attrs;
       regions = Array.of_list regions;
       successors = Array.of_list successors;
       parent_block = None;
+      prev = nil_op;
+      next = nil_op;
+      order = 0;
       loc;
       stamp = 0;
     }
   in
   op.results <-
-    Array.of_list
-      (List.mapi
-         (fun i ty ->
-           { vid = next_id (); vty = ty; vdef = Op_result (op, i); uses = [] })
-         result_types);
-  Array.iteri (fun i v -> add_use v op i) op.operands;
+    Array.of_list (List.mapi (fun i ty -> new_value ty (Op_result (op, i))) result_types);
+  link_operands op;
   Array.iter (fun r -> r.parent_op <- Some op) op.regions;
   op
 
 let create_block ?(args = []) () =
-  let blk = { bid = next_id (); bargs = [||]; body = []; parent_region = None } in
+  let blk =
+    { bid = next_id (); bargs = [||]; first = nil_op; last = nil_op; order_valid = true;
+      parent_region = None }
+  in
   blk.bargs <-
-    Array.of_list
-      (List.mapi
-         (fun i ty ->
-           { vid = next_id (); vty = ty; vdef = Block_arg (blk, i); uses = [] })
-         args);
+    Array.of_list (List.mapi (fun i ty -> new_value ty (Block_arg (blk, i))) args);
   blk
 
 let create_region ?(blocks = []) () =
@@ -211,26 +316,52 @@ let block_arg b i = b.bargs.(i)
 
 (** The ops of [b], in order. The list is a snapshot: the caller may keep
     walking it while it inserts, moves or erases ops of [b]. *)
-let ops b = b.body
+let ops b =
+  let rec go o acc = if o == nil_op then acc else go o.prev (o :: acc) in
+  go b.last []
 
-let first_op b = match b.body with o :: _ -> Some o | [] -> None
+(** Apply [f] to each op of [b], in order, without building a list. [f]
+    may detach or erase the op it is given, because the next op is read
+    before [f] runs, but no other op of [b]; an op it inserts right
+    after the current one is not visited, one inserted further on is. *)
+let iter_ops f b =
+  let rec go o =
+    if o != nil_op then begin
+      let next = o.next in
+      f o;
+      go next
+    end
+  in
+  go b.first
+
+(** [f (... (f init o1) ...) on], over the ops of [b] in order. *)
+let fold_ops f init b =
+  let rec go acc o = if o == nil_op then acc else go (f acc o) o.next in
+  go init b.first
+
+let for_all_ops p b =
+  let rec go o = o == nil_op || (p o && go o.next) in
+  go b.first
+
+let first_op b = if b.first == nil_op then None else Some b.first
 
 (** The last op of [b]: its terminator, in a block that has one. *)
-let last_op b =
-  let rec last = function [] -> None | [ o ] -> Some o | _ :: rest -> last rest in
-  last b.body
+let last_op b = if b.last == nil_op then None else Some b.last
+
+let renumber b =
+  ignore (fold_ops (fun i o -> o.order <- i; i + 1) 0 b);
+  b.order_valid <- true
 
 (** Does [a] come strictly before [b] in the block that holds them both?
-    False for the same op, and for ops of different blocks. One walk,
-    which stops at whichever of the two it meets first. *)
+    False for the same op, and for ops of different blocks. Compares the
+    ops' order indices, renumbering the block first when an insertion
+    other than an append left them stale (MLIR's
+    [Operation::isBeforeInBlock]). *)
 let is_before_in_block a b =
   match (a.parent_block, b.parent_block) with
   | Some ba, Some bb when ba == bb ->
-    let rec go = function
-      | [] -> false
-      | o :: rest -> if o == b then false else o == a || go rest
-    in
-    go ba.body
+    if not ba.order_valid then renumber ba;
+    a.order < b.order
   | _ -> false
 
 let parent_op_of_block b =
@@ -246,7 +377,7 @@ let rec stamp_ancestors_of_block b =
 
 let add_block_arg b ty =
   let i = Array.length b.bargs in
-  let v = { vid = next_id (); vty = ty; vdef = Block_arg (b, i); uses = [] } in
+  let v = new_value ty (Block_arg (b, i)) in
   b.bargs <- Array.append b.bargs [| v |];
   Option.iter stamp (parent_op_of_block b);
   v
@@ -266,14 +397,24 @@ let operand op i = op.operands.(i)
 let operands op = Array.to_list op.operands
 let num_operands op = Array.length op.operands
 
-let attr op key = List.assoc_opt key op.attrs
+let attr op key =
+  let rec find = function
+    | [] -> None
+    | (k, a) :: rest -> if String.equal k key then Some a else find rest
+  in
+  find op.attrs
+
+(* [attrs] without the first binding of [key], as [List.remove_assoc]. *)
+let rec remove_key key = function
+  | [] -> []
+  | ((k, _) as b) :: rest -> if String.equal k key then rest else b :: remove_key key rest
 
 let set_attr op key a =
-  op.attrs <- (key, a) :: List.remove_assoc key op.attrs;
+  op.attrs <- (key, a) :: remove_key key op.attrs;
   stamp_with_users op
 
 let remove_attr op key =
-  op.attrs <- List.remove_assoc key op.attrs;
+  op.attrs <- remove_key key op.attrs;
   stamp_with_users op
 
 let attr_int op key = Option.bind (attr op key) Attr.as_int
@@ -299,21 +440,18 @@ let is_successor_target (block : block) =
   | Some r ->
     List.exists
       (fun b ->
-        List.exists
-          (fun o -> Array.exists (fun s -> s == block) o.successors)
-          b.body)
+        not (for_all_ops (fun o -> not (Array.exists (fun s -> s == block) o.successors)) b))
       r.blocks
 
-(** Pre-order walk over [op] and every op nested in its regions. [f] may
-    detach the op it is given: the walk reads each block's ops once, as a
-    snapshot, and still enters the regions of a detached op. [erase_op]
-    relies on both. *)
+(** Pre-order walk over [op] and every op nested in its regions. Each
+    block's next op is read before the current one is visited (MLIR's
+    early-increment walk), so [f] may detach the op it is given, and the
+    walk still enters the regions of a detached op; [erase_op] relies on
+    both. Like {!iter_ops}, the walk skips an op inserted right after the
+    op being visited and reaches one inserted further on. *)
 let rec walk op ~f =
   f op;
-  Array.iter
-    (fun r ->
-      List.iter (fun b -> List.iter (fun o -> walk o ~f) b.body) r.blocks)
-    op.regions
+  Array.iter (fun r -> List.iter (fun b -> iter_ops (fun o -> walk o ~f) b) r.blocks) op.regions
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
@@ -322,9 +460,10 @@ let rec walk op ~f =
 let set_operand op i v =
   let old = op.operands.(i) in
   if not (value_equal old v) then begin
-    remove_use old op i;
+    let u = op.operand_uses.(i) in
+    unlink_use u;
     op.operands.(i) <- v;
-    add_use v op i;
+    link_use v u;
     stamp_with_users op;
     stamp_def old;
     notify_listeners (fun l -> l.on_operand_replaced op old)
@@ -332,9 +471,9 @@ let set_operand op i v =
 
 let set_operands op vs =
   let olds = op.operands in
-  Array.iteri (fun i old -> remove_use old op i) olds;
+  Array.iter unlink_use op.operand_uses;
   op.operands <- Array.of_list vs;
-  Array.iteri (fun i v -> add_use v op i) op.operands;
+  link_operands op;
   stamp_with_users op;
   Array.iteri
     (fun i old ->
@@ -347,13 +486,13 @@ let set_operands op vs =
       end)
     olds
 
+(* [set_operand] moves each record to [new_v]'s list; [iter_uses] has
+   read the next one already. *)
 let replace_all_uses_with old_v new_v =
-  (* Copy: set_operand mutates the use list we're iterating. *)
-  let us = old_v.uses in
-  List.iter (fun (op, i) -> set_operand op i new_v) us
+  iter_uses (fun u -> set_operand u.owner u.index new_v) old_v
 
-(* Block body surgery. Ops are compared physically (each op record is
-   unique), so list rebuilding is safe. *)
+(* Block surgery: linking and unlinking ops. No write ever reaches
+   [nil_op]. *)
 
 (* An inserted op stands for its whole subtree: every op in it is new
    to the enclosing IR, so every op in it gets the one fresh stamp. *)
@@ -364,9 +503,25 @@ let attached block op =
   stamp_subtree (fresh_generation ()) op;
   notify_listeners (fun l -> l.on_op_inserted op)
 
+(* Link the detached [op] into [block] between [prev] and [next], either
+   of which may be [nil_op]. An append numbers the op after [prev] and
+   keeps the block's order index valid; any other insertion clears it. *)
+let link block ~prev ~next op =
+  assert (op.parent_block == None);
+  op.prev <- prev;
+  op.next <- next;
+  if prev == nil_op then block.first <- op else prev.next <- op;
+  if next == nil_op then begin
+    block.last <- op;
+    op.order <- (if prev == nil_op then 0 else prev.order + 1)
+  end
+  else begin
+    next.prev <- op;
+    block.order_valid <- false
+  end
+
 let append_op block op =
-  assert (op.parent_block = None);
-  block.body <- block.body @ [ op ];
+  link block ~prev:block.last ~next:nil_op op;
   attached block op
 
 (** Make [ops], new and detached, the whole body of the new, empty
@@ -376,45 +531,32 @@ let append_op block op =
     own blocks. No listener hears of it, because building new IR is not
     a rewrite. *)
 let attach_body block ops =
-  assert (block.body == []);
+  assert (block.first == nil_op);
   let g = fresh_generation () in
   List.iter
     (fun op ->
-      assert (op.parent_block == None);
+      link block ~prev:block.last ~next:nil_op op;
       op.parent_block <- Some block;
       op.stamp <- g)
     ops;
-  block.body <- ops
+  block.order_valid <- true
 
 let prepend_op block op =
-  assert (op.parent_block = None);
-  block.body <- op :: block.body;
+  link block ~prev:nil_op ~next:block.first op;
   attached block op
 
 let insert_before ~anchor op =
   match anchor.parent_block with
   | None -> invalid_arg "insert_before: anchor is detached"
   | Some block ->
-    assert (op.parent_block = None);
-    let rec go = function
-      | [] -> invalid_arg "insert_before: anchor not in its block"
-      | o :: rest when o == anchor -> op :: o :: rest
-      | o :: rest -> o :: go rest
-    in
-    block.body <- go block.body;
+    link block ~prev:anchor.prev ~next:anchor op;
     attached block op
 
 let insert_after ~anchor op =
   match anchor.parent_block with
   | None -> invalid_arg "insert_after: anchor is detached"
   | Some block ->
-    assert (op.parent_block = None);
-    let rec go = function
-      | [] -> invalid_arg "insert_after: anchor not in its block"
-      | o :: rest when o == anchor -> o :: op :: rest
-      | o :: rest -> o :: go rest
-    in
-    block.body <- go block.body;
+    link block ~prev:anchor ~next:anchor.next op;
     attached block op
 
 (** Detach [op] from its block without touching its operands' use lists. *)
@@ -422,7 +564,11 @@ let detach_op op =
   match op.parent_block with
   | None -> ()
   | Some block ->
-    block.body <- List.filter (fun o -> not (o == op)) block.body;
+    let prev = op.prev and next = op.next in
+    if prev == nil_op then block.first <- next else prev.next <- next;
+    if next == nil_op then block.last <- prev else next.prev <- prev;
+    op.prev <- nil_op;
+    op.next <- nil_op;
     op.parent_block <- None;
     stamp_ancestors_of_block block
 
@@ -431,7 +577,7 @@ exception Has_uses of op
 let drop_operands op =
   Array.iteri
     (fun i v ->
-      remove_use v op i;
+      unlink_use op.operand_uses.(i);
       stamp_def v)
     op.operands
 
@@ -498,7 +644,13 @@ let collect op ~p =
   walk op ~f:(fun o -> if p o then acc := o :: !acc);
   List.rev !acc
 
-let collect_named op name = collect op ~p:(fun o -> o.name = name)
+(** [named names] tests an op's name against [names] by atom. Apply it
+    to [names] once and the result to many ops. *)
+let named names =
+  let ids = List.map Atom.intern names in
+  fun op -> List.exists (fun id -> id = op.name_id) ids
+
+let collect_named op name = collect op ~p:(named [ name ])
 
 (** First op (pre-order, excluding [op] itself) satisfying [p]. *)
 let find_first op ~p =
@@ -519,21 +671,28 @@ let func_name = "func.func"
 let create_module () =
   create_op module_name ~operands:[] ~result_types:[] ~regions:[ region_with_block () ]
 
-let module_block m =
-  assert (m.name = module_name);
-  entry_block m.regions.(0)
+let module_atom = Atom.intern module_name
+let func_atom = Atom.intern func_name
+let is_module op = op.name_id = module_atom
+let is_func op = op.name_id = func_atom
 
-let is_module op = op.name = module_name
-let is_func op = op.name = func_name
+let module_block m =
+  assert (is_module m);
+  entry_block m.regions.(0)
 
 let func_sym op = match attr_string op "sym_name" with Some s -> s | None -> "?"
 
 let lookup_func m name =
-  List.find_opt
-    (fun o -> is_func o && func_sym o = name)
-    (module_block m).body
+  let rec find o =
+    if o == nil_op then None
+    else if is_func o && String.equal (func_sym o) name then Some o
+    else find o.next
+  in
+  find (module_block m).first
 
-let funcs m = List.filter is_func (module_block m).body
+let funcs m =
+  let rec go o acc = if o == nil_op then acc else go o.prev (if is_func o then o :: acc else acc) in
+  go (module_block m).last []
 
 let func_body op =
   assert (is_func op);
@@ -549,12 +708,12 @@ let rec enclosing_func op =
     ["scf.for#2 > arith.addi#0"]. The enclosing func itself is excluded. *)
 let op_path op =
   let component o =
-    let rec index i = function
-      | [] -> o.name
-      | o' :: _ when o' == o -> Printf.sprintf "%s#%d" o.name i
-      | _ :: rest -> index (i + 1) rest
+    let rec index i o' =
+      if o' == nil_op then o.name
+      else if o' == o then Printf.sprintf "%s#%d" o.name i
+      else index (i + 1) o'.next
     in
-    match o.parent_block with Some b -> index 0 b.body | None -> o.name
+    match o.parent_block with Some b -> index 0 b.first | None -> o.name
   in
   let rec above o acc =
     match parent_op o with
@@ -593,9 +752,7 @@ let rec clone_op ?(value_map = Hashtbl.create 16) ?(block_map = Hashtbl.create 8
            in
            List.iter
              (fun (b, nb) ->
-               List.iter
-                 (fun o -> append_op nb (clone_op ~value_map ~block_map o))
-                 b.body)
+               iter_ops (fun o -> append_op nb (clone_op ~value_map ~block_map o)) b)
              blocks;
            create_region ~blocks:(List.map snd blocks) ())
     |> fun rs -> rs

@@ -39,11 +39,11 @@ module Forward (D : DOMAIN) = struct
     let res = { before = Hashtbl.create 256; at_end = Hashtbl.create 32 } in
     let rec exec_block (b : Core.block) (state : D.t) : D.t =
       let final =
-        List.fold_left
+        Core.fold_ops
           (fun state op ->
             Hashtbl.replace res.before op.Core.oid state;
             exec_op op state)
-          state (Core.ops b)
+          state b
       in
       Hashtbl.replace res.at_end b.Core.bid final;
       final

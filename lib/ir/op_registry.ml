@@ -67,10 +67,12 @@ let pure_info = { default_info with memory_effects = (fun _ -> Some []); specula
 (* One table, indexed by the atom of the op name ([Core.op.name_id]).
    Dialect modules register when they are linked (their top-level
    [let () = ...] runs before [main]); reads happen everywhere, including
-   concurrently on compile-service worker domains. [register] publishes a
-   grown copy under the mutex — the copy-on-grow scheme of [Atom.intern]
-   — so a reader on any domain sees the old table or the new one, never a
-   torn one. A later registration of a name replaces its info. *)
+   concurrently on compile-service worker domains. [register] builds a
+   new copy of the table under the mutex and publishes it whole, so a
+   reader on any domain sees the old table or the new one, never a torn
+   one. Registrations are few, so the copy per registration costs
+   nothing that matters. A later registration of a name replaces its
+   info. *)
 let table : op_info option array Atomic.t = Atomic.make [||]
 let table_mutex = Mutex.create ()
 
@@ -101,10 +103,7 @@ let memory_effects op = (info op).memory_effects op
 let rec is_pure op =
   (match memory_effects op with Some [] -> true | _ -> false)
   && Array.for_all
-       (fun r ->
-         List.for_all
-           (fun b -> List.for_all is_pure (Core.ops b))
-           r.Core.blocks)
+       (fun r -> List.for_all (Core.for_all_ops is_pure) r.Core.blocks)
        op.Core.regions
 
 let is_speculatable op = (info op).speculatable

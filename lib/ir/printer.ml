@@ -163,11 +163,11 @@ and print_region env level (r : Core.region) =
           b.Core.bargs;
         Buffer.add_string buf "):\n"
       end;
-      List.iter
+      Core.iter_ops
         (fun o ->
           print_op env (level + 1) o;
           Buffer.add_char buf '\n')
-        (Core.ops b))
+        b)
     r.Core.blocks;
   indent buf (2 * level);
   Buffer.add_char buf '}'

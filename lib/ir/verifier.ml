@@ -118,12 +118,11 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
         | _ -> fail ~op "terminator with successors must end its block")
       | None -> ())
     end;
-    (* Use-list sanity: every operand's use list mentions this op. *)
-    Array.iteri
-      (fun i v ->
-        if not (List.exists (fun (o, j) -> o == op && i = j) (Core.uses v)) then
-          fail ~op "use-list corruption for operand %d" i)
-      op.Core.operands
+    (* Use-list sanity: every operand's use record is linked into its
+       value's use list. *)
+    for i = 0 to Core.num_operands op - 1 do
+      if not (Core.operand_linked op i) then fail ~op "use-list corruption for operand %d" i
+    done
   in
   Core.walk top ~f:check_op;
   match List.rev !diags with [] -> Ok () | ds -> Error ds
