@@ -1,9 +1,12 @@
-(** Interned strings for the hot identifiers of the IR — op names,
-    attribute keys, printed type/attribute forms.
+(** Interned strings for the hot identifiers of the IR — op names and
+    the attribute keys and symbols the passes look up.
 
     An atom is a small dense integer with O(1) equality. Interning is
-    thread-safe (mutex-protected table); [to_string] is lock-free and
-    safe from any domain. *)
+    thread-safe: each domain answers repeat interns from its own cache,
+    and a new string takes a process-wide mutex. [to_string] is
+    lock-free and safe from any domain. The table never shrinks, so
+    intern only names the program knows, not data such as the printed
+    value of every constant. *)
 
 type t = int
 
@@ -14,5 +17,3 @@ val intern : string -> t
 (** The canonical string of an atom. Raises [Invalid_argument] for an id
     never returned by {!intern}. *)
 val to_string : t -> string
-
-val compare : t -> t -> int
