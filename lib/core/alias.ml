@@ -24,14 +24,11 @@ let result_to_string = function
   | May_alias -> "may"
   | Must_alias -> "must"
 
-let alloc_ops =
-  [ "memref.alloca"; "memref.alloc"; "gpu.alloc_local"; "llvm.alloca" ]
-
 (** The root object a pointer-like value refers to. *)
 let rec base_of (v : Core.value) : base =
   match v.Core.vdef with
   | Core.Op_result (op, _) ->
-    if List.mem op.Core.name alloc_ops then Alloc op
+    if Dialects.Memref.is_alloc op then Alloc op
     else if op.Core.name = "llvm.addressof" then
       Global (Option.value ~default:"?" (Core.attr_symbol op "global_name"))
     else if Sycl_ops.is_subscript op then base_of (Sycl_ops.subscript_accessor op)

@@ -27,44 +27,37 @@ let inline_taken_region (op : Core.op) (taken : Core.region option) =
   Core.replace_op op yields
 
 let scf_if_const =
-  Rewrite.pattern "scf.if-const" (fun op ->
-      if not (Dialects.Scf.is_if op) then false
-      else
-        match Rewrite.constant_of_value (Core.operand op 0) with
-        | Some a -> (
-          match Attr.as_bool a with
-          | Some true ->
-            inline_taken_region op (Some op.Core.regions.(0));
-            true
-          | Some false ->
-            inline_taken_region op
-              (if Core.num_regions op > 1 then Some op.Core.regions.(1) else None);
-            true
-          | None -> false)
+  Rewrite.pattern ~roots:[ "scf.if" ] "scf.if-const" (fun op ->
+      match Rewrite.constant_of_value (Core.operand op 0) with
+      | Some a -> (
+        match Attr.as_bool a with
+        | Some true ->
+          inline_taken_region op (Some op.Core.regions.(0));
+          true
+        | Some false ->
+          inline_taken_region op
+            (if Core.num_regions op > 1 then Some op.Core.regions.(1) else None);
+          true
         | None -> false)
+      | None -> false)
 
 (* Loops with zero or negative trip count fold away (no results only). *)
 let scf_for_zero_trip =
-  Rewrite.pattern "scf.for-zero-trip" (fun op ->
-      if not (Dialects.Scf.is_for op) then false
-      else
-        match
-          ( Rewrite.constant_of_value (Dialects.Scf.for_lb op),
-            Rewrite.constant_of_value (Dialects.Scf.for_ub op) )
-        with
-        | Some (Attr.Int lb), Some (Attr.Int ub) when lb >= ub ->
-          (* Results are the untouched init values. *)
-          Core.replace_op op (Dialects.Scf.for_iter_inits op);
-          true
-        | _ -> false)
+  Rewrite.pattern ~roots:[ "scf.for" ] "scf.for-zero-trip" (fun op ->
+      match
+        ( Rewrite.constant_of_value (Dialects.Scf.for_lb op),
+          Rewrite.constant_of_value (Dialects.Scf.for_ub op) )
+      with
+      | Some (Attr.Int lb), Some (Attr.Int ub) when lb >= ub ->
+        (* Results are the untouched init values. *)
+        Core.replace_op op (Dialects.Scf.for_iter_inits op);
+        true
+      | _ -> false)
 
 (* x - x => 0, x xor x => 0. *)
 let self_cancel =
-  Rewrite.pattern "self-cancel" (fun op ->
-      if
-        (op.Core.name = "arith.subi" || op.Core.name = "arith.xori")
-        && Core.value_equal (Core.operand op 0) (Core.operand op 1)
-      then begin
+  Rewrite.pattern ~roots:[ "arith.subi"; "arith.xori" ] "self-cancel" (fun op ->
+      if Core.value_equal (Core.operand op 0) (Core.operand op 1) then begin
         let b = Builder.before op in
         Builder.set_default_loc b op.Core.loc;
         let zero =
@@ -77,13 +70,13 @@ let self_cancel =
 
 (* x and x => x, x or x => x, min/max x x => x. *)
 let self_identity =
-  Rewrite.pattern "self-identity" (fun op ->
-      if
-        List.mem op.Core.name
-          [ "arith.andi"; "arith.ori"; "arith.minsi"; "arith.maxsi";
-            "arith.minimumf"; "arith.maximumf" ]
-        && Core.value_equal (Core.operand op 0) (Core.operand op 1)
-      then begin
+  Rewrite.pattern
+    ~roots:
+      [ "arith.andi"; "arith.ori"; "arith.minsi"; "arith.maxsi"; "arith.minimumf";
+        "arith.maximumf" ]
+    "self-identity"
+    (fun op ->
+      if Core.value_equal (Core.operand op 0) (Core.operand op 1) then begin
         Core.replace_op op [ Core.operand op 0 ];
         true
       end
@@ -91,11 +84,8 @@ let self_identity =
 
 (* cmpi of a value with itself folds to the reflexive truth value. *)
 let cmp_same =
-  Rewrite.pattern "cmpi-same" (fun op ->
-      if
-        op.Core.name = "arith.cmpi"
-        && Core.value_equal (Core.operand op 0) (Core.operand op 1)
-      then
+  Rewrite.pattern ~roots:[ "arith.cmpi" ] "cmpi-same" (fun op ->
+      if Core.value_equal (Core.operand op 0) (Core.operand op 1) then
         match Dialects.Arith.icmp_predicate op with
         | Some p ->
           let v =
@@ -113,11 +103,8 @@ let cmp_same =
 
 (* select %c, %x, %x => %x. *)
 let select_same =
-  Rewrite.pattern "select-same" (fun op ->
-      if
-        op.Core.name = "arith.select"
-        && Core.value_equal (Core.operand op 1) (Core.operand op 2)
-      then begin
+  Rewrite.pattern ~roots:[ "arith.select" ] "select-same" (fun op ->
+      if Core.value_equal (Core.operand op 1) (Core.operand op 2) then begin
         Core.replace_op op [ Core.operand op 1 ];
         true
       end
@@ -126,31 +113,26 @@ let select_same =
 (* (x + c1) + c2 => x + (c1+c2); likewise for muli. Re-associating constant
    chains lets long index computations fold after unrolling. *)
 let reassoc_const =
-  Rewrite.pattern "reassoc-const" (fun op ->
+  Rewrite.pattern ~roots:[ "arith.addi"; "arith.muli" ] "reassoc-const" (fun op ->
       let name = op.Core.name in
-      if name <> "arith.addi" && name <> "arith.muli" then false
-      else
-        match Rewrite.constant_of_value (Core.operand op 1) with
-        | Some (Attr.Int c2) -> (
-          match Core.defining_op (Core.operand op 0) with
-          | Some inner when inner.Core.name = name -> (
-            match Rewrite.constant_of_value (Core.operand inner 1) with
-            | Some (Attr.Int c1) ->
-              let b = Builder.before op in
-              Builder.set_default_loc b op.Core.loc;
-              let combined =
-                if name = "arith.addi" then c1 + c2 else c1 * c2
-              in
-              let c =
-                Dialects.Arith.constant b (Attr.Int combined)
-                  (Core.result op 0).Core.vty
-              in
-              Core.set_operand op 0 (Core.operand inner 0);
-              Core.set_operand op 1 c;
-              true
-            | _ -> false)
+      match Rewrite.constant_of_value (Core.operand op 1) with
+      | Some (Attr.Int c2) -> (
+        match Core.defining_op (Core.operand op 0) with
+        | Some inner when inner.Core.name_id = op.Core.name_id -> (
+          match Rewrite.constant_of_value (Core.operand inner 1) with
+          | Some (Attr.Int c1) ->
+            let b = Builder.before op in
+            Builder.set_default_loc b op.Core.loc;
+            let combined = if name = "arith.addi" then c1 + c2 else c1 * c2 in
+            let c =
+              Dialects.Arith.constant b (Attr.Int combined) (Core.result op 0).Core.vty
+            in
+            Core.set_operand op 0 (Core.operand inner 0);
+            Core.set_operand op 1 c;
+            true
           | _ -> false)
         | _ -> false)
+      | _ -> false)
 
 let patterns =
   [ scf_if_const; scf_for_zero_trip; self_cancel; self_identity; cmp_same;

@@ -4,10 +4,6 @@
 
 open Mlir
 
-let is_alloc (op : Core.op) =
-  List.mem op.Core.name
-    [ "memref.alloca"; "memref.alloc"; "gpu.alloc_local"; "llvm.alloca" ]
-
 (* An allocation is dead when every use is a pure address computation or a
    store INTO it (the stored values are then never observable). *)
 let dead_alloc_uses (op : Core.op) =
@@ -38,7 +34,7 @@ let run_on_func (f : Core.op) stats =
             changed := true;
             Pass.Stats.bump stats "dce.erased"
           end
-          else if is_alloc op && dead_alloc_uses op then begin
+          else if Dialects.Memref.is_alloc op && dead_alloc_uses op then begin
             (* Erase the allocation and all its users. *)
             let rec erase_users (v : Core.value) =
               List.iter

@@ -78,9 +78,7 @@ let launch_sites (m : Core.op) : launch_site list =
 (** Replace every use of getter ops named [names] (with constant dim
     argument) inside [kernel] by the per-dimension constants [values]. *)
 let replace_dim_getters stats kernel names (values : int list) =
-  let getters =
-    Core.collect kernel ~p:(fun o -> List.mem o.Core.name names)
-  in
+  let getters = Core.collect kernel ~p:(Core.named names) in
   List.iter
     (fun g ->
       match Sycl_ops.getter_dim g with
@@ -170,7 +168,7 @@ let propagate_site stats (m : Core.op) (site : launch_site) =
             (* Offsets are zero; access range = memory range = buffer dims. *)
             let getters =
               Core.collect kernel ~p:(fun o ->
-                  List.mem o.Core.name Sycl_ops.accessor_member_getters
+                  Sycl_ops.is_accessor_member_getter o
                   && Core.value_equal (Core.operand o 0) arg)
             in
             List.iter

@@ -34,7 +34,7 @@ let expansion_of_kernel (kernel : Core.op) : int list option =
 
 let supported_use (op : Core.op) =
   (Sycl_ops.is_subscript op && Sycl_ops.subscript_is_direct op)
-  || List.mem op.Core.name Sycl_ops.accessor_member_getters
+  || Sycl_ops.is_accessor_member_getter op
 
 (* Subscript views must feed exactly loads/stores at constant index 0. *)
 let subscript_uses_ok (op : Core.op) =
@@ -143,7 +143,7 @@ let rec rewrite_ops rw (bld : Builder.t) (ops : Core.op list) =
         Dialects.Memref.store bld (mapped rw (Core.operand op 0)) data [ lin ]
       end
       else if
-        List.mem op.Core.name Sycl_ops.accessor_member_getters && acc_of 0 <> None
+        Sycl_ops.is_accessor_member_getter op && acc_of 0 <> None
       then begin
         let fa = Option.get (acc_of 0) in
         match Sycl_ops.getter_dim op with

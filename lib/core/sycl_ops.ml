@@ -125,6 +125,8 @@ let accessor_get_offset b acc dim = getter "sycl.accessor.get_offset" b acc dim
 let accessor_member_getters =
   [ "sycl.accessor.get_range"; "sycl.accessor.get_mem_range"; "sycl.accessor.get_offset" ]
 
+let is_accessor_member_getter = Core.named accessor_member_getters
+
 (* ------------------------------------------------------------------ *)
 (* Work-group cooperation                                              *)
 (* ------------------------------------------------------------------ *)

@@ -55,6 +55,10 @@ let alloc_info =
         | _ -> Error (op.Core.name ^ " must have exactly one result, of memref type"));
   }
 
+(** Is [op] an allocation: an op registered with {!alloc_info}? *)
+let is_alloc op =
+  match Op_registry.registered op with Some info -> info == alloc_info | None -> false
+
 let () =
   Op_registry.register "memref.alloca" alloc_info;
   Op_registry.register "memref.alloc" alloc_info;

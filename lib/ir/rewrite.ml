@@ -4,11 +4,33 @@
 
 type pattern = {
   pat_name : string;
+  (* The atoms of the op names the pattern can match (MLIR's root
+     operation); [] when it may match any op. *)
+  roots : Atom.t list;
   (* Returns true when it matched and rewrote the IR. *)
   apply : Core.op -> bool;
 }
 
-let pattern pat_name apply = { pat_name; apply }
+let pattern ?(roots = []) pat_name apply =
+  { pat_name; roots = List.map Atom.intern roots; apply }
+
+(* The patterns to try on an op, by the atom of its name: those rooted at
+   it and those without roots, in declaration order. *)
+let index_patterns patterns =
+  let rootless = List.filter (fun p -> p.roots = []) patterns in
+  let size = 1 + List.fold_left (fun m p -> List.fold_left max m p.roots) (-1) patterns in
+  let by_root = Array.make size rootless in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun id ->
+          by_root.(id) <-
+            List.filter (fun q -> q.roots = [] || List.exists (fun r -> r = id) q.roots) patterns)
+        p.roots)
+    patterns;
+  fun (op : Core.op) ->
+    let id = op.Core.name_id in
+    if id < size then by_root.(id) else rootless
 
 (* Dialects register how to materialize a constant attribute as an op (in
    practice: arith.constant). *)
@@ -103,34 +125,34 @@ let () =
            rewrites scope cap)
     | _ -> None)
 
-(* Shared single-op step: fold, then DCE, then each pattern in order.
-   Returns true when some rewrite fired. *)
+(* Shared single-op step: fold, then DCE, then each pattern rooted at
+   the op's name in order. Returns true when some rewrite fired. The
+   enclosing function is found before the op is rewritten (a rewrite may
+   detach it), and its symbol read only when a rewrite fires. *)
 let visit_op ~on_rewrite ~count patterns op =
-  let func =
-    match Core.enclosing_func op with
-    | Some f -> Core.func_sym f
-    | None -> "?"
+  let enclosing = Core.enclosing_func op in
+  let fired kind =
+    count ();
+    let func = match enclosing with Some f -> Core.func_sym f | None -> "?" in
+    on_rewrite ~func kind op
   in
   if try_fold op then begin
-    count ();
-    on_rewrite ~func "fold" op;
+    fired "fold";
     true
   end
   else if erase_if_dead op then begin
-    count ();
-    on_rewrite ~func "dce" op;
+    fired "dce";
     true
   end
   else
     List.fold_left
       (fun changed p ->
         if op.Core.parent_block <> None && p.apply op then begin
-          count ();
-          on_rewrite ~func p.pat_name op;
+          fired p.pat_name;
           true
         end
         else changed)
-      false patterns
+      false (patterns op)
 
 let no_rewrite = fun ~func:(_ : string) (_ : string) (_ : Core.op) -> ()
 
@@ -193,6 +215,7 @@ let apply_worklist ?cap ?since ?(on_rewrite = no_rewrite) (top : Core.op)
           Array.iter enqueue_def o.Core.operands);
     }
   in
+  let patterns = index_patterns patterns in
   let total = ref 0 in
   let visited = ref 0 in
   let scope =

@@ -4,10 +4,14 @@
 
 type pattern = {
   pat_name : string;
+  roots : Atom.t list;  (** atoms of the op names it can match; [] for any op *)
   apply : Core.op -> bool;  (** true when it matched and rewrote *)
 }
 
-val pattern : string -> (Core.op -> bool) -> pattern
+(** [pattern ~roots name apply]: a pattern that the drivers try only on
+    ops named in [roots] (MLIR's root operation), or on every op when
+    [roots] is empty or left out. *)
+val pattern : ?roots:string list -> string -> (Core.op -> bool) -> pattern
 
 (** Dialects register how to materialize a constant attribute as an op
     (in practice: arith.constant). *)
