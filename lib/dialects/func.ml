@@ -88,8 +88,40 @@ let () =
           | _ -> Ok ());
     };
   (* Calls have unknown effects by default; analyses use the call graph
-     to refine. *)
-  Op_registry.register "func.call" Op_registry.default_info;
+     to refine. A call of a func.func of its module passes one operand
+     per argument of the callee's function_type and has one result per
+     result, as MLIR requires: inlining maps formals to operands and
+     results to returned values by position. *)
+  Op_registry.register "func.call"
+    {
+      Op_registry.default_info with
+      Op_registry.verify =
+        (fun op ->
+          let rec enclosing_module o =
+            match Core.parent_op o with
+            | Some p when Core.is_module p -> Some p
+            | Some p -> enclosing_module p
+            | None -> None
+          in
+          let fn_type =
+            match (callee op, enclosing_module op) with
+            | Some name, Some m ->
+              Option.bind (Core.lookup_func m name) (fun f -> Core.attr_type f "function_type")
+            | _ -> None
+          in
+          let mismatch what given expected =
+            Error
+              (Printf.sprintf "incorrect number of %s for callee @%s: %d given, %d expected"
+                 what (Option.get (callee op)) given expected)
+          in
+          match fn_type with
+          | Some (Types.Function (args, _)) when List.length args <> Core.num_operands op ->
+            mismatch "operands" (Core.num_operands op) (List.length args)
+          | Some (Types.Function (_, results))
+            when List.length results <> Core.num_results op ->
+            mismatch "results" (Core.num_results op) (List.length results)
+          | _ -> Ok ());
+    };
   Op_registry.register "builtin.module"
     {
       Op_registry.default_info with

@@ -436,4 +436,59 @@ let tests_list =
         Alcotest.(check int) "verifying modules" 641 !verified);
   ]
 
-let tests = ("verifier", tests_list)
+let call_cases =
+  [
+    Alcotest.test_case "func.call passes one operand per argument and has one result per result"
+      `Quick (fun () ->
+        (* A call of @g : (i64) -> (i64) with [operands] operands and
+           [results] results. *)
+        let verify ~operands ~results =
+          let list n f = String.concat ", " (List.init n f) in
+          let m =
+            Parser.parse_module
+              (Printf.sprintf
+                 "builtin.module() ({\n\
+                 \  func.func() ({\n\
+                 \  ^bb0(%%0: i64):\n\
+                 \    func.return(%%0)\n\
+                 \  }) {function_type = (i64) -> (i64), sym_name = \"g\"}\n\
+                 \  func.func() ({\n\
+                 \  ^bb0(%%0: i64):\n\
+                 \    %s = func.call(%s) {callee = @g} : (%s) -> (%s)\n\
+                 \    func.return()\n\
+                 \  }) {function_type = (i64) -> (), sym_name = \"main\"}\n\
+                  })\n"
+                 (list results (fun i -> Printf.sprintf "%%%d" (i + 1)))
+                 (list operands (fun _ -> "%0"))
+                 (list operands (fun _ -> "i64"))
+                 (list results (fun _ -> "i64")))
+          in
+          match Verifier.verify m with
+          | Ok () -> "ok"
+          | Error ds -> String.concat "; " (List.map (fun d -> d.Verifier.message) ds)
+        in
+        Alcotest.(check string) "matching" "ok" (verify ~operands:1 ~results:1);
+        Alcotest.(check string) "an operand missing"
+          "incorrect number of operands for callee @g: 0 given, 1 expected"
+          (verify ~operands:0 ~results:1);
+        Alcotest.(check string) "an operand too many"
+          "incorrect number of operands for callee @g: 2 given, 1 expected"
+          (verify ~operands:2 ~results:1);
+        Alcotest.(check string) "a result too many"
+          "incorrect number of results for callee @g: 2 given, 1 expected"
+          (verify ~operands:1 ~results:2));
+    Alcotest.test_case "func.call of a symbol that is no function of the module verifies" `Quick
+      (fun () ->
+        let m =
+          Parser.parse_module
+            "builtin.module() ({\n\
+            \  func.func() ({\n\
+            \    %0 = func.call() {callee = @ext} : () -> (i64)\n\
+            \    func.return()\n\
+            \  }) {function_type = () -> (), sym_name = \"main\"}\n\
+             })\n"
+        in
+        Helpers.check_verifies m);
+  ]
+
+let tests = ("verifier", tests_list @ call_cases)
