@@ -7,7 +7,20 @@
    transcripts of test/cli) have stable textual inputs without running
    OCaml first.
    [--debuginfo] prints a trailing loc(...) on every op — the golden
-   input for the location round-trip checks. *)
+   input for the location round-trip checks.
+
+   It also prints the large single-block shapes that the IR core's
+   scaling is measured on, each as one function @f:
+
+     gen_ir.exe chain N     constants 1..N, each added (arith.addi) to the
+                            running sum of %arg0: 2N+1 ops, which
+                            canonicalize folds to %arg0 + N(N+1)/2
+     gen_ir.exe unused N    N distinct unused constants
+     gen_ir.exe fanout N    N unused arith.addi(%arg0, %arg0): N users of
+                            one block argument
+     gen_ir.exe stream K N  K modules of N constants each, all K*N
+                            distinct, separated by "// -----" lines for
+                            sycl-mlir-opt --serve *)
 
 open Sycl_workloads
 module K = Sycl_frontend.Kernel
@@ -68,8 +81,61 @@ let matmul_module () =
             Polybench.cap_r 3; Host.Capture_scalar (Mlir.Attr.Float 1.2) ] ];
   m
 
+(* One function @f in a fresh module: [args] are its argument types, and
+   [body] fills its block before the return of the values it gives. *)
+let shape ~args ~results body =
+  let m = Mlir.Core.create_module () in
+  ignore
+    (Dialects.Func.func m "f" ~args ~results (fun b params ->
+         Dialects.Func.return b (body b params)));
+  m
+
+let chain n =
+  shape ~args:[ Mlir.Types.i64 ] ~results:[ Mlir.Types.i64 ] (fun b params ->
+      let sum = ref (List.hd params) in
+      for i = 1 to n do
+        sum := Dialects.Arith.addi b !sum (Dialects.Arith.const_int b i)
+      done;
+      [ !sum ])
+
+let unused ?(first = 0) n =
+  shape ~args:[] ~results:[] (fun b _ ->
+      for i = first to first + n - 1 do
+        ignore (Dialects.Arith.const_int b i)
+      done;
+      [])
+
+let fanout n =
+  shape ~args:[ Mlir.Types.i64 ] ~results:[] (fun b params ->
+      let a = List.hd params in
+      for _ = 1 to n do
+        ignore (Dialects.Arith.addi b a a)
+      done;
+      [])
+
+let usage () =
+  prerr_endline
+    "usage: gen_ir [matmul|gemm|vec-add] [--debuginfo] | chain N | unused N | fanout N | stream K N";
+  exit 2
+
+let count s =
+  match int_of_string_opt s with Some n when n >= 0 -> n | _ -> usage ()
+
+let print m = Mlir.Printer.print m
+
 let () =
   let argv = List.tl (Array.to_list Sys.argv) in
+  match argv with
+  | [ "chain"; n ] -> print (chain (count n))
+  | [ "unused"; n ] -> print (unused (count n))
+  | [ "fanout"; n ] -> print (fanout (count n))
+  | [ "stream"; k; n ] ->
+    let k = count k and n = count n in
+    for i = 0 to k - 1 do
+      if i > 0 then print_string "// -----\n";
+      print (unused ~first:(i * n) n)
+    done
+  | _ ->
   let debuginfo = List.mem "--debuginfo" argv in
   let which =
     match List.filter (fun a -> a <> "--debuginfo") argv with
