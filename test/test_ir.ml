@@ -364,4 +364,182 @@ let tests_list =
         check_bool "lookup missing" true (Core.lookup_func m "nope" = None));
   ]
 
-let tests = ("ir-core", tests_list)
+(* ------------------------------------------------------------------ *)
+(* Linked blocks, use records and atoms                                *)
+(* ------------------------------------------------------------------ *)
+
+let bare name = Core.create_op name ~operands:[] ~result_types:[]
+let names blk = List.map (fun o -> o.Core.name) (Core.ops blk)
+let check_names = Alcotest.(check (list string))
+
+(* A region op holding one block of [inner] ops. *)
+let wrap name inner =
+  let blk = Core.create_block () in
+  List.iter (Core.append_op blk) inner;
+  (Core.create_op name ~operands:[] ~result_types:[] ~regions:[ Core.create_region ~blocks:[ blk ] () ], blk)
+
+let uses v = List.map (fun (o, i) -> (o.Core.name, i)) (Core.uses v)
+let check_uses = Alcotest.(check (list (pair string int)))
+
+let linked_cases =
+  [
+    Alcotest.test_case "op order, first and last ops after each insertion and removal"
+      `Quick (fun () ->
+        let blk = Core.create_block () in
+        let op name = bare ("t." ^ name) in
+        let a = op "a" and b = op "b" and c = op "c" and d = op "d" and e = op "e" in
+        let before = Core.is_before_in_block in
+        let ends () =
+          ( (Option.get (Core.first_op blk)).Core.name,
+            (Option.get (Core.last_op blk)).Core.name )
+        in
+        let check_ends first last = Alcotest.(check (pair string string)) "ends" (first, last) (ends ()) in
+        Core.append_op blk a;
+        Core.append_op blk c;
+        Core.insert_before ~anchor:c b;
+        check_names "insert_before" [ "t.a"; "t.b"; "t.c" ] (names blk);
+        check_bool "a before b" true (before a b);
+        check_bool "b before c" true (before b c);
+        check_bool "c not before b" false (before c b);
+        check_bool "an op is not before itself" false (before b b);
+        Core.insert_after ~anchor:a d;
+        check_names "insert_after" [ "t.a"; "t.d"; "t.b"; "t.c" ] (names blk);
+        check_bool "a before d before b" true (before a d && before d b && not (before b d));
+        Core.prepend_op blk e;
+        check_ends "t.e" "t.c";
+        check_bool "e before a" true (before e a && not (before a e));
+        Core.move_before ~anchor:e c;
+        check_names "move_before" [ "t.c"; "t.e"; "t.a"; "t.d"; "t.b" ] (names blk);
+        check_ends "t.c" "t.b";
+        check_bool "c before b" true (before c b && not (before b c));
+        Core.detach_op b;
+        check_ends "t.c" "t.d";
+        check_bool "a detached op is before nothing" false (before b d || before d b);
+        check_bool "d after the others" true (before c d && before a d);
+        (* The queries above renumbered the block; an append keeps its
+           order index valid. *)
+        let f = op "f" in
+        Core.append_op blk f;
+        check_names "append" [ "t.c"; "t.e"; "t.a"; "t.d"; "t.f" ] (names blk);
+        check_ends "t.c" "t.f";
+        check_bool "f after every op" true
+          (List.for_all (fun o -> o == f || before o f) (Core.ops blk));
+        check_bool "f before none" false (List.exists (fun o -> before f o) (Core.ops blk));
+        Core.detach_op c;
+        Core.detach_op e;
+        check_ends "t.a" "t.f";
+        Core.detach_op a;
+        Core.detach_op d;
+        Core.detach_op f;
+        check_bool "empty" true (Core.first_op blk = None && Core.last_op blk = None));
+    Alcotest.test_case
+      "a walk whose f detaches the op it is given visits the next op and the detached op's regions"
+      `Quick (fun () ->
+        let inner, _ = wrap "t.wrap" [ bare "t.inner" ] in
+        let top, top_blk = wrap "t.top" [ bare "t.first"; inner; bare "t.after" ] in
+        let seen = ref [] in
+        Core.walk top ~f:(fun o ->
+            seen := o.Core.name :: !seen;
+            if o == inner then Core.detach_op o);
+        check_names "visited" [ "t.top"; "t.first"; "t.wrap"; "t.inner"; "t.after" ]
+          (List.rev !seen);
+        check_names "left in the block" [ "t.first"; "t.after" ] (names top_blk));
+    Alcotest.test_case "Core.uses lists the newest use first after set_operand, set_operands and erase"
+      `Quick (fun () ->
+        let _m, _f =
+          Helpers.with_func (fun b _ ->
+              let x = A.const_int b 1 and y = A.const_int b 2 in
+              let s = Option.get (Core.defining_op (A.addi b x x)) in
+              let t = Option.get (Core.defining_op (A.muli b x x)) in
+              check_uses "x after creation"
+                [ ("arith.muli", 1); ("arith.muli", 0); ("arith.addi", 1); ("arith.addi", 0) ]
+                (uses x);
+              check_int "x: four uses" 4 (Core.num_uses x);
+              Core.set_operand s 0 y;
+              check_uses "x after set_operand"
+                [ ("arith.muli", 1); ("arith.muli", 0); ("arith.addi", 1) ]
+                (uses x);
+              check_uses "y after set_operand" [ ("arith.addi", 0) ] (uses y);
+              check_int "x: three uses" 3 (Core.num_uses x);
+              check_int "y: one use" 1 (Core.num_uses y);
+              Core.set_operands t [ y; x ];
+              check_uses "x after set_operands" [ ("arith.muli", 1); ("arith.addi", 1) ] (uses x);
+              check_uses "y after set_operands" [ ("arith.muli", 0); ("arith.addi", 0) ] (uses y);
+              check_int "x: two uses" 2 (Core.num_uses x);
+              check_int "y: two uses" 2 (Core.num_uses y);
+              Core.erase_op t;
+              check_uses "x after erase" [ ("arith.addi", 1) ] (uses x);
+              check_uses "y after erase" [ ("arith.addi", 0) ] (uses y);
+              check_int "x: one use" 1 (Core.num_uses x);
+              check_int "y: one use" 1 (Core.num_uses y);
+              check_bool "every operand linked" true
+                (Core.operand_linked s 0 && Core.operand_linked s 1))
+        in
+        ());
+    Alcotest.test_case "two domains interning overlapping strings get the same atoms"
+      `Quick (fun () ->
+        (* 450 new strings: enough to grow the reverse table at least once. *)
+        let intern_range lo =
+          List.init 300 (fun i ->
+              let s = Printf.sprintf "atom-test.%d" (lo + i) in
+              (s, Atom.intern s))
+        in
+        let other = Domain.spawn (fun () -> intern_range 0) in
+        let here = intern_range 150 in
+        let there = Domain.join other in
+        List.iter
+          (fun (s, id) -> Alcotest.(check string) "to_string round-trips" s (Atom.to_string id))
+          (here @ there);
+        List.iter
+          (fun (s, id) ->
+            match List.assoc_opt s there with
+            | Some id' -> check_int ("same atom for " ^ s) id id'
+            | None -> ())
+          here;
+        check_int "distinct strings, distinct atoms" 450
+          (List.length (List.sort_uniq Int.compare (List.map snd (here @ there)))));
+  ]
+
+(* The IR core's costs per op must not grow with the size of a block.
+   Bounding the bytes a pass allocates per op pins that without reading
+   the clock: a block that is rebuilt, or a use list that is filtered,
+   per edit allocates in proportion to the block. *)
+let allocation_per_op name ~ops build passes =
+  Alcotest.test_case name `Quick (fun () ->
+      let m = build () in
+      let before = Gc.allocated_bytes () in
+      List.iter (fun (p : Pass.t) -> p.Pass.run m (Pass.Stats.create ())) passes;
+      let per_op = (Gc.allocated_bytes () -. before) /. float ops in
+      if per_op > 4096.0 then
+        Alcotest.failf "%.0f bytes allocated per op (at most 4096)" per_op)
+
+let scale_cases =
+  let n = 8000 in
+  let chain () =
+    fst
+      (Helpers.with_func ~args:[ Types.i64 ] ~results:[ Types.i64 ] (fun b vals ->
+           let sum = ref (List.hd vals) in
+           for i = 1 to n do
+             sum := A.addi b !sum (A.const_int b i)
+           done;
+           Dialects.Func.return b [ !sum ]))
+  in
+  let fanout () =
+    fst
+      (Helpers.with_func ~args:[ Types.i64 ] (fun b vals ->
+           let a = List.hd vals in
+           for _ = 1 to n do
+             ignore (A.addi b a a)
+           done))
+  in
+  let canonicalize = Sycl_core.Canonicalize.pass and dce = Sycl_core.Dce.pass in
+  [
+    allocation_per_op "canonicalize folds a chain of 8,000 constant/addi pairs in linear space"
+      ~ops:(2 * n) chain [ canonicalize ];
+    allocation_per_op "canonicalize erases 8,000 dead users of one value in linear space" ~ops:n
+      fanout [ canonicalize ];
+    allocation_per_op "dce erases 8,000 dead users of one value in linear space" ~ops:n fanout
+      [ dce ];
+  ]
+
+let tests = ("ir-core", tests_list @ linked_cases @ scale_cases)

@@ -328,4 +328,48 @@ let tests_list =
           (Helpers.count_ops f "arith.constant"));
   ]
 
-let tests = ("rewrite", tests_list)
+let root_cases =
+  [
+    Alcotest.test_case "a pattern rooted at arith.addi is tried on no other op" `Quick
+      (fun () ->
+        let m, _ =
+          Helpers.with_func ~args:[ Types.i64 ] ~results:[ Types.i64 ] (fun b vals ->
+              let a = List.hd vals in
+              let s = A.addi b (A.muli b (A.addi b a a) a) a in
+              Dialects.Func.return b [ s ])
+        in
+        let tried = ref [] in
+        let probe ?roots name =
+          Rewrite.pattern ?roots name (fun op ->
+              tried := (name, op.Core.name) :: !tried;
+              false)
+        in
+        let st =
+          Rewrite.apply_worklist m [ probe "any"; probe ~roots:[ "arith.addi" ] "addi" ]
+        in
+        check_int "no rewrite" 0 st.Rewrite.rw_rewrites;
+        Alcotest.(check (list (pair string string)))
+          "patterns tried, in visit and declaration order"
+          [ ("any", "func.func"); ("any", "arith.addi"); ("addi", "arith.addi");
+            ("any", "arith.muli"); ("any", "arith.addi"); ("addi", "arith.addi");
+            ("any", "func.return") ]
+          (List.rev !tried));
+    Alcotest.test_case "cse over 1,000 distinct constants adds no atom" `Quick (fun () ->
+        let m, f =
+          Helpers.with_func (fun b _ ->
+              for i = 0 to 999 do
+                ignore (A.const_int b (7_000_000 + i))
+              done)
+        in
+        ignore m;
+        (* Atoms are dense: the probes are consecutive when nothing was
+           interned between them. *)
+        let first = Atom.intern "cse-atom-probe.first" in
+        let stats = Pass.Stats.create () in
+        Sycl_core.Cse.run_on_func f stats;
+        let second = Atom.intern "cse-atom-probe.second" in
+        check_int "candidates" 1000 (Pass.Stats.get stats "cse.candidates");
+        check_int "atoms interned by cse" 0 (second - first - 1));
+  ]
+
+let tests = ("rewrite", tests_list @ root_cases)
