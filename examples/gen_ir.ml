@@ -136,19 +136,19 @@ let () =
       print (unused ~first:(i * n) n)
     done
   | _ ->
-  let debuginfo = List.mem "--debuginfo" argv in
-  let which =
-    match List.filter (fun a -> a <> "--debuginfo") argv with
-    | [] -> "matmul"
-    | w :: _ -> w
-  in
-  let m =
-    match which with
-    | "matmul" -> matmul_module ()
-    | "gemm" -> (Polybench.gemm ~n:16).Common.w_module ()
-    | "vec-add" -> (Single_kernel.vec_add ~n:256).Common.w_module ()
-    | other ->
-      prerr_endline ("unknown example " ^ other ^ " (matmul|gemm|vec-add)");
-      exit 2
-  in
-  print_string (Mlir.Printer.to_string ~debuginfo m)
+    let debuginfo = List.mem "--debuginfo" argv in
+    let which =
+      match List.filter (fun a -> a <> "--debuginfo") argv with
+      | [] -> "matmul"
+      | w :: _ -> w
+    in
+    let m =
+      match which with
+      | "matmul" -> matmul_module ()
+      | "gemm" -> (Polybench.gemm ~n:16).Common.w_module ()
+      | "vec-add" -> (Single_kernel.vec_add ~n:256).Common.w_module ()
+      | other ->
+        prerr_endline ("unknown example " ^ other ^ " (matmul|gemm|vec-add)");
+        exit 2
+    in
+    print_string (Mlir.Printer.to_string ~debuginfo m)

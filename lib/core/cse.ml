@@ -45,12 +45,7 @@ module Keys = Hashtbl.Make (struct
     List.fold_left mix h k.k_result_types land max_int
 end)
 
-module Strings = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash (s : string) = Hashtbl.hash s
-end)
+module Strings = Hashtbl.Make (String)
 
 (* The tables of one run: CSE runs concurrently on compile-service
    worker domains, so a shared mutable cache would race. Attributes are

@@ -15,12 +15,7 @@
 
 type t = int
 
-module Strings = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash (s : string) = Hashtbl.hash s
-end)
+module Strings = Hashtbl.Make (String)
 
 let table : int Strings.t = Strings.create 256
 let names : string array Atomic.t = Atomic.make (Array.make 256 "")
@@ -61,15 +56,6 @@ let intern s =
   match Strings.find local s with
   | id -> id
   | exception Not_found ->
-    Mutex.lock mutex;
-    let id =
-      match intern_locked s with
-      | id ->
-        Mutex.unlock mutex;
-        id
-      | exception e ->
-        Mutex.unlock mutex;
-        raise e
-    in
+    let id = Mutex.protect mutex (fun () -> intern_locked s) in
     Strings.add local (to_string id) id;
     id

@@ -17,17 +17,10 @@ let pattern ?(roots = []) pat_name apply =
 (* The patterns to try on an op, by the atom of its name: those rooted at
    it and those without roots, in declaration order. *)
 let index_patterns patterns =
-  let rootless = List.filter (fun p -> p.roots = []) patterns in
+  let tried_on id = List.filter (fun p -> p.roots = [] || List.mem id p.roots) patterns in
+  let rootless = tried_on (-1) in
   let size = 1 + List.fold_left (fun m p -> List.fold_left max m p.roots) (-1) patterns in
-  let by_root = Array.make size rootless in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun id ->
-          by_root.(id) <-
-            List.filter (fun q -> q.roots = [] || List.exists (fun r -> r = id) q.roots) patterns)
-        p.roots)
-    patterns;
+  let by_root = Array.init size tried_on in
   fun (op : Core.op) ->
     let id = op.Core.name_id in
     if id < size then by_root.(id) else rootless
