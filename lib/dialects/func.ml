@@ -95,19 +95,12 @@ let () =
   Op_registry.register "func.call"
     {
       Op_registry.default_info with
-      Op_registry.verify =
-        (fun op ->
-          let rec enclosing_module o =
-            match Core.parent_op o with
-            | Some p when Core.is_module p -> Some p
-            | Some p -> enclosing_module p
-            | None -> None
-          in
+      Op_registry.verify_symbol_uses =
+        (fun ~lookup_func op ->
           let fn_type =
-            match (callee op, enclosing_module op) with
-            | Some name, Some m ->
-              Option.bind (Core.lookup_func m name) (fun f -> Core.attr_type f "function_type")
-            | _ -> None
+            Option.bind
+              (Option.bind (callee op) (lookup_func op))
+              (fun f -> Core.attr_type f "function_type")
           in
           let mismatch what given expected =
             Error

@@ -48,6 +48,12 @@ type op_info = {
   fold : Core.op -> Attr.t option array -> fold_result option;
   (* Op-specific structural verification. *)
   verify : Core.op -> (unit, string) result;
+  (* Verification against the functions the op names (MLIR's
+     [SymbolUserOpInterface::verifySymbolUses]). [lookup_func user name]
+     finds the function [name] in the module nearest to [user], from a
+     table the verifier builds once per run. *)
+  verify_symbol_uses :
+    lookup_func:(Core.op -> string -> Core.op option) -> Core.op -> (unit, string) result;
 }
 
 let default_info =
@@ -59,6 +65,7 @@ let default_info =
     terminator = false;
     fold = (fun _ _ -> None);
     verify = (fun _ -> Ok ());
+    verify_symbol_uses = (fun ~lookup_func:_ _ -> Ok ());
   }
 
 (** Convenience: a pure (no memory effects, speculatable) op_info. *)

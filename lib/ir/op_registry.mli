@@ -42,6 +42,12 @@ type op_info = {
   terminator : bool;
   fold : Core.op -> Attr.t option array -> fold_result option;
   verify : Core.op -> (unit, string) result;
+  verify_symbol_uses :
+    lookup_func:(Core.op -> string -> Core.op option) -> Core.op -> (unit, string) result;
+      (** checks against the functions the op names (MLIR's
+          [SymbolUserOpInterface]); [lookup_func user name] finds the
+          function [name] in the module nearest to [user], from a table
+          the verifier builds once per run *)
 }
 
 (** All-unknown defaults. *)

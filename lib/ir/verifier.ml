@@ -52,6 +52,34 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
         diags := { message; culprit = op; d_loc; d_context } :: !diags)
       fmt
   in
+  (* Each module's functions by name, built on the first lookup and kept
+     for the run, which changes no IR (MLIR's SymbolTableCollection): a
+     symbol use is checked in O(1), not by a walk of the module. *)
+  let tables = ref [] in
+  let lookup_func user name =
+    let rec nearest_module o =
+      match Core.parent_op o with
+      | Some p when Core.is_module p -> Some p
+      | Some p -> nearest_module p
+      | None -> None
+    in
+    Option.bind (nearest_module user) (fun m ->
+        let table =
+          match List.assq_opt m !tables with
+          | Some t -> t
+          | None ->
+            let t = Hashtbl.create 64 in
+            (* The first function of a name wins, as in [Core.lookup_func]. *)
+            List.iter
+              (fun f ->
+                let sym = Core.func_sym f in
+                if not (Hashtbl.mem t sym) then Hashtbl.add t sym f)
+              (Core.funcs m);
+            tables := (m, t) :: !tables;
+            t
+        in
+        Hashtbl.find_opt table name)
+  in
   let check_op op =
     (* Operand visibility. *)
     Array.iteri
@@ -64,6 +92,9 @@ let verify ?(allow_unregistered = true) (top : Core.op) =
       match Op_registry.registered op with
       | Some info ->
         (match info.Op_registry.verify op with
+        | Ok () -> ()
+        | Error msg -> fail ~op "%s" msg);
+        (match info.Op_registry.verify_symbol_uses ~lookup_func op with
         | Ok () -> ()
         | Error msg -> fail ~op "%s" msg);
         info

@@ -489,6 +489,25 @@ let call_cases =
              })\n"
         in
         Helpers.check_verifies m);
+    Alcotest.test_case "checking 4,000 calls against their callees allocates in linear space"
+      `Quick (fun () ->
+        (* Function i calls function i - 1. Finding each callee by a walk
+           of the module allocates in proportion to the module. *)
+        let n = 4000 in
+        let m = Helpers.fresh_module () in
+        for i = 0 to n - 1 do
+          ignore
+            (Dialects.Func.func m (Printf.sprintf "f%d" i) ~args:[] ~results:[] (fun b _ ->
+                 if i > 0 then
+                   ignore
+                     (Dialects.Func.call b (Printf.sprintf "f%d" (i - 1)) ~operands:[] ~results:[]);
+                 Dialects.Func.return b []))
+        done;
+        let before = Gc.allocated_bytes () in
+        Helpers.check_verifies m;
+        let per_op = (Gc.allocated_bytes () -. before) /. float (3 * n) in
+        if per_op > 4096.0 then
+          Alcotest.failf "%.0f bytes allocated per op (at most 4096)" per_op);
   ]
 
 let tests = ("verifier", tests_list @ call_cases)
